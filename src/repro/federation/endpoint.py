@@ -1,14 +1,16 @@
 """Simulated SPARQL access points over peer graphs.
 
 A :class:`PeerEndpoint` stands in for one peer's remote SPARQL endpoint.
-It answers triple patterns — optionally *bound* by a batch of partial
-solutions, the wire format of FedX-style bound joins — directly at the
-dictionary-ID level, so the federated executor can join peer answers on
-integers exactly like the local engine does.  Sub-queries may carry a
-compiled FILTER predicate (``accept``): the endpoint applies it to every
-candidate solution *before* it travels, which is how FILTER pushdown
-saves transfer volume.  The endpoint itself does no network accounting;
-the executor charges every call against its
+It answers conjunctions of triple patterns — optionally *bound* by a
+batch of partial solutions, the wire format of FedX-style bound joins —
+directly at the dictionary-ID level and in the federation layer's row
+currency (ID tuples under a name-sorted schema, see
+:mod:`repro.federation.bindings`), so the federated executor can join
+peer answers on integers exactly like the local engine does.
+Sub-queries may carry compiled FILTER predicates: the endpoint applies
+them to every candidate solution *before* it travels, which is how
+FILTER pushdown saves transfer volume.  The endpoint itself does no
+network accounting; the executor charges every call against its
 :class:`~repro.federation.network.NetworkModel`.
 
 Endpoints also publish cardinality statistics
@@ -28,18 +30,26 @@ actually landed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from repro.gpq.evaluation import compile_conjunct, extend_id_bindings
+from repro.federation.bindings import (
+    CompiledFilter,
+    IDBinding,
+    Row,
+    Schema,
+    accepted,
+    as_rows,
+    bindings_of,
+    schema_of,
+)
+from repro.gpq.evaluation import compile_conjunct
 from repro.rdf.dictionary import IDTriple
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Variable
 from repro.rdf.triples import TriplePattern
+from repro.sparql.batch import extend_bindings_batch
 
 __all__ = ["PeerEndpoint"]
-
-_IDBinding = Dict[Variable, int]
-_Accept = Optional[Callable[[_IDBinding], bool]]
 
 
 class PeerEndpoint:
@@ -70,82 +80,59 @@ class PeerEndpoint:
     def __len__(self) -> int:
         return len(self.graph)
 
-    def pattern_solutions(
-        self, tp: TriplePattern, accept: _Accept = None
-    ) -> List[_IDBinding]:
-        """All solutions of one unbound triple pattern (one round trip).
-
-        ``accept`` is a compiled FILTER predicate pushed down into the
-        sub-query; rejected solutions never leave the endpoint.
-        """
-        return self._evaluate_group((tp,), [{}], accept)
-
-    def bound_solutions(
-        self,
-        tp: TriplePattern,
-        batch: Iterable[_IDBinding],
-        accept: _Accept = None,
-    ) -> List[_IDBinding]:
-        """Solutions of a pattern bound by a batch of partial solutions.
-
-        Models one FedX bound-join request: the batch travels in a single
-        message (a UNION of instantiated patterns on a real endpoint) and
-        every returned solution extends one input binding.  ``accept``
-        plays the same pushed-down-FILTER role as in
-        :meth:`pattern_solutions`; it sees the *extended* rows, so
-        filters over already-bound variables are decidable here.
-        """
-        return self._evaluate_group((tp,), list(batch), accept)
-
-    def group_solutions(
+    def solutions(
         self,
         patterns: Sequence[TriplePattern],
-        accept: _Accept = None,
-    ) -> List[_IDBinding]:
-        """All solutions of a conjunction evaluated *at* the endpoint.
+        schema: Schema,
+        rows: List[Row],
+        out_schema: Schema,
+        filters: Sequence[CompiledFilter] = (),
+    ) -> List[Row]:
+        """One sub-query: a conjunction bound by a batch of partial
+        solutions, answered in one round trip.
 
-        The wire format of a FedX-style exclusive group: conjuncts
-        relevant to exactly this endpoint are fused into one sub-query,
-        the endpoint joins them locally, and only the joined solutions
-        travel — one round trip for the whole group.  ``accept`` is a
-        pushed-down FILTER over the group's variables.
+        ``rows`` (under ``schema``) is the batch that travels with the
+        request — the single empty row for an unbound sub-query, a
+        bound join's batch otherwise (a UNION of instantiated patterns
+        on a real endpoint).  Several ``patterns`` are a FedX exclusive
+        group: the endpoint joins them locally and only the joined
+        solutions travel.  Every returned row extends one input row
+        through *all* the patterns and is laid out under
+        ``out_schema``, which must be ``schema`` plus the patterns'
+        variables, name-sorted.  ``filters`` are pushed-down FILTERs;
+        they see the *extended* rows, so filters over already-bound
+        variables are decidable here, and rejected solutions never
+        leave the endpoint.
         """
-        return self._evaluate_group(patterns, [{}], accept)
-
-    def bound_group_solutions(
-        self,
-        patterns: Sequence[TriplePattern],
-        batch: Iterable[_IDBinding],
-        accept: _Accept = None,
-    ) -> List[_IDBinding]:
-        """Group solutions bound by a batch of partial solutions.
-
-        One bound-join request carrying a whole exclusive group: every
-        returned solution extends one input binding through *all* the
-        group's conjuncts.  ``accept`` sees the fully extended rows.
-        """
-        return self._evaluate_group(patterns, list(batch), accept)
-
-    def _evaluate_group(
-        self,
-        patterns: Sequence[TriplePattern],
-        bindings: List[_IDBinding],
-        accept: _Accept,
-    ) -> List[_IDBinding]:
-        for tp in patterns:
+        last = len(patterns) - 1
+        for position, tp in enumerate(patterns):
             slots = compile_conjunct(self.graph, tp)
             if slots is None:
                 return []
-            bindings = [
-                extended
-                for partial in bindings
-                for extended in extend_id_bindings(self.graph, slots, partial)
-            ]
-            if not bindings:
+            if position == last:
+                extended = out_schema
+            else:
+                extended = schema_of(schema + tuple(tp.variables()))
+            rows, _ = extend_bindings_batch(
+                self.graph, slots, schema, rows, extended
+            )
+            if not rows:
                 return []
-        if accept is None:
-            return bindings
-        return [mu for mu in bindings if accept(mu)]
+            schema = extended
+        if not filters:
+            return rows
+        return [rows[i] for i in accepted(schema, rows, filters)]
+
+    def bound_solutions(
+        self, tp: TriplePattern, batch: Iterable[IDBinding]
+    ) -> List[IDBinding]:
+        """:meth:`solutions` of one pattern over dict bindings (the
+        surface the benchmark's endpoint probes call)."""
+        schema, rows = as_rows(list(batch))
+        out_schema = schema_of(schema + tuple(tp.variables()))
+        return bindings_of(
+            out_schema, self.solutions((tp,), schema, rows, out_schema)
+        )
 
     # -- published statistics (free to read, like the peer schemas) -----
 

@@ -115,11 +115,15 @@ from repro.errors import EndpointUnavailableError, FederationError
 from repro.federation.bindings import (
     CompiledFilter,
     IDBinding,
-    apply_filters,
-    dedupe,
-    left_join,
-    project,
+    Row,
+    Schema,
+    accepted,
+    left_join_rows,
+    project_rows,
+    relayout,
+    schema_of,
     split_filters,
+    unseen,
 )
 from repro.federation.cost import CostModel, Decision
 from repro.federation.endpoint import PeerEndpoint
@@ -632,17 +636,15 @@ class FederatedExecutor:
         )
         if strategy == "collect":
             union, unreachable = self._collect_union(stats, session, tracer)
+            solutions = [
+                self._evaluate_branch_local(union, branch)
+                for branch in prepared.branches
+            ]
             if modified:
-                all_bindings: List[IDBinding] = []
-                for branch in prepared.branches:
-                    all_bindings.extend(
-                        self._evaluate_branch_local(union, branch)
-                    )
-                id_rows = self._modified_id_rows(all_bindings, prepared)
+                id_rows = self._modified_id_rows(solutions, prepared)
             else:
-                for branch in prepared.branches:
-                    bindings = self._evaluate_branch_local(union, branch)
-                    id_rows |= project(bindings, prepared.head)
+                for schema, rows in solutions:
+                    id_rows |= project_rows(schema, rows, prepared.head)
         else:
             scheduler: Optional[OverlapScheduler] = None
             if strategy == PARALLEL:
@@ -669,11 +671,13 @@ class FederatedExecutor:
                 channels = scheduler.channel_stats()
                 if tracer.enabled:
                     _emit_runtime_spans(tracer, scheduler)
+        # Each distinct ID decodes once; rows then map cells in C.
+        term_of: Dict[Optional[int], Optional[Term]] = {None: None}
         decode = self.dictionary.decode
-        rows = {
-            tuple(None if tid is None else decode(tid) for tid in row)
-            for row in id_rows
-        }
+        for tid in set().union(*id_rows):
+            if tid is not None:
+                term_of[tid] = decode(tid)
+        rows = {tuple(map(term_of.__getitem__, row)) for row in id_rows}
         partial = PartialAnswer(tuple(unreachable)) if unreachable else None
         return FederationResult(
             strategy,
@@ -772,8 +776,9 @@ class FederatedExecutor:
             )
         else:
             root = ProjectDedupe(union_node, prepared.head)
-        rows_out = interp.run(root)
-        id_rows = project(rows_out.bindings, prepared.head)
+        id_rows = project_rows(
+            root.schema, interp.run(root).rows, prepared.head
+        )
         return id_rows, (root,), ctx.unreachable
 
     def run_all_strategies(
@@ -1289,8 +1294,7 @@ class FederatedExecutor:
             branch_index,
             demand=demand,
         )
-        rows = interp.run(root, demand)
-        if rows.bindings:
+        if interp.count(root, demand):
             for block in branch.optionals:
                 if not block.branches:
                     # Every optional branch was statically false (e.g. a
@@ -1318,8 +1322,7 @@ class FederatedExecutor:
                 else:
                     optional_root = UnionNode(sub_roots)
                 root = LeftJoinNode(root, optional_root, block.condition)
-                rows = interp.run(root, demand)
-                if not rows.bindings:
+                if not interp.count(root, demand):
                     break
         if leftovers:
             root = FilterNode(root, leftovers)
@@ -1407,42 +1410,90 @@ class FederatedExecutor:
 
     def _evaluate_branch_local(
         self, graph: Graph, branch: PreparedBranch
-    ) -> List[IDBinding]:
-        filters = list(branch.filters)
-        bindings: List[IDBinding] = [{}]
-        bound: Set[Variable] = set()
-        for tp in branch.patterns:
-            bindings = self._extend_local(graph, tp, bindings)
-            bound.update(tp.variables())
-            ready, filters = split_filters(filters, bound)
-            bindings = apply_filters(bindings, ready)
-            if not bindings:
-                return []
+    ) -> Tuple[Schema, List[Row]]:
+        """One branch of the collect baseline over the union graph, in
+        the operator layer's row currency (name-sorted schema, rows)."""
+        schema, rows, leftovers = self._evaluate_block_local(
+            graph, branch.patterns, list(branch.filters)
+        )
         for block in branch.optionals:
-            optional_rows: List[IDBinding] = []
-            for opt_patterns, opt_filters in block.branches:
-                rows = [{}]
-                opt_remaining = list(opt_filters)
-                opt_bound: Set[Variable] = set()
-                for tp in opt_patterns:
-                    rows = self._extend_local(graph, tp, rows)
-                    opt_bound.update(tp.variables())
-                    ready, opt_remaining = split_filters(
-                        opt_remaining, opt_bound
-                    )
-                    rows = apply_filters(rows, ready)
-                    if not rows:
-                        break
-                optional_rows.extend(apply_filters(rows, opt_remaining))
-            bindings = left_join(
-                bindings, dedupe(optional_rows), block.condition
+            if not rows:
+                break
+            optional_schema = schema_of(
+                var
+                for patterns, _ in block.branches
+                for tp in patterns
+                for var in tp.variables()
             )
-        return apply_filters(bindings, filters)
+            optional_rows: List[Row] = []
+            seen: Set[Row] = set()
+            for patterns, filters in block.branches:
+                found_schema, found, rest = self._evaluate_block_local(
+                    graph, patterns, list(filters)
+                )
+                if rest:
+                    keep = accepted(found_schema, found, rest)
+                    found = [found[i] for i in keep]
+                found = relayout(found_schema, optional_schema)(found)
+                optional_rows.extend(unseen(found, seen))
+            joined: Set[Row] = set()
+            rows = [
+                row
+                for chunk, _, _ in left_join_rows(
+                    schema,
+                    rows,
+                    optional_schema,
+                    optional_rows,
+                    block.condition,
+                )
+                for row in unseen(chunk, joined)
+            ]
+            schema = schema_of(schema + optional_schema)
+        if leftovers:
+            # Filters over OPTIONAL variables decide on the joined rows.
+            rows = [rows[i] for i in accepted(schema, rows, leftovers)]
+        return schema, rows
+
+    @staticmethod
+    def _evaluate_block_local(
+        graph: Graph,
+        patterns: Sequence[TriplePattern],
+        filters: List[CompiledFilter],
+    ) -> Tuple[Schema, List[Row], List[CompiledFilter]]:
+        """A conjunctive block, one columnar conjunct step at a time.
+
+        :func:`extend_bindings_batch` probes the index with selection
+        vectors instead of a per-row python loop, and is contractually
+        order-identical to the ``extend_id_bindings`` loop it replaced,
+        so the first-occurrence dedupe keeps the same representatives.
+        Filters apply as soon as they are decidable; the rest is
+        returned for the caller to apply.
+        """
+        schema: Schema = ()
+        rows: List[Row] = [()]
+        for tp in patterns:
+            slots = compile_conjunct(graph, tp)
+            if slots is None:
+                return schema, [], filters
+            extended = schema_of(schema + tuple(tp.variables()))
+            found, _ = extend_bindings_batch(
+                graph, slots, schema, rows, extended
+            )
+            schema, rows = extended, unseen(found, set())
+            ready, filters = split_filters(filters, set(schema))
+            if ready:
+                rows = [rows[i] for i in accepted(schema, rows, ready)]
+            if not rows:
+                break
+        return schema, rows, filters
 
     def _modified_id_rows(
-        self, bindings: List[IDBinding], prepared: PreparedQuery
+        self,
+        solutions: List[Tuple[Schema, List[Row]]],
+        prepared: PreparedQuery,
     ) -> Set[Tuple[Optional[int], ...]]:
-        """Apply solution modifiers to the collect baseline's solutions.
+        """Apply solution modifiers to the collect baseline's solutions
+        (one ``(schema, rows)`` pair per branch).
 
         ORDER BY mirrors :class:`~repro.federation.plan.TopKNode`
         exactly (same comparator, same dedupe) so ordered answer sets
@@ -1452,63 +1503,49 @@ class FederatedExecutor:
         """
         head = prepared.head
         if prepared.ask:
-            return {()} if bindings else set()
+            return {()} if any(rows for _, rows in solutions) else set()
         decode = self.dictionary.decode
-        key_cache: Dict[int, Tuple] = {}
+        key_cache: Dict[Optional[int], Tuple] = {None: (0,)}
 
         def cell_key(tid: Optional[int]) -> Tuple:
-            if tid is None:
-                return (0,)
             cached = key_cache.get(tid)
             if cached is None:
                 cached = (1,) + decode(tid).sort_key()
                 key_cache[tid] = cached
             return cached
 
+        def row_key(row: Tuple[Optional[int], ...]) -> Tuple:
+            return tuple(map(cell_key, row))
+
         if prepared.order:
             flags = tuple(c.descending for c in prepared.order)
             order_vars = tuple(c.variable for c in prepared.order)
             best: Dict[Tuple[Optional[int], ...], OrderKey] = {}
-            for binding in bindings:
-                row = tuple(binding.get(v) for v in head)
-                key = OrderKey(
-                    tuple(cell_key(binding.get(v)) for v in order_vars),
-                    flags,
-                    tuple(cell_key(cell) for cell in row),
-                )
-                current = best.get(row)
-                if current is None or key < current:
-                    best[row] = key
+            for schema, rows in solutions:
+                # One pass per branch over ``head + order`` cells; the
+                # set collapses solutions that agree on all of them.
+                cells = project_rows(schema, rows, head + order_vars)
+                for row in cells:
+                    projected = row[: len(head)]
+                    key = OrderKey(
+                        row_key(row[len(head) :]), flags, row_key(projected)
+                    )
+                    current = best.get(projected)
+                    if current is None or key < current:
+                        best[projected] = key
             ordered = [
                 row
                 for row, _ in sorted(best.items(), key=lambda item: item[1])
             ]
         else:
-            ordered = sorted(
-                project(bindings, head),
-                key=lambda row: tuple(cell_key(cell) for cell in row),
-            )
+            distinct: Set[Tuple[Optional[int], ...]] = set()
+            for schema, rows in solutions:
+                distinct |= project_rows(schema, rows, head)
+            ordered = sorted(distinct, key=row_key)
         sliced = ordered[prepared.offset :]
         if prepared.limit is not None:
             sliced = sliced[: prepared.limit]
         return set(sliced)
-
-    @staticmethod
-    def _extend_local(
-        graph: Graph, tp: TriplePattern, bindings: List[IDBinding]
-    ) -> List[IDBinding]:
-        """One conjunct step of the collect baseline, run columnar.
-
-        :func:`extend_bindings_batch` probes the index with selection
-        vectors instead of a per-row python loop, and is contractually
-        order-identical to the ``extend_id_bindings`` loop it replaced,
-        so the first-occurrence dedupe keeps the same representatives.
-        """
-        slots = compile_conjunct(graph, tp)
-        if slots is None:
-            return []
-        out, _ = extend_bindings_batch(graph, slots, bindings)
-        return dedupe(out)
 
 
 def _stats_registry(stats: NetworkStats) -> MetricsRegistry:

@@ -5,15 +5,20 @@ monoliths inside the executor.  This module replaces them with a proper
 planner/operator split, mirroring the ID-native design of
 :mod:`repro.sparql.plan`:
 
-* **Operators** — small declarative nodes over ID bindings:
+* **Operators** — small declarative nodes over *row batches*.  Every
+  node has a name-sorted ``schema``; the rows it produces are ID tuples
+  in schema order (``UNBOUND`` for a cell the row does not bind) with a
+  parallel *origin* column (see :mod:`repro.federation.bindings`), so
+  row identity is the tuple itself and deduplication, projection and
+  joins work by column position:
   :class:`RemoteScan` (unbound sub-query fan-out),
   :class:`ExclusiveGroupScan` (a FedX exclusive group fused into one
   endpoint-side sub-query), :class:`BoundJoinStream` (batched bound
   joins, *pipelined* under the runtime interpreter),
   :class:`PullScan` (source-relation transfer into the shared relation
   cache plus local extension), :class:`LocalHashJoin`,
-  :class:`LeftJoinNode` (federated ``OPTIONAL``), :class:`FilterNode`,
-  :class:`UnionNode` and :class:`ProjectDedupe`.
+  :class:`LeftJoinNode` (federated ``OPTIONAL``, a hash left join),
+  :class:`FilterNode`, :class:`UnionNode` and :class:`ProjectDedupe`.
 
 * **Planner** (:class:`FederatedPlanner`) — builds operator trees from
   the cost model's decisions.  ``naive`` and ``bound`` are static
@@ -32,9 +37,10 @@ planner/operator split, mirroring the ID-native design of
   batch waves and UNION branches overlap.
 
 **Pipelined bound joins.**  Every produced row carries its *origin* —
-the recorded request that returned it.  Under ``streaming=True`` a
-:class:`BoundJoinStream` orders its input by origin (rows from
-earlier-submitted upstream requests first, canonical order within), and
+the recorded request that returned it — in the batch's origin column.
+Under ``streaming=True`` a :class:`BoundJoinStream` orders its input by
+origin (rows from earlier-submitted upstream requests first, canonical
+order within), and
 each batch's sub-query depends only on the origins of the rows it
 carries — the batch is *sent as soon as it fills*, overlapping the
 still-outstanding remainder of the upstream step within the channel's
@@ -48,14 +54,19 @@ model's cardinality feedback at plan-construction time — like FedX, the
 plan is fixed before rows stream through it; the simulation's planning
 oracle sees counts the pipelined timeline only later "earns".
 
-**Demand propagation (PR 6).**  Operators produce rows through
-generators; the interpreter wraps each node in a memoised
-:class:`_Stream` cursor, so a consumer pulls exactly as many rows as it
-needs and the cursor is resumable — a later consumer (or a later pull
-with higher demand) continues where the last one stopped, never
-re-charging the network for rows already materialised.  A ``LIMIT k``
+**Demand propagation (PR 6, chunked since PR 12).**  Operators produce
+rows through generators that yield one *chunk* — a list of rows plus
+its origin column — per endpoint response or per local operator chunk;
+the interpreter wraps each node in a memoised :class:`_Stream` cursor
+that appends whole chunks to a materialised prefix, so a consumer asks
+for chunks only until it has the rows it needs and the cursor is
+resumable — a later consumer (or a later pull with higher demand)
+continues where the last one stopped, never re-charging the network
+for rows already materialised.  A request is issued exactly when a
+consumer needs more rows than the responses so far supplied, which is
+the condition a row-at-a-time cursor issues it under.  A ``LIMIT k``
 query runs its plan under ``demand = offset + k``: :class:`SliceNode`
-stops pulling once the window is full, which ripples *against* the
+stops asking once the window is full, which ripples *against* the
 dataflow — :class:`ProjectDedupe` stops pulling its child,
 :class:`BoundJoinStream` stops filling batches (unsent batches are
 never charged), :class:`RemoteScan` stops contacting later endpoints —
@@ -94,6 +105,7 @@ contribution.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import replace
 from typing import (
     Any,
@@ -113,11 +125,18 @@ from repro.errors import EndpointUnavailableError
 from repro.federation.bindings import (
     CompiledFilter,
     IDBinding,
-    canonical,
-    compose,
-    join_pairs,
-    merge_compatible,
+    Row,
+    Schema,
+    accepted,
+    canonical_key,
+    fresh_rows,
+    has_unbound,
+    join_rows,
+    left_join_rows,
+    relayout,
+    schema_of,
     split_filters,
+    unseen,
 )
 from repro.federation.cost import (
     Decision,
@@ -133,9 +152,9 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql.ast import OrderCondition
+from repro.sparql.batch import UNBOUND, extend_bindings_batch
 from repro.sparql.plan import OrderKey
-from repro.gpq.evaluation import compile_conjunct, extend_id_bindings
-from repro.sparql.batch import extend_bindings_batch
+from repro.gpq.evaluation import compile_conjunct
 from repro.runtime.scheduler import RequestHandle, peak_overlap
 
 __all__ = [
@@ -153,7 +172,6 @@ __all__ = [
     "PullScan",
     "RelationCache",
     "RemoteScan",
-    "Rows",
     "SliceNode",
     "TopKNode",
     "UnionNode",
@@ -162,7 +180,6 @@ __all__ = [
 ]
 
 _Origin = Tuple[RequestHandle, ...]
-_Accept = Optional[Callable[[IDBinding], bool]]
 
 
 class RelationCache:
@@ -419,51 +436,6 @@ def issue_request(
     )
 
 
-class Rows:
-    """One operator's materialised output.
-
-    Attributes:
-        bindings: the produced ID bindings (order is deterministic).
-        origins: per-row provenance, aligned with ``bindings`` — the
-            recorded request(s) whose completion makes the row
-            available.  Empty tuples for locally produced rows and for
-            serial interpretation.
-        wave: every request handle of the producing step (PR 4's wave):
-            what a wave-barrier dependent must wait for.
-    """
-
-    __slots__ = ("bindings", "origins", "wave")
-
-    def __init__(
-        self,
-        bindings: List[IDBinding],
-        origins: List[_Origin],
-        wave: _Origin = (),
-    ) -> None:
-        self.bindings = bindings
-        self.origins = origins
-        self.wave = wave
-
-    def __len__(self) -> int:
-        return len(self.bindings)
-
-
-def _dedupe_rows(
-    bindings: List[IDBinding], origins: List[_Origin]
-) -> Tuple[List[IDBinding], List[_Origin]]:
-    """Row dedupe keeping first occurrences and their origins."""
-    seen: Set[Tuple[Tuple[str, int], ...]] = set()
-    out_b: List[IDBinding] = []
-    out_o: List[_Origin] = []
-    for binding, origin in zip(bindings, origins):
-        key = canonical(binding)
-        if key not in seen:
-            seen.add(key)
-            out_b.append(binding)
-            out_o.append(origin)
-    return out_b, out_o
-
-
 def _merge_origins(left: _Origin, right: _Origin) -> _Origin:
     if not left:
         return right
@@ -475,6 +447,40 @@ def _merge_origins(left: _Origin, right: _Origin) -> _Origin:
     return tuple(merged.values())
 
 
+def _origin_merger(
+    left: Sequence[_Origin], right: Sequence[_Origin]
+) -> Callable[[Sequence[int], Sequence[int]], List[_Origin]]:
+    """``(left indexes, right indexes) -> merged origin column``.
+
+    Row ``k`` of the result unions ``left[left_sel[k]]`` and
+    ``right[right_sel[k]]``; a right index of ``-1`` (an unmatched
+    left-join row) contributes nothing.  Rows sharing both parents'
+    origin objects share the merged tuple too, which keeps the column's
+    distinct objects few.  Built once per operator: with no request
+    behind either side (serial interpretation, local rows) every chunk
+    is just empty origins.
+    """
+    if not any(left) and not any(right):
+        return lambda left_sel, right_sel: [()] * len(left_sel)
+    memo: Dict[Tuple[int, int], _Origin] = {}
+
+    def merged_origins(
+        left_sel: Sequence[int], right_sel: Sequence[int]
+    ) -> List[_Origin]:
+        out: List[_Origin] = []
+        for i, j in zip(left_sel, right_sel):
+            mine = left[i]
+            theirs = right[j] if j >= 0 else ()
+            key = (id(mine), id(theirs))
+            merged = memo.get(key)
+            if merged is None:
+                merged = memo[key] = _merge_origins(mine, theirs)
+            out.append(merged)
+        return out
+
+    return merged_origins
+
+
 def _batch_dependencies(origins: Sequence[_Origin]) -> _Origin:
     """Deterministic union of the origins of one batch's rows."""
     merged: Dict[int, RequestHandle] = {}
@@ -484,50 +490,69 @@ def _batch_dependencies(origins: Sequence[_Origin]) -> _Origin:
     return tuple(handle for _, handle in sorted(merged.items()))
 
 
-#: An operator's row generator: yields ``(binding, origin)`` pairs and
-#: returns the step's wave (every recorded request handle) on exhaustion.
-_RowGen = Generator[Tuple[IDBinding, _Origin], None, _Origin]
+#: One chunk of an operator's output: rows under the node's schema and
+#: the parallel origin column.
+_Chunk = Tuple[List[Row], List[_Origin]]
+
+#: An operator's row generator: yields chunks (one per endpoint
+#: response or local operator chunk) and returns the step's wave (every
+#: recorded request handle) on exhaustion.
+_RowGen = Generator[_Chunk, None, _Origin]
 
 
 class _Stream:
-    """A memoised, resumable cursor over one operator's row generator.
+    """A memoised, resumable cursor over one operator's chunk generator.
 
-    ``pull(demand)`` extends the materialised prefix to ``demand`` rows
-    (or drains on ``None``); already-produced rows stay indexable, so
-    multiple consumers — and repeated interpretations of a growing plan
-    — read the same prefix without re-executing the operator.  ``wave``
-    is only meaningful once ``exhausted`` is set: wave consumers drain
-    their child fully before reading it.
+    ``pull(demand)`` asks the operator for chunks until the
+    materialised prefix holds ``demand`` rows (or drains on ``None``);
+    already-produced rows stay indexable, so multiple consumers — and
+    repeated interpretations of a growing plan — read the same prefix
+    without re-executing the operator.  Chunks land whole, so the
+    prefix may run past ``demand``.  ``wave`` is only meaningful once
+    ``exhausted`` is set: wave consumers drain their child fully before
+    reading it.
+
+    Attributes:
+        rows: the produced rows so far (order is deterministic).
+        origins: per-row provenance, aligned with ``rows`` — the
+            recorded request(s) whose completion makes the row
+            available.  Empty tuples for locally produced rows and for
+            serial interpretation.
+        wave: every request handle of the producing step (PR 4's wave):
+            what a wave-barrier dependent must wait for.
     """
 
-    __slots__ = ("_gen", "bindings", "origins", "exhausted", "wave")
+    __slots__ = ("_gen", "rows", "origins", "exhausted", "wave")
 
     def __init__(self, gen: _RowGen) -> None:
         self._gen = gen
-        self.bindings: List[IDBinding] = []
+        self.rows: List[Row] = []
         self.origins: List[_Origin] = []
         self.exhausted = False
         self.wave: _Origin = ()
 
+    def __len__(self) -> int:
+        return len(self.rows)
+
     def pull(self, demand: Optional[int] = None) -> None:
         while not self.exhausted and (
-            demand is None or len(self.bindings) < demand
+            demand is None or len(self.rows) < demand
         ):
             try:
-                binding, origin = next(self._gen)
+                rows, origins = next(self._gen)
             except StopIteration as stop:
                 self.exhausted = True
                 self.wave = stop.value or ()
             else:
-                self.bindings.append(binding)
-                self.origins.append(origin)
+                self.rows.extend(rows)
+                self.origins.extend(origins)
 
 
 def _observed(node: FedOp, ctx: ExecContext, gen: _RowGen) -> _RowGen:
     """Count rows out of (and trace the active window of) one node.
 
-    Wraps a node's row generator without disturbing its protocol:
-    yielded pairs pass through with ``rows_out`` kept current, and the
+    Wraps a node's chunk generator without disturbing its protocol:
+    yielded chunks pass through with ``rows_out`` kept current, and the
     generator's return value — the step's wave — is re-returned so
     :class:`_Stream` still sees it.  Serial traced runs additionally
     record one virtual span per exhausted node covering the elapsed
@@ -542,7 +567,7 @@ def _observed(node: FedOp, ctx: ExecContext, gen: _RowGen) -> _RowGen:
     rows = 0
     while True:
         try:
-            item = next(gen)
+            chunk = next(gen)
         except StopIteration as stop:
             if traced:
                 tracer.record(
@@ -553,21 +578,24 @@ def _observed(node: FedOp, ctx: ExecContext, gen: _RowGen) -> _RowGen:
                     rows_out=rows,
                 )
             return stop.value or ()
-        rows += 1
-        if actuals is not None:
-            actuals["rows_out"] = rows
-        yield item
+        if chunk[0]:
+            rows += len(chunk[0])
+            if actuals is not None:
+                actuals["rows_out"] = rows
+        yield chunk
 
 
-def _rows_of(stream: _Stream) -> Iterator[Tuple[IDBinding, _Origin]]:
-    """Iterate a stream one row at a time, pulling lazily."""
+def _chunks_of(stream: _Stream) -> Iterator[_Chunk]:
+    """Iterate a stream chunk by chunk, asking for one more row (hence
+    one more chunk) only when everything materialised is consumed."""
     pos = 0
     while True:
         stream.pull(pos + 1)
-        if pos >= len(stream.bindings):
+        end = len(stream.rows)
+        if pos >= end:
             return
-        yield stream.bindings[pos], stream.origins[pos]
-        pos += 1
+        yield stream.rows[pos:end], stream.origins[pos:end]
+        pos = end
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +613,9 @@ class FedOp:
     """
 
     kind = "FedOp"
+    #: The name-sorted variables naming the cells of every row the
+    #: node produces.
+    schema: Schema = ()
     decision: Optional[Decision] = None
     handles: Tuple[RequestHandle, ...] = ()
     #: EXPLAIN ANALYZE counters — ``None`` (analysis off, one attribute
@@ -609,13 +640,28 @@ class FedOp:
         return lines
 
 
+def _pattern_schema(
+    base: Schema, patterns: Sequence[TriplePattern]
+) -> Schema:
+    """``base`` extended by the variables of ``patterns``."""
+    variables = set(base)
+    for tp in patterns:
+        variables.update(tp.variables())
+    return schema_of(variables)
+
+
+def _count_request(node: FedOp) -> None:
+    if node.actuals is not None:
+        node.actuals["requests"] = node.actuals.get("requests", 0) + 1
+
+
 class InputNode(FedOp):
-    """The singleton seed: one empty binding (a branch's starting Ω)."""
+    """The singleton seed: one empty row (a branch's starting Ω)."""
 
     kind = "Input"
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
-        yield {}, ()
+        yield [()], [()]
         return ()
 
 
@@ -628,9 +674,10 @@ class RemoteScan(FedOp):
     ``after`` (the plan step whose results triggered this decision) —
     the coordinator cannot *decide* to ship before seeing them.
 
-    The fan-out is demand-aware: endpoints are contacted one at a time,
-    so a consumer that stops pulling (a full LIMIT window, a satisfied
-    ASK) never charges the remaining endpoints.
+    The fan-out is demand-aware: endpoints are contacted one at a time
+    and each response is one chunk, so a consumer that stops asking (a
+    full LIMIT window, a satisfied ASK) never charges the remaining
+    endpoints.
     """
 
     kind = "RemoteScan"
@@ -639,7 +686,6 @@ class RemoteScan(FedOp):
         self,
         patterns: Tuple[TriplePattern, ...],
         endpoints: Tuple[PeerEndpoint, ...],
-        accept: _Accept = None,
         pushed: Tuple[CompiledFilter, ...] = (),
         decision: Optional[Decision] = None,
         after: Optional[FedOp] = None,
@@ -647,17 +693,11 @@ class RemoteScan(FedOp):
     ) -> None:
         self.patterns = patterns
         self.endpoints = endpoints
-        self.accept = accept
         self.pushed = pushed
         self.decision = decision
         self.after = after
         self.label = label
-
-    def children(self) -> Tuple[FedOp, ...]:
-        return ()
-
-    def _solutions(self, endpoint: PeerEndpoint) -> List[IDBinding]:
-        return endpoint.pattern_solutions(self.patterns[0], self.accept)
+        self.schema = _pattern_schema((), patterns)
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
         deps: _Origin = ()
@@ -665,13 +705,15 @@ class RemoteScan(FedOp):
             # Waves require exhaustion: drain the triggering step fully.
             deps = interp.run(self.after).wave
         handles: List[RequestHandle] = []
-        seen: Set[Tuple[Tuple[str, int], ...]] = set()
+        seen: Set[Row] = set()
         for endpoint in self.endpoints:
             try:
-                solutions, handle = issue_request(
+                found, handle = issue_request(
                     ctx,
                     endpoint,
-                    self._solutions,
+                    lambda ep: ep.solutions(
+                        self.patterns, (), [()], self.schema, self.pushed
+                    ),
                     lambda ep, found: ctx.network.charge_query(
                         ctx.stats, ep.name, len(found), serial=ctx.serial
                     ),
@@ -683,19 +725,14 @@ class RemoteScan(FedOp):
                     exc.endpoint, " ".join(tp.n3() for tp in self.patterns)
                 )
                 continue
-            if self.actuals is not None:
-                self.actuals["requests"] = self.actuals.get("requests", 0) + 1
+            _count_request(self)
             origin: _Origin = ()
             if handle is not None:
                 handles.append(handle)
                 self.handles = tuple(handles)
                 origin = (handle,)
-            for binding in solutions:
-                key = canonical(binding)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield binding, origin
+            found = unseen(found, seen)
+            yield found, [origin] * len(found)
         return tuple(handles)
 
     def describe(self) -> str:
@@ -712,27 +749,27 @@ class ExclusiveGroupScan(RemoteScan):
 
     kind = "ExclusiveGroupScan"
 
-    def _solutions(self, endpoint: PeerEndpoint) -> List[IDBinding]:
-        return endpoint.group_solutions(self.patterns, self.accept)
-
 
 class BoundJoinStream(FedOp):
     """FedX-style bound join, batched and (optionally) pipelined.
 
     The child's rows are shipped in batches of ``batch_size`` as
-    bindings for the pattern(s); endpoints return only extensions.
-    Under the runtime interpreter with ``streaming=True`` the input is
-    ordered by row origin and each batch depends only on the requests
-    that produced its own rows — successive batches overlap the
-    upstream step instead of waiting for its wave barrier.
+    bindings for the pattern(s) — several patterns are an exclusive
+    group joined endpoint-side; endpoints return only extensions, one
+    chunk per response.  Under the runtime interpreter with
+    ``streaming=True`` the input is ordered by row origin and each
+    batch depends only on the requests that produced its own rows —
+    successive batches overlap the upstream step instead of waiting for
+    its wave barrier.
 
     Under a demand cap (``ctx.demand`` set: the query carries a LIMIT
     or is an ASK) the operator instead pulls its child lazily and fills
-    batches in arrival order, sending each batch before pulling the
-    next — downstream demand that dries up leaves the remaining batches
-    unsent and the upstream sub-queries that would have fed them
-    unissued.  Unbounded executions keep the sorted batch composition,
-    so their traffic and timelines are exactly the eager interpreter's.
+    batches in arrival order, sending each batch before asking for the
+    rows of the next — downstream demand that dries up leaves the
+    remaining batches unsent and the upstream sub-queries that would
+    have fed them unissued.  Unbounded executions keep the sorted batch
+    composition, so their traffic and timelines are exactly the eager
+    interpreter's.
     """
 
     kind = "BoundJoinStream"
@@ -742,7 +779,6 @@ class BoundJoinStream(FedOp):
         child: FedOp,
         patterns: Tuple[TriplePattern, ...],
         endpoints: Tuple[PeerEndpoint, ...],
-        accept: _Accept = None,
         batch_size: int = 64,
         pushed: Tuple[CompiledFilter, ...] = (),
         exclusive: bool = False,
@@ -752,68 +788,69 @@ class BoundJoinStream(FedOp):
         self.child = child
         self.patterns = patterns
         self.endpoints = endpoints
-        self.accept = accept
         self.batch_size = batch_size
         self.pushed = pushed
         self.exclusive = exclusive
         self.decision = decision
         self.label = label
+        self.schema = _pattern_schema(child.schema, patterns)
         self.n_batches = 0
         self.mode = "serial"
 
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
 
-    def _solutions(
-        self, endpoint: PeerEndpoint, batch: List[IDBinding]
-    ) -> List[IDBinding]:
-        if self.exclusive:
-            return endpoint.bound_group_solutions(
-                self.patterns, batch, self.accept
-            )
-        return endpoint.bound_solutions(self.patterns[0], batch, self.accept)
-
     def _chunks_eager(
         self, ctx: ExecContext, interp: "PlanInterpreter"
-    ) -> Iterator[List[Tuple[IDBinding, _Origin]]]:
-        """PR 5's batching: drain the child, sort, chunk."""
-        rows = interp.run(self.child)
-        pairs = list(zip(rows.bindings, rows.origins))
+    ) -> Iterator[_Chunk]:
+        """PR 5's batching: drain the child, sort, chunk.
+
+        Batches form in canonical order: plain tuple order on fully
+        bound rows (the schema is name-sorted), the explicit canonical
+        key when the input mixes domains.
+        """
+        child = interp.run(self.child)
+        rows, origins = child.rows, child.origins
+        if has_unbound(rows):
+            keys = list(map(canonical_key(self.child.schema), rows))
+        else:
+            keys = rows
         if ctx.scheduler is not None and ctx.streaming:
             # Rows from earlier-submitted upstream requests batch first:
             # the simulated arrival order of a streaming consumer.
-            pairs.sort(
-                key=lambda pair: (
-                    max((h.index for h in pair[1]), default=-1),
-                    canonical(pair[0]),
-                )
+            arrival: Dict[int, int] = {}
+            for origin in origins:
+                if id(origin) not in arrival:
+                    arrival[id(origin)] = max(
+                        (handle.index for handle in origin), default=-1
+                    )
+            order = sorted(
+                range(len(rows)),
+                key=lambda i: (arrival[id(origins[i])], keys[i]),
             )
         else:
-            pairs.sort(key=lambda pair: canonical(pair[0]))
-        for i in range(0, len(pairs), self.batch_size):
-            yield pairs[i : i + self.batch_size]
+            order = sorted(range(len(rows)), key=keys.__getitem__)
+        for start in range(0, len(order), self.batch_size):
+            batch = order[start : start + self.batch_size]
+            yield [rows[i] for i in batch], [origins[i] for i in batch]
 
     def _chunks_lazy(
         self, ctx: ExecContext, interp: "PlanInterpreter"
-    ) -> Iterator[List[Tuple[IDBinding, _Origin]]]:
+    ) -> Iterator[_Chunk]:
         """Demand-bounded batching: pull the child one batch at a time."""
         child = interp.stream(self.child)
         if ctx.scheduler is not None and not ctx.streaming:
             # Wave barriers: every batch depends on the entire upstream
             # step, so the child must exhaust before the first send.
-            interp.run(self.child)
+            child.pull()
         pos = 0
         while True:
-            chunk: List[Tuple[IDBinding, _Origin]] = []
-            while len(chunk) < self.batch_size:
-                child.pull(pos + 1)
-                if pos >= len(child.bindings):
-                    break
-                chunk.append((child.bindings[pos], child.origins[pos]))
-                pos += 1
-            if not chunk:
+            child.pull(pos + self.batch_size)
+            end = min(pos + self.batch_size, len(child.rows))
+            if pos >= end:
                 return
-            yield chunk
+            yield child.rows[pos:end], child.origins[pos:end]
+            pos = end
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
         if ctx.batch_size is not None:
@@ -831,25 +868,31 @@ class BoundJoinStream(FedOp):
             chunks = self._chunks_eager(ctx, interp)
         else:
             chunks = self._chunks_lazy(ctx, interp)
+        child_schema = self.child.schema
         handles: List[RequestHandle] = []
-        seen: Set[Tuple[Tuple[str, int], ...]] = set()
-        for chunk in chunks:
+        seen: Set[Row] = set()
+        for batch, batch_origins in chunks:
             self.n_batches += 1
             if self.actuals is not None:
                 self.actuals["batches"] = self.n_batches
-            batch = [binding for binding, _ in chunk]
             if ctx.serial:
                 deps: _Origin = ()
             elif pipelined:
-                deps = _batch_dependencies([origin for _, origin in chunk])
+                deps = _batch_dependencies(batch_origins)
             else:
                 deps = interp.stream(self.child).wave
             for endpoint in self.endpoints:
                 try:
-                    solutions, handle = issue_request(
+                    found, handle = issue_request(
                         ctx,
                         endpoint,
-                        lambda ep, batch=batch: self._solutions(ep, batch),
+                        lambda ep, batch=batch: ep.solutions(
+                            self.patterns,
+                            child_schema,
+                            batch,
+                            self.schema,
+                            self.pushed,
+                        ),
                         lambda ep, found: ctx.network.charge_query(
                             ctx.stats, ep.name, len(found), serial=ctx.serial
                         ),
@@ -862,21 +905,14 @@ class BoundJoinStream(FedOp):
                         " ".join(tp.n3() for tp in self.patterns),
                     )
                     continue
-                if self.actuals is not None:
-                    self.actuals["requests"] = (
-                        self.actuals.get("requests", 0) + 1
-                    )
+                _count_request(self)
                 origin: _Origin = ()
                 if handle is not None:
                     handles.append(handle)
                     self.handles = tuple(handles)
                     origin = (handle,)
-                for binding in solutions:
-                    key = canonical(binding)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield binding, origin
+                found = unseen(found, seen)
+                yield found, [origin] * len(found)
         return tuple(handles)
 
     def describe(self) -> str:
@@ -919,23 +955,22 @@ class PullScan(FedOp):
         self.endpoints = endpoints
         self.decision = decision
         self.label = label
+        self.schema = _pattern_schema(child.schema, (pattern,))
         self.pulled: Tuple[str, ...] = ()
 
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
+        child = interp.stream(self.child)
         if ctx.serial:
             # No wave to depend on: the relation dump is charged up
-            # front (as before) but the child extends lazily, so a
-            # satisfied LIMIT stops pulling upstream rows.
+            # front (as before) but the child extends lazily, chunk by
+            # chunk, so a satisfied LIMIT stops pulling upstream rows.
             deps: _Origin = ()
-            child = interp.stream(self.child)
-            source = _rows_of(child)
         else:
-            rows = interp.run(self.child)
-            deps = rows.wave
-            source = iter(zip(rows.bindings, rows.origins))
+            child.pull()
+            deps = child.wave
         handles: List[RequestHandle] = []
         pulled: List[str] = []
         for endpoint in self.endpoints:
@@ -966,48 +1001,34 @@ class PullScan(FedOp):
                 continue
             if handle is not None:
                 handles.append(handle)
-            if self.actuals is not None:
-                self.actuals["requests"] = self.actuals.get("requests", 0) + 1
+            _count_request(self)
             pulled.append(endpoint.name)
             ctx.cache.add(endpoint.name, key, ids, endpoint.graph.dictionary)
         self.handles = tuple(handles)
         self.pulled = tuple(pulled)
-        pull_origin = self.handles
         slots = compile_conjunct(ctx.cache.graph, self.pattern)
-        seen: Set[Tuple[Tuple[str, int], ...]] = set()
-        if slots is not None and not ctx.serial:
-            # The child is already fully drained (runtime mode), so the
-            # local join against the cache graph runs columnar: one
-            # selection-vector probe over all rows, order-identical to
-            # the per-row loop (downstream batching and dedupe are
-            # stream-order-sensitive and message counts are gated).
-            extended_rows, sources = extend_bindings_batch(
-                ctx.cache.graph, slots, rows.bindings
-            )
-            origins = rows.origins
-            for extended, source_index in zip(extended_rows, sources):
-                key = canonical(extended)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield extended, _merge_origins(
-                    origins[source_index], pull_origin
+        if slots is not None:
+            # The local join against the cache graph runs columnar: one
+            # selection-vector probe per chunk (the whole drained child
+            # in runtime mode), order-identical to a per-row loop
+            # (downstream batching and dedupe are stream-order-
+            # sensitive and message counts are gated).
+            seen: Set[Row] = set()
+            for rows, origins in _chunks_of(child):
+                rows, sources = extend_bindings_batch(
+                    ctx.cache.graph,
+                    slots,
+                    self.child.schema,
+                    rows,
+                    self.schema,
                 )
-        elif slots is not None:
-            # Serial mode keeps the lazy per-row loop: a satisfied
-            # LIMIT must stop pulling upstream rows mid-stream.
-            for binding, origin in source:
-                for extended in extend_id_bindings(
-                    ctx.cache.graph, slots, binding
-                ):
-                    key = canonical(extended)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield extended, _merge_origins(origin, pull_origin)
+                origins = _origin_merger(origins, [self.handles])(
+                    sources, [0] * len(sources)
+                )
+                yield fresh_rows(rows, origins, seen)
         if self.handles:
             return self.handles
-        return () if ctx.serial else rows.wave
+        return child.wave
 
     def describe(self) -> str:
         targets = ",".join(ep.name for ep in self.endpoints) or "-"
@@ -1022,9 +1043,9 @@ class PullScan(FedOp):
 class LocalHashJoin(FedOp):
     """Join two sub-plans locally on their per-pair shared variables.
 
-    Delegates to :func:`repro.federation.bindings.join_pairs` (the one
-    domain-aware join algorithm), tracking row origins so a merged row
-    depends on both parents' requests.
+    Delegates to :func:`repro.federation.bindings.join_rows` (the one
+    domain-aware join algorithm), merging origin columns so a merged
+    row depends on both parents' requests.
     """
 
     kind = "LocalHashJoin"
@@ -1032,6 +1053,7 @@ class LocalHashJoin(FedOp):
     def __init__(self, left: FedOp, right: FedOp) -> None:
         self.left = left
         self.right = right
+        self.schema = schema_of(left.schema + right.schema)
 
     def children(self) -> Tuple[FedOp, ...]:
         return (self.left, self.right)
@@ -1042,16 +1064,12 @@ class LocalHashJoin(FedOp):
         # eager interpreter's.
         left = interp.run(self.left)
         right = interp.run(self.right)
-        wave = right.wave if right.wave else left.wave
-        if not left.bindings or not right.bindings:
-            return wave
-        left_origin = dict(zip(map(id, left.bindings), left.origins))
-        right_origin = dict(zip(map(id, right.bindings), right.origins))
-        for lhs, rhs, merged in join_pairs(left.bindings, right.bindings):
-            yield merged, _merge_origins(
-                left_origin[id(lhs)], right_origin[id(rhs)]
-            )
-        return wave
+        merged_origins = _origin_merger(left.origins, right.origins)
+        for rows, left_sel, right_sel in join_rows(
+            self.left.schema, left.rows, self.right.schema, right.rows
+        ):
+            yield rows, merged_origins(left_sel, right_sel)
+        return right.wave if right.wave else left.wave
 
 
 class FilterNode(FedOp):
@@ -1064,15 +1082,16 @@ class FilterNode(FedOp):
     ) -> None:
         self.child = child
         self.filters = tuple(filters)
+        self.schema = child.schema
 
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
         child = interp.stream(self.child)
-        for binding, origin in _rows_of(child):
-            if all(f.accept(binding) for f in self.filters):
-                yield binding, origin
+        for rows, origins in _chunks_of(child):
+            keep = accepted(self.schema, rows, self.filters)
+            yield [rows[i] for i in keep], [origins[i] for i in keep]
         return child.wave
 
     def describe(self) -> str:
@@ -1086,10 +1105,11 @@ class LeftJoinNode(FedOp):
     The optional side is an independent sub-plan (typically a
     :class:`UnionNode` over the block's conjunctive branches) whose
     requests carry no dependency on the required side — under the
-    runtime interpreter both sides overlap.  The condition (the optional
-    group's top-level FILTER) evaluates on the merged row, per the
-    SPARQL translation; an empty required side skips the optional
-    sub-plan entirely.
+    runtime interpreter both sides overlap.  The join is
+    :func:`repro.federation.bindings.left_join_rows`, a hash left join;
+    the condition (the optional group's top-level FILTER) evaluates on
+    the merged row, per the SPARQL translation; an empty required side
+    skips the optional sub-plan entirely.
     """
 
     kind = "LeftJoin"
@@ -1098,11 +1118,12 @@ class LeftJoinNode(FedOp):
         self,
         left: FedOp,
         optional: FedOp,
-        condition: _Accept = None,
+        condition: Optional[Callable[[IDBinding], bool]] = None,
     ) -> None:
         self.left = left
         self.optional = optional
         self.condition = condition
+        self.schema = schema_of(left.schema + optional.schema)
 
     def children(self) -> Tuple[FedOp, ...]:
         return (self.left, self.optional)
@@ -1111,30 +1132,21 @@ class LeftJoinNode(FedOp):
         # Both sides drain fully: every left row must see the complete
         # optional side before it can stream through unmatched.
         left = interp.run(self.left)
-        if not left.bindings:
+        if not left.rows:
             return left.wave
         optional = interp.run(self.optional)
-        condition = self.condition
-        seen: Set[Tuple[Tuple[str, int], ...]] = set()
-        for binding, origin in zip(left.bindings, left.origins):
-            extended = 0
-            for opt, opt_origin in zip(optional.bindings, optional.origins):
-                merged = merge_compatible(binding, opt)
-                if merged is None:
-                    continue
-                if condition is not None and not condition(merged):
-                    continue
-                extended += 1
-                key = canonical(merged)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield merged, _merge_origins(origin, opt_origin)
-            if not extended:
-                key = canonical(binding)
-                if key not in seen:
-                    seen.add(key)
-                    yield binding, origin
+        seen: Set[Row] = set()
+        merged_origins = _origin_merger(left.origins, optional.origins)
+        for rows, left_sel, optional_sel in left_join_rows(
+            self.left.schema,
+            left.rows,
+            self.optional.schema,
+            optional.rows,
+            self.condition,
+        ):
+            yield fresh_rows(
+                rows, merged_origins(left_sel, optional_sel), seen
+            )
         return left.wave
 
     def describe(self) -> str:
@@ -1149,19 +1161,19 @@ class UnionNode(FedOp):
 
     def __init__(self, branches: Sequence[FedOp]) -> None:
         self.branches = tuple(branches)
+        self.schema = schema_of(
+            var for branch in self.branches for var in branch.schema
+        )
 
     def children(self) -> Tuple[FedOp, ...]:
         return self.branches
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
-        seen: Set[Tuple[Tuple[str, int], ...]] = set()
+        seen: Set[Row] = set()
         for branch in self.branches:
-            for binding, origin in _rows_of(interp.stream(branch)):
-                key = canonical(binding)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield binding, origin
+            widen = relayout(branch.schema, self.schema)
+            for rows, origins in _chunks_of(interp.stream(branch)):
+                yield fresh_rows(widen(rows), origins, seen)
         return ()
 
     def describe(self) -> str:
@@ -1176,20 +1188,16 @@ class ProjectDedupe(FedOp):
     def __init__(self, child: FedOp, head: Tuple[Variable, ...]) -> None:
         self.child = child
         self.head = head
+        self.schema = schema_of(head)
 
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
-        head = self.head
-        seen: Set[Tuple[Tuple[str, int], ...]] = set()
-        for binding, origin in _rows_of(interp.stream(self.child)):
-            projected = {v: binding[v] for v in head if v in binding}
-            key = canonical(projected)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield projected, origin
+        seen: Set[Row] = set()
+        project = relayout(self.child.schema, self.schema)
+        for rows, origins in _chunks_of(interp.stream(self.child)):
+            yield fresh_rows(project(rows), origins, seen)
         return ()
 
     def describe(self) -> str:
@@ -1200,8 +1208,8 @@ class ProjectDedupe(FedOp):
 class SliceNode(FedOp):
     """OFFSET/LIMIT over a distinct projected stream — the demand sink.
 
-    Pulls its child one row at a time and stops dead once ``limit``
-    rows survive past ``offset``; federated ``ASK`` is the degenerate
+    Asks its child for chunks and stops dead once ``limit`` rows
+    survive past ``offset``; federated ``ASK`` is the degenerate
     ``SliceNode(offset=0, limit=1)`` — one surviving row short-circuits
     every upstream sub-query.
     """
@@ -1214,6 +1222,7 @@ class SliceNode(FedOp):
         self.child = child
         self.offset = offset
         self.limit = limit
+        self.schema = child.schema
 
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
@@ -1221,15 +1230,18 @@ class SliceNode(FedOp):
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
         if self.limit == 0:
             return ()
-        skipped = 0
-        emitted = 0
-        for binding, origin in _rows_of(interp.stream(self.child)):
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            yield binding, origin
-            emitted += 1
-            if self.limit is not None and emitted >= self.limit:
+        to_skip = self.offset
+        wanted = self.limit
+        for rows, origins in _chunks_of(interp.stream(self.child)):
+            if to_skip:
+                skipped = min(to_skip, len(rows))
+                to_skip -= skipped
+                rows, origins = rows[skipped:], origins[skipped:]
+            if wanted is not None:
+                rows, origins = rows[:wanted], origins[:wanted]
+                wanted -= len(rows)
+            yield rows, origins
+            if wanted == 0:
                 break
         return ()
 
@@ -1269,18 +1281,17 @@ class TopKNode(FedOp):
         self.offset = offset
         self.limit = limit
         self.dictionary = dictionary
+        self.schema = schema_of(self.head)
 
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
-        rows = interp.run(self.child)
+        child = interp.run(self.child)
         decode = self.dictionary.decode
-        key_cache: Dict[int, Tuple] = {}
+        key_cache: Dict[int, Tuple] = {UNBOUND: (0,)}
 
-        def cell_key(tid: Optional[int]) -> Tuple:
-            if tid is None:
-                return (0,)
+        def cell_key(tid: int) -> Tuple:
             cached = key_cache.get(tid)
             if cached is None:
                 cached = (1,) + decode(tid).sort_key()
@@ -1288,28 +1299,36 @@ class TopKNode(FedOp):
             return cached
 
         flags = tuple(condition.descending for condition in self.order)
+        child_schema = self.child.schema
         order_vars = tuple(condition.variable for condition in self.order)
-        head = self.head
-        best: Dict[
-            Tuple[Tuple[str, int], ...], Tuple[OrderKey, IDBinding, _Origin]
-        ] = {}
-        for binding, origin in zip(rows.bindings, rows.origins):
-            projected = {v: binding[v] for v in head if v in binding}
-            row_key = canonical(projected)
+        order_cells = relayout(child_schema, order_vars)(child.rows)
+        head_cells = relayout(child_schema, self.head)(child.rows)
+        projected = relayout(child_schema, self.schema)(child.rows)
+        best: Dict[Row, Tuple[OrderKey, _Origin]] = {}
+        for row, by, head, origin in zip(
+            projected, order_cells, head_cells, child.origins
+        ):
             key = OrderKey(
-                tuple(cell_key(binding.get(v)) for v in order_vars),
-                flags,
-                tuple(cell_key(binding.get(v)) for v in head),
+                tuple(map(cell_key, by)), flags, tuple(map(cell_key, head))
             )
-            current = best.get(row_key)
+            current = best.get(row)
             if current is None or key < current[0]:
-                best[row_key] = (key, projected, origin)
-        ordered = sorted(best.values(), key=lambda item: item[0])
+                best[row] = (key, origin)
+        def by_key(item: Tuple[Row, Tuple[OrderKey, _Origin]]) -> OrderKey:
+            return item[1][0]
+
+        if self.limit is None:
+            ordered = sorted(best.items(), key=by_key)
+        else:
+            # ``nsmallest`` is ``sorted(...)[:n]`` without sorting the tail.
+            ordered = heapq.nsmallest(
+                self.offset + self.limit, best.items(), key=by_key
+            )
         sliced = ordered[self.offset :]
-        if self.limit is not None:
-            sliced = sliced[: self.limit]
-        for _, projected, origin in sliced:
-            yield projected, origin
+        yield (
+            [row for row, _ in sliced],
+            [origin for _, (_, origin) in sliced],
+        )
         return ()
 
     def describe(self) -> str:
@@ -1334,10 +1353,10 @@ class PlanInterpreter:
     the adaptive planner extends the tree one operator at a time and
     re-runs the root; already-started sub-trees resume their cached
     :class:`_Stream` without re-charging the network for materialised
-    rows.  ``run(node, demand)`` pulls at most ``demand`` rows
-    (``None`` drains the node — byte-identical to the pre-demand eager
-    interpreter); the returned :class:`Rows` is a live view of the
-    stream's materialised prefix.
+    rows.  ``run(node, demand)`` asks for chunks until ``demand`` rows
+    are materialised (``None`` drains the node — byte-identical to the
+    pre-demand eager interpreter) and returns the node's live
+    :class:`_Stream`.
     """
 
     def __init__(self, ctx: ExecContext) -> None:
@@ -1364,10 +1383,17 @@ class PlanInterpreter:
             self._memo[node] = cached
         return cached
 
-    def run(self, node: FedOp, demand: Optional[int] = None) -> Rows:
+    def run(self, node: FedOp, demand: Optional[int] = None) -> _Stream:
         stream = self.stream(node)
         stream.pull(demand)
-        return Rows(stream.bindings, stream.origins, wave=stream.wave)
+        return stream
+
+    def count(self, node: FedOp, demand: Optional[int] = None) -> int:
+        """Rows of ``node`` a consumer capped at ``demand`` would hold:
+        what the planners feed the cost model.  Chunks land whole, so
+        the materialised prefix may run past the cap."""
+        available = len(self.run(node, demand))
+        return available if demand is None else min(available, demand)
 
 
 def explain_fed_plan(root: FedOp) -> str:
@@ -1468,7 +1494,6 @@ class FederatedPlanner:
                 RemoteScan(
                     (tp,),
                     tuple(self.host.endpoints),
-                    compose(push),
                     pushed=tuple(push),
                 )
             )
@@ -1501,15 +1526,13 @@ class FederatedPlanner:
             # coordinator-bound variable the batch carries along.
             scope = bound | tp.variables()
             push, remaining = split_filters(remaining, scope)
-            accept = compose(push)
             if position == 0:
-                root = RemoteScan((tp,), relevant, accept, pushed=tuple(push))
+                root = RemoteScan((tp,), relevant, pushed=tuple(push))
             else:
                 root = BoundJoinStream(
                     root,
                     (tp,),
                     relevant,
-                    accept,
                     batch_size=self.host.batch_size,
                     pushed=tuple(push),
                 )
@@ -1563,7 +1586,7 @@ class FederatedPlanner:
             for i, tp in remaining
         }
         root: FedOp = InputNode()
-        rows = interp.run(root, demand)
+        count = interp.count(root, demand)
         bound: FrozenSet[Variable] = frozenset()
         # Memoised per conjunct: endpoint counts are static for the whole
         # execution and only the `cached` flags can change — and only
@@ -1621,7 +1644,7 @@ class FederatedPlanner:
             decision = host.cost_model.decide(
                 tp,
                 stats_now,
-                len(rows.bindings),
+                count,
                 bound_variable_positions(tp, bound),
                 branch_index,
                 ship_filters=ship_filters,
@@ -1638,7 +1661,6 @@ class FederatedPlanner:
                 scan = RemoteScan(
                     (tp,),
                     active,
-                    compose(push),
                     pushed=tuple(push),
                     decision=decision,
                     after=root,
@@ -1653,7 +1675,6 @@ class FederatedPlanner:
                     root,
                     (tp,),
                     active,
-                    compose(push),
                     batch_size=host.batch_size,
                     pushed=tuple(push),
                     decision=decision,
@@ -1671,7 +1692,7 @@ class FederatedPlanner:
                     decision=decision,
                     label=f"{prefix} pull",
                 )
-            rows = interp.run(root, demand)
+            count = interp.count(root, demand)
             if decision.action == "pull":
                 stats_memo.clear()  # cached flags changed
             bound = bound_after
@@ -1680,8 +1701,8 @@ class FederatedPlanner:
             )
             if ready:
                 root = FilterNode(root, ready)
-                rows = interp.run(root, demand)
-            if not rows.bindings:
+                count = interp.count(root, demand)
+            if not count:
                 break
         return root, remaining_filters
 
@@ -1773,7 +1794,7 @@ class FederatedPlanner:
         remaining = self.exclusive_units(patterns)
         counts = {unit.index: self._unit_counts(unit) for unit in remaining}
         root: FedOp = InputNode()
-        rows = interp.run(root, demand)
+        count = interp.count(root, demand)
         bound: FrozenSet[Variable] = frozenset()
         # Counts are read once above; only the `cached` flags can change
         # — and only after a pull, which clears this memo wholesale.
@@ -1844,7 +1865,7 @@ class FederatedPlanner:
                 decision = host.cost_model.decide_group(
                     best.patterns,
                     stats_now,
-                    len(rows.bindings),
+                    count,
                     group_bound_positions(best.patterns, bound),
                     branch_index,
                     ship_filters=ship_filters,
@@ -1855,7 +1876,7 @@ class FederatedPlanner:
                 decision = host.cost_model.decide(
                     best.patterns[0],
                     stats_now,
-                    len(rows.bindings),
+                    count,
                     bound_variable_positions(best.patterns[0], bound),
                     branch_index,
                     ship_filters=ship_filters,
@@ -1880,7 +1901,6 @@ class FederatedPlanner:
                 scan = scan_cls(
                     best.patterns,
                     targets,
-                    compose(push),
                     pushed=tuple(push),
                     decision=decision,
                     after=root,
@@ -1895,7 +1915,6 @@ class FederatedPlanner:
                     root,
                     best.patterns,
                     targets,
-                    compose(push),
                     batch_size=host.batch_size,
                     pushed=tuple(push),
                     exclusive=best.exclusive,
@@ -1914,7 +1933,7 @@ class FederatedPlanner:
                     decision=decision,
                     label=f"{prefix} pull",
                 )
-            rows = interp.run(root, demand)
+            count = interp.count(root, demand)
             if decision.action == "pull":
                 stats_memo.clear()  # cached flags changed
             bound = bound_after
@@ -1923,7 +1942,7 @@ class FederatedPlanner:
             )
             if ready:
                 root = FilterNode(root, ready)
-                rows = interp.run(root, demand)
-            if not rows.bindings:
+                count = interp.count(root, demand)
+            if not count:
                 break
         return root, remaining_filters

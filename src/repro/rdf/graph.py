@@ -35,6 +35,8 @@ evaluator, which joins on integers and decodes only final answer rows.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.rdf.dictionary import IDTriple, TermDictionary, default_dictionary
@@ -543,7 +545,47 @@ class Graph:
                 "add_id_triples requires the graph's own dictionary; "
                 "IDs from a foreign dictionary are meaningless here"
             )
-        return sum(1 for t in ids if self._add_ids(t))
+        known = self._ids
+        fresh = [t for t in dict.fromkeys(ids) if t not in known]
+        if not fresh:
+            return 0
+        known.update(dict.fromkeys(fresh))
+        # One pass builds the leaves of all three indexes in the order
+        # ``_add_ids`` would have inserted them one triple at a time
+        # (leaf iteration order is row order downstream); the
+        # per-position counts follow in one bulk update each.
+        spo, pos, osp = self._spo, self._pos, self._osp
+        for s, p, o in fresh:
+            level = spo.get(s)
+            if level is None:
+                level = spo[s] = {}
+            leaf = level.get(p)
+            if leaf is None:
+                leaf = level[p] = {}
+            leaf[o] = None
+            level = pos.get(p)
+            if level is None:
+                level = pos[p] = {}
+            leaf = level.get(o)
+            if leaf is None:
+                leaf = level[o] = {}
+            leaf[s] = None
+            level = osp.get(o)
+            if level is None:
+                level = osp[o] = {}
+            leaf = level.get(s)
+            if leaf is None:
+                leaf = level[s] = {}
+            leaf[p] = None
+        for position, counts in enumerate(
+            (self._s_counts, self._p_counts, self._o_counts)
+        ):
+            for tid, added in Counter(
+                map(itemgetter(position), fresh)
+            ).items():
+                counts[tid] = counts.get(tid, 0) + added
+        self._epoch += len(fresh)
+        return len(fresh)
 
     def count(
         self,

@@ -369,47 +369,65 @@ def _extend_generic(
 def extend_bindings_batch(
     graph: Graph,
     slots: Tuple[_Slot, _Slot, _Slot],
-    bindings: Sequence[Dict[Variable, int]],
-) -> Tuple[List[Dict[Variable, int]], List[int]]:
+    schema: Tuple[Variable, ...],
+    rows: Sequence[Tuple[int, ...]],
+    out_schema: Tuple[Variable, ...],
+) -> Tuple[List[Tuple[int, ...]], List[int]]:
     """Columnar twin of a per-row ``extend_id_bindings`` loop.
 
-    Converts the binding dicts to columns once, runs the
-    selection-vector probe, and converts back, returning the extended
-    bindings *and* the source-row index of each output row (for request
-    -origin tracking in the federation layer).
+    ``rows`` are ID tuples in ``schema`` order (``UNBOUND`` marks a
+    missing cell) — the federation layer's row currency.  Returns the
+    extended rows laid out in ``out_schema`` (``schema`` plus the
+    conjunct's variables, in the caller's order) *and* the source-row
+    index of each output row (for request-origin tracking).
 
     Order fidelity is a hard contract: output order is exactly the
     per-row loop's — source-row-major, matches in ``triples_ids`` index
     order — because federated consumers batch, slice and dedupe on
-    stream order, and message counts are test-gated on it.  Rows with
-    heterogeneous domains (mixed-UNION pulls) fall back to the per-row
-    loop rather than approximate.
+    stream order, and message counts are test-gated on it.  A conjunct
+    variable whose column holds ``UNBOUND`` cells is bound on some rows
+    and free on others (mixed-UNION pulls); those inputs take the
+    per-row loop rather than approximate.
     """
-    if not bindings:
+    if not rows:
         return [], []
-    domain = tuple(bindings[0])
-    if any(tuple(b) != domain for b in bindings):
-        out: List[Dict[Variable, int]] = []
+    n = len(rows)
+    columns = [list(col) for col in zip(*rows)]
+    mentioned = [
+        columns[schema.index(slot)]
+        for slot in slots
+        if isinstance(slot, Variable) and slot in schema
+    ]
+    if any(UNBOUND in col for col in mentioned):
+        out: List[Tuple[int, ...]] = []
         sel: List[int] = []
-        for i, partial in enumerate(bindings):
+        for i, row in enumerate(rows):
+            partial = {
+                var: tid for var, tid in zip(schema, row) if tid != UNBOUND
+            }
             for extended in extend_id_bindings(graph, slots, partial):
-                out.append(extended)
+                out.append(
+                    tuple(extended.get(var, UNBOUND) for var in out_schema)
+                )
                 sel.append(i)
         return out, sel
-    columns = [[b[v] for b in bindings] for v in domain]
-    batch = Batch(domain, columns, len(bindings))
-    source = Variable("__source_row__")
-    batch = Batch(
-        domain + (source,),
-        columns + [list(range(batch.n))],
-        batch.n,
-    )
-    extended_batch = _extend_batch(graph, batch, slots)
-    sel = extended_batch.col(source) or []
-    keep = [v for v in extended_batch.schema if v != source]
-    cols = [extended_batch.col(v) for v in keep]
-    rows = zip(*cols) if cols else iter(() for _ in range(extended_batch.n))
-    return [dict(zip(keep, row)) for row in rows], list(sel)
+    if not schema and n == 1:
+        # The single empty row: the conjunct is an unbound scan, which
+        # materialises straight from index runs in ``triples_ids`` order.
+        extended_batch = _scan_batch(graph, slots)
+        sel = [0] * extended_batch.n
+    else:
+        source = Variable("__source_row__")
+        extended_batch = _extend_batch(
+            graph,
+            Batch(schema + (source,), columns + [list(range(n))], n),
+            slots,
+        )
+        sel = extended_batch.col(source) or []
+    if not out_schema:
+        return [()] * extended_batch.n, sel
+    cols = [extended_batch.col(var) for var in out_schema]
+    return list(zip(*cols)), sel
 
 
 def _fused_scan_join(

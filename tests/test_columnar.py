@@ -349,28 +349,99 @@ def test_counts_survive_removal_and_copy():
 # ---------------------------------------------------------------------------
 
 
+def _row_loop(graph, slots, schema, rows, out_schema):
+    """The per-row ``extend_id_bindings`` loop over padded rows."""
+    expected, expected_sel = [], []
+    for i, row in enumerate(rows):
+        partial = {v: c for v, c in zip(schema, row) if c != UNBOUND}
+        for extended in extend_id_bindings(graph, slots, partial):
+            expected.append(
+                tuple(extended.get(v, UNBOUND) for v in out_schema)
+            )
+            expected_sel.append(i)
+    return expected, expected_sel
+
+
 def test_extend_bindings_batch_preserves_row_loop_order():
     graph = fanout_graph(800, seed=6)
     a, b, c = Variable("a"), Variable("b"), Variable("c")
-    first = compile_conjunct(graph, TriplePattern(a, IRI(f"{NS}p0"), b))
-    rows = [{}]
-    for slots in [
-        first,
-        compile_conjunct(graph, TriplePattern(b, IRI(f"{NS}p1"), c)),
-        compile_conjunct(graph, TriplePattern(a, IRI(f"{NS}p2"), c)),
+    schema, rows = (), [()]
+    for tp, out_schema in [
+        (TriplePattern(a, IRI(f"{NS}p0"), b), (a, b)),
+        (TriplePattern(b, IRI(f"{NS}p1"), c), (a, b, c)),
+        (TriplePattern(a, IRI(f"{NS}p2"), c), (a, b, c)),
     ]:
-        expected = []
-        expected_sel = []
-        for i, partial in enumerate(rows):
-            for extended in extend_id_bindings(graph, slots, partial):
-                expected.append(extended)
-                expected_sel.append(i)
-        got, got_sel = extend_bindings_batch(graph, slots, rows)
+        slots = compile_conjunct(graph, tp)
+        expected, expected_sel = _row_loop(
+            graph, slots, schema, rows, out_schema
+        )
+        got, got_sel = extend_bindings_batch(
+            graph, slots, schema, rows, out_schema
+        )
         assert got == expected  # exact order, not just set equality
         assert got_sel == expected_sel
-        rows = got or rows
         if not got:
             break
+        schema, rows = out_schema, got
+
+
+def test_extend_bindings_batch_unbound_scan_shapes_keep_index_order():
+    # The single empty row scans straight from index runs; every
+    # pattern shape must still come out in ``triples_ids`` order.
+    graph = fanout_graph(400, seed=3)
+    a, b, c = Variable("a"), Variable("b"), Variable("c")
+    s, p, o = next(iter(graph.triples_ids()))
+    subject, predicate, obj = (graph.decode_id(t) for t in (s, p, o))
+    for tp in [
+        TriplePattern(subject, predicate, obj),
+        TriplePattern(subject, predicate, a),
+        TriplePattern(a, predicate, obj),
+        TriplePattern(subject, a, obj),
+        TriplePattern(subject, a, b),
+        TriplePattern(a, predicate, b),
+        TriplePattern(a, b, obj),
+        TriplePattern(a, b, c),
+        TriplePattern(a, predicate, a),
+        TriplePattern(a, a, b),
+    ]:
+        out_schema = tuple(sorted(tp.variables(), key=lambda v: v.name))
+        slots = compile_conjunct(graph, tp)
+        expected, expected_sel = _row_loop(graph, slots, (), [()], out_schema)
+        got, got_sel = extend_bindings_batch(graph, slots, (), [()], out_schema)
+        assert got == expected and got_sel == expected_sel, tp
+
+
+def test_extend_bindings_batch_mixed_domains_take_the_row_loop():
+    # ?b is bound on some rows and free on others: a column probe would
+    # treat UNBOUND as a key and drop the free rows.
+    graph = fanout_graph(300, seed=6)
+    a, b, c = Variable("a"), Variable("b"), Variable("c")
+    first, _ = extend_bindings_batch(
+        graph,
+        compile_conjunct(graph, TriplePattern(a, IRI(f"{NS}p0"), b)),
+        (),
+        [()],
+        (a, b),
+    )
+    half = len(first) // 2
+    assert half
+    rows = first[:half] + [(row[0], UNBOUND) for row in first[half:]]
+    slots = compile_conjunct(graph, TriplePattern(b, IRI(f"{NS}p1"), c))
+    expected, expected_sel = _row_loop(graph, slots, (a, b), rows, (a, b, c))
+    got, got_sel = extend_bindings_batch(graph, slots, (a, b), rows, (a, b, c))
+    assert got == expected and got_sel == expected_sel
+    assert any(i >= half for i in got_sel)  # free rows did extend
+    # An UNBOUND cell in a column the conjunct does not mention rides
+    # along untouched on the columnar path.
+    padded = [(row[0], row[1], UNBOUND) for row in first]
+    slots = compile_conjunct(graph, TriplePattern(a, IRI(f"{NS}p0"), b))
+    expected, expected_sel = _row_loop(
+        graph, slots, (a, b, c), padded, (a, b, c)
+    )
+    got, got_sel = extend_bindings_batch(
+        graph, slots, (a, b, c), padded, (a, b, c)
+    )
+    assert got == expected and got_sel == expected_sel
 
 
 def test_batch_id_rows_translates_unbound():

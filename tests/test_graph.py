@@ -239,3 +239,34 @@ def test_add_id_triples_bulk_and_dictionary_guard():
 
     with pytest.raises(ValueError, match="own dictionary"):
         sink.add_id_triples(ids, TermDictionary())
+
+
+def test_add_id_triples_bulk_path_matches_one_at_a_time():
+    # Row order downstream depends on index leaf iteration order, so
+    # the bulk path must leave every index level, the position counts
+    # and the epoch exactly as triple-by-triple insertion does — on an
+    # empty graph, onto existing content, and with duplicates inside
+    # the batch.
+    source = random_graph(triples=400, seed=21)
+    ids = list(source.triples_ids())
+    rng = random.Random(4)
+    rng.shuffle(ids)
+    first, second = ids[:150], ids[100:] + ids[:20]
+    one_by_one = Graph(dictionary=source.dictionary)
+    bulk = Graph(dictionary=source.dictionary)
+    for batch in (first, second, second):
+        added = sum(1 for t in batch if one_by_one._add_ids(t))
+        assert bulk.add_id_triples(iter(batch), source.dictionary) == added
+        assert bulk.epoch == one_by_one.epoch
+        assert list(bulk.triples_ids()) == list(one_by_one.triples_ids())
+        for order in ("spo", "pos", "osp"):
+            got, want = bulk.runs(order), one_by_one.runs(order)
+            assert list(got) == list(want)
+            for key, level in want.items():
+                assert list(got[key]) == list(level)
+                for inner, run in level.items():
+                    assert list(got[key][inner]) == list(run)
+        for s, p, o in ids[:50]:
+            for probe in ((s, None, None), (None, p, None), (None, None, o)):
+                assert bulk.count_ids(*probe) == one_by_one.count_ids(*probe)
+    assert set(bulk) == set(source)
