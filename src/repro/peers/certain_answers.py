@@ -7,30 +7,41 @@ blank-dropping ``Q_D`` semantics yields exactly the certain answers;
 :func:`certain_answers` implements that pipeline and
 :func:`certain_answers_report` additionally returns the chase statistics
 for instrumentation.
+
+Queries run on the columnar batch engine and stay on dictionary IDs up
+to the result boundary: blank-carrying rows are dropped as ID tuples
+(:func:`blank_free_rows`, shared with :mod:`repro.rewriting.perfect`)
+and only the surviving rows are decoded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple, Union
+from itertools import chain
+from typing import Collection, Optional, Set, Tuple, Union
 
-from repro.gpq.evaluation import ask as gpq_ask, evaluate_query
+from repro.gpq.evaluation import ask as gpq_ask
 from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import Term
+from repro.rdf.terms import BlankNode, Term
+from repro.sparql.algebra import Bgp
+from repro.sparql.batch import select_id_rows_batch
 from repro.sparql.bridge import sparql_to_gpq
 from repro.peers.chase import PeerChaseResult, chase_universal_solution
 from repro.peers.system import RPS
 
 __all__ = [
     "CertainAnswerReport",
+    "blank_free_rows",
     "certain_answers",
     "certain_answers_report",
     "certain_ask",
 ]
 
 QueryLike = Union[str, GraphPatternQuery]
+
+IDRow = Tuple[int, ...]
 
 
 def _to_gpq(
@@ -39,6 +50,45 @@ def _to_gpq(
     if isinstance(query, GraphPatternQuery):
         return query
     return sparql_to_gpq(query, nsm)
+
+
+def blank_free_rows(
+    graph: Graph, rows: Collection[IDRow]
+) -> Collection[IDRow]:
+    """The ID rows that mention no blank node (``Q_D`` from ``Q*_D``).
+
+    Each distinct ID is classified once, so the cost follows the number
+    of distinct terms in the answer, not the number of cells.
+    """
+    decode = graph.decode_id
+    blanks = {
+        tid
+        for tid in set(chain.from_iterable(rows))
+        if isinstance(decode(tid), BlankNode)
+    }
+    if not blanks:
+        return rows
+    return [row for row in rows if blanks.isdisjoint(row)]
+
+
+def _decode_rows(
+    graph: Graph, rows: Collection[IDRow]
+) -> Set[Tuple[Term, ...]]:
+    """Decode ID rows into answer tuples — the result boundary.
+
+    Each distinct ID is decoded once.
+    """
+    decode = graph.decode_id
+    terms = {tid: decode(tid) for tid in set(chain.from_iterable(rows))}
+    return {tuple(map(terms.__getitem__, row)) for row in rows}
+
+
+def _id_answers(solution: Graph, gpq: GraphPatternQuery) -> Collection[IDRow]:
+    """``Q_J`` as ID rows: the batch engine's head rows minus blanks."""
+    rows = select_id_rows_batch(
+        solution, Bgp(tuple(gpq.conjuncts())), gpq.head
+    )
+    return blank_free_rows(solution, rows)
 
 
 @dataclass
@@ -78,7 +128,7 @@ def certain_answers(
     gpq = _to_gpq(query, nsm)
     if solution is None:
         solution = chase_universal_solution(system).solution
-    return evaluate_query(solution, gpq)
+    return _decode_rows(solution, _id_answers(solution, gpq))
 
 
 def certain_answers_report(
@@ -89,7 +139,7 @@ def certain_answers_report(
     """Certain answers with full chase instrumentation."""
     gpq = _to_gpq(query, nsm)
     chase_result = chase_universal_solution(system)
-    answers = evaluate_query(chase_result.solution, gpq)
+    answers = certain_answers(system, gpq, solution=chase_result.solution)
     return CertainAnswerReport(
         answers=answers,
         chase=chase_result,
@@ -114,4 +164,4 @@ def certain_ask(
         solution = chase_universal_solution(system).solution
     if gpq.is_boolean():
         return gpq_ask(solution, gpq)
-    return bool(evaluate_query(solution, gpq))
+    return bool(_id_answers(solution, gpq))

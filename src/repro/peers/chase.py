@@ -16,30 +16,59 @@ variables (those range over IRIs/literals only — the ``rt`` guards of
 the Section-3 encoding), so the chase terminates in polynomially many
 steps (Theorem 1).
 
+The whole fixpoint runs on dictionary IDs.  J is encoded against a
+private dictionary; every mapping is compiled once into ID slots (all
+its ground terms interned up front); Q and Q′ are evaluated by the
+columnar batch engine (:func:`repro.sparql.batch.select_id_rows_batch`)
+into sets of ID tuples; ``Q_J`` drops the rows that meet the set of
+blank-node IDs, which grows as nulls are minted; the violating
+difference is a set difference of integer tuples; repairs are
+instantiated as ID triples and land with one ``Graph.add_id_triples``
+per mapping.  No term is decoded anywhere in the loop.
+
+Repair order is a total order: assertions in ``system.assertions``
+order, then equivalences in ``system.equivalences`` order; within an
+assertion, violating tuples in ascending ID-tuple order (IDs follow the
+stored database's insertion order, then mapping constants, then nulls
+in minting order) and existential variables by name.  The order only
+decides which label a null gets — the counters and the solution up to
+null renaming do not depend on it.
+
 Two evaluation policies are provided:
 
 * ``semi_naive=False`` — faithful Algorithm 1: every mapping is
   re-checked in every fixpoint round;
 * ``semi_naive=True`` (default) — a delta-driven ablation: a mapping is
   only re-checked when some triple added in the previous round could
-  participate in a new violation (positional match against the source
-  pattern, or mention of an equivalence constant).  Results are
-  identical (property-tested); only the work differs.
+  participate in a new violation (positional match against a source
+  conjunct, or mention of an equivalence constant).  Results are
+  identical (property-tested in ``tests/test_chase.py``); only the work
+  differs, and ``PeerChaseResult.evaluated_mappings`` reports it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import ChaseNonTerminationError
-from repro.gpq.evaluation import evaluate_query
-from repro.rdf.dictionary import TermDictionary
+from repro.gpq.evaluation import compile_conjunct
+from repro.rdf.dictionary import IDTriple, TermDictionary
 from repro.rdf.graph import Graph
-from repro.rdf.terms import Term, Variable, fresh_blank_node
-from repro.rdf.triples import Triple, TriplePattern
+from repro.rdf.terms import BlankNode, Term, Variable, fresh_blank_node
 from repro.peers.mappings import GraphMappingAssertion
 from repro.peers.system import RPS
+from repro.sparql.algebra import Bgp
+from repro.sparql.batch import select_id_rows_batch
 
 __all__ = ["PeerChaseResult", "chase_universal_solution"]
 
@@ -59,6 +88,12 @@ class PeerChaseResult:
             violating tuple).
         blank_nodes_created: fresh labelled nulls minted.
         rounds: fixpoint rounds executed.
+        fired_per_assertion: repair steps per assertion, keyed by its
+            label (``assertion#i`` when unlabelled); sums to
+            ``assertion_firings``.
+        evaluated_mappings: repair passes actually run, over all rounds
+            — ``rounds × (|G| + |E|)`` minus what the delta filter
+            skipped.
     """
 
     solution: Graph
@@ -68,10 +103,43 @@ class PeerChaseResult:
     assertion_firings: int = 0
     blank_nodes_created: int = 0
     rounds: int = 0
+    fired_per_assertion: Dict[str, int] = field(default_factory=dict)
+    evaluated_mappings: int = 0
 
     @property
     def inferred_triples(self) -> int:
         return self.assertion_triples + self.equivalence_triples
+
+
+#: What one source conjunct demands of a triple that matches it:
+#: ``(position, ID)`` pairs for its ground positions and position pairs
+#: a repeated variable forces equal.
+_Demand = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]
+
+
+class _Assertion(NamedTuple):
+    """A graph mapping assertion compiled against J's dictionary."""
+
+    key: str
+    source: Bgp
+    source_head: Tuple[Variable, ...]
+    target: Bgp
+    target_head: Tuple[Variable, ...]
+    #: One entry per source conjunct; empty when a conjunct can match
+    #: no triple at all (the assertion then never fires).
+    demands: Tuple[_Demand, ...]
+    #: A repair's environment is ``constants + violating row + nulls``;
+    #: ``template`` holds, per target conjunct, three indexes into it.
+    constants: Tuple[int, ...]
+    nulls: int
+    template: Tuple[Tuple[int, int, int], ...]
+
+
+class _Delta(NamedTuple):
+    """The triples one round added, and every ID they mention."""
+
+    triples: List[IDTriple]
+    mentioned: Set[int]
 
 
 def chase_universal_solution(
@@ -94,131 +162,233 @@ def chase_universal_solution(
     # so encoding the solution against the shared default dictionary would
     # grow it without bound across runs.  Each universal solution therefore
     # gets its own private dictionary, reclaimed when the solution is.
+    dictionary = TermDictionary()
     solution = Graph(
         system.stored_database(),
         name="universal-solution",
-        dictionary=TermDictionary(),
+        dictionary=dictionary,
     )
     result = PeerChaseResult(solution=solution, stored_triples=len(solution))
+    blanks: Set[int] = {
+        tid
+        for tid in range(len(dictionary))
+        if isinstance(dictionary.decode(tid), BlankNode)
+    }
 
-    source_conjuncts: List[List[TriplePattern]] = [
-        assertion.source.conjuncts() for assertion in system.assertions
+    def intern(term: Term) -> int:
+        tid = dictionary.encode(term)
+        if isinstance(term, BlankNode):
+            blanks.add(tid)
+        return tid
+
+    assertions = [
+        _compile_assertion(solution, assertion, index, intern)
+        for index, assertion in enumerate(system.assertions)
     ]
-    equivalence_terms = [eq.terms() for eq in system.equivalences]
+    result.fired_per_assertion = {c.key: 0 for c in assertions}
+    equivalences = [
+        (intern(eq.left), intern(eq.right)) for eq in system.equivalences
+    ]
 
     # None means "everything is new" (first round).
-    delta: Optional[List[Triple]] = None
+    delta: Optional[_Delta] = None
 
     while True:
         result.rounds += 1
         if result.rounds > max_rounds:
             raise ChaseNonTerminationError(
-                f"Algorithm 1 exceeded {max_rounds} rounds", steps=result.rounds
+                f"Algorithm 1 exceeded {max_rounds} rounds",
+                steps=result.rounds,
             )
-        new_triples: List[Triple] = []
+        new_triples: List[IDTriple] = []
 
-        for index, assertion in enumerate(system.assertions):
+        for compiled in assertions:
             if delta is not None and not _assertion_relevant(
-                source_conjuncts[index], delta
+                compiled.demands, delta
             ):
                 continue
-            new_triples.extend(_repair_assertion(solution, assertion, result))
+            result.evaluated_mappings += 1
+            new_triples.extend(
+                _repair_assertion(solution, compiled, blanks, intern, result)
+            )
 
-        for left, right in equivalence_terms:
-            if delta is not None and not _equivalence_relevant(
-                left, right, delta
+        for left, right in equivalences:
+            if (
+                delta is not None
+                and left not in delta.mentioned
+                and right not in delta.mentioned
             ):
                 continue
+            result.evaluated_mappings += 1
             new_triples.extend(
                 _repair_equivalence(solution, left, right, result)
             )
 
         if not new_triples:
             break
-        delta = new_triples if semi_naive else None
+        if semi_naive:
+            delta = _Delta(
+                new_triples, {tid for t in new_triples for tid in t}
+            )
     return result
 
 
-def _assertion_relevant(
-    conjuncts: Sequence[TriplePattern], delta: Sequence[Triple]
-) -> bool:
+def _compile_assertion(
+    solution: Graph,
+    assertion: GraphMappingAssertion,
+    index: int,
+    intern: Callable[[Term], int],
+) -> _Assertion:
+    """Intern an assertion's ground terms and lay out its repair."""
+    source, target = assertion.source, assertion.target
+    for query in (source, target):
+        for pattern in query.conjuncts():
+            for term in pattern:
+                if not isinstance(term, Variable):
+                    intern(term)
+
+    demands: List[_Demand] = []
+    for pattern in source.conjuncts():
+        slots = compile_conjunct(solution, pattern)
+        if slots is None:  # literal subject: matches nothing, ever
+            demands = []
+            break
+        ground: List[Tuple[int, int]] = []
+        repeats: List[Tuple[int, int]] = []
+        first: Dict[Variable, int] = {}
+        for pos, slot in enumerate(slots):
+            if isinstance(slot, int):
+                ground.append((pos, slot))
+            elif slot in first:
+                repeats.append((first[slot], pos))
+            else:
+                first[slot] = pos
+        demands.append((tuple(ground), tuple(repeats)))
+
+    # Environment layout: target constants, then the head row, then one
+    # null per existential variable (by name).
+    env: Dict[Term, int] = {}
+    for pattern in target.conjuncts():
+        for term in pattern:
+            if not isinstance(term, Variable):
+                env.setdefault(term, len(env))
+    constants = tuple(intern(term) for term in env)
+    for var in target.head:
+        env[var] = len(env)
+    existentials = sorted(
+        target.existential_variables(), key=lambda v: v.name
+    )
+    for var in existentials:
+        env[var] = len(env)
+    return _Assertion(
+        key=assertion.label or f"assertion#{index}",
+        source=Bgp(tuple(source.conjuncts())),
+        source_head=source.head,
+        target=Bgp(tuple(target.conjuncts())),
+        target_head=target.head,
+        demands=tuple(demands),
+        constants=constants,
+        nulls=len(existentials),
+        template=tuple(
+            (env[tp.subject], env[tp.predicate], env[tp.object])
+            for tp in target.conjuncts()
+        ),
+    )
+
+
+def _assertion_relevant(demands: Sequence[_Demand], delta: _Delta) -> bool:
     """Could any new triple participate in a new source-pattern match?
 
     A new match of the source pattern must map at least one conjunct onto
-    at least one new triple; the test checks positional compatibility.
+    at least one new triple; the test is positional compatibility, on
+    IDs.  A conjunct whose ground IDs the delta never mentions is
+    rejected without scanning it.
     """
-    for triple in delta:
-        for pattern in conjuncts:
-            if pattern.matches(triple) is not None:
-                return True
+    mentioned = delta.mentioned
+    for ground, repeats in demands:
+        if any(tid not in mentioned for _, tid in ground):
+            continue
+        for triple in delta.triples:
+            for pos, tid in ground:
+                if triple[pos] != tid:
+                    break
+            else:
+                for a, b in repeats:
+                    if triple[a] != triple[b]:
+                        break
+                else:
+                    return True
     return False
 
 
-def _equivalence_relevant(left, right, delta: Sequence[Triple]) -> bool:
-    for triple in delta:
-        if left in triple.terms() or right in triple.terms():
-            return True
-    return False
+def _add_new(solution: Graph, candidates: List[IDTriple]) -> List[IDTriple]:
+    """Bulk-add ``candidates``; returns those that were not in J yet."""
+    contains = solution.contains_ids
+    fresh = [t for t in dict.fromkeys(candidates) if not contains(*t)]
+    if fresh:
+        solution.add_id_triples(fresh, solution.dictionary)
+    return fresh
 
 
 def _repair_assertion(
-    solution: Graph, assertion: GraphMappingAssertion, result: PeerChaseResult
-) -> List[Triple]:
+    solution: Graph,
+    assertion: _Assertion,
+    blanks: Set[int],
+    intern: Callable[[Term], int],
+    result: PeerChaseResult,
+) -> List[IDTriple]:
     """One repair pass for Q ⇝ Q′ (case 2 of Algorithm 1)."""
-    added: List[Triple] = []
-    source_answers = evaluate_query(solution, assertion.source)
-    if not source_answers:
-        return added
-    target_answers = evaluate_query(solution, assertion.target)
-    violating = source_answers - target_answers
-    for answer in sorted(violating, key=_tuple_key):
-        binding: Dict[Variable, Term] = dict(zip(assertion.target.head, answer))
-        for var in sorted(
-            assertion.target.existential_variables(), key=lambda v: v.name
-        ):
-            binding[var] = fresh_blank_node()
-            result.blank_nodes_created += 1
-        for pattern in assertion.target.conjuncts():
-            triple = pattern.to_triple(binding)
-            if solution.add(triple):
-                added.append(triple)
-                result.assertion_triples += 1
-        result.assertion_firings += 1
+    source_rows = select_id_rows_batch(
+        solution, assertion.source, assertion.source_head
+    )
+    if blanks:
+        source_rows = {r for r in source_rows if blanks.isdisjoint(r)}
+    if not source_rows:
+        return []
+    # Q′ rows are taken under Q*: one that carries a blank equals no
+    # blank-free source row, so the difference is the same as under Q.
+    violating = source_rows - select_id_rows_batch(
+        solution, assertion.target, assertion.target_head
+    )
+    constants, nulls = assertion.constants, range(assertion.nulls)
+    envs = [
+        constants + row + tuple([intern(fresh_blank_node()) for _ in nulls])
+        for row in sorted(violating)
+    ]
+    added = _add_new(
+        solution,
+        [
+            (env[s], env[p], env[o])
+            for env in envs
+            for s, p, o in assertion.template
+        ],
+    )
+    result.assertion_triples += len(added)
+    result.assertion_firings += len(violating)
+    result.fired_per_assertion[assertion.key] += len(violating)
+    result.blank_nodes_created += assertion.nulls * len(violating)
     return added
 
 
 def _repair_equivalence(
-    solution: Graph, left, right, result: PeerChaseResult
-) -> List[Triple]:
+    solution: Graph, left: int, right: int, result: PeerChaseResult
+) -> List[IDTriple]:
     """One repair pass for c ≡ₑ c′ (case 3 of Algorithm 1).
 
     Copies subject, predicate and object contexts both ways using the
-    graph indexes directly — equivalent to the six switch blocks of
-    Algorithm 1 under the ``Q*`` (blank-keeping) semantics.
+    graph's ID indexes directly — equivalent to the six switch blocks of
+    Algorithm 1 under the ``Q*`` (blank-keeping) semantics.  Each block
+    sees what the blocks before it added.
     """
-    added: List[Triple] = []
-
-    def copy(source_term: Term, target_term: Term) -> None:
-        for triple in list(solution.triples(subject=source_term)):
-            candidate = Triple(target_term, triple.predicate, triple.object)
-            if solution.add(candidate):
-                added.append(candidate)
-                result.equivalence_triples += 1
-        for triple in list(solution.triples(predicate=source_term)):
-            candidate = Triple(triple.subject, target_term, triple.object)
-            if solution.add(candidate):
-                added.append(candidate)
-                result.equivalence_triples += 1
-        for triple in list(solution.triples(object=source_term)):
-            candidate = Triple(triple.subject, triple.predicate, target_term)
-            if solution.add(candidate):
-                added.append(candidate)
-                result.equivalence_triples += 1
-
-    copy(left, right)
-    copy(right, left)
+    added: List[IDTriple] = []
+    for source, target in ((left, right), (right, left)):
+        for position in range(3):
+            probe: List[Optional[int]] = [None, None, None]
+            probe[position] = source
+            copies = [
+                triple[:position] + (target,) + triple[position + 1 :]
+                for triple in solution.triples_ids(*probe)
+            ]
+            added.extend(_add_new(solution, copies))
+    result.equivalence_triples += len(added)
     return added
-
-
-def _tuple_key(answer: Tuple[Term, ...]) -> Tuple:
-    return tuple(term.sort_key() for term in answer)

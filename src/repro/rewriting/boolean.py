@@ -11,17 +11,19 @@ The pipeline:
 1. GPQ → relational BCQ over ``tt`` (Section-3 encoding);
 2. UCQ rewriting under the guard-free mapping TGDs
    (:func:`repro.peers.data_exchange.rewriting_tgds`);
-3. disjuncts translated back to SPARQL ASK blocks (for display — the
-   ``ASK {{...} UNION {...}}`` shape of Listing 2) and evaluated over
-   the stored database.
+3. disjuncts translated back to triple patterns, rendered as SPARQL ASK
+   blocks (the ``ASK {{...} UNION {...}}`` shape of Listing 2) and
+   evaluated over the stored ``Graph`` by the columnar batch engine
+   (:func:`disjunct_id_rows`, shared with :mod:`repro.rewriting.perfect`)
+   — the stored database is never copied into a relational instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.errors import RewritingError
+from repro.errors import RewritingError, TripleError
 from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import NamespaceManager
@@ -31,16 +33,23 @@ from repro.sparql.bridge import sparql_to_gpq
 from repro.tgd.atoms import Atom, Constant, RelVar
 from repro.tgd.cq import ConjunctiveQuery, UnionOfCQs
 from repro.tgd.rewrite import RewriteResult, rewrite_ucq
-from repro.peers.data_exchange import TT, gpq_to_cq, graph_to_source_instance, rewriting_tgds
+from repro.peers.data_exchange import TT, gpq_to_cq, rewriting_tgds
 from repro.peers.system import RPS
+from repro.sparql.algebra import Bgp
+from repro.sparql.batch import select_id_rows_batch
 
-__all__ = ["BooleanRewriting", "rewrite_boolean_query", "cq_to_ask_block"]
+__all__ = [
+    "BooleanRewriting",
+    "rewrite_boolean_query",
+    "cq_to_ask_block",
+    "disjunct_id_rows",
+]
 
 
-def _cq_to_patterns(cq: ConjunctiveQuery) -> List[TriplePattern]:
+def _atoms_to_patterns(atoms: Iterable[Atom]) -> List[TriplePattern]:
     """Translate ``tt`` atoms back into triple patterns."""
     patterns: List[TriplePattern] = []
-    for atom in cq.body:
+    for atom in atoms:
         if atom.predicate != TT:
             raise RewritingError(
                 f"disjunct contains non-triple atom {atom!r}"
@@ -57,12 +66,30 @@ def _cq_to_patterns(cq: ConjunctiveQuery) -> List[TriplePattern]:
     return patterns
 
 
+def disjunct_id_rows(
+    stored: Graph, atoms: Iterable[Atom], head: Sequence[Variable] = ()
+) -> Set[Tuple[Optional[int], ...]]:
+    """Distinct ``head`` rows of a ``tt`` conjunction over ``stored``.
+
+    Rows are tuples of the graph's dictionary IDs (``None`` for a head
+    variable the conjunction does not bind); a Boolean conjunction
+    (empty head) yields ``{()}`` when it holds and ``set()`` otherwise.
+    """
+    try:
+        patterns = _atoms_to_patterns(atoms)
+    except TripleError:
+        # Rewriting moved a literal into a predicate position: a
+        # well-formed relational atom that no RDF triple can match.
+        return set()
+    return select_id_rows_batch(stored, Bgp(tuple(patterns)), head)
+
+
 def cq_to_ask_block(
     cq: ConjunctiveQuery, nsm: Optional[NamespaceManager] = None
 ) -> str:
     """Render one disjunct as the body of a SPARQL ASK block."""
     lines = []
-    for pattern in _cq_to_patterns(cq):
+    for pattern in _atoms_to_patterns(cq.body):
         parts = []
         for term in pattern:
             if nsm is not None and isinstance(term, IRI):
@@ -91,12 +118,11 @@ class BooleanRewriting:
         return len(self.ucq)
 
     def evaluate(self, stored: Graph) -> bool:
-        """Evaluate the union over the stored database (no chase)."""
-        instance = graph_to_source_instance(stored)
-        # The rewriting is expressed over tt; stored facts are ts.
-        # Re-encode stored triples as tt facts for evaluation.
-        tt_instance = _as_tt_instance(stored)
-        return self.ucq.holds_in(tt_instance)
+        """Evaluate the union over the stored database (no chase).
+
+        Stops at the first disjunct that holds.
+        """
+        return any(disjunct_id_rows(stored, cq.body) for cq in self.ucq)
 
     def to_sparql(self, nsm: Optional[NamespaceManager] = None) -> str:
         """The Listing-2 surface form: ``ASK {{...} UNION {...} ...}``."""
@@ -104,22 +130,6 @@ class BooleanRewriting:
         if len(blocks) == 1:
             return "ASK " + blocks[0]
         return "ASK {" + "\nUNION\n".join(blocks) + "}"
-
-
-def _as_tt_instance(stored: Graph):
-    from repro.tgd.atoms import Instance
-
-    instance = Instance()
-    for triple in stored:
-        instance.add(
-            Atom(
-                TT,
-                Constant(triple.subject),
-                Constant(triple.predicate),
-                Constant(triple.object),
-            )
-        )
-    return instance
 
 
 def rewrite_boolean_query(

@@ -29,11 +29,11 @@ from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import Variable
 from repro.rdf.triples import Triple
-from repro.tgd.atoms import Atom, Constant, Instance
 from repro.tgd.rewrite import RewriteResult, rewrite_ucq
-from repro.peers.data_exchange import TT, gpq_to_cq, rewriting_tgds
+from repro.peers.data_exchange import gpq_to_cq, rewriting_tgds
 from repro.peers.mappings import GraphMappingAssertion
 from repro.peers.system import RPS
+from repro.rewriting.boolean import BooleanRewriting
 
 __all__ = [
     "CHAIN_NS",
@@ -104,17 +104,8 @@ def bounded_rewriting_answers(
     stats = rewrite_ucq(
         bcq, tgds, max_queries=max_queries, max_depth=max_depth, strict=False
     )
-    instance = Instance()
-    for triple in system.stored_database():
-        instance.add(
-            Atom(
-                TT,
-                Constant(triple.subject),
-                Constant(triple.predicate),
-                Constant(triple.object),
-            )
-        )
-    return stats.ucq.holds_in(instance), stats
+    rewriting = BooleanRewriting(original=query, ucq=stats.ucq, stats=stats)
+    return rewriting.evaluate(system.stored_database()), stats
 
 
 def rewriting_growth(

@@ -5,10 +5,13 @@ Two complete strategies are provided for FO-rewritable mapping sets:
 * :func:`certain_answers_by_rewriting` — the *answer-atom* method: the
   SELECT query's head is reified as a reserved ``_ans(x₁,…,xₙ)`` body
   atom, the resulting Boolean query is UCQ-rewritten, and each disjunct
-  is evaluated over the stored database, reading the answers off the
-  ``_ans`` atom's image.  Constants that equivalence TGDs substituted
-  into answer positions come through naturally.  One rewriting, no
-  candidate enumeration.
+  is evaluated over the stored ``Graph`` by the columnar batch engine,
+  projected on the ``_ans`` atom's variables.  Answer positions are
+  read off the ID rows (blank-carrying rows dropped as integers),
+  constants that equivalence TGDs substituted into answer positions
+  are spliced in, and only the distinct surviving rows are decoded.
+  One rewriting, no candidate enumeration, no copy of the stored
+  database.
 * :func:`certain_answers_by_tuple_check` — the paper's own Example-3
   reduction: enumerate candidate tuples, substitute each into the query,
   rewrite the Boolean query and evaluate it.  Exponentially more
@@ -24,22 +27,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Optional, Set, Tuple, Union
 
 from repro.errors import RewritingError
 from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import BlankNode, Term
+from repro.rdf.terms import BlankNode, Term, Variable
 from repro.sparql.bridge import sparql_to_gpq
-from repro.tgd.atoms import Atom, Constant, Instance, RelVar
+from repro.tgd.atoms import Atom, Constant, RelVar
 from repro.tgd.classes import classify
 from repro.tgd.cq import ConjunctiveQuery
-from repro.tgd.homomorphism import find_homomorphisms
 from repro.tgd.rewrite import rewrite_ucq
-from repro.peers.data_exchange import TT, gpq_to_cq, rewriting_tgds
+from repro.peers.certain_answers import blank_free_rows
+from repro.peers.data_exchange import gpq_to_cq, rewriting_tgds
 from repro.peers.system import RPS
-from repro.rewriting.boolean import rewrite_boolean_query
+from repro.rewriting.boolean import disjunct_id_rows, rewrite_boolean_query
 
 __all__ = [
     "ANS",
@@ -53,29 +56,13 @@ __all__ = [
 ANS = "_ans"
 
 
-def _stored_tt_instance(stored: Graph) -> Instance:
-    instance = Instance()
-    for triple in stored:
-        instance.add(
-            Atom(
-                TT,
-                Constant(triple.subject),
-                Constant(triple.predicate),
-                Constant(triple.object),
-            )
-        )
-    return instance
-
-
 def check_fo_rewritable(system: RPS) -> bool:
     """Does Proposition 2 syntactically apply to this system's mappings?
 
     True when the guard-free mapping TGDs are linear, sticky or
     sticky-join.
     """
-    tgds = rewriting_tgds(system)
-    classification = classify(tgds)
-    return classification.fo_rewritable_fragment()
+    return classify(rewriting_tgds(system)).fo_rewritable_fragment()
 
 
 @dataclass
@@ -94,6 +81,44 @@ class RewritingAnswers:
     disjuncts: int = 0
     explored: int = 0
     rewritings: int = 1
+
+
+#: An answer row before decoding: a cell is a dictionary ID read off a
+#: disjunct's row, or the ground term of a constant answer position.
+_Cells = Tuple[Union[int, Term], ...]
+
+
+def _disjunct_cells(
+    stored: Graph, disjunct: ConjunctiveQuery
+) -> Iterable[_Cells]:
+    """The blank-free answer rows one rewritten disjunct contributes."""
+    ans_atoms = [a for a in disjunct.body if a.predicate == ANS]
+    if len(ans_atoms) != 1:
+        raise RewritingError(f"disjunct lost its answer atom: {disjunct!r}")
+    rest = [a for a in disjunct.body if a.predicate != ANS]
+    if not rest:
+        return ()
+    bound = {arg for atom in rest for arg in atom.args}
+    # Per answer position: a ground term, or a column of ``head``.
+    head: List[Variable] = []
+    picks: List[Union[int, Term]] = []
+    for arg in ans_atoms[0].args:
+        if isinstance(arg, RelVar) and arg in bound:
+            var = Variable(arg.name)
+            if var not in head:
+                head.append(var)
+            picks.append(head.index(var))
+        elif isinstance(arg, Constant) and not isinstance(
+            arg.value, BlankNode
+        ):
+            picks.append(arg.value)
+        else:  # unbound, a null or a blank: no certain answer here
+            return ()
+    rows = blank_free_rows(stored, disjunct_id_rows(stored, rest, head))
+    return (
+        tuple(row[pick] if isinstance(pick, int) else pick for pick in picks)
+        for row in rows
+    )
 
 
 def certain_answers_by_rewriting(
@@ -117,7 +142,8 @@ def certain_answers_by_rewriting(
     Raises:
         RewritingError: outside the FO-rewritable fragment.
     """
-    if require_fo_rewritable and not check_fo_rewritable(system):
+    tgds = rewriting_tgds(system)
+    if require_fo_rewritable and not classify(tgds).fo_rewritable_fragment():
         raise RewritingError(
             "mapping TGDs are neither linear nor sticky; Proposition 2 "
             "does not apply (see Proposition 3) — use the chase instead"
@@ -128,42 +154,19 @@ def certain_answers_by_rewriting(
     # answer positions; the query becomes Boolean.
     ans_atom = Atom(ANS, *[RelVar(v.name) for v in gpq.head])
     reified = ConjunctiveQuery([], list(base.body) + [ans_atom], label="q_ans")
-    tgds = rewriting_tgds(system)
     stats = rewrite_ucq(reified, tgds, max_queries=max_queries)
 
-    instance = _stored_tt_instance(system.stored_database())
-    answers: Set[Tuple[Term, ...]] = set()
+    stored = system.stored_database()
+    cells: Set[_Cells] = set()
     for disjunct in stats.ucq:
-        ans_atoms = [a for a in disjunct.body if a.predicate == ANS]
-        if len(ans_atoms) != 1:
-            raise RewritingError(
-                f"disjunct lost its answer atom: {disjunct!r}"
-            )
-        ans = ans_atoms[0]
-        rest = [a for a in disjunct.body if a.predicate != ANS]
-        if not rest:
-            continue
-        for hom in find_homomorphisms(rest, instance):
-            tuple_image: List[Term] = []
-            ok = True
-            for arg in ans.args:
-                if isinstance(arg, Constant):
-                    value = arg.value
-                elif isinstance(arg, RelVar):
-                    bound = hom.get(arg)
-                    if bound is None or not isinstance(bound, Constant):
-                        ok = False
-                        break
-                    value = bound.value
-                else:
-                    ok = False
-                    break
-                if isinstance(value, BlankNode):
-                    ok = False
-                    break
-                tuple_image.append(value)
-            if ok:
-                answers.add(tuple(tuple_image))
+        cells.update(_disjunct_cells(stored, disjunct))
+    decode = stored.decode_id
+    terms = {
+        cell: decode(cell)
+        for cell in set(itertools.chain.from_iterable(cells))
+        if isinstance(cell, int)
+    }
+    answers = {tuple([terms.get(c, c) for c in row]) for row in cells}
     return RewritingAnswers(
         answers=answers,
         disjuncts=len(stats.ucq),

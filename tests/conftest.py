@@ -19,6 +19,7 @@ from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import (
+    BlankNode,
     Literal,
     Variable,
     reset_blank_node_counter,
@@ -34,6 +35,24 @@ def _deterministic_blank_nodes():
     """Fresh blank-node labels start at 0 in every test."""
     reset_blank_node_counter()
     yield
+
+
+@pytest.fixture
+def graph_shape():
+    """A graph's sorted triples with every blank node collapsed to one
+    mark — equal shapes are a cheap necessary condition for isomorphism
+    that ignores which label a chase null got."""
+
+    def shape(graph):
+        return sorted(
+            tuple(
+                "_" if isinstance(term, BlankNode) else term.n3()
+                for term in triple
+            )
+            for triple in graph
+        )
+
+    return shape
 
 
 @pytest.fixture

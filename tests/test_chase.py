@@ -12,6 +12,8 @@ from repro.gpq.pattern import make_pattern
 from repro.gpq.query import GraphPatternQuery
 from repro.peers.certain_answers import certain_answers, certain_answers_report, certain_ask
 from repro.peers.chase import chase_universal_solution
+from repro.peers.solutions import is_solution
+from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import BlankNode, Variable
 from repro.tgd.atoms import (
     Atom,
@@ -22,6 +24,7 @@ from repro.tgd.atoms import (
 )
 from repro.tgd.chase import chase, is_satisfied, violations
 from repro.tgd.dependencies import TGD
+from repro.workload.queries import path_query
 
 X, Y = Variable("x"), Variable("y")
 
@@ -175,3 +178,134 @@ class TestThreePeerCertainAnswers:
         assert all(
             not isinstance(term, BlankNode) for row in certain for term in row
         )
+
+
+class TestSemiNaiveEqualsNaive:
+    """``semi_naive`` changes the work, never the result.
+
+    The delta filter decides on IDs which mappings a round may skip; a
+    wrong skip loses repairs silently.  Seeded systems from
+    ``workload/topologies.py`` and the film domain are chased both
+    ways; each topology additionally carries a source conjunct with a
+    repeated variable (``?x knows ?x`` — relevance must compare the two
+    positions) and an equivalence between two *predicate* IRIs (new
+    triples mention the constant in the predicate slot only).
+    """
+
+    COUNTERS = (
+        "rounds",
+        "assertion_firings",
+        "assertion_triples",
+        "equivalence_triples",
+        "blank_nodes_created",
+        "fired_per_assertion",
+    )
+
+    @staticmethod
+    def systems(seed):
+        from repro.peers.mappings import (
+            EquivalenceMapping,
+            GraphMappingAssertion,
+        )
+        from repro.workload import (
+            chain_rps,
+            cycle_rps,
+            peer_namespace,
+            scaled_film_rps,
+        )
+
+        z = Variable("z")
+        for name, build in (("chain", chain_rps), ("cycle", cycle_rps)):
+            system = build(
+                4, entities=8, facts=20, link_fraction=0.3, seed=seed
+            )
+            first, last = peer_namespace(0), peer_namespace(3)
+            system.add_assertion(
+                GraphMappingAssertion(
+                    GraphPatternQuery((X,), make_pattern((X, last.knows, X))),
+                    GraphPatternQuery((X,), make_pattern((X, first.age, z))),
+                    label="self-loop",
+                )
+            )
+            system.add_equivalence(
+                EquivalenceMapping(peer_namespace(1).knows, last.age)
+            )
+            knows = [peer_namespace(i).knows for i in (2, 3)]
+            yield name, system, path_query(knows, project_all=True)
+        film = scaled_film_rps(films=6, linked_fraction=0.5, seed=seed)
+        db1 = Namespace("http://db1.example.org/")
+        query = GraphPatternQuery(
+            (X, Y), make_pattern((X, db1.starring, z), (z, db1.artist, Y))
+        )
+        yield "film", film, query
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_counters_solutions_and_answers(self, seed, graph_shape):
+        for name, system, query in self.systems(seed):
+            semi = chase_universal_solution(system, semi_naive=True)
+            naive = chase_universal_solution(system, semi_naive=False)
+            for counter in self.COUNTERS:
+                assert getattr(semi, counter) == getattr(naive, counter), (
+                    name,
+                    counter,
+                )
+            mappings = len(system.assertions) + len(system.equivalences)
+            assert naive.evaluated_mappings == naive.rounds * mappings
+            assert semi.evaluated_mappings <= naive.evaluated_mappings
+            assert is_solution(system, semi.solution), name
+            assert is_solution(system, naive.solution), name
+            assert graph_shape(semi.solution) == graph_shape(
+                naive.solution
+            ), name
+            answers = certain_answers(system, query, solution=semi.solution)
+            assert answers == certain_answers(
+                system, query, solution=naive.solution
+            ), name
+            assert answers, name
+
+    def test_delta_filter_skips_work_somewhere(self):
+        """The ablation is not vacuous on these systems."""
+        saved = 0
+        for _, system, _ in self.systems(0):
+            semi = chase_universal_solution(system, semi_naive=True)
+            naive = chase_universal_solution(system, semi_naive=False)
+            saved += naive.evaluated_mappings - semi.evaluated_mappings
+        assert saved > 0
+
+    @pytest.mark.parametrize(
+        "loop, fired, evaluated, rounds", [(True, 1, 3, 3), (False, 0, 2, 2)]
+    )
+    def test_repeated_variable_relevance_is_exact(
+        self, loop, fired, evaluated, rounds
+    ):
+        """``(?x k1 ?x)`` is re-checked exactly when a new ``k1`` triple
+        is a loop: a derived ``(a k1 a)`` must reach it in round 2, a
+        derived ``(a k1 b)`` must not."""
+        from repro.peers import RPS, GraphMappingAssertion
+        from repro.rdf.graph import Graph
+        from repro.rdf.triples import Triple
+
+        ex = Namespace("http://example.org/")
+        z = Variable("z")
+        graph = Graph([Triple(ex.a, ex.k0, ex.a if loop else ex.b)])
+        system = RPS.from_graphs(
+            {"peer": graph},
+            assertions=[
+                GraphMappingAssertion(
+                    GraphPatternQuery((X,), make_pattern((X, ex.k1, X))),
+                    GraphPatternQuery((X,), make_pattern((X, ex.mark, z))),
+                    label="self-loop",
+                ),
+                GraphMappingAssertion(
+                    GraphPatternQuery((X, Y), make_pattern((X, ex.k0, Y))),
+                    GraphPatternQuery((X, Y), make_pattern((X, ex.k1, Y))),
+                    label="k0->k1",
+                ),
+            ],
+        )
+        result = chase_universal_solution(system)
+        assert result.fired_per_assertion == {"self-loop": fired, "k0->k1": 1}
+        assert result.evaluated_mappings == evaluated
+        assert result.rounds == rounds
+        assert is_solution(system, result.solution)
+

@@ -1,0 +1,215 @@
+"""Algorithm 1's observable behaviour, pinned to the pre-ID-native commit.
+
+The chase went integer-native (batch-engine evaluation, ID-tuple
+differences, bulk ``add_id_triples``); nothing a caller can observe may
+move.  ``chase_golden.json`` holds, for the benchmark's cycle and film
+systems and ``bench_chase``'s chain/cycle, the solution size, every
+counter of ``PeerChaseResult`` and the certain-answer counts of a few
+queries, generated from the commit *before* the rewrite::
+
+    PYTHONPATH=<parent checkout>/src python tests/test_chase_golden.py
+
+``fired_per_assertion`` and ``evaluated_mappings`` did not exist on
+that commit; the generator derives them there by wrapping the two
+term-level repair functions (see ``_legacy_observability``), so they
+are pinned to the old control flow as well.
+"""
+
+import json
+import pathlib
+import sys
+
+import pytest
+
+from repro.gpq.pattern import make_pattern
+from repro.gpq.query import GraphPatternQuery
+from repro.peers import (
+    PeerChaseResult,
+    certain_answers,
+    chase_universal_solution,
+    chase_via_data_exchange,
+    is_solution,
+)
+from repro.peers import chase as chase_module
+from repro.rdf.namespaces import Namespace
+from repro.rdf.terms import BlankNode, Variable
+from repro.sparql.bridge import sparql_to_gpq
+from repro.workload import (
+    chain_rps,
+    cycle_rps,
+    path_query,
+    peer_namespace,
+    scaled_film_rps,
+)
+
+GOLDEN = pathlib.Path(__file__).with_name("chase_golden.json")
+
+#: The benchmark's two systems (``benchmarks/wl_certain_answers.py``,
+#: seed 7) and the two of ``repro.bench.runner.bench_chase``.
+SYSTEMS = {
+    "bench_cycle": lambda: cycle_rps(
+        5, entities=100, facts=300, link_fraction=0.0, seed=7
+    ),
+    "bench_film": lambda: scaled_film_rps(
+        films=60, linked_fraction=0.5, seed=7
+    ),
+    "core_chain": lambda: chain_rps(6, entities=12, facts=40, seed=3),
+    "core_cycle": lambda: cycle_rps(5, entities=12, facts=40, seed=3),
+}
+
+COUNTERS = (
+    "stored_triples",
+    "rounds",
+    "assertion_firings",
+    "assertion_triples",
+    "equivalence_triples",
+    "blank_nodes_created",
+)
+
+
+def _film_query(film: int) -> GraphPatternQuery:
+    """Listing 1 anchored at one film (the benchmark's ``film_text``)."""
+    return sparql_to_gpq(
+        "PREFIX DB1: <http://db1.example.org/> "
+        "PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
+        f"SELECT ?x ?y WHERE {{ DB1:film{film} DB1:starring ?z . "
+        "?z DB1:artist ?x . ?x foaf:age ?y }"
+    )
+
+
+def _queries(name: str) -> dict:
+    if name == "bench_film":
+        queries = {f"film{n}": _film_query(n) for n in (0, 7, 31)}
+        x, y = Variable("x"), Variable("y")
+        starring = Namespace("http://db1.example.org/").starring
+        queries["starring"] = GraphPatternQuery(
+            (x, y), make_pattern((x, starring, y))
+        )
+        return queries
+    knows = [peer_namespace(i).knows for i in range(2)]
+    return {
+        "q1": path_query(knows[:1], project_all=True),
+        "q2": path_query(knows, project_all=True),
+        "q2_last": path_query([knows[1], knows[1]]),
+    }
+
+
+def _legacy_observability(system):
+    """Run the parent commit's chase, deriving the two new counters.
+
+    Only used when generating the fixture from the parent commit, whose
+    ``PeerChaseResult`` lacks them: every repair call is one evaluated
+    mapping, and an assertion's firings are the growth of
+    ``assertion_firings`` across its repair calls.
+    """
+    fired = {
+        assertion.label or f"assertion#{index}": 0
+        for index, assertion in enumerate(system.assertions)
+    }
+    evaluated = [0]
+    repair_assertion = chase_module._repair_assertion
+    repair_equivalence = chase_module._repair_equivalence
+
+    def counted_assertion(solution, assertion, result):
+        before = result.assertion_firings
+        out = repair_assertion(solution, assertion, result)
+        index = system.assertions.index(assertion)
+        fired[assertion.label or f"assertion#{index}"] += (
+            result.assertion_firings - before
+        )
+        evaluated[0] += 1
+        return out
+
+    def counted_equivalence(*args):
+        evaluated[0] += 1
+        return repair_equivalence(*args)
+
+    chase_module._repair_assertion = counted_assertion
+    chase_module._repair_equivalence = counted_equivalence
+    try:
+        result = chase_universal_solution(system)
+    finally:
+        chase_module._repair_assertion = repair_assertion
+        chase_module._repair_equivalence = repair_equivalence
+    return result, fired, evaluated[0]
+
+
+def _observe(system):
+    """One default chase run as a JSON-ready record (plus the result)."""
+    if "evaluated_mappings" in PeerChaseResult.__dataclass_fields__:
+        result = chase_universal_solution(system)
+        fired = result.fired_per_assertion
+        evaluated = result.evaluated_mappings
+    else:  # the parent commit
+        result, fired, evaluated = _legacy_observability(system)
+    record = {counter: getattr(result, counter) for counter in COUNTERS}
+    record["solution_triples"] = len(result.solution)
+    record["evaluated_mappings"] = evaluated
+    record["fired_per_assertion"] = dict(sorted(fired.items()))
+    return record, result
+
+
+def snapshot() -> dict:
+    out = {}
+    for name, build in SYSTEMS.items():
+        system = build()
+        record, result = _observe(system)
+        record["answers"] = {
+            label: len(certain_answers(system, q, solution=result.solution))
+            for label, q in _queries(name).items()
+        }
+        out[name] = record
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module", params=list(SYSTEMS))
+def chased(request):
+    system = SYSTEMS[request.param]()
+    record, result = _observe(system)
+    return request.param, system, record, result
+
+
+def test_counters_match_parent_commit(chased, golden):
+    name, _, record, result = chased
+    assert record == {
+        k: v for k, v in golden[name].items() if k != "answers"
+    }
+    assert sum(result.fired_per_assertion.values()) == result.assertion_firings
+    assert (
+        result.inferred_triples
+        == len(result.solution) - result.stored_triples
+    )
+
+
+def test_solution_and_answers_match_relational_chase(chased, golden):
+    """Definition 2 holds, and every query agrees with Section 3's chase."""
+    name, system, _, result = chased
+    assert is_solution(system, result.solution)
+    exchanged, _ = chase_via_data_exchange(system)
+    for label, query in _queries(name).items():
+        answers = certain_answers(system, query, solution=result.solution)
+        assert len(answers) == golden[name]["answers"][label], label
+        assert answers == certain_answers(
+            system, query, solution=exchanged
+        ), label
+        assert not any(
+            isinstance(term, BlankNode) for row in answers for term in row
+        )
+
+
+def test_two_runs_agree(chased, graph_shape):
+    """Same system, same counters; solutions equal up to null labels."""
+    _, system, record, result = chased
+    again, other = _observe(system)
+    assert again == record
+    assert graph_shape(result.solution) == graph_shape(other.solution)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)
