@@ -170,11 +170,11 @@ from repro.runtime.control import (
 from repro.runtime.multi import QueryScheduler
 from repro.runtime.scheduler import DEFAULT_CONCURRENCY, OverlapScheduler
 from repro.sparql.ast import AskQuery, FilterExpr, OrderCondition, SelectQuery
-from repro.sparql.batch import extend_bindings_batch
+from repro.sparql.batch import extend_bindings_batch, top_k
 from repro.sparql.bridge import ConjunctiveBranch, sparql_to_branches
 from repro.sparql.cache import PlanCache, nsm_fingerprint
 from repro.sparql.parser import parse_query
-from repro.sparql.plan import OrderKey, compile_filter
+from repro.sparql.plan import compile_filter
 
 __all__ = [
     "ADAPTIVE",
@@ -1495,57 +1495,28 @@ class FederatedExecutor:
         """Apply solution modifiers to the collect baseline's solutions
         (one ``(schema, rows)`` pair per branch).
 
-        ORDER BY mirrors :class:`~repro.federation.plan.TopKNode`
-        exactly (same comparator, same dedupe) so ordered answer sets
-        match the federated strategies; an unordered slice takes the
-        canonical-order window — a deterministic representative of the
-        many legal subsets.
+        Both cases are one :func:`~repro.sparql.batch.top_k`, the call
+        :class:`~repro.federation.plan.TopKNode` makes, so ordered
+        answer sets match the federated strategies; an unordered slice
+        takes the canonical-order window — a deterministic
+        representative of the many legal subsets.
         """
         head = prepared.head
         if prepared.ask:
             return {()} if any(rows for _, rows in solutions) else set()
-        decode = self.dictionary.decode
-        key_cache: Dict[Optional[int], Tuple] = {None: (0,)}
-
-        def cell_key(tid: Optional[int]) -> Tuple:
-            cached = key_cache.get(tid)
-            if cached is None:
-                cached = (1,) + decode(tid).sort_key()
-                key_cache[tid] = cached
-            return cached
-
-        def row_key(row: Tuple[Optional[int], ...]) -> Tuple:
-            return tuple(map(cell_key, row))
-
-        if prepared.order:
-            flags = tuple(c.descending for c in prepared.order)
-            order_vars = tuple(c.variable for c in prepared.order)
-            best: Dict[Tuple[Optional[int], ...], OrderKey] = {}
-            for schema, rows in solutions:
-                # One pass per branch over ``head + order`` cells; the
-                # set collapses solutions that agree on all of them.
-                cells = project_rows(schema, rows, head + order_vars)
-                for row in cells:
-                    projected = row[: len(head)]
-                    key = OrderKey(
-                        row_key(row[len(head) :]), flags, row_key(projected)
-                    )
-                    current = best.get(projected)
-                    if current is None or key < current:
-                        best[projected] = key
-            ordered = [
-                row
-                for row, _ in sorted(best.items(), key=lambda item: item[1])
-            ]
-        else:
-            distinct: Set[Tuple[Optional[int], ...]] = set()
-            for schema, rows in solutions:
-                distinct |= project_rows(schema, rows, head)
-            ordered = sorted(distinct, key=row_key)
-        sliced = ordered[prepared.offset :]
-        if prepared.limit is not None:
-            sliced = sliced[: prepared.limit]
-        return set(sliced)
+        order_vars = tuple(c.variable for c in prepared.order)
+        cells: List[Tuple[Optional[int], ...]] = []
+        for schema, rows in solutions:
+            cells.extend(project_rows(schema, rows, head + order_vars))
+        winners = top_k(
+            self.dictionary.ranks(),
+            head,
+            prepared.order,
+            cells,
+            prepared.offset,
+            prepared.limit,
+        )
+        return {cells[index][: len(head)] for index in winners}
 
 
 def _stats_registry(stats: NetworkStats) -> MetricsRegistry:

@@ -77,7 +77,7 @@ consumer.  Operators that need their input's *cardinality* or wave
 exactly as before; a full drain reproduces the eager interpreter's
 charges byte for byte, so unlimited queries are unchanged.
 :class:`TopKNode` (federated ``ORDER BY``) sorts full solutions with
-the same comparator as the local engine's ``TopKOp`` and federated
+the local engine's :func:`~repro.sparql.batch.top_k` and federated
 ``ASK`` runs as ``SliceNode(limit=1)`` — the first surviving row
 short-circuits the whole pipeline.
 
@@ -105,7 +105,6 @@ contribution.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import replace
 from typing import (
     Any,
@@ -152,8 +151,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql.ast import OrderCondition
-from repro.sparql.batch import UNBOUND, extend_bindings_batch
-from repro.sparql.plan import OrderKey
+from repro.sparql.batch import UNBOUND, extend_bindings_batch, top_k
 from repro.gpq.evaluation import compile_conjunct
 from repro.runtime.scheduler import RequestHandle, peak_overlap
 
@@ -1255,13 +1253,13 @@ class SliceNode(FedOp):
 class TopKNode(FedOp):
     """Federated ``ORDER BY`` (+ OFFSET/LIMIT): sort, project, dedupe.
 
-    Sorting is a pipeline breaker — the child drains fully — but the
-    comparator is shared with the local engine's
-    :class:`repro.sparql.plan.TopKOp`: keys are built from *full*
-    solutions (ORDER BY may name non-projected variables), per distinct
-    projected row the minimal-key solution wins, and ties break on the
-    projected row's canonical term order, so every strategy and the
-    reference evaluator agree on the emitted order.
+    Sorting is a pipeline breaker — the child drains fully — and the
+    order is the local engine's :func:`repro.sparql.batch.top_k` over
+    the dictionary's term ranks: keys are built from *full* solutions
+    (ORDER BY may name non-projected variables), per distinct projected
+    row the minimal-key solution wins, and ties break on the projected
+    row's canonical term order, so every strategy and the reference
+    evaluator agree on the emitted order.
     """
 
     kind = "TopK"
@@ -1288,46 +1286,22 @@ class TopKNode(FedOp):
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
         child = interp.run(self.child)
-        decode = self.dictionary.decode
-        key_cache: Dict[int, Tuple] = {UNBOUND: (0,)}
-
-        def cell_key(tid: int) -> Tuple:
-            cached = key_cache.get(tid)
-            if cached is None:
-                cached = (1,) + decode(tid).sort_key()
-                key_cache[tid] = cached
-            return cached
-
-        flags = tuple(condition.descending for condition in self.order)
         child_schema = self.child.schema
         order_vars = tuple(condition.variable for condition in self.order)
-        order_cells = relayout(child_schema, order_vars)(child.rows)
-        head_cells = relayout(child_schema, self.head)(child.rows)
-        projected = relayout(child_schema, self.schema)(child.rows)
-        best: Dict[Row, Tuple[OrderKey, _Origin]] = {}
-        for row, by, head, origin in zip(
-            projected, order_cells, head_cells, child.origins
-        ):
-            key = OrderKey(
-                tuple(map(cell_key, by)), flags, tuple(map(cell_key, head))
-            )
-            current = best.get(row)
-            if current is None or key < current[0]:
-                best[row] = (key, origin)
-        def by_key(item: Tuple[Row, Tuple[OrderKey, _Origin]]) -> OrderKey:
-            return item[1][0]
-
-        if self.limit is None:
-            ordered = sorted(best.items(), key=by_key)
-        else:
-            # ``nsmallest`` is ``sorted(...)[:n]`` without sorting the tail.
-            ordered = heapq.nsmallest(
-                self.offset + self.limit, best.items(), key=by_key
-            )
-        sliced = ordered[self.offset :]
+        cells = relayout(child_schema, self.head + order_vars)(child.rows)
+        winners = top_k(
+            self.dictionary.ranks(),
+            self.head,
+            self.order,
+            cells,
+            self.offset,
+            self.limit,
+        )
         yield (
-            [row for row, _ in sliced],
-            [origin for _, (_, origin) in sliced],
+            relayout(child_schema, self.schema)(
+                [child.rows[index] for index in winners]
+            ),
+            [child.origins[index] for index in winners],
         )
         return ()
 

@@ -40,14 +40,22 @@ class TermDictionary:
     index.  Terms are never removed: a dictionary outlives the graphs
     using it, and stale entries cost only memory, never correctness.
     Interning is thread-safe; lookups and decodes are lock-free reads.
+
+    One table is derived from the terms and kept beside them:
+    :meth:`ranks`, the position of every ID in the library-wide term
+    order, so results can be sorted on integers.
     """
 
-    __slots__ = ("_ids", "_terms", "_lock")
+    __slots__ = ("_ids", "_terms", "_lock", "_order", "_ranks")
 
     def __init__(self, terms: Optional[Iterable[Term]] = None) -> None:
         self._ids: Dict[Term, int] = {}
         self._terms: List[Term] = []
         self._lock = threading.Lock()
+        # IDs in ``Term.sort_key`` order, and its inverse with ties
+        # collapsed; both cover the first ``len(self._ranks)`` IDs.
+        self._order: List[int] = []
+        self._ranks: List[int] = []
         if terms is not None:
             for term in terms:
                 self.encode(term)
@@ -112,8 +120,64 @@ class TermDictionary:
         raise KeyError(f"unknown term id {tid}")
 
     def decode_triple(self, ids: IDTriple) -> Triple:
+        """The triple of terms with the given IDs."""
         terms = self._terms
         return Triple(terms[ids[0]], terms[ids[1]], terms[ids[2]])
+
+    def terms(self) -> List[Term]:
+        """The ID-indexed term list: ``terms()[tid]`` is ``decode(tid)``.
+
+        For bulk decodes (``map(terms.__getitem__, column)``) of IDs
+        known to be valid.  The list is the live table: read, never
+        mutate.
+        """
+        return self._terms
+
+    # -- ordering -------------------------------------------------------
+
+    def ranks(self) -> List[int]:
+        """The ID-indexed rank table of the library-wide term order.
+
+        ``ranks()[tid]`` is the dense, 1-based position of term ``tid``
+        in the :meth:`~repro.rdf.terms.Term.sort_key` total order over
+        all interned terms, so comparing two ranks is comparing the two
+        terms, at integer cost; ``0`` is left free for "unbound", which
+        sorts before every term.  Terms with equal sort keys share a
+        rank, which keeps a stable sort on ranks identical to a stable
+        sort on the keys themselves.
+
+        The table is rebuilt only when terms were interned since the
+        last call: the new IDs are sorted and merged into the previous
+        order (kept as a list of IDs), then ranks are renumbered — one
+        sort key per interned term, so a rebuild is linear in the
+        dictionary, not in its growth (~15 ms at 35k terms).  With
+        nothing interned the call is one length comparison and returns
+        the same list object.  A returned table stays valid for the IDs
+        it covers but is not comparable with a later one; callers fetch
+        it once per sort.  Only integers are retained — the sort keys
+        live for the duration of a rebuild.
+        """
+        ranks = self._ranks
+        if len(ranks) == len(self._terms):
+            return ranks
+        with self._lock:
+            terms = self._terms
+            done = len(self._order)
+            if done < len(terms):
+                keys = [term.sort_key() for term in terms]
+                # The previous order is one ascending run, so Timsort
+                # sorts the tail and merges the two.
+                order = self._order + list(range(done, len(terms)))
+                order.sort(key=keys.__getitem__)
+                ranks = [0] * len(terms)
+                rank, previous = 0, None
+                for tid in order:
+                    key = keys[tid]
+                    if key != previous:
+                        rank, previous = rank + 1, key
+                    ranks[tid] = rank
+                self._order, self._ranks = order, ranks
+            return self._ranks
 
     def __repr__(self) -> str:
         return f"<TermDictionary with {len(self)} terms>"

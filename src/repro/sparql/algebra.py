@@ -38,6 +38,7 @@ from repro.sparql.ast import (
     OptionalPattern,
     UnionPattern,
 )
+from repro.sparql.results import _row_key
 
 __all__ = [
     "AlgebraNode",
@@ -208,19 +209,13 @@ def reference_select(graph: Graph, ast) -> List[Tuple[Optional[Term], ...]]:
     solutions = list(evaluate_algebra(graph, translate_group(ast.where)))
     variables = ast.projected()
 
-    def cell_key(term: Optional[Term]) -> Tuple:
-        return (0,) if term is None else (1,) + term.sort_key()
-
-    def projected_key(mu: SolutionMapping) -> Tuple:
-        return tuple(cell_key(mu.get(v)) for v in variables)
-
     # Canonical tiebreak first, then each ORDER BY condition via stable
-    # sorts applied right-to-left — a deliberately different algorithm
-    # from the engines' comparator keys.
-    solutions.sort(key=projected_key)
+    # sorts applied right-to-left, on the terms' own sort keys — a
+    # deliberately different algorithm from the engines' rank tuples.
+    solutions.sort(key=lambda mu: _row_key([mu.get(v) for v in variables]))
     for condition in reversed(ast.order):
         solutions.sort(
-            key=lambda mu: cell_key(mu.get(condition.variable)),
+            key=lambda mu: _row_key((mu.get(condition.variable),)),
             reverse=condition.descending,
         )
     rows: List[Tuple[Optional[Term], ...]] = []

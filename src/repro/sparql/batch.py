@@ -41,10 +41,12 @@ fuzz suite and the ``columnar`` benchmark gate).
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -67,7 +69,7 @@ from repro.sparql.ast import (
     FilterExpr,
     OrderCondition,
 )
-from repro.sparql.plan import _BOUND_SELECTIVITY, OrderKey, plan_bgp
+from repro.sparql.plan import _BOUND_SELECTIVITY, plan_bgp
 
 __all__ = [
     "UNBOUND",
@@ -83,6 +85,9 @@ __all__ = [
     "extend_bindings_batch",
     "select_id_batch",
     "select_id_rows_batch",
+    "column_rows",
+    "rank_keys",
+    "top_k",
     "batch_slice",
     "batch_top_k",
 ]
@@ -139,9 +144,7 @@ class Batch:
 
     def rows(self) -> Iterator[Tuple[int, ...]]:
         """Iterate rows as ID tuples in schema order (bag, with dups)."""
-        if not self.columns:
-            return iter(() for _ in range(self.n))
-        return zip(*self.columns)
+        return iter(column_rows(self.columns, self.n))
 
     def gather(self, sel: Sequence[int]) -> "Batch":
         """A new batch with the rows named by the selection vector."""
@@ -151,16 +154,16 @@ class Batch:
             len(sel),
         )
 
-    def id_rows(self, variables: Sequence[Variable]) -> Set[_IDRow]:
-        """Distinct projected rows as ID tuples (``None`` = unbound).
+    def project(
+        self, variables: Sequence[Variable]
+    ) -> List[Sequence[Optional[int]]]:
+        """The result-boundary columns, one per entry of ``variables``.
 
-        This is the result boundary: bag-semantics columns collapse to
-        the same distinct row set the row engine's ``select_id_rows``
-        produces, with ``UNBOUND`` translated to ``None``.
+        ``UNBOUND`` cells become ``None`` and a variable outside the
+        schema is an all-``None`` column; fully bound columns are
+        returned as they are, not copied.
         """
-        if self.n == 0:
-            return set()
-        cols: List[List[Optional[int]]] = []
+        cols: List[Sequence[Optional[int]]] = []
         for var in variables:
             col = self.col(var)
             if col is None:
@@ -168,10 +171,21 @@ class Batch:
             elif UNBOUND in col:
                 cols.append([None if c == UNBOUND else c for c in col])
             else:
-                cols.append(col)  # type: ignore[arg-type]
-        if not cols:
-            return {()}
-        return set(zip(*cols))
+                cols.append(col)
+        return cols
+
+    def id_rows(self, variables: Sequence[Variable]) -> Set[_IDRow]:
+        """Distinct projected rows as ID tuples (``None`` = unbound).
+
+        Bag-semantics columns collapse to the same distinct row set the
+        row engine's ``select_id_rows`` produces.
+        """
+        return set(column_rows(self.project(variables), self.n))
+
+
+def column_rows(columns: Sequence[Sequence], n: int) -> Sequence[Tuple]:
+    """The ``n`` rows of parallel columns (``n`` empty rows for none)."""
+    return zip(*columns) if columns else [()] * n
 
 
 # ---------------------------------------------------------------------------
@@ -1170,10 +1184,95 @@ def select_id_rows_batch(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized solution modifiers
+# Result ordering on term ranks, and the vectorized solution modifiers
 # ---------------------------------------------------------------------------
 
 _RowKeep = Optional[Callable[[_IDRow], bool]]
+
+
+def rank_keys(
+    ranks: Sequence[int],
+    columns: Sequence[Sequence[Optional[int]]],
+    descending: Sequence[bool] = (),
+) -> List[Tuple[int, ...]]:
+    """One sort key per row of parallel ID columns: a tuple of ints.
+
+    ``ranks`` is :meth:`repro.rdf.dictionary.TermDictionary.ranks`, so
+    comparing two keys compares the rows in the library-wide term
+    order.  An unbound cell (``None`` or ``UNBOUND``) ranks 0, before
+    every term; a ``descending`` column is negated, which reverses the
+    terms and moves unbound cells last.  This is the one ordering
+    primitive of the result boundary — the canonical SELECT order, the
+    local and federated ORDER BY and the collect baseline all sort on
+    these keys.
+    """
+    keyed: List[Sequence[int]] = []
+    for index, col in enumerate(columns):
+        if None in col or UNBOUND in col:
+            ranked: Sequence[int] = [
+                0 if c is None or c == UNBOUND else ranks[c] for c in col
+            ]
+        else:
+            ranked = list(map(ranks.__getitem__, col))
+        if index < len(descending) and descending[index]:
+            ranked = list(map(operator.neg, ranked))
+        keyed.append(ranked)
+    return list(zip(*keyed))
+
+
+def top_k(
+    ranks: Sequence[int],
+    head: Sequence[Variable],
+    order: Sequence[OrderCondition],
+    cells: Sequence[Tuple[Optional[int], ...]],
+    offset: int = 0,
+    limit: Optional[int] = None,
+) -> List[int]:
+    """ORDER BY + DISTINCT on the head + OFFSET/LIMIT, as row indexes.
+
+    ``cells`` holds one ID tuple per solution, laid out as the ``head``
+    variables followed by the ``order`` variables.  Solutions sort by
+    the ORDER BY conditions, ties broken by the canonical order of the
+    head row; per distinct head row the solution with the minimal key
+    wins (the earliest, when several solutions share all cells), so
+    the answer is a pure function of the solution *set*.  Returns the
+    winners' indexes into ``cells``, in output order.
+
+    With a LIMIT the output is ``heapq.nsmallest`` of ``offset +
+    limit`` keys, not a full sort.  When an ORDER BY variable is
+    outside the head, a head row can occur under several keys and one
+    full sort comes first, to find each head row's minimum.
+    """
+    bound = None if limit is None else offset + limit
+    if bound == 0 or not cells:
+        return []
+    if not cells[0]:  # no column at all: one distinct, empty row
+        return [0][offset:]
+    width = len(head)
+    # First index of every distinct cell row (a later write wins).
+    first = dict(zip(reversed(cells), range(len(cells) - 1, -1, -1)))
+    distinct = list(first)
+    firsts = list(first.values())
+    columns = list(zip(*distinct))
+    keys = rank_keys(
+        ranks,
+        columns[width:] + columns[:width],
+        [condition.descending for condition in order],
+    )
+    rows: Iterable[int] = range(len(distinct))
+    if not all(condition.variable in head for condition in order):
+        # The best solution per head row: walk them worst key first and
+        # let a later write win.
+        heads = list(column_rows(columns[:width], len(distinct)))
+        worst_first = sorted(rows, key=keys.__getitem__, reverse=True)
+        rows = dict(
+            zip(map(heads.__getitem__, worst_first), worst_first)
+        ).values()
+    if bound is None:
+        ranked = sorted(rows, key=keys.__getitem__)
+    else:
+        ranked = heapq.nsmallest(bound, rows, key=keys.__getitem__)
+    return [firsts[index] for index in ranked[offset:]]
 
 
 def batch_slice(
@@ -1193,20 +1292,10 @@ def batch_slice(
     """
     if limit == 0:
         return []
-    cols: List[Sequence[Optional[int]]] = []
-    for var in projected:
-        col = batch.col(var)
-        if col is None:
-            cols.append([None] * batch.n)
-        elif UNBOUND in col:
-            cols.append([None if c == UNBOUND else c for c in col])
-        else:
-            cols.append(col)  # type: ignore[arg-type]
     out: List[_IDRow] = []
     seen: Set[_IDRow] = set()
     skipped = 0
-    iterator = zip(*cols) if cols else iter(() for _ in range(batch.n))
-    for row in iterator:
+    for row in column_rows(batch.project(projected), batch.n):
         if keep is not None and not keep(row):
             continue
         if row in seen:
@@ -1232,62 +1321,20 @@ def batch_top_k(
 ) -> List[_IDRow]:
     """ORDER BY + DISTINCT-project + OFFSET/LIMIT over one batch.
 
-    Deduplication keeps, per distinct projected row, the solution with
-    the minimal :class:`~repro.sparql.plan.OrderKey`, and the canonical
-    tiebreak makes the output a pure function of the solution *set* —
-    identical to the row engine's ``TopKOp`` regardless of either
+    The batch's projected and ORDER BY columns go through
+    :func:`top_k`, so the output is a pure function of the solution
+    *set* — identical to the reference evaluator's regardless of the
     engine's internal row order.
     """
-    bound = None if limit is None else offset + limit
-    if bound == 0:
-        return []
-    decode = graph.decode_id
-    key_cache: Dict[int, Tuple] = {}
-
-    def cell_key(tid: Optional[int]) -> Tuple:
-        if tid is None:
-            return (0,)
-        cached = key_cache.get(tid)
-        if cached is None:
-            cached = (1,) + decode(tid).sort_key()
-            key_cache[tid] = cached
-        return cached
-
-    def column(var: Variable) -> Sequence[Optional[int]]:
-        col = batch.col(var)
-        if col is None:
-            return [None] * batch.n
-        if UNBOUND in col:
-            return [None if c == UNBOUND else c for c in col]
-        return col  # type: ignore[return-value]
-
-    flags = tuple(condition.descending for condition in order)
-    proj_cols = [column(v) for v in projected]
-    order_cols = [column(c.variable) for c in order]
-    rows_iter = (
-        zip(*proj_cols) if proj_cols else iter(() for _ in range(batch.n))
+    head = tuple(projected)
+    variables = head + tuple(condition.variable for condition in order)
+    cells: Sequence[_IDRow] = list(
+        column_rows(batch.project(variables), batch.n)
     )
-    order_iter = (
-        zip(*order_cols) if order_cols else iter(() for _ in range(batch.n))
-    )
-    best: Dict[_IDRow, OrderKey] = {}
-    for row, order_row in zip(rows_iter, order_iter):
-        if keep is not None and not keep(row):
-            continue
-        key = OrderKey(
-            tuple(cell_key(cell) for cell in order_row),
-            flags,
-            tuple(cell_key(cell) for cell in row),
-        )
-        current = best.get(row)
-        if current is None or key < current:
-            best[row] = key
-        if bound is not None and len(best) > 4 * bound:
-            best = dict(
-                heapq.nsmallest(bound, best.items(), key=lambda kv: kv[1])
-            )
-    ordered = sorted(best.items(), key=lambda kv: kv[1])
-    sliced = ordered[offset:]
-    if limit is not None:
-        sliced = sliced[:limit]
-    return [row for row, _ in sliced]
+    if keep is not None:
+        cells = [row for row in cells if keep(row[: len(head)])]
+    ranks = graph.dictionary.ranks()
+    return [
+        cells[index][: len(head)]
+        for index in top_k(ranks, head, order, cells, offset, limit)
+    ]

@@ -28,20 +28,22 @@ available as the reference oracle for tests.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import SparqlEvaluationError
 from repro.obs.analyze import attach_actuals
 from repro.obs.trace import NULL_TRACER
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import BlankNode
+from repro.rdf.terms import BlankNode, Term
 from repro.sparql.algebra import translate_group
 from repro.sparql.ast import AskQuery, Query, SelectQuery
 from repro.sparql.batch import (
     BatchOp,
     batch_top_k,
     build_batch_plan,
+    column_rows,
+    rank_keys,
 )
 from repro.sparql.cache import default_plan_cache, nsm_fingerprint
 from repro.sparql.parser import parse_query
@@ -189,7 +191,7 @@ def explain(
             # Mirror _execute_prepared: the streaming slice is part of
             # the executed tree, so it must show (and count) here too.
             keep = (
-                _blank_row_filter(graph.decode_id)
+                _blank_row_filter(graph.dictionary.terms())
                 if not include_blanks
                 else None
             )
@@ -220,10 +222,20 @@ def _execute_prepared(
     if isinstance(ast, AskQuery):
         return AskResult(any(True for _ in prepared.row_plan.execute()))
     variables = prepared.variables
-    decode = graph.decode_id
-    keep = _blank_row_filter(decode) if not include_blanks else None
-    if prepared.batch_op is not None:
+    dictionary = graph.dictionary
+    terms = dictionary.terms()
+    keep = _blank_row_filter(terms) if not include_blanks else None
+    if prepared.batch_op is None:
+        # Bare LIMIT/OFFSET: the streaming row engine slices its own
+        # deterministic stream order and stops pulling once full.
+        id_rows = SliceOp(
+            prepared.row_plan, variables, ast.offset or 0, ast.limit, keep
+        ).rows()
+        columns, n = list(zip(*id_rows)), len(id_rows)
+    else:
         batch = prepared.batch_op.execute()
+        if not batch.n:  # most anchored lookups: nothing to finish
+            return SelectResult(variables, [])
         if ast.order:
             id_rows = batch_top_k(
                 graph,
@@ -234,42 +246,49 @@ def _execute_prepared(
                 ast.limit,
                 keep,
             )
+            columns, n = list(zip(*id_rows)), len(id_rows)
         else:
-            rows = batch.id_rows(variables)
+            # The distinct rows in the canonical term order: sorted on
+            # rank tuples, a column at a time.
+            columns = batch.project(variables)
+            distinct = set(column_rows(columns, batch.n))
             if keep is not None:
-                rows = {row for row in rows if keep(row)}
-            id_rows = sorted(rows, key=_id_row_sort_key(decode))
-    else:
-        # Bare LIMIT/OFFSET: the streaming row engine slices its own
-        # deterministic stream order and stops pulling once full.
-        id_rows = SliceOp(
-            prepared.row_plan, variables, ast.offset or 0, ast.limit, keep
-        ).rows()
+                distinct = set(filter(keep, distinct))
+            n = len(distinct)
+            if n != batch.n:
+                columns = list(zip(*distinct))
+            keys = rank_keys(dictionary.ranks(), columns)
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            columns = [list(map(col.__getitem__, order)) for col in columns]
     decoded = [
-        tuple(None if tid is None else decode(tid) for tid in row)
-        for row in id_rows
+        [None if tid is None else terms[tid] for tid in col]
+        if None in col
+        else list(map(terms.__getitem__, col))
+        for col in columns
     ]
-    return SelectResult(variables, decoded)
+    return SelectResult(variables, list(column_rows(decoded, n)))
 
 
-def _blank_row_filter(decode) -> Callable[[Tuple], bool]:
-    def keep(row: Tuple) -> bool:
-        return not any(
-            tid is not None and isinstance(decode(tid), BlankNode)
-            for tid in row
-        )
+def _blank_row_filter(
+    terms: List[Term],
+) -> Callable[[Tuple[Optional[int], ...]], bool]:
+    """The ``include_blanks=False`` row predicate (the paper's ``Q_D``).
+
+    Whether an ID names a blank node is looked up in the dictionary
+    once per distinct ID; rows then test their cells against the memo.
+    """
+    blank: Dict[Optional[int], bool] = {None: False}
+
+    def keep(row: Tuple[Optional[int], ...]) -> bool:
+        for tid in row:
+            flag = blank.get(tid)
+            if flag is None:
+                flag = blank[tid] = isinstance(terms[tid], BlankNode)
+            if flag:
+                return False
+        return True
 
     return keep
-
-
-def _id_row_sort_key(decode):
-    def key(row: Tuple) -> Tuple:
-        return tuple(
-            (0,) if tid is None else (1,) + decode(tid).sort_key()
-            for tid in row
-        )
-
-    return key
 
 
 def select(

@@ -38,7 +38,6 @@ suite asserts this equivalence on randomized workloads.
 
 from __future__ import annotations
 
-import heapq
 from typing import (
     Callable,
     Dict,
@@ -64,7 +63,6 @@ from repro.sparql.ast import (
     BooleanExpr,
     Comparison,
     FilterExpr,
-    OrderCondition,
 )
 
 __all__ = [
@@ -77,8 +75,6 @@ __all__ = [
     "EmptyScan",
     "SingletonScan",
     "SliceOp",
-    "TopKOp",
-    "OrderKey",
     "compile_filter",
     "plan_bgp",
     "build_plan",
@@ -502,7 +498,7 @@ class FilterScan(PhysicalOp):
 
 
 # ---------------------------------------------------------------------------
-# Solution modifiers: slice and top-k over a plan's stream
+# Solution modifier: the streaming slice over a plan's stream
 # ---------------------------------------------------------------------------
 
 #: A projected ID row (``None`` = unbound cell).
@@ -510,40 +506,6 @@ _IDRow = Tuple[Optional[int], ...]
 
 #: An optional row-level predicate (e.g. blank-node filtering).
 _RowKeep = Optional[Callable[[_IDRow], bool]]
-
-
-class OrderKey:
-    """Comparable sort key honouring per-condition ASC/DESC.
-
-    Term sort keys are heterogeneous tuples that cannot be negated, so
-    a descending condition needs a comparator rather than key surgery:
-    ``cells`` holds one cell key per ORDER BY condition, ``flags`` the
-    matching ``descending`` booleans, and ``tie`` the canonical key of
-    the projected row, making the order total over distinct rows.
-    """
-
-    __slots__ = ("cells", "flags", "tie")
-
-    def __init__(
-        self, cells: Tuple[Tuple, ...], flags: Tuple[bool, ...], tie: Tuple
-    ) -> None:
-        self.cells = cells
-        self.flags = flags
-        self.tie = tie
-
-    def __lt__(self, other: "OrderKey") -> bool:
-        for mine, theirs, descending in zip(
-            self.cells, other.cells, self.flags
-        ):
-            if mine == theirs:
-                continue
-            return (mine > theirs) if descending else (mine < theirs)
-        return self.tie < other.tie
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderKey):
-            return NotImplemented
-        return self.cells == other.cells and self.tie == other.tie
 
 
 class SliceOp(PhysicalOp):
@@ -627,126 +589,6 @@ class SliceOp(PhysicalOp):
         if self.limit is not None:
             note += f" limit={self.limit}"
         lines = [self._annotate(f"{'  ' * depth}Slice{note}")]
-        lines.extend(self.child.explain(depth + 1))
-        return lines
-
-
-class TopKOp(PhysicalOp):
-    """ORDER BY + DISTINCT-project + OFFSET/LIMIT with bounded state.
-
-    Sorting happens on the *full* solutions — an ORDER BY variable need
-    not be projected — and deduplication keeps, per distinct projected
-    row, the solution with the minimal key, so the output order is
-    deterministic.  With a LIMIT the operator keeps at most
-    ``2 * (offset + limit)`` candidates instead of materialising and
-    sorting every solution.
-    """
-
-    kind = "TopK"
-
-    def __init__(
-        self,
-        graph: Graph,
-        child: PhysicalOp,
-        projected: Sequence[Variable],
-        order: Sequence[OrderCondition],
-        offset: int = 0,
-        limit: Optional[int] = None,
-        keep: _RowKeep = None,
-    ) -> None:
-        self.graph = graph
-        self.child = child
-        self.projected = tuple(projected)
-        self.order = tuple(order)
-        self.offset = offset
-        self.limit = limit
-        self.keep = keep
-        self.variables = frozenset(self.projected)
-        self.cardinality = (
-            child.cardinality if limit is None else float(limit)
-        )
-
-    def children(self) -> Tuple[PhysicalOp, ...]:
-        return (self.child,)
-
-    def rows(self) -> List[_IDRow]:
-        """Distinct projected rows in query order, sliced."""
-        out = self._rows()
-        if self.actuals is not None:
-            actuals = self.actuals
-            actuals["calls"] = actuals.get("calls", 0) + 1
-            actuals["rows_out"] = actuals.get("rows_out", 0) + len(out)
-        return out
-
-    def _rows(self) -> List[_IDRow]:
-        bound = None if self.limit is None else self.offset + self.limit
-        if bound == 0:
-            return []
-        decode = self.graph.decode_id
-        key_cache: Dict[int, Tuple] = {}
-
-        def cell_key(tid: Optional[int]) -> Tuple:
-            if tid is None:
-                return (0,)
-            cached = key_cache.get(tid)
-            if cached is None:
-                cached = (1,) + decode(tid).sort_key()
-                key_cache[tid] = cached
-            return cached
-
-        flags = tuple(condition.descending for condition in self.order)
-        order_vars = tuple(condition.variable for condition in self.order)
-        keep = self.keep
-        best: Dict[_IDRow, OrderKey] = {}
-        for binding in self.child.execute():
-            row = tuple(binding.get(v) for v in self.projected)
-            if keep is not None and not keep(row):
-                continue
-            key = OrderKey(
-                tuple(cell_key(binding.get(v)) for v in order_vars),
-                flags,
-                tuple(cell_key(cell) for cell in row),
-            )
-            current = best.get(row)
-            if current is None or key < current:
-                best[row] = key
-            if bound is not None and len(best) > 2 * bound:
-                best = dict(
-                    heapq.nsmallest(
-                        bound, best.items(), key=lambda item: item[1]
-                    )
-                )
-        ordered = sorted(best.items(), key=lambda item: item[1])
-        sliced = ordered[self.offset :]
-        if self.limit is not None:
-            sliced = sliced[: self.limit]
-        return [row for row, _ in sliced]
-
-    def execute(self) -> Iterator[_IDBinding]:
-        # rows() records the actuals itself; skip the generic wrapper
-        # so an analyzed execute() does not double-count.
-        return self._execute()
-
-    def _execute(self) -> Iterator[_IDBinding]:
-        for row in self.rows():
-            yield {
-                v: tid
-                for v, tid in zip(self.projected, row)
-                if tid is not None
-            }
-
-    def explain(self, depth: int = 0) -> List[str]:
-        order = ",".join(
-            f"desc(?{c.variable.name})" if c.descending
-            else f"?{c.variable.name}"
-            for c in self.order
-        )
-        note = f" order={order}"
-        if self.offset:
-            note += f" offset={self.offset}"
-        if self.limit is not None:
-            note += f" limit={self.limit}"
-        lines = [self._annotate(f"{'  ' * depth}TopK{note}")]
         lines.extend(self.child.explain(depth + 1))
         return lines
 

@@ -8,7 +8,8 @@ manager when one is supplied.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.namespaces import NamespaceManager
 from repro.rdf.terms import BlankNode, IRI, Term, Variable
@@ -24,6 +25,9 @@ class SelectResult:
         rows: tuples aligned with ``variables``; a ``None`` cell means the
             variable is unbound in that solution (cannot happen in the
             conjunctive fragment but kept for safety).
+
+    A result is a value: ``rows`` is fixed once constructed, which is
+    what lets membership tests share one row set.
     """
 
     def __init__(
@@ -33,6 +37,7 @@ class SelectResult:
     ) -> None:
         self.variables: Tuple[Variable, ...] = tuple(variables)
         self.rows: List[Tuple[Optional[Term], ...]] = list(rows)
+        self._distinct: Optional[FrozenSet[Tuple[Optional[Term], ...]]] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -41,7 +46,9 @@ class SelectResult:
         return iter(self.rows)
 
     def __contains__(self, row: Tuple[Optional[Term], ...]) -> bool:
-        return tuple(row) in set(self.rows)
+        if self._distinct is None:
+            self._distinct = frozenset(self.rows)
+        return tuple(row) in self._distinct
 
     def __bool__(self) -> bool:
         return bool(self.rows)
@@ -49,9 +56,9 @@ class SelectResult:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SelectResult):
             return NotImplemented
-        return self.variables == other.variables and sorted(
-            self.rows, key=_row_key
-        ) == sorted(other.rows, key=_row_key)
+        return self.variables == other.variables and Counter(
+            self.rows
+        ) == Counter(other.rows)
 
     def __repr__(self) -> str:
         return f"<SelectResult {len(self.rows)} rows x {len(self.variables)} vars>"

@@ -41,6 +41,7 @@ from repro.sparql.cache import PlanCache, default_plan_cache, nsm_fingerprint
 from repro.sparql.engine import execute, select
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import plan_bgp, select_id_rows
+from repro.sparql.results import _row_key
 from repro.gpq.evaluation import compile_conjunct, extend_id_bindings
 from repro.workload.generators import GeneratorConfig, random_entity_graph
 
@@ -153,8 +154,11 @@ def test_fuzz_batch_equals_reference_and_row_engine(seed):
         first = select(graph, text).rows
         second = select(graph, text).rows
         assert first == second, text
-        if has_order or (ast.limit is None and ast.offset is None):
+        if has_order:
             assert first == expected, text
+        elif ast.limit is None and ast.offset is None:
+            # Row order too, not only the set: the canonical term order.
+            assert first == sorted(set(expected), key=_row_key), text
         else:
             # Unordered slices admit any distinct window of the right
             # cardinality.
@@ -183,6 +187,114 @@ def test_fuzz_includes_blank_exclusion_path():
     without = select(graph, text, include_blanks=False).rows
     assert set(without) <= set(with_blanks)
     assert with_blanks == reference_select(graph, parse_query(text))
+
+
+def test_order_by_desc_over_optional_variable_matches_reference():
+    graph = fanout_graph(400, seed=4)
+    optional = f"?a <{NS}p0> ?b OPTIONAL {{ ?b <{NS}value> ?v }}"
+    for modifiers in (
+        "ORDER BY DESC(?v)",
+        "ORDER BY DESC(?v) ?a",
+        "ORDER BY ?v DESC(?b)",
+        "ORDER BY DESC(?v) OFFSET 3 LIMIT 7",
+    ):
+        text = f"SELECT ?a ?b ?v WHERE {{ {optional} }} {modifiers}"
+        rows = select(graph, text).rows
+        assert rows == reference_select(graph, parse_query(text)), text
+        bound = [row[2] is not None for row in rows]
+        if modifiers.startswith("ORDER BY DESC(?v)") and "LIMIT" not in text:
+            assert True in bound and False in bound
+            # DESC puts the unbound cells last.
+            assert bound == sorted(bound, reverse=True)
+
+
+def test_order_by_unprojected_variable_keeps_each_rows_best_key():
+    graph = fanout_graph(400, seed=6)
+    where = f"?a <{NS}p0> ?b . ?b <{NS}p1> ?c"
+    for modifiers in (
+        "ORDER BY ?b",
+        "ORDER BY DESC(?b) ?a",
+        "ORDER BY DESC(?b) LIMIT 5",
+        "ORDER BY ?b OFFSET 2 LIMIT 40",
+    ):
+        text = f"SELECT ?a ?c WHERE {{ {where} }} {modifiers}"
+        rows = select(graph, text).rows
+        assert rows == reference_select(graph, parse_query(text)), text
+        assert len(set(rows)) == len(rows), text
+
+
+def test_top_k_picks_first_occurrence_and_handles_both_unbound_marks():
+    from repro.rdf.dictionary import TermDictionary
+    from repro.sparql.ast import OrderCondition
+    from repro.sparql.batch import rank_keys, top_k
+
+    d = TermDictionary()
+    c, a, b = (d.encode(IRI(f"{NS}{name}")) for name in "cab")
+    ranks = d.ranks()
+    assert rank_keys(ranks, [[a, None, c], [UNBOUND, b, b]], [True]) == [
+        (-1, 0),
+        (0, 2),
+        (-3, 2),
+    ]
+    x, y = Variable("x"), Variable("y")
+    desc_y = (OrderCondition(y, descending=True),)
+    # head (x) + order (y) cells; y is not projected, so x=a occurs
+    # under three keys and its best (largest y) must win — twice the
+    # same cells, of which the earlier index is reported.
+    cells = [(a, a), (b, UNBOUND), (a, c), (c, b), (a, c), (b, a)]
+    assert top_k(ranks, (x,), desc_y, cells) == [2, 3, 5]
+    assert top_k(ranks, (x,), desc_y, cells, offset=1, limit=1) == [3]
+    assert top_k(ranks, (x,), desc_y, cells, limit=0) == []
+    # Every ORDER BY variable projected: the bounded path.
+    pairs = [(a, b), (c, a), (a, b), (b, UNBOUND), (a, c)]
+    triples = [pair + pair[1:] for pair in pairs]  # x, y and y again
+    assert top_k(ranks, (x, y), desc_y, triples, limit=3) == [4, 0, 1]
+    assert top_k(ranks, (x, y), desc_y, triples) == [4, 0, 1, 3]
+    # No ORDER BY: the canonical order of the distinct head rows.
+    assert top_k(ranks, (x, y), (), pairs, offset=1) == [4, 3, 1]
+    assert top_k(ranks, (), (), [(), ()]) == [0]
+    assert top_k(ranks, (), (), []) == []
+
+
+def test_zero_column_and_empty_results():
+    graph = fanout_graph(300, seed=1)
+    triple = next(iter(graph.triples()))
+    ground = f"{triple.subject.n3()} {triple.predicate.n3()} {triple.object.n3()}"
+    missing = f"<{NS}no-such-subject> <{NS}p0> ?b"
+    for modifiers in ("", " ORDER BY ?x", " ORDER BY DESC(?x) LIMIT 3"):
+        assert select(graph, f"SELECT * WHERE {{ {ground} }}{modifiers}").rows == [()]
+        assert select(graph, f"SELECT ?b WHERE {{ {missing} }}{modifiers}").rows == []
+    # A projected variable the pattern never binds is an unbound column.
+    assert select(
+        graph, f"SELECT ?x WHERE {{ ?a <{NS}p0> ?b }}"
+    ).rows == [(None,)]
+
+
+def test_blank_exclusion_decides_each_id_once():
+    graph = random_entity_graph(
+        GeneratorConfig(
+            entities=14,
+            predicates=3,
+            triples=150,
+            attributes=20,
+            blank_fraction=0.3,
+            seed=5,
+        )
+    )
+    for tail in ("", " ORDER BY DESC(?b) ?a", " LIMIT 1000"):
+        text = f"SELECT ?a ?b WHERE {{ ?a <{NS}p0> ?b }}{tail}"
+        kept = select(graph, text, include_blanks=False).rows
+        everything = select(graph, text).rows
+        expected = [
+            row
+            for row in everything
+            if not any(cell.is_blank() for cell in row)
+        ]
+        assert 0 < len(expected) < len(everything)
+        if "LIMIT" in tail:  # an unordered slice: the set is what counts
+            assert set(kept) == set(expected), text
+        else:
+            assert kept == expected, text
 
 
 # ---------------------------------------------------------------------------

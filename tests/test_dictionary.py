@@ -1,12 +1,16 @@
 """Tests for the term dictionary and the Graph ID-level access path."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.errors import TermError
 from repro.rdf.dictionary import TermDictionary, default_dictionary
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
-from repro.rdf.terms import BlankNode, IRI, Literal, Variable
+from repro.rdf.terms import BlankNode, IRI, Literal, Term, Variable
 from repro.rdf.triples import Triple
 
 EX = Namespace("http://example.org/")
@@ -109,3 +113,119 @@ def test_private_dictionary_isolation():
     g.add(Triple(EX.term("iso"), EX.term("p"), EX.term("x")))
     assert private.lookup(EX.term("iso")) is not None
     assert len(private) == 3
+
+
+# ---------------------------------------------------------------------------
+# ranks(): the term order on integers
+# ---------------------------------------------------------------------------
+
+XSD_INT = IRI("http://www.w3.org/2001/XMLSchema#integer")
+
+
+def random_terms(rng, count):
+    """Mixed IRIs, blank nodes and plain/typed/tagged literals."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, 60)
+        out.append(
+            rng.choice(
+                [
+                    lambda: EX.term(f"rank/e{n}"),
+                    lambda: IRI(f"http://other.example.org/rank{n}"),
+                    lambda: BlankNode(f"rank{n}"),
+                    lambda: Literal(str(n)),
+                    lambda: Literal(str(n), datatype=XSD_INT),
+                    lambda: Literal(str(n), language=rng.choice(["en", "de"])),
+                ]
+            )()
+        )
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("shared", [False, True])
+def test_ranks_sort_like_sort_keys_across_incremental_merges(seed, shared):
+    rng = random.Random(seed)
+    d = default_dictionary() if shared else TermDictionary()
+    ids = []
+    for _ in range(4):  # rank, intern more, rank again: the merge path
+        ids.extend(d.encode(t) for t in random_terms(rng, rng.randint(1, 40)))
+        ranks = d.ranks()
+        assert len(ranks) == len(d)
+        assert d.ranks() is ranks  # nothing interned: the same table
+        assert min(ranks) >= 1  # 0 is left for "unbound"
+        sample = ids + [rng.randrange(len(d)) for _ in range(20)]
+        rng.shuffle(sample)
+        assert sorted(sample, key=ranks.__getitem__) == sorted(
+            sample, key=lambda tid: d.decode(tid).sort_key()
+        )
+    distinct = sorted(set(ids), key=ranks.__getitem__)
+    keys = [d.decode(tid).sort_key() for tid in distinct]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert len({ranks[tid] for tid in distinct}) == len(distinct)
+
+
+def test_ranks_are_dense_and_empty_dictionary_has_none():
+    d = TermDictionary()
+    assert d.ranks() == []
+    ids = [d.encode(t) for t in (Literal("b"), EX.term("z"), BlankNode("a"))]
+    # IRIs sort before blank nodes before literals.
+    assert [d.ranks()[tid] for tid in ids] == [3, 1, 2]
+    d.encode(EX.term("a"))
+    assert d.ranks() == [4, 2, 3, 1]
+
+
+def test_equal_sort_keys_share_a_rank():
+    class Alias(Term):
+        """A second term class whose instances sort like an IRI."""
+
+        __slots__ = ("value",)
+
+        def __init__(self, value):
+            self.value = value
+
+        def sort_key(self):
+            return IRI(self.value).sort_key()
+
+    d = TermDictionary()
+    a = d.encode(EX.term("a"))
+    twin = d.encode(Alias(str(EX.term("a"))))
+    b = d.encode(EX.term("b"))
+    ranks = d.ranks()
+    assert ranks[a] == ranks[twin] == 1 and ranks[b] == 2
+    later = d.encode(Alias(str(EX.term("b"))))  # a tie met by the merge
+    assert d.ranks()[later] == d.ranks()[b] == 2
+
+
+def test_ranks_stay_consistent_while_other_threads_intern():
+    d = TermDictionary()
+    failures = []
+
+    def intern(worker):
+        for n in range(150):
+            d.encode(EX.term(f"w{worker}/e{n * 7919 % 150}"))
+
+    def rank():
+        for _ in range(60):
+            ranks = d.ranks()
+            ids = list(range(len(ranks)))  # the IDs this table covers
+            by_rank = sorted(ids, key=ranks.__getitem__)
+            by_key = sorted(ids, key=lambda tid: d.decode(tid).sort_key())
+            if by_rank != by_key or len(set(ranks)) != len(ranks):
+                failures.append(ranks)
+
+    threads = [
+        threading.Thread(target=intern, args=(w,)) for w in range(6)
+    ] + [threading.Thread(target=rank) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    assert len(d) == 6 * 150 and sorted(d.ranks()) == list(range(1, 901))

@@ -356,3 +356,19 @@ def test_randomized_modifier_equivalence(seed):
             assert len(got) == len(expected), text
             assert len(set(got)) == len(got), text
             assert set(got) <= full, text
+
+
+def test_select_result_membership_and_multiset_equality():
+    from repro.rdf.terms import Variable
+    from repro.sparql.results import SelectResult
+
+    x = Variable("x")
+    a, b = (EX.term("a"),), (EX.term("b"),)
+    result = SelectResult([x], [a, b, (None,)])
+    assert a in result and [EX.term("b")] in result and (None,) in result
+    assert (EX.term("c"),) not in result
+    # Equal whatever the row order, but a multiset: counts must agree.
+    assert result == SelectResult([x], [(None,), b, a])
+    assert result != SelectResult([x], [a, b, b, (None,)])
+    assert SelectResult([x], [a, a, b]) != SelectResult([x], [a, b, b])
+    assert result != SelectResult([Variable("y")], [a, b, (None,)])
