@@ -30,6 +30,7 @@ actually landed.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, List, Optional, Sequence
 
 from repro.federation.bindings import (
@@ -176,7 +177,9 @@ class PeerEndpoint:
         pid = self.graph.term_id(predicate)
         if pid is None:
             return []
-        return list(self.graph.triples_ids(None, pid, None))
+        # Same order as ``triples_ids(None, pid, None)``, zipped in C.
+        objects, subjects = self.graph.group("pos", pid)
+        return list(zip(subjects, repeat(pid), objects))
 
     def can_answer(self, tp: TriplePattern, schema) -> bool:
         """Schema-based relevance: does the peer's schema cover every

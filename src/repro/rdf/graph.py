@@ -1,29 +1,47 @@
 """In-memory indexed RDF graph (triple store), dictionary-encoded.
 
 The store interns every term into an integer ID through a
-:class:`~repro.rdf.dictionary.TermDictionary` and keeps three
-nested-dictionary indexes — SPO, POS and OSP — over those IDs, so any
-triple pattern with at least one ground position is answered by integer
-dictionary lookups instead of a scan over Python term objects.  This is
-the classic Hexastore-lite layout used by in-memory RDF engines; three of
-the six orderings suffice because each covers two access paths:
+:class:`~repro.rdf.dictionary.TermDictionary`.  What it keeps eagerly is
+small: the insertion-ordered set of ID triples and one triple count per
+term and position.  Pattern access goes through three *orderings* of
+that set, each covering two access paths:
 
 * ``SPO`` answers ``(s, ?, ?)`` and ``(s, p, ?)``;
 * ``POS`` answers ``(?, p, ?)`` and ``(?, p, o)``;
 * ``OSP`` answers ``(?, ?, o)`` and ``(s, ?, o)``.
 
 Fully ground lookups probe the ID-triple set directly and fully unbound
-lookups scan it.  All mutation goes through :meth:`Graph.add` /
-:meth:`Graph.remove` so the indexes can never drift from the triple set
-(a property-tested invariant).
+lookups scan it.
 
-The triple set and the index leaves are insertion-ordered mappings, not
-hash sets, so every iteration order is a pure function of the sequence
-of ``add`` calls.  With hash sets of integers the order would follow
-the ID *values*, which depend on what else was interned into the shared
-process-wide dictionary first — and that turned demand-driven
-(order-sensitive) federated executions into functions of unrelated
-earlier work in the same process.
+**Lazy orderings.**  An ordering is built from the triple set by the
+first read that needs it and maintained incrementally from then on, so
+loading a graph costs the triple set and the counts, a graph that is
+only ever scanned by ``(?, p, ?)`` carries one ordering, and ``OSP``
+exists only where a caller scans by object.  A finished ordering is
+published with one assignment: a concurrent reader sees none of it or
+all of it.
+
+**Runs.**  An ordering is two dictionary levels keyed by its first and
+second component; what sits under a key pair is the *run* of third
+components.  Most runs have one member (on a 120k-triple entity graph
+four in five SPO/POS runs and practically every OSP run), so a run is
+the bare ID while it has one member and a ``list`` from the second
+member on.  That branch lives in this module only: readers outside it
+get fresh columns from :meth:`Graph.run`, :meth:`Graph.group` and
+:meth:`Graph.probe`, never a live level or run.
+
+**Order contract.**  Every iteration order is a pure function of the
+sequence of ``add``/``remove`` calls: the triple set is an
+insertion-ordered mapping, first- and second-level keys come in
+first-seen order and a run is in insertion order — the same whether the
+ordering was built lazily or grown triple by triple.  ``remove`` drops
+the built orderings (the next read rebuilds them from the triple set),
+so the order never depends on *when* an ordering was first read.  With
+hash sets of integers the order would follow the ID *values*, which
+depend on what else was interned into the shared process-wide
+dictionary first — and that turned demand-driven (order-sensitive)
+federated executions into functions of unrelated earlier work in the
+same process.
 
 The public API is term-level and unchanged from the pre-dictionary store:
 callers pass and receive :class:`~repro.rdf.triples.Triple` objects and
@@ -37,7 +55,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.rdf.dictionary import IDTriple, TermDictionary, default_dictionary
 from repro.rdf.terms import BlankNode, IRI, Literal, Term, Variable
@@ -45,36 +73,43 @@ from repro.rdf.triples import Triple, TriplePattern
 
 __all__ = ["Graph"]
 
-# The leaf level is an insertion-ordered Dict[int, None] used as an
-# ordered set: iteration must not depend on the ID values (see module
-# docstring).
-_Leaf = Dict[int, None]
-_Index = Dict[int, Dict[int, _Leaf]]
+# A run is the bare ID while it has one member, a list from the second
+# member on (see module docstring).
+_Run = Union[int, List[int]]
+_Index = Dict[int, Dict[int, _Run]]
+
+#: Ordering name -> an (s, p, o) ID triple read in that ordering.
+_PERMUTE = {
+    "spo": itemgetter(0, 1, 2),
+    "pos": itemgetter(1, 2, 0),
+    "osp": itemgetter(2, 0, 1),
+}
+
+#: Shared default for a missing first-level key; never written to.
+_NO_LEVEL: Dict[int, _Run] = {}
 
 
-def _index_add(index: _Index, a: int, b: int, c: int) -> None:
-    index.setdefault(a, {}).setdefault(b, {})[c] = None
+def _index_extend(index: _Index, keyed: Iterable[IDTriple]) -> None:
+    """Append ``(first, second, third)`` entries, all new, to an ordering."""
+    for a, b, c in keyed:
+        level = index.get(a)
+        if level is None:
+            index[a] = {b: c}
+            continue
+        run = level.get(b)
+        if run is None:
+            level[b] = c
+        elif type(run) is list:
+            run.append(c)
+        else:
+            level[b] = [run, c]
 
 
-def _index_remove(index: _Index, a: int, b: int, c: int) -> None:
-    level1 = index.get(a)
-    if level1 is None:
-        return
-    level2 = level1.get(b)
-    if level2 is None:
-        return
-    level2.pop(c, None)
-    if not level2:
-        del level1[b]
-        if not level1:
-            del index[a]
-
-
-def _copy_index(index: _Index) -> _Index:
-    return {
-        a: {b: dict(c) for b, c in level1.items()}
-        for a, level1 in index.items()
-    }
+def _index_of(order: str, ids: Iterable[IDTriple]) -> _Index:
+    """The ordering called ``order`` over ``(s, p, o)`` ID triples."""
+    index: _Index = {}
+    _index_extend(index, map(_PERMUTE[order], ids))
+    return index
 
 
 class Graph:
@@ -121,9 +156,10 @@ class Graph:
             dictionary if dictionary is not None else default_dictionary()
         )
         self._ids: Dict[IDTriple, None] = {}
-        self._spo: _Index = {}
-        self._pos: _Index = {}
-        self._osp: _Index = {}
+        # Orderings are None until a read builds them (module docstring).
+        self._spo: Optional[_Index] = None
+        self._pos: Optional[_Index] = None
+        self._osp: Optional[_Index] = None
         # Aggregate triple counts per term-in-position, maintained
         # incrementally so single-position count_ids probes are O(1).
         self._s_counts: Dict[int, int] = {}
@@ -180,9 +216,12 @@ class Graph:
             return False
         self._ids[ids] = None
         s, p, o = ids
-        _index_add(self._spo, s, p, o)
-        _index_add(self._pos, p, o, s)
-        _index_add(self._osp, o, s, p)
+        if self._spo is not None:
+            _index_extend(self._spo, (ids,))
+        if self._pos is not None:
+            _index_extend(self._pos, ((p, o, s),))
+        if self._osp is not None:
+            _index_extend(self._osp, ((o, s, p),))
         counts = self._s_counts
         counts[s] = counts.get(s, 0) + 1
         counts = self._p_counts
@@ -195,7 +234,7 @@ class Graph:
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Add many triples; returns how many were new."""
         if isinstance(triples, Graph) and triples._dict is self._dict:
-            return sum(1 for t in triples._ids if self._add_ids(t))
+            return self.add_id_triples(triples._ids, self._dict)
         return sum(1 for t in triples if self.add(t))
 
     def remove(self, triple: Triple) -> bool:
@@ -204,10 +243,10 @@ class Graph:
         if ids is None or ids not in self._ids:
             return False
         del self._ids[ids]
+        # The next read rebuilds from the triple set, so iteration order
+        # cannot depend on whether an ordering existed before the removal.
+        self._spo = self._pos = self._osp = None
         s, p, o = ids
-        _index_remove(self._spo, s, p, o)
-        _index_remove(self._pos, p, o, s)
-        _index_remove(self._osp, o, s, p)
         for counts, key in (
             (self._s_counts, s),
             (self._p_counts, p),
@@ -223,9 +262,7 @@ class Graph:
 
     def clear(self) -> None:
         self._ids.clear()
-        self._spo.clear()
-        self._pos.clear()
-        self._osp.clear()
+        self._spo = self._pos = self._osp = None
         self._s_counts.clear()
         self._p_counts.clear()
         self._o_counts.clear()
@@ -279,6 +316,36 @@ class Graph:
         return f"<Graph{label} with {len(self)} triples>"
 
     # ------------------------------------------------------------------
+    # Orderings
+    # ------------------------------------------------------------------
+
+    def _build(self, order: str) -> _Index:
+        """Build one ordering from the triple set and publish it."""
+        index = _index_of(order, self._ids)
+        setattr(self, "_" + order, index)  # one store: all or nothing
+        return index
+
+    def _built(self) -> Iterator[Tuple[str, _Index]]:
+        """The orderings that exist so far, by name."""
+        for order in _PERMUTE:
+            index = getattr(self, "_" + order)
+            if index is not None:
+                yield order, index
+
+    def _ordering(self, order: str) -> _Index:
+        """The ordering called ``"spo"``, ``"pos"`` or ``"osp"``.
+
+        An empty ordering belongs to an empty graph, so treating it as
+        missing (``or``) rebuilds nothing.
+
+        Raises:
+            ValueError: for an unknown order name.
+        """
+        if order not in _PERMUTE:
+            raise ValueError(f"unknown index order {order!r}")
+        return getattr(self, "_" + order) or self._build(order)
+
+    # ------------------------------------------------------------------
     # Pattern access
     # ------------------------------------------------------------------
 
@@ -300,48 +367,68 @@ class Graph:
                 yield candidate
             return
 
-        if subject is not None:
-            by_pred = self._spo.get(subject)
-            if not by_pred:
-                return
-            if predicate is not None:
-                for obj in by_pred.get(predicate, ()):
+        # Two ground positions: one run.  Inlined rather than routed
+        # through run(), this is the row engine's per-binding probe.
+        if subject is not None and predicate is not None:
+            run = (
+                (self._spo or self._build("spo"))
+                .get(subject, _NO_LEVEL)
+                .get(predicate)
+            )
+            if type(run) is list:
+                for obj in run:
                     yield (subject, predicate, obj)
-            elif object is not None:
-                by_subj = self._osp.get(object)
-                if not by_subj:
-                    return
-                for pred in by_subj.get(subject, ()):
-                    yield (subject, pred, object)
-            else:
-                for pred, objs in by_pred.items():
-                    for obj in objs:
-                        yield (subject, pred, obj)
-            return
-
-        if predicate is not None:
-            by_obj = self._pos.get(predicate)
-            if not by_obj:
-                return
-            if object is not None:
-                for subj in by_obj.get(object, ()):
+            elif run is not None:
+                yield (subject, predicate, run)
+        elif predicate is not None and object is not None:
+            run = (
+                (self._pos or self._build("pos"))
+                .get(predicate, _NO_LEVEL)
+                .get(object)
+            )
+            if type(run) is list:
+                for subj in run:
                     yield (subj, predicate, object)
-            else:
-                for obj, subjs in by_obj.items():
-                    for subj in subjs:
+            elif run is not None:
+                yield (run, predicate, object)
+        elif subject is not None and object is not None:
+            run = (
+                (self._osp or self._build("osp"))
+                .get(object, _NO_LEVEL)
+                .get(subject)
+            )
+            if type(run) is list:
+                for pred in run:
+                    yield (subject, pred, object)
+            elif run is not None:
+                yield (subject, run, object)
+        # One ground position: every run under one first-level key.
+        elif subject is not None:
+            level = (self._spo or self._build("spo")).get(subject, _NO_LEVEL)
+            for pred, run in level.items():
+                if type(run) is list:
+                    for obj in run:
+                        yield (subject, pred, obj)
+                else:
+                    yield (subject, pred, run)
+        elif predicate is not None:
+            level = (self._pos or self._build("pos")).get(predicate, _NO_LEVEL)
+            for obj, run in level.items():
+                if type(run) is list:
+                    for subj in run:
                         yield (subj, predicate, obj)
-            return
-
-        if object is not None:
-            by_subj = self._osp.get(object)
-            if not by_subj:
-                return
-            for subj, preds in by_subj.items():
-                for pred in preds:
-                    yield (subj, pred, object)
-            return
-
-        yield from self._ids
+                else:
+                    yield (run, predicate, obj)
+        elif object is not None:
+            level = (self._osp or self._build("osp")).get(object, _NO_LEVEL)
+            for subj, run in level.items():
+                if type(run) is list:
+                    for pred in run:
+                        yield (subj, pred, object)
+                else:
+                    yield (subj, run, object)
+        else:
+            yield from self._ids
 
     def _resolve(self, term: Optional[Term]) -> Tuple[Optional[int], bool]:
         """Map a term-level position to (ID, known): Variables and None are
@@ -424,7 +511,7 @@ class Graph:
         Every shape is answered without materialising triples or walking
         an index level: single-position counts come from the maintained
         per-position aggregate count dictionaries (O(1)), two-position
-        counts are a leaf length, and the fully ground case is a
+        counts are a run length, and the fully ground case is a
         membership probe.  This is the cardinality oracle the SPARQL
         planner orders joins with, so it must stay O(1) per probe.
         """
@@ -435,15 +522,22 @@ class Graph:
             if p is not None and o is not None:
                 return 1 if (s, p, o) in self._ids else 0
             if p is not None:
-                return len(self._spo.get(s, {}).get(p, ()))
-            if o is not None:
-                return len(self._osp.get(o, {}).get(s, ()))
-            return self._s_counts.get(s, 0)
-        if p is not None:
-            if o is not None:
-                return len(self._pos.get(p, {}).get(o, ()))
-            return self._p_counts.get(p, 0)
-        return self._o_counts.get(o, 0)
+                run = (
+                    (self._spo or self._build("spo")).get(s, _NO_LEVEL).get(p)
+                )
+            elif o is not None:
+                run = (
+                    (self._osp or self._build("osp")).get(o, _NO_LEVEL).get(s)
+                )
+            else:
+                return self._s_counts.get(s, 0)
+        elif p is not None:
+            if o is None:
+                return self._p_counts.get(p, 0)
+            run = (self._pos or self._build("pos")).get(p, _NO_LEVEL).get(o)
+        else:
+            return self._o_counts.get(o, 0)
+        return 0 if run is None else len(run) if type(run) is list else 1
 
     def count_pattern(self, pattern: TriplePattern) -> int:
         """Exact match count of a triple pattern.
@@ -451,8 +545,8 @@ class Graph:
         Ground positions resolve through the dictionary and the count
         comes straight from :meth:`count_ids` — O(1), no triple
         materialisation.  Repeated variables (e.g. ``(?x, p, ?x)``) are
-        answered from index *leaf* lengths and membership probes — one
-        probe per distinct key of the relevant index level, never one
+        answered from run lengths and membership probes — one
+        probe per distinct key of the relevant ordering level, never one
         per matching triple.  A literal subject or an uninterned ground
         term counts zero.  This is the per-endpoint cardinality oracle
         of the federated cost model.
@@ -484,48 +578,32 @@ class Graph:
     ) -> int:
         """Count matches of a pattern with repeated variables.
 
-        Each shape is answered from one index level with membership
-        probes or leaf lengths — O(distinct keys), never O(matches).
+        Each shape is answered from one ordering level with membership
+        probes or run lengths — O(distinct keys), never O(matches).
         Ground positions never participate in a constraint (a repeated
         variable occupies both constrained positions), so the dispatch
         below is exhaustive over the repeat shapes.
         """
         shape = frozenset(constraints)
         s, p, o = args
+        ids, count = self._ids, self.count_ids
         if shape == {(0, 2)}:  # (?x, ·, ?x): subject == object
             if p is not None:
-                by_obj = self._pos.get(p, {})
-                return sum(1 for obj, subjs in by_obj.items() if obj in subjs)
-            osp = self._osp
-            return sum(
-                len(osp.get(subj, {}).get(subj, ())) for subj in self._spo
-            )
+                by_obj = self._ordering("pos").get(p, _NO_LEVEL)
+                return sum(1 for obj in by_obj if (obj, p, obj) in ids)
+            return sum(count(subj, None, subj) for subj in self._s_counts)
         if shape == {(0, 1)}:  # (?x, ?x, ·): subject == predicate
             if o is not None:
-                by_subj = self._osp.get(o, {})
-                return sum(
-                    1 for subj, preds in by_subj.items() if subj in preds
-                )
-            return sum(
-                len(by_pred.get(subj, ()))
-                for subj, by_pred in self._spo.items()
-            )
+                by_subj = self._ordering("osp").get(o, _NO_LEVEL)
+                return sum(1 for subj in by_subj if (subj, subj, o) in ids)
+            return sum(count(subj, subj, None) for subj in self._s_counts)
         if shape == {(1, 2)}:  # (·, ?x, ?x): predicate == object
             if s is not None:
-                by_pred = self._spo.get(s, {})
-                return sum(
-                    1 for pred, objs in by_pred.items() if pred in objs
-                )
-            return sum(
-                len(by_obj.get(pred, ()))
-                for pred, by_obj in self._pos.items()
-            )
+                by_pred = self._ordering("spo").get(s, _NO_LEVEL)
+                return sum(1 for pred in by_pred if (s, pred, pred) in ids)
+            return sum(count(None, pred, pred) for pred in self._p_counts)
         # (?x, ?x, ?x): all three positions equal.
-        return sum(
-            1
-            for subj, by_pred in self._spo.items()
-            if subj in by_pred.get(subj, ())
-        )
+        return sum(1 for subj in self._s_counts if (subj, subj, subj) in ids)
 
     def add_id_triples(
         self, ids: Iterable[IDTriple], dictionary: TermDictionary
@@ -550,33 +628,12 @@ class Graph:
         if not fresh:
             return 0
         known.update(dict.fromkeys(fresh))
-        # One pass builds the leaves of all three indexes in the order
-        # ``_add_ids`` would have inserted them one triple at a time
-        # (leaf iteration order is row order downstream); the
-        # per-position counts follow in one bulk update each.
-        spo, pos, osp = self._spo, self._pos, self._osp
-        for s, p, o in fresh:
-            level = spo.get(s)
-            if level is None:
-                level = spo[s] = {}
-            leaf = level.get(p)
-            if leaf is None:
-                leaf = level[p] = {}
-            leaf[o] = None
-            level = pos.get(p)
-            if level is None:
-                level = pos[p] = {}
-            leaf = level.get(o)
-            if leaf is None:
-                leaf = level[o] = {}
-            leaf[s] = None
-            level = osp.get(o)
-            if level is None:
-                level = osp[o] = {}
-            leaf = level.get(s)
-            if leaf is None:
-                leaf = level[s] = {}
-            leaf[p] = None
+        # The orderings that exist grow in the order ``_add_ids`` would
+        # have grown them one triple at a time (run order is row order
+        # downstream); the per-position counts follow in one bulk
+        # update each.
+        for order, index in self._built():
+            _index_extend(index, map(_PERMUTE[order], fresh))
         for position, counts in enumerate(
             (self._s_counts, self._p_counts, self._o_counts)
         ):
@@ -615,15 +672,15 @@ class Graph:
 
     def subjects(self) -> Set[Term]:
         decode = self._dict.decode
-        return {decode(i) for i in self._spo.keys()}
+        return {decode(i) for i in self._s_counts}
 
     def predicates(self) -> Set[Term]:
         decode = self._dict.decode
-        return {decode(i) for i in self._pos.keys()}
+        return {decode(i) for i in self._p_counts}
 
     def objects(self) -> Set[Term]:
         decode = self._dict.decode
-        return {decode(i) for i in self._osp.keys()}
+        return {decode(i) for i in self._o_counts}
 
     def _term_ids(self) -> Set[int]:
         out: Set[int] = set()
@@ -653,11 +710,13 @@ class Graph:
     # ------------------------------------------------------------------
 
     def copy(self, name: str = "") -> "Graph":
+        """An independent graph with the same triples, in the same order.
+
+        The copy takes the triple set and the counts and builds its own
+        orderings when it is read, so it shares no run with its source.
+        """
         out = Graph(name=name or self.name, dictionary=self._dict)
         out._ids = dict(self._ids)
-        out._spo = _copy_index(self._spo)
-        out._pos = _copy_index(self._pos)
-        out._osp = _copy_index(self._osp)
         out._s_counts = dict(self._s_counts)
         out._p_counts = dict(self._p_counts)
         out._o_counts = dict(self._o_counts)
@@ -665,8 +724,7 @@ class Graph:
 
     def _from_ids(self, ids: Iterable[IDTriple], name: str = "") -> "Graph":
         out = Graph(name=name, dictionary=self._dict)
-        for t in ids:
-            out._add_ids(t)
+        out.add_id_triples(ids, self._dict)
         return out
 
     def __or__(self, other: "Graph") -> "Graph":
@@ -685,14 +743,16 @@ class Graph:
         small, large = (
             (self, other) if len(self) <= len(other) else (other, self)
         )
-        return Graph(t for t in small if t in large)
+        return Graph((t for t in small if t in large), dictionary=self._dict)
 
     def __sub__(self, other: "Graph") -> "Graph":
         if other._dict is self._dict:
             return self._from_ids(
                 t for t in self._ids if t not in other._ids
             )
-        return Graph(t for t in self if t not in other)
+        return Graph(
+            (t for t in self if t not in other), dictionary=self._dict
+        )
 
     def issubset(self, other: "Graph") -> bool:
         if other._dict is self._dict:
@@ -703,29 +763,59 @@ class Graph:
     # Columnar run access (used by the batch execution engine)
     # ------------------------------------------------------------------
 
-    def runs(self, order: str) -> _Index:
-        """One nested index as grouped runs — READ-ONLY.
+    def run(self, order: str, first: int, second: int) -> List[int]:
+        """The third components under ``(first, second)`` — a fresh list.
 
-        ``order`` is ``"spo"``, ``"pos"`` or ``"osp"``.  The returned
-        nested mapping is the live index: two dictionary levels keyed by
-        ID, whose leaves are insertion-ordered ID runs.  The batch
-        engine consumes whole runs at a time (bulk ``extend`` into
-        columns, group-at-a-time merge joins keyed on the second index
-        level), which is why the accessor exposes the index structure
-        instead of an iterator of triples.  Runs are grouped by their
-        index key and their iteration order is the deterministic
-        insertion order — callers must never mutate them.
-
-        Raises:
-            ValueError: for an unknown order name.
+        ``run("pos", p, o)`` is the subjects of ``(?, p, o)`` in
+        insertion order; empty when the key pair is absent.
         """
-        if order == "spo":
-            return self._spo
-        if order == "pos":
-            return self._pos
-        if order == "osp":
-            return self._osp
-        raise ValueError(f"unknown index order {order!r}")
+        run = self._ordering(order).get(first, _NO_LEVEL).get(second)
+        if type(run) is list:
+            return run.copy()
+        return [] if run is None else [run]
+
+    def group(self, order: str, first: int) -> Tuple[List[int], List[int]]:
+        """Everything under one first-level key, as two parallel columns.
+
+        Returns ``(seconds, thirds)``: ``group("pos", p)`` is the objects
+        and subjects of ``(?, p, ?)``, second-level keys in first-seen
+        order and each run in insertion order — the order of
+        ``triples_ids`` on the same shape.  Both lists are fresh.
+        """
+        seconds: List[int] = []
+        thirds: List[int] = []
+        for key, run in self._ordering(order).get(first, _NO_LEVEL).items():
+            if type(run) is list:
+                thirds.extend(run)
+                seconds.extend([key] * len(run))
+            else:
+                thirds.append(run)
+                seconds.append(key)
+        return seconds, thirds
+
+    def probe(
+        self, order: str, firsts: Sequence[int], seconds: Sequence[int]
+    ) -> Tuple[List[int], List[int]]:
+        """Look a whole column of key pairs up in one ordering.
+
+        Returns ``(sel, thirds)``: for every row ``i`` and every member
+        of the run under ``(firsts[i], seconds[i])``, ``i`` in ``sel``
+        and the member in ``thirds`` — row-major, runs in insertion
+        order.  Both lists are fresh.
+        """
+        sel: List[int] = []
+        thirds: List[int] = []
+        levels = map(
+            self._ordering(order).get, firsts, itertools.repeat(_NO_LEVEL)
+        )
+        for i, run in enumerate(map(dict.get, levels, seconds)):
+            if type(run) is list:
+                thirds.extend(run)
+                sel.extend([i] * len(run))
+            elif run is not None:
+                thirds.append(run)
+                sel.append(i)
+        return sel, thirds
 
     def contains_ids(self, subject: int, predicate: int, object: int) -> bool:
         """Membership probe on an already-encoded ID triple — O(1)."""
@@ -754,28 +844,40 @@ class Graph:
     # Debug / verification helpers
     # ------------------------------------------------------------------
 
-    def check_index_coherence(self) -> bool:
-        """Verify all three indexes agree with the ID-triple set.
+    def index_stats(self) -> Dict[str, Dict[str, int]]:
+        """Per ordering: ``built``, first-level ``keys``, ``runs`` and how
+        many of those are ``inlined`` (one member, no container)."""
+        out: Dict[str, Dict[str, int]] = {}
+        built = dict(self._built())
+        for order in _PERMUTE:
+            levels = built.get(order, _NO_LEVEL).values()
+            runs = [run for level in levels for run in level.values()]
+            out[order] = {
+                "built": order in built,
+                "keys": len(levels),
+                "runs": len(runs),
+                "inlined": sum(1 for run in runs if type(run) is not list),
+            }
+        return out
 
-        Used by property tests; O(n) in the graph size.
+    def check_index_coherence(self) -> bool:
+        """Verify the counts and every built ordering against the ID set.
+
+        A built ordering must equal the one a fresh build from the
+        triple set gives — same keys in the same order on both levels,
+        same runs in the same representation.  Used by property tests;
+        O(n) in the graph size.
         """
-        spo = {
-            (s, p, o)
-            for s, by_p in self._spo.items()
-            for p, objs in by_p.items()
-            for o in objs
-        }
-        pos = {
-            (s, p, o)
-            for p, by_o in self._pos.items()
-            for o, subjs in by_o.items()
-            for s in subjs
-        }
-        osp = {
-            (s, p, o)
-            for o, by_s in self._osp.items()
-            for s, preds in by_s.items()
-            for p in preds
-        }
-        ids = set(self._ids)
-        return spo == ids and pos == ids and osp == ids
+
+        def listing(index: _Index) -> list:
+            return [(a, list(level.items())) for a, level in index.items()]
+
+        for position, counts in enumerate(
+            (self._s_counts, self._p_counts, self._o_counts)
+        ):
+            if counts != Counter(map(itemgetter(position), self._ids)):
+                return False
+        return all(
+            listing(index) == listing(_index_of(order, self._ids))
+            for order, index in self._built()
+        )

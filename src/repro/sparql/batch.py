@@ -10,17 +10,16 @@ python interpreter touches *groups*, not rows.
 
 Execution strategies, chosen per BGP step:
 
-* **scan** — a triple pattern materialises straight from one nested
-  index of :meth:`repro.rdf.graph.Graph.runs`: whole insertion-ordered
-  leaf runs are bulk-extended into columns;
-* **fused merge join** — the first join of a BGP consumes the scan's
-  grouped runs directly: the runs of one index level are merged
-  group-at-a-time against probes of the other pattern's index, and each
-  matching (run × run) pair emits its cross product with sequence
-  repetition — per-key python work, per-row C work;
-* **selection-vector probe** — later conjuncts probe an index per row,
-  appending matches to the new column and row indexes to a selection
-  vector; the already-computed columns are gathered once at the end.
+* **scan** — the first triple pattern materialises as fresh columns
+  from one ordering of the store: :meth:`repro.rdf.graph.Graph.run` for
+  one free position, :meth:`~repro.rdf.graph.Graph.group` for two;
+* **selection-vector probe** — every later conjunct hands its two key
+  columns to :meth:`~repro.rdf.graph.Graph.probe`, which answers with
+  the new column and a selection vector of source row indexes; the
+  already-computed columns are gathered once at the end.
+
+The store's run representation (a bare ID or a list) never shows here:
+the three accessors return lists this module owns.
 
 Joins across groups/unions are batch-at-a-time hash joins; FILTER,
 ORDER BY and slicing are vectorized over columns.  Internally batches
@@ -208,7 +207,7 @@ def _repeat_constraints(
 
 
 def _scan_batch(graph: Graph, slots: Tuple[_Slot, _Slot, _Slot]) -> Batch:
-    """Materialise one triple pattern as a batch, straight from runs."""
+    """Materialise one triple pattern as a batch of fresh columns."""
     args: List[Optional[int]] = [None, None, None]
     free: List[Tuple[int, Variable]] = []
     for pos, slot in enumerate(slots):
@@ -227,29 +226,17 @@ def _scan_batch(graph: Graph, slots: Tuple[_Slot, _Slot, _Slot]) -> Batch:
     if len(free) == 1:
         pos = free[0][0]
         if pos == 2:  # (s, p, ?o)
-            run = graph.runs("spo").get(s, {}).get(p, ())
-        elif pos == 0:  # (?s, p, o)
-            run = graph.runs("pos").get(p, {}).get(o, ())
-        else:  # (s, ?p, o)
-            run = graph.runs("osp").get(o, {}).get(s, ())
-        return Batch(schema, [list(run)])
+            return Batch(schema, [graph.run("spo", s, p)])
+        if pos == 0:  # (?s, p, o)
+            return Batch(schema, [graph.run("pos", p, o)])
+        return Batch(schema, [graph.run("osp", o, s)])  # (s, ?p, o)
     if len(free) == 2:
-        col1: List[int] = []
-        col2: List[int] = []
         if s is not None:  # (s, ?p, ?o)
-            level = graph.runs("spo").get(s, {})
-        elif p is not None:  # (?s, p, ?o) — runs keyed by object
-            level = graph.runs("pos").get(p, {})
-        else:  # (?s, ?p, o) — runs keyed by subject
-            level = graph.runs("osp").get(o, {})
-        for key, run in level.items():
-            col2.extend(run)
-            col1.extend([key] * len(run))
-        if s is not None:  # keys are predicates, runs are objects
-            return Batch(schema, [col1, col2])
-        if p is not None:  # keys are objects, runs are subjects
-            return Batch(schema, [col2, col1])
-        return Batch(schema, [col1, col2])  # keys subjects, runs predicates
+            return Batch(schema, list(graph.group("spo", s)))
+        if p is not None:  # (?s, p, ?o): grouped by object
+            objects, subjects = graph.group("pos", p)
+            return Batch(schema, [subjects, objects])
+        return Batch(schema, list(graph.group("osp", o)))  # (?s, ?p, o)
     # Fully unbound: unzip the whole triple set in one C pass.
     ids = list(graph.id_triples())
     if not ids:
@@ -313,7 +300,6 @@ def _extend_batch(
             return src
         return [src] * n  # type: ignore[list-item]
 
-    sel: List[int] = []
     if not free:
         contains = graph.contains_ids
         sel = [
@@ -323,22 +309,12 @@ def _extend_batch(
         ]
         return batch.gather(sel)
     pos, var = free[0]
-    new_col: List[int] = []
     if pos == 2:
-        index, k1, k2 = graph.runs("spo"), feed(0), feed(1)
+        sel, new_col = graph.probe("spo", feed(0), feed(1))
     elif pos == 0:
-        index, k1, k2 = graph.runs("pos"), feed(1), feed(2)
+        sel, new_col = graph.probe("pos", feed(1), feed(2))
     else:
-        index, k1, k2 = graph.runs("osp"), feed(2), feed(0)
-    index_get = index.get
-    for i, (a, b) in enumerate(zip(k1, k2)):
-        level = index_get(a)
-        if level is None:
-            continue
-        run = level.get(b)
-        if run:
-            new_col.extend(run)
-            sel.extend([i] * len(run))
+        sel, new_col = graph.probe("osp", feed(2), feed(0))
     out = batch.gather(sel)
     return Batch(schema + (var,), out.columns + [new_col], len(sel))
 
@@ -442,95 +418,6 @@ def extend_bindings_batch(
         return [()] * extended_batch.n, sel
     cols = [extended_batch.col(var) for var in out_schema]
     return list(zip(*cols)), sel
-
-
-def _fused_scan_join(
-    graph: Graph,
-    slots0: Tuple[_Slot, _Slot, _Slot],
-    slots1: Tuple[_Slot, _Slot, _Slot],
-) -> Optional[Batch]:
-    """Merge-join the first two conjuncts directly over grouped runs.
-
-    Applies when conjunct 0 is ``(?a, p0, ?b)`` and conjunct 1 reaches
-    the shared variable through a ground predicate with a fresh third
-    variable.  The scan side enumerates one index level as grouped runs
-    keyed on the join variable, the probe side answers each distinct
-    key with one leaf lookup, and each match emits a (run × run) cross
-    product via sequence repetition.  Returns None when the shapes do
-    not line up (the generic per-row probe handles those).
-    """
-    a, p0, b = slots0
-    if not (
-        isinstance(a, Variable)
-        and isinstance(b, Variable)
-        and isinstance(p0, int)
-        and a != b
-    ):
-        return None
-    s1, p1, o1 = slots1
-    if not isinstance(p1, int):
-        return None
-    if isinstance(s1, Variable) and s1 in (a, b):
-        join_var, new_slot, probe_subject = s1, o1, True
-    elif isinstance(o1, Variable) and o1 in (a, b):
-        join_var, new_slot, probe_subject = o1, s1, False
-    else:
-        return None
-    if not isinstance(new_slot, Variable) or new_slot in (a, b):
-        return None
-    spo = graph.runs("spo")
-    if join_var == b:
-        # Enumerate (b, subjects-run) groups from POS; column order a, b.
-        groups = graph.runs("pos").get(p0, {}).items()
-        fixed_first = True
-    else:
-        # Subject-major enumeration: worth it only when the subject
-        # level is not much wider than the scan itself.
-        if len(spo) > 2 * graph.count_ids(predicate=p0) + 16:
-            return None
-        groups = (
-            (subj, run)
-            for subj, by_pred in spo.items()
-            for run in (by_pred.get(p0),)
-            if run
-        )
-        fixed_first = False
-    if probe_subject:
-        probe_level = spo
-
-        def probe(key: int) -> Optional[Sequence[int]]:
-            leaf = probe_level.get(key)
-            return leaf.get(p1) if leaf else None
-
-    else:
-        probe_leaf = graph.runs("pos").get(p1, {})
-        probe = probe_leaf.get  # type: ignore[assignment]
-    col_key: List[int] = []
-    col_run: List[int] = []
-    col_new: List[int] = []
-    for key, run in groups:
-        matches = probe(key)
-        if not matches:
-            continue
-        n_run = len(run)
-        n_new = len(matches)
-        if n_run == 1:
-            value = next(iter(run))
-            col_run.extend([value] * n_new)
-            col_new.extend(matches)
-        else:
-            run_list = list(run)
-            for value in matches:
-                col_run.extend(run_list)
-                col_new.extend([value] * n_run)
-        col_key.extend([key] * (n_run * n_new))
-    if fixed_first:
-        schema = (a, b, new_slot)
-        columns = [col_run, col_key, col_new]
-    else:
-        schema = (a, b, new_slot)
-        columns = [col_key, col_run, col_new]
-    return Batch(schema, columns, len(col_key))
 
 
 # ---------------------------------------------------------------------------
@@ -690,26 +577,13 @@ class BatchBgp(BatchOp):
             return Batch.empty(tuple(sorted(self.variables, key=str)))
         graph = self.graph
         batch: Optional[Batch] = None
-        index = 0
-        while index < len(compiled):
-            slots = compiled[index]
+        for slots in compiled:
             if batch is None:
-                if index + 1 < len(compiled):
-                    fused = _fused_scan_join(
-                        graph, slots, compiled[index + 1]
-                    )
-                    if fused is not None:
-                        batch = fused
-                        index += 2
-                        if batch.n == 0:
-                            break
-                        continue
                 batch = _scan_batch(graph, slots)
             else:
                 batch = _extend_batch(graph, batch, slots)
             if batch.n == 0:
                 break
-            index += 1
         if batch is None:  # pragma: no cover - empty BGPs use Singleton
             return Batch.singleton()
         return batch

@@ -2,13 +2,19 @@
 
 The central invariant: after ANY add/remove sequence, ``match()`` agrees
 with a naive scan over ``iter(graph)`` for all 8 pattern shapes, and the
-three ID indexes agree with the triple set.
+three ID indexes agree with the triple set.  The order contract — every
+probe shape iterates in an order fixed by the add sequence alone, however
+late an ordering was first read — is checked against a reference model
+that keeps all three orderings eagerly.
 """
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import Literal, Variable
@@ -18,6 +24,16 @@ from repro.workload.generators import random_graph
 EX = Namespace("http://example.org/")
 
 S, P, O = Variable("s"), Variable("p"), Variable("o")
+
+#: Which positions are ground, for the eight probe shapes; the six with
+#: one or two ground positions are the ones an ordering answers.
+SHAPES = list(itertools.product((False, True), repeat=3))
+KEYED_SHAPES = [shape for shape in SHAPES if 0 < sum(shape) < 3]
+
+
+def probe_key(ids, shape):
+    """An ID triple with the positions ``shape`` leaves free set to None."""
+    return [tid if ground else None for tid, ground in zip(ids, shape)]
 
 
 def naive_match(graph, pattern):
@@ -153,8 +169,6 @@ def test_set_algebra_matches_python_sets():
 
 
 def test_set_algebra_across_distinct_dictionaries():
-    from repro.rdf.dictionary import TermDictionary
-
     triples = [
         Triple(EX.term("a"), EX.term("p"), EX.term("b")),
         Triple(EX.term("b"), EX.term("p"), EX.term("c")),
@@ -235,16 +249,14 @@ def test_add_id_triples_bulk_and_dictionary_guard():
     assert sink.add_id_triples(ids, source.dictionary) == 1
     assert sink.add_id_triples(ids, source.dictionary) == 0  # idempotent
     assert set(sink) == set(source)
-    from repro.rdf.dictionary import TermDictionary
-
     with pytest.raises(ValueError, match="own dictionary"):
         sink.add_id_triples(ids, TermDictionary())
 
 
 def test_add_id_triples_bulk_path_matches_one_at_a_time():
-    # Row order downstream depends on index leaf iteration order, so
-    # the bulk path must leave every index level, the position counts
-    # and the epoch exactly as triple-by-triple insertion does — on an
+    # Row order downstream depends on run iteration order, so the bulk
+    # path must leave every keyed probe shape, the position counts and
+    # the epoch exactly as triple-by-triple insertion does — on an
     # empty graph, onto existing content, and with duplicates inside
     # the batch.
     source = random_graph(triples=400, seed=21)
@@ -259,14 +271,252 @@ def test_add_id_triples_bulk_path_matches_one_at_a_time():
         assert bulk.add_id_triples(iter(batch), source.dictionary) == added
         assert bulk.epoch == one_by_one.epoch
         assert list(bulk.triples_ids()) == list(one_by_one.triples_ids())
-        for order in ("spo", "pos", "osp"):
-            got, want = bulk.runs(order), one_by_one.runs(order)
-            assert list(got) == list(want)
-            for key, level in want.items():
-                assert list(got[key]) == list(level)
-                for inner, run in level.items():
-                    assert list(got[key][inner]) == list(run)
+        for triple in one_by_one.triples_ids():
+            for shape in KEYED_SHAPES:
+                key = probe_key(triple, shape)
+                assert list(bulk.triples_ids(*key)) == list(
+                    one_by_one.triples_ids(*key)
+                )
         for s, p, o in ids[:50]:
             for probe in ((s, None, None), (None, p, None), (None, None, o)):
                 assert bulk.count_ids(*probe) == one_by_one.count_ids(*probe)
     assert set(bulk) == set(source)
+
+
+class ReferenceStore:
+    """The order contract, executable: three eagerly maintained nested
+    dicts with insertion-ordered leaves (the layout before runs were
+    inlined and orderings became lazy)."""
+
+    def __init__(self, triples=()):
+        self.ids, self.spo, self.pos, self.osp = {}, {}, {}, {}
+        self.epoch = 0
+        for triple in triples:
+            self.add(triple)
+        self.epoch = 0  # a copy starts a new history
+
+    def add(self, triple):
+        if triple in self.ids:
+            return
+        s, p, o = triple
+        self.ids[triple] = None
+        self.spo.setdefault(s, {}).setdefault(p, {})[o] = None
+        self.pos.setdefault(p, {}).setdefault(o, {})[s] = None
+        self.osp.setdefault(o, {}).setdefault(s, {})[p] = None
+        self.epoch += 1
+
+    def triples(self, s, p, o):
+        ground = (s is not None, p is not None, o is not None)
+        if all(ground):
+            return [(s, p, o)] if (s, p, o) in self.ids else []
+        if ground == (True, True, False):
+            return [(s, p, c) for c in self.spo.get(s, {}).get(p, ())]
+        if ground == (False, True, True):
+            return [(c, p, o) for c in self.pos.get(p, {}).get(o, ())]
+        if ground == (True, False, True):
+            return [(s, c, o) for c in self.osp.get(o, {}).get(s, ())]
+        if s is not None:
+            level = self.spo.get(s, {})
+            return [(s, b, c) for b, run in level.items() for c in run]
+        if p is not None:
+            level = self.pos.get(p, {})
+            return [(c, p, b) for b, run in level.items() for c in run]
+        if o is not None:
+            level = self.osp.get(o, {})
+            return [(b, c, o) for b, run in level.items() for c in run]
+        return list(self.ids)
+
+
+def assert_same_reads(graph, model, keys):
+    for key in keys:
+        want = model.triples(*key)
+        assert list(graph.triples_ids(*key)) == want
+        assert graph.count_ids(*key) == len(want)
+    assert graph.epoch == model.epoch
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_iteration_order_matches_eager_reference_model(block):
+    # Writes through both paths, copies and reads interleave at random,
+    # so each ordering is first built at a different point of every
+    # history — and must read as if it had been there from the start.
+    dictionary = TermDictionary()
+    universe = [dictionary.encode(EX.term(f"t{i}")) for i in range(7)]
+    for seed in range(block * 40, block * 40 + 40):
+        rng = random.Random(seed)
+
+        def triple():
+            return tuple(rng.choice(universe) for _ in range(3))
+
+        graph, model = Graph(dictionary=dictionary), ReferenceStore()
+        for _ in range(rng.randrange(5, 60)):
+            op = rng.random()
+            if op < 0.35:
+                fresh = triple()
+                graph.add(dictionary.decode_triple(fresh))
+                model.add(fresh)
+            elif op < 0.6:
+                batch = [triple() for _ in range(rng.randrange(1, 9))]
+                batch += rng.sample(batch, rng.randrange(len(batch)))
+                graph.add_id_triples(iter(batch), dictionary)
+                for fresh in batch:
+                    model.add(fresh)
+            elif op < 0.7:
+                graph, model = graph.copy(), ReferenceStore(model.ids)
+            else:
+                shape = rng.choice(SHAPES)
+                assert_same_reads(graph, model, [probe_key(triple(), shape)])
+        anchors = list(model.ids)[:10] + [triple() for _ in range(5)]
+        assert_same_reads(
+            graph,
+            model,
+            [probe_key(t, shape) for t in anchors for shape in SHAPES],
+        )
+        assert graph.check_index_coherence()
+
+
+def test_orderings_are_built_by_the_first_read_that_needs_them():
+    source = random_graph(triples=300, seed=5)
+    ids = list(source.triples_ids())
+    graph = Graph(dictionary=source.dictionary)
+    graph.add_id_triples(ids, source.dictionary)
+    graph.add(Triple(EX.term("late"), EX.term("p"), EX.term("late")))
+    assert not any(s["built"] for s in graph.index_stats().values())
+    predicate = ids[0][1]
+    scanned = list(graph.triples_ids(None, predicate, None))
+    stats = graph.index_stats()
+    assert [o for o, s in stats.items() if s["built"]] == ["pos"]
+    assert stats["pos"]["keys"] == len(graph.predicates())
+    assert stats["pos"]["runs"] == len({(p, o) for _, p, o in graph.triples_ids()})
+    assert 0 < stats["pos"]["inlined"] <= stats["pos"]["runs"]
+    assert stats["spo"] == {"built": False, "keys": 0, "runs": 0, "inlined": 0}
+    # Counts by one position come from the counters, not an ordering.
+    assert graph.count_ids(subject=ids[0][0]) > 0
+    assert graph.count_ids(predicate=predicate) == len(scanned)
+    assert [o for o, s in graph.index_stats().items() if s["built"]] == ["pos"]
+    with pytest.raises(ValueError, match="unknown index order"):
+        graph.run("sop", 0, 0)
+
+
+def test_run_group_probe_return_fresh_columns():
+    a, b, c, p = (EX.term(n) for n in "abcp")
+    graph = Graph([Triple(a, p, b), Triple(a, p, c), Triple(b, p, c)])
+    ia, ib, ic, ip = (graph.term_id(t) for t in (a, b, c, p))
+
+    def reads():
+        return (
+            graph.run("spo", ia, ip),  # a two-member run (a list inside)
+            graph.run("spo", ib, ip),  # an inlined one
+            graph.run("spo", ic, ip),  # an absent one
+            graph.group("pos", ip),
+            graph.probe("spo", [ia, ic, ib], [ip, ip, ip]),
+        )
+
+    expected = (
+        [ib, ic],
+        [ic],
+        [],
+        ([ib, ic, ic], [ia, ia, ib]),
+        ([0, 0, 2], [ib, ic, ic]),
+    )
+    before = reads()
+    assert before == expected
+    for column in (*before[:3], *before[3], *before[4]):
+        column.append(-1)
+        column.reverse()
+    assert reads() == expected
+    held = graph.run("spo", ia, ip), graph.group("spo", ib)
+    graph.add(Triple(a, p, a))
+    graph.add(Triple(b, p, a))
+    assert held == ([ib, ic], ([ip], [ic]))
+    assert graph.run("spo", ia, ip) == [ib, ic, ia]
+    assert graph.check_index_coherence()
+
+
+def test_order_after_remove_ignores_when_orderings_were_built():
+    rng = random.Random(9)
+    triples = [
+        Triple(EX.term(f"e{rng.randrange(6)}"), EX.term(f"p{rng.randrange(2)}"),
+               EX.term(f"e{rng.randrange(6)}"))
+        for _ in range(60)
+    ]
+    dictionary = TermDictionary()
+    early, late = Graph(dictionary=dictionary), Graph(dictionary=dictionary)
+    for graph in (early, late):
+        graph.add_all(triples)
+    keys = [
+        probe_key(ids, shape)
+        for ids in list(early.triples_ids())
+        for shape in KEYED_SHAPES
+    ]
+    for key in keys:  # early has all three orderings before the removals
+        list(early.triples_ids(*key))
+    for victim in triples[::3]:
+        assert early.remove(victim) == late.remove(victim)
+    early.add(triples[0])
+    late.add(triples[0])
+    for key in keys:
+        assert list(early.triples_ids(*key)) == list(late.triples_ids(*key))
+    assert early.check_index_coherence() and late.check_index_coherence()
+
+
+def test_copy_shares_no_run_with_its_source():
+    a, b, c, p = (EX.term(n) for n in "abcp")
+    graph = Graph([Triple(a, p, b), Triple(a, p, c)])
+    key = (graph.term_id(a), graph.term_id(p), None)
+    assert len(list(graph.triples_ids(*key))) == 2  # the run is a list now
+    clone = graph.copy()
+    clone.add(Triple(a, p, a))
+    graph.add(Triple(a, p, p))
+    assert [t[2] for t in graph.triples_ids(*key)] == [
+        graph.term_id(t) for t in (b, c, p)
+    ]
+    assert [t[2] for t in clone.triples_ids(*key)] == [
+        graph.term_id(t) for t in (b, c, a)
+    ]
+    assert clone.epoch == 1 and len(clone) == 3
+
+
+def test_set_algebra_keeps_the_left_operands_private_dictionary():
+    triples = [
+        Triple(EX.term(f"private-{i}"), EX.term("private-p"), Literal(str(i)))
+        for i in range(3)
+    ]
+    left = Graph(triples, dictionary=TermDictionary())
+    right = Graph(triples[1:], dictionary=TermDictionary())
+    for result, expected in (
+        (left & right, triples[1:]),
+        (left - right, triples[:1]),
+        (left | right, triples),
+    ):
+        assert result.dictionary is left.dictionary
+        assert set(result) == set(expected)
+        # ... so it can take ID triples straight from its left operand.
+        result.add_id_triples(left.triples_ids(), left.dictionary)
+        assert set(result) == set(triples)
+    assert Graph().term_id(EX.term("private-0")) is None
+
+
+def test_store_allocation_budget_per_triple():
+    # 20k triples built and read by subject and by predicate: the triple
+    # set, the counts and two orderings.  Three eager orderings with a
+    # dict per run cost ~860 bytes per triple here.
+    from repro.workload.generators import GeneratorConfig, random_entity_graph
+
+    config = GeneratorConfig(
+        entities=5_000, predicates=8, triples=17_000, attributes=3_000, seed=3
+    )
+    random_entity_graph(config)  # warm the shared dictionary
+    tracemalloc.start()
+    try:
+        graph = random_entity_graph(config)
+        s, p, _ = next(graph.id_triples())
+        assert list(graph.triples_ids(s, None, None))
+        assert list(graph.triples_ids(None, p, None))
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stats = graph.index_stats()
+    assert stats["spo"]["built"] and stats["pos"]["built"]
+    assert not stats["osp"]["built"]
+    assert allocated / len(graph) < 400
