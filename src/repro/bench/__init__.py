@@ -2,7 +2,7 @@
 
 ``python -m repro.bench`` runs five suites — triple-pattern matching,
 GPQ conjunct joins, the Algorithm-1 peer chase, full SPARQL queries
-through the ID-native planner, and federated execution strategies —
+on the columnar batch engine, and federated execution strategies —
 over the synthetic ``repro.workload`` generators and writes the results
 to ``BENCH_core.json``.  Comparative suites are measured twice: once on
 the optimised implementation and once on a frozen reference (the seed

@@ -8,8 +8,7 @@ Two modes:
 * ``--check`` — re-run the suites at the committed smoke parameters
   (``--runs`` times; speedups compare by per-suite median, so one noisy
   timing cannot fail CI) and fail (exit 1) on deterministic-metric
-  drift, behaviour-invariant violations (the columnar batch engine
-  strictly beating the row engine somewhere with plan-cache counters
+  drift, behaviour-invariant violations (plan-cache counters
   showing all-hit hot and all-miss cold runs, bound < naive messages,
   adaptive never Pareto-dominated, parallel makespan never above
   serial, pipelined bound joins never above wave barriers with

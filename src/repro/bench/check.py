@@ -24,9 +24,8 @@ classes of quantity that survive a machine change:
   suite, and the failure names the suite and metric that drifted.
 
 The gate also re-asserts nine behaviour invariants on the fresh
-records: the columnar batch engine beats the per-row engine strictly
-on at least one join workload and the prepared-plan cache's recorded
-counters show the hot run all-hits and the cold run all-misses,
+records: the prepared-plan cache's recorded counters show the hot run
+all-hits and the cold run all-misses,
 bound joins ship strictly fewer messages than naive shipping,
 the adaptive plan is never Pareto-dominated by a fixed strategy (worse
 on messages *and* transfer simultaneously) on any adaptive-suite
@@ -268,32 +267,13 @@ def _suite_speedups(rows) -> Dict[str, float]:
 
 
 def _columnar_invariant(fresh_rows: Dict[str, Dict[str, Any]]) -> List[str]:
-    """The batch engine must win somewhere and the plan cache must hit.
+    """The plan cache must hit when hot and miss when cold.
 
-    Answer equality between the batch and row engines is hard-asserted
-    inside the suite (a disagreement aborts the run before any record
-    exists) and cardinality drift is caught by the ``result`` gate, so
-    the invariant re-checks the two claims only the recorded rows can
-    show: at least one comparative ``columnar/*`` workload ran strictly
-    faster columnar than per-row (both timed in the same process, so
-    the comparison is machine-independent), and the
-    ``columnar/plan_cache`` record's counter deltas show the hot run
-    served entirely from the cache while the cold run missed on every
-    call.
+    The ``columnar/plan_cache`` record's counter deltas show the hot
+    run served entirely from the cache while the cold run missed on
+    every call.
     """
     failures = []
-    comparative = [
-        row
-        for name, row in sorted(fresh_rows.items())
-        if name.startswith("columnar/") and name != "columnar/plan_cache"
-    ]
-    if comparative and not any(
-        (row.get("speedup") or 0.0) > 1.0 for row in comparative
-    ):
-        failures.append(
-            "columnar suite: no workload showed a strict batch-engine "
-            "win (batch seconds < row seconds)"
-        )
     cache = fresh_rows.get("columnar/plan_cache")
     if cache is not None:
         meta = cache.get("meta", {})

@@ -10,15 +10,10 @@ Thirteen suites:
   and cycle topologies (absolute timings; the chase has no frozen
   baseline, its speed rides on the store underneath);
 * ``sparql/*`` — full SPARQL queries (BGP, UNION, FILTER shapes)
-  through the ID-native physical planner vs the naive term-level
-  algebra evaluator kept as reference;
-* ``columnar/*`` — the columnar batch engine against the per-row
-  ID-native planner on join-heavy WHERE clauses (both run over the same
-  shared planner, so the comparison isolates the data-flow
-  representation), plus a prepared-plan-cache hot/cold pair whose
-  hit/miss counters are hard-asserted; run with ``--scale 1000000``
-  for the 1M-triple point (the ``slow``-marked pytest twin asserts the
-  >=5x gate there);
+  through the columnar batch engine vs the naive term-level algebra
+  evaluator kept as reference;
+* ``columnar/plan_cache`` — a prepared-plan-cache hot/cold pair whose
+  hit/miss counters are hard-asserted;
 * ``federation/*`` — distributed execution of a cross-peer path query
   under each federation strategy, recording message counts, transfer
   volumes and simulated wire time at several data scales;
@@ -94,7 +89,17 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.bench.baseline import BaselineGraph, baseline_evaluate_query
 from repro.federation.executor import (
@@ -122,7 +127,6 @@ from repro.sparql.batch import select_id_rows_batch
 from repro.sparql.cache import default_plan_cache
 from repro.sparql.engine import execute as engine_execute
 from repro.sparql.parser import parse_query
-from repro.sparql.plan import select_id_rows, select_rows
 from repro.federation.faults import RetryPolicy
 from repro.federation.network import NetworkModel
 from repro.workload.federation import (
@@ -370,8 +374,19 @@ def bench_chase(repeat: int, peers: int = 6) -> List[BenchRecord]:
     return records
 
 
+def _where_rows(
+    graph: Graph, node, variables: Sequence[Variable]
+) -> Set[Tuple[Optional[Term], ...]]:
+    """Distinct projected rows of a WHERE clause: batch engine, decoded."""
+    decode = graph.decode_id
+    return {
+        tuple(None if tid is None else decode(tid) for tid in row)
+        for row in select_id_rows_batch(graph, node, variables)
+    }
+
+
 def bench_sparql(graph: Graph, repeat: int) -> List[BenchRecord]:
-    """Time full SPARQL queries: ID-native plans vs the reference
+    """Time full SPARQL queries: batch plans vs the reference
     term-level algebra evaluator.
 
     Result sets are verified equal once (outside the timed region); the
@@ -414,7 +429,7 @@ def bench_sparql(graph: Graph, repeat: int) -> List[BenchRecord]:
         variables = ast.projected()
 
         def plan_rows() -> FrozenSet[Tuple[Optional[Term], ...]]:
-            return frozenset(select_rows(graph, node, variables))
+            return frozenset(_where_rows(graph, node, variables))
 
         def reference_rows() -> FrozenSet[Tuple[Optional[Term], ...]]:
             omega = evaluate_algebra(graph, node)
@@ -425,7 +440,7 @@ def bench_sparql(graph: Graph, repeat: int) -> List[BenchRecord]:
         expected = reference_rows()
         if plan_rows() != expected:
             raise AssertionError(
-                f"benchmark {name!r}: plan executor disagrees with the "
+                f"benchmark {name!r}: batch engine disagrees with the "
                 f"reference evaluator"
             )
         records.append(
@@ -441,14 +456,7 @@ def bench_sparql(graph: Graph, repeat: int) -> List[BenchRecord]:
 
 
 def bench_columnar(graph: Graph, repeat: int) -> List[BenchRecord]:
-    """Columnar batch engine vs the per-row planner, plus the plan cache.
-
-    The comparative records time ``select_id_rows_batch`` (columnar)
-    against ``select_id_rows`` (per-row dicts) on the same logical
-    trees; both sides share :func:`repro.sparql.plan.plan_bgp`, so the
-    ratio isolates the data-flow representation, not planning.  Answer
-    sets are verified equal once outside the timed region (the timed
-    closures return cardinalities so metadata stays JSON-encodable).
+    """The prepared-plan cache, hot against cold.
 
     The ``columnar/plan_cache`` record times a *hot* prepared-plan run
     (every call hits the cross-query LRU) against a *cold* one (the
@@ -461,53 +469,8 @@ def bench_columnar(graph: Graph, repeat: int) -> List[BenchRecord]:
     predicates = sorted(graph.predicates())
     if not predicates:
         return []
-    p0, p1, p2 = (p.n3() for p in (predicates * 3)[:3])
-    workloads: List[Tuple[str, str]] = [
-        (
-            "columnar/path2",
-            f"SELECT ?a ?c WHERE {{ ?a {p0} ?b . ?b {p1} ?c }}",
-        ),
-        (
-            "columnar/star2",
-            f"SELECT ?b ?c WHERE {{ ?a {p0} ?b . ?a {p1} ?c }}",
-        ),
-        (
-            "columnar/filter_path",
-            f"SELECT ?a ?c WHERE {{ ?a {p0} ?b . ?b {p1} ?c "
-            f". FILTER(?a != ?c) }}",
-        ),
-        (
-            "columnar/union_join",
-            f"SELECT ?a WHERE {{ {{ ?a {p0} ?b }} UNION {{ ?a {p1} ?q }}"
-            f" . ?a {p2} ?w }}",
-        ),
-    ]
-    records = []
-    for name, text in workloads:
-        ast = parse_query(text)
-        assert isinstance(ast, SelectQuery)
-        node = translate_group(ast.where)
-        variables = ast.projected()
-        if select_id_rows_batch(graph, node, variables) != select_id_rows(
-            graph, node, variables
-        ):
-            raise AssertionError(
-                f"benchmark {name!r}: batch engine disagrees with the "
-                f"row engine on the answer set"
-            )
-        records.append(
-            _compare(
-                name,
-                lambda n=node, v=variables: len(
-                    select_id_rows_batch(graph, n, v)
-                ),
-                lambda n=node, v=variables: len(select_id_rows(graph, n, v)),
-                repeat,
-                {"variables": len(variables)},
-            )
-        )
-
-    # Plan cache: an anchored, ordered query whose execution is cheap,
+    p0, p1 = (p.n3() for p in (predicates * 2)[:2])
+    # An anchored, ordered query whose execution is cheap,
     # so the hot/cold ratio measures what the cache removes (parse +
     # plan), not join work that both runs must do anyway.
     anchor = sorted(graph.subjects())[0].n3()
@@ -551,7 +514,7 @@ def bench_columnar(graph: Graph, repeat: int) -> List[BenchRecord]:
             f"{hot_rows} rows, cold run {cold_rows}, first run "
             f"{expected_rows}"
         )
-    records.append(
+    return [
         BenchRecord(
             name="columnar/plan_cache",
             seconds=hot_seconds,
@@ -565,8 +528,7 @@ def bench_columnar(graph: Graph, repeat: int) -> List[BenchRecord]:
                 "cold_misses_last_call": stats["misses"],
             },
         )
-    )
-    return records
+    ]
 
 
 def bench_federation(repeat: int) -> List[BenchRecord]:
@@ -630,7 +592,7 @@ def _single_graph_rows(system: RPS, query) -> Any:
     """Reference answer set: the query over the union of peer databases.
 
     GPQs go through the ``Q*`` evaluator, SPARQL text through the
-    ID-native planner — the same oracles the federated tests assert
+    batch engine — the same oracles the federated tests assert
     against.
     """
     union = system.stored_database()
@@ -638,7 +600,7 @@ def _single_graph_rows(system: RPS, query) -> Any:
         return evaluate_query_star(union, query)
     ast = parse_query(query)
     head = ast.projected() if isinstance(ast, SelectQuery) else ()
-    return select_rows(union, translate_group(ast.where), head)
+    return _where_rows(union, translate_group(ast.where), head)
 
 
 def bench_adaptive(repeat: int) -> List[BenchRecord]:

@@ -368,7 +368,7 @@ class Graph:
             return
 
         # Two ground positions: one run.  Inlined rather than routed
-        # through run(), this is the row engine's per-binding probe.
+        # through run(), this is extend_id_bindings' per-binding probe.
         if subject is not None and predicate is not None:
             run = (
                 (self._spo or self._build("spo"))

@@ -1,9 +1,10 @@
 """SPARQL front-end for the conjunctive fragment (plus UNION/FILTER).
 
-Lexer, recursive-descent parser, algebra, ID-native physical planner and
-executor (:mod:`repro.sparql.plan`), result classes, and the bridge to
-the paper's graph pattern query language.  The engine evaluates under
-set semantics, matching Section 2.1.
+Lexer, recursive-descent parser, algebra, the ID-native columnar
+engine (:mod:`repro.sparql.batch`, driven by :mod:`repro.sparql.engine`),
+result classes, and the bridge to the paper's graph pattern query
+language.  The engine evaluates under set semantics, matching
+Section 2.1.
 """
 
 from repro.sparql.ast import (
@@ -19,7 +20,6 @@ from repro.sparql.ast import (
 from repro.sparql.bridge import gpq_to_sparql, sparql_to_gpq, sparql_union_to_gpqs
 from repro.sparql.engine import ask_text, execute, select
 from repro.sparql.parser import parse_query
-from repro.sparql.plan import build_plan, explain_plan
 from repro.sparql.results import AskResult, SelectResult
 
 __all__ = [
@@ -34,9 +34,7 @@ __all__ = [
     "SelectResult",
     "UnionPattern",
     "ask_text",
-    "build_plan",
     "execute",
-    "explain_plan",
     "gpq_to_sparql",
     "parse_query",
     "select",

@@ -11,10 +11,11 @@ reference variables of the required side.
 :func:`evaluate_algebra` is the *reference* evaluator: it materialises
 sets of :class:`~repro.gpq.bindings.SolutionMapping` at every node,
 reusing the paper-faithful join semantics from :mod:`repro.gpq`.  The
-production path is the ID-native streaming executor in
-:mod:`repro.sparql.plan`, which must produce exactly the same solution
-sets (asserted by the test suite and the ``sparql`` benchmark suite);
-this module stays deliberately naive so it can serve as the oracle.
+production path is the ID-native columnar engine in
+:mod:`repro.sparql.batch`, which must produce exactly the same solution
+sets, read whole or in chunks (asserted by the test suite and the
+``sparql`` benchmark suite); this module stays deliberately naive so it
+can serve as the oracle.
 """
 
 from __future__ import annotations

@@ -1,12 +1,24 @@
 """Columnar batch execution engine for the SPARQL algebra.
 
-The row engine (:mod:`repro.sparql.plan`) streams one python dict per
-solution, which caps it near 100k triples.  This module executes the
-same logical algebra over :class:`Batch` values instead: parallel lists
-of integer term IDs, one column per variable, moved between operators
-with C-level bulk operations (``list.extend`` of whole index runs,
-sequence repetition, ``map(col.__getitem__, sel)`` gathers) so the
-python interpreter touches *groups*, not rows.
+This is the one local engine.  It executes the logical algebra over
+:class:`Batch` values: parallel lists of integer term IDs, one column
+per variable, moved between operators with C-level bulk operations
+(``list.extend`` of whole index runs, sequence repetition,
+``map(col.__getitem__, sel)`` gathers) so the python interpreter
+touches *groups*, not rows.
+
+A plan can be read two ways, through the same kernels:
+
+* :meth:`BatchOp.execute` — the whole solution bag as one batch, for
+  queries whose answer needs every solution (no modifier, ORDER BY);
+* :meth:`BatchOp.chunks` — the same bag as a generator of non-empty
+  batches, for consumers that may stop early (ASK, un-ordered
+  LIMIT/OFFSET).  A BGP reads its first conjunct in geometrically
+  growing pieces (:data:`CHUNK_ROWS`, :data:`CHUNK_GROWTH`) and pushes
+  each through the rest of its conjuncts; joins materialise their
+  build side once and stream the other; the consumer stops pulling
+  when it has enough, so no demand is passed down — the pull model of
+  ``federation/plan.py``'s chunked streams.
 
 Execution strategies, chosen per BGP step:
 
@@ -24,23 +36,21 @@ the three accessors return lists this module owns.
 Joins across groups/unions are batch-at-a-time hash joins; FILTER,
 ORDER BY and slicing are vectorized over columns.  Internally batches
 carry *bag* semantics (duplicates survive until the result boundary,
-where projection deduplicates on ID tuples — the same boundary the row
-engine uses), and unbound cells hold the :data:`UNBOUND` sentinel,
-chosen far below the FILTER compiler's negative sentinel IDs so the two
-can never collide.
+where projection deduplicates on ID tuples), and unbound cells hold the
+:data:`UNBOUND` sentinel, chosen far below the FILTER compiler's
+negative sentinel IDs so the two can never collide.
 
-The conjunct order comes from the row planner
-(:func:`repro.sparql.plan.plan_bgp`), so the two engines always agree
-on join order, and the term-level evaluator of
-:mod:`repro.sparql.algebra` stays the equivalence oracle: every batch
-plan must produce exactly its solution set (asserted by the randomized
-fuzz suite and the ``columnar`` benchmark gate).
+The conjunct order comes from :func:`repro.sparql.plan.plan_bgp`, and
+the term-level evaluator of :mod:`repro.sparql.algebra` is the
+equivalence oracle: every batch plan, read either way, must produce
+exactly its solution set (asserted by the randomized fuzz suite).
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
+from itertools import islice
 from typing import (
     Callable,
     Dict,
@@ -82,7 +92,6 @@ __all__ = [
     "build_batch_plan",
     "execute_batch",
     "extend_bindings_batch",
-    "select_id_batch",
     "select_id_rows_batch",
     "column_rows",
     "rank_keys",
@@ -96,6 +105,15 @@ __all__ = [
 #: dictionary IDs are non-negative, so a huge negative constant can
 #: never collide with either.
 UNBOUND = -(2**62)
+
+#: Triples a demand-capped BGP read takes from its first conjunct for
+#: the first chunk, and the factor every later chunk grows by.  A small
+#: first chunk keeps ASK and ``LIMIT 10`` to a handful of rows; doubling
+#: means a read abandoned part-way scanned under twice what it needed,
+#: and one drained to the end pays a logarithmic number of per-chunk
+#: overheads.
+CHUNK_ROWS = 16
+CHUNK_GROWTH = 2
 
 #: A compiled conjunct position: an integer ID or a still-free Variable.
 _Slot = Union[int, Variable]
@@ -176,8 +194,7 @@ class Batch:
     def id_rows(self, variables: Sequence[Variable]) -> Set[_IDRow]:
         """Distinct projected rows as ID tuples (``None`` = unbound).
 
-        Bag-semantics columns collapse to the same distinct row set the
-        row engine's ``select_id_rows`` produces.
+        Bag-semantics columns collapse to the distinct row set.
         """
         return set(column_rows(self.project(variables), self.n))
 
@@ -206,8 +223,10 @@ def _repeat_constraints(
     return out
 
 
-def _scan_batch(graph: Graph, slots: Tuple[_Slot, _Slot, _Slot]) -> Batch:
-    """Materialise one triple pattern as a batch of fresh columns."""
+def _split_slots(
+    slots: Tuple[_Slot, _Slot, _Slot],
+) -> Tuple[List[Optional[int]], List[Tuple[int, Variable]]]:
+    """A conjunct as ``triples_ids`` arguments plus its free positions."""
     args: List[Optional[int]] = [None, None, None]
     free: List[Tuple[int, Variable]] = []
     for pos, slot in enumerate(slots):
@@ -215,13 +234,18 @@ def _scan_batch(graph: Graph, slots: Tuple[_Slot, _Slot, _Slot]) -> Batch:
             args[pos] = slot
         else:
             free.append((pos, slot))
+    return args, free
+
+
+def _scan_batch(graph: Graph, slots: Tuple[_Slot, _Slot, _Slot]) -> Batch:
+    """Materialise one triple pattern as a batch of fresh columns."""
+    args, free = _split_slots(slots)
     s, p, o = args
     if not free:
         n = 1 if graph.contains_ids(s, p, o) else 0  # type: ignore[arg-type]
         return Batch((), [], n)
-    constraints = _repeat_constraints(free)
-    if constraints:
-        return _scan_repeated(graph, args, free, constraints)
+    if _repeat_constraints(free):  # e.g. ``(?x, p, ?x)``
+        return _triples_batch(graph.triples_ids(s, p, o), free)
     schema = tuple(var for _, var in free)
     if len(free) == 1:
         pos = free[0][0]
@@ -238,34 +262,37 @@ def _scan_batch(graph: Graph, slots: Tuple[_Slot, _Slot, _Slot]) -> Batch:
             return Batch(schema, [subjects, objects])
         return Batch(schema, list(graph.group("osp", o)))  # (?s, ?p, o)
     # Fully unbound: unzip the whole triple set in one C pass.
-    ids = list(graph.id_triples())
-    if not ids:
-        return Batch.empty(schema)
-    c0, c1, c2 = map(list, zip(*ids))
-    return Batch(schema, [c0, c1, c2])
+    return _triples_batch(graph.id_triples(), free)
 
 
-def _scan_repeated(
-    graph: Graph,
-    args: List[Optional[int]],
-    free: List[Tuple[int, Variable]],
-    constraints: List[Tuple[int, int]],
+def _triples_batch(
+    triples: Iterable[Tuple[int, int, int]], free: List[Tuple[int, Variable]]
 ) -> Batch:
-    """Scan a pattern whose free variables repeat (e.g. ``(?x, p, ?x)``)."""
-    seen: Dict[Variable, int] = {}
-    emit: List[Tuple[int, Variable]] = []
+    """The ``free`` positions of some matching ID triples, as columns.
+
+    A variable that repeats (``(?x, p, ?x)``) keeps the triples whose
+    positions agree and gets one column, from its first position.
+    """
+    constraints = _repeat_constraints(free)
+    if constraints:
+        kept = [
+            ids
+            for ids in triples
+            if all(ids[i] == ids[j] for i, j in constraints)
+        ]
+    else:
+        kept = list(triples)
+    first: Dict[Variable, int] = {}
     for pos, var in free:
-        if var not in seen:
-            seen[var] = pos
-            emit.append((pos, var))
-    schema = tuple(var for _, var in emit)
-    positions = [pos for pos, _ in emit]
-    cols: List[List[int]] = [[] for _ in emit]
-    for ids in graph.triples_ids(args[0], args[1], args[2]):
-        if all(ids[i] == ids[j] for i, j in constraints):
-            for k, pos in enumerate(positions):
-                cols[k].append(ids[pos])
-    return Batch(schema, cols)
+        first.setdefault(var, pos)
+    if not kept:
+        return Batch.empty(tuple(first))
+    by_position = list(zip(*kept))
+    return Batch(
+        tuple(first),
+        [list(by_position[pos]) for pos in first.values()],
+        len(kept),
+    )
 
 
 def _extend_batch(
@@ -433,9 +460,10 @@ def _compile_mask(
     """Compile a FILTER expression into a vectorized column mask.
 
     Ground terms resolve to dictionary IDs (or shared negative
-    sentinels) once at compile time, exactly as the row engine's
-    ``compile_filter`` does; an unbound cell fails every comparison
-    (SPARQL error semantics collapse to false in this fragment).
+    sentinels) once at compile time, exactly as
+    :func:`repro.sparql.plan.compile_filter` does; an unbound cell
+    fails every comparison (SPARQL error semantics collapse to false in
+    this fragment).
     """
     if isinstance(expr, BooleanExpr):
         left = _compile_mask(graph, expr.left, sentinels)
@@ -496,16 +524,17 @@ def _compile_mask(
 
 
 class BatchOp:
-    """Base class: an operator producing a whole :class:`Batch`.
+    """Base class: an operator producing a bag of solutions in batches.
 
-    Unlike the row operators these are not iterators — each ``execute``
-    materialises its full result, which is the point: all per-row work
-    collapses into C-level bulk list operations.  ``cardinality``
-    mirrors the row planner's estimates so join operands order the
-    same way.  ``actuals`` is the EXPLAIN ANALYZE counter dict
-    (attached per node by :func:`repro.obs.analyze.attach_actuals`);
-    the class-level ``None`` means analysis is off, costing one
-    attribute check per batch produced.
+    ``execute`` materialises the full result as one :class:`Batch`,
+    which is the point: all per-row work collapses into C-level bulk
+    list operations.  ``chunks`` produces the same bag piecewise, on
+    demand.  ``cardinality`` is the planner's rough output-size
+    estimate, which orders join operands.  ``actuals`` is the EXPLAIN
+    ANALYZE counter dict (attached per node by
+    :func:`repro.obs.analyze.attach_actuals`); the class-level ``None``
+    means analysis is off, costing one attribute check per batch
+    produced.
     """
 
     variables: FrozenSet[Variable] = frozenset()
@@ -520,11 +549,31 @@ class BatchOp:
 
     def execute(self) -> Batch:
         batch = self._execute()
-        if self.actuals is not None:
-            actuals = self.actuals
-            actuals["batches"] = actuals.get("batches", 0) + 1
-            actuals["rows_out"] = actuals.get("rows_out", 0) + batch.n
+        self._count(1, batch.n)
         return batch
+
+    def _chunks(self) -> Iterator[Batch]:
+        yield self._execute()
+
+    def chunks(self) -> Iterator[Batch]:
+        """The bag of ``execute`` as non-empty batches, made on demand.
+
+        Nothing runs before the first ``next`` and nothing after the
+        caller stops pulling, so an abandoned generator is the early
+        termination.  Chunk boundaries carry no meaning: consumers see
+        one stream of rows in a deterministic order.
+        """
+        self._count(0, 0)
+        for batch in self._chunks():
+            if batch.n:
+                self._count(1, batch.n)
+                yield batch
+
+    def _count(self, batches: int, rows: int) -> None:
+        actuals = self.actuals
+        if actuals is not None:
+            actuals["batches"] = actuals.get("batches", 0) + batches
+            actuals["rows_out"] = actuals.get("rows_out", 0) + rows
 
     def _annotate(self, line: str) -> str:
         """Append the actuals note to one explain line (analyze mode)."""
@@ -559,7 +608,7 @@ class BatchSingleton(BatchOp):
 
 
 class BatchBgp(BatchOp):
-    """Columnar BGP execution over the shared cost-based order."""
+    """Columnar BGP execution over the cost-based conjunct order."""
 
     def __init__(self, graph: Graph, patterns: Sequence) -> None:
         self.graph = graph
@@ -588,6 +637,26 @@ class BatchBgp(BatchOp):
             return Batch.singleton()
         return batch
 
+    def _chunks(self) -> Iterator[Batch]:
+        compiled = self.compiled
+        if compiled is None:
+            return
+        graph = self.graph
+        args, free = _split_slots(compiled[0])
+        matches = graph.triples_ids(*args)
+        size = CHUNK_ROWS
+        while True:
+            triples = list(islice(matches, size))
+            if not triples:
+                return
+            batch = _triples_batch(triples, free)
+            for slots in compiled[1:]:
+                if batch.n == 0:
+                    break
+                batch = _extend_batch(graph, batch, slots)
+            yield batch
+            size *= CHUNK_GROWTH
+
     def explain(self, depth: int = 0) -> List[str]:
         pad = "  " * depth
         if self.compiled is None:
@@ -598,13 +667,76 @@ class BatchBgp(BatchOp):
         return lines
 
 
-def _join_batches(left: Batch, right: Batch) -> Batch:
+_Table = Dict[object, List[int]]
+
+#: A materialised join side's hash tables by key variables (None where
+#: it has none), kept by an operator that joins many chunks against it.
+_Tables = Dict[Tuple[Variable, ...], Optional[_Table]]
+
+
+def _hash_rows(batch: Batch, shared: Sequence[Variable]) -> Optional[_Table]:
+    """The build half of a hash join: row indexes by ``shared`` cells.
+
+    None when there is nothing to key on, or a shared cell is
+    ``UNBOUND`` — such a row is compatible with every key, which no
+    bucket can express.
+    """
+    cols = [batch.col(v) for v in shared]
+    if not cols or any(UNBOUND in c for c in cols):
+        return None
+    buckets: _Table = {}
+    setdefault = buckets.setdefault
+    for j, key in enumerate(cols[0] if len(cols) == 1 else zip(*cols)):
+        setdefault(key, []).append(j)
+    return buckets
+
+
+def _hash_rows_once(
+    tables: _Tables, batch: Batch, shared: Tuple[Variable, ...]
+) -> Optional[_Table]:
+    """:func:`_hash_rows` of one batch, remembered in ``tables``."""
+    if shared not in tables:
+        tables[shared] = _hash_rows(batch, shared)
+    return tables[shared]
+
+
+def _probe_rows(
+    table: Optional[_Table], batch: Batch, shared: Sequence[Variable]
+) -> Optional[Tuple[List[int], List[int]]]:
+    """The probe half: matching ``(batch row, table row)`` index columns.
+
+    Probe-major, table rows in their own order.  None when there is no
+    table or a shared cell of ``batch`` is ``UNBOUND``: the caller
+    falls back to per-row compatibility.
+    """
+    if table is None:
+        return None
+    cols = [batch.col(v) for v in shared]
+    if any(UNBOUND in c for c in cols):
+        return None
+    sel_p: List[int] = []
+    sel_b: List[int] = []
+    get = table.get
+    for i, key in enumerate(cols[0] if len(cols) == 1 else zip(*cols)):
+        js = get(key)
+        if js:
+            sel_b.extend(js)
+            sel_p.extend([i] * len(js))
+    return sel_p, sel_b
+
+
+def _join_batches(
+    left: Batch, right: Batch, tables: Optional[_Tables] = None
+) -> Batch:
     """Batch-at-a-time join on the shared variables.
 
     When every shared cell is bound on both sides the join is a pure
     hash join: bucket the smaller side, probe with the larger, gather.
     Heterogeneous UNION domains (``UNBOUND`` in a shared column) fall
     back to a per-row compatibility merge mirroring ``omega_join``.
+    A caller that joins many ``left`` chunks against one ``right``
+    passes the same ``tables`` each time: ``right`` is then always the
+    build side and is hashed once.
     """
     shared = tuple(
         sorted(
@@ -625,33 +757,15 @@ def _join_batches(left: Batch, right: Batch) -> Batch:
         return Batch(
             gl.schema + gr.schema, gl.columns + gr.columns, len(sel_l)
         )
-    lcols = [left.col(v) for v in shared]
-    rcols = [right.col(v) for v in shared]
-    strict = not any(UNBOUND in c for c in lcols) and not any(
-        UNBOUND in c for c in rcols
-    )
-    if strict:
+    if tables is not None:
+        build, probe = right, left
+        table = _hash_rows_once(tables, right, shared)
+    else:
         build, probe = (right, left) if right.n <= left.n else (left, right)
-        bcols = [build.col(v) for v in shared]
-        pcols = [probe.col(v) for v in shared]
-        buckets: Dict[object, List[int]] = {}
-        setdefault = buckets.setdefault
-        if len(shared) == 1:
-            for j, key in enumerate(bcols[0]):
-                setdefault(key, []).append(j)
-            probe_keys: Sequence[object] = pcols[0]
-        else:
-            for j, key in enumerate(zip(*bcols)):
-                setdefault(key, []).append(j)
-            probe_keys = list(zip(*pcols))
-        sel_p: List[int] = []
-        sel_b: List[int] = []
-        get = buckets.get
-        for i, key in enumerate(probe_keys):
-            js = get(key)
-            if js:
-                sel_b.extend(js)
-                sel_p.extend([i] * len(js))
+        table = _hash_rows(build, shared)
+    pairs = _probe_rows(table, probe, shared)
+    if pairs is not None:
+        sel_p, sel_b = pairs
         gp = probe.gather(sel_p)
         build_only = [v for v in build.schema if v not in probe.schema]
         bonly_cols = [
@@ -720,6 +834,16 @@ class BatchJoin(BatchOp):
             self.actuals["probe_rows"] = max(left.n, right.n)
         return _join_batches(left, right)
 
+    def _chunks(self) -> Iterator[Batch]:
+        right = self.right.execute()
+        if self.actuals is not None:
+            self.actuals["build_rows"] = right.n
+        if right.n == 0:
+            return
+        tables: _Tables = {}
+        for chunk in self.left.chunks():
+            yield _join_batches(chunk, right, tables)
+
     def explain(self, depth: int = 0) -> List[str]:
         lines = [
             self._annotate(
@@ -736,8 +860,7 @@ class BatchUnion(BatchOp):
 
     Branches missing a variable contribute ``UNBOUND`` columns.  No
     cross-branch deduplication happens here — batches carry bags and
-    the result boundary deduplicates, so the solution *set* matches
-    the row engine's ``UnionScan`` exactly.
+    the result boundary deduplicates.
     """
 
     def __init__(self, branches: Sequence[BatchOp]) -> None:
@@ -772,6 +895,12 @@ class BatchUnion(BatchOp):
                     cols[k].extend(col)
         return Batch(tuple(schema), cols, total)
 
+    def _chunks(self) -> Iterator[Batch]:
+        # A chunk keeps its branch's schema: to every consumer a
+        # variable outside the schema reads as an all-UNBOUND column.
+        for branch in self.branches:
+            yield from branch.chunks()
+
     def explain(self, depth: int = 0) -> List[str]:
         lines = [
             self._annotate(
@@ -786,10 +915,9 @@ class BatchUnion(BatchOp):
 class BatchLeftJoin(BatchOp):
     """``OPTIONAL``: left rows extend with compatible right rows.
 
-    Mirrors the row engine's ``LeftJoinOp``: each left row is extended
-    by every compatible right row whose merged solution passes the
-    embedded condition, and streams through padded with ``UNBOUND``
-    when none does.
+    Each left row is extended by every compatible right row whose
+    merged solution passes the embedded condition, and passes through
+    padded with ``UNBOUND`` when none does.
     """
 
     def __init__(
@@ -816,9 +944,22 @@ class BatchLeftJoin(BatchOp):
 
     def _execute(self) -> Batch:
         left = self.left.execute()
+        return self._extend(left, self._optional_side(), {})
+
+    def _chunks(self) -> Iterator[Batch]:
+        right = self._optional_side()
+        tables: _Tables = {}
+        for chunk in self.left.chunks():
+            yield self._extend(chunk, right, tables)
+
+    def _optional_side(self) -> Batch:
         right = self.right.execute()
         if self.actuals is not None:
             self.actuals["build_rows"] = right.n
+        return right
+
+    def _extend(self, left: Batch, right: Batch, tables: _Tables) -> Batch:
+        """Left-join one batch of left rows with the whole right side."""
         schema = left.schema + tuple(
             v for v in right.schema if v not in left.schema
         )
@@ -829,31 +970,16 @@ class BatchLeftJoin(BatchOp):
             cols = [list(c) for c in left.columns]
             cols.extend([UNBOUND] * left.n for _ in range(pad_width))
             return Batch(schema, cols, left.n)
-        pairs_l: List[int] = []
-        pairs_r: List[int] = []
-        shared = [v for v in left.schema if v in right.schema]
-        lcols = [left.col(v) for v in shared]
-        rcols = [right.col(v) for v in shared]
-        strict = not any(UNBOUND in c for c in lcols) and not any(
-            UNBOUND in c for c in rcols
+        shared = tuple(v for v in left.schema if v in right.schema)
+        pairs = _probe_rows(
+            _hash_rows_once(tables, right, shared), left, shared
         )
-        if strict and shared:
-            buckets: Dict[object, List[int]] = {}
-            if len(shared) == 1:
-                for j, key in enumerate(rcols[0]):
-                    buckets.setdefault(key, []).append(j)
-                probe_keys: Sequence[object] = lcols[0]
-            else:
-                for j, key in enumerate(zip(*rcols)):
-                    buckets.setdefault(key, []).append(j)
-                probe_keys = list(zip(*lcols))
-            get = buckets.get
-            for i, key in enumerate(probe_keys):
-                js = get(key)
-                if js:
-                    pairs_r.extend(js)
-                    pairs_l.extend([i] * len(js))
+        if pairs is not None:
+            pairs_l, pairs_r = pairs
         else:
+            pairs_l, pairs_r = [], []
+            lcols = [left.col(v) for v in shared]
+            rcols = [right.col(v) for v in shared]
             left_rows = list(zip(*lcols)) if lcols else [()] * left.n
             right_rows = list(zip(*rcols)) if rcols else [()] * right.n
             for i, lkey in enumerate(left_rows):
@@ -932,7 +1058,12 @@ class BatchFilter(BatchOp):
         return (self.child,)
 
     def _execute(self) -> Batch:
-        batch = self.child.execute()
+        return self._filter(self.child.execute())
+
+    def _chunks(self) -> Iterator[Batch]:
+        return map(self._filter, self.child.chunks())
+
+    def _filter(self, batch: Batch) -> Batch:
         if batch.n == 0:
             return batch
         mask = self.mask(batch)
@@ -965,7 +1096,12 @@ def _flatten_joins(node: AlgebraNode, out: List[AlgebraNode]) -> None:
 
 
 def _order_operands(operands: List[BatchOp]) -> List[BatchOp]:
-    """Greedy join order over operands — same policy as the row planner."""
+    """Greedy cost-based join order over already-built operands.
+
+    Starts from the smallest estimated operand, then repeatedly joins
+    the cheapest operand that shares a variable with the bindings so
+    far; disconnected operands (cross products) are deferred to the end.
+    """
     if len(operands) <= 1:
         return operands
     remaining = list(enumerate(operands))
@@ -1045,15 +1181,10 @@ def execute_batch(graph: Graph, node: AlgebraNode) -> Batch:
     return build_batch_plan(graph, node).execute()
 
 
-def select_id_batch(graph: Graph, node: AlgebraNode) -> Batch:
-    """The full solution bag of a logical tree, as one batch."""
-    return execute_batch(graph, node)
-
-
 def select_id_rows_batch(
     graph: Graph, node: AlgebraNode, variables: Sequence[Variable]
 ) -> Set[_IDRow]:
-    """Distinct projected ID rows — the batch twin of ``select_id_rows``."""
+    """Distinct projected rows as ID tuples (``None`` = unbound cell)."""
     return execute_batch(graph, node).id_rows(variables)
 
 
@@ -1150,38 +1281,33 @@ def top_k(
 
 
 def batch_slice(
-    batch: Batch,
+    chunks: Iterable[Batch],
     projected: Sequence[Variable],
     offset: int = 0,
     limit: Optional[int] = None,
     keep: _RowKeep = None,
 ) -> List[_IDRow]:
-    """DISTINCT-project + OFFSET/LIMIT in batch order (no ORDER BY).
+    """DISTINCT-project + OFFSET/LIMIT in chunk order (no ORDER BY).
 
-    First-seen deduplication over the batch's deterministic row order —
-    the columnar analogue of the row engine's ``SliceOp``, whose output
-    for un-ordered LIMIT queries depends on its *own* stream order, so
-    the two engines agree on the row set but not necessarily on which
-    slice of it a bare LIMIT returns.
+    First-seen deduplication over the deterministic row order of
+    :meth:`BatchOp.chunks`; which window of the distinct rows an
+    un-ordered slice returns is defined by that order.  The stream is
+    abandoned once ``offset + limit`` distinct rows are in, and
+    ``LIMIT 0`` pulls nothing.
     """
     if limit == 0:
         return []
-    out: List[_IDRow] = []
-    seen: Set[_IDRow] = set()
-    skipped = 0
-    for row in column_rows(batch.project(projected), batch.n):
-        if keep is not None and not keep(row):
-            continue
-        if row in seen:
-            continue
-        seen.add(row)
-        if skipped < offset:
-            skipped += 1
-            continue
-        out.append(row)
-        if limit is not None and len(out) >= limit:
+    bound = None if limit is None else offset + limit
+    seen: Dict[_IDRow, None] = {}
+    for batch in chunks:
+        rows = column_rows(batch.project(projected), batch.n)
+        if keep is not None:
+            rows = filter(keep, rows)
+        # Known rows keep their place, new ones go last: first-seen.
+        seen.update(dict.fromkeys(rows))
+        if bound is not None and len(seen) >= bound:
             break
-    return out
+    return list(islice(seen, offset, bound))
 
 
 def batch_top_k(

@@ -7,11 +7,12 @@ once.  :class:`PlanCache` is a small LRU keyed on exactly those inputs
 with hit/miss counters, used two ways:
 
 * the local engine (:mod:`repro.sparql.engine`) caches fully-built
-  physical plans (columnar batch plans and row plans alike) keyed on
-  ``(graph.serial, graph.epoch, query text, namespace fingerprint,
-  include_blanks)`` — the graph's mutation epoch invalidates entries
-  the moment the data changes, and the serial keeps distinct graphs
-  from colliding;
+  batch plans keyed on ``(graph.serial, graph.epoch, query text,
+  namespace fingerprint)`` — the graph's mutation epoch invalidates
+  entries the moment the data changes, and the serial keeps distinct
+  graphs from colliding; ``include_blanks`` is not part of the key
+  because the plan does not depend on it (the blank-row filter is
+  built per execution);
 * the federated executor caches its ``PreparedQuery`` source-selection
   plans keyed on ``(query text, namespace fingerprint, statistics
   epoch)`` — a refresh of the :class:`StatisticsCatalog` bumps the

@@ -5,25 +5,26 @@ it accepts a query string or a pre-parsed AST and returns a
 :class:`~repro.sparql.results.SelectResult` or
 :class:`~repro.sparql.results.AskResult`.
 
-Evaluation picks a physical engine per query shape:
+Every query runs on the columnar batch engine
+(:mod:`repro.sparql.batch`); what the query needs, read off the AST,
+decides how its plan is read:
 
-* **columnar batch engine** (:mod:`repro.sparql.batch`) for SELECT
-  queries that are unmodified or carry ORDER BY — their results are a
-  pure function of the solution *set*, so the batch engine's bulk
+* **whole batch** (``BatchOp.execute``) for SELECT queries that are
+  unmodified or carry ORDER BY — the answer needs every solution, and
+  is a pure function of the solution *set*, so the engine's bulk
   execution order cannot show through;
-* **row engine** (:mod:`repro.sparql.plan`) for LIMIT/OFFSET without
-  ORDER BY — which slice of the distinct rows comes back depends on
-  the stream order, and the streaming ``SliceOp`` abandons the plan
-  the moment the window fills — and for ASK, which wants the first
-  row only.
+* **chunks on demand** (``BatchOp.chunks``) for ASK, which wants to
+  know whether there is a first chunk, and for LIMIT/OFFSET without
+  ORDER BY, which stops pulling the moment ``offset + limit`` distinct
+  rows are in — which window of the distinct rows comes back is
+  defined by the plan's deterministic chunk order.
 
 Text queries are served through the cross-query
 :data:`~repro.sparql.cache.default_plan_cache`: a hit skips parsing,
 algebra translation and physical planning entirely, keyed on
-``(graph.serial, graph.epoch, text, namespace fingerprint,
-include_blanks)`` so any graph mutation invalidates by key change.
-The term-level evaluator in :mod:`repro.sparql.algebra` remains
-available as the reference oracle for tests.
+``(graph.serial, graph.epoch, text, namespace fingerprint)`` so any
+graph mutation invalidates by key change.  The term-level evaluator in
+:mod:`repro.sparql.algebra` is the reference oracle for tests.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.sparql.algebra import translate_group
 from repro.sparql.ast import AskQuery, Query, SelectQuery
 from repro.sparql.batch import (
     BatchOp,
+    batch_slice,
     batch_top_k,
     build_batch_plan,
     column_rows,
@@ -47,7 +49,6 @@ from repro.sparql.batch import (
 )
 from repro.sparql.cache import default_plan_cache, nsm_fingerprint
 from repro.sparql.parser import parse_query
-from repro.sparql.plan import PhysicalOp, SliceOp, build_plan
 from repro.sparql.results import AskResult, SelectResult
 
 __all__ = ["execute", "explain", "select", "ask_text", "plan_cache_stats"]
@@ -56,41 +57,19 @@ __all__ = ["execute", "explain", "select", "ask_text", "plan_cache_stats"]
 class _PreparedLocal:
     """A fully planned query, ready to execute without parse or plan.
 
-    ``batch_op`` is set for the columnar paths, ``row_plan`` for the
-    streaming paths (bare LIMIT/OFFSET, ASK); both are re-executable,
-    so one cache entry serves any number of executions against the
-    same graph epoch.
+    The batch plan is re-executable, whole or in chunks, and does not
+    depend on ``include_blanks``, so one cache entry serves any number
+    of executions against the same graph epoch.
     """
 
-    __slots__ = ("ast", "variables", "batch_op", "row_plan")
+    __slots__ = ("ast", "variables", "batch_op")
 
     def __init__(
-        self,
-        ast: Query,
-        variables: Tuple,
-        batch_op: Optional[BatchOp],
-        row_plan: Optional[PhysicalOp],
+        self, ast: Query, variables: Tuple, batch_op: BatchOp
     ) -> None:
         self.ast = ast
         self.variables = variables
         self.batch_op = batch_op
-        self.row_plan = row_plan
-
-
-def _uses_batch_engine(ast: Query) -> bool:
-    """Whether the columnar engine may serve this query.
-
-    True for SELECTs whose output is a pure function of the solution
-    set: unmodified queries (canonical sort) and ORDER BY queries
-    (total order with canonical tiebreak).  A bare LIMIT/OFFSET keeps
-    the row engine, whose documented slice semantics follow its own
-    deterministic stream order.
-    """
-    if not isinstance(ast, SelectQuery):
-        return False
-    if ast.order:
-        return True
-    return ast.limit is None and ast.offset is None
 
 
 def _prepare(graph: Graph, ast: Query, tracer=NULL_TRACER) -> _PreparedLocal:
@@ -100,16 +79,13 @@ def _prepare(graph: Graph, ast: Query, tracer=NULL_TRACER) -> _PreparedLocal:
     with tracer.span("plan"):
         if isinstance(ast, SelectQuery):
             variables = tuple(ast.projected())
-            if _uses_batch_engine(ast):
-                return _PreparedLocal(
-                    ast, variables, build_batch_plan(graph, node), None
-                )
-            return _PreparedLocal(
-                ast, variables, None, build_plan(graph, node)
+        elif isinstance(ast, AskQuery):
+            variables = ()
+        else:
+            raise SparqlEvaluationError(
+                f"unsupported query type {type(ast).__name__}"
             )
-        if isinstance(ast, AskQuery):
-            return _PreparedLocal(ast, (), None, build_plan(graph, node))
-    raise SparqlEvaluationError(f"unsupported query type {type(ast).__name__}")
+        return _PreparedLocal(ast, variables, build_batch_plan(graph, node))
 
 
 def execute(
@@ -138,13 +114,7 @@ def execute(
         SelectResult for SELECT, AskResult for ASK.
     """
     if isinstance(query, str):
-        key = (
-            graph.serial,
-            graph.epoch,
-            query,
-            nsm_fingerprint(nsm),
-            include_blanks,
-        )
+        key = (graph.serial, graph.epoch, query, nsm_fingerprint(nsm))
         prepared = default_plan_cache.get(key)
         if prepared is None:
             with tracer.span("parse"):
@@ -181,36 +151,11 @@ def explain(
     """
     ast = parse_query(query, nsm) if isinstance(query, str) else query
     prepared = _prepare(graph, ast)
-    if prepared.batch_op is not None:
-        engine = "batch"
-        root = prepared.batch_op
-    else:
-        engine = "row"
-        root = prepared.row_plan
-        if isinstance(ast, SelectQuery):
-            # Mirror _execute_prepared: the streaming slice is part of
-            # the executed tree, so it must show (and count) here too.
-            keep = (
-                _blank_row_filter(graph.dictionary.terms())
-                if not include_blanks
-                else None
-            )
-            root = SliceOp(
-                prepared.row_plan,
-                prepared.variables,
-                ast.offset or 0,
-                ast.limit,
-                keep,
-            )
+    root = prepared.batch_op
     if analyze:
         attach_actuals(root)
-        if prepared.batch_op is not None:
-            _execute_prepared(graph, prepared, include_blanks)
-        elif isinstance(ast, AskQuery):
-            any(True for _ in root.execute())
-        else:
-            root.rows()
-    lines: List[str] = [f"{engine} engine"]
+        _execute_prepared(graph, prepared, include_blanks)
+    lines: List[str] = ["batch engine"]
     lines.extend(root.explain())
     return "\n".join(lines)
 
@@ -219,21 +164,22 @@ def _execute_prepared(
     graph: Graph, prepared: _PreparedLocal, include_blanks: bool
 ) -> Union[SelectResult, AskResult]:
     ast = prepared.ast
+    plan = prepared.batch_op
     if isinstance(ast, AskQuery):
-        return AskResult(any(True for _ in prepared.row_plan.execute()))
+        return AskResult(next(plan.chunks(), None) is not None)
     variables = prepared.variables
     dictionary = graph.dictionary
     terms = dictionary.terms()
     keep = _blank_row_filter(terms) if not include_blanks else None
-    if prepared.batch_op is None:
-        # Bare LIMIT/OFFSET: the streaming row engine slices its own
-        # deterministic stream order and stops pulling once full.
-        id_rows = SliceOp(
-            prepared.row_plan, variables, ast.offset or 0, ast.limit, keep
-        ).rows()
+    if not ast.order and (ast.limit is not None or ast.offset is not None):
+        # Un-ordered LIMIT/OFFSET: a window of the plan's deterministic
+        # chunk order; the plan is abandoned once the window is full.
+        id_rows = batch_slice(
+            plan.chunks(), variables, ast.offset or 0, ast.limit, keep
+        )
         columns, n = list(zip(*id_rows)), len(id_rows)
     else:
-        batch = prepared.batch_op.execute()
+        batch = plan.execute()
         if not batch.n:  # most anchored lookups: nothing to finish
             return SelectResult(variables, [])
         if ast.order:

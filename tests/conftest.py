@@ -25,9 +25,32 @@ from repro.rdf.terms import (
     reset_blank_node_counter,
 )
 from repro.rdf.triples import Triple
+from repro.sparql.algebra import translate_group
+from repro.sparql.ast import SelectQuery
+from repro.sparql.batch import select_id_rows_batch
+from repro.sparql.parser import parse_query
 from repro.workload.generators import random_graph
 
 EX = Namespace("http://example.org/")
+
+
+def where_rows(graph, text):
+    """Distinct projected rows of a query's WHERE clause, as terms.
+
+    The single-graph comparator of the federated suites: the batch
+    engine over the merged graph (itself held to ``sparql/algebra.py``
+    by ``test_columnar.py``).  Solution modifiers are ignored and an
+    ASK projects nothing.
+    """
+    ast = parse_query(text)
+    head = ast.projected() if isinstance(ast, SelectQuery) else ()
+    decode = graph.decode_id
+    return {
+        tuple(None if tid is None else decode(tid) for tid in row)
+        for row in select_id_rows_batch(
+            graph, translate_group(ast.where), head
+        )
+    }
 
 
 @pytest.fixture(autouse=True)

@@ -41,8 +41,6 @@ LIMIT_WORKLOADS = (
 #: Limit-suite workloads where the gate demands a *strict* win.
 DEEP_LIMIT_WORKLOADS = ("deep_bound@3p", "deep_pipelined@3p", "ask@3p")
 
-COLUMNAR_WORKLOADS = ("path2", "star2", "filter_path", "union_join")
-
 FAULT_WORKLOADS = (
     "flaky@3p",
     "flaky_parallel@3p",
@@ -77,8 +75,6 @@ EXPECTED_BENCHMARKS = {
     "sparql/filter",
     "sparql/union_join",
     "columnar/plan_cache",
-} | {
-    f"columnar/{workload}" for workload in COLUMNAR_WORKLOADS
 } | {
     f"federation/{strategy}@{facts}"
     for strategy in FEDERATION_STRATEGIES
@@ -629,34 +625,12 @@ def test_columnar_rows_win_and_cache_counters(report):
         for row in data["benchmarks"]
         if row["name"].startswith("columnar/")
     }
-    assert rows
-    comparative = [rows[f"columnar/{w}"] for w in COLUMNAR_WORKLOADS]
-    # At least one join workload must run strictly faster columnar.
-    assert any(row["speedup"] > 1.0 for row in comparative)
+    assert set(rows) == {"columnar/plan_cache"}
+    # A hit skips parse and plan, so the hot run must beat the cold one.
+    assert rows["columnar/plan_cache"]["speedup"] > 1.0
     meta = rows["columnar/plan_cache"]["meta"]
     assert meta["hot_misses"] == 0 and meta["hot_hits"] >= 1
     assert meta["cold_hits"] == 0 and meta["cold_misses_last_call"] == 1
-
-
-def test_check_fails_when_batch_engine_stops_winning(report, committed):
-    data, _ = report
-    fresh = copy.deepcopy(data)
-    doctored = copy.deepcopy(committed)
-    # Doctor fresh and committed identically so only the columnar
-    # invariant trips, not the median-speedup comparison.
-    for blob in (fresh["benchmarks"], doctored["smoke"]["benchmarks"]):
-        for row in blob:
-            if (
-                row["name"].startswith("columnar/")
-                and row["name"] != "columnar/plan_cache"
-            ):
-                row["speedup"] = 0.5
-    outcome = check_against(doctored, fresh=fresh)
-    assert not outcome.ok
-    assert any(
-        "no workload showed a strict batch-engine win" in failure
-        for failure in outcome.failures
-    )
 
 
 def test_check_fails_when_plan_cache_stops_hitting(report, committed):

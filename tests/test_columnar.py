@@ -1,18 +1,22 @@
 """Columnar batch engine and plan cache: equivalence and invalidation.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * the batch engine (:mod:`repro.sparql.batch`) returns exactly the
-  reference evaluator's solution set — and the row engine's — on
-  randomized BGP/UNION/OPTIONAL/FILTER/ORDER/LIMIT queries;
+  reference evaluator's solution set on randomized
+  BGP/UNION/OPTIONAL/FILTER/ORDER/LIMIT/ASK queries;
+* its chunked read (ASK, un-ordered LIMIT/OFFSET) loses and repeats no
+  row at a chunk seam — pages tile the reference answer — and stops
+  early, which the ``EXPLAIN ANALYZE`` counters show;
 * the cross-query plan cache serves byte-identical answers on hits,
   verifiably skips parse and plan, and is invalidated by graph
   mutation (local) and statistics-epoch bumps (federated);
 * the graph count probes (``count_ids``/``count_pattern``) answer
   every shape from leaf lengths, matching brute-force enumeration.
 
-A ``slow``-marked test repeats the equivalence and the >=5x batch win
-at the 1M-triple bench scale (excluded from tier-1; see pytest.ini).
+A ``slow``-marked test repeats the equivalence at the 1M-triple bench
+scale and asserts that a bare ``LIMIT 10`` there costs under a fiftieth
+of the unlimited query (excluded from tier-1; see pytest.ini).
 """
 
 import random
@@ -21,7 +25,7 @@ import time
 import pytest
 
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Literal, Variable
+from repro.rdf.terms import IRI, BlankNode, Literal, Variable
 from repro.rdf.triples import Triple, TriplePattern
 from repro.sparql import engine
 from repro.sparql.algebra import (
@@ -29,7 +33,9 @@ from repro.sparql.algebra import (
     reference_select,
     translate_group,
 )
+from repro.sparql.ast import AskQuery
 from repro.sparql.batch import (
+    CHUNK_ROWS,
     UNBOUND,
     Batch,
     batch_top_k,
@@ -38,9 +44,9 @@ from repro.sparql.batch import (
     select_id_rows_batch,
 )
 from repro.sparql.cache import PlanCache, default_plan_cache, nsm_fingerprint
-from repro.sparql.engine import execute, select
+from repro.sparql.engine import execute, explain, select
 from repro.sparql.parser import parse_query
-from repro.sparql.plan import plan_bgp, select_id_rows
+from repro.sparql.plan import plan_bgp
 from repro.sparql.results import _row_key
 from repro.gpq.evaluation import compile_conjunct, extend_id_bindings
 from repro.workload.generators import GeneratorConfig, random_entity_graph
@@ -67,7 +73,11 @@ def fanout_graph(scale: int, seed: int = 11) -> Graph:
 
 
 def random_queries(rng: random.Random, count: int):
-    """Yield (query text, has_order) covering the supported fragment."""
+    """Yield (query text, has_order) covering the supported fragment.
+
+    Every WHERE clause comes out twice: as a SELECT with random
+    modifiers and as an ASK.
+    """
 
     def pattern(vars_pool):
         subject = rng.choice(vars_pool + [f"<{NS}e{rng.randint(0, 15)}>"])
@@ -121,21 +131,53 @@ def random_queries(rng: random.Random, count: int):
         elif modifier == 2:
             text += f" OFFSET {rng.choice([0, 3])} LIMIT {rng.randint(0, 8)}"
         yield text, has_order
+        yield f"ASK {{ {group} }}", False
+
+
+def assert_pages_tile(graph, text, k):
+    """Pages of ``k`` rows partition the reference answer of ``text``.
+
+    ``OFFSET i*k LIMIT k`` for every full page plus the open-ended
+    ``OFFSET n`` for what is left: pairwise disjoint, together the
+    reference set — so no row is lost or repeated wherever a chunk seam
+    falls inside a window.
+    """
+    expected = set(reference_select(graph, parse_query(text)))
+    full = len(expected) // k
+    pages = [
+        select(graph, f"{text} OFFSET {i * k} LIMIT {k}").rows
+        for i in range(full)
+    ]
+    pages.append(select(graph, f"{text} OFFSET {full * k}").rows)
+    assert [len(page) for page in pages] == [k] * full + [
+        len(expected) - full * k
+    ], text
+    rows = [row for page in pages for row in page]
+    assert len(rows) == len(set(rows)), text
+    assert set(rows) == expected, text
 
 
 @pytest.mark.parametrize("seed", [3, 17, 29])
-def test_fuzz_batch_equals_reference_and_row_engine(seed):
+def test_fuzz_batch_equals_reference(seed):
     rng = random.Random(seed)
     graph = random_entity_graph(
         GeneratorConfig(
             entities=18, predicates=4, triples=260, attributes=40, seed=seed
         )
     )
+    asked = set()
     for text, has_order in random_queries(rng, 30):
         ast = parse_query(text)
         node = translate_group(ast.where)
+        if isinstance(ast, AskQuery):
+            expected = bool(evaluate_algebra(graph, node))
+            # Twice: a fresh plan, then the plan-cache hit.
+            assert execute(graph, text).value is expected, text
+            assert execute(graph, text).value is expected, text
+            asked.add(expected)
+            continue
         projected = ast.projected()
-        # Layer 1: WHERE-clause solution sets, all three evaluators.
+        # Layer 1: WHERE-clause solution sets against the oracle.
         reference = {
             tuple(
                 graph.term_id(sol[v]) if v in sol else None
@@ -144,9 +186,7 @@ def test_fuzz_batch_equals_reference_and_row_engine(seed):
             for sol in evaluate_algebra(graph, node)
         }
         batch_rows = select_id_rows_batch(graph, node, projected)
-        row_rows = select_id_rows(graph, node, projected)
         assert batch_rows == reference, text
-        assert row_rows == reference, text
         # Layer 2: full engine output against the oracle, twice — the
         # second execution takes the plan-cache hit path and must not
         # change the answer.
@@ -169,6 +209,10 @@ def test_fuzz_batch_equals_reference_and_row_engine(seed):
             assert len(first) == len(expected), text
             assert len(set(first)) == len(first), text
             assert set(first) <= full, text
+        if not (has_order or ast.limit is not None or ast.offset is not None):
+            # Layer 3: the un-ordered text, read in about six pages.
+            assert_pages_tile(graph, text, max(3, len(reference) // 6))
+    assert asked == {True, False}
 
 
 def test_fuzz_includes_blank_exclusion_path():
@@ -324,11 +368,37 @@ def test_plan_cache_hit_skips_parse_and_plan(monkeypatch):
 
     monkeypatch.setattr(engine, "parse_query", _no_parse)
     monkeypatch.setattr(engine, "build_batch_plan", _no_plan)
-    monkeypatch.setattr(engine, "build_plan", _no_plan)
     second = select(graph, text).rows
     assert second == first
     stats = engine.plan_cache_stats()
     assert stats["hits"] == 1 and stats["misses"] == 1
+
+
+def test_plan_cache_key_ignores_include_blanks():
+    # The prepared plan does not depend on include_blanks (the blank-row
+    # filter is built per execution): one entry serves both settings.
+    graph = random_entity_graph(
+        GeneratorConfig(
+            entities=14,
+            predicates=3,
+            triples=150,
+            attributes=20,
+            blank_fraction=0.3,
+            seed=5,
+        )
+    )
+    for tail in ("", " LIMIT 1000"):
+        default_plan_cache.clear()
+        text = f"SELECT ?a ?b WHERE {{ ?a <{NS}p0> ?b }}{tail}"
+        everything = select(graph, text, include_blanks=True).rows
+        kept = select(graph, text, include_blanks=False).rows
+        stats = engine.plan_cache_stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
+        assert set(everything) == set(reference_select(graph, parse_query(text)))
+        assert 0 < len(kept) < len(everything)
+        assert set(kept) == {
+            row for row in everything if not any(c.is_blank() for c in row)
+        }
 
 
 def test_plan_cache_invalidated_by_graph_mutation():
@@ -593,7 +663,7 @@ def test_shared_planner_order():
     ordered, compiled, estimate = plan_bgp(graph, patterns)
     assert len(ordered) == len(compiled) == 2
     assert estimate >= 0.0
-    # The batch BGP reuses the same ordering (one planner, two engines).
+    # The batch BGP executes that ordering.
     node = translate_group(parse_query(
         f"SELECT ?a WHERE {{ ?a <{NS}p0> ?b . ?b <{NS}p1> ?c }}"
     ).where)
@@ -602,7 +672,7 @@ def test_shared_planner_order():
 
 
 # ---------------------------------------------------------------------------
-# ASK and bare-LIMIT keep the streaming row engine
+# ASK and un-ordered LIMIT/OFFSET: the chunked read of the batch plan
 # ---------------------------------------------------------------------------
 
 
@@ -617,29 +687,166 @@ def test_ask_and_bare_limit_semantics_unchanged():
     assert len(set(limited.rows)) == 3
 
 
+def test_chunked_read_edge_cases_keep_their_answers():
+    graph = Graph()
+    a, b, c = (IRI(f"{NS}{name}") for name in "abc")
+    x, y = BlankNode("x"), BlankNode("y")
+    p = IRI(f"{NS}p")
+    for triple in [(a, p, b), (b, p, c), (x, p, b), (c, p, y)]:
+        graph.add(Triple(*triple))
+    scan = f"WHERE {{ ?a <{NS}p> ?b }}"
+    for include_blanks in (True, False):
+        for text, expected in [
+            (f"SELECT ?a {scan} LIMIT 0", []),
+            (f"SELECT ?a {scan} OFFSET 99", []),
+            (f"SELECT ?a {scan} OFFSET 99 LIMIT 2", []),
+            ("SELECT * WHERE { } LIMIT 1", [()]),
+            ("SELECT * WHERE { } OFFSET 1", []),
+            # A variable the pattern never binds is one unbound row.
+            (f"SELECT ?u {scan} LIMIT 3", [(None,)]),
+        ]:
+            assert select(graph, text, include_blanks=include_blanks).rows == expected, text
+        assert execute(graph, "ASK { }", include_blanks=include_blanks).value is True
+    # LIMIT 0 answers without touching the plan.
+    assert "never-run" in explain(
+        graph, f"SELECT ?a {scan} LIMIT 0", analyze=True
+    )
+    # include_blanks=False slices: the filter runs before the window,
+    # so blank rows take no place in it.
+    ground = [(a, b), (b, c)]
+    for tail, expected in [(" LIMIT 10", ground), (" OFFSET 1", ground[1:])]:
+        text = f"SELECT ?a ?b {scan}{tail}"
+        assert select(graph, text, include_blanks=False).rows == expected
+    assert len(select(graph, f"SELECT ?a ?b {scan} LIMIT 10").rows) == 4
+
+
+def seam_graph(edges: int) -> Graph:
+    """A chain of ``p`` edges long enough to be scanned in many chunks.
+
+    ``e{i} p e{i+1}``; every third node also has a ``q`` edge, every
+    second an ``r`` edge to a literal, every node of the first hundred
+    a ``v`` value.
+    """
+    graph = Graph()
+    nodes = [IRI(f"{NS}e{i}") for i in range(edges + 2)]
+    p, q, r, v = (IRI(f"{NS}{name}") for name in "pqrv")
+    for i in range(edges):
+        graph.add(Triple(nodes[i], p, nodes[i + 1]))
+        if i % 3 == 0:
+            graph.add(Triple(nodes[i], q, nodes[i + 2]))
+        if i % 2 == 0:
+            graph.add(Triple(nodes[i], r, Literal(str(i % 7))))
+        if i < 100:
+            graph.add(Triple(nodes[i], v, Literal(str(i))))
+    return graph
+
+
+SEAM_SHAPES = {
+    "bgp": f"?a <{NS}p> ?b . ?b <{NS}q> ?c",
+    "union": f"{{ ?a <{NS}p> ?b }} UNION {{ ?a <{NS}q> ?b }}",
+    "optional": f"?a <{NS}p> ?b OPTIONAL {{ ?b <{NS}r> ?c }}",
+    "filter": f'?a <{NS}p> ?b . ?a <{NS}r> ?c FILTER(?c != "3")',
+    "union_join": (
+        f"{{ ?a <{NS}p> ?b }} UNION {{ ?a <{NS}q> ?b }} . ?b <{NS}r> ?c"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SEAM_SHAPES))
+def test_pages_tile_across_chunk_seams(shape):
+    graph = seam_graph(400)  # small enough for the reference evaluator
+    text = f"SELECT ?a ?b ?c WHERE {{ {SEAM_SHAPES[shape]} }}"
+    ast = parse_query(text)
+    # Distinct rows in after each chunk: with this page size a window
+    # starts before and ends after the first seam and the second.
+    seen, seams = set(), []
+    plan = build_batch_plan(graph, translate_group(ast.where))
+    for chunk in plan.chunks():
+        seen |= chunk.id_rows(ast.projected())
+        seams.append(len(seen))
+    k = 7
+    assert len(seams) >= 3 and seams[0] % k and seams[1] % k, seams
+    assert_pages_tile(graph, text, k)
+    # The same pages again, now from cached plans.
+    hits = engine.plan_cache_stats()["hits"]
+    assert_pages_tile(graph, text, k)
+    assert engine.plan_cache_stats()["hits"] > hits
+
+
+def test_early_stop_shows_in_analyze_counters():
+    graph = seam_graph(12_000)
+    first_chunk = f"rows_out={CHUNK_ROWS})"
+
+    def analyzed(where, tail=" LIMIT 5"):
+        text = f"SELECT ?a ?b WHERE {{ {where} }}{tail}"
+        rendered = explain(graph, text, analyze=True)
+        assert rendered == explain(graph, text, analyze=True)
+        assert len(select(graph, text).rows) == 5
+        return rendered.splitlines()
+
+    # A 12,000-row scan: one chunk of it was read.
+    lines = analyzed(f"?a <{NS}p> ?b")
+    assert lines[0] == "batch engine"
+    assert lines[1].startswith("BatchBgp") and lines[1].endswith(
+        f"(actual batches=1 {first_chunk}"
+    )
+    # OPTIONAL: the optional side is built whole, the left side streams.
+    lines = analyzed(f"?a <{NS}p> ?b OPTIONAL {{ ?b <{NS}r> ?c }}")
+    assert lines[0] == "batch engine"
+    assert "BatchLeftJoin" in lines[1] and "build_rows=6000" in lines[1]
+    assert lines[2].endswith(f"(actual batches=1 {first_chunk}")
+    assert lines[4].endswith("(actual batches=1 rows_out=6000)")
+    # UNION-join: the union streams into the hoisted hash table and its
+    # second branch is never reached.
+    lines = analyzed(
+        f"{{ ?a <{NS}p> ?b }} UNION {{ ?a <{NS}q> ?b }} . ?b <{NS}v> ?c"
+    )
+    assert lines[0] == "batch engine"
+    assert "BatchJoin" in lines[1] and "build_rows=100" in lines[1]
+    assert "BatchUnion" in lines[2]
+    assert lines[2].endswith(f"(actual batches=1 {first_chunk}")
+    assert lines[3].endswith(f"(actual batches=1 {first_chunk}")
+    assert lines[5].endswith("(actual never-run)")
+    # The whole-batch read of the same plan counts one batch per node.
+    lines = analyzed(f"?a <{NS}p> ?b", tail=" ORDER BY ?a LIMIT 5")
+    assert lines[1].endswith("(actual batches=1 rows_out=12000)")
+    # ASK stops after the first chunk as well.
+    rendered = explain(graph, f"ASK {{ ?a <{NS}p> ?b }}", analyze=True)
+    assert rendered.splitlines()[1].endswith(
+        f"(actual batches=1 {first_chunk}"
+    )
+
+
 # ---------------------------------------------------------------------------
-# 1M-scale equivalence + performance gate (slow CI job only)
+# 1M-scale equivalence + early-termination gate (slow CI job only)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.slow
-def test_batch_engine_1m_equivalence_and_speedup():
+def test_batch_engine_1m_equivalence_and_early_termination():
     graph = fanout_graph(1_000_000)
     text = f"SELECT ?a ?c WHERE {{ ?a <{NS}p0> ?b . ?b <{NS}p1> ?c }}"
-    ast = parse_query(text)
-    node = translate_group(ast.where)
-    projected = ast.projected()
+
+    # The oracle reads the two relations straight from Graph.triples.
+    followers = {}
+    for triple in graph.triples(predicate=IRI(f"{NS}p1")):
+        followers.setdefault(triple.subject, []).append(triple.object)
+    expected = {
+        (triple.subject, c)
+        for triple in graph.triples(predicate=IRI(f"{NS}p0"))
+        for c in followers.get(triple.object, ())
+    }
+
+    select(graph, f"{text} LIMIT 1")  # builds the orderings both reads use
+    start = time.perf_counter()
+    rows = select(graph, text).rows
+    full_seconds = time.perf_counter() - start
+    assert len(rows) == len(expected) and set(rows) == expected
 
     start = time.perf_counter()
-    row_rows = select_id_rows(graph, node, projected)
-    row_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batch = build_batch_plan(graph, node).execute()
-    batch_seconds = time.perf_counter() - start
-    batch_rows = batch.id_rows(projected)
-
-    assert batch_rows == row_rows
-    assert row_seconds >= 5.0 * batch_seconds, (
-        f"batch {batch_seconds:.2f}s vs row {row_seconds:.2f}s"
+    limited = select(graph, f"{text} LIMIT 10").rows
+    limited_seconds = time.perf_counter() - start
+    assert len(set(limited)) == 10 and set(limited) <= expected
+    assert full_seconds >= 50.0 * limited_seconds, (
+        f"LIMIT 10 {limited_seconds:.4f}s vs unlimited {full_seconds:.2f}s"
     )

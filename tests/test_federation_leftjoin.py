@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from conftest import where_rows
 from repro.federation import STRATEGIES, FederatedExecutor, NetworkStats
 from repro.federation.bindings import (
     as_rows,
@@ -29,9 +30,6 @@ from repro.federation.plan import (
 )
 from repro.rdf.terms import Variable
 from repro.runtime.scheduler import OverlapScheduler
-from repro.sparql.algebra import translate_group
-from repro.sparql.parser import parse_query
-from repro.sparql.plan import select_rows
 from repro.workload.federation import federated_rps
 from repro.workload.topologies import peer_namespace
 
@@ -248,10 +246,7 @@ def test_two_optional_blocks_binding_one_variable_match_merged_graph():
         f"SELECT ?x ?y ?a WHERE {{ ?x {p0} ?y "
         f"OPTIONAL {{ ?y {a1} ?a }} OPTIONAL {{ ?x {a2} ?a }} }}"
     )
-    ast = parse_query(text)
-    expected = select_rows(
-        system.stored_database(), translate_group(ast.where), ast.projected()
-    )
+    expected = where_rows(system.stored_database(), text)
     assert any(row[2] is None for row in expected)
     assert any(row[2] is not None for row in expected)
     executor = FederatedExecutor(system)

@@ -4,13 +4,12 @@ import random
 
 import pytest
 
+from conftest import where_rows
 from repro.errors import UnsupportedSparqlError
 from repro.federation import STRATEGIES, FederatedExecutor
 from repro.sparql.algebra import evaluate_algebra, translate_group
-from repro.sparql.ast import SelectQuery
 from repro.sparql.bridge import sparql_to_branches
 from repro.sparql.parser import parse_query
-from repro.sparql.plan import select_rows
 from repro.workload.federation import (
     SHARED,
     federated_optional_filter_sparql,
@@ -32,15 +31,9 @@ def merged(system):
     return system.stored_database()
 
 
-def reference_rows(merged, text):
-    ast = parse_query(text)
-    head = ast.projected() if isinstance(ast, SelectQuery) else ()
-    return select_rows(merged, translate_group(ast.where), head)
-
-
 def assert_all_strategies_match(system, merged, text):
     executor = FederatedExecutor(system)
-    expected = reference_rows(merged, text)
+    expected = where_rows(merged, text)
     prepared = executor.prepare(text)
     for strategy in STRATEGIES:
         result = executor.execute(prepared, strategy)
@@ -225,15 +218,14 @@ def test_non_well_designed_optional_condition_is_rejected():
 def test_single_graph_plan_matches_reference_on_optional(
     merged, text_factory
 ):
-    ast = parse_query(text_factory())
-    node = translate_group(ast.where)
+    text = text_factory()
+    ast = parse_query(text)
     head = ast.projected()
-    plan_rows = select_rows(merged, node, head)
     reference = {
         tuple(mu.get(v) for v in head)
-        for mu in evaluate_algebra(merged, node)
+        for mu in evaluate_algebra(merged, translate_group(ast.where))
     }
-    assert plan_rows == reference
+    assert where_rows(merged, text) == reference
 
 
 # ---------------------------------------------------------------------------

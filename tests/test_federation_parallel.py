@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import where_rows
 from repro.federation import (
     ADAPTIVE,
     PARALLEL,
@@ -10,9 +11,6 @@ from repro.federation import (
     NetworkStats,
 )
 from repro.gpq.evaluation import evaluate_query_star
-from repro.sparql.parser import parse_query
-from repro.sparql.algebra import translate_group
-from repro.sparql.plan import select_rows
 from repro.workload.federation import (
     federated_exclusive_query,
     federated_path_query,
@@ -30,10 +28,7 @@ def system():
 def _single_graph(system, query):
     union = system.stored_database()
     if isinstance(query, str):
-        ast = parse_query(query)
-        return select_rows(
-            union, translate_group(ast.where), ast.projected()
-        )
+        return where_rows(union, query)
     return evaluate_query_star(union, query)
 
 

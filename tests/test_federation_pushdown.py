@@ -4,13 +4,10 @@ import random
 
 import pytest
 
+from conftest import where_rows
 from repro.errors import UnsupportedSparqlError
 from repro.federation import ADAPTIVE, STRATEGIES, FederatedExecutor
-from repro.sparql.algebra import translate_group
-from repro.sparql.ast import SelectQuery
 from repro.sparql.bridge import MAX_BRANCHES, sparql_to_branches
-from repro.sparql.parser import parse_query
-from repro.sparql.plan import select_rows
 from repro.workload.federation import SHARED, federated_rps
 from repro.workload.topologies import peer_namespace
 
@@ -25,15 +22,9 @@ def merged(system):
     return system.stored_database()
 
 
-def reference_rows(merged, text):
-    ast = parse_query(text)
-    head = ast.projected() if isinstance(ast, SelectQuery) else ()
-    return select_rows(merged, translate_group(ast.where), head)
-
-
 def assert_all_strategies_match(system, merged, text):
     executor = FederatedExecutor(system)
-    expected = reference_rows(merged, text)
+    expected = where_rows(merged, text)
     for strategy in STRATEGIES:
         result = executor.execute(text, strategy)
         assert result.rows == expected, (

@@ -310,21 +310,22 @@ def test_local_explain_analyze_batch_engine(graph):
     assert analyzed == engine_explain(graph, text, analyze=True)
 
 
-def test_local_explain_analyze_row_engine_slice(graph):
+def test_local_explain_analyze_slice(graph):
     p = EX.term("p").n3()
     text = f"SELECT ?x ?y WHERE {{ ?x {p} ?y }} LIMIT 2"
     analyzed = engine_explain(graph, text, analyze=True)
-    assert analyzed.startswith("row engine")
-    assert "Slice" in analyzed
-    assert "rows_out=2" in analyzed
+    assert analyzed.startswith("batch engine")
+    # The counters are the chunks the slice pulled before it was full:
+    # here the first chunk, which holds the whole three-row scan.
+    assert "batches=1 rows_out=3" in analyzed
     assert analyzed == engine_explain(graph, text, analyze=True)
 
 
 def test_local_explain_analyze_ask(graph):
     p = EX.term("p").n3()
     analyzed = engine_explain(graph, f"ASK {{ ?x {p} ?y }}", analyze=True)
-    assert analyzed.startswith("row engine")
-    assert "(actual" in analyzed
+    assert analyzed.startswith("batch engine")
+    assert "(actual batches=1" in analyzed
 
 
 def test_local_explain_never_touches_the_plan_cache(graph):

@@ -1,6 +1,6 @@
 """ID-native SPARQL executor: equivalence with the term-level reference.
 
-The physical plans of :mod:`repro.sparql.plan` must produce exactly the
+The batch plans of :mod:`repro.sparql.batch` must produce exactly the
 solution sets of the naive algebra evaluator
 (:func:`repro.sparql.algebra.evaluate_algebra`) — on hand-written edge
 cases and on randomized workload graphs with generated query shapes.
@@ -19,16 +19,10 @@ from repro.sparql.algebra import (
     reference_select,
     translate_group,
 )
+from repro.sparql.batch import BatchBgp, BatchEmpty, build_batch_plan
 from repro.sparql.bridge import gpq_to_sparql
-from repro.sparql.engine import ask_text, select
+from repro.sparql.engine import ask_text, execute, explain, select
 from repro.sparql.parser import parse_query
-from repro.sparql.plan import (
-    BgpScan,
-    EmptyScan,
-    build_plan,
-    explain_plan,
-    select_rows,
-)
 from repro.workload.generators import random_graph
 from repro.workload.queries import random_queries
 
@@ -44,8 +38,7 @@ def reference_rows(graph, ast):
 
 
 def plan_rows(graph, ast):
-    node = translate_group(ast.where)
-    return select_rows(graph, node, ast.projected())
+    return set(execute(graph, ast).rows)
 
 
 def assert_equivalent(graph, text):
@@ -117,8 +110,8 @@ def test_uninterned_ground_term_prunes_to_empty(small_graph):
     text = "SELECT ?x WHERE { ?x <http://example.org/never-seen> ?y }"
     ast = parse_query(text)
     assert plan_rows(small_graph, ast) == reference_rows(small_graph, ast) == set()
-    plan = build_plan(small_graph, translate_group(ast.where))
-    assert isinstance(plan, EmptyScan)
+    plan = build_batch_plan(small_graph, translate_group(ast.where))
+    assert isinstance(plan, BatchEmpty)
 
 
 def test_filter_with_uninterned_constant(small_graph):
@@ -229,8 +222,8 @@ def test_bgp_orders_selective_conjunct_first():
         "?x <http://example.org/rare> ?h }"
     )
     ast = parse_query(text)
-    plan = build_plan(g, translate_group(ast.where))
-    assert isinstance(plan, BgpScan)
+    plan = build_batch_plan(g, translate_group(ast.where))
+    assert isinstance(plan, BatchBgp)
     assert plan.ordered[0].predicate == rare
     assert_equivalent(g, text)
 
@@ -240,10 +233,10 @@ def test_explain_plan_renders_tree(small_graph):
         "SELECT * WHERE { { ?x <http://example.org/p> ?y } UNION "
         "{ ?x <http://example.org/q> ?y } . ?x <http://example.org/r> ?w }"
     )
-    rendered = explain_plan(small_graph, translate_group(parse_query(text).where))
-    assert "Union" in rendered
-    assert "HashJoin" in rendered
-    assert "BgpScan" in rendered
+    rendered = explain(small_graph, text)
+    assert "BatchUnion" in rendered
+    assert "BatchJoin" in rendered
+    assert "BatchBgp" in rendered
 
 
 # ---------------------------------------------------------------------------
