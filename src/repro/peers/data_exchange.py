@@ -17,13 +17,18 @@ encode the peer mappings:
 The module also produces the *rewriting view* of the dependencies — the
 same TGDs with the ``rt`` guards dropped, valid under the paper's
 Section-4 assumption that sources contain no blank nodes ("for any D we
-have that D ⊨ ∀x rt(x)").
+have that D ⊨ ∀x rt(x)") — in two forms: :func:`rewriting_tgds`, the
+whole target set with six copy TGDs per equivalence (the relational
+reading, kept as the oracle), and :func:`quotient_tgds`, the assertion
+TGDs alone with every constant replaced by the representative of its
+``≡ₑ`` class, which is what the UCQ rewriter is given
+(:class:`repro.rewriting.redundancy.EquivalenceQuotient`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import TGDError
 from repro.gpq.query import GraphPatternQuery
@@ -52,6 +57,8 @@ __all__ = [
     "chase_via_data_exchange",
     "gpq_to_cq",
     "rewriting_tgds",
+    "quotient_atoms",
+    "quotient_tgds",
 ]
 
 TS = "ts"
@@ -245,14 +252,18 @@ class DataExchangeSetting:
         return self.source_to_target + self.target
 
 
+def _assertion_tgds(system: RPS, with_rt_guards: bool) -> List[TGD]:
+    return [
+        assertion_to_tgd(a, with_rt_guards, label=a.label or f"gma#{i}")
+        for i, a in enumerate(system.assertions)
+    ]
+
+
 def rps_to_data_exchange(
     system: RPS, with_rt_guards: bool = True
 ) -> DataExchangeSetting:
     """Encode the RPS as a data-exchange setting (Section 3)."""
-    assertion_tgds = [
-        assertion_to_tgd(a, with_rt_guards, label=a.label or f"gma#{i}")
-        for i, a in enumerate(system.assertions)
-    ]
+    assertion_tgds = _assertion_tgds(system, with_rt_guards)
     equivalence_tgds: List[TGD] = []
     for i, equivalence in enumerate(system.equivalences):
         equivalence_tgds.extend(
@@ -266,13 +277,52 @@ def rps_to_data_exchange(
 
 
 def rewriting_tgds(system: RPS) -> List[TGD]:
-    """Target dependencies without ``rt`` guards, for the rewriting engine.
+    """Target dependencies without ``rt`` guards: assertions, then six
+    copy TGDs per equivalence.
 
     Valid under the Section-4 assumption that sources are blank-free, in
-    which case ``∀x rt(x)`` holds and the guards are vacuous.
+    which case ``∀x rt(x)`` holds and the guards are vacuous.  This is
+    the relational reading of G ∪ E; the rewriter itself is given
+    :func:`quotient_tgds`, which coincides with it when E is empty.
     """
     setting = rps_to_data_exchange(system, with_rt_guards=False)
     return setting.target
+
+
+def quotient_atoms(
+    atoms: Iterable[Atom], representative: Mapping[Term, Term]
+) -> List[Atom]:
+    """The atoms with each constant replaced by its class representative."""
+    return [
+        Atom(
+            atom.predicate,
+            *(
+                Constant(representative.get(arg.value, arg.value))
+                if isinstance(arg, Constant)
+                else arg
+                for arg in atom.args
+            ),
+        )
+        for atom in atoms
+    ]
+
+
+def quotient_tgds(
+    system: RPS, representative: Mapping[Term, Term]
+) -> List[TGD]:
+    """The guard-free assertion TGDs over class representatives.
+
+    No copy TGD appears here: ``≡ₑ`` is a congruence, so G alone over
+    the quotient, expanded by class, gives what G ∪ E gives.
+    """
+    return [
+        TGD(
+            quotient_atoms(tgd.body, representative),
+            quotient_atoms(tgd.head, representative),
+            label=tgd.label,
+        )
+        for tgd in _assertion_tgds(system, with_rt_guards=False)
+    ]
 
 
 def target_instance_to_graph(instance: Instance, name: str = "") -> Graph:

@@ -8,14 +8,18 @@ the stored database*, no chase required.
 
 The pipeline:
 
-1. GPQ → relational BCQ over ``tt`` (Section-3 encoding);
-2. UCQ rewriting under the guard-free mapping TGDs
-   (:func:`repro.peers.data_exchange.rewriting_tgds`);
+1. GPQ → relational BCQ over ``tt`` (Section-3 encoding), its constants
+   replaced by the representatives of their ``≡ₑ`` classes;
+2. UCQ rewriting under the guard-free graph mapping assertion TGDs over
+   the same representatives — the equivalences reach the rewriter as
+   classes, never as copy TGDs
+   (:class:`repro.rewriting.redundancy.EquivalenceQuotient`);
 3. disjuncts translated back to triple patterns, rendered as SPARQL ASK
-   blocks (the ``ASK {{...} UNION {...}}`` shape of Listing 2) and
-   evaluated over the stored ``Graph`` by the columnar batch engine
-   (:func:`disjunct_id_rows`, shared with :mod:`repro.rewriting.perfect`)
-   — the stored database is never copied into a relational instance.
+   blocks (the ``ASK {{...} UNION {...}}`` shape of Listing 2, over
+   representatives) and evaluated over the quotient of the stored
+   ``Graph`` by the columnar batch engine (:func:`disjunct_id_rows`,
+   shared with :mod:`repro.rewriting.perfect`) — the stored database is
+   never copied into a relational instance.
 """
 
 from __future__ import annotations
@@ -33,14 +37,16 @@ from repro.sparql.bridge import sparql_to_gpq
 from repro.tgd.atoms import Atom, Constant, RelVar
 from repro.tgd.cq import ConjunctiveQuery, UnionOfCQs
 from repro.tgd.rewrite import RewriteResult, rewrite_ucq
-from repro.peers.data_exchange import TT, gpq_to_cq, rewriting_tgds
+from repro.peers.data_exchange import TT
 from repro.peers.system import RPS
+from repro.rewriting.redundancy import EquivalenceQuotient
 from repro.sparql.algebra import Bgp
 from repro.sparql.batch import select_id_rows_batch
 
 __all__ = [
     "BooleanRewriting",
     "rewrite_boolean_query",
+    "rewrite_over_quotient",
     "cq_to_ask_block",
     "disjunct_id_rows",
 ]
@@ -106,23 +112,30 @@ class BooleanRewriting:
 
     Attributes:
         original: the input Boolean graph pattern query.
-        ucq: the rewritten union of relational BCQs.
+        ucq: the rewritten union of relational BCQs, over class
+            representatives.
         stats: rewriting statistics.
+        quotient: the equivalence classes the rewriting was made under.
     """
 
     original: GraphPatternQuery
     ucq: UnionOfCQs
     stats: RewriteResult
+    quotient: EquivalenceQuotient
 
     def __len__(self) -> int:
         return len(self.ucq)
 
     def evaluate(self, stored: Graph) -> bool:
-        """Evaluate the union over the stored database (no chase).
+        """Evaluate the union over the stored database (no chase)."""
+        return self.holds_in(self.quotient.graph(stored))
+
+    def holds_in(self, quotient_graph: Graph) -> bool:
+        """Does some disjunct match the already-quotiented graph?
 
         Stops at the first disjunct that holds.
         """
-        return any(disjunct_id_rows(stored, cq.body) for cq in self.ucq)
+        return any(disjunct_id_rows(quotient_graph, cq.body) for cq in self.ucq)
 
     def to_sparql(self, nsm: Optional[NamespaceManager] = None) -> str:
         """The Listing-2 surface form: ``ASK {{...} UNION {...} ...}``."""
@@ -148,15 +161,32 @@ def rewrite_boolean_query(
 
     Raises:
         RewritingError: if the query is not Boolean, or the budget is
-            exhausted (non-FO-rewritable mapping sets — Proposition 3).
+            exhausted.
     """
     gpq = query if isinstance(query, GraphPatternQuery) else sparql_to_gpq(query, nsm)
-    if not gpq.is_boolean():
+    return rewrite_over_quotient(
+        EquivalenceQuotient(system), gpq, max_queries=max_queries
+    )
+
+
+def rewrite_over_quotient(
+    quotient: EquivalenceQuotient,
+    query: GraphPatternQuery,
+    max_queries: int = 20_000,
+) -> BooleanRewriting:
+    """Rewrite a Boolean query under an already-built quotient.
+
+    For callers that rewrite many queries against one system (the
+    tuple-check reduction rewrites once per candidate).
+    """
+    if not query.is_boolean():
         raise RewritingError(
-            "rewrite_boolean_query expects an arity-0 (ASK) query; "
+            "Boolean rewriting expects an arity-0 (ASK) query; "
             "use repro.rewriting.perfect for SELECT queries"
         )
-    bcq = gpq_to_cq(gpq, label="ask")
-    tgds = rewriting_tgds(system)
-    stats = rewrite_ucq(bcq, tgds, max_queries=max_queries)
-    return BooleanRewriting(original=gpq, ucq=stats.ucq, stats=stats)
+    stats = rewrite_ucq(
+        quotient.query(query, label="ask"), quotient.tgds, max_queries=max_queries
+    )
+    return BooleanRewriting(
+        original=query, ucq=stats.ucq, stats=stats, quotient=quotient
+    )

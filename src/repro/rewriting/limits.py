@@ -30,10 +30,10 @@ from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import Variable
 from repro.rdf.triples import Triple
 from repro.tgd.rewrite import RewriteResult, rewrite_ucq
-from repro.peers.data_exchange import gpq_to_cq, rewriting_tgds
 from repro.peers.mappings import GraphMappingAssertion
 from repro.peers.system import RPS
 from repro.rewriting.boolean import BooleanRewriting
+from repro.rewriting.redundancy import EquivalenceQuotient
 
 __all__ = [
     "CHAIN_NS",
@@ -99,13 +99,18 @@ def bounded_rewriting_answers(
     incomplete) Boolean verdict of the depth-``max_depth`` UCQ
     under-approximation, evaluated over the stored database.
     """
-    bcq = gpq_to_cq(query, label="ask")
-    tgds = rewriting_tgds(system)
+    quotient = EquivalenceQuotient(system)
     stats = rewrite_ucq(
-        bcq, tgds, max_queries=max_queries, max_depth=max_depth, strict=False
+        quotient.query(query, label="ask"),
+        quotient.tgds,
+        max_queries=max_queries,
+        max_depth=max_depth,
+        strict=False,
     )
-    rewriting = BooleanRewriting(original=query, ucq=stats.ucq, stats=stats)
-    return rewriting.evaluate(system.stored_database()), stats
+    rewriting = BooleanRewriting(
+        original=query, ucq=stats.ucq, stats=stats, quotient=quotient
+    )
+    return rewriting.holds_in(quotient.stored()), stats
 
 
 def rewriting_growth(
@@ -119,12 +124,16 @@ def rewriting_growth(
     For the transitive-closure system this grows without bound — the
     empirical face of Proposition 3.
     """
-    bcq = gpq_to_cq(query, label="ask")
-    tgds = rewriting_tgds(system)
+    quotient = EquivalenceQuotient(system)
+    bcq = quotient.query(query, label="ask")
     out: Dict[int, int] = {}
     for depth in depths:
         stats = rewrite_ucq(
-            bcq, tgds, max_queries=max_queries, max_depth=depth, strict=False
+            bcq,
+            quotient.tgds,
+            max_queries=max_queries,
+            max_depth=depth,
+            strict=False,
         )
         out[depth] = len(stats.ucq)
     return out

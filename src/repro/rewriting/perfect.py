@@ -8,9 +8,9 @@ Two complete strategies are provided for FO-rewritable mapping sets:
   is evaluated over the stored ``Graph`` by the columnar batch engine,
   projected on the ``_ans`` atom's variables.  Answer positions are
   read off the ID rows (blank-carrying rows dropped as integers),
-  constants that equivalence TGDs substituted into answer positions
-  are spliced in, and only the distinct surviving rows are decoded.
-  One rewriting, no candidate enumeration, no copy of the stored
+  constants that assertion TGDs substituted into answer positions are
+  spliced in, and only the distinct surviving rows are decoded.  One
+  rewriting, no candidate enumeration, no relational copy of the stored
   database.
 * :func:`certain_answers_by_tuple_check` — the paper's own Example-3
   reduction: enumerate candidate tuples, substitute each into the query,
@@ -19,17 +19,23 @@ Two complete strategies are provided for FO-rewritable mapping sets:
   paper; kept for fidelity and used by the E-P2 benchmark's baseline
   arm.
 
-Both agree with the chase on every FO-rewritable system
-(property-tested).
+Both work modulo ``≡ₑ``
+(:class:`repro.rewriting.redundancy.EquivalenceQuotient`): the rewriter
+sees the graph mapping assertions and the query over class
+representatives, the disjuncts are matched against the quotient of the
+stored database (the stored graph itself when E is empty), and each
+answer cell is expanded by its class at the boundary.  The un-expanded
+rows are Listing 1's "Result without redundancy".  Both agree with the
+chase on every FO-rewritable system (property-tested).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Set, Tuple, Union
 
-from repro.errors import RewritingError
+from repro.errors import NotRewritableError, RewritingError
 from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import NamespaceManager
@@ -40,9 +46,9 @@ from repro.tgd.classes import classify
 from repro.tgd.cq import ConjunctiveQuery
 from repro.tgd.rewrite import rewrite_ucq
 from repro.peers.certain_answers import blank_free_rows
-from repro.peers.data_exchange import gpq_to_cq, rewriting_tgds
 from repro.peers.system import RPS
-from repro.rewriting.boolean import disjunct_id_rows, rewrite_boolean_query
+from repro.rewriting.boolean import disjunct_id_rows, rewrite_over_quotient
+from repro.rewriting.redundancy import EquivalenceQuotient, canonical_map
 
 __all__ = [
     "ANS",
@@ -59,10 +65,11 @@ ANS = "_ans"
 def check_fo_rewritable(system: RPS) -> bool:
     """Does Proposition 2 syntactically apply to this system's mappings?
 
-    True when the guard-free mapping TGDs are linear, sticky or
+    True when the guard-free assertion TGDs — the set the rewriter is
+    given; equivalences reach it as classes — are linear, sticky or
     sticky-join.
     """
-    return classify(rewriting_tgds(system)).fo_rewritable_fragment()
+    return classify(EquivalenceQuotient(system).tgds).fo_rewritable_fragment()
 
 
 @dataclass
@@ -75,12 +82,16 @@ class RewritingAnswers:
         explored: CQs explored during rewriting.
         rewritings: number of rewriting runs (1 for the answer-atom
             method; |candidates| for the tuple-check method).
+        nonredundant: the answers before expansion by equivalence class
+            (one representative per class — Listing 1's "Result without
+            redundancy").
     """
 
     answers: Set[Tuple[Term, ...]]
     disjuncts: int = 0
     explored: int = 0
     rewritings: int = 1
+    nonredundant: Set[Tuple[Term, ...]] = field(default_factory=set)
 
 
 #: An answer row before decoding: a cell is a dictionary ID read off a
@@ -140,23 +151,27 @@ def certain_answers_by_rewriting(
             budget catch it.
 
     Raises:
-        RewritingError: outside the FO-rewritable fragment.
+        NotRewritableError: outside the FO-rewritable fragment.
+        RewritingError: the rewriting budget ran out.
     """
-    tgds = rewriting_tgds(system)
-    if require_fo_rewritable and not classify(tgds).fo_rewritable_fragment():
-        raise RewritingError(
+    quotient = EquivalenceQuotient(system)
+    if (
+        require_fo_rewritable
+        and not classify(quotient.tgds).fo_rewritable_fragment()
+    ):
+        raise NotRewritableError(
             "mapping TGDs are neither linear nor sticky; Proposition 2 "
             "does not apply (see Proposition 3) — use the chase instead"
         )
     gpq = query if isinstance(query, GraphPatternQuery) else sparql_to_gpq(query, nsm)
-    base = gpq_to_cq(gpq, label="q")
+    base = quotient.query(gpq, label="q")
     # Reify the head as a reserved body atom so rewriting can specialise
     # answer positions; the query becomes Boolean.
     ans_atom = Atom(ANS, *[RelVar(v.name) for v in gpq.head])
     reified = ConjunctiveQuery([], list(base.body) + [ans_atom], label="q_ans")
-    stats = rewrite_ucq(reified, tgds, max_queries=max_queries)
+    stats = rewrite_ucq(reified, quotient.tgds, max_queries=max_queries)
 
-    stored = system.stored_database()
+    stored = quotient.stored()
     cells: Set[_Cells] = set()
     for disjunct in stats.ucq:
         cells.update(_disjunct_cells(stored, disjunct))
@@ -166,23 +181,26 @@ def certain_answers_by_rewriting(
         for cell in set(itertools.chain.from_iterable(cells))
         if isinstance(cell, int)
     }
-    answers = {tuple([terms.get(c, c) for c in row]) for row in cells}
+    nonredundant = {tuple([terms.get(c, c) for c in row]) for row in cells}
     return RewritingAnswers(
-        answers=answers,
+        answers=quotient.expand(nonredundant),
         disjuncts=len(stats.ucq),
         explored=stats.explored,
         rewritings=1,
+        nonredundant=nonredundant,
     )
 
 
 def candidate_tuples(
     system: RPS, arity: int, max_candidates: int = 200_000
 ) -> List[Tuple[Term, ...]]:
-    """The paper's candidate space: k-tuples of constants.
+    """The paper's candidate space, one tuple per combination of classes.
 
     Candidates are drawn from the IRIs and literals of the stored
     database plus the constants mentioned in mappings (equivalence sides
-    and assertion-target IRIs) — every term a certain answer can contain.
+    and assertion-target IRIs) — every term a certain answer can contain
+    — each replaced by the representative of its ``≡ₑ`` class; expanding
+    the accepted tuples by class recovers the rest.
 
     Raises:
         RewritingError: if the Cartesian product exceeds the guard.
@@ -197,7 +215,11 @@ def candidate_tuples(
     for assertion in system.assertions:
         terms.update(assertion.target.iris())
         terms.update(assertion.target.pattern.literals())
-    universe = sorted(terms, key=lambda t: t.sort_key())
+    representative = canonical_map(system)
+    universe = sorted(
+        {representative.get(term, term) for term in terms},
+        key=lambda t: t.sort_key(),
+    )
     total = len(universe) ** arity if arity else 1
     if total > max_candidates:
         raise RewritingError(
@@ -216,13 +238,15 @@ def certain_answers_by_tuple_check(
 ) -> RewritingAnswers:
     """The paper's Example-3 reduction, verbatim.
 
-    Enumerate all candidate answer tuples, substitute each into the
-    query to obtain a Boolean query, rewrite it, and evaluate the union
-    over the stored database.
+    Enumerate all candidate answer tuples (over class representatives),
+    substitute each into the query to obtain a Boolean query, rewrite
+    it, evaluate the union over the quotient of the stored database,
+    and expand the accepted tuples by class.
     """
     gpq = query if isinstance(query, GraphPatternQuery) else sparql_to_gpq(query, nsm)
-    stored = system.stored_database()
-    answers: Set[Tuple[Term, ...]] = set()
+    quotient = EquivalenceQuotient(system)
+    stored = quotient.stored()
+    accepted: Set[Tuple[Term, ...]] = set()
     total_disjuncts = 0
     total_explored = 0
     candidates = candidate_tuples(system, gpq.arity, max_candidates)
@@ -232,17 +256,18 @@ def certain_answers_by_tuple_check(
             boolean_query = gpq.bind_tuple(candidate)
         except Exception:
             continue
-        rewriting = rewrite_boolean_query(
-            system, boolean_query, max_queries=max_queries
+        rewriting = rewrite_over_quotient(
+            quotient, boolean_query, max_queries=max_queries
         )
         rewritings += 1
         total_disjuncts += len(rewriting)
         total_explored += rewriting.stats.explored
-        if rewriting.evaluate(stored):
-            answers.add(candidate)
+        if rewriting.holds_in(stored):
+            accepted.add(candidate)
     return RewritingAnswers(
-        answers=answers,
+        answers=quotient.expand(accepted),
         disjuncts=total_disjuncts,
         explored=total_explored,
         rewritings=rewritings,
+        nonredundant=accepted,
     )

@@ -4,6 +4,12 @@ Provides evaluation over instances, homomorphism-based containment, the
 canonical (frozen) database, core minimisation, and canonical renaming
 for duplicate elimination — everything the UCQ rewriting engine of
 Section 4 needs.
+
+Containment is the expensive part: a query's canonical database is
+built on its first containment test and kept on the (immutable) query,
+and :meth:`UnionOfCQs.deduplicate` searches for a homomorphism only
+between pairs whose :meth:`ConjunctiveQuery.containment_signature`
+allows one.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ class ConjunctiveQuery:
         TGDError: if the body is empty or a head variable is unsafe.
     """
 
-    __slots__ = ("head", "body", "label", "_hash")
+    __slots__ = ("head", "body", "label", "_hash", "_frozen")
 
     def __init__(
         self,
@@ -51,6 +57,7 @@ class ConjunctiveQuery:
         object.__setattr__(self, "body", body_tuple)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_hash", hash((head_tuple, frozenset(body_tuple))))
+        object.__setattr__(self, "_frozen", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ConjunctiveQuery is immutable")
@@ -120,14 +127,35 @@ class ConjunctiveQuery:
     def freeze(self) -> Tuple[Instance, Tuple[RelTerm, ...]]:
         """The canonical database: variables become fresh constants.
 
-        Returns the frozen instance and the image of the head.
+        Returns the frozen instance and the image of the head.  Built on
+        the first call and shared by later ones: read it, do not add to
+        it.
         """
-        mapping: Dict[RelVar, RelTerm] = {
-            v: Constant(("frozen", v.name)) for v in self.variables()
-        }
-        frozen = Instance(atom.substitute(mapping) for atom in self.body)
-        head_image = tuple(mapping[v] for v in self.head)
-        return frozen, head_image
+        if self._frozen is None:
+            mapping: Dict[RelVar, RelTerm] = {
+                v: Constant(("frozen", v.name)) for v in self.variables()
+            }
+            frozen = Instance(atom.substitute(mapping) for atom in self.body)
+            head_image = tuple(mapping[v] for v in self.head)
+            object.__setattr__(self, "_frozen", (frozen, head_image))
+        return self._frozen
+
+    def containment_signature(self) -> FrozenSet[Tuple]:
+        """What a homomorphism into this query's body can rely on.
+
+        The relations of the body (with arity) and every constant at its
+        position.  ``self ⊆ other`` needs a homomorphism from ``other``
+        into the frozen ``self``, which maps relations and constants to
+        themselves, so it needs ``other``'s signature to be a subset of
+        ``self``'s — a necessary condition, checked without a search.
+        """
+        signature: Set[Tuple] = set()
+        for atom in self.body:
+            signature.add((atom.predicate, atom.arity))
+            for position, arg in enumerate(atom.args):
+                if isinstance(arg, Constant):
+                    signature.add((atom.predicate, position, arg))
+        return frozenset(signature)
 
     def is_contained_in(self, other: "ConjunctiveQuery") -> bool:
         """Classical CQ containment: ``self ⊆ other``.
@@ -286,7 +314,12 @@ class UnionOfCQs:
         return any(cq.holds_in(instance) for cq in self.disjuncts)
 
     def deduplicate(self) -> "UnionOfCQs":
-        """Remove duplicates (up to renaming) and strictly-contained CQs."""
+        """Remove duplicates (up to renaming) and strictly-contained CQs.
+
+        A disjunct goes when another one contains it; of two equivalent
+        disjuncts the earlier stays.  Only pairs whose signatures allow a
+        homomorphism are searched for one.
+        """
         unique: List[ConjunctiveQuery] = []
         seen = set()
         for cq in self.disjuncts:
@@ -294,20 +327,21 @@ class UnionOfCQs:
             if key not in seen:
                 seen.add(key)
                 unique.append(cq)
-        kept: List[ConjunctiveQuery] = []
-        for i, cq in enumerate(unique):
-            redundant = False
-            for j, other in enumerate(unique):
-                if i == j:
-                    continue
-                if cq.is_contained_in(other):
-                    # On mutual containment, keep the earlier one only.
-                    if other.is_contained_in(cq) and i < j:
-                        continue
-                    redundant = True
-                    break
-            if not redundant:
-                kept.append(cq)
+        signatures = [cq.containment_signature() for cq in unique]
+
+        def contained(i: int, j: int) -> bool:
+            return signatures[j] <= signatures[i] and unique[i].is_contained_in(
+                unique[j]
+            )
+
+        kept = [
+            cq
+            for i, cq in enumerate(unique)
+            if not any(
+                j != i and contained(i, j) and not (i < j and contained(j, i))
+                for j in range(len(unique))
+            )
+        ]
         return UnionOfCQs(kept, label=self.label)
 
     def __repr__(self) -> str:

@@ -13,12 +13,14 @@ Pipeline:
    chain of auxiliary predicates (the logspace transformation the GOP
    paper describes).  Auxiliary atoms are internal: disjuncts still
    mentioning them at the end are discarded.
-2. **Rewriting step** — unify a query atom with a (renamed-apart) TGD
-   head under the *applicability* condition: classes of the unifier that
-   touch an existential head variable may contain only that existential
-   variable and non-shared query variables (no constants, no second
-   existential, no frontier variable).  The atom is then replaced by the
-   TGD body under the unifier.
+2. **Rewriting step** — unify a query atom with a TGD head under the
+   *applicability* condition: classes of the unifier that touch an
+   existential head variable may contain only that existential variable
+   and non-shared query variables (no constants, no second existential,
+   no frontier variable).  The atom is then replaced by the TGD body
+   under the unifier.  The TGDs are renamed apart from the input query
+   once per call and indexed by the constants of their head, so an
+   atom only meets the heads its own constants do not rule out.
 3. **Factorisation step** — two body atoms sharing a variable at an
    existential position of some TGD head are unified into one, producing
    a more specific (hence sound) disjunct that enables further rewriting
@@ -27,16 +29,29 @@ Pipeline:
    renaming; a query budget bounds non-terminating inputs.
 
 Termination is guaranteed for linear and sticky TGD sets (the
-Proposition-2 fragment); for other sets the budget raises
-:class:`~repro.errors.RewritingError` — Proposition 3 shows genuine
-non-FO-rewritability for general RPS mappings.
+Proposition-2 fragment).  An exhausted budget raises
+:class:`~repro.errors.RewritingError` and says only that: whether the
+set is first-order rewritable at all is for
+:func:`repro.tgd.classes.classify` to say, and callers that know it is
+not raise :class:`~repro.errors.NotRewritableError` before rewriting.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import RewritingError
 from repro.tgd.atoms import Atom, Constant, RelTerm, RelVar
@@ -52,8 +67,6 @@ AUX_PREFIX = "_aux_"
 # Head decomposition
 # ---------------------------------------------------------------------------
 
-_DECOMPOSE_COUNTER = [0]
-
 
 def decompose_heads(tgds: Sequence[TGD]) -> List[TGD]:
     """Normalise TGDs to single-head, single-existential-occurrence form.
@@ -68,10 +81,12 @@ def decompose_heads(tgds: Sequence[TGD]) -> List[TGD]:
         auxₖ(x, z₁…zₖ)      →  hᵢ          (one full TGD per head atom)
 
     where x is the frontier.  TGDs already in normal form pass through
-    unchanged.  Auxiliary predicate names start with :data:`AUX_PREFIX`
-    and must not occur in user queries.
+    unchanged.  Auxiliary predicate names start with :data:`AUX_PREFIX`,
+    are numbered within this call (equal input, equal output) and must
+    not occur in user queries.
     """
     out: List[TGD] = []
+    decomposed = 0
     for tgd in tgds:
         existentials = sorted(tgd.existential_variables(), key=lambda v: v.name)
         single_existential_once = False
@@ -86,8 +101,8 @@ def decompose_heads(tgds: Sequence[TGD]) -> List[TGD]:
         if single_existential_once:
             out.append(tgd)
             continue
-        _DECOMPOSE_COUNTER[0] += 1
-        stem = f"{AUX_PREFIX}{_DECOMPOSE_COUNTER[0]}"
+        decomposed += 1
+        stem = f"{AUX_PREFIX}{decomposed}"
         frontier = sorted(tgd.frontier(), key=lambda v: v.name)
         carried: List[RelVar] = list(frontier)
         previous_body: Tuple[Atom, ...] = tgd.body
@@ -174,33 +189,103 @@ def _unify_positionwise(a: Atom, b: Atom) -> Optional[_UnionFind]:
 # ---------------------------------------------------------------------------
 
 
+class _Rule:
+    """One normalised TGD, renamed apart once for a whole rewriting run.
+
+    The variable sets every rewriting step asks for are read off the
+    TGD here, once; ``order`` is the TGD's place in the normalised list,
+    which fixes the order attempts are made in.
+    """
+
+    __slots__ = (
+        "order",
+        "head",
+        "body",
+        "variables",
+        "existentials",
+        "frontier",
+        "local",
+    )
+
+    def __init__(self, order: int, tgd: TGD) -> None:
+        self.order = order
+        self.head = tgd.head[0]
+        self.body = tgd.body
+        self.variables = tgd.body_variables() | tgd.head_variables()
+        self.existentials = tgd.existential_variables()
+        self.frontier = tgd.frontier()
+        #: Body variables the head does not mention: each application
+        #: introduces them under fresh names.
+        self.local = sorted(
+            tgd.body_variables() - self.frontier, key=lambda v: v.name
+        )
+
+
+class _HeadIndex:
+    """Rules by head relation, then by the constants of their head.
+
+    A query atom unifies with a head only if no position holds two
+    different constants.  Heads are grouped by *which* positions are
+    ground, then keyed by the constants there, so an atom that is ground
+    on those positions finds its heads by one lookup and the heads whose
+    constants clash with it are never unified, let alone renamed.
+    """
+
+    def __init__(self, rules: Sequence[_Rule]) -> None:
+        self._groups: Dict[
+            Tuple[str, int],
+            Dict[Tuple[int, ...], Dict[Tuple[RelTerm, ...], List[_Rule]]],
+        ] = {}
+        for rule in rules:
+            head = rule.head
+            ground = [
+                i for i, arg in enumerate(head.args) if isinstance(arg, Constant)
+            ]
+            self._groups.setdefault((head.predicate, head.arity), {}).setdefault(
+                tuple(ground), {}
+            ).setdefault(tuple(head.args[i] for i in ground), []).append(rule)
+
+    def candidates(self, atom: Atom) -> Iterator[_Rule]:
+        """The rules whose head constants do not clash with ``atom``'s."""
+        groups = self._groups.get((atom.predicate, atom.arity), {})
+        for positions, by_constants in groups.items():
+            probe = tuple(atom.args[i] for i in positions)
+            if all(isinstance(arg, Constant) for arg in probe):
+                yield from by_constants.get(probe, ())
+                continue
+            for constants, rules in by_constants.items():
+                if all(
+                    arg == constant or not isinstance(arg, Constant)
+                    for arg, constant in zip(probe, constants)
+                ):
+                    yield from rules
+
+
 def _build_substitution(
-    uf: _UnionFind,
+    classes: Dict[RelTerm, Set[RelTerm]],
     answer_vars: Set[RelVar],
-) -> Optional[Dict[RelVar, RelTerm]]:
+    rule_vars: FrozenSet[RelVar] = frozenset(),
+) -> Dict[RelVar, RelTerm]:
     """Choose representatives: constant > answer var > other variable.
 
-    Returns None when two answer variables... never fails here; failures
-    are handled by the applicability filter.
+    Variables of the applied rule never represent a class (each class of
+    a head unifier holds a term of the query atom), so no rule variable
+    survives into the rewritten query.
     """
     substitution: Dict[RelVar, RelTerm] = {}
-    for root, members in uf.classes().items():
+    for members in classes.values():
         rep: RelTerm
         constants = [m for m in members if isinstance(m, Constant)]
         if constants:
             rep = constants[0]
         else:
-            answer_members = sorted(
-                (m for m in members if m in answer_vars),
+            variables = [
+                m for m in members if isinstance(m, RelVar) and m not in rule_vars
+            ]
+            rep = min(
+                [m for m in variables if m in answer_vars] or variables,
                 key=lambda v: v.name,
             )
-            if answer_members:
-                rep = answer_members[0]
-            else:
-                rep = sorted(
-                    (m for m in members if isinstance(m, RelVar)),
-                    key=lambda v: v.name,
-                )[0]
         for member in members:
             if isinstance(member, RelVar) and member != rep:
                 substitution[member] = rep
@@ -208,10 +293,10 @@ def _build_substitution(
 
 
 def _applicable(
-    query: ConjunctiveQuery,
-    atom: Atom,
-    tgd: TGD,
-    uf: _UnionFind,
+    shared: FrozenSet[RelVar],
+    answer_vars: Set[RelVar],
+    rule: _Rule,
+    classes: Dict[RelTerm, Set[RelTerm]],
 ) -> bool:
     """GOP applicability: existential classes are clean.
 
@@ -219,64 +304,61 @@ def _applicable(
     consist of that variable (once) plus non-shared query variables only.
     Answer variables must not be bound to constants.
     """
-    shared = query.shared_variables()
-    existentials = tgd.existential_variables()
-    frontier = tgd.frontier()
-    query_vars = query.variables()
-    classes = uf.classes()
+    existentials, frontier = rule.existentials, rule.frontier
     for members in classes.values():
         exist_members = [m for m in members if m in existentials]
         if exist_members:
             if len(exist_members) > 1:
                 return False
-            if any(isinstance(m, Constant) for m in members):
-                return False
-            if any(m in frontier for m in members):
-                return False
             for member in members:
                 if member in exist_members:
                     continue
-                if not isinstance(member, RelVar):
+                if (
+                    not isinstance(member, RelVar)
+                    or member in frontier
+                    or member in shared
+                ):
                     return False
-                if member in query_vars and member in shared:
-                    return False
-        else:
+        elif any(isinstance(m, Constant) for m in members) and any(
+            m in answer_vars for m in members
+        ):
             # Answer variables must survive as variables.
-            if any(isinstance(m, Constant) for m in members) and any(
-                isinstance(m, RelVar) and m in set(query.head) for m in members
-            ):
-                return False
+            return False
     return True
 
 
+def _distinct(atoms: Iterable[Atom]) -> List[Atom]:
+    """The atoms without repeats, first occurrences in order."""
+    return list(dict.fromkeys(atoms))
+
+
 def _rewrite_step(
-    query: ConjunctiveQuery, atom: Atom, tgd: TGD
+    query: ConjunctiveQuery,
+    shared: FrozenSet[RelVar],
+    atom: Atom,
+    rule: _Rule,
+    fresh: Iterator[RelVar],
 ) -> Optional[ConjunctiveQuery]:
-    """Replace ``atom`` by the TGD body when the head unifies applicably."""
-    renamed = rename_apart(tgd, query.variables())
-    uf = _unify_positionwise(atom, renamed.head[0])
+    """Replace ``atom`` by the rule's body when the head unifies applicably.
+
+    ``shared`` is ``query.shared_variables()``, computed once per query;
+    ``fresh`` supplies the names the rule's body-only variables take in
+    the rewritten query.
+    """
+    uf = _unify_positionwise(atom, rule.head)
     if uf is None:
         return None
-    if not _applicable(query, atom, renamed, uf):
+    classes = uf.classes()
+    answer_vars = set(query.head)
+    if not _applicable(shared, answer_vars, rule, classes):
         return None
-    substitution = _build_substitution(uf, set(query.head))
-    if substitution is None:
-        return None
-    new_body: List[Atom] = [
-        a.substitute(substitution) for a in query.body if a != atom
-    ]
-    new_body.extend(a.substitute(substitution) for a in renamed.body)
-    # Remove duplicate atoms while preserving order.
-    deduped: List[Atom] = []
-    seen_atoms: Set[Atom] = set()
-    for a in new_body:
-        if a not in seen_atoms:
-            seen_atoms.add(a)
-            deduped.append(a)
+    substitution = _build_substitution(classes, answer_vars, rule.variables)
+    for var in rule.local:
+        substitution[var] = next(fresh)
+    new_body = [a.substitute(substitution) for a in query.body if a != atom]
+    new_body.extend(a.substitute(substitution) for a in rule.body)
     head = [substitution.get(v, v) for v in query.head]
-    if any(not isinstance(h, RelVar) for h in head):
-        return None
-    return ConjunctiveQuery(head, deduped, label=query.label)
+    return ConjunctiveQuery(head, _distinct(new_body), label=query.label)
 
 
 def _existential_positions(tgds: Sequence[TGD]) -> Dict[str, Set[int]]:
@@ -314,19 +396,11 @@ def _factorize_step(
     uf = _unify_positionwise(a1, a2)
     if uf is None:
         return None
-    substitution = _build_substitution(uf, set(query.head))
-    if substitution is None:
-        return None
+    substitution = _build_substitution(uf.classes(), set(query.head))
     head = [substitution.get(v, v) for v in query.head]
     if any(not isinstance(h, RelVar) for h in head):
         return None
-    new_body: List[Atom] = []
-    seen_atoms: Set[Atom] = set()
-    for a in query.body:
-        image = a.substitute(substitution)
-        if image not in seen_atoms:
-            seen_atoms.add(image)
-            new_body.append(image)
+    new_body = _distinct(a.substitute(substitution) for a in query.body)
     return ConjunctiveQuery(head, new_body, label=query.label)
 
 
@@ -381,9 +455,7 @@ def rewrite_ucq(
 
     Raises:
         RewritingError: when ``strict`` and the budget is exhausted
-            before the rewriting closure is complete (expected exactly
-            when the TGD set is outside the terminating fragment —
-            Proposition 3).
+            before the rewriting closure is complete.
     """
     for atom in query.body:
         if atom.predicate.startswith(AUX_PREFIX):
@@ -392,6 +464,22 @@ def rewrite_ucq(
             )
     normalised = decompose_heads(tgds)
     existential_positions = _existential_positions(normalised)
+    # Every explored query draws its variables from the input query's
+    # and from ``fresh``; the rules are renamed away from the former
+    # here, once, and the prefix keeps the latter away from both.
+    taken = query.variables()
+    rules = [
+        _Rule(order, rename_apart(tgd, taken))
+        for order, tgd in enumerate(normalised)
+    ]
+    reserved = {v.name for v in taken}.union(
+        v.name for rule in rules for v in rule.variables
+    )
+    prefix = "_v"
+    while any(name.startswith(prefix) for name in reserved):
+        prefix += "_"
+    fresh = (RelVar(f"{prefix}{n}") for n in itertools.count())
+    index = _HeadIndex(rules)
 
     result_queries: List[ConjunctiveQuery] = []
     seen: Set[Tuple] = set()
@@ -405,9 +493,8 @@ def rewrite_ucq(
         if len(seen) >= max_queries:
             if strict:
                 raise RewritingError(
-                    f"rewriting exceeded the budget of {max_queries} queries; "
-                    "the TGD set is likely not first-order rewritable "
-                    "(cf. Proposition 3)"
+                    f"rewriting exceeded the budget of {max_queries} queries "
+                    f"({stats.explored} explored)"
                 )
             stats.complete = False
             return
@@ -422,17 +509,22 @@ def rewrite_ucq(
         if max_depth is not None and depth >= max_depth:
             stats.complete = False
             continue
-        # Rewriting steps.
-        for tgd in normalised:
-            for atom in current.body:
-                if atom.predicate != tgd.head[0].predicate:
-                    continue
-                rewritten = _rewrite_step(current, atom, tgd)
-                if rewritten is not None:
-                    stats.rewrite_steps += 1
-                    push(rewritten, depth + 1)
-        # Factorisation steps (do not consume rewrite depth).
+        # Rewriting steps, rule by rule and atom by atom within a rule.
         body = current.body
+        shared = current.shared_variables()
+        attempts = sorted(
+            (rule.order, position)
+            for position, atom in enumerate(body)
+            for rule in index.candidates(atom)
+        )
+        for order, position in attempts:
+            rewritten = _rewrite_step(
+                current, shared, body[position], rules[order], fresh
+            )
+            if rewritten is not None:
+                stats.rewrite_steps += 1
+                push(rewritten, depth + 1)
+        # Factorisation steps (do not consume rewrite depth).
         for i in range(len(body)):
             for j in range(i + 1, len(body)):
                 factored = _factorize_step(
