@@ -117,10 +117,6 @@ class FederationError(ReproError):
     """Base class for federated-execution errors."""
 
 
-class SourceSelectionError(FederationError):
-    """No peer can answer a required triple pattern."""
-
-
 class EndpointError(FederationError):
     """A simulated endpoint rejected or failed a sub-query."""
 

@@ -21,10 +21,11 @@ over peer access points.  This package provides the simulated version:
   configuration, the per-execution :class:`FaultSession`, the
   :class:`RetryPolicy` (retries, exponential backoff, timeouts), and
   the :class:`PartialAnswer` provenance attached to degraded results;
-* :mod:`repro.federation.bindings` — the shared row-batch plumbing
-  (name-sorted schemas, ID-tuple rows with an origin column, dedup,
-  projection, domain-aware hash/left joins, compiled FILTER splitting)
-  both the operator layer and the executor use;
+* :mod:`repro.federation.bindings` — what the federation adds to the
+  local engine's :class:`~repro.sparql.batch.Batch` (name-sorted
+  schemas, keep-first dedup on row tuples, the bound-join batch order,
+  compiled FILTER splitting); joins, left joins and FILTER masks are
+  the kernels of :mod:`repro.sparql.batch`;
 * :mod:`repro.federation.plan` — the physical-operator layer: streaming
   operators (``RemoteScan``, ``BoundJoinStream`` with pipelined
   batches, ``ExclusiveGroupScan``, ``PullScan``, ``LocalHashJoin``,

@@ -70,7 +70,7 @@ __all__ = ["CostModel", "Decision", "EndpointStats", "Estimate"]
 BOUND_SELECTIVITY = 8.0
 
 #: Estimated fraction of solutions surviving one pushed-down FILTER
-#: (mirrors the single-graph planner's halving in ``FilterScan``).
+#: (mirrors the single-graph planner's halving in ``BatchFilter``).
 #: Ship/bound sub-queries benefit; a pulled relation travels unfiltered.
 FILTER_SELECTIVITY = 0.5
 

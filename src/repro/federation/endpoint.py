@@ -3,13 +3,13 @@
 A :class:`PeerEndpoint` stands in for one peer's remote SPARQL endpoint.
 It answers conjunctions of triple patterns — optionally *bound* by a
 batch of partial solutions, the wire format of FedX-style bound joins —
-directly at the dictionary-ID level and in the federation layer's row
-currency (ID tuples under a name-sorted schema, see
-:mod:`repro.federation.bindings`), so the federated executor can join
-peer answers on integers exactly like the local engine does.
-Sub-queries may carry compiled FILTER predicates: the endpoint applies
-them to every candidate solution *before* it travels, which is how
-FILTER pushdown saves transfer volume.  The endpoint itself does no
+directly at the dictionary-ID level: a :class:`~repro.sparql.batch.
+Batch` goes in and a :class:`~repro.sparql.batch.Batch` comes out,
+extended by the batch engine's own probe kernel, so the federated
+executor joins peer answers on integer columns exactly like the local
+engine does.  Sub-queries may carry compiled FILTER masks: the endpoint
+applies them to the candidate solutions *before* they travel, which is
+how FILTER pushdown saves transfer volume.  The endpoint itself does no
 network accounting; the executor charges every call against its
 :class:`~repro.federation.network.NetworkModel`.
 
@@ -36,19 +36,15 @@ from typing import Iterable, List, Optional, Sequence
 from repro.federation.bindings import (
     CompiledFilter,
     IDBinding,
-    Row,
-    Schema,
-    accepted,
-    as_rows,
+    as_batch,
     bindings_of,
-    schema_of,
 )
 from repro.gpq.evaluation import compile_conjunct
 from repro.rdf.dictionary import IDTriple
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Variable
 from repro.rdf.triples import TriplePattern
-from repro.sparql.batch import extend_bindings_batch
+from repro.sparql.batch import Batch, extend_bindings_batch, passing_rows
 
 __all__ = ["PeerEndpoint"]
 
@@ -84,56 +80,44 @@ class PeerEndpoint:
     def solutions(
         self,
         patterns: Sequence[TriplePattern],
-        schema: Schema,
-        rows: List[Row],
-        out_schema: Schema,
+        batch: Batch,
         filters: Sequence[CompiledFilter] = (),
-    ) -> List[Row]:
+    ) -> Batch:
         """One sub-query: a conjunction bound by a batch of partial
         solutions, answered in one round trip.
 
-        ``rows`` (under ``schema``) is the batch that travels with the
-        request — the single empty row for an unbound sub-query, a
-        bound join's batch otherwise (a UNION of instantiated patterns
-        on a real endpoint).  Several ``patterns`` are a FedX exclusive
+        ``batch`` is what travels with the request — the single empty
+        row (``Batch.singleton()``) for an unbound sub-query, a bound
+        join's batch otherwise (a UNION of instantiated patterns on a
+        real endpoint).  Several ``patterns`` are a FedX exclusive
         group: the endpoint joins them locally and only the joined
         solutions travel.  Every returned row extends one input row
-        through *all* the patterns and is laid out under
-        ``out_schema``, which must be ``schema`` plus the patterns'
-        variables, name-sorted.  ``filters`` are pushed-down FILTERs;
+        through *all* the patterns — input-row major, matches in index
+        order; the answer's schema is ``batch.schema`` followed by the
+        patterns' new variables.  ``filters`` are pushed-down FILTERs;
         they see the *extended* rows, so filters over already-bound
         variables are decidable here, and rejected solutions never
         leave the endpoint.
         """
-        last = len(patterns) - 1
-        for position, tp in enumerate(patterns):
+        for tp in patterns:
             slots = compile_conjunct(self.graph, tp)
             if slots is None:
-                return []
-            if position == last:
-                extended = out_schema
-            else:
-                extended = schema_of(schema + tuple(tp.variables()))
-            rows, _ = extend_bindings_batch(
-                self.graph, slots, schema, rows, extended
-            )
-            if not rows:
-                return []
-            schema = extended
+                return Batch.empty()
+            batch, _ = extend_bindings_batch(self.graph, batch, slots)
+            if not batch.n:
+                return batch
         if not filters:
-            return rows
-        return [rows[i] for i in accepted(schema, rows, filters)]
+            return batch
+        keep = passing_rows(batch, [f.accept for f in filters])
+        return batch if len(keep) == batch.n else batch.gather(keep)
 
     def bound_solutions(
         self, tp: TriplePattern, batch: Iterable[IDBinding]
     ) -> List[IDBinding]:
-        """:meth:`solutions` of one pattern over dict bindings (the
-        surface the benchmark's endpoint probes call)."""
-        schema, rows = as_rows(list(batch))
-        out_schema = schema_of(schema + tuple(tp.variables()))
-        return bindings_of(
-            out_schema, self.solutions((tp,), schema, rows, out_schema)
-        )
+        """:meth:`solutions` of one pattern over dict bindings (kept
+        for the benchmark's endpoint probes, see
+        :mod:`repro.federation.bindings`)."""
+        return bindings_of(self.solutions((tp,), as_batch(list(batch))))
 
     # -- published statistics (free to read, like the peer schemas) -----
 

@@ -10,8 +10,8 @@ Queries are normalised (:func:`repro.sparql.bridge.sparql_to_branches`)
 into a union of conjunctive branches (each optionally carrying
 ``OPTIONAL`` left-join blocks).  UNION branches become independent
 per-endpoint sub-query pipelines; FILTER expressions are compiled once
-through the single-graph planner's machinery
-(:func:`repro.sparql.plan.compile_filter`) and pushed into the deepest
+by the batch engine's FILTER compiler
+(:func:`repro.sparql.batch.compile_mask`) and pushed into the deepest
 sub-query where they are decidable, so rejected rows never travel.
 
 Execution itself lives in the physical-operator layer
@@ -57,7 +57,9 @@ replayed into a makespan).  Five strategies, chosen per call:
 
 ``collect``
     The centralised baseline: dump every peer's database (one transfer
-    each), union locally, evaluate locally.
+    each) into the relation cache, then run the plan whose every
+    conjunct reads that cache — the same operators, no further
+    traffic.
 
 Solution modifiers (``ORDER BY``/``LIMIT``/``OFFSET``) and ``ASK``
 execute *federally*: an unordered ``LIMIT`` caps the interpreter's
@@ -112,19 +114,7 @@ from typing import (
 )
 
 from repro.errors import EndpointUnavailableError, FederationError
-from repro.federation.bindings import (
-    CompiledFilter,
-    IDBinding,
-    Row,
-    Schema,
-    accepted,
-    left_join_rows,
-    project_rows,
-    relayout,
-    schema_of,
-    split_filters,
-    unseen,
-)
+from repro.federation.bindings import CompiledFilter
 from repro.federation.cost import CostModel, Decision
 from repro.federation.endpoint import PeerEndpoint
 from repro.federation.faults import (
@@ -152,7 +142,6 @@ from repro.federation.plan import (
     issue_request,
 )
 from repro.federation.statistics import StatisticsCatalog
-from repro.gpq.evaluation import compile_conjunct
 from repro.gpq.query import GraphPatternQuery
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
@@ -170,11 +159,10 @@ from repro.runtime.control import (
 from repro.runtime.multi import QueryScheduler
 from repro.runtime.scheduler import DEFAULT_CONCURRENCY, OverlapScheduler
 from repro.sparql.ast import AskQuery, FilterExpr, OrderCondition, SelectQuery
-from repro.sparql.batch import extend_bindings_batch, top_k
+from repro.sparql.batch import Batch, column_rows, compile_mask
 from repro.sparql.bridge import ConjunctiveBranch, sparql_to_branches
 from repro.sparql.cache import PlanCache, nsm_fingerprint
 from repro.sparql.parser import parse_query
-from repro.sparql.plan import compile_filter
 
 __all__ = [
     "ADAPTIVE",
@@ -213,11 +201,11 @@ DEFAULT_BATCH_SIZE = 64
 
 @dataclass(frozen=True)
 class PreparedOptional:
-    """One OPTIONAL block with its filters compiled to ID predicates."""
+    """One OPTIONAL block with its filters compiled to column masks."""
 
     branches: Tuple[Tuple[Tuple[TriplePattern, ...],
                           Tuple[CompiledFilter, ...]], ...]
-    condition: Optional[Callable[[IDBinding], bool]] = None
+    condition: Optional[Callable[[Batch], List[bool]]] = None
 
 
 @dataclass(frozen=True)
@@ -619,69 +607,91 @@ class FederatedExecutor:
         self.catalog.begin_execution(stats)
         decisions: List[Decision] = []
         channels: Dict[str, ChannelStats] = {}
-        plans: Tuple[FedOp, ...] = ()
-        id_rows: Set[Tuple[Optional[int], ...]] = set()
         # A fresh session per execution: every run (and every strategy
         # of a run_all_strategies comparison) sees the same schedule.
         session: Optional[FaultSession] = (
             self.fault_model.session() if self.fault_model is not None
             else None
         )
-        unreachable: List[Unreachable] = []
-        modified = bool(
-            prepared.order
-            or prepared.limit is not None
-            or prepared.offset
-            or prepared.ask
-        )
-        if strategy == "collect":
-            union, unreachable = self._collect_union(stats, session, tracer)
-            solutions = [
-                self._evaluate_branch_local(union, branch)
-                for branch in prepared.branches
-            ]
-            if modified:
-                id_rows = self._modified_id_rows(solutions, prepared)
-            else:
-                for schema, rows in solutions:
-                    id_rows |= project_rows(schema, rows, prepared.head)
-        else:
-            scheduler: Optional[OverlapScheduler] = None
-            if strategy == PARALLEL:
-                scheduler = OverlapScheduler(
-                    concurrency=self.concurrency,
-                    max_in_flight=self.max_in_flight,
-                )
-            id_rows, plans, unreachable = self._record(
-                prepared,
-                strategy,
-                stats,
-                scheduler,
-                session,
-                decisions,
-                tracer=tracer,
-                analyze=analyze,
+        scheduler: Optional[OverlapScheduler] = None
+        if strategy == PARALLEL:
+            scheduler = OverlapScheduler(
+                concurrency=self.concurrency,
+                max_in_flight=self.max_in_flight,
             )
-            if scheduler is not None:
-                # Branch pipelines and fan-outs overlapped on the
-                # runtime; the replayed makespan is the execution's
-                # wall-clock-equivalent time (appended after any serial
-                # planning-time charges such as statistics refreshes).
-                stats.elapsed_seconds += scheduler.makespan()
-                channels = scheduler.channel_stats()
-                if tracer.enabled:
-                    _emit_runtime_spans(tracer, scheduler)
-        # Each distinct ID decodes once; rows then map cells in C.
-        term_of: Dict[Optional[int], Optional[Term]] = {None: None}
+        answer, plans, unreachable = self._record(
+            prepared,
+            strategy,
+            stats,
+            scheduler,
+            session,
+            decisions,
+            tracer=tracer,
+            analyze=analyze,
+        )
+        if scheduler is not None:
+            # Branch pipelines and fan-outs overlapped on the runtime;
+            # the replayed makespan is the execution's wall-clock-
+            # equivalent time (appended after any serial planning-time
+            # charges such as statistics refreshes).
+            stats.elapsed_seconds += scheduler.makespan()
+            channels = scheduler.channel_stats()
+            if tracer.enabled:
+                _emit_runtime_spans(tracer, scheduler)
+        if strategy == "collect":
+            plans = ()  # the baseline has no federated plan to show
+        return self._result(
+            strategy,
+            answer,
+            prepared.head,
+            {None: None},
+            stats,
+            decisions,
+            channels,
+            plans,
+            unreachable,
+        )
+
+    def _decode_rows(
+        self,
+        answer: Batch,
+        head: Tuple[Variable, ...],
+        term_of: Dict[Optional[int], Optional[Term]],
+    ) -> Set[Tuple[Optional[Term], ...]]:
+        """An answer batch as the set of term rows over ``head``.
+
+        ``term_of`` (start it as ``{None: None}``) memoises decoded
+        IDs, so each distinct ID decodes once — across every result
+        that shares the memo — and the columns map their cells in C;
+        term rows are the only row tuples the result boundary builds.
+        """
+        columns = answer.project(head)
         decode = self.dictionary.decode
-        for tid in set().union(*id_rows):
-            if tid is not None:
+        for tid in set().union(*columns):
+            if tid not in term_of:
                 term_of[tid] = decode(tid)
-        rows = {tuple(map(term_of.__getitem__, row)) for row in id_rows}
+        decoded = [list(map(term_of.__getitem__, col)) for col in columns]
+        return set(column_rows(decoded, answer.n))
+
+    def _result(
+        self,
+        strategy: str,
+        answer: Batch,
+        head: Tuple[Variable, ...],
+        term_of: Dict[Optional[int], Optional[Term]],
+        stats: NetworkStats,
+        decisions: List[Decision],
+        channels: Dict[str, ChannelStats],
+        plans: Tuple[FedOp, ...],
+        unreachable: List[Unreachable],
+    ) -> FederationResult:
+        """The one result boundary of :meth:`execute` and
+        :meth:`execute_concurrent`: decoded rows, and the partial-answer
+        flag when a contribution was dropped."""
         partial = PartialAnswer(tuple(unreachable)) if unreachable else None
         return FederationResult(
             strategy,
-            rows,
+            self._decode_rows(answer, head, term_of),
             stats,
             tuple(decisions),
             channels,
@@ -700,11 +710,7 @@ class FederatedExecutor:
         tracer=NULL_TRACER,
         analyze: bool = False,
         batch_size: Optional[int] = None,
-    ) -> Tuple[
-        Set[Tuple[Optional[int], ...]],
-        Tuple[FedOp, ...],
-        List[Unreachable],
-    ]:
+    ) -> Tuple[Batch, Tuple[FedOp, ...], List[Unreachable]]:
         """Plan and interpret one prepared query against the peers.
 
         The shared recording core of :meth:`_execute` (one query onto
@@ -712,7 +718,7 @@ class FederatedExecutor:
         :meth:`execute_concurrent` (N queries, each onto a tenant view
         of one shared :class:`~repro.runtime.multi.QueryScheduler`).
         Issues every simulated request against ``scheduler`` and
-        returns the ID-level answer rows, the executed plan roots and
+        returns the root's answer batch, the executed plan roots and
         the unreachable endpoints.  The *caller* owns makespan
         finalisation: under multi-tenancy the replay may only run after
         every tenant has recorded, so nothing here touches
@@ -751,6 +757,8 @@ class FederatedExecutor:
             analyze=analyze,
             batch_size=batch_size,
         )
+        if strategy == "collect":
+            self._collect_union(ctx)
         interp = PlanInterpreter(ctx)
         roots = [
             self._run_branch(
@@ -776,10 +784,7 @@ class FederatedExecutor:
             )
         else:
             root = ProjectDedupe(union_node, prepared.head)
-        id_rows = project_rows(
-            root.schema, interp.run(root).rows, prepared.head
-        )
-        return id_rows, (root,), ctx.unreachable
+        return interp.run(root).batch, (root,), ctx.unreachable
 
     def run_all_strategies(
         self,
@@ -984,7 +989,7 @@ class FederatedExecutor:
         Answers must be byte-identical across rounds; anything else is
         a planning bug and raises.
         """
-        decode = self.dictionary.decode
+        term_of: Dict[Optional[int], Optional[Term]] = {None: None}
         batch = self.batch_size
         rounds = 0
         best: Optional[ConcurrentResult] = None
@@ -1015,7 +1020,7 @@ class FederatedExecutor:
                     else None
                 )
                 decisions: List[Decision] = []
-                id_rows, plans, unreachable = self._record(
+                recording = self._record(
                     prepared,
                     strategy,
                     stats,
@@ -1025,37 +1030,27 @@ class FederatedExecutor:
                     batch_size=batch,
                 )
                 recorded.append(
-                    (name, stats, decisions, id_rows, plans, unreachable)
+                    (name, prepared.head, stats, decisions, recording)
                 )
             makespan = scheduler.run()
             outcomes: List[TenantOutcome] = []
-            for name, stats, decisions, id_rows, plans, unreachable in (
-                recorded
-            ):
+            for name, head, stats, decisions, recording in recorded:
+                answer, plans, unreachable = recording
                 span = scheduler.tenant_makespan(name)
                 stats.elapsed_seconds += span
-                rows = {
-                    tuple(
-                        None if tid is None else decode(tid) for tid in row
-                    )
-                    for row in id_rows
-                }
-                partial = (
-                    PartialAnswer(tuple(unreachable))
-                    if unreachable
-                    else None
-                )
                 outcomes.append(
                     TenantOutcome(
                         tenant=name,
-                        result=FederationResult(
+                        result=self._result(
                             strategy,
-                            rows,
+                            answer,
+                            head,
+                            term_of,
                             stats,
-                            tuple(decisions),
+                            decisions,
                             scheduler.tenant_channel_stats(name),
                             plans,
-                            partial=partial,
+                            unreachable,
                         ),
                         makespan=span,
                         admission_wait=scheduler.admission_wait(name),
@@ -1210,7 +1205,7 @@ class FederatedExecutor:
         optionals = []
         for block in branch.optionals:
             if block.expr is not None:
-                condition = compile_filter(graph, block.expr, sentinels)
+                condition = compile_mask(graph, block.expr, sentinels)
             else:
                 condition = None
             optionals.append(
@@ -1218,7 +1213,7 @@ class FederatedExecutor:
                     branches=tuple(
                         (
                             opt.patterns,
-                            self._compile_filters(
+                            self._compile_masks(
                                 opt.filters, graph, sentinels
                             ),
                         )
@@ -1229,19 +1224,19 @@ class FederatedExecutor:
             )
         return PreparedBranch(
             patterns=branch.patterns,
-            filters=self._compile_filters(branch.filters, graph, sentinels),
+            filters=self._compile_masks(branch.filters, graph, sentinels),
             optionals=tuple(optionals),
         )
 
     @staticmethod
-    def _compile_filters(
+    def _compile_masks(
         filters: Sequence[FilterExpr], graph: Graph, sentinels: Dict[Term, int]
     ) -> Tuple[CompiledFilter, ...]:
         return tuple(
             CompiledFilter(
                 expr,
                 frozenset(expr.variables()),
-                compile_filter(graph, expr, sentinels),
+                compile_mask(graph, expr, sentinels),
             )
             for expr in filters
         )
@@ -1263,6 +1258,8 @@ class FederatedExecutor:
         conjunctive block under the given strategy."""
         if not patterns:
             return InputNode(), filters
+        if strategy == "collect":
+            return self.planner.plan_local(patterns, filters)
         if strategy == "naive":
             return self.planner.plan_naive(patterns, filters)
         if strategy == "bound":
@@ -1369,154 +1366,31 @@ class FederatedExecutor:
 
     # -- centralised collect baseline -----------------------------------
 
-    def _collect_union(
-        self,
-        stats: NetworkStats,
-        session: Optional[FaultSession] = None,
-        tracer=NULL_TRACER,
-    ) -> Tuple[Graph, List[Unreachable]]:
-        """Dump every peer into one local graph (the collect baseline).
+    def _collect_union(self, ctx: ExecContext) -> None:
+        """Dump every peer into the relation cache (the collect baseline).
 
         Dumps go through the same fault/recovery funnel as federated
         sub-queries; an unreachable peer's database is simply missing
-        from the union, and the dropped dump is reported for the
+        from the cache, and the dropped dump is reported for the
         partial-answer flag.
         """
-        union = Graph(name="collected", dictionary=self.dictionary)
-        ctx = ExecContext(
-            self.network,
-            stats,
-            RelationCache(self.dictionary),
-            faults=session,
-            retry=self.retry_policy,
-            tracer=tracer,
-        )
         for endpoint in self.endpoints:
             try:
                 graph, _ = issue_request(
                     ctx,
                     endpoint,
                     lambda ep: ep.graph,
-                    lambda ep, g: self.network.charge_dump(
-                        stats, ep.name, len(g)
+                    lambda ep, g: ctx.network.charge_dump(
+                        ctx.stats, ep.name, len(g)
                     ),
                     label="collect",
                 )
             except EndpointUnavailableError as exc:
                 ctx.record_unreachable(exc.endpoint, "dump")
                 continue
-            union.add_all(graph)
-        return union, ctx.unreachable
-
-    def _evaluate_branch_local(
-        self, graph: Graph, branch: PreparedBranch
-    ) -> Tuple[Schema, List[Row]]:
-        """One branch of the collect baseline over the union graph, in
-        the operator layer's row currency (name-sorted schema, rows)."""
-        schema, rows, leftovers = self._evaluate_block_local(
-            graph, branch.patterns, list(branch.filters)
-        )
-        for block in branch.optionals:
-            if not rows:
-                break
-            optional_schema = schema_of(
-                var
-                for patterns, _ in block.branches
-                for tp in patterns
-                for var in tp.variables()
+            ctx.cache.add(
+                endpoint.name, None, graph.id_triples(), graph.dictionary
             )
-            optional_rows: List[Row] = []
-            seen: Set[Row] = set()
-            for patterns, filters in block.branches:
-                found_schema, found, rest = self._evaluate_block_local(
-                    graph, patterns, list(filters)
-                )
-                if rest:
-                    keep = accepted(found_schema, found, rest)
-                    found = [found[i] for i in keep]
-                found = relayout(found_schema, optional_schema)(found)
-                optional_rows.extend(unseen(found, seen))
-            joined: Set[Row] = set()
-            rows = [
-                row
-                for chunk, _, _ in left_join_rows(
-                    schema,
-                    rows,
-                    optional_schema,
-                    optional_rows,
-                    block.condition,
-                )
-                for row in unseen(chunk, joined)
-            ]
-            schema = schema_of(schema + optional_schema)
-        if leftovers:
-            # Filters over OPTIONAL variables decide on the joined rows.
-            rows = [rows[i] for i in accepted(schema, rows, leftovers)]
-        return schema, rows
-
-    @staticmethod
-    def _evaluate_block_local(
-        graph: Graph,
-        patterns: Sequence[TriplePattern],
-        filters: List[CompiledFilter],
-    ) -> Tuple[Schema, List[Row], List[CompiledFilter]]:
-        """A conjunctive block, one columnar conjunct step at a time.
-
-        :func:`extend_bindings_batch` probes the index with selection
-        vectors instead of a per-row python loop, and is contractually
-        order-identical to the ``extend_id_bindings`` loop it replaced,
-        so the first-occurrence dedupe keeps the same representatives.
-        Filters apply as soon as they are decidable; the rest is
-        returned for the caller to apply.
-        """
-        schema: Schema = ()
-        rows: List[Row] = [()]
-        for tp in patterns:
-            slots = compile_conjunct(graph, tp)
-            if slots is None:
-                return schema, [], filters
-            extended = schema_of(schema + tuple(tp.variables()))
-            found, _ = extend_bindings_batch(
-                graph, slots, schema, rows, extended
-            )
-            schema, rows = extended, unseen(found, set())
-            ready, filters = split_filters(filters, set(schema))
-            if ready:
-                rows = [rows[i] for i in accepted(schema, rows, ready)]
-            if not rows:
-                break
-        return schema, rows, filters
-
-    def _modified_id_rows(
-        self,
-        solutions: List[Tuple[Schema, List[Row]]],
-        prepared: PreparedQuery,
-    ) -> Set[Tuple[Optional[int], ...]]:
-        """Apply solution modifiers to the collect baseline's solutions
-        (one ``(schema, rows)`` pair per branch).
-
-        Both cases are one :func:`~repro.sparql.batch.top_k`, the call
-        :class:`~repro.federation.plan.TopKNode` makes, so ordered
-        answer sets match the federated strategies; an unordered slice
-        takes the canonical-order window — a deterministic
-        representative of the many legal subsets.
-        """
-        head = prepared.head
-        if prepared.ask:
-            return {()} if any(rows for _, rows in solutions) else set()
-        order_vars = tuple(c.variable for c in prepared.order)
-        cells: List[Tuple[Optional[int], ...]] = []
-        for schema, rows in solutions:
-            cells.extend(project_rows(schema, rows, head + order_vars))
-        winners = top_k(
-            self.dictionary.ranks(),
-            head,
-            prepared.order,
-            cells,
-            prepared.offset,
-            prepared.limit,
-        )
-        return {cells[index][: len(head)] for index in winners}
 
 
 def _stats_registry(stats: NetworkStats) -> MetricsRegistry:

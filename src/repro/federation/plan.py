@@ -3,14 +3,16 @@
 PR 4 left the federation engine with four near-duplicate strategy
 monoliths inside the executor.  This module replaces them with a proper
 planner/operator split, mirroring the ID-native design of
-:mod:`repro.sparql.plan`:
+:mod:`repro.sparql.batch`:
 
-* **Operators** — small declarative nodes over *row batches*.  Every
-  node has a name-sorted ``schema``; the rows it produces are ID tuples
-  in schema order (``UNBOUND`` for a cell the row does not bind) with a
-  parallel *origin* column (see :mod:`repro.federation.bindings`), so
-  row identity is the tuple itself and deduplication, projection and
-  joins work by column position:
+* **Operators** — small declarative nodes over the local engine's
+  currency.  Every node has a name-sorted ``schema``; a chunk of its
+  output is a :class:`~repro.sparql.batch.Batch` under that schema
+  (``UNBOUND`` for a cell a row does not bind) with a parallel *origin*
+  list (see :mod:`repro.federation.bindings`).  Only source access is
+  federated; everything above it joins, left-joins and filters with
+  the kernels of :mod:`repro.sparql.batch` and merges origins from the
+  same selection vectors:
   :class:`RemoteScan` (unbound sub-query fan-out),
   :class:`ExclusiveGroupScan` (a FedX exclusive group fused into one
   endpoint-side sub-query), :class:`BoundJoinStream` (batched bound
@@ -55,8 +57,8 @@ plan is fixed before rows stream through it; the simulation's planning
 oracle sees counts the pipelined timeline only later "earns".
 
 **Demand propagation (PR 6, chunked since PR 12).**  Operators produce
-rows through generators that yield one *chunk* — a list of rows plus
-its origin column — per endpoint response or per local operator chunk;
+rows through generators that yield one *chunk* — a batch plus its
+origin list — per endpoint response or per local operator chunk;
 the interpreter wraps each node in a memoised :class:`_Stream` cursor
 that appends whole chunks to a materialised prefix, so a consumer asks
 for chunks only until it has the rows it needs and the cursor is
@@ -122,20 +124,15 @@ from typing import (
 
 from repro.errors import EndpointUnavailableError
 from repro.federation.bindings import (
+    CHUNK_ROWS,
     CompiledFilter,
-    IDBinding,
     Row,
     Schema,
-    accepted,
     canonical_key,
     fresh_rows,
-    has_unbound,
-    join_rows,
-    left_join_rows,
     relayout,
     schema_of,
     split_filters,
-    unseen,
 )
 from repro.federation.cost import (
     Decision,
@@ -151,7 +148,17 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql.ast import OrderCondition
-from repro.sparql.batch import UNBOUND, extend_bindings_batch, top_k
+from repro.sparql.batch import (
+    UNBOUND,
+    Batch,
+    column_rows,
+    extend_bindings_batch,
+    gather_pairs,
+    join_pairs,
+    left_join_pairs,
+    passing_rows,
+    top_k,
+)
 from repro.gpq.evaluation import compile_conjunct
 from repro.runtime.scheduler import RequestHandle, peak_overlap
 
@@ -488,9 +495,9 @@ def _batch_dependencies(origins: Sequence[_Origin]) -> _Origin:
     return tuple(handle for _, handle in sorted(merged.items()))
 
 
-#: One chunk of an operator's output: rows under the node's schema and
-#: the parallel origin column.
-_Chunk = Tuple[List[Row], List[_Origin]]
+#: One chunk of an operator's output: a batch under the node's schema
+#: and the parallel origin list.
+_Chunk = Tuple[Batch, List[_Origin]]
 
 #: An operator's row generator: yields chunks (one per endpoint
 #: response or local operator chunk) and returns the step's wave (every
@@ -511,8 +518,10 @@ class _Stream:
     reading it.
 
     Attributes:
-        rows: the produced rows so far (order is deterministic).
-        origins: per-row provenance, aligned with ``rows`` — the
+        batch: the produced rows so far, as one batch under the node's
+            schema whose columns grow chunk by chunk (order is
+            deterministic).
+        origins: per-row provenance, aligned with ``batch`` — the
             recorded request(s) whose completion makes the row
             available.  Empty tuples for locally produced rows and for
             serial interpretation.
@@ -520,29 +529,30 @@ class _Stream:
             what a wave-barrier dependent must wait for.
     """
 
-    __slots__ = ("_gen", "rows", "origins", "exhausted", "wave")
+    __slots__ = ("_gen", "batch", "origins", "exhausted", "wave")
 
-    def __init__(self, gen: _RowGen) -> None:
+    def __init__(self, gen: _RowGen, schema: Schema) -> None:
         self._gen = gen
-        self.rows: List[Row] = []
+        self.batch = Batch.empty(schema)
         self.origins: List[_Origin] = []
         self.exhausted = False
         self.wave: _Origin = ()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.batch.n
 
     def pull(self, demand: Optional[int] = None) -> None:
-        while not self.exhausted and (
-            demand is None or len(self.rows) < demand
-        ):
+        batch = self.batch
+        while not self.exhausted and (demand is None or batch.n < demand):
             try:
-                rows, origins = next(self._gen)
+                chunk, origins = next(self._gen)
             except StopIteration as stop:
                 self.exhausted = True
                 self.wave = stop.value or ()
             else:
-                self.rows.extend(rows)
+                for column, more in zip(batch.columns, chunk.columns):
+                    column.extend(more)
+                batch.n += chunk.n
                 self.origins.extend(origins)
 
 
@@ -576,8 +586,8 @@ def _observed(node: FedOp, ctx: ExecContext, gen: _RowGen) -> _RowGen:
                     rows_out=rows,
                 )
             return stop.value or ()
-        if chunk[0]:
-            rows += len(chunk[0])
+        if chunk[0].n:
+            rows += chunk[0].n
             if actuals is not None:
                 actuals["rows_out"] = rows
         yield chunk
@@ -589,10 +599,10 @@ def _chunks_of(stream: _Stream) -> Iterator[_Chunk]:
     pos = 0
     while True:
         stream.pull(pos + 1)
-        end = len(stream.rows)
+        end = len(stream)
         if pos >= end:
             return
-        yield stream.rows[pos:end], stream.origins[pos:end]
+        yield stream.batch.slice(pos, end), stream.origins[pos:end]
         pos = end
 
 
@@ -611,7 +621,7 @@ class FedOp:
     """
 
     kind = "FedOp"
-    #: The name-sorted variables naming the cells of every row the
+    #: The name-sorted variables naming the columns of every chunk the
     #: node produces.
     schema: Schema = ()
     decision: Optional[Decision] = None
@@ -619,6 +629,14 @@ class FedOp:
     #: EXPLAIN ANALYZE counters — ``None`` (analysis off, one attribute
     #: read on the hot path) or a per-node dict the interpreter attaches.
     actuals: Optional[Dict[str, int]] = None
+    #: True when the node's stream is duplicate-free by construction:
+    #: every row it emits has passed the node's own keep-first dedupe,
+    #: is one endpoint's whole answer (a set), or comes from a child
+    #: stream of which the same holds.  Building row tuples is the one
+    #: per-row cost left above the wire, so a consumer that would
+    #: dedupe the very same rows again (:class:`ProjectDedupe` keeping
+    #: every column) reads this instead.
+    distinct = False
 
     def children(self) -> Tuple["FedOp", ...]:
         return ()
@@ -657,9 +675,10 @@ class InputNode(FedOp):
     """The singleton seed: one empty row (a branch's starting Ω)."""
 
     kind = "Input"
+    distinct = True
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
-        yield [()], [()]
+        yield Batch.singleton(), [()]
         return ()
 
 
@@ -679,6 +698,7 @@ class RemoteScan(FedOp):
     """
 
     kind = "RemoteScan"
+    distinct = True
 
     def __init__(
         self,
@@ -710,10 +730,10 @@ class RemoteScan(FedOp):
                     ctx,
                     endpoint,
                     lambda ep: ep.solutions(
-                        self.patterns, (), [()], self.schema, self.pushed
+                        self.patterns, Batch.singleton(), self.pushed
                     ),
                     lambda ep, found: ctx.network.charge_query(
-                        ctx.stats, ep.name, len(found), serial=ctx.serial
+                        ctx.stats, ep.name, found.n, serial=ctx.serial
                     ),
                     deps=deps,
                     label=self.label,
@@ -729,8 +749,11 @@ class RemoteScan(FedOp):
                 handles.append(handle)
                 self.handles = tuple(handles)
                 origin = (handle,)
-            found = unseen(found, seen)
-            yield found, [origin] * len(found)
+            found, origins = relayout(found, self.schema), [origin] * found.n
+            if len(self.endpoints) > 1:
+                # One answer is a set already; two may overlap.
+                found, origins = fresh_rows(found, origins, seen)
+            yield found, origins
         return tuple(handles)
 
     def describe(self) -> str:
@@ -771,6 +794,7 @@ class BoundJoinStream(FedOp):
     """
 
     kind = "BoundJoinStream"
+    distinct = True
 
     def __init__(
         self,
@@ -798,39 +822,44 @@ class BoundJoinStream(FedOp):
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
 
-    def _chunks_eager(
-        self, ctx: ExecContext, interp: "PlanInterpreter"
-    ) -> Iterator[_Chunk]:
-        """PR 5's batching: drain the child, sort, chunk.
+    def _batch_order(
+        self, ctx: ExecContext, batch: Batch, origins: List[_Origin]
+    ) -> List[int]:
+        """Row indexes of the drained child in batching order.
 
         Batches form in canonical order: plain tuple order on fully
         bound rows (the schema is name-sorted), the explicit canonical
-        key when the input mixes domains.
+        key when the input mixes domains.  The row tuples exist only
+        for this sort.
         """
+        keys: List = list(batch.rows())
+        if any(UNBOUND in column for column in batch.columns):
+            keys = list(map(canonical_key(self.child.schema), keys))
+        if ctx.scheduler is None or not ctx.streaming:
+            return sorted(range(batch.n), key=keys.__getitem__)
+        # Rows from earlier-submitted upstream requests batch first:
+        # the simulated arrival order of a streaming consumer.
+        arrival: Dict[int, int] = {}
+        for origin in origins:
+            if id(origin) not in arrival:
+                arrival[id(origin)] = max(
+                    (handle.index for handle in origin), default=-1
+                )
+        return sorted(
+            range(batch.n),
+            key=lambda i: (arrival[id(origins[i])], keys[i]),
+        )
+
+    def _chunks_eager(
+        self, ctx: ExecContext, interp: "PlanInterpreter"
+    ) -> Iterator[_Chunk]:
+        """PR 5's batching: drain the child, sort, chunk."""
         child = interp.run(self.child)
-        rows, origins = child.rows, child.origins
-        if has_unbound(rows):
-            keys = list(map(canonical_key(self.child.schema), rows))
-        else:
-            keys = rows
-        if ctx.scheduler is not None and ctx.streaming:
-            # Rows from earlier-submitted upstream requests batch first:
-            # the simulated arrival order of a streaming consumer.
-            arrival: Dict[int, int] = {}
-            for origin in origins:
-                if id(origin) not in arrival:
-                    arrival[id(origin)] = max(
-                        (handle.index for handle in origin), default=-1
-                    )
-            order = sorted(
-                range(len(rows)),
-                key=lambda i: (arrival[id(origins[i])], keys[i]),
-            )
-        else:
-            order = sorted(range(len(rows)), key=keys.__getitem__)
+        batch, origins = child.batch, child.origins
+        order = self._batch_order(ctx, batch, origins)
         for start in range(0, len(order), self.batch_size):
-            batch = order[start : start + self.batch_size]
-            yield [rows[i] for i in batch], [origins[i] for i in batch]
+            picked = order[start : start + self.batch_size]
+            yield batch.gather(picked), [origins[i] for i in picked]
 
     def _chunks_lazy(
         self, ctx: ExecContext, interp: "PlanInterpreter"
@@ -844,10 +873,10 @@ class BoundJoinStream(FedOp):
         pos = 0
         while True:
             child.pull(pos + self.batch_size)
-            end = min(pos + self.batch_size, len(child.rows))
+            end = min(pos + self.batch_size, len(child))
             if pos >= end:
                 return
-            yield child.rows[pos:end], child.origins[pos:end]
+            yield child.batch.slice(pos, end), child.origins[pos:end]
             pos = end
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
@@ -866,7 +895,6 @@ class BoundJoinStream(FedOp):
             chunks = self._chunks_eager(ctx, interp)
         else:
             chunks = self._chunks_lazy(ctx, interp)
-        child_schema = self.child.schema
         handles: List[RequestHandle] = []
         seen: Set[Row] = set()
         for batch, batch_origins in chunks:
@@ -885,14 +913,10 @@ class BoundJoinStream(FedOp):
                         ctx,
                         endpoint,
                         lambda ep, batch=batch: ep.solutions(
-                            self.patterns,
-                            child_schema,
-                            batch,
-                            self.schema,
-                            self.pushed,
+                            self.patterns, batch, self.pushed
                         ),
                         lambda ep, found: ctx.network.charge_query(
-                            ctx.stats, ep.name, len(found), serial=ctx.serial
+                            ctx.stats, ep.name, found.n, serial=ctx.serial
                         ),
                         deps=deps,
                         label=self.label,
@@ -909,8 +933,9 @@ class BoundJoinStream(FedOp):
                     handles.append(handle)
                     self.handles = tuple(handles)
                     origin = (handle,)
-                found = unseen(found, seen)
-                yield found, [origin] * len(found)
+                yield fresh_rows(
+                    relayout(found, self.schema), [origin] * found.n, seen
+                )
         return tuple(handles)
 
     def describe(self) -> str:
@@ -939,6 +964,7 @@ class PullScan(FedOp):
     """
 
     kind = "PullScan"
+    distinct = True
 
     def __init__(
         self,
@@ -1012,18 +1038,14 @@ class PullScan(FedOp):
             # (downstream batching and dedupe are stream-order-
             # sensitive and message counts are gated).
             seen: Set[Row] = set()
-            for rows, origins in _chunks_of(child):
-                rows, sources = extend_bindings_batch(
-                    ctx.cache.graph,
-                    slots,
-                    self.child.schema,
-                    rows,
-                    self.schema,
+            for batch, origins in _chunks_of(child):
+                found, sources = extend_bindings_batch(
+                    ctx.cache.graph, batch, slots
                 )
                 origins = _origin_merger(origins, [self.handles])(
                     sources, [0] * len(sources)
                 )
-                yield fresh_rows(rows, origins, seen)
+                yield fresh_rows(relayout(found, self.schema), origins, seen)
         if self.handles:
             return self.handles
         return child.wave
@@ -1038,12 +1060,31 @@ class PullScan(FedOp):
         return line
 
 
+def _gathered(
+    left: _Stream,
+    right: _Stream,
+    schema: Schema,
+    sel_l: List[int],
+    sel_r: List[int],
+) -> Iterator[_Chunk]:
+    """The rows a join's index pairs name, :data:`CHUNK_ROWS` at a time.
+
+    Columns are merged by the batch kernel and origins from the same
+    pairs, so a merged row depends on both parents' requests.
+    """
+    merged_origins = _origin_merger(left.origins, right.origins)
+    for start in range(0, len(sel_l), CHUNK_ROWS):
+        ls = sel_l[start : start + CHUNK_ROWS]
+        rs = sel_r[start : start + CHUNK_ROWS]
+        merged = gather_pairs(left.batch, right.batch, ls, rs, schema)
+        yield merged, merged_origins(ls, rs)
+
+
 class LocalHashJoin(FedOp):
     """Join two sub-plans locally on their per-pair shared variables.
 
-    Delegates to :func:`repro.federation.bindings.join_rows` (the one
-    domain-aware join algorithm), merging origin columns so a merged
-    row depends on both parents' requests.
+    The pairs are :func:`repro.sparql.batch.join_pairs`' (the one
+    domain-aware hash join), in its order.
     """
 
     kind = "LocalHashJoin"
@@ -1062,16 +1103,13 @@ class LocalHashJoin(FedOp):
         # eager interpreter's.
         left = interp.run(self.left)
         right = interp.run(self.right)
-        merged_origins = _origin_merger(left.origins, right.origins)
-        for rows, left_sel, right_sel in join_rows(
-            self.left.schema, left.rows, self.right.schema, right.rows
-        ):
-            yield rows, merged_origins(left_sel, right_sel)
+        sel_l, sel_r, _ = join_pairs(left.batch, right.batch, {})
+        yield from _gathered(left, right, self.schema, sel_l, sel_r)
         return right.wave if right.wave else left.wave
 
 
 class FilterNode(FedOp):
-    """Apply compiled FILTER predicates that just became decidable."""
+    """Apply compiled FILTER masks that just became decidable."""
 
     kind = "Filter"
 
@@ -1081,15 +1119,19 @@ class FilterNode(FedOp):
         self.child = child
         self.filters = tuple(filters)
         self.schema = child.schema
+        self.distinct = child.distinct
 
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
         child = interp.stream(self.child)
-        for rows, origins in _chunks_of(child):
-            keep = accepted(self.schema, rows, self.filters)
-            yield [rows[i] for i in keep], [origins[i] for i in keep]
+        masks = [f.accept for f in self.filters]
+        for batch, origins in _chunks_of(child):
+            keep = passing_rows(batch, masks)
+            if len(keep) < batch.n:
+                batch, origins = batch.gather(keep), [origins[i] for i in keep]
+            yield batch, origins
         return child.wave
 
     def describe(self) -> str:
@@ -1104,19 +1146,21 @@ class LeftJoinNode(FedOp):
     :class:`UnionNode` over the block's conjunctive branches) whose
     requests carry no dependency on the required side — under the
     runtime interpreter both sides overlap.  The join is
-    :func:`repro.federation.bindings.left_join_rows`, a hash left join;
-    the condition (the optional group's top-level FILTER) evaluates on
-    the merged row, per the SPARQL translation; an empty required side
-    skips the optional sub-plan entirely.
+    :func:`repro.sparql.batch.left_join_pairs`, a hash left join in
+    left-row order; the condition (the optional group's top-level
+    FILTER, a compiled mask) evaluates on the merged rows, per the
+    SPARQL translation; an empty required side skips the optional
+    sub-plan entirely.
     """
 
     kind = "LeftJoin"
+    distinct = True
 
     def __init__(
         self,
         left: FedOp,
         optional: FedOp,
-        condition: Optional[Callable[[IDBinding], bool]] = None,
+        condition: Optional[Callable[[Batch], List[bool]]] = None,
     ) -> None:
         self.left = left
         self.optional = optional
@@ -1130,21 +1174,17 @@ class LeftJoinNode(FedOp):
         # Both sides drain fully: every left row must see the complete
         # optional side before it can stream through unmatched.
         left = interp.run(self.left)
-        if not left.rows:
+        if not len(left):
             return left.wave
         optional = interp.run(self.optional)
+        sel_l, sel_r = left_join_pairs(
+            left.batch, optional.batch, {}, self.condition
+        )
         seen: Set[Row] = set()
-        merged_origins = _origin_merger(left.origins, optional.origins)
-        for rows, left_sel, optional_sel in left_join_rows(
-            self.left.schema,
-            left.rows,
-            self.optional.schema,
-            optional.rows,
-            self.condition,
+        for batch, origins in _gathered(
+            left, optional, self.schema, sel_l, sel_r
         ):
-            yield fresh_rows(
-                rows, merged_origins(left_sel, optional_sel), seen
-            )
+            yield fresh_rows(batch, origins, seen)
         return left.wave
 
     def describe(self) -> str:
@@ -1156,6 +1196,7 @@ class UnionNode(FedOp):
     """Concatenate branch outputs, deduplicating across branches."""
 
     kind = "Union"
+    distinct = True
 
     def __init__(self, branches: Sequence[FedOp]) -> None:
         self.branches = tuple(branches)
@@ -1169,9 +1210,8 @@ class UnionNode(FedOp):
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
         seen: Set[Row] = set()
         for branch in self.branches:
-            widen = relayout(branch.schema, self.schema)
-            for rows, origins in _chunks_of(interp.stream(branch)):
-                yield fresh_rows(widen(rows), origins, seen)
+            for batch, origins in _chunks_of(interp.stream(branch)):
+                yield fresh_rows(relayout(batch, self.schema), origins, seen)
         return ()
 
     def describe(self) -> str:
@@ -1182,6 +1222,7 @@ class ProjectDedupe(FedOp):
     """Project onto the query head and deduplicate the projected rows."""
 
     kind = "Project"
+    distinct = True
 
     def __init__(self, child: FedOp, head: Tuple[Variable, ...]) -> None:
         self.child = child
@@ -1192,10 +1233,13 @@ class ProjectDedupe(FedOp):
         return (self.child,)
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
+        chunks = _chunks_of(interp.stream(self.child))
+        if self.child.distinct and self.schema == self.child.schema:
+            yield from chunks  # every column kept: nothing can collide
+            return ()
         seen: Set[Row] = set()
-        project = relayout(self.child.schema, self.schema)
-        for rows, origins in _chunks_of(interp.stream(self.child)):
-            yield fresh_rows(project(rows), origins, seen)
+        for batch, origins in chunks:
+            yield fresh_rows(relayout(batch, self.schema), origins, seen)
         return ()
 
     def describe(self) -> str:
@@ -1221,6 +1265,7 @@ class SliceNode(FedOp):
         self.offset = offset
         self.limit = limit
         self.schema = child.schema
+        self.distinct = child.distinct
 
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
@@ -1230,15 +1275,15 @@ class SliceNode(FedOp):
             return ()
         to_skip = self.offset
         wanted = self.limit
-        for rows, origins in _chunks_of(interp.stream(self.child)):
+        for batch, origins in _chunks_of(interp.stream(self.child)):
             if to_skip:
-                skipped = min(to_skip, len(rows))
+                skipped = min(to_skip, batch.n)
                 to_skip -= skipped
-                rows, origins = rows[skipped:], origins[skipped:]
+                batch, origins = batch.slice(skipped), origins[skipped:]
             if wanted is not None:
-                rows, origins = rows[:wanted], origins[:wanted]
-                wanted -= len(rows)
-            yield rows, origins
+                batch, origins = batch.slice(0, wanted), origins[:wanted]
+                wanted -= batch.n
+            yield batch, origins
             if wanted == 0:
                 break
         return ()
@@ -1286,21 +1331,18 @@ class TopKNode(FedOp):
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
         child = interp.run(self.child)
-        child_schema = self.child.schema
         order_vars = tuple(condition.variable for condition in self.order)
-        cells = relayout(child_schema, self.head + order_vars)(child.rows)
+        keyed = relayout(child.batch, self.head + order_vars)
         winners = top_k(
             self.dictionary.ranks(),
             self.head,
             self.order,
-            cells,
+            list(column_rows(keyed.columns, keyed.n)),
             self.offset,
             self.limit,
         )
         yield (
-            relayout(child_schema, self.schema)(
-                [child.rows[index] for index in winners]
-            ),
+            relayout(child.batch, self.schema).gather(winners),
             [child.origins[index] for index in winners],
         )
         return ()
@@ -1353,7 +1395,7 @@ class PlanInterpreter:
                 ctx.tracer.enabled and ctx.serial
             ):
                 gen = _observed(node, ctx, gen)
-            cached = _Stream(gen)
+            cached = _Stream(gen, node.schema)
             self._memo[node] = cached
         return cached
 
@@ -1478,6 +1520,25 @@ class FederatedPlanner:
             root = FilterNode(root, ready)
         for tp, scan in zip(patterns[1:], scans[1:]):
             root = LocalHashJoin(root, scan)
+            bound.update(tp.variables())
+            ready, remaining = split_filters(remaining, bound)
+            if ready:
+                root = FilterNode(root, ready)
+        return root, remaining
+
+    def plan_local(
+        self,
+        patterns: Sequence[TriplePattern],
+        filters: List[CompiledFilter],
+    ) -> Tuple[FedOp, List[CompiledFilter]]:
+        """The collect baseline: every conjunct, in the order given,
+        answered from the relation cache the dumps already filled — a
+        :class:`PullScan` with nothing left to pull."""
+        remaining = list(filters)
+        root: FedOp = InputNode()
+        bound: Set[Variable] = set()
+        for tp in patterns:
+            root = PullScan(root, tp, ())
             bound.update(tp.variables())
             ready, remaining = split_filters(remaining, bound)
             if ready:

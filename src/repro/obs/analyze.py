@@ -1,8 +1,7 @@
 """EXPLAIN ANALYZE plumbing: actual-counter attachment and rendering.
 
-Every physical operator across the three plan vocabularies (row
-:class:`~repro.sparql.plan.PhysicalOp`, columnar
-:class:`~repro.sparql.batch.BatchOp`, federated
+Every physical operator of the two plan vocabularies (the local
+engine's :class:`~repro.sparql.batch.BatchOp`, the federated
 :class:`~repro.federation.plan.FedOp`) carries a class-level
 ``actuals = None``.  An analyzed execution replaces it with a plain
 dict per node (:func:`attach_actuals` for static local plans; the
@@ -28,7 +27,7 @@ def attach_actuals(root) -> None:
     """Give every operator under ``root`` an empty actuals dict.
 
     The walker only needs ``children()`` and an assignable ``actuals``
-    attribute, so it works on all three operator vocabularies.
+    attribute, so it works on both operator vocabularies.
     """
     stack = [root]
     while stack:

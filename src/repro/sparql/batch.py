@@ -40,6 +40,16 @@ where projection deduplicates on ID tuples), and unbound cells hold the
 :data:`UNBOUND` sentinel, chosen far below the FILTER compiler's
 negative sentinel IDs so the two can never collide.
 
+This module is also the only place that knows how solutions are
+joined, left-joined and filtered.  The kernels answer with *selection
+vectors* — :func:`join_pairs` and :func:`left_join_pairs` name the
+``(left row, right row)`` index pairs of the result, in one stated
+order, and :func:`gather_pairs` gathers the merged columns from them
+— so the federated operators of :mod:`repro.federation.plan`, whose
+chunks are a :class:`Batch` plus a parallel origin list, run the same
+joins and merge their origins from the same pairs; every FILTER, local
+or pushed to an endpoint, is one :func:`compile_mask` mask.
+
 The conjunct order comes from :func:`repro.sparql.plan.plan_bgp`, and
 the term-level evaluator of :mod:`repro.sparql.algebra` is the
 equivalence oracle: every batch plan, read either way, must produce
@@ -50,7 +60,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from itertools import islice
+from itertools import compress, islice
 from typing import (
     Callable,
     Dict,
@@ -90,8 +100,13 @@ __all__ = [
     "BatchLeftJoin",
     "BatchFilter",
     "build_batch_plan",
+    "compile_mask",
     "execute_batch",
     "extend_bindings_batch",
+    "gather_pairs",
+    "join_pairs",
+    "left_join_pairs",
+    "passing_rows",
     "select_id_rows_batch",
     "column_rows",
     "rank_keys",
@@ -169,6 +184,15 @@ class Batch:
             self.schema,
             [list(map(c.__getitem__, sel)) for c in self.columns],
             len(sel),
+        )
+
+    def slice(self, start: int, stop: Optional[int] = None) -> "Batch":
+        """A new batch with rows ``start`` to ``stop`` (the end if None)."""
+        end = self.n if stop is None else min(stop, self.n)
+        return Batch(
+            self.schema,
+            [c[start:end] for c in self.columns],
+            max(0, end - start),
         )
 
     def project(
@@ -297,13 +321,15 @@ def _triples_batch(
 
 def _extend_batch(
     graph: Graph, batch: Batch, slots: Tuple[_Slot, _Slot, _Slot]
-) -> Batch:
+) -> Tuple[Batch, List[int]]:
     """Join a batch with one conjunct via per-row index probes.
 
     The probe loop only builds the new column(s) plus a selection
     vector of source row indexes; the existing columns are gathered
-    once afterwards.  Within a BGP every schema variable is bound, so
-    key columns never contain ``UNBOUND``.
+    once afterwards, and the selection vector is returned beside the
+    extended batch.  Output is source-row major, a row's matches in
+    ``triples_ids`` order.  Every column the conjunct mentions must be
+    fully bound (within a BGP all of them are).
     """
     schema = batch.schema
     n = batch.n
@@ -334,7 +360,7 @@ def _extend_batch(
             for i, key in enumerate(zip(feed(0), feed(1), feed(2)))
             if contains(*key)
         ]
-        return batch.gather(sel)
+        return batch.gather(sel), sel
     pos, var = free[0]
     if pos == 2:
         sel, new_col = graph.probe("spo", feed(0), feed(1))
@@ -343,7 +369,7 @@ def _extend_batch(
     else:
         sel, new_col = graph.probe("osp", feed(2), feed(0))
     out = batch.gather(sel)
-    return Batch(schema + (var,), out.columns + [new_col], len(sel))
+    return Batch(schema + (var,), out.columns + [new_col], len(sel)), sel
 
 
 def _extend_generic(
@@ -351,7 +377,7 @@ def _extend_generic(
     batch: Batch,
     sources: List[Union[int, List[int], None]],
     free: List[Tuple[int, Variable]],
-) -> Batch:
+) -> Tuple[Batch, List[int]]:
     """Fallback extension: several or repeated free positions per row."""
     constraints = _repeat_constraints(free)
     emit: List[Tuple[int, Variable]] = []
@@ -376,49 +402,48 @@ def _extend_generic(
                 new_cols[k].append(ids[pos])
             sel.append(i)
     out = batch.gather(sel)
-    return Batch(
+    extended = Batch(
         batch.schema + tuple(var for _, var in emit),
         out.columns + new_cols,
         len(sel),
     )
+    return extended, sel
 
 
 def extend_bindings_batch(
-    graph: Graph,
-    slots: Tuple[_Slot, _Slot, _Slot],
-    schema: Tuple[Variable, ...],
-    rows: Sequence[Tuple[int, ...]],
-    out_schema: Tuple[Variable, ...],
-) -> Tuple[List[Tuple[int, ...]], List[int]]:
-    """Columnar twin of a per-row ``extend_id_bindings`` loop.
+    graph: Graph, batch: Batch, slots: Tuple[_Slot, _Slot, _Slot]
+) -> Tuple[Batch, List[int]]:
+    """:func:`_extend_batch` for the federated operators' batches.
 
-    ``rows`` are ID tuples in ``schema`` order (``UNBOUND`` marks a
-    missing cell) — the federation layer's row currency.  Returns the
-    extended rows laid out in ``out_schema`` (``schema`` plus the
-    conjunct's variables, in the caller's order) *and* the source-row
-    index of each output row (for request-origin tracking).
+    Returns the extended batch (``batch.schema`` plus the conjunct's
+    new variables) *and* the source-row index of each output row (for
+    request-origin tracking).
 
-    Order fidelity is a hard contract: output order is exactly the
-    per-row loop's — source-row-major, matches in ``triples_ids`` index
-    order — because federated consumers batch, slice and dedupe on
-    stream order, and message counts are test-gated on it.  A conjunct
-    variable whose column holds ``UNBOUND`` cells is bound on some rows
-    and free on others (mixed-UNION pulls); those inputs take the
-    per-row loop rather than approximate.
+    Order fidelity is a hard contract: output order is exactly a
+    per-row ``extend_id_bindings`` loop's — source-row-major, matches
+    in ``triples_ids`` index order — because federated consumers batch,
+    slice and dedupe on stream order, and message counts are test-gated
+    on it.  A conjunct variable whose column holds ``UNBOUND`` cells is
+    bound on some rows and free on others (mixed-UNION pulls); those
+    inputs take the per-row loop rather than approximate.
     """
-    if not rows:
-        return [], []
-    n = len(rows)
-    columns = [list(col) for col in zip(*rows)]
+    schema = batch.schema
     mentioned = [
-        columns[schema.index(slot)]
+        batch.col(slot)
         for slot in slots
         if isinstance(slot, Variable) and slot in schema
     ]
     if any(UNBOUND in col for col in mentioned):
+        out_schema = schema + tuple(
+            dict.fromkeys(
+                slot
+                for slot in slots
+                if isinstance(slot, Variable) and slot not in schema
+            )
+        )
         out: List[Tuple[int, ...]] = []
         sel: List[int] = []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(batch.rows()):
             partial = {
                 var: tid for var, tid in zip(schema, row) if tid != UNBOUND
             }
@@ -427,24 +452,15 @@ def extend_bindings_batch(
                     tuple(extended.get(var, UNBOUND) for var in out_schema)
                 )
                 sel.append(i)
-        return out, sel
-    if not schema and n == 1:
+        if not out:
+            return Batch.empty(out_schema), sel
+        return Batch(out_schema, [list(c) for c in zip(*out)], len(out)), sel
+    if not schema and batch.n == 1:
         # The single empty row: the conjunct is an unbound scan, which
         # materialises straight from index runs in ``triples_ids`` order.
-        extended_batch = _scan_batch(graph, slots)
-        sel = [0] * extended_batch.n
-    else:
-        source = Variable("__source_row__")
-        extended_batch = _extend_batch(
-            graph,
-            Batch(schema + (source,), columns + [list(range(n))], n),
-            slots,
-        )
-        sel = extended_batch.col(source) or []
-    if not out_schema:
-        return [()] * extended_batch.n, sel
-    cols = [extended_batch.col(var) for var in out_schema]
-    return list(zip(*cols)), sel
+        scanned = _scan_batch(graph, slots)
+        return scanned, [0] * scanned.n
+    return _extend_batch(graph, batch, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -454,20 +470,26 @@ def extend_bindings_batch(
 _Mask = List[bool]
 
 
-def _compile_mask(
+def compile_mask(
     graph: Graph, expr: FilterExpr, sentinels: Dict[Term, int]
 ) -> Callable[[Batch], _Mask]:
     """Compile a FILTER expression into a vectorized column mask.
 
-    Ground terms resolve to dictionary IDs (or shared negative
-    sentinels) once at compile time, exactly as
-    :func:`repro.sparql.plan.compile_filter` does; an unbound cell
-    fails every comparison (SPARQL error semantics collapse to false in
-    this fragment).
+    The one FILTER compiler: local ``BatchFilter``/``BatchLeftJoin``
+    nodes, the federated ``FilterNode``, filters pushed to an endpoint
+    and an OPTIONAL block's condition all evaluate the mask it returns.
+    ``graph`` only supplies the term dictionary: ground terms resolve
+    to their ID once, at compile time, and a ground term the dictionary
+    has never seen — it cannot equal any data term — gets a fresh
+    *negative* sentinel from ``sentinels`` (shared across the filters
+    of one query, so a constant keeps one sentinel).  Ground-vs-ground
+    comparisons fold on the terms themselves.  An unbound cell, or a
+    variable outside the batch's schema, fails every comparison (SPARQL
+    error semantics collapse to false in this fragment).
     """
     if isinstance(expr, BooleanExpr):
-        left = _compile_mask(graph, expr.left, sentinels)
-        right = _compile_mask(graph, expr.right, sentinels)
+        left = compile_mask(graph, expr.left, sentinels)
+        right = compile_mask(graph, expr.right, sentinels)
         if expr.op == "&&":
             return lambda b: [x and y for x, y in zip(left(b), right(b))]
         return lambda b: [x or y for x, y in zip(left(b), right(b))]
@@ -516,6 +538,15 @@ def _compile_mask(
         return [x != ground_id and x != UNBOUND for x in col]
 
     return ground_mask
+
+
+def passing_rows(
+    batch: Batch, masks: Sequence[Callable[[Batch], _Mask]]
+) -> List[int]:
+    """Selection vector of the rows every compiled mask accepts."""
+    verdicts = [mask(batch) for mask in masks]
+    flags = verdicts[0] if len(verdicts) == 1 else map(all, zip(*verdicts))
+    return [i for i, ok in enumerate(flags) if ok]
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +661,7 @@ class BatchBgp(BatchOp):
             if batch is None:
                 batch = _scan_batch(graph, slots)
             else:
-                batch = _extend_batch(graph, batch, slots)
+                batch, _ = _extend_batch(graph, batch, slots)
             if batch.n == 0:
                 break
         if batch is None:  # pragma: no cover - empty BGPs use Singleton
@@ -653,7 +684,7 @@ class BatchBgp(BatchOp):
             for slots in compiled[1:]:
                 if batch.n == 0:
                     break
-                batch = _extend_batch(graph, batch, slots)
+                batch, _ = _extend_batch(graph, batch, slots)
             yield batch
             size *= CHUNK_GROWTH
 
@@ -669,145 +700,213 @@ class BatchBgp(BatchOp):
 
 _Table = Dict[object, List[int]]
 
-#: A materialised join side's hash tables by key variables (None where
-#: it has none), kept by an operator that joins many chunks against it.
-_Tables = Dict[Tuple[Variable, ...], Optional[_Table]]
+#: Row indexes of one side grouped by binding domain (see
+#: :func:`_domains`).
+_Groups = List[Tuple[FrozenSet[Variable], Sequence[int]]]
+
+#: What the join kernels derive from a right side, kept by the operator
+#: that joins many left chunks against it: the side's domain groups
+#: under ``None`` and one hash table per ``(group index, key
+#: variables)``.
+_Tables = Dict[object, object]
 
 
-def _hash_rows(batch: Batch, shared: Sequence[Variable]) -> Optional[_Table]:
-    """The build half of a hash join: row indexes by ``shared`` cells.
+def _domains(batch: Batch) -> _Groups:
+    """Row indexes grouped by the variables the rows leave unbound.
 
-    None when there is nothing to key on, or a shared cell is
-    ``UNBOUND`` — such a row is compatible with every key, which no
-    bucket can express.
+    Groups come first seen first, each with its rows in order; a batch
+    without an ``UNBOUND`` cell is one group holding ``range(n)``.
     """
-    cols = [batch.col(v) for v in shared]
-    if not cols or any(UNBOUND in c for c in cols):
-        return None
+    partial = [
+        (var, col)
+        for var, col in zip(batch.schema, batch.columns)
+        if UNBOUND in col
+    ]
+    if not partial:
+        return [(frozenset(), range(batch.n))]
+    flags = [[cell == UNBOUND for cell in col] for _, col in partial]
+    groups: Dict[Tuple[bool, ...], List[int]] = {}
+    for i, mask in enumerate(zip(*flags)):
+        groups.setdefault(mask, []).append(i)
+    variables = [var for var, _ in partial]
+    return [
+        (frozenset(compress(variables, mask)), rows)
+        for mask, rows in groups.items()
+    ]
+
+
+def _keys(cols: Sequence[List[int]], rows: Sequence[int]) -> Iterable:
+    """One join key per row of ``rows``: its cells in ``cols`` (a bare
+    ID for a single column, so both sides must key on the same ``cols``
+    count).  A ``range`` is :func:`_domains`' whole side."""
+    if not isinstance(rows, range):
+        cols = [list(map(col.__getitem__, rows)) for col in cols]
+    return cols[0] if len(cols) == 1 else zip(*cols)
+
+
+def _hash_rows(cols: Sequence[List[int]], rows: Sequence[int]) -> _Table:
+    """The build half of a hash join: ``rows`` bucketed by their cells
+    in ``cols``, every bucket in row order."""
     buckets: _Table = {}
     setdefault = buckets.setdefault
-    for j, key in enumerate(cols[0] if len(cols) == 1 else zip(*cols)):
+    for j, key in zip(rows, _keys(cols, rows)):
         setdefault(key, []).append(j)
     return buckets
 
 
-def _hash_rows_once(
-    tables: _Tables, batch: Batch, shared: Tuple[Variable, ...]
-) -> Optional[_Table]:
-    """:func:`_hash_rows` of one batch, remembered in ``tables``."""
-    if shared not in tables:
-        tables[shared] = _hash_rows(batch, shared)
-    return tables[shared]
-
-
 def _probe_rows(
-    table: Optional[_Table], batch: Batch, shared: Sequence[Variable]
-) -> Optional[Tuple[List[int], List[int]]]:
-    """The probe half: matching ``(batch row, table row)`` index columns.
-
-    Probe-major, table rows in their own order.  None when there is no
-    table or a shared cell of ``batch`` is ``UNBOUND``: the caller
-    falls back to per-row compatibility.
-    """
-    if table is None:
-        return None
-    cols = [batch.col(v) for v in shared]
-    if any(UNBOUND in c for c in cols):
-        return None
-    sel_p: List[int] = []
-    sel_b: List[int] = []
+    table: _Table,
+    cols: Sequence[List[int]],
+    rows: Sequence[int],
+    sel_l: List[int],
+    sel_r: List[int],
+) -> None:
+    """The probe half: append the matches of ``rows`` to the selection
+    vectors, probe-row major, table rows in bucket order."""
     get = table.get
-    for i, key in enumerate(cols[0] if len(cols) == 1 else zip(*cols)):
+    for i, key in zip(rows, _keys(cols, rows)):
         js = get(key)
         if js:
-            sel_b.extend(js)
-            sel_p.extend([i] * len(js))
-    return sel_p, sel_b
+            sel_r.extend(js)
+            sel_l.extend([i] * len(js))
 
 
-def _join_batches(
-    left: Batch, right: Batch, tables: Optional[_Tables] = None
-) -> Batch:
-    """Batch-at-a-time join on the shared variables.
+def join_pairs(
+    left: Batch, right: Batch, tables: _Tables
+) -> Tuple[List[int], List[int], bool]:
+    """The join of two batches as ``(left row, right row)`` index pairs.
 
-    When every shared cell is bound on both sides the join is a pure
-    hash join: bucket the smaller side, probe with the larger, gather.
-    Heterogeneous UNION domains (``UNBOUND`` in a shared column) fall
-    back to a per-row compatibility merge mirroring ``omega_join``.
-    A caller that joins many ``left`` chunks against one ``right``
-    passes the same ``tables`` each time: ``right`` is then always the
-    build side and is hashed once.
+    Returns two parallel selection vectors and whether they are in
+    left-row order.  ``right`` is always the build side: ``tables``
+    (start it as ``{}``) remembers what was derived from it, so an
+    operator that joins many left chunks against one right side hashes
+    it once.
+
+    **Order contract.**  On fully bound sides: left-row major, a left
+    row's matches in right-side order.  A side may mix binding
+    *domains* (``UNBOUND`` cells: UNION branches with unequal domains,
+    unmatched OPTIONAL rows, partially bound endpoint rows); an unbound
+    cell is compatible with anything, which no bucket can express, so
+    each side is grouped by domain and every domain pair is hashed on
+    the variables both domains bind (none: a genuine cross product).
+    Pairs then come left domain major, then right domain (both first
+    seen first), then left row, then right-side order.  A left side
+    binding nothing at all (a branch's seed row) takes the right side
+    as it stands, row by row.
     """
-    shared = tuple(
-        sorted(
-            set(left.schema) & set(right.schema), key=lambda v: v.name
-        )
-    )
-    if left.n == 0 or right.n == 0:
-        schema = left.schema + tuple(
-            v for v in right.schema if v not in left.schema
-        )
-        return Batch.empty(schema)
-    if not shared:
-        # Cross product, probe-major.
-        sel_l = [i for i in range(left.n) for _ in range(right.n)]
-        sel_r = list(range(right.n)) * left.n
-        gl = left.gather(sel_l)
-        gr = right.gather(sel_r)
-        return Batch(
-            gl.schema + gr.schema, gl.columns + gr.columns, len(sel_l)
-        )
-    if tables is not None:
-        build, probe = right, left
-        table = _hash_rows_once(tables, right, shared)
-    else:
-        build, probe = (right, left) if right.n <= left.n else (left, right)
-        table = _hash_rows(build, shared)
-    pairs = _probe_rows(table, probe, shared)
-    if pairs is not None:
-        sel_p, sel_b = pairs
-        gp = probe.gather(sel_p)
-        build_only = [v for v in build.schema if v not in probe.schema]
-        bonly_cols = [
-            list(map(build.col(v).__getitem__, sel_b)) for v in build_only
-        ]
-        return Batch(
-            gp.schema + tuple(build_only),
-            gp.columns + bonly_cols,
-            len(sel_p),
-        )
-    # Loose path: per-row compatibility with UNBOUND as a wildcard.
-    schema = left.schema + tuple(
-        v for v in right.schema if v not in left.schema
-    )
-    out_cols: List[List[int]] = [[] for _ in schema]
-    right_rows = list(right.rows())
-    right_index = {v: k for k, v in enumerate(right.schema)}
-    merged_src: List[Tuple[int, Optional[int]]] = []
-    for var in schema:
-        merged_src.append(
-            (
-                left.schema.index(var) if var in left.schema else -1,
-                right_index.get(var),
+    sel_l: List[int] = []
+    sel_r: List[int] = []
+    if not left.schema:
+        for i in range(left.n):
+            sel_l.extend([i] * right.n)
+            sel_r.extend(range(right.n))
+        return sel_l, sel_r, True
+    if None not in tables:
+        tables[None] = _domains(right)
+    right_groups: _Groups = tables[None]  # type: ignore[assignment]
+    left_groups = _domains(left)
+    common = [var for var in left.schema if var in right.schema]
+    for left_unbound, left_rows in left_groups:
+        for g, (right_unbound, right_rows) in enumerate(right_groups):
+            shared = tuple(
+                var
+                for var in common
+                if var not in left_unbound and var not in right_unbound
             )
-        )
-    for lrow in left.rows():
-        for rrow in right_rows:
-            ok = True
-            for var in shared:
-                lv = lrow[left.schema.index(var)]
-                rv = rrow[right_index[var]]
-                if lv != rv and lv != UNBOUND and rv != UNBOUND:
-                    ok = False
-                    break
-            if not ok:
+            if not shared:
+                for i in left_rows:
+                    sel_l.extend([i] * len(right_rows))
+                    sel_r.extend(right_rows)
                 continue
-            for k, (li, ri) in enumerate(merged_src):
-                value = lrow[li] if li >= 0 else UNBOUND
-                if value == UNBOUND and ri is not None:
-                    value = rrow[ri]
-                out_cols[k].append(value)
-    return Batch(schema, out_cols)
+            table = tables.get((g, shared))
+            if table is None:
+                table = tables[g, shared] = _hash_rows(
+                    [right.col(var) for var in shared], right_rows
+                )
+            _probe_rows(
+                table,  # type: ignore[arg-type]
+                [left.col(var) for var in shared],
+                left_rows,
+                sel_l,
+                sel_r,
+            )
+    return sel_l, sel_r, len(left_groups) == 1 == len(right_groups)
+
+
+def left_join_pairs(
+    left: Batch,
+    right: Batch,
+    tables: _Tables,
+    condition: Optional[Callable[[Batch], _Mask]] = None,
+) -> Tuple[List[int], List[int]]:
+    """SPARQL ``LeftJoin`` as index pairs, in left-row order.
+
+    A left row pairs with every compatible right row whose merged
+    solution passes ``condition`` (a :func:`compile_mask` mask over the
+    merged rows, per the SPARQL translation), in right-side order, and
+    with ``-1`` when none does — exactly the nested loop's pairs in the
+    nested loop's order, whatever domains the sides mix.
+    """
+    sel_l, sel_r, row_major = join_pairs(left, right, tables)
+    if condition is not None and sel_l:
+        verdicts = condition(gather_pairs(left, right, sel_l, sel_r))
+        sel_l = [i for i, ok in zip(sel_l, verdicts) if ok]
+        sel_r = [j for j, ok in zip(sel_r, verdicts) if ok]
+    unmatched = sorted(set(range(left.n)).difference(sel_l))
+    if not unmatched and row_major:
+        return sel_l, sel_r
+    sel_l += unmatched
+    sel_r += [-1] * len(unmatched)
+    # Two stable sorts on int keys put the pairs in (left row, right
+    # row) order; pairs that came in left-row order only need the pads
+    # merged in.
+    order: Sequence[int] = range(len(sel_l))
+    if not row_major:
+        order = sorted(order, key=sel_r.__getitem__)
+    order = sorted(order, key=sel_l.__getitem__)
+    return (
+        list(map(sel_l.__getitem__, order)),
+        list(map(sel_r.__getitem__, order)),
+    )
+
+
+def gather_pairs(
+    left: Batch,
+    right: Batch,
+    sel_l: Sequence[int],
+    sel_r: Sequence[int],
+    schema: Optional[Tuple[Variable, ...]] = None,
+) -> Batch:
+    """Gather the merged rows of index pairs into one batch.
+
+    Row ``k`` merges ``left`` row ``sel_l[k]`` with ``right`` row
+    ``sel_r[k]``: each cell comes from the side that binds it (the left
+    on a variable both bind, where they agree); a right index of ``-1``
+    (an unmatched left-join row) contributes nothing.  Columns are laid
+    out under ``schema`` — by default the left columns, then the
+    right-only ones.
+    """
+    if schema is None:
+        schema = left.schema + tuple(
+            var for var in right.schema if var not in left.schema
+        )
+    columns: List[List[int]] = []
+    for var in schema:
+        lcol, rcol = left.col(var), right.col(var)
+        if rcol is None or (lcol is not None and UNBOUND not in lcol):
+            columns.append(list(map(lcol.__getitem__, sel_l)))
+            continue
+        rcol = rcol + [UNBOUND]  # what index -1, a pad, reads
+        if lcol is None:
+            columns.append(list(map(rcol.__getitem__, sel_r)))
+        else:
+            columns.append(
+                [
+                    rcol[j] if lcol[i] == UNBOUND else lcol[i]
+                    for i, j in zip(sel_l, sel_r)
+                ]
+            )
+    return Batch(schema, columns, len(sel_l))
 
 
 class BatchJoin(BatchOp):
@@ -830,9 +929,10 @@ class BatchJoin(BatchOp):
         left = self.left.execute()
         right = self.right.execute()
         if self.actuals is not None:
-            self.actuals["build_rows"] = min(left.n, right.n)
-            self.actuals["probe_rows"] = max(left.n, right.n)
-        return _join_batches(left, right)
+            self.actuals["build_rows"] = right.n
+            self.actuals["probe_rows"] = left.n
+        sel_l, sel_r, _ = join_pairs(left, right, {})
+        return gather_pairs(left, right, sel_l, sel_r)
 
     def _chunks(self) -> Iterator[Batch]:
         right = self.right.execute()
@@ -842,7 +942,8 @@ class BatchJoin(BatchOp):
             return
         tables: _Tables = {}
         for chunk in self.left.chunks():
-            yield _join_batches(chunk, right, tables)
+            sel_l, sel_r, _ = join_pairs(chunk, right, tables)
+            yield gather_pairs(chunk, right, sel_l, sel_r)
 
     def explain(self, depth: int = 0) -> List[str]:
         lines = [
@@ -917,7 +1018,8 @@ class BatchLeftJoin(BatchOp):
 
     Each left row is extended by every compatible right row whose
     merged solution passes the embedded condition, and passes through
-    padded with ``UNBOUND`` when none does.
+    padded with ``UNBOUND`` when none does — in left-row order
+    (:func:`left_join_pairs`).
     """
 
     def __init__(
@@ -960,75 +1062,8 @@ class BatchLeftJoin(BatchOp):
 
     def _extend(self, left: Batch, right: Batch, tables: _Tables) -> Batch:
         """Left-join one batch of left rows with the whole right side."""
-        schema = left.schema + tuple(
-            v for v in right.schema if v not in left.schema
-        )
-        if left.n == 0:
-            return Batch.empty(schema)
-        pad_width = len(schema) - len(left.schema)
-        if right.n == 0:
-            cols = [list(c) for c in left.columns]
-            cols.extend([UNBOUND] * left.n for _ in range(pad_width))
-            return Batch(schema, cols, left.n)
-        shared = tuple(v for v in left.schema if v in right.schema)
-        pairs = _probe_rows(
-            _hash_rows_once(tables, right, shared), left, shared
-        )
-        if pairs is not None:
-            pairs_l, pairs_r = pairs
-        else:
-            pairs_l, pairs_r = [], []
-            lcols = [left.col(v) for v in shared]
-            rcols = [right.col(v) for v in shared]
-            left_rows = list(zip(*lcols)) if lcols else [()] * left.n
-            right_rows = list(zip(*rcols)) if rcols else [()] * right.n
-            for i, lkey in enumerate(left_rows):
-                for j, rkey in enumerate(right_rows):
-                    if all(
-                        lv == rv or lv == UNBOUND or rv == UNBOUND
-                        for lv, rv in zip(lkey, rkey)
-                    ):
-                        pairs_l.append(i)
-                        pairs_r.append(j)
-        # Build the merged candidate batch, shared cells filled from the
-        # right when the left is unbound (possible under nested unions).
-        merged_cols: List[List[int]] = []
-        for var in schema:
-            lcol = left.col(var)
-            rcol = right.col(var)
-            if lcol is None:
-                merged_cols.append(list(map(rcol.__getitem__, pairs_r)))
-            elif rcol is None or UNBOUND not in lcol:
-                merged_cols.append(list(map(lcol.__getitem__, pairs_l)))
-            else:
-                merged_cols.append(
-                    [
-                        rcol[j] if lcol[i] == UNBOUND else lcol[i]
-                        for i, j in zip(pairs_l, pairs_r)
-                    ]
-                )
-        candidates = Batch(schema, merged_cols, len(pairs_l))
-        if self.mask is not None and candidates.n:
-            mask = self.mask(candidates)
-            keep = [k for k, ok in enumerate(mask) if ok]
-            matched = {pairs_l[k] for k in keep}
-            candidates = candidates.gather(keep)
-        else:
-            matched = set(pairs_l)
-        unmatched = [i for i in range(left.n) if i not in matched]
-        if not unmatched:
-            return candidates
-        pads = left.gather(unmatched)
-        out_cols = []
-        for k, var in enumerate(schema):
-            col = list(candidates.columns[k])
-            pad_col = pads.col(var)
-            if pad_col is None:
-                col.extend([UNBOUND] * pads.n)
-            else:
-                col.extend(pad_col)
-            out_cols.append(col)
-        return Batch(schema, out_cols, candidates.n + pads.n)
+        sel_l, sel_r = left_join_pairs(left, right, tables, self.mask)
+        return gather_pairs(left, right, sel_l, sel_r)
 
     def explain(self, depth: int = 0) -> List[str]:
         cond = " cond" if self.mask is not None else ""
@@ -1066,8 +1101,7 @@ class BatchFilter(BatchOp):
     def _filter(self, batch: Batch) -> Batch:
         if batch.n == 0:
             return batch
-        mask = self.mask(batch)
-        sel = [i for i, ok in enumerate(mask) if ok]
+        sel = passing_rows(batch, (self.mask,))
         if len(sel) == batch.n:
             return batch
         return batch.gather(sel)
@@ -1165,14 +1199,14 @@ def _build(
         left = _build(graph, node.left, sentinels)
         right = _build(graph, node.right, sentinels)
         mask = (
-            _compile_mask(graph, node.expr, sentinels)
+            compile_mask(graph, node.expr, sentinels)
             if node.expr is not None
             else None
         )
         return BatchLeftJoin(left, right, mask)
     if isinstance(node, Filter):
         child = _build(graph, node.child, sentinels)
-        return BatchFilter(child, _compile_mask(graph, node.expr, sentinels))
+        return BatchFilter(child, compile_mask(graph, node.expr, sentinels))
     raise SparqlEvaluationError(f"unknown algebra node {node!r}")
 
 

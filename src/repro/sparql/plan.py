@@ -1,51 +1,23 @@
-"""Planner pieces shared by the local and the federated engine.
+"""The BGP planner: cost-based conjunct ordering on dictionary IDs.
 
-Two things live here, both on dictionary IDs:
-
-* :func:`plan_bgp` — cost-based conjunct ordering for one basic graph
-  pattern, driven by the per-index counts of
-  :meth:`repro.rdf.graph.Graph.count_ids`.  The batch engine
-  (:mod:`repro.sparql.batch`) executes the order it returns.
-* :func:`compile_filter` — a FILTER expression as a predicate over one
-  ``{Variable: int}`` binding (ground comparison terms are resolved to
-  IDs at compile time; constants absent from the dictionary get fresh
-  sentinel IDs that can never collide with data).  The federated
-  executor pushes these predicates into per-endpoint sub-queries; the
-  batch engine compiles FILTERs to column masks of its own
-  (``batch._compile_mask``), with the same sentinel scheme.
+:func:`plan_bgp` orders the conjuncts of one basic graph pattern from
+the per-index counts of :meth:`repro.rdf.graph.Graph.count_ids`; the
+batch engine (:mod:`repro.sparql.batch`) executes the order it returns.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
-from repro.errors import SparqlEvaluationError
 from repro.gpq.evaluation import compile_conjunct
 from repro.rdf.graph import Graph
-from repro.rdf.terms import Term, Variable
+from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
-from repro.sparql.ast import (
-    BooleanExpr,
-    Comparison,
-    FilterExpr,
-)
 
-__all__ = ["compile_filter", "plan_bgp"]
+__all__ = ["plan_bgp"]
 
 #: A compiled conjunct position: an integer ID or a still-free Variable.
 _Slot = Union[int, Variable]
-
-#: One solution: variable -> integer term ID.
-_IDBinding = Dict[Variable, int]
 
 #: A BGP's compiled conjuncts, or None when one is unsatisfiable.
 _CompiledBgp = Optional[List[Tuple[_Slot, _Slot, _Slot]]]
@@ -111,88 +83,3 @@ def plan_bgp(
     ordered = [patterns[i] for i in order]
     slots = [compiled[i] for i in order]
     return (ordered, slots, total)  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# FILTER compilation
-# ---------------------------------------------------------------------------
-
-
-def _compile_filter(
-    graph: Graph, expr: FilterExpr, sentinels: Dict[Term, int]
-) -> Callable[[_IDBinding], bool]:
-    """Compile a FILTER expression into an ID-level predicate.
-
-    Ground terms resolve to their dictionary ID once, at compile time.
-    A ground term the dictionary has never seen cannot equal any data
-    term, so it receives a fresh *negative* sentinel ID (distinct per
-    term) — ``=`` against it is always false and ``!=`` always true,
-    exactly matching the term-level semantics.  Ground-vs-ground
-    comparisons are constant-folded on the terms themselves.  An unbound
-    variable makes any comparison false (SPARQL error semantics collapse
-    to false in this fragment).
-    """
-    if isinstance(expr, BooleanExpr):
-        left = _compile_filter(graph, expr.left, sentinels)
-        right = _compile_filter(graph, expr.right, sentinels)
-        if expr.op == "&&":
-            return lambda b: left(b) and right(b)
-        return lambda b: left(b) or right(b)
-    if not isinstance(expr, Comparison):  # pragma: no cover - parser invariant
-        raise SparqlEvaluationError(f"unknown filter expression {expr!r}")
-    equals = expr.op == "="
-    if not isinstance(expr.left, Variable) and not isinstance(
-        expr.right, Variable
-    ):
-        verdict = (expr.left == expr.right) is equals
-        return lambda b: verdict
-
-    def resolve_ground(term: Term) -> int:
-        tid = graph.term_id(term)
-        if tid is None:
-            tid = sentinels.setdefault(term, -1 - len(sentinels))
-        return tid
-
-    if isinstance(expr.left, Variable) and isinstance(expr.right, Variable):
-        lvar, rvar = expr.left, expr.right
-
-        def compare_vars(binding: _IDBinding) -> bool:
-            left_id = binding.get(lvar)
-            right_id = binding.get(rvar)
-            if left_id is None or right_id is None:
-                return False
-            return (left_id == right_id) is equals
-
-        return compare_vars
-
-    if isinstance(expr.left, Variable):
-        var, ground_id = expr.left, resolve_ground(expr.right)
-    else:
-        var, ground_id = expr.right, resolve_ground(expr.left)
-
-    def compare_ground(binding: _IDBinding) -> bool:
-        bound = binding.get(var)
-        if bound is None:
-            return False
-        return (bound == ground_id) is equals
-
-    return compare_ground
-
-
-def compile_filter(
-    graph: Graph,
-    expr: FilterExpr,
-    sentinels: Optional[Dict[Term, int]] = None,
-) -> Callable[[_IDBinding], bool]:
-    """Public entry to the FILTER compiler.
-
-    ``graph`` only supplies the term dictionary (ground terms resolve to
-    IDs through it), so any graph sharing the dictionary of the bindings
-    the predicate will see works — the federated executor compiles
-    filters once against a peer graph and pushes them into per-endpoint
-    sub-queries.  ``sentinels`` may be shared across several filters of
-    one query so uninterned constants keep stable sentinel IDs.
-    """
-    return _compile_filter(
-        graph, expr, sentinels if sentinels is not None else {}
-    )

@@ -53,6 +53,58 @@ def where_rows(graph, text):
     }
 
 
+# ---------------------------------------------------------------------------
+# Join oracles: the nested loops the hash kernels replaced
+# ---------------------------------------------------------------------------
+
+
+def _compatible(left, right):
+    for var, tid in right.items():
+        bound = left.get(var)
+        if bound is not None and bound != tid:
+            return False
+    return True
+
+
+def nested_loop_pairs(left, right, condition=None):
+    """SPARQL ``LeftJoin`` of two lists of ``{Variable: id}`` bindings
+    as ``(merged, left index, right index | -1)``, before deduplication.
+
+    ``condition`` is a predicate over one merged binding.  Without one,
+    the entries with a right index are the inner join's pairs.
+    """
+    out = []
+    for i, binding in enumerate(left):
+        extended = 0
+        for j, opt in enumerate(right):
+            if not _compatible(binding, opt):
+                continue
+            merged = {**binding, **opt}
+            if condition is not None and not condition(merged):
+                continue
+            out.append((merged, i, j))
+            extended += 1
+        if not extended:
+            out.append((binding, i, -1))
+    return out
+
+
+def reference_join(left, right):
+    """Compatible-merge nested loop (the paper's omega-join)."""
+    return [
+        merged for merged, _, j in nested_loop_pairs(left, right) if j >= 0
+    ]
+
+
+def as_mask(condition):
+    """A per-binding predicate as the column mask the kernels take."""
+    from repro.federation.bindings import bindings_of
+
+    if condition is None:
+        return None
+    return lambda batch: [condition(b) for b in bindings_of(batch)]
+
+
 @pytest.fixture(autouse=True)
 def _deterministic_blank_nodes():
     """Fresh blank-node labels start at 0 in every test."""

@@ -40,6 +40,7 @@ from repro.sparql.batch import (
     Batch,
     batch_top_k,
     build_batch_plan,
+    column_rows,
     extend_bindings_batch,
     select_id_rows_batch,
 )
@@ -544,6 +545,17 @@ def _row_loop(graph, slots, schema, rows, out_schema):
     return expected, expected_sel
 
 
+def _extend_rows(graph, slots, schema, rows, out_schema):
+    """``extend_bindings_batch`` on rows: in as columns, out as rows
+    laid out under ``out_schema``, beside the source-row indexes."""
+    columns = [list(col) for col in zip(*rows)] or [[] for _ in schema]
+    got, sel = extend_bindings_batch(
+        graph, Batch(schema, columns, len(rows)), slots
+    )
+    assert set(got.schema) == set(out_schema)
+    return list(column_rows([got.col(v) for v in out_schema], got.n)), sel
+
+
 def test_extend_bindings_batch_preserves_row_loop_order():
     graph = fanout_graph(800, seed=6)
     a, b, c = Variable("a"), Variable("b"), Variable("c")
@@ -557,9 +569,7 @@ def test_extend_bindings_batch_preserves_row_loop_order():
         expected, expected_sel = _row_loop(
             graph, slots, schema, rows, out_schema
         )
-        got, got_sel = extend_bindings_batch(
-            graph, slots, schema, rows, out_schema
-        )
+        got, got_sel = _extend_rows(graph, slots, schema, rows, out_schema)
         assert got == expected  # exact order, not just set equality
         assert got_sel == expected_sel
         if not got:
@@ -589,7 +599,7 @@ def test_extend_bindings_batch_unbound_scan_shapes_keep_index_order():
         out_schema = tuple(sorted(tp.variables(), key=lambda v: v.name))
         slots = compile_conjunct(graph, tp)
         expected, expected_sel = _row_loop(graph, slots, (), [()], out_schema)
-        got, got_sel = extend_bindings_batch(graph, slots, (), [()], out_schema)
+        got, got_sel = _extend_rows(graph, slots, (), [()], out_schema)
         assert got == expected and got_sel == expected_sel, tp
 
 
@@ -598,7 +608,7 @@ def test_extend_bindings_batch_mixed_domains_take_the_row_loop():
     # treat UNBOUND as a key and drop the free rows.
     graph = fanout_graph(300, seed=6)
     a, b, c = Variable("a"), Variable("b"), Variable("c")
-    first, _ = extend_bindings_batch(
+    first, _ = _extend_rows(
         graph,
         compile_conjunct(graph, TriplePattern(a, IRI(f"{NS}p0"), b)),
         (),
@@ -610,7 +620,7 @@ def test_extend_bindings_batch_mixed_domains_take_the_row_loop():
     rows = first[:half] + [(row[0], UNBOUND) for row in first[half:]]
     slots = compile_conjunct(graph, TriplePattern(b, IRI(f"{NS}p1"), c))
     expected, expected_sel = _row_loop(graph, slots, (a, b), rows, (a, b, c))
-    got, got_sel = extend_bindings_batch(graph, slots, (a, b), rows, (a, b, c))
+    got, got_sel = _extend_rows(graph, slots, (a, b), rows, (a, b, c))
     assert got == expected and got_sel == expected_sel
     assert any(i >= half for i in got_sel)  # free rows did extend
     # An UNBOUND cell in a column the conjunct does not mention rides
@@ -620,9 +630,7 @@ def test_extend_bindings_batch_mixed_domains_take_the_row_loop():
     expected, expected_sel = _row_loop(
         graph, slots, (a, b, c), padded, (a, b, c)
     )
-    got, got_sel = extend_bindings_batch(
-        graph, slots, (a, b, c), padded, (a, b, c)
-    )
+    got, got_sel = _extend_rows(graph, slots, (a, b, c), padded, (a, b, c))
     assert got == expected and got_sel == expected_sel
 
 

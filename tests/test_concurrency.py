@@ -1,11 +1,16 @@
 """Multi-tenant concurrency: disciplines, admission, AIMD, determinism."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import FederationError, SimulationError
 from repro.federation.executor import FederatedExecutor
 from repro.federation.network import NetworkModel
 from repro.obs import Tracer, chrome_trace_events, validate_trace_events
+from repro.peers.system import RPS
+from repro.rdf.dictionary import TermDictionary
+from repro.rdf.graph import Graph
 from repro.runtime import (
     AimdController,
     AimdSettings,
@@ -24,6 +29,7 @@ from repro.workload import (
     skewed_tenant_workload,
     tenant_workload,
 )
+from repro.workload.federation import federated_limit_sparql
 
 BOUND_CONTROL = AimdSettings(epoch=3, start_window=2, max_window=16)
 
@@ -485,3 +491,49 @@ def test_validate_trace_events_rejects_bare_controller_span():
     problems = validate_trace_events(document)
     assert any("window_before" in p for p in problems)
     assert any("window_after" in p for p in problems)
+
+
+# ---------------------------------------------------------------------------
+# One result boundary: each distinct ID decodes once per round
+# ---------------------------------------------------------------------------
+
+
+def test_concurrent_rows_equal_solo_and_decode_each_id_once_per_round():
+    class CountingDictionary(TermDictionary):
+        """Counts ``decode`` calls per ID (the count lives here, in the
+        test, not in ``src/``)."""
+
+        decoded = Counter()
+
+        def decode(self, tid):
+            self.decoded[tid] += 1
+            return super().decode(tid)
+
+    source = federated_rps(peers=3, entities=20, facts=120, seed=7)
+    dictionary = CountingDictionary()
+    system = RPS.from_graphs(
+        {
+            name: Graph(peer.graph, name=name, dictionary=dictionary)
+            for name, peer in source.peers.items()
+        }
+    )
+    executor = FederatedExecutor(system, batch_size=2)
+    texts = {
+        f"tenant{k:02d}": federated_limit_sparql(hops=2, anchor=k % 20)
+        for k in range(64)
+    }
+    solo = {
+        name: executor.execute(text, "parallel").rows
+        for name, text in texts.items()
+    }
+    assert any(solo.values())
+
+    dictionary.decoded.clear()
+    result = executor.execute_concurrent(texts)
+    assert result.rounds == 1
+    for name, rows in solo.items():
+        assert result.tenant(name).result.rows == rows, name
+    # 64 tenants over 20 anchors share most of their IDs; every one of
+    # them decoded once for the whole round, not once per cell.
+    assert dictionary.decoded
+    assert max(dictionary.decoded.values()) == 1

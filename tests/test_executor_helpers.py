@@ -1,13 +1,7 @@
 """Shared binding-helper edge cases and explain-trace determinism."""
 
-import random
-
 from repro.federation import FederatedExecutor
-from repro.federation.bindings import (
-    batches as _batches,
-    dedupe as _dedupe,
-    sorted_bindings as _sorted_bindings,
-)
+from repro.federation.bindings import dedupe as _dedupe
 from repro.rdf.terms import Variable
 from repro.workload.federation import (
     federated_exclusive_query,
@@ -16,36 +10,11 @@ from repro.workload.federation import (
     federated_union_filter_sparql,
 )
 
-X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+X, Y = Variable("x"), Variable("y")
 
 
 # ---------------------------------------------------------------------------
-# _batches
-# ---------------------------------------------------------------------------
-
-
-def test_batches_of_empty_binding_list():
-    assert _batches([], 1) == []
-    assert _batches([], 64) == []
-
-
-def test_batches_size_one_yields_singletons():
-    bindings = [{X: 1}, {X: 2}, {X: 3}]
-    assert _batches(bindings, 1) == [[{X: 1}], [{X: 2}], [{X: 3}]]
-
-
-def test_batches_exact_and_remainder_splits():
-    bindings = [{X: i} for i in range(5)]
-    assert [len(b) for b in _batches(bindings, 5)] == [5]
-    assert [len(b) for b in _batches(bindings, 2)] == [2, 2, 1]
-    # Oversized batch: one batch carrying everything.
-    assert _batches(bindings, 100) == [bindings]
-    # Concatenation preserves order and content.
-    assert sum(_batches(bindings, 2), []) == bindings
-
-
-# ---------------------------------------------------------------------------
-# _dedupe / _sorted_bindings
+# _dedupe
 # ---------------------------------------------------------------------------
 
 
@@ -66,18 +35,6 @@ def test_dedupe_of_empty_and_singleton():
     assert _dedupe([]) == []
     assert _dedupe([{}]) == [{}]
     assert _dedupe([{}, {}]) == [{}]
-
-
-def test_sorted_bindings_is_input_order_invariant():
-    rng = random.Random(3)
-    bindings = [{X: i, Y: (i * 7) % 5} for i in range(10)] + [
-        {Z: i} for i in range(5)
-    ]
-    reference = _sorted_bindings(list(bindings))
-    for _ in range(5):
-        shuffled = list(bindings)
-        rng.shuffle(shuffled)
-        assert _sorted_bindings(shuffled) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 import pytest
 
+from conftest import reference_join
 from repro.errors import FederationError
 from repro.federation import (
     ADAPTIVE,
-    FIXED_STRATEGIES,
     STRATEGIES,
     FederatedExecutor,
     NetworkModel,
@@ -126,16 +126,6 @@ def test_empty_answer_query(three_peer_system):
 # ---------------------------------------------------------------------------
 
 
-def _reference_join(left, right):
-    """Oracle: compatible-merge nested loop (the paper's omega-join)."""
-    out = []
-    for lhs in left:
-        for rhs in right:
-            if all(lhs.get(v, tid) == tid for v, tid in rhs.items()):
-                out.append({**lhs, **rhs})
-    return out
-
-
 def _canonical_rows(rows):
     return sorted(
         tuple(sorted((v.name, tid) for v, tid in row.items())) for row in rows
@@ -151,11 +141,11 @@ def test_hash_join_heterogeneous_domains_regression():
     left = [{x: 1}, {x: 1, y: 2}, {y: 3}]
     right = [{y: 2}, {x: 1, z: 5}, {x: 2, y: 3}]
     assert _canonical_rows(_hash_join(left, right)) == _canonical_rows(
-        _reference_join(left, right)
+        reference_join(left, right)
     )
     # The first-domain pair shares nothing, so the old code joined the
     # whole input as a cross product: 9 merged rows, some inconsistent.
-    assert len(_hash_join(left, right)) == len(_reference_join(left, right))
+    assert len(_hash_join(left, right)) == len(reference_join(left, right))
 
 
 def test_hash_join_homogeneous_domains_unchanged():
@@ -163,7 +153,7 @@ def test_hash_join_homogeneous_domains_unchanged():
     left = [{x: 1}, {x: 2}]
     right = [{x: 1, y: 10}, {x: 1, y: 11}, {x: 3, y: 12}]
     assert _canonical_rows(_hash_join(left, right)) == _canonical_rows(
-        _reference_join(left, right)
+        reference_join(left, right)
     )
 
 
@@ -181,7 +171,7 @@ def test_hash_join_randomized_against_reference():
             return out
 
         left, right = rows(), rows()
-        expected = _canonical_rows(_reference_join(left, right))
+        expected = _canonical_rows(reference_join(left, right))
         assert _canonical_rows(_hash_join(left, right)) == expected
 
 

@@ -1,24 +1,23 @@
 """The hash left join against the nested loop it replaced.
 
 The nested loop (``bindings.left_join`` / ``LeftJoinNode`` before the
-data plane went batch-native) lives on here as the oracle: the hash
-left join must emit the same rows, in the same order, with the same
-origins — keep-first dedupe and bound-join batch composition downstream
-depend on all three.
+data plane went batch-native) lives on in ``conftest.py`` as the
+oracle: the hash left join must emit the same rows, in the same order,
+with the same origins — keep-first dedupe and bound-join batch
+composition downstream depend on all three.
 """
 
 import random
 
 import pytest
 
-from conftest import where_rows
+from conftest import as_mask, nested_loop_pairs, where_rows
 from repro.federation import STRATEGIES, FederatedExecutor, NetworkStats
 from repro.federation.bindings import (
-    as_rows,
+    as_batch,
     bindings_of,
     canonical,
     left_join,
-    left_join_rows,
     schema_of,
 )
 from repro.federation.plan import (
@@ -30,6 +29,7 @@ from repro.federation.plan import (
 )
 from repro.rdf.terms import Variable
 from repro.runtime.scheduler import OverlapScheduler
+from repro.sparql.batch import gather_pairs, left_join_pairs
 from repro.workload.federation import federated_rps
 from repro.workload.topologies import peer_namespace
 
@@ -37,34 +37,8 @@ VARIABLES = [Variable(name) for name in "abcd"]
 
 
 # ---------------------------------------------------------------------------
-# The oracle: the nested loop, verbatim
+# The oracle: conftest's nested loop, deduplicated keep-first
 # ---------------------------------------------------------------------------
-
-
-def _compatible(left, right):
-    for var, tid in right.items():
-        bound = left.get(var)
-        if bound is not None and bound != tid:
-            return False
-    return True
-
-
-def nested_loop_pairs(left, right, condition=None):
-    """``(merged, left index, right index | -1)`` before deduplication."""
-    out = []
-    for i, binding in enumerate(left):
-        extended = 0
-        for j, opt in enumerate(right):
-            if not _compatible(binding, opt):
-                continue
-            merged = {**binding, **opt}
-            if condition is not None and not condition(merged):
-                continue
-            out.append((merged, i, j))
-            extended += 1
-        if not extended:
-            out.append((binding, i, -1))
-    return out
 
 
 def nested_loop_left_join(left, right, condition=None):
@@ -139,18 +113,11 @@ def test_hash_left_join_emits_the_nested_loops_pairs_in_order():
     for _ in range(300):
         left, right = random_side(rng, 6), random_side(rng, 6)
         condition = random_condition(rng)
-        left_schema, left_rows = as_rows(left)
-        right_schema, right_rows = as_rows(right)
-        out_schema = schema_of(left_schema + right_schema)
-        got = [
-            (binding, i, j)
-            for rows, left_sel, right_sel in left_join_rows(
-                left_schema, left_rows, right_schema, right_rows, condition
-            )
-            for binding, i, j in zip(
-                bindings_of(out_schema, rows), left_sel, right_sel
-            )
-        ]
+        lhs, rhs = as_batch(left), as_batch(right)
+        sel_l, sel_r = left_join_pairs(lhs, rhs, {}, as_mask(condition))
+        schema = schema_of(lhs.schema + rhs.schema)
+        merged = gather_pairs(lhs, rhs, sel_l, sel_r, schema)
+        got = list(zip(bindings_of(merged), sel_l, sel_r))
         assert got == nested_loop_pairs(left, right, condition)
 
 
@@ -180,8 +147,9 @@ class _Fixed(FedOp):
     kind = "Fixed"
 
     def __init__(self, bindings, origins):
-        self.schema, rows = as_rows(bindings)
-        self.chunk = (rows, list(origins))
+        batch = as_batch(bindings)
+        self.schema = batch.schema
+        self.chunk = (batch, list(origins))
 
     def _stream(self, ctx, interp):
         yield self.chunk
@@ -203,7 +171,9 @@ def test_left_join_node_rows_order_and_origins_match_nested_loop():
         condition = random_condition(rng)
         left_origins, right_origins = origins(len(left)), origins(len(right))
         node = LeftJoinNode(
-            _Fixed(left, left_origins), _Fixed(right, right_origins), condition
+            _Fixed(left, left_origins),
+            _Fixed(right, right_origins),
+            as_mask(condition),
         )
         ctx = ExecContext(
             None, NetworkStats(), RelationCache(None), scheduler
@@ -224,7 +194,7 @@ def test_left_join_node_rows_order_and_origins_match_nested_loop():
         got = [
             (binding, [h.index for h in origin])
             for binding, origin in zip(
-                bindings_of(node.schema, stream.rows), stream.origins
+                bindings_of(stream.batch), stream.origins
             )
         ]
         assert got == expected
