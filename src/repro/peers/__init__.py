@@ -2,8 +2,10 @@
 
 Peer schemas and peers, graph mapping assertions and equivalence
 mappings, the RPS triple ``(S, G, E)``, Definition-2 solution checking,
-the Section-3 data-exchange encoding, Algorithm 1 (the RDF-level chase
-to a universal solution) and certain-answer computation.
+the Section-3 data-exchange encoding, the quotient by ``≡ₑ``
+(:mod:`~repro.peers.quotient`, shared with the rewriting route),
+Algorithm 1 (the RDF-level chase of that quotient to a universal
+solution) and certain-answer computation.
 """
 
 from repro.peers.certain_answers import (

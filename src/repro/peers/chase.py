@@ -7,43 +7,61 @@ the stored database D by repeatedly repairing unsatisfied mappings:
   ``t ∈ Q_J \\ Q′_J``: substitute t into Q′'s free variables and add the
   body triples of Q′, minting a fresh blank node for each existential
   variable of Q′ (the labelled nulls of the data-exchange view);
-* an **equivalence mapping** c ≡ₑ c′ is repaired by copying each triple
-  context between c and c′ in all three positions, under the
-  blank-keeping ``Q*`` semantics.
+* an **equivalence mapping** c ≡ₑ c′ is never repaired pair by pair.
+  Definition 2(3) makes ``≡ₑ`` a congruence (equal subject, predicate
+  and object contexts on both sides), so the fixpoint runs on the
+  quotient K of D by the classes of ``≡ₑ`` — every stored triple and
+  every ground term of every assertion mapped to its class
+  representative (:mod:`repro.peers.quotient`, the class map the
+  rewriting route uses) — with the assertions alone, and J is K
+  expanded by class, once, after the fixpoint: a K triple with a
+  position in a non-trivial class contributes the product of its
+  classes.  The six copy blocks of Algorithm 1's case 3 survive only
+  in the oracle, as the copy TGDs of the Section-3 encoding
+  (:mod:`repro.peers.data_exchange`).
+
+Two equivalent constants that both violate an assertion are one
+violating tuple of K, so they share one repair and its nulls: J is a
+smaller universal solution than the pair-wise repair builds,
+homomorphically equivalent to it, with the same certain answers.
 
 New blank nodes never enable further assertion triggers through the free
 variables (those range over IRIs/literals only — the ``rt`` guards of
 the Section-3 encoding), so the chase terminates in polynomially many
 steps (Theorem 1).
 
-The whole fixpoint runs on dictionary IDs.  J is encoded against a
-private dictionary; every mapping is compiled once into ID slots (all
-its ground terms interned up front); Q and Q′ are evaluated by the
-columnar batch engine (:func:`repro.sparql.batch.select_id_rows_batch`)
-into sets of ID tuples; ``Q_J`` drops the rows that meet the set of
-blank-node IDs, which grows as nulls are minted; the violating
-difference is a set difference of integer tuples; repairs are
-instantiated as ID triples and land with one ``Graph.add_id_triples``
-per mapping.  No term is decoded anywhere in the loop.
+The whole run is on dictionary IDs.  J is encoded against a private
+dictionary filled straight from the peers' ID triples (one ID → ID
+remap per source dictionary); every assertion is compiled once into ID
+slots (all its ground terms interned up front); Q and Q′ are evaluated
+by the columnar batch engine
+(:func:`repro.sparql.batch.select_id_rows_batch`) into sets of ID
+tuples; ``Q_K`` drops the rows that meet the set of blank-node IDs,
+which grows as nulls are minted; the violating difference is a set
+difference of integer tuples; repairs are instantiated as ID triples
+and land with one ``Graph.add_id_triples`` per assertion, the expansion
+with one more.  No term is decoded and no term-level triple is built.
 
 Repair order is a total order: assertions in ``system.assertions``
-order, then equivalences in ``system.equivalences`` order; within an
-assertion, violating tuples in ascending ID-tuple order (IDs follow the
-stored database's insertion order, then mapping constants, then nulls
-in minting order) and existential variables by name.  The order only
-decides which label a null gets — the counters and the solution up to
-null renaming do not depend on it.
+order; within an assertion, violating tuples in ascending ID-tuple
+order and existential variables by name.  IDs follow the stored
+database's first-encounter order (peers by name, each graph in
+insertion order, subject-predicate-object), then the class members
+(classes and members in term order), then the assertions' constants,
+then nulls in minting order.  The order only decides which label a null
+gets — the counters and the solution up to null renaming do not depend
+on it, nor on the order or orientation of ``system.equivalences``.
 
 Two evaluation policies are provided:
 
-* ``semi_naive=False`` — faithful Algorithm 1: every mapping is
+* ``semi_naive=False`` — faithful Algorithm 1: every assertion is
   re-checked in every fixpoint round;
-* ``semi_naive=True`` (default) — a delta-driven ablation: a mapping is
-  only re-checked when some triple added in the previous round could
+* ``semi_naive=True`` (default) — a delta-driven ablation: an assertion
+  is only re-checked when some triple added in the previous round could
   participate in a new violation (positional match against a source
-  conjunct, or mention of an equivalence constant).  Results are
-  identical (property-tested in ``tests/test_chase.py``); only the work
-  differs, and ``PeerChaseResult.evaluated_mappings`` reports it.
+  conjunct).  Results are identical (property-tested in
+  ``tests/test_chase.py``); only the work differs, and
+  ``PeerChaseResult.evaluated_mappings`` reports it.
 """
 
 from __future__ import annotations
@@ -53,6 +71,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -65,7 +84,15 @@ from repro.gpq.evaluation import compile_conjunct
 from repro.rdf.dictionary import IDTriple, TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.terms import BlankNode, Term, Variable, fresh_blank_node
+from repro.rdf.triples import TriplePattern
 from repro.peers.mappings import GraphMappingAssertion
+from repro.peers.quotient import (
+    canonical_map,
+    class_members,
+    expand_by_class,
+    quotient_triples,
+    representative_ids,
+)
 from repro.peers.system import RPS
 from repro.sparql.algebra import Bgp
 from repro.sparql.batch import select_id_rows_batch
@@ -78,21 +105,23 @@ class PeerChaseResult:
     """Outcome of an Algorithm-1 run.
 
     Attributes:
-        solution: the universal solution J.
-        stored_triples: |D| — triples copied from the stored database.
+        solution: the universal solution J, materialised.
+        stored_triples: |D| — distinct triples of the stored database.
         assertion_triples: triples added by graph mapping assertions
-            (the *dashed arrows* of Figure 2).
-        equivalence_triples: triples added by equivalence mappings
-            (the *dotted arrows* of Figure 2).
+            (the *dashed arrows* of Figure 2), counted on the quotient.
+        equivalence_triples: triples J owes to equivalence mappings
+            (the *dotted arrows* of Figure 2) — derived, everything
+            neither stored nor placed by an assertion repair:
+            ``len(solution) − stored_triples − assertion_triples``.
         assertion_firings: number of assertion repair steps (one per
-            violating tuple).
+            violating tuple of the quotient).
         blank_nodes_created: fresh labelled nulls minted.
         rounds: fixpoint rounds executed.
         fired_per_assertion: repair steps per assertion, keyed by its
             label (``assertion#i`` when unlabelled); sums to
             ``assertion_firings``.
-        evaluated_mappings: repair passes actually run, over all rounds
-            — ``rounds × (|G| + |E|)`` minus what the delta filter
+        evaluated_mappings: assertion repair passes actually run, over
+            all rounds — ``rounds × |G|`` minus what the delta filter
             skipped.
     """
 
@@ -163,17 +192,7 @@ def chase_universal_solution(
     # grow it without bound across runs.  Each universal solution therefore
     # gets its own private dictionary, reclaimed when the solution is.
     dictionary = TermDictionary()
-    solution = Graph(
-        system.stored_database(),
-        name="universal-solution",
-        dictionary=dictionary,
-    )
-    result = PeerChaseResult(solution=solution, stored_triples=len(solution))
-    blanks: Set[int] = {
-        tid
-        for tid in range(len(dictionary))
-        if isinstance(dictionary.decode(tid), BlankNode)
-    }
+    blanks: Set[int] = set()
 
     def intern(term: Term) -> int:
         tid = dictionary.encode(term)
@@ -181,14 +200,25 @@ def chase_universal_solution(
             blanks.add(tid)
         return tid
 
+    stored = _stored_id_triples(system, intern)
+    representative = canonical_map(system)
+    classes = {
+        intern(canonical): tuple(map(intern, members))
+        for canonical, members in class_members(representative).items()
+    }
+    solution = Graph(name="universal-solution", dictionary=dictionary)
+    solution.add_id_triples(
+        quotient_triples(
+            stored, representative_ids(representative, intern, intern)
+        ),
+        dictionary,
+    )
+    result = PeerChaseResult(solution=solution, stored_triples=len(stored))
     assertions = [
-        _compile_assertion(solution, assertion, index, intern)
+        _compile_assertion(solution, assertion, index, intern, representative)
         for index, assertion in enumerate(system.assertions)
     ]
     result.fired_per_assertion = {c.key: 0 for c in assertions}
-    equivalences = [
-        (intern(eq.left), intern(eq.right)) for eq in system.equivalences
-    ]
 
     # None means "everything is new" (first round).
     delta: Optional[_Delta] = None
@@ -212,25 +242,46 @@ def chase_universal_solution(
                 _repair_assertion(solution, compiled, blanks, intern, result)
             )
 
-        for left, right in equivalences:
-            if (
-                delta is not None
-                and left not in delta.mentioned
-                and right not in delta.mentioned
-            ):
-                continue
-            result.evaluated_mappings += 1
-            new_triples.extend(
-                _repair_equivalence(solution, left, right, result)
-            )
-
         if not new_triples:
             break
         if semi_naive:
             delta = _Delta(
                 new_triples, {tid for t in new_triples for tid in t}
             )
+
+    # K is closed under the assertions; J is its expansion by class.
+    if classes:
+        solution.add_id_triples(
+            list(expand_by_class(solution.id_triples(), classes)), dictionary
+        )
+    result.equivalence_triples = (
+        len(solution) - result.stored_triples - result.assertion_triples
+    )
     return result
+
+
+def _stored_id_triples(
+    system: RPS, intern: Callable[[Term], int]
+) -> Dict[IDTriple, None]:
+    """The stored database D as ID triples of the private dictionary.
+
+    Peers in ``peer_names()`` order, each graph in insertion order, IDs
+    assigned at first encounter over subject, predicate, object; one
+    ID → ID remap per source dictionary.
+    """
+    stored: Dict[IDTriple, None] = {}
+    remaps: Dict[TermDictionary, Dict[int, int]] = {}
+    for name in system.peer_names():
+        graph = system.peers[name].graph
+        remap = remaps.setdefault(graph.dictionary, {})
+        terms = graph.dictionary.terms()
+        for triple in graph.id_triples():
+            for tid in triple:
+                if tid not in remap:
+                    remap[tid] = intern(terms[tid])
+            s, p, o = triple
+            stored[remap[s], remap[p], remap[o]] = None
+    return stored
 
 
 def _compile_assertion(
@@ -238,17 +289,29 @@ def _compile_assertion(
     assertion: GraphMappingAssertion,
     index: int,
     intern: Callable[[Term], int],
+    representative: Mapping[Term, Term],
 ) -> _Assertion:
-    """Intern an assertion's ground terms and lay out its repair."""
+    """Intern an assertion's ground terms and lay out its repair.
+
+    Ground terms are taken modulo ``representative`` first: the compiled
+    assertion speaks of the quotient, like the graph it is run on.
+    """
     source, target = assertion.source, assertion.target
-    for query in (source, target):
-        for pattern in query.conjuncts():
-            for term in pattern:
-                if not isinstance(term, Variable):
-                    intern(term)
+    canonical = representative.get
+    source_patterns, target_patterns = (
+        tuple(
+            TriplePattern(*[canonical(term, term) for term in pattern])
+            for pattern in query.conjuncts()
+        )
+        for query in (source, target)
+    )
+    for pattern in source_patterns + target_patterns:
+        for term in pattern:
+            if not isinstance(term, Variable):
+                intern(term)
 
     demands: List[_Demand] = []
-    for pattern in source.conjuncts():
+    for pattern in source_patterns:
         slots = compile_conjunct(solution, pattern)
         if slots is None:  # literal subject: matches nothing, ever
             demands = []
@@ -268,7 +331,7 @@ def _compile_assertion(
     # Environment layout: target constants, then the head row, then one
     # null per existential variable (by name).
     env: Dict[Term, int] = {}
-    for pattern in target.conjuncts():
+    for pattern in target_patterns:
         for term in pattern:
             if not isinstance(term, Variable):
                 env.setdefault(term, len(env))
@@ -282,16 +345,16 @@ def _compile_assertion(
         env[var] = len(env)
     return _Assertion(
         key=assertion.label or f"assertion#{index}",
-        source=Bgp(tuple(source.conjuncts())),
+        source=Bgp(source_patterns),
         source_head=source.head,
-        target=Bgp(tuple(target.conjuncts())),
+        target=Bgp(target_patterns),
         target_head=target.head,
         demands=tuple(demands),
         constants=constants,
         nulls=len(existentials),
         template=tuple(
             (env[tp.subject], env[tp.predicate], env[tp.object])
-            for tp in target.conjuncts()
+            for tp in target_patterns
         ),
     )
 
@@ -367,28 +430,4 @@ def _repair_assertion(
     result.assertion_firings += len(violating)
     result.fired_per_assertion[assertion.key] += len(violating)
     result.blank_nodes_created += assertion.nulls * len(violating)
-    return added
-
-
-def _repair_equivalence(
-    solution: Graph, left: int, right: int, result: PeerChaseResult
-) -> List[IDTriple]:
-    """One repair pass for c ≡ₑ c′ (case 3 of Algorithm 1).
-
-    Copies subject, predicate and object contexts both ways using the
-    graph's ID indexes directly — equivalent to the six switch blocks of
-    Algorithm 1 under the ``Q*`` (blank-keeping) semantics.  Each block
-    sees what the blocks before it added.
-    """
-    added: List[IDTriple] = []
-    for source, target in ((left, right), (right, left)):
-        for position in range(3):
-            probe: List[Optional[int]] = [None, None, None]
-            probe[position] = source
-            copies = [
-                triple[:position] + (target,) + triple[position + 1 :]
-                for triple in solution.triples_ids(*probe)
-            ]
-            added.extend(_add_new(solution, copies))
-    result.equivalence_triples += len(added)
     return added

@@ -168,33 +168,30 @@ class RPS:
         """Union-find closure of E: each IRI → its full equivalence class.
 
         E is a set of pairs; its reflexive-symmetric-transitive closure
-        partitions the affected IRIs.  Used by redundancy elimination and
-        by the optimised chase.
+        partitions the affected IRIs.  Every consumer goes through
+        :func:`repro.peers.quotient.canonical_map`: Algorithm 1
+        (:mod:`repro.peers.chase`) chases the quotient by these classes
+        and the rewriting route (:mod:`repro.rewriting.redundancy`)
+        rewrites over it.
         """
-        parent: Dict[IRI, IRI] = {}
+        index: Dict[IRI, int] = {}
+        for equivalence in self.equivalences:
+            for side in equivalence.terms():
+                index.setdefault(side, len(index))
+        parent = list(range(len(index)))
 
-        def find(x: IRI) -> IRI:
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(a: IRI, b: IRI) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
 
         for equivalence in self.equivalences:
-            union(equivalence.left, equivalence.right)
-        classes: Dict[IRI, Set[IRI]] = {}
-        members: Set[IRI] = set()
-        for equivalence in self.equivalences:
-            members.update(equivalence.terms())
-        for iri in members:
-            classes.setdefault(find(iri), set()).add(iri)
-        return {iri: classes[find(iri)] for iri in members}
+            left, right = equivalence.terms()
+            parent[find(index[left])] = find(index[right])
+        classes: Dict[int, Set[IRI]] = {}
+        for iri, number in index.items():
+            classes.setdefault(find(number), set()).add(iri)
+        return {iri: classes[find(number)] for iri, number in index.items()}
 
     def __repr__(self) -> str:
         return (

@@ -35,7 +35,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Set, Tuple, Union
 
-from repro.errors import NotRewritableError, RewritingError
+from repro.errors import (
+    NotRewritableError,
+    QueryError,
+    RewritingError,
+    TripleError,
+)
 from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import NamespaceManager
@@ -254,7 +259,10 @@ def certain_answers_by_tuple_check(
     for candidate in candidates:
         try:
             boolean_query = gpq.bind_tuple(candidate)
-        except Exception:
+        except (TripleError, QueryError):
+            # An ill-typed candidate (a literal where the query has a
+            # predicate) is no answer; anything else is a bug and
+            # propagates.
             continue
         rewriting = rewrite_over_quotient(
             quotient, boolean_query, max_queries=max_queries

@@ -13,11 +13,16 @@ point (:mod:`~repro.rewriting.perfect`, :mod:`~repro.rewriting.boolean`,
 :mod:`~repro.rewriting.limits`) takes its TGDs, its stored graph and
 its class map from.  The "Result without redundancy" is what the
 rewriting computes, the "Result" is its expansion by class.
+
+The class map itself (:func:`canonical_map`, re-exported here), the
+ID → ID quotient of a graph and the expansion by class live in
+:mod:`repro.peers.quotient`, below the import arm ``tgd ← peers ←
+rewriting``: Algorithm 1 chases the same quotient with the same
+representatives.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Collection, Dict, Iterable, List, Set, Tuple
 
 from repro.gpq.query import GraphPatternQuery
@@ -26,6 +31,13 @@ from repro.rdf.terms import IRI, Term
 from repro.tgd.cq import ConjunctiveQuery
 from repro.tgd.dependencies import TGD
 from repro.peers.data_exchange import gpq_to_cq, quotient_atoms, quotient_tgds
+from repro.peers.quotient import (
+    canonical_map,
+    class_members,
+    expand_by_class,
+    quotient_triples,
+    representative_ids,
+)
 from repro.peers.system import RPS
 
 __all__ = [
@@ -34,20 +46,6 @@ __all__ = [
     "canonicalize_answer",
     "deduplicate_answers",
 ]
-
-
-def canonical_map(system: RPS) -> Dict[IRI, IRI]:
-    """IRI → canonical representative of its equivalence class.
-
-    The representative is the smallest member under the deterministic
-    term order; IRIs not mentioned by any equivalence map to themselves
-    (and are omitted from the dict).
-    """
-    classes = system.equivalence_classes()
-    out: Dict[IRI, IRI] = {}
-    for iri, members in classes.items():
-        out[iri] = min(members, key=lambda m: m.sort_key())
-    return out
 
 
 class EquivalenceQuotient:
@@ -67,9 +65,7 @@ class EquivalenceQuotient:
     def __init__(self, system: RPS) -> None:
         self._system = system
         self.representative: Dict[IRI, IRI] = canonical_map(system)
-        self.classes: Dict[IRI, List[IRI]] = {}
-        for member in sorted(self.representative, key=lambda m: m.sort_key()):
-            self.classes.setdefault(self.representative[member], []).append(member)
+        self.classes: Dict[IRI, List[IRI]] = class_members(self.representative)
         self.tgds: List[TGD] = quotient_tgds(system, self.representative)
 
     def query(self, gpq: GraphPatternQuery, label: str = "q") -> ConjunctiveQuery:
@@ -86,21 +82,14 @@ class EquivalenceQuotient:
         ``stored`` itself when the system has no equivalence.
         """
         dictionary = stored.dictionary
-        to_representative: Dict[int, int] = {}
-        for member, representative in self.representative.items():
-            member_id = dictionary.lookup(member)
-            if member_id is not None and member != representative:
-                to_representative[member_id] = dictionary.encode(representative)
+        to_representative = representative_ids(
+            self.representative, dictionary.lookup, dictionary.encode
+        )
         if not to_representative:
             return stored
-        get = to_representative.get
         quotient = Graph(name=stored.name, dictionary=dictionary)
         quotient.add_id_triples(
-            (
-                (get(s, s), get(p, p), get(o, o))
-                for s, p, o in stored.id_triples()
-            ),
-            dictionary,
+            quotient_triples(stored.id_triples(), to_representative), dictionary
         )
         return quotient
 
@@ -112,15 +101,7 @@ class EquivalenceQuotient:
         self, rows: Collection[Tuple[Term, ...]]
     ) -> Set[Tuple[Term, ...]]:
         """Every row with each representative replaced by each class member."""
-        classes = self.classes
-        if not classes:
-            return set(rows)
-        out: Set[Tuple[Term, ...]] = set()
-        for row in rows:
-            out.update(
-                itertools.product(*[classes.get(cell, (cell,)) for cell in row])
-            )
-        return out
+        return set(expand_by_class(rows, self.classes))
 
 
 def canonicalize_answer(

@@ -1,18 +1,20 @@
-"""Algorithm 1's observable behaviour, pinned to the pre-ID-native commit.
+"""Algorithm 1's observable behaviour, pinned.
 
-The chase went integer-native (batch-engine evaluation, ID-tuple
-differences, bulk ``add_id_triples``); nothing a caller can observe may
-move.  ``chase_golden.json`` holds, for the benchmark's cycle and film
-systems and ``bench_chase``'s chain/cycle, the solution size, every
-counter of ``PeerChaseResult`` and the certain-answer counts of a few
-queries, generated from the commit *before* the rewrite::
+``chase_golden.json`` holds, for the benchmark's cycle and film systems
+and ``bench_chase``'s chain/cycle, the solution size, every counter of
+``PeerChaseResult`` and the certain-answer counts of a few queries.  It
+regenerates byte-identically from HEAD (CI checks that)::
 
-    PYTHONPATH=<parent checkout>/src python tests/test_chase_golden.py
+    PYTHONPATH=src python tests/test_chase_golden.py
 
-``fired_per_assertion`` and ``evaluated_mappings`` did not exist on
-that commit; the generator derives them there by wrapping the two
-term-level repair functions (see ``_legacy_observability``), so they
-are pinned to the old control flow as well.
+The records were migrated when the chase moved onto the quotient by
+``≡ₑ`` (one firing per class instead of one per member): the
+equivalence-free ``bench_cycle`` record and every ``answers`` block are
+those of the pair-wise chase, and the ``parent`` block keeps what that
+chase built on the three systems with equivalences, so "a smaller
+universal solution" is an assertion: the class chase may never need
+more triples, firings or nulls than it did.  The generator carries the
+``parent`` block over unchanged.
 """
 
 import json
@@ -24,13 +26,11 @@ import pytest
 from repro.gpq.pattern import make_pattern
 from repro.gpq.query import GraphPatternQuery
 from repro.peers import (
-    PeerChaseResult,
     certain_answers,
     chase_universal_solution,
     chase_via_data_exchange,
     is_solution,
 )
-from repro.peers import chase as chase_module
 from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import BlankNode, Variable
 from repro.sparql.bridge import sparql_to_gpq
@@ -94,63 +94,20 @@ def _queries(name: str) -> dict:
     }
 
 
-def _legacy_observability(system):
-    """Run the parent commit's chase, deriving the two new counters.
-
-    Only used when generating the fixture from the parent commit, whose
-    ``PeerChaseResult`` lacks them: every repair call is one evaluated
-    mapping, and an assertion's firings are the growth of
-    ``assertion_firings`` across its repair calls.
-    """
-    fired = {
-        assertion.label or f"assertion#{index}": 0
-        for index, assertion in enumerate(system.assertions)
-    }
-    evaluated = [0]
-    repair_assertion = chase_module._repair_assertion
-    repair_equivalence = chase_module._repair_equivalence
-
-    def counted_assertion(solution, assertion, result):
-        before = result.assertion_firings
-        out = repair_assertion(solution, assertion, result)
-        index = system.assertions.index(assertion)
-        fired[assertion.label or f"assertion#{index}"] += (
-            result.assertion_firings - before
-        )
-        evaluated[0] += 1
-        return out
-
-    def counted_equivalence(*args):
-        evaluated[0] += 1
-        return repair_equivalence(*args)
-
-    chase_module._repair_assertion = counted_assertion
-    chase_module._repair_equivalence = counted_equivalence
-    try:
-        result = chase_universal_solution(system)
-    finally:
-        chase_module._repair_assertion = repair_assertion
-        chase_module._repair_equivalence = repair_equivalence
-    return result, fired, evaluated[0]
-
-
 def _observe(system):
     """One default chase run as a JSON-ready record (plus the result)."""
-    if "evaluated_mappings" in PeerChaseResult.__dataclass_fields__:
-        result = chase_universal_solution(system)
-        fired = result.fired_per_assertion
-        evaluated = result.evaluated_mappings
-    else:  # the parent commit
-        result, fired, evaluated = _legacy_observability(system)
+    result = chase_universal_solution(system)
     record = {counter: getattr(result, counter) for counter in COUNTERS}
     record["solution_triples"] = len(result.solution)
-    record["evaluated_mappings"] = evaluated
-    record["fired_per_assertion"] = dict(sorted(fired.items()))
+    record["evaluated_mappings"] = result.evaluated_mappings
+    record["fired_per_assertion"] = dict(
+        sorted(result.fired_per_assertion.items())
+    )
     return record, result
 
 
 def snapshot() -> dict:
-    out = {}
+    out = {"parent": json.loads(GOLDEN.read_text())["parent"]}
     for name, build in SYSTEMS.items():
         system = build()
         record, result = _observe(system)
@@ -179,6 +136,8 @@ def test_counters_match_parent_commit(chased, golden):
     assert record == {
         k: v for k, v in golden[name].items() if k != "answers"
     }
+    for counter, pairwise in golden["parent"].get(name, {}).items():
+        assert record[counter] <= pairwise, counter
     assert sum(result.fired_per_assertion.values()) == result.assertion_firings
     assert (
         result.inferred_triples

@@ -9,8 +9,10 @@ Proposition-3 bounded rewriting.
 
 Equivalences reach the rewriter as classes (the query, the assertion
 TGDs and the stored graph over representatives, answers expanded at the
-boundary); Algorithm 1, which still copies triple by triple, is the
-oracle for that on generated systems and on hand-built corner cases.
+boundary); Algorithm 1 is the oracle for that on generated systems and
+on hand-built corner cases.  It chases the same quotient since ISSUE 24,
+so ``tests/test_chase_classes.py`` holds it in turn to the relational
+chase with Section 3's six copy TGDs per pair.
 """
 
 import pytest
@@ -106,6 +108,38 @@ def _translation(source, target, label):
         GraphPatternQuery((X, Y), make_pattern((X, target, Y))),
         label=label,
     )
+
+
+class TestTupleCheckSkipsOnlyIllTypedCandidates:
+    """``bind_tuple`` failures: a literal predicate is skipped, a bug is not."""
+
+    def system(self) -> RPS:
+        graph = Graph(
+            [Triple(EX.a, EX.p, EX.b), Triple(EX.a, EX.label, Literal("a"))],
+            name="source",
+        )
+        return RPS.from_graphs(
+            {"source": graph}, assertions=[_translation(EX.p, EX.q, "p->q")]
+        )
+
+    def test_literal_candidate_in_predicate_position_is_no_answer(self):
+        system = self.system()
+        query = GraphPatternQuery((X,), make_pattern((EX.a, X, EX.b)))
+        checked = certain_answers_by_tuple_check(system, query)
+        assert checked.answers == {(EX.p,), (EX.q,)}
+        assert checked.answers == certain_answers(system, query)
+        # Five candidates (a, b, label, p, q as IRIs) were rewritten;
+        # the literal was never turned into a Boolean query.
+        assert checked.rewritings == 5
+
+    def test_unexpected_failure_propagates(self, monkeypatch):
+        def broken(self, values):
+            raise RuntimeError("a refactor went wrong")
+
+        monkeypatch.setattr(GraphPatternQuery, "bind_tuple", broken)
+        query = GraphPatternQuery((X,), make_pattern((EX.a, X, EX.b)))
+        with pytest.raises(RuntimeError, match="refactor"):
+            certain_answers_by_tuple_check(self.system(), query)
 
 
 class TestStoredBlanksNeverSurface:
