@@ -71,7 +71,7 @@ short-circuits the whole pipeline.
 
 All strategies compute the same answer set — the projection of the
 query over the union of the peer databases, equal to the single-graph
-planner's — which the benchmark suite and tests assert.  (For an
+planner's — which the tests assert.  (For an
 *unordered* ``LIMIT``/``OFFSET`` the answer is any legal subset of the
 right cardinality; strategies may pick different rows.)  Joining
 happens on dictionary IDs, which requires all peer graphs to share one
@@ -194,7 +194,7 @@ FIXED_STRATEGIES: Tuple[str, ...] = ("naive", "bound", "collect")
 STRATEGIES: Tuple[str, ...] = (ADAPTIVE, PARALLEL) + FIXED_STRATEGIES
 
 #: Default bound-join batch size (FedX ships 15-20 bindings per request;
-#: a larger block keeps message counts low on the bench workloads while
+#: a larger block keeps message counts low on the federated workloads while
 #: still exercising multi-batch paths at scale).
 DEFAULT_BATCH_SIZE = 64
 
@@ -376,7 +376,7 @@ class ConcurrentResult:
         cap's observed peak, and the AIMD controller's adjustment
         counts, all behind one
         :class:`~repro.obs.metrics.MetricsRegistry` whose ``render()``
-        is the bench/CI export format.
+        is the export format.
         """
         registry = MetricsRegistry()
         registry.set("admission.active_peak", self.active_peak)
@@ -879,8 +879,9 @@ class FederatedExecutor:
             discipline: backlog admission policy per channel —
                 ``"fifo"`` or ``"wrr"`` (weighted round-robin across
                 tenants).
-            weights: per-tenant weights for the ``"wrr"`` discipline
-                (default 1 each; ignored by FIFO).
+            weights: per-tenant weights (>= 1, keyed by tenant name)
+                for the ``"wrr"`` discipline (default 1 each; ignored
+                by FIFO).
             max_active: admission-control cap on concurrently active
                 queries (``None`` = all tenants start at once).
             max_in_flight: per-endpoint window override for this call
@@ -911,7 +912,9 @@ class FederatedExecutor:
 
         Raises:
             FederationError: on an empty tenant set, a duplicate or
-                empty tenant name, or a non-runtime strategy.
+                empty tenant name, a weight for an unknown tenant or
+                below 1, or a non-runtime strategy — all before any
+                query is prepared.
         """
         if strategy not in STRATEGIES or strategy == "collect":
             raise FederationError(
@@ -925,12 +928,26 @@ class FederatedExecutor:
             items = [(name, query) for name, query in queries]
         if not items:
             raise FederationError("execute_concurrent needs >= 1 tenant")
+        names = set()
         for name, _ in items:
             if not isinstance(name, str) or not name:
                 raise FederationError(
                     f"tenant names must be non-empty strings: {name!r}"
                 )
+            if name in names:
+                raise FederationError(f"duplicate tenant name {name!r}")
+            names.add(name)
         weight_of = dict(weights or {})
+        unknown = sorted(set(weight_of) - names)
+        if unknown:
+            raise FederationError(
+                f"weights configured for unknown tenant(s): {unknown}"
+            )
+        for name, weight in weight_of.items():
+            if weight < 1:
+                raise FederationError(
+                    f"tenant weight must be >= 1 for {name!r}, got {weight}"
+                )
         # Prepare each *distinct* query once — tenants submitting the
         # same text (or the same query object) share one PreparedQuery,
         # exactly like run_all_strategies shares across strategies.
@@ -1105,8 +1122,8 @@ class FederatedExecutor:
         hits/misses/size and the statistics catalog's epochs and
         refresh count — into one
         :class:`~repro.obs.metrics.MetricsRegistry` snapshot; the
-        ``explain`` metrics block and the bench runner's exported
-        ``metrics`` section both render from it.
+        ``explain`` metrics block and ``tools/export_trace.py``'s
+        ``METRICS.json`` both render from it.
         """
         registry = MetricsRegistry()
         cache = self.plan_cache.stats()

@@ -50,8 +50,8 @@ still-outstanding remainder of the upstream step within the channel's
 PR 4's wave barriers: every batch waits for the entire upstream step.
 Batch count, message count and transferred solutions are identical in
 both modes (the same rows travel in the same number of envelopes); only
-the simulated timeline changes, which is what the ``streaming`` bench
-suite gates on.  The *choice* of operator is still made from the cost
+the simulated timeline changes, which is what
+``tests/test_federation_plan.py``'s pipelining tests gate on.  The *choice* of operator is still made from the cost
 model's cardinality feedback at plan-construction time — like FedX, the
 plan is fixed before rows stream through it; the simulation's planning
 oracle sees counts the pipelined timeline only later "earns".

@@ -7,8 +7,8 @@ The stack grew one ad-hoc counter bag per layer —
 catalog's epochs.  :class:`MetricsRegistry` absorbs them behind one
 get-or-create API with a deterministic snapshot/render boundary:
 ``snapshot()`` returns a name-sorted dict of plain JSON values (ints,
-floats, histogram dicts) the bench runner embeds into ``BENCH_*.json``
-records, and ``render()`` produces the sorted ``name=value`` lines the
+floats, histogram dicts) that ``tools/export_trace.py`` writes to
+``METRICS.json``, and ``render()`` produces the sorted ``name=value`` lines the
 executors' ``explain`` output uses as its unified metrics block.
 
 Everything here is plain arithmetic over deterministic inputs, so two

@@ -286,7 +286,7 @@ def validate_trace_events(document) -> List[str]:
     ``pid``/``tid`` and an ``args`` object.  ``controller:``-prefixed
     events (adaptive-concurrency window adjustments) must additionally
     carry integer ``window_before``/``window_after`` args — the
-    contract the bench's exported traces rely on.  Dependency-free on
+    contract exported traces rely on.  Dependency-free on
     purpose: CI runs it before any project install.
     """
     if not isinstance(document, dict):

@@ -336,8 +336,8 @@ def flaky_fault_model(
 
     Error replies and timeouts at the given per-attempt rates; every
     other endpoint is healthy.  With a large enough retry budget the
-    execution recovers a complete answer — the faults bench's
-    ``flaky`` scenarios assert exactly that.
+    execution recovers a complete answer — the ``flaky`` scenarios of
+    ``tests/test_federation_faults.py`` assert exactly that.
     """
     return FaultModel(
         specs={

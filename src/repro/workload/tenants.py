@@ -1,7 +1,7 @@
-"""Multi-tenant offered loads for the concurrent-execution bench.
+"""Multi-tenant offered loads for concurrent execution.
 
 A PDMS coordinator answers many peers' queries at once, so the
-concurrency benchmarks need *offered load*: a deterministic set of
+concurrency tests need *offered load*: a deterministic set of
 tenants, each submitting one federated query drawn from the standard
 templates (:func:`~repro.workload.federation.federated_path_query` and
 friends).  Two shapes:
@@ -92,8 +92,8 @@ def skewed_tenant_workload(
     tenant runs one anchored selective query that needs only a few
     small requests.  Under FIFO admission the burst lands first and
     the light tenants queue behind all of it; a fairness discipline
-    should interleave them instead, which the bench measures as the
-    max/min per-tenant makespan ratio.
+    should interleave them instead, which ``tests/test_concurrency.py``
+    measures as the max/min per-tenant stretch ratio.
     """
     if light < 1:
         raise ValueError(f"need >= 1 light tenant: {light}")

@@ -1,17 +1,13 @@
-"""Frozen pre-dictionary triple store and evaluator, for benchmarking.
+"""Frozen pre-dictionary triple store and evaluator: a test oracle.
 
 This module preserves the seed implementation that indexed full
 :class:`~repro.rdf.terms.Term` objects in nested dicts and joined
 conjuncts by substituting partial :class:`SolutionMapping` objects into
-triple patterns.  It exists for two reasons:
+triple patterns.  ``test_evaluation.py`` uses it as an independent
+reference: the dictionary-encoded store and the ID-level evaluator must
+produce identical matches and query answers on random workloads.
 
-* the benchmark harness measures the dictionary-encoded store *against*
-  it, so ``BENCH_core.json`` records a speedup rather than a bare number;
-* the test suite uses it as an independent oracle — both implementations
-  must produce identical matches and query answers on random workloads.
-
-Do not use it outside benchmarks and tests; it is deliberately not
-optimised further.
+It is deliberately not optimised further.
 """
 
 from __future__ import annotations

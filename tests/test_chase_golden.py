@@ -1,7 +1,7 @@
 """Algorithm 1's observable behaviour, pinned.
 
 ``chase_golden.json`` holds, for the benchmark's cycle and film systems
-and ``bench_chase``'s chain/cycle, the solution size, every counter of
+and two small chain/cycle systems, the solution size, every counter of
 ``PeerChaseResult`` and the certain-answer counts of a few queries.  It
 regenerates byte-identically from HEAD (CI checks that)::
 
@@ -45,7 +45,9 @@ from repro.workload import (
 GOLDEN = pathlib.Path(__file__).with_name("chase_golden.json")
 
 #: The benchmark's two systems (``benchmarks/wl_certain_answers.py``,
-#: seed 7) and the two of ``repro.bench.runner.bench_chase``.
+#: seed 7) and two small topologies (``core_*``: a 6-peer chain and a
+#: 5-peer cycle, 40 facts per peer, seed 3) that pin the rounds and
+#: solution size of Algorithm 1 on a chain and on a cycle.
 SYSTEMS = {
     "bench_cycle": lambda: cycle_rps(
         5, entities=100, facts=300, link_fraction=0.0, seed=7

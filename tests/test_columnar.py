@@ -373,6 +373,12 @@ def test_plan_cache_hit_skips_parse_and_plan(monkeypatch):
     assert second == first
     stats = engine.plan_cache_stats()
     assert stats["hits"] == 1 and stats["misses"] == 1
+    # Cold: a cleared cache misses again and serves the same rows.
+    monkeypatch.undo()
+    default_plan_cache.clear()
+    assert select(graph, text).rows == first
+    stats = engine.plan_cache_stats()
+    assert stats["hits"] == 0 and stats["misses"] == 1
 
 
 def test_plan_cache_key_ignores_include_blanks():

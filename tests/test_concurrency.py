@@ -39,6 +39,24 @@ def system():
     return federated_rps(peers=3, entities=20, facts=120, seed=7)
 
 
+def private_system(dictionary=None):
+    """The ``system`` fixture re-encoded against a private dictionary.
+
+    Bound-join batches form in term-ID order, and the process-wide
+    dictionary hands out IDs in interning order, which depends on what
+    ran earlier in the process; a fresh dictionary pins the IDs and
+    with them every simulated number.
+    """
+    source = federated_rps(peers=3, entities=20, facts=120, seed=7)
+    dictionary = TermDictionary() if dictionary is None else dictionary
+    return RPS.from_graphs(
+        {
+            name: Graph(peer.graph, name=name, dictionary=dictionary)
+            for name, peer in source.peers.items()
+        }
+    )
+
+
 def make_executor(system):
     """A fresh single-lane executor in the bursty bound-join regime."""
     network = NetworkModel(
@@ -339,7 +357,7 @@ def test_concurrent_answers_match_solo_execution(system):
         assert result.fairness_ratio() >= 1.0
 
 
-def test_concurrent_rejects_bad_inputs(system):
+def test_concurrent_rejects_bad_inputs(system, monkeypatch):
     executor = make_executor(system)
     query = federated_selective_query(entity=1, hops=2)
     with pytest.raises(FederationError):
@@ -348,6 +366,19 @@ def test_concurrent_rejects_bad_inputs(system):
         executor.execute_concurrent({"": query})
     with pytest.raises(FederationError):
         executor.execute_concurrent({"a": query}, strategy="collect")
+
+    def _no_prepare(*args, **kwargs):
+        raise AssertionError("invalid input must be rejected before prepare")
+
+    # Each of these is rejected up front, before any query is prepared.
+    with monkeypatch.context() as patch:
+        patch.setattr(executor, "prepare", _no_prepare)
+        with pytest.raises(FederationError, match="duplicate"):
+            executor.execute_concurrent([("a", query), ("a", query)])
+        with pytest.raises(FederationError, match="unknown tenant"):
+            executor.execute_concurrent({"a": query}, weights={"typo": 3})
+        with pytest.raises(FederationError, match=">= 1"):
+            executor.execute_concurrent({"a": query}, weights={"a": 0})
     result = executor.execute_concurrent({"a": query}, strategy="bound")
     with pytest.raises(FederationError):
         result.tenant("nope")
@@ -388,6 +419,148 @@ def test_adaptive_control_adjusts_and_preserves_answers(system):
     assert result.batch_size == 2
     for outcome in result.outcomes:
         assert outcome.result.rows == solos[outcome.tenant]
+
+
+# ---------------------------------------------------------------------------
+# Offered-load ladder: AIMD against fixed windows, WRR against FIFO
+# ---------------------------------------------------------------------------
+
+#: Fixed per-endpoint in-flight windows and offered loads (tenants).
+WINDOWS = (1, 2, 8)
+LOADS = (2, 4, 8)
+
+#: ``(load, variant)`` → (messages, makespan_us, p95_us, adjustments,
+#: rounds, batch) of ``tenant_workload(load, seed=11)`` under WRR on
+#: :func:`private_system`.  The only regression pins the shared-kernel
+#: clock of ``execute_concurrent`` has.
+LOAD_PINS = {
+    (2, "w1"): (422, 13_540_000, 13_540_000, 0, 1, 1),
+    (2, "w2"): (422, 13_540_000, 13_540_000, 0, 1, 1),
+    (2, "w8"): (422, 13_540_000, 13_540_000, 0, 1, 1),
+    (2, "adaptive"): (214, 12_210_000, 12_210_000, 6, 2, 2),
+    (4, "w1"): (639, 20_570_000, 20_570_000, 0, 1, 1),
+    (4, "w2"): (639, 20_570_000, 20_570_000, 0, 1, 1),
+    (4, "w8"): (639, 20_570_000, 20_570_000, 0, 1, 1),
+    (4, "adaptive"): (325, 18_670_000, 18_670_000, 6, 2, 2),
+    (8, "w1"): (1068, 35_000_000, 35_000_000, 0, 1, 1),
+    (8, "w2"): (1068, 35_000_000, 35_000_000, 0, 1, 1),
+    (8, "w8"): (1068, 35_000_000, 35_000_000, 0, 1, 1),
+    (8, "adaptive"): (544, 31_000_000, 31_000_000, 6, 2, 2),
+}
+
+#: discipline → (messages, makespan_us, p95_us, ratio_x1000) of
+#: ``skewed_tenant_workload(light=3, seed=5)`` at ``max_in_flight=2``;
+#: ``ratio_x1000`` is the max/min per-tenant stretch (shared makespan
+#: over solo elapsed), scaled by 1000.
+SKEW_PINS = {
+    "fifo": (120, 7_370_000, 7_370_000, 177_750),
+    "wrr": (120, 7_370_000, 7_370_000, 28_893),
+}
+
+
+def _us(seconds):
+    return int(round(seconds * 1e6))
+
+
+def _messages(result):
+    return sum(o.result.stats.messages for o in result.outcomes)
+
+
+def _signature(result):
+    """Byte-level identity of a concurrent run."""
+    return (
+        tuple(
+            (
+                o.tenant,
+                tuple(sorted(repr(row) for row in o.result.rows)),
+                o.makespan,
+                o.admission_wait,
+                o.result.stats.messages,
+            )
+            for o in result.outcomes
+        ),
+        tuple(repr(adj) for adj in result.adjustments),
+        result.makespan,
+        result.batch_size,
+    )
+
+
+def test_adaptive_p95_never_worse_than_any_fixed_window():
+    system = private_system()
+    variants = [(f"w{w}", {"max_in_flight": w}) for w in WINDOWS]
+    variants.append(("adaptive", {"adaptive": True, "control": BOUND_CONTROL}))
+    strict = False
+    adjustments = 0
+    for load in LOADS:
+        workload = tenant_workload(load, seed=11)
+        queries = [(t.tenant, t.query) for t in workload]
+        solos = {
+            t.tenant: make_executor(system).execute(t.query, "bound").rows
+            for t in workload
+        }
+        p95 = {}
+        for label, kwargs in variants:
+
+            def run():
+                return make_executor(system).execute_concurrent(
+                    queries, strategy="bound", discipline="wrr", **kwargs
+                )
+
+            result = run()
+            for outcome in result.outcomes:
+                assert outcome.result.rows == solos[outcome.tenant], (
+                    load,
+                    label,
+                    outcome.tenant,
+                )
+            footprint = (
+                _messages(result),
+                _us(result.makespan),
+                _us(result.p95_makespan()),
+                len(result.adjustments),
+                result.rounds,
+                result.batch_size,
+            )
+            assert footprint == LOAD_PINS[load, label], (load, label)
+            if label == "adaptive":
+                assert _signature(run()) == _signature(result), load
+                adjustments += len(result.adjustments)
+            p95[label] = result.p95_makespan()
+        for window in WINDOWS:
+            assert p95["adaptive"] <= p95[f"w{window}"] + 1e-9, (load, window)
+            strict |= p95["adaptive"] < p95[f"w{window}"] - 1e-9
+    assert strict, "adaptive control never strictly beat a fixed window"
+    assert adjustments, "the controller never adjusted a window"
+
+
+def test_wrr_stretch_ratio_strictly_below_fifo():
+    system = private_system()
+    workload = skewed_tenant_workload(light=3, seed=5)
+    queries = [(t.tenant, t.query) for t in workload]
+    solos = {
+        t.tenant: make_executor(system).execute(t.query, "bound")
+        for t in workload
+    }
+    ratio = {}
+    for discipline in ("fifo", "wrr"):
+        result = make_executor(system).execute_concurrent(
+            queries, strategy="bound", discipline=discipline, max_in_flight=2
+        )
+        for outcome in result.outcomes:
+            assert outcome.result.rows == solos[outcome.tenant].rows
+        stretches = [
+            o.makespan / max(solos[o.tenant].stats.elapsed_seconds, 1e-9)
+            for o in result.outcomes
+        ]
+        ratio[discipline] = max(stretches) / min(stretches)
+        footprint = (
+            _messages(result),
+            _us(result.makespan),
+            _us(result.p95_makespan()),
+            int(round(ratio[discipline] * 1000)),
+        )
+        assert footprint == SKEW_PINS[discipline], discipline
+    assert ratio["wrr"] < ratio["fifo"]
 
 
 def test_concurrent_metrics_registry(system):
@@ -509,15 +682,8 @@ def test_concurrent_rows_equal_solo_and_decode_each_id_once_per_round():
             self.decoded[tid] += 1
             return super().decode(tid)
 
-    source = federated_rps(peers=3, entities=20, facts=120, seed=7)
     dictionary = CountingDictionary()
-    system = RPS.from_graphs(
-        {
-            name: Graph(peer.graph, name=name, dictionary=dictionary)
-            for name, peer in source.peers.items()
-        }
-    )
-    executor = FederatedExecutor(system, batch_size=2)
+    executor = FederatedExecutor(private_system(dictionary), batch_size=2)
     texts = {
         f"tenant{k:02d}": federated_limit_sparql(hops=2, anchor=k % 20)
         for k in range(64)

@@ -1,14 +1,14 @@
 """Equivalence tests for the ID-level GPQ evaluator.
 
-The rewritten evaluator must agree with (a) the frozen seed evaluator
-from ``repro.bench.baseline`` and (b) the paper's definitions on small
-hand-checkable cases, under both the blank-dropping ``Q_D`` and
-blank-keeping ``Q*_D`` semantics.
+The rewritten evaluator must agree with (a) the frozen seed store and
+evaluator kept in ``tests/seed_store.py`` and (b) the paper's
+definitions on small hand-checkable cases, under both the
+blank-dropping ``Q_D`` and blank-keeping ``Q*_D`` semantics.
 """
 
 import pytest
 
-from repro.bench.baseline import BaselineGraph, baseline_evaluate_query
+from seed_store import BaselineGraph, baseline_evaluate_query
 from repro.gpq.evaluation import (
     ask,
     evaluate_pattern,

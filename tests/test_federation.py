@@ -180,15 +180,19 @@ def test_hash_join_randomized_against_reference():
 # ---------------------------------------------------------------------------
 
 
-def test_bound_ships_strictly_fewer_messages_than_naive(
-    three_peer_system, path_query
-):
-    executor = FederatedExecutor(three_peer_system)
-    results = executor.run_all_strategies(path_query)
-    naive, bound = results["naive"].stats, results["bound"].stats
-    assert bound.messages < naive.messages
-    # Naive ships every pattern to every peer.
-    assert naive.messages == 2 * 3
+def test_bound_ships_strictly_fewer_messages_than_naive(path_query):
+    for facts in (20, 60, 120):
+        system = federated_rps(
+            peers=3, entities=max(10, facts // 3), facts=facts, seed=7
+        )
+        expected = evaluate_query_star(system.stored_database(), path_query)
+        results = FederatedExecutor(system).run_all_strategies(path_query)
+        for strategy, result in results.items():
+            assert result.rows == expected, (facts, strategy)
+        naive, bound = results["naive"].stats, results["bound"].stats
+        assert bound.messages < naive.messages, facts
+        # Naive ships every pattern to every peer.
+        assert naive.messages == 2 * 3, facts
 
 
 def test_batching_splits_messages_deterministically(

@@ -288,6 +288,82 @@ def test_recoverable_faults_match_fault_free_on_all_strategies(system):
         assert result.rows == expected.rows, strategy
 
 
+FLAKY = flaky_fault_model(
+    "peer1", failure_rate=0.3, timeout_rate=0.1, seed=15
+)
+BLACKOUT = blackout_fault_model("peer1")
+
+#: (strategy, fault model, retry policy, replicas, recoverable).
+FAULT_SCENARIOS = {
+    "flaky": (
+        ADAPTIVE,
+        FLAKY,
+        RetryPolicy(max_retries=8),
+        None,
+        True,
+    ),
+    "flaky_parallel": (
+        PARALLEL,
+        FLAKY,
+        RetryPolicy(max_retries=8),
+        None,
+        True,
+    ),
+    "outage": (
+        ADAPTIVE,
+        outage_fault_model("peer1", start=0.0, end=0.12, seed=0),
+        RetryPolicy(max_retries=8, backoff_seconds=0.05),
+        None,
+        True,
+    ),
+    "failover": (
+        ADAPTIVE,
+        BLACKOUT,
+        RetryPolicy(max_retries=1),
+        {"peer1": 1},
+        True,
+    ),
+    "blackout": (
+        ADAPTIVE,
+        BLACKOUT,
+        RetryPolicy(max_retries=1),
+        None,
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_SCENARIOS))
+def test_retry_traffic_stays_within_budget(system, name):
+    """Faulty messages <= fault-free x (1 + max_retries) x (1 + replicas).
+
+    Each scenario's faults must actually fire; recoverable ones return
+    the fault-free answers unflagged, the blackout without a replica a
+    flagged subset naming exactly ``peer1``.
+    """
+    strategy, model, policy, replicas, recoverable = FAULT_SCENARIOS[name]
+    clean = FederatedExecutor(system, retry_policy=policy).execute(
+        QUERY, strategy
+    )
+    faulty = FederatedExecutor(
+        system, fault_model=model, retry_policy=policy, replicas=replicas
+    ).execute(QUERY, strategy)
+    budget = (
+        clean.stats.messages
+        * (1 + policy.max_retries)
+        * (1 + sum((replicas or {}).values()))
+    )
+    assert faulty.stats.failures > 0
+    assert faulty.stats.messages <= budget
+    if recoverable:
+        assert faulty.partial is None
+        assert faulty.rows == clean.rows
+    else:
+        assert faulty.partial is not None
+        assert faulty.partial.endpoints() == ("peer1",)
+        assert faulty.rows <= clean.rows
+
+
 # ---------------------------------------------------------------------------
 # Determinism fuzz: same seed, byte-identical schedule and answers
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ def system():
     return federated_rps(peers=3, entities=20, facts=60, seed=7)
 
 
+@pytest.fixture(scope="module")
+def five_peer_system():
+    return federated_rps(peers=5, entities=40, facts=150, seed=11)
+
+
 def _single_graph(system, query):
     union = system.stored_database()
     if isinstance(query, str):
@@ -58,19 +63,24 @@ def test_parallel_matches_serial_and_single_graph(system, name):
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_parallel_makespan_never_exceeds_serial(system, name):
+def test_parallel_makespan_never_exceeds_serial(
+    system, five_peer_system, name
+):
     query = WORKLOADS[name]
-    executor = FederatedExecutor(system)
-    serial = executor.execute(query, ADAPTIVE)
-    parallel = executor.execute(query, PARALLEL)
-    assert (
-        parallel.stats.elapsed_seconds
-        <= serial.stats.elapsed_seconds + 1e-9
-    )
-    # Elapsed can never exceed the summed serial durations.
-    assert (
-        parallel.stats.elapsed_seconds <= parallel.stats.busy_seconds + 1e-9
-    )
+    for rps in (system, five_peer_system):
+        executor = FederatedExecutor(rps)
+        serial = executor.execute(query, ADAPTIVE)
+        parallel = executor.execute(query, PARALLEL)
+        assert parallel.rows == serial.rows
+        assert (
+            parallel.stats.elapsed_seconds
+            <= serial.stats.elapsed_seconds + 1e-9
+        )
+        # Elapsed can never exceed the summed serial durations.
+        assert (
+            parallel.stats.elapsed_seconds
+            <= parallel.stats.busy_seconds + 1e-9
+        )
 
 
 def test_serial_strategies_keep_elapsed_equal_to_busy(system):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import where_rows
 from repro.federation import (
     ADAPTIVE,
     PARALLEL,
@@ -21,6 +22,7 @@ from repro.federation.plan import (
 from repro.gpq.evaluation import evaluate_query_star
 from repro.workload.federation import (
     federated_exclusive_query,
+    federated_optional_filter_sparql,
     federated_optional_sparql,
     federated_path_query,
     federated_rps,
@@ -29,7 +31,7 @@ from repro.workload.federation import (
 
 #: Cheap round trips, expensive transfer: prices consecutive bound
 #: joins cheaper than shipping/pulling, so plans produce multi-batch
-#: pipelines (mirrors the streaming bench suite's network).
+#: pipelines.
 DEEP_NET = dict(
     latency_seconds=0.01, per_solution_seconds=0.01, per_triple_seconds=0.05
 )
@@ -168,21 +170,47 @@ def test_wave_barrier_explain_reports_wave_mode(system):
 
 
 def test_pipelining_never_changes_answers_or_traffic(system):
-    query = federated_selective_query(entity=3, hops=3)
-    expected = evaluate_query_star(system.stored_database(), query)
-    wave = _deep_executors(system, streaming=False).execute(query, PARALLEL)
-    pipelined = _deep_executors(system, streaming=True).execute(
-        query, PARALLEL
-    )
-    assert wave.rows == pipelined.rows == expected
-    assert wave.stats.messages == pipelined.stats.messages
-    assert (
-        wave.stats.solutions_transferred
-        == pipelined.stats.solutions_transferred
-    )
-    assert wave.stats.busy_seconds == pytest.approx(
-        pipelined.stats.busy_seconds
-    )
+    # Deep selective paths on 3 and 5 peers under the cheap-round-trip
+    # network, and OPTIONAL (+ FILTER) on a sparse system whose left
+    # joins keep unmatched rows, under the default network.
+    five = federated_rps(peers=5, entities=40, facts=150, seed=11)
+    sparse = federated_rps(peers=3, entities=30, facts=25, seed=13)
+    deep = NetworkModel(**DEEP_NET)
+    workloads = [
+        (system, federated_selective_query(entity=3, hops=3), deep),
+        (five, federated_selective_query(entity=3, hops=3), deep),
+        (sparse, federated_optional_sparql(), None),
+        (sparse, federated_optional_filter_sparql(), None),
+    ]
+    for rps, query, network in workloads:
+        merged = rps.stored_database()
+        if isinstance(query, str):
+            expected = where_rows(merged, query)
+        else:
+            expected = evaluate_query_star(merged, query)
+        wave, pipelined = (
+            FederatedExecutor(
+                rps,
+                network=network,
+                batch_size=1,
+                concurrency=4,
+                streaming=streaming,
+            ).execute(query, PARALLEL)
+            for streaming in (False, True)
+        )
+        assert wave.rows == pipelined.rows == expected, query
+        assert wave.stats.messages == pipelined.stats.messages, query
+        assert (
+            wave.stats.solutions_transferred
+            == pipelined.stats.solutions_transferred
+        ), query
+        assert wave.stats.busy_seconds == pytest.approx(
+            pipelined.stats.busy_seconds
+        ), query
+        assert (
+            pipelined.stats.elapsed_seconds
+            <= wave.stats.elapsed_seconds + 1e-9
+        ), query
 
 
 def test_pipelining_strictly_beats_wave_barriers_on_multi_batch(system):

@@ -75,6 +75,7 @@ def test_limit_cuts_messages_and_time_on_deep_bound_join(system):
         system, federated_limit_sparql(hops=3, limit=10), "bound"
     )
     assert len(limited.rows) == 10
+    assert limited.rows <= unlimited.rows
     assert len(unlimited.rows) > 10
     assert cut.messages < full.messages
     assert cut.elapsed_seconds < full.elapsed_seconds
@@ -82,23 +83,30 @@ def test_limit_cuts_messages_and_time_on_deep_bound_join(system):
     assert cut.messages * 10 < full.messages
 
 
-def test_limit_cuts_messages_and_time_on_pipelined_runtime(system):
+def test_limit_cuts_messages_and_time_on_pipelined_runtime(system, merged):
     """PARALLEL strategy: demand flows through the recorded runtime.
 
     The anchored path keeps the unlimited plan on bound joins too, so
     both runs ship the same kind of messages and the comparison
-    isolates what the demand cap saves.
+    isolates what the demand cap saves.  A top-k must drain before it
+    slices, so it need not save messages — but it never costs more.
     """
-    unlimited, full = stats_for(
-        system, federated_limit_sparql(hops=3, anchor=3), "parallel"
-    )
+    text = federated_limit_sparql(hops=3, anchor=3)
+    unlimited, full = stats_for(system, text, "parallel")
     limited, cut = stats_for(
         system, federated_limit_sparql(hops=3, limit=10, anchor=3), "parallel"
     )
+    assert unlimited.rows == set(reference_select(merged, parse_query(text)))
     assert len(limited.rows) == 10
+    assert limited.rows <= unlimited.rows
     assert len(unlimited.rows) > 10
     assert cut.messages < full.messages
     assert cut.elapsed_seconds < full.elapsed_seconds
+    _, drained = stats_for(system, federated_limit_sparql(hops=2), "parallel")
+    _, topk = stats_for(
+        system, federated_topk_sparql(hops=2, limit=5), "parallel"
+    )
+    assert topk.messages <= drained.messages
 
 
 def test_ask_short_circuits_the_pipeline(system):
@@ -110,6 +118,7 @@ def test_ask_short_circuits_the_pipeline(system):
     assert asked.rows == {()}
     assert cut.messages < full.messages
     assert cut.messages * 10 < full.messages
+    assert cut.elapsed_seconds < full.elapsed_seconds
 
 
 def test_ask_agrees_with_oracle_for_empty_answers(system, merged):

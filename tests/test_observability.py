@@ -368,17 +368,31 @@ def test_untraced_execution_attaches_nothing(fed):
         stack.extend(node.children())
 
 
-def test_virtual_export_is_byte_stable(fed):
+def _traced_exports(fed, strategy):
+    """Two fully instrumented runs' virtual-domain exports.
+
+    Instrumentation must not perturb the execution: every traced run
+    returns the untraced rows and message count, and collects spans.
+    """
+    plain = fed.execute(QUERY, strategy)
     exports = []
     for _ in range(2):
         tracer = Tracer()
-        fed.execute(QUERY, "adaptive", tracer=tracer, analyze=True)
+        result = fed.execute(QUERY, strategy, tracer=tracer, analyze=True)
+        assert result.rows == plain.rows
+        assert result.stats.messages == plain.stats.messages
+        assert list(tracer.spans())
         exports.append(
             json.dumps(
                 chrome_trace_events(tracer, domain="virtual"),
                 sort_keys=True,
             )
         )
+    return exports
+
+
+def test_virtual_export_is_byte_stable(fed):
+    exports = _traced_exports(fed, "adaptive")
     assert exports[0] == exports[1]
     assert validate_trace_events(json.loads(exports[0])) == []
 
@@ -414,17 +428,9 @@ def test_runtime_spans_nest_under_channels(fed):
 
 
 def test_runtime_export_is_byte_stable(fed):
-    exports = []
-    for _ in range(2):
-        tracer = Tracer()
-        fed.execute(QUERY, "parallel", tracer=tracer, analyze=True)
-        exports.append(
-            json.dumps(
-                chrome_trace_events(tracer, domain="virtual"),
-                sort_keys=True,
-            )
-        )
+    exports = _traced_exports(fed, "parallel")
     assert exports[0] == exports[1]
+    assert validate_trace_events(json.loads(exports[0])) == []
 
 
 def test_channel_stats_merge_under_concurrent_subexecutions(fed):
