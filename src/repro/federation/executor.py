@@ -113,7 +113,11 @@ from typing import (
     Union,
 )
 
-from repro.errors import EndpointUnavailableError, FederationError
+from repro.errors import (
+    EndpointUnavailableError,
+    FederationError,
+    SimulationError,
+)
 from repro.federation.bindings import CompiledFilter
 from repro.federation.cost import CostModel, Decision
 from repro.federation.endpoint import PeerEndpoint
@@ -156,8 +160,7 @@ from repro.runtime.control import (
     AimdSettings,
     WindowAdjustment,
 )
-from repro.runtime.multi import QueryScheduler
-from repro.runtime.scheduler import DEFAULT_CONCURRENCY, OverlapScheduler
+from repro.runtime.scheduler import DEFAULT_CONCURRENCY, QueryScheduler
 from repro.sparql.ast import AskQuery, FilterExpr, OrderCondition, SelectQuery
 from repro.sparql.batch import Batch, column_rows, compile_mask
 from repro.sparql.bridge import ConjunctiveBranch, sparql_to_branches
@@ -589,68 +592,104 @@ class FederatedExecutor:
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
         with tracer.span(f"execute:{strategy}"):
-            return self._execute(query, strategy, nsm, tracer, analyze)
-
-    def _execute(
-        self,
-        query: Union[_Query, PreparedQuery],
-        strategy: str,
-        nsm: Optional[NamespaceManager],
-        tracer,
-        analyze: bool,
-    ) -> FederationResult:
-        if isinstance(query, PreparedQuery):
-            prepared = query
-        else:
-            prepared = self.prepare(query, nsm)
-        stats = NetworkStats()
-        self.catalog.begin_execution(stats)
-        decisions: List[Decision] = []
-        channels: Dict[str, ChannelStats] = {}
-        # A fresh session per execution: every run (and every strategy
-        # of a run_all_strategies comparison) sees the same schedule.
-        session: Optional[FaultSession] = (
-            self.fault_model.session() if self.fault_model is not None
-            else None
-        )
-        scheduler: Optional[OverlapScheduler] = None
-        if strategy == PARALLEL:
-            scheduler = OverlapScheduler(
-                concurrency=self.concurrency,
-                max_in_flight=self.max_in_flight,
+            if not isinstance(query, PreparedQuery):
+                query = self.prepare(query, nsm)
+            # A solo query is a one-tenant run: on the runtime under
+            # parallel, interpreted serially under the other strategies.
+            scheduler = None
+            if strategy == PARALLEL:
+                scheduler = QueryScheduler(
+                    self.concurrency, self.max_in_flight
+                )
+            (result,) = self._run_round(
+                [("", query)],
+                strategy,
+                scheduler,
+                tracer=tracer,
+                analyze=analyze,
             )
-        answer, plans, unreachable = self._record(
-            prepared,
-            strategy,
-            stats,
-            scheduler,
-            session,
-            decisions,
-            tracer=tracer,
-            analyze=analyze,
-        )
-        if scheduler is not None:
-            # Branch pipelines and fan-outs overlapped on the runtime;
-            # the replayed makespan is the execution's wall-clock-
-            # equivalent time (appended after any serial planning-time
-            # charges such as statistics refreshes).
-            stats.elapsed_seconds += scheduler.makespan()
-            channels = scheduler.channel_stats()
-            if tracer.enabled:
-                _emit_runtime_spans(tracer, scheduler)
-        if strategy == "collect":
-            plans = ()  # the baseline has no federated plan to show
-        return self._result(
-            strategy,
-            answer,
-            prepared.head,
-            {None: None},
-            stats,
-            decisions,
-            channels,
-            plans,
-            unreachable,
-        )
+            if scheduler is not None:
+                # Aggregate, not the tenant's share: only the aggregate
+                # records the coordinator-side peak backlog.
+                result.channels = scheduler.channel_stats()
+                if tracer.enabled:
+                    _emit_runtime_spans(tracer, scheduler)
+            if strategy == "collect":
+                result.plans = ()  # the baseline has no federated plan
+            return result
+
+    def _run_round(
+        self,
+        tenants: Sequence[Tuple[str, PreparedQuery]],
+        strategy: str,
+        scheduler: Optional[QueryScheduler],
+        weights: Optional[Mapping[str, int]] = None,
+        batch_size: Optional[int] = None,
+        term_of: Optional[Dict[Optional[int], Optional[Term]]] = None,
+        tracer=NULL_TRACER,
+        analyze: bool = False,
+    ) -> List[FederationResult]:
+        """Record N >= 1 tenants, replay them once, return their results.
+
+        The one execution path of :meth:`execute` (one tenant, on a
+        one-tenant scheduler under ``parallel`` and serially otherwise)
+        and of each :meth:`execute_concurrent` round.  Every tenant
+        records in order, with its own statistics and a fresh fault
+        session, onto its recorder of ``scheduler``; the replayed
+        tenant makespan then lands on top of any serial planning-time
+        charges (statistics refreshes) in ``elapsed_seconds``.
+        """
+        weights = weights or {}
+        term_of = {None: None} if term_of is None else term_of
+        recorded = []
+        for name, prepared in tenants:
+            recorder = None
+            if scheduler is not None:
+                recorder = scheduler.tenant(name, weights.get(name, 1))
+            stats = NetworkStats()
+            self.catalog.begin_execution(stats)
+            # A fresh session per tenant per run: every run (and every
+            # strategy of a run_all_strategies comparison, every round)
+            # sees the same fault schedule.
+            session: Optional[FaultSession] = (
+                self.fault_model.session()
+                if self.fault_model is not None
+                else None
+            )
+            decisions: List[Decision] = []
+            recording = self._record(
+                prepared,
+                strategy,
+                stats,
+                recorder,
+                session,
+                decisions,
+                tracer=tracer,
+                analyze=analyze,
+                batch_size=batch_size,
+            )
+            recorded.append((name, prepared.head, stats, decisions, recording))
+        results = []
+        for name, head, stats, decisions, recording in recorded:
+            answer, plans, unreachable = recording
+            channels: Dict[str, ChannelStats] = {}
+            if scheduler is not None:
+                stats.elapsed_seconds += scheduler.tenant_makespan(name)
+                channels = scheduler.tenant_channel_stats(name)
+            results.append(
+                self._result(
+                    strategy,
+                    answer,
+                    head,
+                    term_of,
+                    stats,
+                    decisions,
+                    channels,
+                    plans,
+                    unreachable,
+                )
+            )
+        return results
 
     def _decode_rows(
         self,
@@ -713,16 +752,13 @@ class FederatedExecutor:
     ) -> Tuple[Batch, Tuple[FedOp, ...], List[Unreachable]]:
         """Plan and interpret one prepared query against the peers.
 
-        The shared recording core of :meth:`_execute` (one query onto
-        its private :class:`OverlapScheduler`) and
-        :meth:`execute_concurrent` (N queries, each onto a tenant view
-        of one shared :class:`~repro.runtime.multi.QueryScheduler`).
-        Issues every simulated request against ``scheduler`` and
-        returns the root's answer batch, the executed plan roots and
-        the unreachable endpoints.  The *caller* owns makespan
-        finalisation: under multi-tenancy the replay may only run after
-        every tenant has recorded, so nothing here touches
-        ``scheduler.makespan()``.
+        The recording step of :meth:`_run_round`: issues every
+        simulated request against ``scheduler`` — one tenant's
+        recorder of a :class:`~repro.runtime.scheduler.QueryScheduler`,
+        or ``None`` for serial interpretation — and returns the root's
+        answer batch, the executed plan roots and the unreachable
+        endpoints.  Nothing here touches the replay: it may only run
+        after every tenant of the round has recorded.
 
         ``batch_size`` overrides the executor's bound-join batch size
         for this recording only — the adaptive concurrency
@@ -856,7 +892,7 @@ class FederatedExecutor:
 
         Every tenant's query is planned exactly as :meth:`execute`
         would plan it, but all of them record onto **one**
-        :class:`~repro.runtime.multi.QueryScheduler` — one simulation
+        :class:`~repro.runtime.scheduler.QueryScheduler` — one simulation
         kernel, one channel per endpoint — so the coordinators
         genuinely contend: per-endpoint queues interleave different
         tenants' requests under the executor's ``concurrency`` and
@@ -913,8 +949,10 @@ class FederatedExecutor:
         Raises:
             FederationError: on an empty tenant set, a duplicate or
                 empty tenant name, a weight for an unknown tenant or
-                below 1, or a non-runtime strategy — all before any
-                query is prepared.
+                below 1, a non-runtime strategy, an unknown
+                ``discipline``, ``max_active`` below 1, or an in-flight
+                window below the executor's ``concurrency`` — all
+                before any query is prepared.
         """
         if strategy not in STRATEGIES or strategy == "collect":
             raise FederationError(
@@ -948,6 +986,26 @@ class FederatedExecutor:
                 raise FederationError(
                     f"tenant weight must be >= 1 for {name!r}, got {weight}"
                 )
+        window = (
+            max_in_flight if max_in_flight is not None
+            else self.max_in_flight
+        )
+
+        def new_scheduler() -> QueryScheduler:
+            return QueryScheduler(
+                concurrency=self.concurrency,
+                max_in_flight=window,
+                discipline=discipline,
+                max_active=max_active,
+                controller=AimdController(control) if adaptive else None,
+            )
+
+        # Round 1's scheduler validates the discipline, the admission
+        # cap and the effective window before any query is prepared.
+        try:
+            scheduler = new_scheduler()
+        except SimulationError as exc:
+            raise FederationError(str(exc)) from exc
         # Prepare each *distinct* query once — tenants submitting the
         # same text (or the same query object) share one PreparedQuery,
         # exactly like run_all_strategies shares across strategies.
@@ -966,154 +1024,82 @@ class FederatedExecutor:
                     prepared_by_key[key] = cached
                 prepared = cached
             tenants.append((name, prepared))
-        window = (
-            max_in_flight if max_in_flight is not None
-            else self.max_in_flight
-        )
         with tracer.span(f"execute_concurrent:{discipline}"):
-            return self._execute_concurrent_rounds(
-                tenants,
-                strategy,
-                discipline,
-                weight_of,
-                max_active,
-                window,
-                adaptive,
-                control,
-                tracer,
-            )
-
-    def _execute_concurrent_rounds(
-        self,
-        tenants: List[Tuple[str, PreparedQuery]],
-        strategy: str,
-        discipline: str,
-        weight_of: Dict[str, int],
-        max_active: Optional[int],
-        window: Optional[int],
-        adaptive: bool,
-        control: Optional[AimdSettings],
-        tracer,
-    ) -> ConcurrentResult:
-        """Planning-round loop behind :meth:`execute_concurrent`.
-
-        Round 1 records every tenant with the executor's bound-join
-        batch size.  Under adaptive control the controller then reads
-        the round's aggregate channel statistics and may recommend a
-        different batch size (:meth:`AimdController.recommend_batch`);
-        if it does, one re-planning round runs and the better round —
-        ordered by (p95 tenant makespan, overall makespan) — wins.
-        Answers must be byte-identical across rounds; anything else is
-        a planning bug and raises.
-        """
-        term_of: Dict[Optional[int], Optional[Term]] = {None: None}
-        batch = self.batch_size
-        rounds = 0
-        best: Optional[ConcurrentResult] = None
-        best_key: Optional[Tuple[float, float]] = None
-        best_scheduler: Optional[QueryScheduler] = None
-        best_controller: Optional[AimdController] = None
-        reference_rows: Optional[Dict[str, Set]] = None
-        while True:
-            rounds += 1
-            controller = AimdController(control) if adaptive else None
-            scheduler = QueryScheduler(
-                concurrency=self.concurrency,
-                max_in_flight=window,
-                discipline=discipline,
-                max_active=max_active,
-                controller=controller,
-            )
-            recorded = []
-            for name, prepared in tenants:
-                recorder = scheduler.tenant(name, weight_of.get(name, 1))
-                stats = NetworkStats()
-                self.catalog.begin_execution(stats)
-                # A fresh session per tenant per round: every round
-                # (and every tenant) sees the same fault schedule.
-                session: Optional[FaultSession] = (
-                    self.fault_model.session()
-                    if self.fault_model is not None
-                    else None
+            # Planning rounds.  Round 1 records every tenant with the
+            # executor's bound-join batch size.  Under adaptive control
+            # the controller then reads the round's aggregate channel
+            # statistics and may recommend another batch size
+            # (:meth:`AimdController.recommend_batch`); if it does, one
+            # re-planning round runs and the better round — ordered by
+            # (p95 tenant makespan, overall makespan) — wins.  Answers
+            # must be identical across rounds; anything else is a
+            # planning bug and raises.
+            term_of: Dict[Optional[int], Optional[Term]] = {None: None}
+            batch = self.batch_size
+            rounds = 0
+            best: Optional[ConcurrentResult] = None
+            best_key: Optional[Tuple[float, float]] = None
+            best_scheduler = scheduler
+            reference_rows: Optional[Dict[str, Set]] = None
+            while True:
+                rounds += 1
+                if rounds > 1:
+                    scheduler = new_scheduler()
+                results = self._run_round(
+                    tenants, strategy, scheduler, weight_of, batch, term_of
                 )
-                decisions: List[Decision] = []
-                recording = self._record(
-                    prepared,
-                    strategy,
-                    stats,
-                    recorder,
-                    session,
-                    decisions,
-                    batch_size=batch,
-                )
-                recorded.append(
-                    (name, prepared.head, stats, decisions, recording)
-                )
-            makespan = scheduler.run()
-            outcomes: List[TenantOutcome] = []
-            for name, head, stats, decisions, recording in recorded:
-                answer, plans, unreachable = recording
-                span = scheduler.tenant_makespan(name)
-                stats.elapsed_seconds += span
-                outcomes.append(
+                outcomes = tuple(
                     TenantOutcome(
                         tenant=name,
-                        result=self._result(
-                            strategy,
-                            answer,
-                            head,
-                            term_of,
-                            stats,
-                            decisions,
-                            scheduler.tenant_channel_stats(name),
-                            plans,
-                            unreachable,
-                        ),
-                        makespan=span,
+                        result=result,
+                        makespan=scheduler.tenant_makespan(name),
                         admission_wait=scheduler.admission_wait(name),
                     )
+                    for (name, _), result in zip(tenants, results)
                 )
-            rows_by_tenant = {
-                outcome.tenant: outcome.result.rows for outcome in outcomes
-            }
-            if reference_rows is None:
-                reference_rows = rows_by_tenant
-            elif rows_by_tenant != reference_rows:
-                raise FederationError(
-                    "adaptive re-planning changed a tenant's answer set"
+                rows_by_tenant = {
+                    outcome.tenant: outcome.result.rows
+                    for outcome in outcomes
+                }
+                if reference_rows is None:
+                    reference_rows = rows_by_tenant
+                elif rows_by_tenant != reference_rows:
+                    raise FederationError(
+                        "adaptive re-planning changed a tenant's answer set"
+                    )
+                controller = scheduler.controller
+                candidate = ConcurrentResult(
+                    outcomes=outcomes,
+                    makespan=scheduler.makespan(),
+                    channels=scheduler.channel_stats(),
+                    discipline=discipline,
+                    max_active=max_active,
+                    active_peak=scheduler.active_peak,
+                    batch_size=batch,
+                    adjustments=(
+                        tuple(controller.adjustments)
+                        if controller is not None
+                        else ()
+                    ),
+                    rounds=rounds,
                 )
-            candidate = ConcurrentResult(
-                outcomes=tuple(outcomes),
-                makespan=makespan,
-                channels=scheduler.channel_stats(),
-                discipline=discipline,
-                max_active=max_active,
-                active_peak=scheduler.active_peak,
-                batch_size=batch,
-                adjustments=(
-                    tuple(controller.adjustments)
-                    if controller is not None
-                    else ()
-                ),
-                rounds=rounds,
-            )
-            key = (candidate.p95_makespan(), candidate.makespan)
-            if best_key is None or key < best_key:
-                best, best_key = candidate, key
-                best_scheduler, best_controller = scheduler, controller
-            if controller is None or rounds >= 2:
-                break
-            next_batch = controller.recommend_batch(
-                scheduler.channel_stats(), batch
-            )
-            if next_batch == batch:
-                break
-            batch = next_batch
-        assert best is not None and best_scheduler is not None
-        best.rounds = rounds
-        if tracer.enabled:
-            _emit_concurrent_spans(tracer, best_scheduler, best_controller)
-        return best
+                key = (candidate.p95_makespan(), candidate.makespan)
+                if best_key is None or key < best_key:
+                    best, best_key = candidate, key
+                    best_scheduler = scheduler
+                if controller is None or rounds >= 2:
+                    break
+                next_batch = controller.recommend_batch(
+                    scheduler.channel_stats(), batch
+                )
+                if next_batch == batch:
+                    break
+                batch = next_batch
+            assert best is not None
+            best.rounds = rounds
+            if tracer.enabled:
+                _emit_concurrent_spans(tracer, best_scheduler)
+            return best
 
     def metrics(self) -> MetricsRegistry:
         """The executor's cumulative counters behind one registry.
@@ -1433,7 +1419,7 @@ def _stats_registry(stats: NetworkStats) -> MetricsRegistry:
     return registry
 
 
-def _emit_runtime_spans(tracer, scheduler: OverlapScheduler) -> None:
+def _emit_runtime_spans(tracer, scheduler: QueryScheduler) -> None:
     """Virtual spans from the runtime's replayed request timeline.
 
     Serial interpretation spans requests as they charge the elapsed
@@ -1442,7 +1428,7 @@ def _emit_runtime_spans(tracer, scheduler: OverlapScheduler) -> None:
     parent span per endpoint channel covering its occupied window
     (first arrival to last completion), with one child span per request
     covering its replayed service interval, so the exported trace shows
-    exactly how the overlap scheduler's DAG replay nested the traffic.
+    exactly how the scheduler's DAG replay nested the traffic.
     """
     by_endpoint: Dict[str, List] = {}
     for handle in scheduler.timeline():
@@ -1469,11 +1455,7 @@ def _emit_runtime_spans(tracer, scheduler: OverlapScheduler) -> None:
             )
 
 
-def _emit_concurrent_spans(
-    tracer,
-    scheduler: QueryScheduler,
-    controller: Optional[AimdController],
-) -> None:
+def _emit_concurrent_spans(tracer, scheduler: QueryScheduler) -> None:
     """Virtual spans for a multi-tenant replay: one lane per tenant.
 
     Where the single-query export groups spans by endpoint channel,
@@ -1509,9 +1491,9 @@ def _emit_concurrent_spans(
                 label=handle.label,
                 failed=int(handle.failed),
             )
-    if controller is None:
+    if scheduler.controller is None:
         return
-    for adjustment in controller.adjustments:
+    for adjustment in scheduler.controller.adjustments:
         tracer.record(
             f"controller:{adjustment.channel}",
             adjustment.epoch_start,

@@ -33,10 +33,11 @@ planner/operator split, mirroring the ID-native design of
 * **Interpreter** (:class:`PlanInterpreter`) — one memoised walker with
   two modes.  *Serial* (no scheduler): every request charges
   ``elapsed_seconds`` in lockstep with ``busy_seconds``.  *Runtime*
-  (an :class:`~repro.runtime.scheduler.OverlapScheduler` attached):
-  requests are priced the same but recorded onto the scheduler's
-  dependency DAG and replayed into a makespan, so independent fan-outs,
-  batch waves and UNION branches overlap.
+  (a tenant of a :class:`~repro.runtime.scheduler.QueryScheduler`
+  attached — one tenant for a solo query): requests are priced the same
+  but recorded onto the scheduler's dependency DAG and replayed into a
+  makespan, so independent fan-outs, batch waves and UNION branches
+  overlap.
 
 **Pipelined bound joins.**  Every produced row carries its *origin* —
 the recorded request that returned it — in the batch's origin column.

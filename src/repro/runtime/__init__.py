@@ -6,14 +6,13 @@ mode:
 * :mod:`repro.runtime.kernel` — the event-queue/virtual-clock kernel;
 * :mod:`repro.runtime.channel` — per-endpoint request channels with
   configurable service concurrency and in-flight windows;
-* :mod:`repro.runtime.scheduler` — the two-phase overlap scheduler:
-  records a dependency DAG of priced requests during execution, then
-  replays it through the kernel into a makespan (``elapsed_seconds``),
-  the concurrency-aware counterpart of the network model's summed
-  ``busy_seconds``;
-* :mod:`repro.runtime.multi` — the multi-tenant query scheduler:
-  N queries' DAGs replayed through one shared kernel and one channel
-  per endpoint, with pluggable backlog fairness and admission control;
+* :mod:`repro.runtime.scheduler` — the two-phase query scheduler:
+  records N ≥ 1 queries' dependency DAGs of priced requests during
+  execution, then replays them through one shared kernel and one
+  channel per endpoint into a makespan (``elapsed_seconds``, the
+  concurrency-aware counterpart of the network model's summed
+  ``busy_seconds``), with pluggable backlog fairness and admission
+  control; a single query is a one-tenant replay;
 * :mod:`repro.runtime.control` — AIMD adaptive concurrency control
   tuning per-channel in-flight windows and the bound-join batch size
   from live queueing delay and service-time variance.
@@ -34,11 +33,12 @@ from repro.runtime.control import (
     WindowAdjustment,
 )
 from repro.runtime.kernel import SimKernel
-from repro.runtime.multi import QueryScheduler, TenantRecorder
 from repro.runtime.scheduler import (
     DEFAULT_CONCURRENCY,
     OverlapScheduler,
+    QueryScheduler,
     RequestHandle,
+    TenantRecorder,
 )
 
 __all__ = [

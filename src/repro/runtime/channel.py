@@ -15,8 +15,8 @@ Admission from the backlog follows a pluggable :class:`QueueDiscipline`.
 The default :class:`FifoDiscipline` preserves arrival order, so with a
 single coordinator the window bounds queue depth and shifts per-request
 wait accounting without reordering completions.  Under *multi-tenant*
-contention (several coordinators recording onto one channel, PR 10's
-:class:`~repro.runtime.multi.QueryScheduler`) the discipline is the
+contention (several coordinators recording onto one channel through
+:class:`~repro.runtime.scheduler.QueryScheduler`) the discipline is the
 fairness policy: :class:`WeightedRoundRobinDiscipline` cycles admission
 across tenants with per-tenant weights, so one tenant's burst cannot
 starve the others, and per-tenant :class:`ChannelStats`

@@ -121,7 +121,7 @@ class AimdController:
     One controller instance serves every channel of one replay; attach
     it by passing ``observer=controller.observe`` (and
     ``max_in_flight=controller.initial_window(...)``) when building
-    channels — :class:`~repro.runtime.multi.QueryScheduler` does both
+    channels — :class:`~repro.runtime.scheduler.QueryScheduler` does both
     when given a controller.
     """
 

@@ -19,10 +19,11 @@ retry-backoff delays enter the simulation as later
 :mod:`repro.runtime.scheduler`), so fault recovery needs no kernel
 support beyond the clock itself.
 
-One kernel may drive *many* concurrent queries: the multi-tenant
-scheduler (:mod:`repro.runtime.multi`) replays every tenant's request
-DAG through one shared kernel and one channel per endpoint, so
-coordinators genuinely contend on the same virtual clock.  The only
+One kernel drives every concurrent query of a replay: the query
+scheduler (:mod:`repro.runtime.scheduler`) replays every tenant's
+request DAG — one tenant for a single query — through one shared
+kernel and one channel per endpoint, so coordinators genuinely contend
+on the same virtual clock.  The only
 kernel-level nicety that needs is :meth:`SimKernel.defer` — scheduling
 a follow-up at the *current* instant, ordered after every event already
 queued for that instant — which is how a query admitted the moment

@@ -267,7 +267,7 @@ def test_query_scheduler_contends_on_shared_channels():
     alice.submit("ep", 2.0)
     bob.submit("ep", 1.0)
     # One lane: alice (registered first) serves 0-2, bob 2-3.
-    assert scheduler.run() == 3.0
+    assert scheduler.makespan() == 3.0
     assert alice.makespan() == 2.0
     assert bob.makespan() == 3.0
     stats = scheduler.channel_stats()["ep"]
@@ -281,7 +281,7 @@ def test_admission_cap_staggers_queries():
     bob = scheduler.tenant("bob")
     alice.submit("ep", 2.0)
     bob.submit("ep", 1.0)
-    assert scheduler.run() == 3.0
+    assert scheduler.makespan() == 3.0
     assert scheduler.active_peak == 1
     assert scheduler.admission_wait("alice") == 0.0
     # Bob only activates when alice's last request completes.
@@ -357,6 +357,36 @@ def test_concurrent_answers_match_solo_execution(system):
         assert result.fairness_ratio() >= 1.0
 
 
+@pytest.mark.parametrize("window", [None, 2])
+@pytest.mark.parametrize("batch_size", [1, 64])
+def test_solo_parallel_execute_is_a_one_tenant_concurrent_run(
+    batch_size, window
+):
+    """A solo ``parallel`` execution and a one-tenant concurrent run
+    record and replay the same DAG: same rows, traffic, clocks and
+    aggregate channel statistics (backlog peaks included)."""
+    system = private_system()
+    network = make_executor(system).network
+    traffic = 0
+    for t in tenant_workload(8, seed=11):
+        executor = FederatedExecutor(
+            system, network, batch_size, concurrency=2, max_in_flight=window
+        )
+        solo = executor.execute(t.query, "parallel")
+        shared = executor.execute_concurrent(
+            {"x": t.query}, strategy="parallel"
+        )
+        one = shared.tenant("x").result
+        assert one.rows == solo.rows, t.tenant
+        assert one.stats.messages == solo.stats.messages, t.tenant
+        assert one.stats.elapsed_seconds == solo.stats.elapsed_seconds
+        assert one.stats.busy_seconds == solo.stats.busy_seconds
+        assert shared.makespan == solo.stats.elapsed_seconds
+        assert shared.channels == solo.channels, t.tenant
+        traffic += solo.stats.messages
+    assert traffic
+
+
 def test_concurrent_rejects_bad_inputs(system, monkeypatch):
     executor = make_executor(system)
     query = federated_selective_query(entity=1, hops=2)
@@ -379,6 +409,16 @@ def test_concurrent_rejects_bad_inputs(system, monkeypatch):
             executor.execute_concurrent({"a": query}, weights={"typo": 3})
         with pytest.raises(FederationError, match=">= 1"):
             executor.execute_concurrent({"a": query}, weights={"a": 0})
+        with pytest.raises(FederationError, match="discipline"):
+            executor.execute_concurrent(
+                {"a": query, "b": query}, discipline="priority"
+            )
+        with pytest.raises(FederationError, match="max_active"):
+            executor.execute_concurrent({"a": query}, max_active=0)
+        wide = FederatedExecutor(system, concurrency=2)
+        patch.setattr(wide, "prepare", _no_prepare)
+        with pytest.raises(FederationError, match="max_in_flight"):
+            wide.execute_concurrent({"a": query}, max_in_flight=1)
     result = executor.execute_concurrent({"a": query}, strategy="bound")
     with pytest.raises(FederationError):
         result.tenant("nope")

@@ -1,5 +1,8 @@
 """Discrete-event runtime: kernel, channels, overlap scheduler."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -194,3 +197,94 @@ def test_scheduler_validation():
     scheduler = OverlapScheduler()
     with pytest.raises(SimulationError, match="negative"):
         scheduler.submit("p0", -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Replay regression pins
+# ---------------------------------------------------------------------------
+
+
+def _random_dag(seed):
+    """A seeded request DAG with the shapes the executor records.
+
+    1-3 endpoints, 1-3 lanes, windows ``None``/c/c+1/c+3, release
+    floors, retry delays, failed attempts, and durations drawn from a
+    few multiples of 1/4 so arrival and completion ties are common and
+    every time stays exact in binary floating point.
+    """
+    rng = random.Random(seed)
+    endpoints = [f"p{i}" for i in range(rng.randint(1, 3))]
+    concurrency = rng.randint(1, 3)
+    window = rng.choice([None, concurrency, concurrency + 1, concurrency + 3])
+    overrides = {}
+    if rng.random() < 0.2:
+        overrides[endpoints[0]] = rng.randint(1, concurrency)
+    scheduler = OverlapScheduler(concurrency, window, overrides)
+    handles = []
+    for _ in range(rng.randint(1, 24)):
+        after = rng.sample(handles, rng.randint(0, min(3, len(handles))))
+        handles.append(
+            scheduler.submit(
+                rng.choice(endpoints),
+                rng.choice([0.0, 0.25, 0.5, 0.5, 1.0, 1.0, 1.5, 2.0]),
+                after=after,
+                release=rng.choice([0.0] * 4 + [0.5, 1.0, 2.5]),
+                label=f"r{len(handles)}",
+                delay=rng.choice([0.0] * 4 + [0.25, 0.75]),
+                failed=rng.random() < 0.1,
+            )
+        )
+    return scheduler
+
+
+#: Makespan of ``_random_dag(seed)`` for seeds 0-199, and one sha256
+#: over every DAG's replayed timeline and channel statistics; generated
+#: by the scheduler that predates the one-tenant replay.
+REPLAY_MAKESPANS = (
+    8.25, 9.25, 7.0, 9.75, 6.0, 9.25, 4.5, 2.75, 3.75, 3.5,
+    4.5, 7.25, 5.5, 9.0, 5.75, 1.0, 7.75, 4.5, 4.5, 8.5,
+    5.0, 8.25, 12.75, 6.5, 5.75, 5.25, 8.5, 4.5, 7.5, 9.5,
+    6.25, 3.0, 7.5, 8.5, 0.25, 3.0, 7.25, 5.5, 6.0, 12.75,
+    11.5, 9.25, 4.0, 6.25, 4.75, 5.25, 3.25, 13.0, 10.5, 6.75,
+    8.0, 8.5, 6.5, 10.25, 9.5, 11.0, 4.25, 6.75, 4.75, 13.75,
+    5.25, 6.75, 4.0, 5.25, 12.0, 7.5, 9.5, 16.25, 3.75, 3.0,
+    5.25, 3.5, 7.75, 9.75, 7.0, 7.25, 5.25, 3.0, 22.25, 2.25,
+    5.0, 9.5, 5.0, 0.5, 8.0, 4.25, 3.25, 5.5, 16.0, 4.5,
+    7.25, 10.0, 10.25, 1.5, 4.75, 1.25, 2.5, 3.0, 2.75, 4.25,
+    4.0, 10.5, 8.0, 6.5, 0.5, 9.5, 12.25, 6.25, 6.0, 4.25,
+    7.5, 8.5, 5.25, 6.75, 6.75, 4.75, 2.75, 6.75, 9.5, 18.0,
+    10.5, 5.5, 5.0, 5.0, 11.25, 5.0, 4.25, 6.25, 4.75, 6.0,
+    8.25, 1.5, 1.5, 9.5, 7.0, 10.75, 4.5, 6.25, 6.5, 5.75,
+    20.5, 1.0, 3.0, 8.5, 8.25, 8.5, 2.75, 5.75, 7.25, 2.75,
+    6.0, 6.25, 5.25, 12.75, 7.5, 8.5, 4.0, 8.75, 9.0, 4.5,
+    6.0, 9.75, 11.0, 2.5, 5.0, 8.25, 9.5, 16.75, 9.0, 5.0,
+    4.75, 8.75, 5.75, 5.5, 3.0, 12.5, 10.5, 14.0, 5.0, 11.75,
+    2.5, 4.5, 5.0, 5.75, 10.25, 21.5, 4.25, 4.5, 3.5, 2.5,
+    7.5, 10.0, 8.5, 8.25, 9.0, 7.5, 8.5, 11.5, 7.5, 9.75,
+)
+REPLAY_DIGEST = (
+    "99cad8a8142575bf7af0a754098666173b057e344aa93265dcf818c601000dd2"
+)
+
+
+def test_replay_matches_pinned_timelines():
+    digest = hashlib.sha256()
+    makespans = []
+    for seed in range(200):
+        scheduler = _random_dag(seed)
+        makespans.append(scheduler.makespan())
+        for handle in scheduler.timeline():
+            digest.update(
+                repr(
+                    (
+                        handle.index,
+                        handle.arrived_at,
+                        handle.started_at,
+                        handle.completed_at,
+                    )
+                ).encode()
+            )
+        for name, stats in sorted(scheduler.channel_stats().items()):
+            digest.update(f"{name}={stats!r}".encode())
+    assert tuple(makespans) == REPLAY_MAKESPANS
+    assert digest.hexdigest() == REPLAY_DIGEST
