@@ -4,8 +4,10 @@ The PR-2 benchmarks showed no fixed strategy wins everywhere: bound
 joins minimise messages only while intermediate binding sets stay small,
 naive shipping minimises transfer when source selection leaves one peer
 per pattern, and the collect baseline trades maximal bytes for minimal
-messages.  This module is the per-conjunct decision procedure that
-replaces the global strategy flag: given the endpoints relevant to a
+messages.  This module is the per-conjunct decision procedure behind
+the two cost-driven strategies, ``adaptive`` and ``parallel`` (the
+other three — ``naive``, ``bound``, ``collect`` — are fixed plan
+shapes kept as baselines): given the endpoints relevant to a
 conjunct, their published cardinalities
 (:meth:`~repro.federation.endpoint.PeerEndpoint.count_pattern`, backed
 by :meth:`repro.rdf.graph.Graph.count_ids`) and the *actual* size of the
@@ -29,18 +31,19 @@ parameters and picks the cheapest:
     and every later conjunct over the same relation — locally for free.
     One message per uncached endpoint, transfer in triples.
 
-Costs are priced on one of two time axes, matching the execution mode:
+Costs are priced on one of two time axes; the strategy name picks it:
 
-* **serial** (``parallel=False``) — busy seconds: every message's
-  latency and every transferred item adds up, exactly the quantity the
-  serial strategies accumulate in ``NetworkStats.busy_seconds``.
-* **makespan** (``parallel=True``) — elapsed seconds under the
-  overlap-aware runtime (:mod:`repro.runtime`): per-endpoint fan-outs
-  run side by side (the estimate is the *max* over endpoints, not the
-  sum) and bound-join batch waves overlap up to the per-endpoint
-  channel ``concurrency``.  The parallel execution mode prices its
-  ship/bound/pull decisions this way, so a plan that wins on wall
-  clock is chosen even when it loses on summed wire time.
+* **serial** (``parallel=False``, the ``adaptive`` strategy) — busy
+  seconds: every message's latency and every transferred item adds
+  up, exactly the quantity the serial strategies accumulate in
+  ``NetworkStats.busy_seconds``.
+* **makespan** (``parallel=True``, the ``parallel`` strategy) —
+  elapsed seconds under the overlap-aware runtime
+  (:mod:`repro.runtime`): per-endpoint fan-outs run side by side (the
+  estimate is the *max* over endpoints, not the sum) and bound-join
+  batch waves overlap up to the per-endpoint channel
+  ``concurrency``, so a plan that wins on wall clock is chosen even
+  when it loses on summed wire time.
 
 Ties break on messages, then transfer.  Every decision carries its
 rejected alternatives for ``explain``-style traces and names the

@@ -29,15 +29,18 @@ replayed into a makespan).  Five strategies, chosen per call:
     *shipped* unbound, *bound-joined* against the current bindings, or
     its source relation is *pulled* into a local cache, whichever the
     endpoint cardinalities and the actual intermediate binding count
-    (cardinality feedback) price cheapest.  The plan tree grows one
-    decision at a time.
+    (cardinality feedback) price cheapest, in *busy* seconds.  The plan
+    tree grows one decision at a time.
 
 ``parallel``
-    The adaptive construction on the runtime interpreter: per-endpoint
-    sub-queries, bound-join batches and UNION branches fan out onto
-    per-endpoint channels, decisions are priced in *makespan* terms,
-    and conjuncts relevant to exactly one endpoint fuse into FedX-style
-    *exclusive groups*.  With ``streaming=True`` (the default) bound
+    The same incremental loop as ``adaptive``
+    (:meth:`~repro.federation.plan.FederatedPlanner.run_incremental`),
+    with the two differences the strategy name selects: decisions are
+    priced in *makespan* seconds, and conjuncts relevant to exactly one
+    endpoint fuse into FedX-style *exclusive groups*.  A solo query
+    runs on the runtime interpreter: per-endpoint sub-queries,
+    bound-join batches and UNION branches fan out onto per-endpoint
+    channels.  With ``streaming=True`` (the default) bound
     joins are **pipelined**: each batch's sub-query is emitted as soon
     as the batch fills, depending only on the upstream requests that
     produced its rows, instead of synchronising on PR 4's wave
@@ -1267,13 +1270,17 @@ class FederatedExecutor:
             return self.planner.plan_naive(patterns, filters)
         if strategy == "bound":
             return self.planner.plan_bound(patterns, filters)
-        if strategy == PARALLEL:
-            return self.planner.run_parallel(
-                interp, patterns, filters, decisions, branch_index, label,
-                demand,
-            )
-        return self.planner.run_adaptive(
-            interp, patterns, filters, decisions, branch_index, label, demand
+        # adaptive and parallel share one loop; the strategy name alone
+        # picks fusion and the pricing axis.
+        return self.planner.run_incremental(
+            interp,
+            patterns,
+            filters,
+            decisions,
+            branch_index,
+            strategy == PARALLEL,
+            label,
+            demand,
         )
 
     def _run_branch(

@@ -24,11 +24,15 @@ planner/operator split, mirroring the ID-native design of
 
 * **Planner** (:class:`FederatedPlanner`) — builds operator trees from
   the cost model's decisions.  ``naive`` and ``bound`` are static
-  plan shapes; ``adaptive`` and ``parallel`` build the tree
+  plan shapes; ``adaptive`` and ``parallel`` share one loop
+  (:meth:`FederatedPlanner.run_incremental`) that builds the tree
   *incrementally*, one cost-model decision at a time, feeding each
   operator's actual output cardinality back into the next decision
-  (the executor's cardinality feedback, now expressed as plan
-  construction).
+  (the executor's cardinality feedback, expressed as plan
+  construction).  The loop has two pricing axes: ``adaptive`` keeps
+  every conjunct its own unit and prices in busy seconds,
+  ``parallel`` fuses FedX exclusive groups and prices in makespan
+  seconds.
 
 * **Interpreter** (:class:`PlanInterpreter`) — one memoised walker with
   two modes.  *Serial* (no scheduler): every request charges
@@ -108,7 +112,7 @@ contribution.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -672,6 +676,51 @@ def _count_request(node: FedOp) -> None:
         node.actuals["requests"] = node.actuals.get("requests", 0) + 1
 
 
+def _fan_out(
+    node: FedOp,
+    ctx: ExecContext,
+    batch: Batch,
+    deps: _Origin,
+    handles: List[RequestHandle],
+    seen: Optional[Set[Row]],
+) -> Iterator[_Chunk]:
+    """Send ``node``'s sub-query, bound by ``batch``, to each of its
+    endpoints in order; one chunk per response.
+
+    An unreachable endpoint is recorded as a dropped contribution and
+    skipped.  Recorded requests are appended to ``handles`` (and
+    mirrored on ``node.handles`` for explain); rows already in ``seen``
+    are dropped keep-first, unless ``seen`` is ``None``.
+    """
+    for endpoint in node.endpoints:
+        try:
+            found, handle = issue_request(
+                ctx,
+                endpoint,
+                lambda ep: ep.solutions(node.patterns, batch, node.pushed),
+                lambda ep, found: ctx.network.charge_query(
+                    ctx.stats, ep.name, found.n, serial=ctx.serial
+                ),
+                deps=deps,
+                label=node.label,
+            )
+        except EndpointUnavailableError as exc:
+            ctx.record_unreachable(
+                exc.endpoint, " ".join(tp.n3() for tp in node.patterns)
+            )
+            continue
+        _count_request(node)
+        origin: _Origin = ()
+        if handle is not None:
+            handles.append(handle)
+            node.handles = tuple(handles)
+            origin = (handle,)
+        found, origins = relayout(found, node.schema), [origin] * found.n
+        if seen is not None:
+            found, origins = fresh_rows(found, origins, seen)
+        yield found, origins
+
+
 class InputNode(FedOp):
     """The singleton seed: one empty row (a branch's starting Ω)."""
 
@@ -724,37 +773,9 @@ class RemoteScan(FedOp):
             # Waves require exhaustion: drain the triggering step fully.
             deps = interp.run(self.after).wave
         handles: List[RequestHandle] = []
-        seen: Set[Row] = set()
-        for endpoint in self.endpoints:
-            try:
-                found, handle = issue_request(
-                    ctx,
-                    endpoint,
-                    lambda ep: ep.solutions(
-                        self.patterns, Batch.singleton(), self.pushed
-                    ),
-                    lambda ep, found: ctx.network.charge_query(
-                        ctx.stats, ep.name, found.n, serial=ctx.serial
-                    ),
-                    deps=deps,
-                    label=self.label,
-                )
-            except EndpointUnavailableError as exc:
-                ctx.record_unreachable(
-                    exc.endpoint, " ".join(tp.n3() for tp in self.patterns)
-                )
-                continue
-            _count_request(self)
-            origin: _Origin = ()
-            if handle is not None:
-                handles.append(handle)
-                self.handles = tuple(handles)
-                origin = (handle,)
-            found, origins = relayout(found, self.schema), [origin] * found.n
-            if len(self.endpoints) > 1:
-                # One answer is a set already; two may overlap.
-                found, origins = fresh_rows(found, origins, seen)
-            yield found, origins
+        # One answer is a set already; two may overlap.
+        seen: Optional[Set[Row]] = set() if len(self.endpoints) > 1 else None
+        yield from _fan_out(self, ctx, Batch.singleton(), deps, handles, seen)
         return tuple(handles)
 
     def describe(self) -> str:
@@ -804,7 +825,6 @@ class BoundJoinStream(FedOp):
         endpoints: Tuple[PeerEndpoint, ...],
         batch_size: int = 64,
         pushed: Tuple[CompiledFilter, ...] = (),
-        exclusive: bool = False,
         decision: Optional[Decision] = None,
         label: str = "",
     ) -> None:
@@ -813,7 +833,6 @@ class BoundJoinStream(FedOp):
         self.endpoints = endpoints
         self.batch_size = batch_size
         self.pushed = pushed
-        self.exclusive = exclusive
         self.decision = decision
         self.label = label
         self.schema = _pattern_schema(child.schema, patterns)
@@ -908,41 +927,14 @@ class BoundJoinStream(FedOp):
                 deps = _batch_dependencies(batch_origins)
             else:
                 deps = interp.stream(self.child).wave
-            for endpoint in self.endpoints:
-                try:
-                    found, handle = issue_request(
-                        ctx,
-                        endpoint,
-                        lambda ep, batch=batch: ep.solutions(
-                            self.patterns, batch, self.pushed
-                        ),
-                        lambda ep, found: ctx.network.charge_query(
-                            ctx.stats, ep.name, found.n, serial=ctx.serial
-                        ),
-                        deps=deps,
-                        label=self.label,
-                    )
-                except EndpointUnavailableError as exc:
-                    ctx.record_unreachable(
-                        exc.endpoint,
-                        " ".join(tp.n3() for tp in self.patterns),
-                    )
-                    continue
-                _count_request(self)
-                origin: _Origin = ()
-                if handle is not None:
-                    handles.append(handle)
-                    self.handles = tuple(handles)
-                    origin = (handle,)
-                yield fresh_rows(
-                    relayout(found, self.schema), [origin] * found.n, seen
-                )
+            yield from _fan_out(self, ctx, batch, deps, handles, seen)
         return tuple(handles)
 
     def describe(self) -> str:
         shape = " ".join(tp.n3() for tp in self.patterns)
         targets = ",".join(ep.name for ep in self.endpoints) or "-"
-        group = f"[group {len(self.patterns)}] " if self.exclusive else ""
+        n = len(self.patterns)
+        group = f"[group {n}] " if n > 1 else ""  # an exclusive group
         note = f" +{len(self.pushed)}f" if self.pushed else ""
         line = (
             f"{self.kind} {group}{shape} -> {targets}"
@@ -1423,24 +1415,20 @@ def explain_fed_plan(root: FedOp) -> str:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class _Unit:
-    """One schedulable step of the parallel pipeline: a single conjunct
-    or a FedX exclusive group (every conjunct owned by one endpoint,
-    fused so the join runs endpoint-side in one round trip)."""
+    """One step of the incremental planner: a single conjunct or a FedX
+    exclusive group (every conjunct owned by one endpoint, fused so the
+    join runs endpoint-side in one round trip)."""
 
-    __slots__ = ("index", "patterns", "endpoints", "exclusive")
+    index: int
+    patterns: Tuple[TriplePattern, ...]
+    endpoints: Tuple[PeerEndpoint, ...]
 
-    def __init__(
-        self,
-        index: int,
-        patterns: Tuple[TriplePattern, ...],
-        endpoints: Tuple[PeerEndpoint, ...],
-        exclusive: bool,
-    ) -> None:
-        self.index = index
-        self.patterns = patterns
-        self.endpoints = endpoints
-        self.exclusive = exclusive
+    @property
+    def exclusive(self) -> bool:
+        # Only exclusive groups hold more than one conjunct.
+        return len(self.patterns) > 1
 
     def variables(self) -> FrozenSet[Variable]:
         out: Set[Variable] = set()
@@ -1467,8 +1455,8 @@ class FederatedPlanner:
         self,
         endpoints: Sequence[PeerEndpoint],
         stats_now: Sequence[EndpointStats],
-        ctx: Optional[ExecContext] = None,
-        operation: str = "",
+        ctx: ExecContext,
+        operation: str,
     ) -> Tuple[PeerEndpoint, ...]:
         """Endpoints a ship/bound action actually contacts.
 
@@ -1483,8 +1471,7 @@ class FederatedPlanner:
         up: List[Tuple[PeerEndpoint, EndpointStats]] = []
         for ep, stat in zip(endpoints, stats_now):
             if stat.down:
-                if ctx is not None:
-                    ctx.record_unreachable(ep.name, operation)
+                ctx.record_unreachable(ep.name, operation)
                 continue
             up.append((ep, stat))
         if not self.host.catalog.live:
@@ -1581,169 +1568,6 @@ class FederatedPlanner:
 
     # -- incremental construction: the cost-model-driven strategies ------
 
-    def run_adaptive(
-        self,
-        interp: PlanInterpreter,
-        patterns: Sequence[TriplePattern],
-        filters: List[CompiledFilter],
-        decisions: List[Decision],
-        branch_index: int,
-        label: str = "",
-        demand: Optional[int] = None,
-    ) -> Tuple[FedOp, List[CompiledFilter]]:
-        """Build and run the adaptive plan one decision at a time.
-
-        Each step asks the cost model to price ship/bound/pull from the
-        endpoint cardinalities and the *actual* intermediate binding
-        count (the memoised interpreter makes re-running the extended
-        root free), then appends the chosen operator to the tree.
-
-        ``demand`` caps how many rows each step materialises — a
-        LIMIT-bearing query plans against (at most) the rows it can
-        ever emit; the streams stay resumable, so a downstream consumer
-        needing more simply pulls deeper.
-        """
-        host = self.host
-        prefix = label or f"b{branch_index}"
-        remaining_filters = list(filters)
-        remaining = list(enumerate(patterns))
-        relevant: Dict[int, List[PeerEndpoint]] = {
-            i: host._relevant(tp) for i, tp in remaining
-        }
-        counts: Dict[int, List[Tuple[PeerEndpoint, int, int]]] = {
-            i: [
-                (
-                    ep,
-                    host.catalog.pattern_count(ep, tp),
-                    host.catalog.relation_count(ep, tp),
-                )
-                for ep in relevant[i]
-            ]
-            for i, tp in remaining
-        }
-        root: FedOp = InputNode()
-        count = interp.count(root, demand)
-        bound: FrozenSet[Variable] = frozenset()
-        # Memoised per conjunct: endpoint counts are static for the whole
-        # execution and only the `cached` flags can change — and only
-        # after a pull, which invalidates the memo wholesale.  Keeps the
-        # dynamic ordering's min() key O(1) per (round, conjunct).
-        stats_memo: Dict[int, List[EndpointStats]] = {}
-
-        def endpoint_stats(i: int, tp: TriplePattern) -> List[EndpointStats]:
-            memoised = stats_memo.get(i)
-            if memoised is None:
-                memoised = [
-                    EndpointStats(
-                        ep.name,
-                        pattern_count,
-                        relation_count,
-                        interp.ctx.cache.has(ep.name, ep.relation_key(tp)),
-                    )
-                    for ep, pattern_count, relation_count in counts[i]
-                ]
-                stats_memo[i] = memoised
-            return memoised
-
-        def with_down(
-            stats: List[EndpointStats], endpoints: Sequence[PeerEndpoint]
-        ) -> List[EndpointStats]:
-            # Down flags are applied fresh on top of the memo: they can
-            # flip mid-execution as budgets exhaust, unlike the counts.
-            session = interp.ctx.faults
-            if session is None:
-                return stats
-            return [
-                replace(stat, down=session.unreachable(ep))
-                for stat, ep in zip(stats, endpoints)
-            ]
-
-        while remaining:
-            def order_key(pair: Tuple[int, TriplePattern]):
-                i, tp = pair
-                estimate, free = host.cost_model.order_estimate(
-                    with_down(endpoint_stats(i, tp), relevant[i]), bound, tp
-                )
-                return (estimate, free, i)
-
-            best = min(remaining, key=order_key)
-            remaining.remove(best)
-            index, tp = best
-            stats_now = with_down(endpoint_stats(index, tp), relevant[index])
-            bound_after = bound | tp.variables()
-            ship_filters = sum(
-                1 for f in remaining_filters if f.variables <= tp.variables()
-            )
-            bound_filters = sum(
-                1 for f in remaining_filters if f.variables <= bound_after
-            )
-            decision = host.cost_model.decide(
-                tp,
-                stats_now,
-                count,
-                bound_variable_positions(tp, bound),
-                branch_index,
-                ship_filters=ship_filters,
-                bound_filters=bound_filters,
-            )
-            decisions.append(decision)
-            active = self._active(
-                relevant[index], stats_now, interp.ctx, tp.n3()
-            )
-            if decision.action == "ship":
-                push, remaining_filters = split_filters(
-                    remaining_filters, set(tp.variables())
-                )
-                scan = RemoteScan(
-                    (tp,),
-                    active,
-                    pushed=tuple(push),
-                    decision=decision,
-                    after=root,
-                    label=f"{prefix} ship",
-                )
-                root = LocalHashJoin(root, scan)
-            elif decision.action == "bound":
-                push, remaining_filters = split_filters(
-                    remaining_filters, set(bound_after)
-                )
-                root = BoundJoinStream(
-                    root,
-                    (tp,),
-                    active,
-                    batch_size=host.batch_size,
-                    pushed=tuple(push),
-                    decision=decision,
-                    label=f"{prefix} bound",
-                )
-            else:  # pull / local: answer from the relation cache
-                if decision.action == "pull":
-                    pull_from = tuple(relevant[index])
-                else:
-                    pull_from = ()
-                root = PullScan(
-                    root,
-                    tp,
-                    pull_from,
-                    decision=decision,
-                    label=f"{prefix} pull",
-                )
-            count = interp.count(root, demand)
-            if decision.action == "pull":
-                stats_memo.clear()  # cached flags changed
-            bound = bound_after
-            ready, remaining_filters = split_filters(
-                remaining_filters, set(bound)
-            )
-            if ready:
-                root = FilterNode(root, ready)
-                count = interp.count(root, demand)
-            if not count:
-                break
-        return root, remaining_filters
-
-    # -- exclusive groups (parallel mode) --------------------------------
-
     def exclusive_units(
         self, patterns: Sequence[TriplePattern]
     ) -> List[_Unit]:
@@ -1768,23 +1592,15 @@ class FederatedPlanner:
                 continue
             units.append(
                 _Unit(
-                    index=min(indices),
-                    patterns=tuple(patterns[i] for i in indices),
-                    endpoints=relevant[indices[0]],
-                    exclusive=True,
+                    min(indices),
+                    tuple(patterns[i] for i in indices),
+                    relevant[indices[0]],
                 )
             )
             fused.update(indices)
         for i, tp in enumerate(patterns):
             if i not in fused:
-                units.append(
-                    _Unit(
-                        index=i,
-                        patterns=(tp,),
-                        endpoints=relevant[i],
-                        exclusive=False,
-                    )
-                )
+                units.append(_Unit(i, (tp,), relevant[i]))
         units.sort(key=lambda unit: unit.index)
         return units
 
@@ -1812,22 +1628,46 @@ class FederatedPlanner:
             counts.append((ep, pattern_count, relation_count))
         return counts
 
-    def run_parallel(
+    def run_incremental(
         self,
         interp: PlanInterpreter,
         patterns: Sequence[TriplePattern],
         filters: List[CompiledFilter],
         decisions: List[Decision],
         branch_index: int,
+        parallel: bool,
         label: str = "",
         demand: Optional[int] = None,
     ) -> Tuple[FedOp, List[CompiledFilter]]:
-        """The adaptive construction over exclusive-group units with
-        makespan-priced decisions (``parallel=True``)."""
+        """Build and run a plan one cost-model decision at a time.
+
+        Each step picks the cheapest remaining unit by estimated
+        result size, asks the cost model to price ship/bound/pull from
+        the endpoint cardinalities and the *actual* intermediate
+        binding count (the memoised interpreter makes re-running the
+        extended root free), then appends the chosen operator.
+
+        ``parallel`` is the only difference between the two strategies
+        that build plans this way: ``parallel`` fuses exclusive groups
+        (:meth:`exclusive_units`) and prices decisions in makespan
+        seconds; ``adaptive`` keeps every conjunct its own unit and
+        prices in busy seconds.
+
+        ``demand`` caps how many rows each step materialises — a
+        LIMIT-bearing query plans against (at most) the rows it can
+        ever emit; the streams stay resumable, so a downstream consumer
+        needing more simply pulls deeper.
+        """
         host = self.host
         prefix = label or f"b{branch_index}"
         remaining_filters = list(filters)
-        remaining = self.exclusive_units(patterns)
+        if parallel:
+            remaining = self.exclusive_units(patterns)
+        else:
+            remaining = [
+                _Unit(i, (tp,), tuple(host._relevant(tp)))
+                for i, tp in enumerate(patterns)
+            ]
         counts = {unit.index: self._unit_counts(unit) for unit in remaining}
         root: FedOp = InputNode()
         count = interp.count(root, demand)
@@ -1839,56 +1679,44 @@ class FederatedPlanner:
         def unit_stats(unit: _Unit) -> List[EndpointStats]:
             memoised = stats_memo.get(unit.index)
             if memoised is None:
-                if unit.exclusive:
-                    memoised = [
-                        EndpointStats(ep.name, pc, rc)
-                        for ep, pc, rc in counts[unit.index]
-                    ]
-                else:
-                    tp = unit.patterns[0]
-                    memoised = [
-                        EndpointStats(
-                            ep.name,
-                            pc,
-                            rc,
-                            interp.ctx.cache.has(
-                                ep.name, ep.relation_key(tp)
-                            ),
-                        )
-                        for ep, pc, rc in counts[unit.index]
-                    ]
-                stats_memo[unit.index] = memoised
-            return memoised
-
-        def with_down(
-            stats: List[EndpointStats], endpoints: Sequence[PeerEndpoint]
-        ) -> List[EndpointStats]:
-            # Applied fresh on top of the memo: down flags can flip
-            # mid-execution as retry budgets exhaust.
+                tp = unit.patterns[0]
+                cache = interp.ctx.cache
+                memoised = stats_memo[unit.index] = [
+                    EndpointStats(
+                        ep.name,
+                        pc,
+                        rc,
+                        # A fused group is never pulled, so never cached.
+                        not unit.exclusive
+                        and cache.has(ep.name, ep.relation_key(tp)),
+                    )
+                    for ep, pc, rc in counts[unit.index]
+                ]
+            # Down flags are applied fresh on top of the memo: they can
+            # flip mid-execution as retry budgets exhaust.
             session = interp.ctx.faults
             if session is None:
-                return stats
+                return memoised
             return [
                 replace(stat, down=session.unreachable(ep))
-                for stat, ep in zip(stats, endpoints)
+                for stat, ep in zip(memoised, unit.endpoints)
             ]
 
         def order_key(unit: _Unit):
-            stats = with_down(unit_stats(unit), unit.endpoints)
             if unit.exclusive:
                 estimate, free = host.cost_model.order_estimate_group(
-                    stats, bound, unit.patterns
+                    unit_stats(unit), bound, unit.patterns
                 )
             else:
                 estimate, free = host.cost_model.order_estimate(
-                    stats, bound, unit.patterns[0]
+                    unit_stats(unit), bound, unit.patterns[0]
                 )
             return (estimate, free, unit.index)
 
         while remaining:
             best = min(remaining, key=order_key)
             remaining.remove(best)
-            stats_now = with_down(unit_stats(best), best.endpoints)
+            stats_now = unit_stats(best)
             unit_vars = best.variables()
             bound_after = bound | unit_vars
             ship_filters = sum(
@@ -1906,7 +1734,7 @@ class FederatedPlanner:
                     branch_index,
                     ship_filters=ship_filters,
                     bound_filters=bound_filters,
-                    parallel=True,
+                    parallel=parallel,
                 )
             else:
                 decision = host.cost_model.decide(
@@ -1917,7 +1745,7 @@ class FederatedPlanner:
                     branch_index,
                     ship_filters=ship_filters,
                     bound_filters=bound_filters,
-                    parallel=True,
+                    parallel=parallel,
                 )
             decisions.append(decision)
             targets = self._active(
@@ -1953,7 +1781,6 @@ class FederatedPlanner:
                     targets,
                     batch_size=host.batch_size,
                     pushed=tuple(push),
-                    exclusive=best.exclusive,
                     decision=decision,
                     label=f"{prefix} bound",
                 )

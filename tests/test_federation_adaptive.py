@@ -17,6 +17,7 @@ from repro.gpq.evaluation import evaluate_query_star
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.workload.federation import (
+    federated_exclusive_query,
     federated_path_query,
     federated_rps,
     federated_selective_query,
@@ -133,6 +134,66 @@ def test_bound_variable_positions():
 
 
 # ---------------------------------------------------------------------------
+# The group half of the cost model (exclusive groups, parallel only)
+# ---------------------------------------------------------------------------
+
+
+def test_decide_group_offers_only_ship_and_bound():
+    # A cached relation makes `local` free: a single conjunct takes it,
+    # a fused group may not (pulling would defeat the fusion).
+    age = TriplePattern(X, peer_namespace(0).age, Z)
+    group = (TP, age)
+    stats = [EndpointStats("p0", 50, 60, cached=True)]
+    single = model().decide(TP, stats, bindings=1000, bound_positions=1)
+    assert single.action == "local"
+    assert single.group == ()
+    decision = model().decide_group(
+        group, stats, bindings=1000, bound_positions=1
+    )
+    assert {e.action for e in decision.alternatives} <= {"ship", "bound"}
+    assert decision.action in ("ship", "bound")
+    assert decision.group == group
+    assert decision.pattern == TP
+    assert "group[2]" in decision.describe()
+
+
+def test_order_estimates_discount_positions_versus_variables():
+    # ``?x p ?x`` with ?x bound: the single-pattern key discounts per
+    # bound *position* (8 * 8), the group key per distinct variable (8).
+    loop = TriplePattern(X, peer_namespace(0).knows, X)
+    stats = [EndpointStats("p0", 640, 700)]
+    bound = frozenset({X})
+    assert model().order_estimate(stats, bound, loop) == (10.0, 0)
+    assert model().order_estimate_group(stats, bound, (loop,)) == (80.0, 0)
+    assert bound_variable_positions(loop, bound) == 2
+
+
+def test_exclusive_units_fuse_shared_owners_in_branch_order(
+    three_peer_system,
+):
+    ns0, ns1 = peer_namespace(0), peer_namespace(1)
+    anywhere = TriplePattern(Y, Variable("p"), Z)  # relevant to every peer
+    patterns = (
+        TriplePattern(Y, ns1.knows, Z),  # peer1's only conjunct
+        TriplePattern(X, ns0.knows, Y),
+        anywhere,
+        TriplePattern(X, ns0.age, Z),
+    )
+    units = FederatedExecutor(three_peer_system).planner.exclusive_units(
+        patterns
+    )
+    assert [unit.index for unit in units] == [0, 1, 2]
+    assert [unit.patterns for unit in units] == [
+        (patterns[0],),
+        (patterns[1], patterns[3]),
+        (anywhere,),
+    ]
+    assert [unit.exclusive for unit in units] == [False, True, False]
+    assert [ep.name for ep in units[1].endpoints] == ["peer0"]
+    assert len(units[2].endpoints) == 3
+
+
+# ---------------------------------------------------------------------------
 # Adaptive execution: answers and the Pareto invariant
 # ---------------------------------------------------------------------------
 
@@ -194,6 +255,22 @@ def test_fixed_strategies_carry_no_decisions(three_peer_system):
     for strategy in FIXED_STRATEGIES:
         result = executor.execute(federated_path_query(hops=2), strategy)
         assert result.decisions == ()
+
+
+def test_adaptive_never_fuses_exclusive_groups(three_peer_system):
+    # The simclock golden's `exclusive` scenario: parallel plans an
+    # ExclusiveGroupScan there; adaptive keeps every conjunct its own
+    # unit, so neither a group scan nor a grouped bound join appears.
+    executor = FederatedExecutor(three_peer_system)
+    query = federated_exclusive_query()
+    parallel = executor.explain(query, strategy=PARALLEL)
+    assert "ExclusiveGroupScan" in parallel
+    adaptive = executor.execute(query, ADAPTIVE)
+    assert adaptive.decisions
+    assert all(not d.group for d in adaptive.decisions)
+    text = executor.explain(query, strategy=ADAPTIVE)
+    assert "ExclusiveGroupScan" not in text
+    assert "[group" not in text and "group[" not in text
 
 
 def test_strategy_constants():
