@@ -30,7 +30,6 @@ actually landed.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterable, List, Optional, Sequence
 
 from repro.federation.bindings import (
@@ -40,7 +39,6 @@ from repro.federation.bindings import (
     bindings_of,
 )
 from repro.gpq.evaluation import compile_conjunct
-from repro.rdf.dictionary import IDTriple
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Variable
 from repro.rdf.triples import TriplePattern
@@ -134,7 +132,8 @@ class PeerEndpoint:
 
         The source relation is every triple sharing the pattern's
         predicate (the whole database when the predicate is a variable)
-        — what a *pull* decision would transfer.
+        — what a *pull* decision would transfer, and the dump size
+        :class:`~repro.federation.plan.PullScan` is charged for.
         """
         predicate = tp.predicate
         if isinstance(predicate, Variable):
@@ -152,18 +151,6 @@ class PeerEndpoint:
         if isinstance(predicate, Variable):
             return None
         return self.graph.term_id(predicate)
-
-    def relation_ids(self, tp: TriplePattern) -> List[IDTriple]:
-        """The pattern's source relation as ID triples (one transfer)."""
-        predicate = tp.predicate
-        if isinstance(predicate, Variable):
-            return list(self.graph.triples_ids())
-        pid = self.graph.term_id(predicate)
-        if pid is None:
-            return []
-        # Same order as ``triples_ids(None, pid, None)``, zipped in C.
-        objects, subjects = self.graph.group("pos", pid)
-        return list(zip(subjects, repeat(pid), objects))
 
     def can_answer(self, tp: TriplePattern, schema) -> bool:
         """Schema-based relevance: does the peer's schema cover every

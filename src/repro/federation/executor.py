@@ -27,7 +27,8 @@ replayed into a makespan).  Five strategies, chosen per call:
     Per-conjunct decisions from the cost model
     (:class:`~repro.federation.cost.CostModel`): each conjunct is
     *shipped* unbound, *bound-joined* against the current bindings, or
-    its source relation is *pulled* into a local cache, whichever the
+    its source relation is *pulled* (one charged transfer, after which
+    the coordinator reads the peer's relation for free), whichever the
     endpoint cardinalities and the actual intermediate binding count
     (cardinality feedback) price cheapest, in *busy* seconds.  The plan
     tree grows one decision at a time.
@@ -60,9 +61,9 @@ replayed into a makespan).  Five strategies, chosen per call:
 
 ``collect``
     The centralised baseline: dump every peer's database (one transfer
-    each) into the relation cache, then run the plan whose every
-    conjunct reads that cache — the same operators, no further
-    traffic.
+    each, recorded in the relation cache), then run the plan whose
+    every conjunct reads the dumped databases — the same operators, no
+    further traffic.
 
 Solution modifiers (``ORDER BY``/``LIMIT``/``OFFSET``) and ``ASK``
 execute *federally*: an unordered ``LIMIT`` caps the interpreter's
@@ -1380,9 +1381,9 @@ class FederatedExecutor:
         """Dump every peer into the relation cache (the collect baseline).
 
         Dumps go through the same fault/recovery funnel as federated
-        sub-queries; an unreachable peer's database is simply missing
-        from the cache, and the dropped dump is reported for the
-        partial-answer flag.
+        sub-queries and are read in place afterwards; an unreachable
+        peer's database is simply missing from the cache, and the
+        dropped dump is reported for the partial-answer flag.
         """
         for endpoint in self.endpoints:
             try:
@@ -1398,9 +1399,7 @@ class FederatedExecutor:
             except EndpointUnavailableError as exc:
                 ctx.record_unreachable(exc.endpoint, "dump")
                 continue
-            ctx.cache.add(
-                endpoint.name, None, graph.id_triples(), graph.dictionary
-            )
+            ctx.cache.add(endpoint.name, None, graph)
 
 
 def _stats_registry(stats: NetworkStats) -> MetricsRegistry:

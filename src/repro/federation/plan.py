@@ -17,8 +17,9 @@ planner/operator split, mirroring the ID-native design of
   :class:`ExclusiveGroupScan` (a FedX exclusive group fused into one
   endpoint-side sub-query), :class:`BoundJoinStream` (batched bound
   joins, *pipelined* under the runtime interpreter),
-  :class:`PullScan` (source-relation transfer into the shared relation
-  cache plus local extension), :class:`LocalHashJoin`,
+  :class:`PullScan` (a charged source-relation transfer, recorded in the
+  execution's relation cache, then a local extension that reads the
+  pulled peer graphs in place), :class:`LocalHashJoin`,
   :class:`LeftJoinNode` (federated ``OPTIONAL``, a hash left join),
   :class:`FilterNode`, :class:`UnionNode` and :class:`ProjectDedupe`.
 
@@ -195,16 +196,19 @@ _Origin = Tuple[RequestHandle, ...]
 class RelationCache:
     """Source relations pulled so far, shared across one execution.
 
-    A pull lands ID triples in one local graph; ``(endpoint, relation)``
-    keys remember what has been paid for, so repeated conjuncts over the
-    same relation (and later branches of a UNION) answer locally for
-    free.  A full dump (``None`` key) subsumes every relation of that
-    endpoint.
+    ``(endpoint, relation)`` keys remember what has been paid for, so
+    repeated conjuncts over the same relation (and later branches of a
+    UNION) answer locally for free.  A full dump (``None`` key)
+    subsumes every relation of that endpoint.  Nothing is copied: the
+    network model charges the transfer, and the coordinator then reads
+    the relation through the peer graph's own indexes, which hold the
+    same triples under the same term dictionary.
     """
 
     def __init__(self, dictionary) -> None:
-        self.graph = Graph(name="pulled", dictionary=dictionary)
+        self._dictionary = dictionary
         self._pulled: Dict[str, Set[Optional[int]]] = {}
+        self._pulls: List[Tuple[str, Optional[int], Graph]] = []
 
     def has(self, endpoint: str, key: Optional[int]) -> bool:
         keys = self._pulled.get(endpoint)
@@ -212,11 +216,51 @@ class RelationCache:
             return False
         return key in keys or None in keys
 
-    def add(self, endpoint: str, key: Optional[int], ids, dictionary) -> None:
-        # The source dictionary travels with the IDs so a foreign-
-        # dictionary endpoint fails loudly instead of caching garbage.
+    def add(self, endpoint: str, key: Optional[int], graph: Graph) -> None:
+        """Record a paid pull of ``endpoint``'s relation ``key``.
+
+        Raises:
+            ValueError: if ``graph`` encodes against another dictionary
+                (its IDs would be meaningless to the coordinator).
+        """
+        if graph.dictionary is not self._dictionary:
+            raise ValueError(
+                "a pulled relation must share the executor's dictionary; "
+                "IDs from a foreign dictionary are meaningless here"
+            )
         self._pulled.setdefault(endpoint, set()).add(key)
-        self.graph.add_id_triples(ids, dictionary)
+        self._pulls.append((endpoint, key, graph))
+
+    def term_id(self, term) -> Optional[int]:
+        """The execution dictionary's ID of ``term`` (``None`` if never
+        interned) — what :func:`~repro.gpq.evaluation.compile_conjunct`
+        reads, so a conjunct compiles before anything is pulled."""
+        return self._dictionary.lookup(term)
+
+    def sources(
+        self, key: Optional[int]
+    ) -> List[Tuple[Graph, Optional[Set[int]]]]:
+        """The graphs holding relation ``key``, in pull order.
+
+        An endpoint sits where its first pull covering ``key`` landed.
+        A variable-predicate read (``key`` ``None``) sees every pulled
+        endpoint; one never dumped whole comes with the predicate IDs of
+        the relations pulled from it, the rows the read may keep.
+        """
+        out: List[Tuple[Graph, Optional[Set[int]]]] = []
+        placed: Set[str] = set()
+        for endpoint, pulled, graph in self._pulls:
+            if endpoint in placed:
+                continue
+            if key is None:
+                keys = self._pulled[endpoint]
+                out.append((graph, None if None in keys else keys))
+            elif pulled == key or pulled is None:
+                out.append((graph, None))
+            else:
+                continue
+            placed.add(endpoint)
+        return out
 
 
 class ExecContext:
@@ -950,10 +994,13 @@ class BoundJoinStream(FedOp):
 class PullScan(FedOp):
     """Pull the pattern's source relation(s), then extend locally.
 
-    Uncached relevant endpoints dump the relation once into the shared
-    :class:`RelationCache`; the child's rows then extend against the
-    cache graph for free.  With every relation already cached this is
-    the cost model's ``local`` action (zero network).
+    Uncached relevant endpoints dump the relation once, recorded in the
+    shared :class:`RelationCache`; the child's rows then extend, for
+    free, against every pulled graph holding the relation, read in
+    place.  Per input row, the first source's matches come first and a
+    later source's follow, each in its graph's index order, and a row
+    already emitted is dropped.  With every relation already cached
+    this is the cost model's ``local`` action (zero network).
     """
 
     kind = "PullScan"
@@ -994,19 +1041,19 @@ class PullScan(FedOp):
             key = endpoint.relation_key(self.pattern)
             if ctx.cache.has(endpoint.name, key):
                 continue
-            ids = endpoint.relation_ids(self.pattern)
-            if not ids:
+            count = endpoint.count_relation(self.pattern)
+            if not count:
                 continue
             try:
-                # Replicas share the primary's graph, so the already-
-                # computed dump is what any candidate would return;
-                # the charge lands on whichever instance served it.
-                ids, handle = issue_request(
+                # Replicas share the primary's graph, so every candidate
+                # serves the same dump; the charge lands on whichever
+                # instance served it.
+                graph, handle = issue_request(
                     ctx,
                     endpoint,
-                    lambda ep, ids=ids: ids,
-                    lambda ep, found: ctx.network.charge_dump(
-                        ctx.stats, ep.name, len(found), serial=ctx.serial
+                    lambda ep: ep.graph,
+                    lambda ep, graph, count=count: ctx.network.charge_dump(
+                        ctx.stats, ep.name, count, serial=ctx.serial
                     ),
                     deps=deps,
                     label=self.label,
@@ -1020,28 +1067,65 @@ class PullScan(FedOp):
                 handles.append(handle)
             _count_request(self)
             pulled.append(endpoint.name)
-            ctx.cache.add(endpoint.name, key, ids, endpoint.graph.dictionary)
+            ctx.cache.add(endpoint.name, key, graph)
         self.handles = tuple(handles)
         self.pulled = tuple(pulled)
-        slots = compile_conjunct(ctx.cache.graph, self.pattern)
+        slots = compile_conjunct(ctx.cache, self.pattern)
         if slots is not None:
-            # The local join against the cache graph runs columnar: one
-            # selection-vector probe per chunk (the whole drained child
-            # in runtime mode), order-identical to a per-row loop
-            # (downstream batching and dedupe are stream-order-
-            # sensitive and message counts are gated).
+            # The local join runs columnar: one selection-vector probe
+            # per chunk and source (the whole drained child in runtime
+            # mode), order-identical to a per-row loop over the sources
+            # (downstream batching and dedupe are stream-order-sensitive
+            # and message counts are gated).  Sources are looked up per
+            # chunk, so a pull made meanwhile by another node is read.
+            key = slots[1] if isinstance(slots[1], int) else None
             seen: Set[Row] = set()
             for batch, origins in _chunks_of(child):
-                found, sources = extend_bindings_batch(
-                    ctx.cache.graph, batch, slots
-                )
+                found, sel = self._extend(ctx.cache.sources(key), batch, slots)
                 origins = _origin_merger(origins, [self.handles])(
-                    sources, [0] * len(sources)
+                    sel, [0] * len(sel)
                 )
-                yield fresh_rows(relayout(found, self.schema), origins, seen)
+                yield fresh_rows(found, origins, seen)
         if self.handles:
             return self.handles
         return child.wave
+
+    def _extend(
+        self,
+        sources: List[Tuple[Graph, Optional[Set[int]]]],
+        batch: Batch,
+        slots,
+    ) -> Tuple[Batch, List[int]]:
+        """``batch`` extended against every source, input-row major.
+
+        Returns the rows under the node's schema and the input row of
+        each.  A source with a predicate mask keeps only the rows of the
+        relations pulled from it.
+        """
+        parts: List[Tuple[Batch, List[int]]] = []
+        for graph, keep in sources:
+            found, sel = extend_bindings_batch(graph, batch, slots)
+            found = relayout(found, self.schema)
+            if keep is not None:
+                predicates = found.col(slots[1])
+                rows = [i for i, pid in enumerate(predicates) if pid in keep]
+                found, sel = found.gather(rows), [sel[i] for i in rows]
+            if found.n:
+                parts.append((found, sel))
+        if not parts:
+            return Batch.empty(self.schema), []
+        if len(parts) == 1:
+            return parts[0]
+        # A stable sort by input row keeps, within each row, the sources
+        # in pull order and each source's matches in index order.
+        sel = [i for _, part in parts for i in part]
+        columns = [
+            [tid for found, _ in parts for tid in found.columns[k]]
+            for k in range(len(self.schema))
+        ]
+        order = sorted(range(len(sel)), key=sel.__getitem__)
+        merged = Batch(self.schema, columns, len(sel)).gather(order)
+        return merged, [sel[i] for i in order]
 
     def describe(self) -> str:
         targets = ",".join(ep.name for ep in self.endpoints) or "-"
@@ -1520,7 +1604,7 @@ class FederatedPlanner:
         filters: List[CompiledFilter],
     ) -> Tuple[FedOp, List[CompiledFilter]]:
         """The collect baseline: every conjunct, in the order given,
-        answered from the relation cache the dumps already filled — a
+        answered from the databases the dumps already paid for — a
         :class:`PullScan` with nothing left to pull."""
         remaining = list(filters)
         root: FedOp = InputNode()

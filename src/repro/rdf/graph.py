@@ -612,8 +612,9 @@ class Graph:
 
         The caller must pass the dictionary the IDs were encoded against
         so a cross-dictionary mix-up fails loudly instead of silently
-        storing garbage.  Used by the federated executor to land pulled
-        peer relations in its local cache graph without decoding.
+        storing garbage.  Used by Algorithm 1 to land derived triples
+        in the solution, and by the rewriting to build its quotient of
+        the stored graph, without decoding.
 
         Raises:
             ValueError: if ``dictionary`` is not this graph's dictionary.

@@ -7,7 +7,19 @@ where the triples are read.  Every text builder of
 goldens do not have runs under every strategy, with pipelined and
 wave-barrier bound joins, at two batch sizes, and must give the answer
 the local engine gives on ``RPS.stored_database()``.
+
+The same sweep is also pinned by one sha256 over every execution's
+answer rows and simulated-clock counters (:data:`FOOTPRINT_SHA256`).
+Several strategies probe more than one pulled peer graph for one
+conjunct (``collect`` always does), and no golden covers those reads.
+The digest was generated from the commit before pulls read the peers'
+graphs in place, and is regenerated by::
+
+    PYTHONPATH=<checkout>/src python tests/test_federation_differential.py
 """
+
+import hashlib
+import sys
 
 import pytest
 
@@ -20,7 +32,12 @@ from repro.sparql.engine import execute
 from repro.sparql.parser import parse_query
 from repro.workload.federation import federated_rps
 from repro.workload.topologies import peer_namespace
-from test_simclock_invariance import BUILDERS
+from test_simclock_invariance import BUILDERS, _system
+
+#: sha256 of :func:`footprint_digest` (see the module docstring).
+FOOTPRINT_SHA256 = (
+    "1fe267ecab3bfda851d3abb36bd0e563e519697dc27749594fe16eb6e7608a76"
+)
 
 
 def _extra_texts():
@@ -91,3 +108,51 @@ def test_every_strategy_equals_the_local_engine(
                 assert len(rows) == window and rows <= full, key
             else:
                 assert rows == full, key
+
+
+def footprint_digest() -> str:
+    """sha256 over every strategy x streaming x batch size x text.
+
+    Each execution contributes its answer rows (sorted: ``rows`` is a
+    set) and its messages, transfer units, solutions transferred, busy
+    and elapsed seconds.  The system is the fixture's, re-encoded
+    against a private dictionary: bound-join batches form in term-ID
+    order, which must not depend on what else the process interned.
+    """
+    system = _system()
+    texts = {name: build() for name, build in BUILDERS.items()}
+    texts.update(_extra_texts())
+    digest = hashlib.sha256()
+    for batch_size in (2, 64):
+        for streaming in (True, False):
+            executor = FederatedExecutor(
+                system, streaming=streaming, batch_size=batch_size
+            )
+            for name, query in texts.items():
+                prepared = executor.prepare(query)
+                for strategy in STRATEGIES:
+                    result = executor.execute(prepared, strategy)
+                    stats = result.stats
+                    record = (
+                        batch_size,
+                        streaming,
+                        name,
+                        strategy,
+                        sorted(map(repr, result.rows)),
+                        stats.messages,
+                        stats.transfer_units,
+                        stats.solutions_transferred,
+                        stats.busy_seconds,
+                        stats.elapsed_seconds,
+                    )
+                    digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+def test_every_execution_matches_the_pinned_footprint():
+    assert footprint_digest() == FOOTPRINT_SHA256
+
+
+if __name__ == "__main__":
+    print(footprint_digest())
+    print("paste into FOOTPRINT_SHA256", file=sys.stderr)

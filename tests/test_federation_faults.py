@@ -14,8 +14,19 @@ from repro.federation import (
     FaultModel,
     FaultSpec,
     FederatedExecutor,
+    NetworkModel,
+    NetworkStats,
+    PeerEndpoint,
+    PlanInterpreter,
+    PullScan,
     RetryPolicy,
 )
+from repro.federation.plan import ExecContext, InputNode, RelationCache
+from repro.rdf.dictionary import TermDictionary
+from repro.rdf.graph import Graph
+from repro.rdf.namespaces import Namespace
+from repro.rdf.terms import Variable
+from repro.rdf.triples import Triple, TriplePattern
 from repro.runtime import OverlapScheduler
 from repro.workload.federation import (
     blackout_fault_model,
@@ -286,6 +297,47 @@ def test_recoverable_faults_match_fault_free_on_all_strategies(system):
         result = executor.execute(QUERY, strategy)
         assert result.partial is None, strategy
         assert result.rows == expected.rows, strategy
+
+
+def test_variable_predicate_pull_keeps_keyed_relations_of_a_failed_dump():
+    """A ``?y ?p ?z`` pull whose full dump fails still reads the keyed
+    relation already pulled from that endpoint, and only that relation:
+    the flagged partial answer a merged pulled-relation graph gave."""
+    ex = Namespace("http://example.org/")
+    dictionary = TermDictionary()
+    graph = Graph(dictionary=dictionary)
+    for s, p, o in (
+        ("a", "knows", "b"),
+        ("b", "knows", "c"),
+        ("b", "age", "d"),
+        ("c", "knows", "a"),
+    ):
+        graph.add(Triple(ex[s], ex[p], ex[o]))
+    endpoint = PeerEndpoint("peer0", graph)
+    # The first attempt lands at busy time 0; every later one fails.
+    model = FaultModel({"peer0": FaultSpec(outages=((1e-9, 1e9),))})
+    ctx = ExecContext(
+        NetworkModel(),
+        NetworkStats(),
+        RelationCache(dictionary),
+        faults=model.session(),
+        retry=RetryPolicy(max_retries=0),
+    )
+    interp = PlanInterpreter(ctx)
+    x, y, p, z = (Variable(name) for name in "xypz")
+    keyed = PullScan(InputNode(), TriplePattern(x, ex.knows, y), (endpoint,))
+    interp.run(keyed)
+    full = PullScan(keyed, TriplePattern(y, p, z), (endpoint,))
+    stream = interp.run(full)
+    assert keyed.pulled == ("peer0",) and full.pulled == ()
+    assert [u.endpoint for u in ctx.unreachable] == ["peer0"]
+    assert ctx.unreachable[0].operation.startswith("pull ")
+    assert stream.batch.schema == (p, x, y, z)
+    rows = [tuple(map(dictionary.decode, row)) for row in stream.batch.rows()]
+    assert rows == [
+        (ex.knows, ex[s], ex[m], ex[o])
+        for s, m, o in (("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b"))
+    ]
 
 
 FLAKY = flaky_fault_model(

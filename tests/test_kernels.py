@@ -12,24 +12,27 @@ reference evaluator of ``sparql/algebra.py``, row by row.
 """
 
 import random
+from itertools import repeat
 
 import pytest
 
 from conftest import nested_loop_pairs
-from repro.federation import NetworkStats
-from repro.federation.bindings import as_batch, bindings_of
+from repro.federation import NetworkModel, NetworkStats, PeerEndpoint
+from repro.federation.bindings import as_batch, bindings_of, relayout
 from repro.federation.plan import (
     ExecContext,
     FedOp,
     LeftJoinNode,
     LocalHashJoin,
     PlanInterpreter,
+    PullScan,
     RelationCache,
 )
+from repro.gpq.evaluation import compile_conjunct
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Variable
-from repro.rdf.triples import Triple
+from repro.rdf.triples import Triple, TriplePattern
 from repro.runtime.scheduler import OverlapScheduler
 from repro.sparql.algebra import _eval_filter_expr
 from repro.sparql.ast import BooleanExpr, Comparison
@@ -40,6 +43,7 @@ from repro.sparql.batch import (
     BatchLeftJoin,
     BatchOp,
     compile_mask,
+    extend_bindings_batch,
 )
 
 A, B, C, D = VARIABLES = [Variable(name) for name in "abcd"]
@@ -298,6 +302,69 @@ def test_both_layers_run_the_nested_loops_pairs_in_the_kernels_order(seed):
         if shape == "duplicate_rows":
             # The last condition rejected every match: all pads.
             assert [j for _, _, j in expected] == [-1] * len(left)
+
+
+# ---------------------------------------------------------------------------
+# PullScan: pulled relations read in place, as the merged copy read them
+# ---------------------------------------------------------------------------
+
+
+def _ex(name):
+    return IRI(f"http://example.org/{name}")
+
+
+#: Two peers sharing ``knows``; ``s1 knows o2`` is in both.
+SHARED_KNOWS = {
+    "peer0": [("s1", "o1"), ("s2", "o1"), ("s1", "o2"), ("s2", "o3")],
+    "peer1": [("s1", "o2"), ("s1", "o4"), ("s2", "o5"), ("s3", "o1")],
+}
+
+
+@pytest.mark.parametrize(
+    "bound, values",
+    [("s", ["s1", "s2", "s3", "s4"]), ("o", ["o1", "o2", "o5", "o9"])],
+)
+def test_pull_scan_over_two_sources_reads_like_the_merged_copy(bound, values):
+    dictionary = TermDictionary()
+    knows = _ex("knows")
+    endpoints = []
+    for name, pairs in SHARED_KNOWS.items():
+        graph = Graph(dictionary=dictionary)
+        for s, o in pairs:
+            graph.add(Triple(_ex(s), knows, _ex(o)))
+        endpoints.append(PeerEndpoint(name, graph))
+    column = Variable(bound)
+    ids = [dictionary.encode(_ex(value)) for value in values]
+    scheduler = OverlapScheduler()
+    handles = [scheduler.submit("peer9", 0.01) for _ in ids]
+    child = FixedStream(
+        Batch((column,), [ids], len(ids)), [(h,) for h in handles]
+    )
+    pattern = TriplePattern(Variable("s"), knows, Variable("o"))
+    pull = PullScan(child, pattern, tuple(endpoints))
+    ctx = ExecContext(
+        NetworkModel(), NetworkStats(), RelationCache(dictionary), scheduler
+    )
+    stream = PlanInterpreter(ctx).run(pull)
+    assert pull.pulled == ("peer0", "peer1")
+
+    # The copy the pull used to make: every pulled relation, in pull
+    # order, bulk-added to one graph, then extended against.
+    merged = Graph(dictionary=dictionary)
+    pid = dictionary.lookup(knows)
+    for endpoint in endpoints:
+        objects, subjects = endpoint.graph.group("pos", pid)
+        merged.add_id_triples(zip(subjects, repeat(pid), objects), dictionary)
+    found, sel = extend_bindings_batch(
+        merged, child.chunk[0], compile_conjunct(merged, pattern)
+    )
+    assert set(sel) == {0, 1, 2}  # two rows read both sources
+    assert list(stream.batch.rows()) == list(
+        relayout(found, pull.schema).rows()
+    )
+    assert [[h.index for h in origin] for origin in stream.origins] == [
+        merged_origins((handles[i],), pull.handles) for i in sel
+    ]
 
 
 # ---------------------------------------------------------------------------
