@@ -29,12 +29,13 @@ over peer access points.  This package provides the simulated version:
 * :mod:`repro.federation.plan` — the physical-operator layer: streaming
   operators (``RemoteScan``, ``BoundJoinStream`` with pipelined
   batches, ``ExclusiveGroupScan``, ``PullScan``, ``LocalHashJoin``,
-  ``LeftJoin`` for federated OPTIONAL, ``Filter``/``Union``/
-  ``Project``), the planner that builds them from cost-model
-  decisions, and the memoised interpreter that walks one plan either
-  serially or on the discrete-event runtime;
+  ``LeftJoin`` for federated OPTIONAL, ``Filter``/``Union``), the
+  planner that builds them from cost-model decisions, and the memoised
+  interpreter that walks one plan either serially or on the
+  discrete-event runtime;
 * :mod:`repro.federation.executor` — the distributed executor facade:
-  normalises queries, prepares filters once, and runs each strategy as
+  normalises queries, prepares filters once, finishes every plan root
+  with the local engine's solution modifiers, and runs each strategy as
   a plan-construction policy — the cost-model-driven ``adaptive``
   strategy (with FILTER/UNION pushdown into per-endpoint sub-queries),
   the overlap-aware ``parallel`` mode on the discrete-event runtime
@@ -75,7 +76,6 @@ from repro.federation.plan import (
     LeftJoinNode,
     LocalHashJoin,
     PlanInterpreter,
-    ProjectDedupe,
     PullScan,
     RemoteScan,
     UnionNode,
@@ -108,7 +108,6 @@ __all__ = [
     "PeerEndpoint",
     "PlanInterpreter",
     "PreparedQuery",
-    "ProjectDedupe",
     "PullScan",
     "RemoteScan",
     "RetryPolicy",

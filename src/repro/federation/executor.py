@@ -18,10 +18,11 @@ Execution itself lives in the physical-operator layer
 (:mod:`repro.federation.plan`): each strategy is a *plan-construction
 policy* over the same streaming operators (``RemoteScan``,
 ``BoundJoinStream``, ``ExclusiveGroupScan``, ``PullScan``,
-``LocalHashJoin``, ``LeftJoin``, ``Filter``, ``Union``, ``Project``),
-and one memoised interpreter walks the plan in either *serial* mode or
-*runtime* mode (requests recorded on the discrete-event scheduler and
-replayed into a makespan).  Five strategies, chosen per call:
+``LocalHashJoin``, ``LeftJoin``, ``Filter``, ``Union``), which produce
+solutions, and one memoised interpreter walks the plan in either
+*serial* mode or *runtime* mode (requests recorded on the
+discrete-event scheduler and replayed into a makespan).  Five
+strategies, chosen per call:
 
 ``adaptive`` (default)
     Per-conjunct decisions from the cost model
@@ -65,13 +66,17 @@ replayed into a makespan).  Five strategies, chosen per call:
     every conjunct reads the dumped databases — the same operators, no
     further traffic.
 
-Solution modifiers (``ORDER BY``/``LIMIT``/``OFFSET``) and ``ASK``
-execute *federally*: an unordered ``LIMIT`` caps the interpreter's
-demand so upstream operators stop issuing sub-queries once the window
-can be filled, ``ORDER BY`` runs a :class:`~repro.federation.plan.
-TopKNode` over full solutions (a non-projected sort variable is fine),
-and ``ASK`` is the degenerate ``LIMIT 1`` — the first surviving row
-short-circuits the whole pipeline.
+The solution modifiers finish the plan root as the local engine
+finishes its batch plan, with the same two functions: an unordered
+``LIMIT``/``OFFSET`` is :func:`~repro.sparql.batch.batch_slice` over
+the root's chunk stream — the query's demand cap also bounds planning,
+and the slice stops pulling, so upstream operators stop issuing
+sub-queries once the window is full — and ``ASK`` is the same slice
+with ``LIMIT 1`` (the first surviving row short-circuits the whole
+pipeline).  ``ORDER BY`` is :func:`~repro.sparql.batch.batch_top_k`
+over the drained root's full solutions (a non-projected sort variable
+is fine).  An unmodified answer is the drained root, projected and
+deduplicated as it is decoded.
 
 All strategies compute the same answer set — the projection of the
 query over the union of the peer databases, equal to the single-graph
@@ -141,10 +146,7 @@ from repro.federation.plan import (
     InputNode,
     LeftJoinNode,
     PlanInterpreter,
-    ProjectDedupe,
     RelationCache,
-    SliceNode,
-    TopKNode,
     UnionNode,
     explain_fed_plan,
     issue_request,
@@ -166,7 +168,13 @@ from repro.runtime.control import (
 )
 from repro.runtime.scheduler import DEFAULT_CONCURRENCY, QueryScheduler
 from repro.sparql.ast import AskQuery, FilterExpr, OrderCondition, SelectQuery
-from repro.sparql.batch import Batch, column_rows, compile_mask
+from repro.sparql.batch import (
+    Batch,
+    batch_slice,
+    batch_top_k,
+    column_rows,
+    compile_mask,
+)
 from repro.sparql.bridge import ConjunctiveBranch, sparql_to_branches
 from repro.sparql.cache import PlanCache, nsm_fingerprint
 from repro.sparql.parser import parse_query
@@ -185,6 +193,10 @@ __all__ = [
 ]
 
 _Query = Union[str, GraphPatternQuery, SelectQuery, AskQuery]
+
+#: An answer at the result boundary: parallel ID columns over the query
+#: head, ``None`` for an unbound cell.
+_IDColumns = Sequence[Sequence[Optional[int]]]
 
 #: The adaptive (cost-model-driven) strategy name.
 ADAPTIVE = "adaptive"
@@ -263,7 +275,8 @@ class FederationResult:
             material.
         channels: per-endpoint service statistics of the runtime replay
             (parallel strategy only).
-        plans: the executed operator tree, one root per execution
+        plans: the executed operator tree, one root per execution:
+            the branch's root, or the ``Union`` over the branches
             (empty for the collect baseline, which has no federated
             plan).
         partial: ``None`` for a complete answer; a
@@ -672,75 +685,53 @@ class FederatedExecutor:
                 analyze=analyze,
                 batch_size=batch_size,
             )
-            recorded.append((name, prepared.head, stats, decisions, recording))
+            recorded.append((name, stats, decisions, recording))
         results = []
-        for name, head, stats, decisions, recording in recorded:
-            answer, plans, unreachable = recording
+        for name, stats, decisions, recording in recorded:
+            columns, n, root, unreachable = recording
             channels: Dict[str, ChannelStats] = {}
             if scheduler is not None:
                 stats.elapsed_seconds += scheduler.tenant_makespan(name)
                 channels = scheduler.tenant_channel_stats(name)
+            # A dropped contribution flags the answer as partial.
+            partial = None
+            if unreachable:
+                partial = PartialAnswer(tuple(unreachable))
             results.append(
-                self._result(
+                FederationResult(
                     strategy,
-                    answer,
-                    head,
-                    term_of,
+                    self._decode_rows(columns, n, term_of),
                     stats,
-                    decisions,
+                    tuple(decisions),
                     channels,
-                    plans,
-                    unreachable,
+                    (root,),
+                    partial=partial,
                 )
             )
         return results
 
     def _decode_rows(
         self,
-        answer: Batch,
-        head: Tuple[Variable, ...],
+        columns: _IDColumns,
+        n: int,
         term_of: Dict[Optional[int], Optional[Term]],
     ) -> Set[Tuple[Optional[Term], ...]]:
-        """An answer batch as the set of term rows over ``head``.
+        """``n`` answer rows, as parallel ID columns over the query head
+        (``None`` unbound), decoded into the set of term rows.
 
+        The set is the answer's only DISTINCT: an unmodified query's
+        columns are the plan's drained output, duplicates included.
         ``term_of`` (start it as ``{None: None}``) memoises decoded
         IDs, so each distinct ID decodes once — across every result
         that shares the memo — and the columns map their cells in C;
-        term rows are the only row tuples the result boundary builds.
+        term rows are the only row tuples built here.
         """
-        columns = answer.project(head)
         decode = self.dictionary.decode
         for tid in set().union(*columns):
             if tid not in term_of:
                 term_of[tid] = decode(tid)
         decoded = [list(map(term_of.__getitem__, col)) for col in columns]
-        return set(column_rows(decoded, answer.n))
-
-    def _result(
-        self,
-        strategy: str,
-        answer: Batch,
-        head: Tuple[Variable, ...],
-        term_of: Dict[Optional[int], Optional[Term]],
-        stats: NetworkStats,
-        decisions: List[Decision],
-        channels: Dict[str, ChannelStats],
-        plans: Tuple[FedOp, ...],
-        unreachable: List[Unreachable],
-    ) -> FederationResult:
-        """The one result boundary of :meth:`execute` and
-        :meth:`execute_concurrent`: decoded rows, and the partial-answer
-        flag when a contribution was dropped."""
-        partial = PartialAnswer(tuple(unreachable)) if unreachable else None
-        return FederationResult(
-            strategy,
-            self._decode_rows(answer, head, term_of),
-            stats,
-            tuple(decisions),
-            channels,
-            plans,
-            partial=partial,
-        )
+        return set(column_rows(decoded, n))
 
     def _record(
         self,
@@ -753,27 +744,24 @@ class FederatedExecutor:
         tracer=NULL_TRACER,
         analyze: bool = False,
         batch_size: Optional[int] = None,
-    ) -> Tuple[Batch, Tuple[FedOp, ...], List[Unreachable]]:
+    ) -> Tuple[_IDColumns, int, FedOp, List[Unreachable]]:
         """Plan and interpret one prepared query against the peers.
 
         The recording step of :meth:`_run_round`: issues every
         simulated request against ``scheduler`` — one tenant's
         recorder of a :class:`~repro.runtime.scheduler.QueryScheduler`,
-        or ``None`` for serial interpretation — and returns the root's
-        answer batch, the executed plan roots and the unreachable
-        endpoints.  Nothing here touches the replay: it may only run
-        after every tenant of the round has recorded.
+        or ``None`` for serial interpretation — and returns the answer
+        as ID columns over the head plus its row count, the executed
+        plan root and the unreachable endpoints.  Nothing here touches
+        the replay: it may only run after every tenant of the round has
+        recorded.
 
-        ``batch_size`` overrides the executor's bound-join batch size
-        for this recording only — the adaptive concurrency
+        The plan produces solutions; the solution modifiers are the
+        local engine's finish (``engine._execute_prepared``) over its
+        root.  ``batch_size`` overrides the executor's bound-join batch
+        size for this recording only — the adaptive concurrency
         controller's between-rounds re-planning hook.
         """
-        modified = bool(
-            prepared.order
-            or prepared.limit is not None
-            or prepared.offset
-            or prepared.ask
-        )
         # The planning-time demand cap: an unordered LIMIT can never
         # emit more than offset+limit distinct rows, and ASK needs one.
         # ORDER BY drains fully (sorting is a pipeline breaker), so it
@@ -806,25 +794,31 @@ class FederatedExecutor:
             )
             for index, branch in enumerate(prepared.branches)
         ]
-        union_node = roots[0] if len(roots) == 1 else UnionNode(roots)
+        root = roots[0] if len(roots) == 1 else UnionNode(roots)
+        head = prepared.head
         if prepared.order:
-            root: FedOp = TopKNode(
-                union_node,
-                prepared.head,
+            id_rows = batch_top_k(
+                self.dictionary,
+                interp.run(root).batch,
+                head,
                 prepared.order,
                 prepared.offset,
                 prepared.limit,
-                self.dictionary,
             )
-        elif modified:
-            root = SliceNode(
-                ProjectDedupe(union_node, prepared.head),
-                offset=0 if prepared.ask else prepared.offset,
-                limit=1 if prepared.ask else prepared.limit,
+        elif prepared.ask or prepared.limit is not None or prepared.offset:
+            # A window of the root's chunk order, pulled a chunk at a
+            # time until offset+limit distinct rows are in; ASK is
+            # LIMIT 1 over its empty head.
+            id_rows = batch_slice(
+                interp.chunks(root),
+                head,
+                prepared.offset,
+                1 if prepared.ask else prepared.limit,
             )
         else:
-            root = ProjectDedupe(union_node, prepared.head)
-        return interp.run(root).batch, (root,), ctx.unreachable
+            answer = interp.run(root).batch
+            return answer.project(head), answer.n, root, ctx.unreachable
+        return list(zip(*id_rows)), len(id_rows), root, ctx.unreachable
 
     def run_all_strategies(
         self,

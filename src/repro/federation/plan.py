@@ -21,7 +21,11 @@ planner/operator split, mirroring the ID-native design of
   execution's relation cache, then a local extension that reads the
   pulled peer graphs in place), :class:`LocalHashJoin`,
   :class:`LeftJoinNode` (federated ``OPTIONAL``, a hash left join),
-  :class:`FilterNode`, :class:`UnionNode` and :class:`ProjectDedupe`.
+  :class:`FilterNode` and :class:`UnionNode`.  A plan produces
+  solutions only: projection, DISTINCT, ORDER BY, LIMIT/OFFSET and ASK
+  are the local engine's :func:`~repro.sparql.batch.batch_slice` and
+  :func:`~repro.sparql.batch.batch_top_k`, which the executor runs over
+  the plan root.
 
 * **Planner** (:class:`FederatedPlanner`) — builds operator trees from
   the cost model's decisions.  ``naive`` and ``bound`` are static
@@ -73,21 +77,22 @@ continues where the last one stopped, never re-charging the network
 for rows already materialised.  A request is issued exactly when a
 consumer needs more rows than the responses so far supplied, which is
 the condition a row-at-a-time cursor issues it under.  A ``LIMIT k``
-query runs its plan under ``demand = offset + k``: :class:`SliceNode`
-stops asking once the window is full, which ripples *against* the
-dataflow — :class:`ProjectDedupe` stops pulling its child,
-:class:`BoundJoinStream` stops filling batches (unsent batches are
-never charged), :class:`RemoteScan` stops contacting later endpoints —
-while the memoised prefix keeps already-paid rows available to every
-consumer.  Operators that need their input's *cardinality* or wave
-(:class:`LocalHashJoin` build sides, :class:`LeftJoinNode`,
-:class:`TopKNode`, wave-barrier batching) drain their children fully,
-exactly as before; a full drain reproduces the eager interpreter's
-charges byte for byte, so unlimited queries are unchanged.
-:class:`TopKNode` (federated ``ORDER BY``) sorts full solutions with
-the local engine's :func:`~repro.sparql.batch.top_k` and federated
-``ASK`` runs as ``SliceNode(limit=1)`` — the first surviving row
-short-circuits the whole pipeline.
+query runs its plan under ``demand = offset + k``, and the only demand
+sink is the result boundary: :func:`~repro.sparql.batch.batch_slice`
+reads the root through :meth:`PlanInterpreter.chunks` and stops asking
+once ``offset + k`` distinct rows are in, which ripples *against* the
+dataflow — :class:`BoundJoinStream` stops filling batches (unsent
+batches are never charged), :class:`RemoteScan` stops contacting later
+endpoints — while the memoised prefix keeps already-paid rows
+available to every consumer.  Federated ``ASK`` is the same slice with
+``limit=1`` over an empty head: the first surviving row
+short-circuits the whole pipeline.  Operators that need their input's
+*cardinality* or wave (:class:`LocalHashJoin` build sides,
+:class:`LeftJoinNode`, wave-barrier batching) drain their children
+fully, and so does federated ``ORDER BY``
+(:func:`~repro.sparql.batch.batch_top_k` over the drained root); a
+full drain reproduces the eager interpreter's charges byte for byte,
+so unlimited queries are unchanged.
 
 **Fault tolerance (PR 7).**  Every endpoint contact funnels through
 :func:`issue_request`.  Without a fault model attached the function is
@@ -153,17 +158,14 @@ from repro.obs.trace import NULL_TRACER
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
-from repro.sparql.ast import OrderCondition
 from repro.sparql.batch import (
     UNBOUND,
     Batch,
-    column_rows,
     extend_bindings_batch,
     gather_pairs,
     join_pairs,
     left_join_pairs,
     passing_rows,
-    top_k,
 )
 from repro.gpq.evaluation import compile_conjunct
 from repro.runtime.scheduler import RequestHandle, peak_overlap
@@ -179,12 +181,9 @@ __all__ = [
     "LeftJoinNode",
     "LocalHashJoin",
     "PlanInterpreter",
-    "ProjectDedupe",
     "PullScan",
     "RelationCache",
     "RemoteScan",
-    "SliceNode",
-    "TopKNode",
     "UnionNode",
     "explain_fed_plan",
     "issue_request",
@@ -665,8 +664,10 @@ class FedOp:
 
     Operators are declarative: they hold what to contact and which
     filters ride along; the interpreter decides how charges map onto
-    the simulated timeline.  After execution a node carries its
-    recorded request handles (runtime mode) for explain traces.
+    the simulated timeline.  Every operator produces solutions; none
+    projects, slices or sorts them (the executor's result boundary
+    does).  After execution a node carries its recorded request handles
+    (runtime mode) for explain traces.
     """
 
     kind = "FedOp"
@@ -678,14 +679,6 @@ class FedOp:
     #: EXPLAIN ANALYZE counters — ``None`` (analysis off, one attribute
     #: read on the hot path) or a per-node dict the interpreter attaches.
     actuals: Optional[Dict[str, int]] = None
-    #: True when the node's stream is duplicate-free by construction:
-    #: every row it emits has passed the node's own keep-first dedupe,
-    #: is one endpoint's whole answer (a set), or comes from a child
-    #: stream of which the same holds.  Building row tuples is the one
-    #: per-row cost left above the wire, so a consumer that would
-    #: dedupe the very same rows again (:class:`ProjectDedupe` keeping
-    #: every column) reads this instead.
-    distinct = False
 
     def children(self) -> Tuple["FedOp", ...]:
         return ()
@@ -769,7 +762,6 @@ class InputNode(FedOp):
     """The singleton seed: one empty row (a branch's starting Ω)."""
 
     kind = "Input"
-    distinct = True
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
         yield Batch.singleton(), [()]
@@ -792,7 +784,6 @@ class RemoteScan(FedOp):
     """
 
     kind = "RemoteScan"
-    distinct = True
 
     def __init__(
         self,
@@ -860,7 +851,6 @@ class BoundJoinStream(FedOp):
     """
 
     kind = "BoundJoinStream"
-    distinct = True
 
     def __init__(
         self,
@@ -1004,7 +994,6 @@ class PullScan(FedOp):
     """
 
     kind = "PullScan"
-    distinct = True
 
     def __init__(
         self,
@@ -1196,7 +1185,6 @@ class FilterNode(FedOp):
         self.child = child
         self.filters = tuple(filters)
         self.schema = child.schema
-        self.distinct = child.distinct
 
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
@@ -1231,7 +1219,6 @@ class LeftJoinNode(FedOp):
     """
 
     kind = "LeftJoin"
-    distinct = True
 
     def __init__(
         self,
@@ -1273,7 +1260,6 @@ class UnionNode(FedOp):
     """Concatenate branch outputs, deduplicating across branches."""
 
     kind = "Union"
-    distinct = True
 
     def __init__(self, branches: Sequence[FedOp]) -> None:
         self.branches = tuple(branches)
@@ -1293,150 +1279,6 @@ class UnionNode(FedOp):
 
     def describe(self) -> str:
         return f"{self.kind} [{len(self.branches)} branch(es)]"
-
-
-class ProjectDedupe(FedOp):
-    """Project onto the query head and deduplicate the projected rows."""
-
-    kind = "Project"
-    distinct = True
-
-    def __init__(self, child: FedOp, head: Tuple[Variable, ...]) -> None:
-        self.child = child
-        self.head = head
-        self.schema = schema_of(head)
-
-    def children(self) -> Tuple[FedOp, ...]:
-        return (self.child,)
-
-    def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
-        chunks = _chunks_of(interp.stream(self.child))
-        if self.child.distinct and self.schema == self.child.schema:
-            yield from chunks  # every column kept: nothing can collide
-            return ()
-        seen: Set[Row] = set()
-        for batch, origins in chunks:
-            yield fresh_rows(relayout(batch, self.schema), origins, seen)
-        return ()
-
-    def describe(self) -> str:
-        head = " ".join(f"?{v.name}" for v in self.head) or "(ask)"
-        return f"{self.kind} {head} distinct"
-
-
-class SliceNode(FedOp):
-    """OFFSET/LIMIT over a distinct projected stream — the demand sink.
-
-    Asks its child for chunks and stops dead once ``limit`` rows
-    survive past ``offset``; federated ``ASK`` is the degenerate
-    ``SliceNode(offset=0, limit=1)`` — one surviving row short-circuits
-    every upstream sub-query.
-    """
-
-    kind = "Slice"
-
-    def __init__(
-        self, child: FedOp, offset: int = 0, limit: Optional[int] = None
-    ) -> None:
-        self.child = child
-        self.offset = offset
-        self.limit = limit
-        self.schema = child.schema
-        self.distinct = child.distinct
-
-    def children(self) -> Tuple[FedOp, ...]:
-        return (self.child,)
-
-    def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
-        if self.limit == 0:
-            return ()
-        to_skip = self.offset
-        wanted = self.limit
-        for batch, origins in _chunks_of(interp.stream(self.child)):
-            if to_skip:
-                skipped = min(to_skip, batch.n)
-                to_skip -= skipped
-                batch, origins = batch.slice(skipped), origins[skipped:]
-            if wanted is not None:
-                batch, origins = batch.slice(0, wanted), origins[:wanted]
-                wanted -= batch.n
-            yield batch, origins
-            if wanted == 0:
-                break
-        return ()
-
-    def describe(self) -> str:
-        note = f" offset={self.offset}" if self.offset else ""
-        if self.limit is not None:
-            note += f" limit={self.limit}"
-        return f"{self.kind}{note}"
-
-
-class TopKNode(FedOp):
-    """Federated ``ORDER BY`` (+ OFFSET/LIMIT): sort, project, dedupe.
-
-    Sorting is a pipeline breaker — the child drains fully — and the
-    order is the local engine's :func:`repro.sparql.batch.top_k` over
-    the dictionary's term ranks: keys are built from *full* solutions
-    (ORDER BY may name non-projected variables), per distinct projected
-    row the minimal-key solution wins, and ties break on the projected
-    row's canonical term order, so every strategy and the reference
-    evaluator agree on the emitted order.
-    """
-
-    kind = "TopK"
-
-    def __init__(
-        self,
-        child: FedOp,
-        head: Tuple[Variable, ...],
-        order: Tuple[OrderCondition, ...],
-        offset: int,
-        limit: Optional[int],
-        dictionary,
-    ) -> None:
-        self.child = child
-        self.head = tuple(head)
-        self.order = tuple(order)
-        self.offset = offset
-        self.limit = limit
-        self.dictionary = dictionary
-        self.schema = schema_of(self.head)
-
-    def children(self) -> Tuple[FedOp, ...]:
-        return (self.child,)
-
-    def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
-        child = interp.run(self.child)
-        order_vars = tuple(condition.variable for condition in self.order)
-        keyed = relayout(child.batch, self.head + order_vars)
-        winners = top_k(
-            self.dictionary.ranks(),
-            self.head,
-            self.order,
-            list(column_rows(keyed.columns, keyed.n)),
-            self.offset,
-            self.limit,
-        )
-        yield (
-            relayout(child.batch, self.schema).gather(winners),
-            [child.origins[index] for index in winners],
-        )
-        return ()
-
-    def describe(self) -> str:
-        order = ",".join(
-            f"desc(?{c.variable.name})" if c.descending
-            else f"?{c.variable.name}"
-            for c in self.order
-        )
-        head = " ".join(f"?{v.name}" for v in self.head) or "(ask)"
-        note = f" order={order}"
-        if self.offset:
-            note += f" offset={self.offset}"
-        if self.limit is not None:
-            note += f" limit={self.limit}"
-        return f"{self.kind} {head}{note}"
 
 
 class PlanInterpreter:
@@ -1480,6 +1322,12 @@ class PlanInterpreter:
         stream = self.stream(node)
         stream.pull(demand)
         return stream
+
+    def chunks(self, node: FedOp) -> Iterator[Batch]:
+        """``node``'s output batch by batch, each pulled only when the
+        consumer asks for it (nothing starts before the first ask)."""
+        for batch, _ in _chunks_of(self.stream(node)):
+            yield batch
 
     def count(self, node: FedOp, demand: Optional[int] = None) -> int:
         """Rows of ``node`` a consumer capped at ``demand`` would hold:

@@ -16,8 +16,9 @@ read triggers a refresh: one real round trip charged to the execution's
 which the endpoint's counts are re-read from the live graph.  Between
 refreshes, cached counts are served as they were at fetch time — if the
 peer's database grew meanwhile, the cost model plans against yesterday's
-cardinalities, and the benchmark workloads show the resulting plan
-degradation and its recovery at the next refresh.
+cardinalities until the next refresh; ``tests/test_federation_stale.py``
+shows the stale plan degrading, its answers staying right, and the plan
+recovering at the refresh.
 
 ``ttl=None`` (the default) preserves the PR-3 semantics: always fresh,
 never charged.  ``ttl=0`` refreshes every execution; ``ttl=k`` serves

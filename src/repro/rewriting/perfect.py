@@ -16,8 +16,8 @@ Two complete strategies are provided for FO-rewritable mapping sets:
   reduction: enumerate candidate tuples, substitute each into the query,
   rewrite the Boolean query and evaluate it.  Exponentially more
   rewritings (one per candidate) but exactly the construction in the
-  paper; kept for fidelity and used by the E-P2 benchmark's baseline
-  arm.
+  paper; kept for fidelity and as the tests' cross-check of the
+  answer-atom method.
 
 Both work modulo ``≡ₑ``
 (:class:`repro.rewriting.redundancy.EquivalenceQuotient`): the rewriter

@@ -78,6 +78,7 @@ from typing import (
 from repro.errors import SparqlEvaluationError
 from repro.gpq.evaluation import extend_id_bindings
 from repro.obs.analyze import format_actuals
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term, Variable
 from repro.sparql.algebra import AlgebraNode, Bgp, Filter, Join, LeftJoin
@@ -1323,10 +1324,11 @@ def batch_slice(
 ) -> List[_IDRow]:
     """DISTINCT-project + OFFSET/LIMIT in chunk order (no ORDER BY).
 
-    First-seen deduplication over the deterministic row order of
-    :meth:`BatchOp.chunks`; which window of the distinct rows an
-    un-ordered slice returns is defined by that order.  The stream is
-    abandoned once ``offset + limit`` distinct rows are in, and
+    First-seen deduplication over the deterministic row order of the
+    chunk stream — :meth:`BatchOp.chunks` locally, the federated plan
+    root's chunks in the federation; which window of the distinct rows
+    an un-ordered slice returns is defined by that order.  The stream
+    is abandoned once ``offset + limit`` distinct rows are in, and
     ``LIMIT 0`` pulls nothing.
     """
     if limit == 0:
@@ -1345,7 +1347,7 @@ def batch_slice(
 
 
 def batch_top_k(
-    graph: Graph,
+    dictionary: TermDictionary,
     batch: Batch,
     projected: Sequence[Variable],
     order: Sequence[OrderCondition],
@@ -1356,9 +1358,10 @@ def batch_top_k(
     """ORDER BY + DISTINCT-project + OFFSET/LIMIT over one batch.
 
     The batch's projected and ORDER BY columns go through
-    :func:`top_k`, so the output is a pure function of the solution
-    *set* — identical to the reference evaluator's regardless of the
-    engine's internal row order.
+    :func:`top_k` on the term ranks of ``dictionary`` (the one the
+    batch's IDs encode against), so the output is a pure function of
+    the solution *set* — identical to the reference evaluator's
+    regardless of the engine's internal row order.
     """
     head = tuple(projected)
     variables = head + tuple(condition.variable for condition in order)
@@ -1367,7 +1370,7 @@ def batch_top_k(
     )
     if keep is not None:
         cells = [row for row in cells if keep(row[: len(head)])]
-    ranks = graph.dictionary.ranks()
+    ranks = dictionary.ranks()
     return [
         cells[index][: len(head)]
         for index in top_k(ranks, head, order, cells, offset, limit)

@@ -184,7 +184,7 @@ def _execute_prepared(
             return SelectResult(variables, [])
         if ast.order:
             id_rows = batch_top_k(
-                graph,
+                dictionary,
                 batch,
                 variables,
                 ast.order,

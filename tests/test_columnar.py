@@ -658,7 +658,12 @@ def test_batch_top_k_matches_engine_order():
     node = translate_group(ast.where)
     batch = build_batch_plan(graph, node).execute()
     rows = batch_top_k(
-        graph, batch, ast.projected(), ast.order, ast.offset or 0, ast.limit
+        graph.dictionary,
+        batch,
+        ast.projected(),
+        ast.order,
+        ast.offset or 0,
+        ast.limit,
     )
     decoded = [
         tuple(None if tid is None else graph.decode_id(tid) for tid in row)

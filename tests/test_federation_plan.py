@@ -15,7 +15,7 @@ from repro.federation.plan import (
     BoundJoinStream,
     FedOp,
     LeftJoinNode,
-    ProjectDedupe,
+    LocalHashJoin,
     PullScan,
     RemoteScan,
 )
@@ -74,8 +74,12 @@ def test_results_carry_an_operator_plan(system, strategy):
     )
     assert len(result.plans) == 1
     root = result.plans[0]
-    assert isinstance(root, ProjectDedupe)
+    # The plan produces solutions only: its root is the one branch's
+    # root, over every branch variable (the head is ?x0 ?x2), and the
+    # projection happens at the result boundary.
     assert isinstance(root, FedOp)
+    assert isinstance(root, (BoundJoinStream, LocalHashJoin, PullScan))
+    assert [v.name for v in root.schema] == ["x0", "x1", "x2"]
 
 
 def test_collect_baseline_has_no_federated_plan(system):
@@ -123,7 +127,7 @@ def test_serial_and_parallel_explains_render_plan_deterministically(system):
         assert len(traces) == 1
         trace = traces.pop()
         assert "plan:" in trace
-        assert "Project" in trace
+        assert "PullScan" in trace and "Input" in trace
         # One operator line per plan node, indented under "plan:".
         assert any(
             line.startswith("  ") for line in trace.split("\n")[2:]

@@ -14,7 +14,6 @@ import pytest
 
 from repro.federation.executor import STRATEGIES, FederatedExecutor
 from repro.federation.network import NetworkModel
-from repro.federation.plan import SliceNode, TopKNode
 from repro.sparql.algebra import (
     evaluate_algebra,
     reference_select,
@@ -24,8 +23,10 @@ from repro.sparql.parser import parse_query
 from repro.workload.federation import (
     federated_ask_sparql,
     federated_limit_sparql,
+    federated_optional_sparql,
     federated_rps,
     federated_topk_sparql,
+    federated_union_filter_sparql,
 )
 from repro.workload.topologies import peer_namespace
 
@@ -189,21 +190,62 @@ def test_run_all_strategies_accepts_divergent_unordered_windows(system):
     assert all(len(r.rows) == 7 for r in results.values())
 
 
-def test_plan_root_reflects_the_modifier(system):
-    executor = deep_executor(system)
-    sliced = executor.execute(federated_limit_sparql(hops=2, limit=4))
-    assert isinstance(sliced.plans[0], SliceNode)
-    ordered = executor.execute(federated_topk_sparql(hops=2, limit=4))
-    assert isinstance(ordered.plans[0], TopKNode)
+# ---------------------------------------------------------------------------
+# Unordered pages tile
+# ---------------------------------------------------------------------------
+
+_PATH = federated_limit_sparql(hops=2)
+
+#: Texts whose unordered pages must tile the unmodified answer: a
+#: bound-join path, the same path projected (DISTINCT collapses rows
+#: across chunks), a federated OPTIONAL and a UNION of two peers.
+TILED_TEXTS = {
+    "path": _PATH,
+    "path_x0": _PATH.replace("SELECT ?x0 ?x1 ?x2 ", "SELECT ?x0 "),
+    "optional": federated_optional_sparql(),
+    "union_filter": federated_union_filter_sparql(),
+}
+
+#: Multi-batch pipelines: two bindings per bound-join request.
+DEEP_PAGES = dict(
+    network=NetworkModel(**DEEP_NETWORK), batch_size=2, concurrency=4
+)
+
+PAGE = 4
 
 
-def test_explain_renders_slice_and_topk(system):
-    executor = deep_executor(system)
-    sliced = executor.explain(federated_limit_sparql(hops=2, limit=4, offset=1))
-    assert "Slice offset=1 limit=4" in sliced
-    ordered = executor.explain(federated_topk_sparql(hops=2, limit=4))
-    assert "TopK" in ordered
-    assert "desc(?x1)" in ordered
+@pytest.mark.parametrize("deep", [False, True], ids=["default", "deep"])
+@pytest.mark.parametrize("name", sorted(TILED_TEXTS))
+def test_federated_unordered_pages_tile(system, name, deep):
+    """``OFFSET i*k LIMIT k`` pages are pairwise disjoint and together
+    the unmodified answer, under every strategy: an unordered window is
+    a slice of the plan's deterministic chunk order, and the result
+    boundary neither loses nor repeats a row at a page seam.
+
+    Two limits of the law.  An open-ended ``OFFSET`` runs uncapped, and
+    an uncapped bound join batches its input in another order, so only
+    capped pages are checked.  And ``adaptive``/``parallel`` feed the
+    cap to the cost model, which may pick another plan, hence another
+    row order, for a later page: under the deep network the path's
+    pages at k=5 overlap.  ``naive``, ``bound`` and ``collect`` plan
+    without reading the cap.
+    """
+    text = TILED_TEXTS[name]
+    assert "LIMIT" not in text and "OFFSET" not in text
+    executor = FederatedExecutor(system, **(DEEP_PAGES if deep else {}))
+    for strategy in STRATEGIES:
+        full = executor.execute(text, strategy).rows
+        assert full, (name, strategy)
+        pages = [
+            executor.execute(
+                f"{text} OFFSET {offset} LIMIT {PAGE}", strategy
+            ).rows
+            for offset in range(0, len(full) + PAGE, PAGE)
+        ]
+        sizes = [len(page) for page in pages]
+        assert sum(sizes) == len(full), (name, strategy, sizes)
+        assert set().union(*pages) == full, (name, strategy)
+        assert sizes[-1] == 0 and sizes[-2] > 0, (name, strategy, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,16 @@
 The batch-native data plane may only move wall time.  Everything the
 simulated clock sees — messages, transfer units, busy/elapsed seconds,
 retry and failover counters, per-channel service statistics and the
-analyzed plan text — is compared with ``simclock_golden.json``, which
-was generated from the commit *before* the data plane went columnar::
+analyzed plan text — is compared with ``simclock_golden.json``.  Its
+numbers date from the commit *before* the data plane went columnar::
 
     PYTHONPATH=<parent checkout>/src python tests/test_simclock_invariance.py
+
+Its plan text was regenerated once since, when the solution modifiers
+left the federated plan for the executor's result boundary: every
+``explain`` is the old one without its ``Project``/``Slice``/``TopK``
+lines (the plan root is now the branch root or the branch ``Union``),
+and no number moved.
 
 One deliberate exception: on a demand-capped execution (LIMIT, ASK) an
 operator's ``rows_out`` now counts whole chunks (an endpoint response,
