@@ -42,12 +42,11 @@ strategies, chosen per call:
     endpoint fuse into FedX-style *exclusive groups*.  A solo query
     runs on the runtime interpreter: per-endpoint sub-queries,
     bound-join batches and UNION branches fan out onto per-endpoint
-    channels.  With ``streaming=True`` (the default) bound
-    joins are **pipelined**: each batch's sub-query is emitted as soon
-    as the batch fills, depending only on the upstream requests that
-    produced its rows, instead of synchronising on PR 4's wave
-    barriers.  ``NetworkStats.elapsed_seconds`` becomes the simulated
-    makespan while ``busy_seconds`` keeps the serial total.
+    channels.  Bound joins are **pipelined**: each batch's sub-query
+    is emitted as soon as the batch fills, depending only on the
+    upstream requests that produced its rows.
+    ``NetworkStats.elapsed_seconds`` becomes the simulated makespan
+    while ``busy_seconds`` keeps the serial total.
 
 ``naive``
     Per-pattern shipping: every triple pattern is sent, unbound, to
@@ -438,10 +437,6 @@ class FederatedExecutor:
             mode's runtime (also assumed by its makespan pricing).
         max_in_flight: per-endpoint outstanding-request window of the
             parallel runtime (``None`` = unbounded).
-        streaming: pipelined bound-join batches in the parallel mode
-            (each batch depends only on the requests that produced its
-            rows); ``False`` restores PR 4's wave barriers.  Message
-            counts and answers are identical either way.
         stats_ttl: cardinality-statistics lifetime in executions;
             ``None`` (default) reads live statistics for free, any
             integer activates the TTL catalog whose refreshes are
@@ -473,7 +468,6 @@ class FederatedExecutor:
         batch_size: int = DEFAULT_BATCH_SIZE,
         concurrency: int = DEFAULT_CONCURRENCY,
         max_in_flight: Optional[int] = None,
-        streaming: bool = True,
         stats_ttl: Optional[int] = None,
         fault_model: Optional[FaultModel] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -497,7 +491,6 @@ class FederatedExecutor:
         self.batch_size = batch_size
         self.concurrency = concurrency
         self.max_in_flight = max_in_flight
-        self.streaming = streaming
         self.fault_model = fault_model
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
@@ -777,7 +770,6 @@ class FederatedExecutor:
             stats,
             RelationCache(self.dictionary),
             scheduler,
-            self.streaming,
             demand=demand,
             faults=session,
             retry=self.retry_policy,

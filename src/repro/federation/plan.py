@@ -50,21 +50,16 @@ planner/operator split, mirroring the ID-native design of
 
 **Pipelined bound joins.**  Every produced row carries its *origin* —
 the recorded request that returned it — in the batch's origin column.
-Under ``streaming=True`` a :class:`BoundJoinStream` orders its input by
-origin (rows from earlier-submitted upstream requests first, canonical
-order within), and
-each batch's sub-query depends only on the origins of the rows it
-carries — the batch is *sent as soon as it fills*, overlapping the
-still-outstanding remainder of the upstream step within the channel's
-``max_in_flight`` window.  Under ``streaming=False`` the operator keeps
-PR 4's wave barriers: every batch waits for the entire upstream step.
-Batch count, message count and transferred solutions are identical in
-both modes (the same rows travel in the same number of envelopes); only
-the simulated timeline changes, which is what
-``tests/test_federation_plan.py``'s pipelining tests gate on.  The *choice* of operator is still made from the cost
-model's cardinality feedback at plan-construction time — like FedX, the
-plan is fixed before rows stream through it; the simulation's planning
-oracle sees counts the pipelined timeline only later "earns".
+Under the runtime interpreter a :class:`BoundJoinStream` orders its
+input by origin (rows from earlier-submitted upstream requests first,
+canonical order within), and each batch's sub-query depends only on
+the origins of the rows it carries — the batch is *sent as soon as it
+fills*, overlapping the still-outstanding remainder of the upstream
+step within the channel's ``max_in_flight`` window.  The *choice* of
+operator is still made from the cost model's cardinality feedback at
+plan-construction time — like FedX, the plan is fixed before rows
+stream through it; the simulation's planning oracle sees counts the
+pipelined timeline only later "earns".
 
 **Demand propagation (PR 6, chunked since PR 12).**  Operators produce
 rows through generators that yield one *chunk* — a batch plus its
@@ -88,8 +83,8 @@ available to every consumer.  Federated ``ASK`` is the same slice with
 ``limit=1`` over an empty head: the first surviving row
 short-circuits the whole pipeline.  Operators that need their input's
 *cardinality* or wave (:class:`LocalHashJoin` build sides,
-:class:`LeftJoinNode`, wave-barrier batching) drain their children
-fully, and so does federated ``ORDER BY``
+:class:`LeftJoinNode`, the ``after`` step of a :class:`RemoteScan`)
+drain their children fully, and so does federated ``ORDER BY``
 (:func:`~repro.sparql.batch.batch_top_k` over the drained root); a
 full drain reproduces the eager interpreter's charges byte for byte,
 so unlimited queries are unchanged.
@@ -272,9 +267,6 @@ class ExecContext:
             branches and optional blocks).
         scheduler: the runtime scheduler, or ``None`` for serial
             interpretation (elapsed advances with busy).
-        streaming: pipelined bound-join batches (origin-scoped
-            dependencies) vs PR 4's wave barriers.  Only meaningful
-            with a scheduler attached.
         demand: the query-level row cap (``offset + limit``, or ``1``
             for ASK), ``None`` when the query is unbounded.  Operators
             only read its *presence*: a bounded execution switches
@@ -314,7 +306,6 @@ class ExecContext:
         stats,
         cache: RelationCache,
         scheduler=None,
-        streaming: bool = True,
         demand: Optional[int] = None,
         faults: Optional[FaultSession] = None,
         retry: Optional[RetryPolicy] = None,
@@ -326,7 +317,6 @@ class ExecContext:
         self.stats = stats
         self.cache = cache
         self.scheduler = scheduler
-        self.streaming = streaming
         self.demand = demand
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
@@ -573,8 +563,9 @@ class _Stream:
             recorded request(s) whose completion makes the row
             available.  Empty tuples for locally produced rows and for
             serial interpretation.
-        wave: every request handle of the producing step (PR 4's wave):
-            what a wave-barrier dependent must wait for.
+        wave: every request handle of the producing step: what a
+            consumer that depends on the whole step (a
+            :class:`RemoteScan`'s ``after``) must wait for.
     """
 
     __slots__ = ("_gen", "batch", "origins", "exhausted", "wave")
@@ -829,16 +820,15 @@ class ExclusiveGroupScan(RemoteScan):
 
 
 class BoundJoinStream(FedOp):
-    """FedX-style bound join, batched and (optionally) pipelined.
+    """FedX-style bound join, batched and pipelined.
 
     The child's rows are shipped in batches of ``batch_size`` as
     bindings for the pattern(s) — several patterns are an exclusive
     group joined endpoint-side; endpoints return only extensions, one
-    chunk per response.  Under the runtime interpreter with
-    ``streaming=True`` the input is ordered by row origin and each
-    batch depends only on the requests that produced its own rows —
-    successive batches overlap the upstream step instead of waiting for
-    its wave barrier.
+    chunk per response.  Under the runtime interpreter the input is
+    ordered by row origin and each batch depends only on the requests
+    that produced its own rows — successive batches overlap the
+    upstream step instead of waiting for all of it.
 
     Under a demand cap (``ctx.demand`` set: the query carries a LIMIT
     or is an ASK) the operator instead pulls its child lazily and fills
@@ -889,7 +879,7 @@ class BoundJoinStream(FedOp):
         keys: List = list(batch.rows())
         if any(UNBOUND in column for column in batch.columns):
             keys = list(map(canonical_key(self.child.schema), keys))
-        if ctx.scheduler is None or not ctx.streaming:
+        if ctx.scheduler is None:
             return sorted(range(batch.n), key=keys.__getitem__)
         # Rows from earlier-submitted upstream requests batch first:
         # the simulated arrival order of a streaming consumer.
@@ -920,10 +910,6 @@ class BoundJoinStream(FedOp):
     ) -> Iterator[_Chunk]:
         """Demand-bounded batching: pull the child one batch at a time."""
         child = interp.stream(self.child)
-        if ctx.scheduler is not None and not ctx.streaming:
-            # Wave barriers: every batch depends on the entire upstream
-            # step, so the child must exhaust before the first send.
-            child.pull()
         pos = 0
         while True:
             child.pull(pos + self.batch_size)
@@ -938,13 +924,7 @@ class BoundJoinStream(FedOp):
             # Adaptive re-planning: the execution context's batch size
             # overrides the constructor knob the planner stamped in.
             self.batch_size = ctx.batch_size
-        pipelined = ctx.scheduler is not None and ctx.streaming
-        if ctx.serial:
-            self.mode = "serial"
-        elif pipelined:
-            self.mode = "pipelined"
-        else:
-            self.mode = "waves"
+        self.mode = "serial" if ctx.serial else "pipelined"
         if ctx.demand is None:
             chunks = self._chunks_eager(ctx, interp)
         else:
@@ -955,12 +935,7 @@ class BoundJoinStream(FedOp):
             self.n_batches += 1
             if self.actuals is not None:
                 self.actuals["batches"] = self.n_batches
-            if ctx.serial:
-                deps: _Origin = ()
-            elif pipelined:
-                deps = _batch_dependencies(batch_origins)
-            else:
-                deps = interp.stream(self.child).wave
+            deps = () if ctx.serial else _batch_dependencies(batch_origins)
             yield from _fan_out(self, ctx, batch, deps, handles, seen)
         return tuple(handles)
 

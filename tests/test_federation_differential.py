@@ -4,16 +4,18 @@ local engine on the merged graph.
 Both layers run the kernels of ``sparql/batch.py``; what differs is
 where the triples are read.  Every text builder of
 ``workload/federation.py`` plus three shapes the simulated-clock
-goldens do not have runs under every strategy, with pipelined and
-wave-barrier bound joins, at two batch sizes, and must give the answer
-the local engine gives on ``RPS.stored_database()``.
+goldens do not have runs under every strategy at two batch sizes, and
+must give the answer the local engine gives on
+``RPS.stored_database()``.
 
 The same sweep is also pinned by one sha256 over every execution's
 answer rows and simulated-clock counters (:data:`FOOTPRINT_SHA256`).
 Several strategies probe more than one pulled peer graph for one
 conjunct (``collect`` always does), and no golden covers those reads.
-The digest was generated from the commit before pulls read the peers'
-graphs in place, and is regenerated by::
+The digest was generated, over this sweep, from the last commit that
+still had a wave-barrier bound-join mode beside the pipelined one (the
+executions it covers had not moved since before pulls read the peers'
+graphs in place), and is regenerated by::
 
     PYTHONPATH=<checkout>/src python tests/test_federation_differential.py
 """
@@ -36,7 +38,7 @@ from test_simclock_invariance import BUILDERS, _system
 
 #: sha256 of :func:`footprint_digest` (see the module docstring).
 FOOTPRINT_SHA256 = (
-    "1fe267ecab3bfda851d3abb36bd0e563e519697dc27749594fe16eb6e7608a76"
+    "041667c40009802f9759bad7d63f51444d4a8cb76712aa0721d18d4269132832"
 )
 
 
@@ -78,14 +80,9 @@ def queries():
 
 
 @pytest.mark.parametrize("batch_size", (2, 64))
-@pytest.mark.parametrize("streaming", (True, False))
-def test_every_strategy_equals_the_local_engine(
-    system, queries, streaming, batch_size
-):
+def test_every_strategy_equals_the_local_engine(system, queries, batch_size):
     merged = system.stored_database()
-    executor = FederatedExecutor(
-        system, streaming=streaming, batch_size=batch_size
-    )
+    executor = FederatedExecutor(system, batch_size=batch_size)
     for name, query in queries.items():
         if isinstance(query, GraphPatternQuery):
             full, ast = evaluate_query_star(merged, query), None
@@ -111,7 +108,7 @@ def test_every_strategy_equals_the_local_engine(
 
 
 def footprint_digest() -> str:
-    """sha256 over every strategy x streaming x batch size x text.
+    """sha256 over every strategy x batch size x text.
 
     Each execution contributes its answer rows (sorted: ``rows`` is a
     set) and its messages, transfer units, solutions transferred, busy
@@ -124,28 +121,24 @@ def footprint_digest() -> str:
     texts.update(_extra_texts())
     digest = hashlib.sha256()
     for batch_size in (2, 64):
-        for streaming in (True, False):
-            executor = FederatedExecutor(
-                system, streaming=streaming, batch_size=batch_size
-            )
-            for name, query in texts.items():
-                prepared = executor.prepare(query)
-                for strategy in STRATEGIES:
-                    result = executor.execute(prepared, strategy)
-                    stats = result.stats
-                    record = (
-                        batch_size,
-                        streaming,
-                        name,
-                        strategy,
-                        sorted(map(repr, result.rows)),
-                        stats.messages,
-                        stats.transfer_units,
-                        stats.solutions_transferred,
-                        stats.busy_seconds,
-                        stats.elapsed_seconds,
-                    )
-                    digest.update(repr(record).encode())
+        executor = FederatedExecutor(system, batch_size=batch_size)
+        for name, query in texts.items():
+            prepared = executor.prepare(query)
+            for strategy in STRATEGIES:
+                result = executor.execute(prepared, strategy)
+                stats = result.stats
+                record = (
+                    batch_size,
+                    name,
+                    strategy,
+                    sorted(map(repr, result.rows)),
+                    stats.messages,
+                    stats.transfer_units,
+                    stats.solutions_transferred,
+                    stats.busy_seconds,
+                    stats.elapsed_seconds,
+                )
+                digest.update(repr(record).encode())
     return digest.hexdigest()
 
 

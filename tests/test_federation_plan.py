@@ -42,13 +42,12 @@ def system():
     return federated_rps(peers=3, entities=20, facts=60, seed=7)
 
 
-def _deep_executors(system, streaming):
+def _deep_executors(system):
     return FederatedExecutor(
         system,
         network=NetworkModel(**DEEP_NET),
         batch_size=1,
         concurrency=4,
-        streaming=streaming,
     )
 
 
@@ -90,7 +89,7 @@ def test_collect_baseline_has_no_federated_plan(system):
 
 
 def test_plan_operator_kinds_reflect_decisions(system):
-    executor = _deep_executors(system, streaming=True)
+    executor = _deep_executors(system)
     result = executor.execute(
         federated_selective_query(entity=3, hops=3), PARALLEL
     )
@@ -144,7 +143,7 @@ def test_parallel_explain_of_exclusive_group_names_the_operator(system):
 def test_pipelined_bound_join_explain_shows_batch_overlap(system):
     # Multi-batch workload (batch_size=1, fan-out >> 1): the pipelined
     # bound join's explain must report in-flight overlap above 1.
-    executor = _deep_executors(system, streaming=True)
+    executor = _deep_executors(system)
     trace = executor.explain(
         federated_selective_query(entity=3, hops=3), strategy=PARALLEL
     )
@@ -159,21 +158,12 @@ def test_pipelined_bound_join_explain_shows_batch_overlap(system):
     assert in_flights and max(in_flights) > 1
 
 
-def test_wave_barrier_explain_reports_wave_mode(system):
-    executor = _deep_executors(system, streaming=False)
-    trace = executor.explain(
-        federated_selective_query(entity=3, hops=3), strategy=PARALLEL
-    )
-    assert "mode=waves" in trace
-    assert "mode=pipelined" not in trace
-
-
 # ---------------------------------------------------------------------------
 # Pipelining invariants
 # ---------------------------------------------------------------------------
 
 
-def test_pipelining_never_changes_answers_or_traffic(system):
+def test_pipelined_answers_match_the_merged_graph_within_busy_time(system):
     # Deep selective paths on 3 and 5 peers under the cheap-round-trip
     # network, and OPTIONAL (+ FILTER) on a sparse system whose left
     # joins keep unmatched rows, under the default network.
@@ -192,65 +182,21 @@ def test_pipelining_never_changes_answers_or_traffic(system):
             expected = where_rows(merged, query)
         else:
             expected = evaluate_query_star(merged, query)
-        wave, pipelined = (
-            FederatedExecutor(
-                rps,
-                network=network,
-                batch_size=1,
-                concurrency=4,
-                streaming=streaming,
-            ).execute(query, PARALLEL)
-            for streaming in (False, True)
-        )
-        assert wave.rows == pipelined.rows == expected, query
-        assert wave.stats.messages == pipelined.stats.messages, query
-        assert (
-            wave.stats.solutions_transferred
-            == pipelined.stats.solutions_transferred
-        ), query
-        assert wave.stats.busy_seconds == pytest.approx(
-            pipelined.stats.busy_seconds
-        ), query
+        pipelined = FederatedExecutor(
+            rps, network=network, batch_size=1, concurrency=4
+        ).execute(query, PARALLEL)
+        assert pipelined.rows == expected, query
+        # Elapsed can never exceed the summed serial durations.
         assert (
             pipelined.stats.elapsed_seconds
-            <= wave.stats.elapsed_seconds + 1e-9
+            <= pipelined.stats.busy_seconds + 1e-9
         ), query
-
-
-def test_pipelining_strictly_beats_wave_barriers_on_multi_batch(system):
-    query = federated_selective_query(entity=3, hops=3)
-    wave = _deep_executors(system, streaming=False).execute(query, PARALLEL)
-    pipelined = _deep_executors(system, streaming=True).execute(
-        query, PARALLEL
-    )
-    assert (
-        pipelined.stats.elapsed_seconds
-        < wave.stats.elapsed_seconds - 1e-9
-    )
-
-
-@pytest.mark.parametrize("hops", [1, 2, 3])
-def test_pipelining_never_slower_across_depths(system, hops):
-    query = federated_selective_query(entity=3, hops=hops)
-    wave = _deep_executors(system, streaming=False).execute(query, PARALLEL)
-    pipelined = _deep_executors(system, streaming=True).execute(
-        query, PARALLEL
-    )
-    assert (
-        pipelined.stats.elapsed_seconds
-        <= wave.stats.elapsed_seconds + 1e-9
-    )
-    # Elapsed can never exceed the summed serial durations.
-    assert (
-        pipelined.stats.elapsed_seconds
-        <= pipelined.stats.busy_seconds + 1e-9
-    )
 
 
 def test_streaming_is_deterministic(system):
     query = federated_selective_query(entity=3, hops=3)
     elapsed = {
-        _deep_executors(system, streaming=True)
+        _deep_executors(system)
         .execute(query, PARALLEL)
         .stats.elapsed_seconds
         for _ in range(3)

@@ -12,7 +12,11 @@ import random
 
 import pytest
 
-from repro.federation.executor import STRATEGIES, FederatedExecutor
+from repro.federation.executor import (
+    FIXED_STRATEGIES,
+    STRATEGIES,
+    FederatedExecutor,
+)
 from repro.federation.network import NetworkModel
 from repro.sparql.algebra import (
     evaluate_algebra,
@@ -211,24 +215,28 @@ DEEP_PAGES = dict(
     network=NetworkModel(**DEEP_NETWORK), batch_size=2, concurrency=4
 )
 
+#: The page size every strategy tiles at, ``adaptive``/``parallel``
+#: included; the fixed strategies tile at every size in ``FIXED_PAGES``.
 PAGE = 4
+FIXED_PAGES = range(1, 21)
 
 
 @pytest.mark.parametrize("deep", [False, True], ids=["default", "deep"])
 @pytest.mark.parametrize("name", sorted(TILED_TEXTS))
 def test_federated_unordered_pages_tile(system, name, deep):
     """``OFFSET i*k LIMIT k`` pages are pairwise disjoint and together
-    the unmodified answer, under every strategy: an unordered window is
-    a slice of the plan's deterministic chunk order, and the result
-    boundary neither loses nor repeats a row at a page seam.
+    the unmodified answer: an unordered window is a slice of *its own
+    plan's* deterministic chunk order, and the result boundary neither
+    loses nor repeats a row at a page seam.
 
     Two limits of the law.  An open-ended ``OFFSET`` runs uncapped, and
     an uncapped bound join batches its input in another order, so only
     capped pages are checked.  And ``adaptive``/``parallel`` feed the
     cap to the cost model, which may pick another plan, hence another
-    row order, for a later page: under the deep network the path's
-    pages at k=5 overlap.  ``naive``, ``bound`` and ``collect`` plan
-    without reading the cap.
+    row order, for a later page (under the deep network the path's
+    pages at k=5 overlap), so they are held to one page size only.
+    ``naive``, ``bound`` and ``collect`` plan without reading the cap:
+    their pages tile at every size.
     """
     text = TILED_TEXTS[name]
     assert "LIMIT" not in text and "OFFSET" not in text
@@ -236,16 +244,19 @@ def test_federated_unordered_pages_tile(system, name, deep):
     for strategy in STRATEGIES:
         full = executor.execute(text, strategy).rows
         assert full, (name, strategy)
-        pages = [
-            executor.execute(
-                f"{text} OFFSET {offset} LIMIT {PAGE}", strategy
-            ).rows
-            for offset in range(0, len(full) + PAGE, PAGE)
-        ]
-        sizes = [len(page) for page in pages]
-        assert sum(sizes) == len(full), (name, strategy, sizes)
-        assert set().union(*pages) == full, (name, strategy)
-        assert sizes[-1] == 0 and sizes[-2] > 0, (name, strategy, sizes)
+        fixed = strategy in FIXED_STRATEGIES
+        for k in FIXED_PAGES if fixed else (PAGE,):
+            pages = [
+                executor.execute(
+                    f"{text} OFFSET {offset} LIMIT {k}", strategy
+                ).rows
+                for offset in range(0, len(full) + k, k)
+            ]
+            sizes = [len(page) for page in pages]
+            key = (name, strategy, k)
+            assert sum(sizes) == len(full), (key, sizes)
+            assert set().union(*pages) == full, key
+            assert sizes[-1] == 0 and sizes[-2] > 0, (key, sizes)
 
 
 # ---------------------------------------------------------------------------

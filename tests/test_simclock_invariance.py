@@ -44,6 +44,8 @@ from repro.federation.plan import (
     UnionNode,
     explain_fed_plan,
 )
+from repro.obs import Tracer
+from repro.obs.trace import NULL_TRACER
 from repro.peers.system import RPS
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
@@ -173,7 +175,7 @@ def _run(executor, query, strategy) -> dict:
     }
 
 
-def _mixed_domain_bound_join(streaming: bool) -> dict:
+def _mixed_domain_plan(scheduler=None, tracer=NULL_TRACER):
     """A bound join whose input mixes domains, built by hand.
 
     The executor never plans one (a conjunctive block's pipeline is
@@ -183,6 +185,8 @@ def _mixed_domain_bound_join(streaming: bool) -> dict:
     every ``{y, z}`` row — whereas ``UNBOUND``-padded ``(x, y, z)``
     tuples would sort the ``{y, z}`` rows first; with a per-solution
     transfer price the per-request durations expose the composition.
+
+    Returns ``(join, ctx)``; the join is not run yet.
     """
     executor = FederatedExecutor(_system())
     x, y, z, w = (Variable(n) for n in "xyzw")
@@ -197,20 +201,25 @@ def _mixed_domain_bound_join(streaming: bool) -> dict:
     join = BoundJoinStream(
         union, (TriplePattern(y, knows[2], w),), (ep[2],), batch_size=7
     )
-    stats = NetworkStats()
-    scheduler = OverlapScheduler(concurrency=2)
     ctx = ExecContext(
         DEEP["network"],
-        stats,
+        NetworkStats(),
         RelationCache(executor.dictionary),
         scheduler,
-        streaming,
+        tracer=tracer,
     )
+    return join, ctx
+
+
+def _mixed_domain_bound_join() -> dict:
+    """The hand-built mixed-domain bound join on the runtime."""
+    scheduler = OverlapScheduler(concurrency=2)
+    join, ctx = _mixed_domain_plan(scheduler)
     rows = PlanInterpreter(ctx).run(join)
     makespan = scheduler.makespan()
     return {
         "rows": len(rows),
-        "stats": _stats(stats),
+        "stats": _stats(ctx.stats),
         "makespan": makespan,
         "request_seconds": [h.seconds for h in join.handles],
         "explain": explain_fed_plan(join).split("\n"),
@@ -218,50 +227,44 @@ def _mixed_domain_bound_join(streaming: bool) -> dict:
 
 
 def snapshot() -> dict:
-    """Every scenario's record, keyed ``scenario/strategy/streaming``."""
+    """Every scenario's record, keyed ``scenario/strategy/stream``.
+
+    The ``stream`` suffix names the pipelined bound joins; it is kept so
+    the keys read as they did when a wave-barrier mode sat beside them.
+    """
     out = {}
     system = _system()
-    for streaming in (True, False):
-        mode = "stream" if streaming else "waves"
-        plain = FederatedExecutor(system, streaming=streaming)
-        deep = FederatedExecutor(system, streaming=streaming, **DEEP)
-        flaky = FederatedExecutor(
-            system,
-            streaming=streaming,
-            fault_model=flaky_fault_model(),
-            retry_policy=RetryPolicy(max_retries=6, backoff_seconds=0.1),
-        )
-        failover = FederatedExecutor(
-            system,
-            streaming=streaming,
-            fault_model=blackout_fault_model("peer1"),
-            retry_policy=RetryPolicy(max_retries=1),
-            replicas={"peer1": 1},
-        )
-        scenarios = [
-            (name, plain, build()) for name, build in BUILDERS.items()
-        ]
-        scenarios += [
-            ("limit", plain, federated_limit_sparql(hops=2, limit=5)),
-            ("deep_path", deep, federated_path_query(hops=2)),
-            ("deep_optional", deep, federated_optional_sparql()),
-            (
-                "deep_limit",
-                deep,
-                federated_limit_sparql(hops=2, limit=3, offset=1),
-            ),
-            ("deep_ask", deep, federated_ask_sparql()),
-            ("flaky", flaky, federated_path_query(hops=2)),
-            ("failover", failover, federated_path_query(hops=2)),
-        ]
-        for name, executor, query in scenarios:
-            for strategy in STRATEGIES:
-                out[f"{name}/{strategy}/{mode}"] = _run(
-                    executor, query, strategy
-                )
-        out[f"mixed_domain_bound_join/{mode}"] = _mixed_domain_bound_join(
-            streaming
-        )
+    plain = FederatedExecutor(system)
+    deep = FederatedExecutor(system, **DEEP)
+    flaky = FederatedExecutor(
+        system,
+        fault_model=flaky_fault_model(),
+        retry_policy=RetryPolicy(max_retries=6, backoff_seconds=0.1),
+    )
+    failover = FederatedExecutor(
+        system,
+        fault_model=blackout_fault_model("peer1"),
+        retry_policy=RetryPolicy(max_retries=1),
+        replicas={"peer1": 1},
+    )
+    scenarios = [(name, plain, build()) for name, build in BUILDERS.items()]
+    scenarios += [
+        ("limit", plain, federated_limit_sparql(hops=2, limit=5)),
+        ("deep_path", deep, federated_path_query(hops=2)),
+        ("deep_optional", deep, federated_optional_sparql()),
+        (
+            "deep_limit",
+            deep,
+            federated_limit_sparql(hops=2, limit=3, offset=1),
+        ),
+        ("deep_ask", deep, federated_ask_sparql()),
+        ("flaky", flaky, federated_path_query(hops=2)),
+        ("failover", failover, federated_path_query(hops=2)),
+    ]
+    for name, executor, query in scenarios:
+        for strategy in STRATEGIES:
+            out[f"{name}/{strategy}/stream"] = _run(executor, query, strategy)
+    out["mixed_domain_bound_join/stream"] = _mixed_domain_bound_join()
     return out
 
 
@@ -281,8 +284,8 @@ def _masked(lines):
 
 def test_golden_covers_every_scenario(current, golden):
     assert sorted(current) == sorted(golden)
-    # 9 builders + 7 extra scenarios, 5 strategies, 2 modes, + 2 by hand.
-    assert len(golden) == (9 + 7) * 5 * 2 + 2
+    # 9 builders + 7 extra scenarios, 5 strategies, + 1 by hand.
+    assert len(golden) == (9 + 7) * 5 + 1
 
 
 def test_network_stats_and_channels_are_unchanged(current, golden):
@@ -306,9 +309,27 @@ def test_mixed_domain_batches_form_in_canonical_order(golden):
     # The fixture itself must witness the case it exists for: the first
     # batches carry {x, y} rows only, so padded-tuple order (which would
     # put {y, z} rows first) cannot reproduce these durations by luck.
-    record = golden["mixed_domain_bound_join/waves"]
+    record = golden["mixed_domain_bound_join/stream"]
     assert len(record["request_seconds"]) > 2
     assert len(set(record["request_seconds"])) > 1
+
+
+def test_serial_mixed_domain_batches_match_the_pinned_durations(golden):
+    # On the runtime, rows batch by arrival first, which already keeps
+    # the two domains apart.  The serial interpreter sorts on the
+    # canonical key alone, so only it tells canonical order from
+    # UNBOUND-padded tuple order: its per-request durations must equal
+    # the pinned runtime ones, batch for batch.
+    tracer = Tracer()
+    join, ctx = _mixed_domain_plan(tracer=tracer)
+    PlanInterpreter(ctx).run(join)
+    serial = [
+        round(span.duration, 12)
+        for span in tracer.spans()
+        if span.name == "request:peer2"
+    ]
+    pinned = golden["mixed_domain_bound_join/stream"]["request_seconds"]
+    assert serial == [round(seconds, 12) for seconds in pinned]
 
 
 if __name__ == "__main__":
