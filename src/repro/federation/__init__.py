@@ -31,8 +31,9 @@ over peer access points.  This package provides the simulated version:
   batches, ``ExclusiveGroupScan``, ``PullScan``, ``LocalHashJoin``,
   ``LeftJoin`` for federated OPTIONAL, ``Filter``/``Union``), the
   planner that builds them from cost-model decisions, and the memoised
-  interpreter that walks one plan either serially or on the
-  discrete-event runtime;
+  interpreter that walks one plan, recording every request on the
+  discrete-event runtime (serially under every strategy but
+  ``parallel``);
 * :mod:`repro.federation.executor` — the distributed executor facade:
   normalises queries, prepares filters once, finishes every plan root
   with the local engine's solution modifiers, and runs each strategy as

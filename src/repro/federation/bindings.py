@@ -21,8 +21,7 @@ particular to the federation:
   that make it decidable, for pushdown (:func:`split_filters`).
 
 Nothing here touches the network or the simulation clock; these are
-pure functions, which is what makes them shareable across the serial
-and runtime-backed plan interpreters.
+pure functions, shared by the plan interpreter and the executor.
 """
 
 from __future__ import annotations

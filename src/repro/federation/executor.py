@@ -19,10 +19,11 @@ Execution itself lives in the physical-operator layer
 policy* over the same streaming operators (``RemoteScan``,
 ``BoundJoinStream``, ``ExclusiveGroupScan``, ``PullScan``,
 ``LocalHashJoin``, ``LeftJoin``, ``Filter``, ``Union``), which produce
-solutions, and one memoised interpreter walks the plan in either
-*serial* mode or *runtime* mode (requests recorded on the
-discrete-event scheduler and replayed into a makespan).  Five
-strategies, chosen per call:
+solutions, and one memoised interpreter walks the plan, recording
+every request on the discrete-event scheduler, whose replay is the
+makespan.  ``parallel`` overlaps its requests; every other strategy
+records on a serial tenant, one request at a time.  Five strategies,
+chosen per call:
 
 ``adaptive`` (default)
     Per-conjunct decisions from the cost model
@@ -45,8 +46,8 @@ strategies, chosen per call:
     channels.  Bound joins are **pipelined**: each batch's sub-query
     is emitted as soon as the batch fills, depending only on the
     upstream requests that produced its rows.
-    ``NetworkStats.elapsed_seconds`` becomes the simulated makespan
-    while ``busy_seconds`` keeps the serial total.
+    ``NetworkStats.elapsed_seconds`` is then below the serial total
+    ``busy_seconds``.
 
 ``naive``
     Per-pattern shipping: every triple pattern is sent, unbound, to
@@ -94,8 +95,8 @@ repeated runs — and the strategies of one
 :meth:`run_all_strategies` comparison — see identical fault schedules.
 Recovery (retry with exponential backoff per the ``retry_policy``,
 failover to configured ``replicas``) is priced through the network
-model and, in parallel mode, the event kernel.  When an endpoint and
-all its replicas exhaust their budgets the execution *degrades*: the
+model and the event kernel.  When an endpoint and all its replicas
+exhaust their budgets the execution *degrades*: the
 endpoint's contribution is dropped and the result carries a
 :class:`~repro.federation.faults.PartialAnswer` naming every dropped
 contribution — full answers when faults are recoverable, flagged
@@ -273,7 +274,7 @@ class FederationResult:
             and parallel strategies only) — the ``explain`` trace
             material.
         channels: per-endpoint service statistics of the runtime replay
-            (parallel strategy only).
+            (one lane at a time under every strategy but ``parallel``).
         plans: the executed operator tree, one root per execution:
             the branch's root, or the ``Union`` over the branches
             (empty for the collect baseline, which has no federated
@@ -589,10 +590,16 @@ class FederatedExecutor:
         """Run one (possibly pre-:meth:`prepare`-d) query under the
         given strategy.
 
+        Every strategy records onto a one-tenant
+        :class:`~repro.runtime.scheduler.QueryScheduler` and reads its
+        makespan from the replay.  Under ``parallel`` the tenant
+        overlaps its requests; under every other strategy it is serial
+        (:meth:`~repro.runtime.scheduler.QueryScheduler.tenant`), so
+        ``elapsed_seconds`` is ``busy_seconds`` plus backoff waits.
+
         ``tracer`` collects structured spans: one wall span around the
-        whole execution, virtual spans for every simulated request,
-        fault attempt and backoff (serial interpretation) and, in
-        parallel mode, the replayed per-channel service intervals.
+        whole execution and the replay's virtual spans — per channel,
+        per request (failed attempts included) and per backoff wait.
         ``analyze`` attaches actual-counter dicts to every executed
         operator — the material :meth:`explain` renders with
         ``analyze=True``.
@@ -604,26 +611,20 @@ class FederatedExecutor:
         with tracer.span(f"execute:{strategy}"):
             if not isinstance(query, PreparedQuery):
                 query = self.prepare(query, nsm)
-            # A solo query is a one-tenant run: on the runtime under
-            # parallel, interpreted serially under the other strategies.
-            scheduler = None
-            if strategy == PARALLEL:
-                scheduler = QueryScheduler(
-                    self.concurrency, self.max_in_flight
-                )
+            # A solo query is a one-tenant run, serial unless parallel.
+            scheduler = QueryScheduler(self.concurrency, self.max_in_flight)
             (result,) = self._run_round(
                 [("", query)],
                 strategy,
                 scheduler,
-                tracer=tracer,
+                serial=strategy != PARALLEL,
                 analyze=analyze,
             )
-            if scheduler is not None:
-                # Aggregate, not the tenant's share: only the aggregate
-                # records the coordinator-side peak backlog.
-                result.channels = scheduler.channel_stats()
-                if tracer.enabled:
-                    _emit_runtime_spans(tracer, scheduler)
+            # Aggregate, not the tenant's share: only the aggregate
+            # records the coordinator-side peak backlog.
+            result.channels = scheduler.channel_stats()
+            if tracer.enabled:
+                _emit_runtime_spans(tracer, scheduler)
             if strategy == "collect":
                 result.plans = ()  # the baseline has no federated plan
             return result
@@ -632,30 +633,28 @@ class FederatedExecutor:
         self,
         tenants: Sequence[Tuple[str, PreparedQuery]],
         strategy: str,
-        scheduler: Optional[QueryScheduler],
+        scheduler: QueryScheduler,
         weights: Optional[Mapping[str, int]] = None,
         batch_size: Optional[int] = None,
         term_of: Optional[Dict[Optional[int], Optional[Term]]] = None,
-        tracer=NULL_TRACER,
+        serial: bool = False,
         analyze: bool = False,
     ) -> List[FederationResult]:
         """Record N >= 1 tenants, replay them once, return their results.
 
-        The one execution path of :meth:`execute` (one tenant, on a
-        one-tenant scheduler under ``parallel`` and serially otherwise)
-        and of each :meth:`execute_concurrent` round.  Every tenant
-        records in order, with its own statistics and a fresh fault
-        session, onto its recorder of ``scheduler``; the replayed
-        tenant makespan then lands on top of any serial planning-time
-        charges (statistics refreshes) in ``elapsed_seconds``.
+        The one execution path of :meth:`execute` (one tenant, serial
+        unless ``parallel``) and of each :meth:`execute_concurrent`
+        round.  Every tenant records in order, with its own statistics
+        and a fresh fault session, onto its recorder of ``scheduler``
+        (a ``serial`` one: one request at a time); the replayed tenant
+        makespan then lands on top of any planning-time charges
+        (statistics refreshes) in ``elapsed_seconds``.
         """
         weights = weights or {}
         term_of = {None: None} if term_of is None else term_of
         recorded = []
         for name, prepared in tenants:
-            recorder = None
-            if scheduler is not None:
-                recorder = scheduler.tenant(name, weights.get(name, 1))
+            recorder = scheduler.tenant(name, weights.get(name, 1), serial)
             stats = NetworkStats()
             self.catalog.begin_execution(stats)
             # A fresh session per tenant per run: every run (and every
@@ -674,7 +673,6 @@ class FederatedExecutor:
                 recorder,
                 session,
                 decisions,
-                tracer=tracer,
                 analyze=analyze,
                 batch_size=batch_size,
             )
@@ -682,10 +680,7 @@ class FederatedExecutor:
         results = []
         for name, stats, decisions, recording in recorded:
             columns, n, root, unreachable = recording
-            channels: Dict[str, ChannelStats] = {}
-            if scheduler is not None:
-                stats.elapsed_seconds += scheduler.tenant_makespan(name)
-                channels = scheduler.tenant_channel_stats(name)
+            stats.elapsed_seconds += scheduler.tenant_makespan(name)
             # A dropped contribution flags the answer as partial.
             partial = None
             if unreachable:
@@ -696,7 +691,7 @@ class FederatedExecutor:
                     self._decode_rows(columns, n, term_of),
                     stats,
                     tuple(decisions),
-                    channels,
+                    scheduler.tenant_channel_stats(name),
                     (root,),
                     partial=partial,
                 )
@@ -734,7 +729,6 @@ class FederatedExecutor:
         scheduler,
         session: Optional[FaultSession],
         decisions: List[Decision],
-        tracer=NULL_TRACER,
         analyze: bool = False,
         batch_size: Optional[int] = None,
     ) -> Tuple[_IDColumns, int, FedOp, List[Unreachable]]:
@@ -742,12 +736,11 @@ class FederatedExecutor:
 
         The recording step of :meth:`_run_round`: issues every
         simulated request against ``scheduler`` — one tenant's
-        recorder of a :class:`~repro.runtime.scheduler.QueryScheduler`,
-        or ``None`` for serial interpretation — and returns the answer
-        as ID columns over the head plus its row count, the executed
-        plan root and the unreachable endpoints.  Nothing here touches
-        the replay: it may only run after every tenant of the round has
-        recorded.
+        recorder of a :class:`~repro.runtime.scheduler.QueryScheduler`
+        — and returns the answer as ID columns over the head plus its
+        row count, the executed plan root and the unreachable
+        endpoints.  Nothing here touches the replay: it may only run
+        after every tenant of the round has recorded.
 
         The plan produces solutions; the solution modifiers are the
         local engine's finish (``engine._execute_prepared``) over its
@@ -773,7 +766,6 @@ class FederatedExecutor:
             demand=demand,
             faults=session,
             retry=self.retry_policy,
-            tracer=tracer,
             analyze=analyze,
             batch_size=batch_size,
         )
@@ -1414,13 +1406,15 @@ def _stats_registry(stats: NetworkStats) -> MetricsRegistry:
 def _emit_runtime_spans(tracer, scheduler: QueryScheduler) -> None:
     """Virtual spans from the runtime's replayed request timeline.
 
-    Serial interpretation spans requests as they charge the elapsed
-    clock; the runtime cannot — the simulated order only exists after
-    the makespan replay.  This emits the spans post hoc instead: one
-    parent span per endpoint channel covering its occupied window
-    (first arrival to last completion), with one child span per request
-    covering its replayed service interval, so the exported trace shows
-    exactly how the scheduler's DAG replay nested the traffic.
+    The only source of a solo execution's virtual spans, under every
+    strategy: the simulated order only exists after the makespan
+    replay, so the spans are emitted post hoc.  One parent span per
+    endpoint channel covers its occupied window (first arrival to last
+    completion); under it, one child span per request covers its
+    replayed service interval (``failed=1`` on a faulted attempt), and
+    a retry that waited out a backoff is preceded by one ``backoff:``
+    span ending at its arrival.  The exported trace thus shows exactly
+    how the scheduler's DAG replay nested the traffic.
     """
     by_endpoint: Dict[str, List] = {}
     for handle in scheduler.timeline():
@@ -1435,6 +1429,15 @@ def _emit_runtime_spans(tracer, scheduler: QueryScheduler) -> None:
             requests=len(group),
         )
         for handle in group:
+            if handle.delay > 0:
+                tracer.record(
+                    f"backoff:{name}",
+                    handle.arrived_at - handle.delay,
+                    handle.arrived_at,
+                    lane=name,
+                    parent=parent,
+                    index=handle.index,
+                )
             tracer.record(
                 f"request:{name}",
                 handle.started_at,

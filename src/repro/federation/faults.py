@@ -14,10 +14,10 @@ Determinism invariants:
   depends only on the seed and on *how many requests that endpoint has
   seen*, never on wall clock, dict order, or other endpoints' traffic.
 * **Virtual-time outages.**  Scripted outage windows are evaluated
-  against the execution's accumulated ``busy_seconds`` — the one clock
-  that advances identically in the serial and runtime interpreters
+  against the execution's accumulated ``busy_seconds`` — which advances
+  identically whether the tenant replays serially or overlapped
   (charges accrue at record time, in submission order) — so an outage
-  hits the same requests in both modes.
+  hits the same requests under every strategy.
 * **Deterministic fail-first.**  ``fail_first=K`` fails an endpoint's
   first K requests unconditionally, giving tests an exact, probability-
   free fault schedule.
@@ -25,9 +25,8 @@ Determinism invariants:
 Recovery is priced, not free: failed attempts are charged like real
 traffic (an error reply costs a round trip, a timeout costs the
 policy's ``timeout_seconds``), and the :class:`RetryPolicy`'s
-exponential backoff delays flow into ``elapsed_seconds`` — directly in
-serial mode, through the event kernel's request arrival times in
-runtime mode.  When retries and replicas are exhausted the request
+exponential backoff delays flow into ``elapsed_seconds`` through the
+event kernel's request arrival times.  When retries and replicas are exhausted the request
 raises :class:`~repro.errors.EndpointUnavailableError`; the interpreter
 degrades to a flagged :class:`PartialAnswer` instead of failing the
 query — full answers when faults are recoverable, correctly-flagged

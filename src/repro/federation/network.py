@@ -16,18 +16,22 @@ Time is accounted on two axes:
   ``simulated_seconds`` alias for it is gone; see docs/architecture.md
   for the removal schedule.)
 * ``elapsed_seconds`` — the makespan: what a wall clock would show.
-  Serial strategies accumulate it in lockstep with ``busy_seconds``;
-  the parallel execution mode overlaps requests on the discrete-event
-  runtime (:mod:`repro.runtime`) and adds only the simulated makespan,
-  so ``elapsed_seconds <= busy_seconds`` measures the won concurrency.
+  Every strategy records its requests on the discrete-event runtime
+  (:mod:`repro.runtime`), which replays them into the makespan.
+  ``adaptive`` and the fixed baselines record on a serial tenant, one
+  request at a time, so their makespan is ``busy_seconds`` plus
+  backoff waits; the parallel strategy overlaps requests, so
+  ``elapsed_seconds <= busy_seconds`` measures the won concurrency.
+  Statistics refreshes are charged at planning time, before the
+  replay, as a prefix.
 
 Accounting invariant: every attempt that leaves the coordinator — a
 successful sub-query, an error reply, a timed-out request — is one
 message and its wire time lands in ``busy_seconds``, in issue order.
 Failed attempts (:meth:`NetworkModel.charge_fault`) are therefore
 charged like real traffic; only retry *backoff* is different — it is
-waiting, not wire work, so it advances ``elapsed_seconds`` (serial
-mode) or the runtime's request arrival times, never ``busy_seconds``
+waiting, not wire work, so it delays the retry's arrival on the
+runtime (and through it ``elapsed_seconds``), never ``busy_seconds``
 or ``messages``.
 """
 
@@ -52,7 +56,8 @@ class NetworkStats:
             serial total).
         elapsed_seconds: simulated makespan — wall-clock-equivalent time
             once request overlap is accounted.  Equal to
-            ``busy_seconds`` plus backoff waits for serial strategies.
+            ``busy_seconds`` plus backoff waits for every strategy
+            but ``parallel``.
         stats_refreshes: cardinality-statistics refresh round trips
             (included in ``messages`` as well).
         retries: re-issued attempts after a failure or timeout.
@@ -143,69 +148,54 @@ class NetworkModel:
     # -- accounting -----------------------------------------------------
 
     def _charge(
-        self, stats: NetworkStats, endpoint: str, seconds: float, serial: bool
+        self, stats: NetworkStats, endpoint: str, seconds: float
     ) -> float:
         """Shared per-message accounting behind every charge_* method."""
         stats.messages += 1
         stats.busy_seconds += seconds
-        if serial:
-            stats.elapsed_seconds += seconds
         stats.per_endpoint_messages[endpoint] = (
             stats.per_endpoint_messages.get(endpoint, 0) + 1
         )
         return seconds
 
     def charge_query(
-        self,
-        stats: NetworkStats,
-        endpoint: str,
-        solutions: int,
-        serial: bool = True,
+        self, stats: NetworkStats, endpoint: str, solutions: int
     ) -> float:
         """Account one sub-query round trip returning ``solutions`` rows.
 
-        With ``serial=True`` (the default, every fixed strategy) the
-        duration also advances ``elapsed_seconds``; overlap-aware
-        callers pass ``serial=False`` and settle elapsed time from the
-        runtime scheduler's makespan instead.  Returns the duration so
-        those callers can hand it to the scheduler.
+        Returns the duration, which the caller hands to the runtime
+        scheduler; the replay settles ``elapsed_seconds``.
         """
         stats.solutions_transferred += solutions
-        return self._charge(
-            stats, endpoint, self.query_seconds(solutions), serial
-        )
+        return self._charge(stats, endpoint, self.query_seconds(solutions))
 
     def charge_dump(
-        self,
-        stats: NetworkStats,
-        endpoint: str,
-        triples: int,
-        serial: bool = True,
+        self, stats: NetworkStats, endpoint: str, triples: int
     ) -> float:
         """Account one full data-dump transfer (the centralised baseline)."""
         stats.triples_transferred += triples
-        return self._charge(
-            stats, endpoint, self.dump_seconds(triples), serial
-        )
+        return self._charge(stats, endpoint, self.dump_seconds(triples))
 
-    def charge_refresh(
-        self, stats: NetworkStats, endpoint: str, serial: bool = True
-    ) -> float:
+    def charge_refresh(self, stats: NetworkStats, endpoint: str) -> float:
         """Account one cardinality-statistics refresh round trip.
 
         A refresh ships a fixed-size statistics document (VoID-style),
         so it is priced as bare latency; it still counts as a real
-        message against the endpoint.
+        message against the endpoint.  Refreshes happen while a plan is
+        being built, never on the runtime, so they are the one charge
+        that advances ``elapsed_seconds`` itself: a prefix the replayed
+        makespan is added to.
         """
         stats.stats_refreshes += 1
-        return self._charge(stats, endpoint, self.latency_seconds, serial)
+        seconds = self._charge(stats, endpoint, self.latency_seconds)
+        stats.elapsed_seconds += seconds
+        return seconds
 
     def charge_fault(
         self,
         stats: NetworkStats,
         endpoint: str,
         kind: str,
-        serial: bool = True,
         timeout_seconds: float = 0.0,
     ) -> float:
         """Account one *failed* attempt, charged like real traffic.
@@ -223,20 +213,15 @@ class NetworkModel:
         else:
             stats.failures += 1
             seconds = self.latency_seconds
-        return self._charge(stats, endpoint, seconds, serial)
+        return self._charge(stats, endpoint, seconds)
 
-    def charge_backoff(
-        self, stats: NetworkStats, seconds: float, serial: bool = True
-    ) -> float:
+    def charge_backoff(self, stats: NetworkStats, seconds: float) -> float:
         """Account one retry backoff wait.
 
         Backoff is coordinator-side waiting, not wire work: it never
-        touches ``messages`` or ``busy_seconds``.  Serial interpreters
-        advance ``elapsed_seconds`` here; the runtime interpreter
-        instead delays the retry's arrival on the event kernel, so the
-        replayed makespan carries the wait.
+        touches ``messages`` or ``busy_seconds``.  The caller delays the
+        retry's arrival on the event kernel by the returned seconds, so
+        the replayed makespan carries the wait.
         """
         stats.backoff_seconds += seconds
-        if serial:
-            stats.elapsed_seconds += seconds
         return seconds

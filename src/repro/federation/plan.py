@@ -1,4 +1,4 @@
-"""Federated physical-operator layer: one plan, two interpreters.
+"""Federated physical-operator layer: one plan, one interpreter.
 
 PR 4 left the federation engine with four near-duplicate strategy
 monoliths inside the executor.  This module replaces them with a proper
@@ -16,7 +16,7 @@ planner/operator split, mirroring the ID-native design of
   :class:`RemoteScan` (unbound sub-query fan-out),
   :class:`ExclusiveGroupScan` (a FedX exclusive group fused into one
   endpoint-side sub-query), :class:`BoundJoinStream` (batched bound
-  joins, *pipelined* under the runtime interpreter),
+  joins, *pipelined* unless the tenant is serial),
   :class:`PullScan` (a charged source-relation transfer, recorded in the
   execution's relation cache, then a local extension that reads the
   pulled peer graphs in place), :class:`LocalHashJoin`,
@@ -39,18 +39,21 @@ planner/operator split, mirroring the ID-native design of
   ``parallel`` fuses FedX exclusive groups and prices in makespan
   seconds.
 
-* **Interpreter** (:class:`PlanInterpreter`) — one memoised walker with
-  two modes.  *Serial* (no scheduler): every request charges
-  ``elapsed_seconds`` in lockstep with ``busy_seconds``.  *Runtime*
-  (a tenant of a :class:`~repro.runtime.scheduler.QueryScheduler`
-  attached — one tenant for a solo query): requests are priced the same
-  but recorded onto the scheduler's dependency DAG and replayed into a
-  makespan, so independent fan-outs, batch waves and UNION branches
-  overlap.
+* **Interpreter** (:class:`PlanInterpreter`) — one memoised walker.
+  Every request is priced by the network model and recorded onto a
+  tenant of a :class:`~repro.runtime.scheduler.QueryScheduler` (one
+  tenant for a solo query), whose replay turns the dependency DAG into
+  the makespan.  Under ``parallel`` and every concurrent tenant,
+  independent fan-outs, batch waves and UNION branches overlap.
+  ``adaptive`` and the fixed baselines record on a *serial* tenant:
+  one request at a time, so the makespan is the serial sum.  The
+  tenant's ``serial`` flag is also plan-execution policy
+  (:attr:`ExecContext.serial`): rows carry no origin, and
+  :class:`PullScan` reads its child lazily.
 
 **Pipelined bound joins.**  Every produced row carries its *origin* —
-the recorded request that returned it — in the batch's origin column.
-Under the runtime interpreter a :class:`BoundJoinStream` orders its
+the recorded request that returned it — in the batch's origin column
+(empty on a serial tenant).  A :class:`BoundJoinStream` orders its
 input by origin (rows from earlier-submitted upstream requests first,
 canonical order within), and each batch's sub-query depends only on
 the origins of the rows it carries — the batch is *sent as soon as it
@@ -97,10 +100,10 @@ fault-free engine.  With one
 attempt first draws an outcome: failures and timeouts are charged like
 real traffic (:meth:`~repro.federation.network.NetworkModel.
 charge_fault`), retried up to the :class:`~repro.federation.faults.
-RetryPolicy`'s budget with exponential backoff (elapsed-only time —
-serial interpreters advance the clock, the runtime delays the retry's
-arrival on the event kernel), and failed over to the endpoint's
-replicas once the primary's budget is spent.  When every candidate is
+RetryPolicy`'s budget with exponential backoff (waiting, not wire
+work: the runtime delays the retry's arrival on the event kernel), and
+failed over to the endpoint's replicas once the primary's budget is
+spent.  When every candidate is
 exhausted the request raises
 :class:`~repro.errors.EndpointUnavailableError`; operators catch it,
 record the dropped contribution on ``ctx.unreachable`` and continue
@@ -149,7 +152,6 @@ from repro.federation.cost import (
 from repro.federation.endpoint import PeerEndpoint
 from repro.federation.faults import FaultSession, RetryPolicy, Unreachable
 from repro.obs.analyze import format_actuals
-from repro.obs.trace import NULL_TRACER
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
@@ -265,8 +267,11 @@ class ExecContext:
         stats: the execution's accumulated statistics.
         cache: the execution-wide relation cache (shared across UNION
             branches and optional blocks).
-        scheduler: the runtime scheduler, or ``None`` for serial
-            interpretation (elapsed advances with busy).
+        scheduler: the execution's tenant recorder on a
+            :class:`~repro.runtime.scheduler.QueryScheduler`: every
+            request is recorded there and the replay settles elapsed
+            time.  A serial tenant (every strategy but ``parallel``)
+            is also plan-execution policy, read as :attr:`serial`.
         demand: the query-level row cap (``offset + limit``, or ``1``
             for ASK), ``None`` when the query is unbounded.  Operators
             only read its *presence*: a bounded execution switches
@@ -279,10 +284,6 @@ class ExecContext:
             engine).
         retry: the :class:`~repro.federation.faults.RetryPolicy`
             governing attempts, backoff and per-request timeouts.
-        tracer: the :class:`~repro.obs.trace.Tracer` collecting spans,
-            or the shared :data:`~repro.obs.trace.NULL_TRACER` — every
-            span hook guards on ``tracer.enabled`` and costs one
-            attribute read when tracing is off.
         analyze: when True the interpreter attaches an actual-counter
             dict to every operator it starts (EXPLAIN ANALYZE).
         batch_size: per-execution bound-join batch override.  The
@@ -305,11 +306,10 @@ class ExecContext:
         network,
         stats,
         cache: RelationCache,
-        scheduler=None,
+        scheduler,
         demand: Optional[int] = None,
         faults: Optional[FaultSession] = None,
         retry: Optional[RetryPolicy] = None,
-        tracer=NULL_TRACER,
         analyze: bool = False,
         batch_size: Optional[int] = None,
     ) -> None:
@@ -320,7 +320,6 @@ class ExecContext:
         self.demand = demand
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
-        self.tracer = tracer
         self.analyze = analyze
         self.batch_size = batch_size
         self.unreachable: List[Unreachable] = []
@@ -328,7 +327,10 @@ class ExecContext:
 
     @property
     def serial(self) -> bool:
-        return self.scheduler is None
+        """One request at a time: :class:`PullScan` then reads its child
+        lazily, rows carry no origin, and bound joins say
+        ``mode=serial``."""
+        return self.scheduler.serial
 
     def record_unreachable(self, endpoint: str, operation: str) -> None:
         """Record one dropped contribution (idempotent per pair)."""
@@ -346,50 +348,34 @@ def issue_request(
     charge: Callable[[PeerEndpoint, Any], float],
     deps: _Origin = (),
     label: str = "",
-) -> Tuple[Any, Optional["RequestHandle"]]:
+) -> Tuple[Any, RequestHandle]:
     """Contact one logical endpoint through the fault/recovery machinery.
 
     The single funnel for every simulated request.  ``evaluate`` runs
     the sub-query against a concrete endpoint instance (primary or
     replica) and ``charge`` prices + accounts it, returning the wire
     seconds; the helper returns ``(payload, handle)`` where ``handle``
-    is the recorded runtime request (``None`` in serial mode).
+    is the request recorded on ``ctx.scheduler``.
 
     Without a fault session the path is evaluate → charge → submit,
     byte-identical to the fault-free engine.  With one, each candidate
     instance — the primary, then its replicas in order — gets
     ``1 + max_retries`` attempts.  Failed and timed-out attempts are
-    charged like real traffic and, in runtime mode, recorded as
-    ``failed`` requests that the retry depends on; backoff waits are
-    charged elapsed-only (serial) or carried as the retry's arrival
-    ``delay`` (runtime).  A candidate that exhausts its budget is
-    marked down for the rest of the execution (later contacts fail
-    fast, free of charge); when every candidate is down the request
-    raises :class:`~repro.errors.EndpointUnavailableError`.
+    charged like real traffic and recorded as ``failed`` requests that
+    the retry depends on; a backoff wait is carried as the retry's
+    arrival ``delay``.  A candidate that exhausts its budget is marked
+    down for the rest of the execution (later contacts fail fast, free
+    of charge); when every candidate is down the request raises
+    :class:`~repro.errors.EndpointUnavailableError`.
     """
     session = ctx.faults
-    tracer = ctx.tracer
-    # Serial requests are spanned as they charge the elapsed clock;
-    # runtime requests get their spans post hoc from the scheduler's
-    # replayed timeline (the charge order is not the simulated order).
-    traced = tracer.enabled and ctx.serial
+    scheduler = ctx.scheduler
     if session is None:
         payload = evaluate(endpoint)
-        before = ctx.stats.elapsed_seconds
         seconds = charge(endpoint, payload)
-        if traced:
-            tracer.record(
-                f"request:{endpoint.name}",
-                before,
-                ctx.stats.elapsed_seconds,
-                lane=endpoint.name,
-                label=label,
-            )
-        handle: Optional[RequestHandle] = None
-        if ctx.scheduler is not None:
-            handle = ctx.scheduler.submit(
-                endpoint.name, seconds, after=deps, label=label
-            )
+        handle = scheduler.submit(
+            endpoint.name, seconds, after=deps, label=label
+        )
         return payload, handle
 
     policy = ctx.retry
@@ -404,72 +390,38 @@ def issue_request(
             attempts_total += 1
             if outcome == "ok":
                 payload = evaluate(candidate)
-                before = ctx.stats.elapsed_seconds
                 seconds = charge(candidate, payload)
-                if traced:
-                    tracer.record(
-                        f"request:{candidate.name}",
-                        before,
-                        ctx.stats.elapsed_seconds,
-                        lane=candidate.name,
-                        label=label,
-                        failover=int(candidate is not endpoint),
-                    )
-                handle = None
-                if ctx.scheduler is not None:
-                    handle = ctx.scheduler.submit(
-                        candidate.name,
-                        seconds,
-                        after=last_deps,
-                        label=label,
-                        delay=pending_delay,
-                    )
+                handle = scheduler.submit(
+                    candidate.name,
+                    seconds,
+                    after=last_deps,
+                    label=label,
+                    delay=pending_delay,
+                )
                 if candidate is not endpoint:
                     ctx.stats.failovers += 1
                 return payload, handle
-            before = ctx.stats.elapsed_seconds
             seconds = ctx.network.charge_fault(
                 ctx.stats,
                 candidate.name,
                 outcome,
-                serial=ctx.serial,
                 timeout_seconds=policy.timeout_seconds,
             )
-            if traced:
-                tracer.record(
-                    f"request:{candidate.name} !{outcome}",
-                    before,
-                    ctx.stats.elapsed_seconds,
-                    lane=candidate.name,
-                    label=label,
-                )
-            if ctx.scheduler is not None:
-                failed = ctx.scheduler.submit(
-                    candidate.name,
-                    seconds,
-                    after=last_deps,
-                    label=f"{label} !{outcome}".strip(),
-                    delay=pending_delay,
-                    failed=True,
-                )
-                last_deps = (failed,)
+            failed = scheduler.submit(
+                candidate.name,
+                seconds,
+                after=last_deps,
+                label=f"{label} !{outcome}".strip(),
+                delay=pending_delay,
+                failed=True,
+            )
+            last_deps = (failed,)
             pending_delay = 0.0
             if attempt < policy.max_retries:
-                backoff = policy.backoff(attempt)
-                before = ctx.stats.elapsed_seconds
-                ctx.network.charge_backoff(
-                    ctx.stats, backoff, serial=ctx.serial
+                pending_delay = ctx.network.charge_backoff(
+                    ctx.stats, policy.backoff(attempt)
                 )
-                if traced:
-                    tracer.record(
-                        f"backoff:{candidate.name}",
-                        before,
-                        ctx.stats.elapsed_seconds,
-                        lane=candidate.name,
-                        attempt=attempt,
-                    )
                 ctx.stats.retries += 1
-                pending_delay = backoff
         session.mark_down(candidate.name)
     raise EndpointUnavailableError(
         f"endpoint {endpoint.name!r} unreachable after "
@@ -500,8 +452,8 @@ def _origin_merger(
     left-join row) contributes nothing.  Rows sharing both parents'
     origin objects share the merged tuple too, which keeps the column's
     distinct objects few.  Built once per operator: with no request
-    behind either side (serial interpretation, local rows) every chunk
-    is just empty origins.
+    behind either side (a serial tenant, local rows) every chunk is
+    just empty origins.
     """
     if not any(left) and not any(right):
         return lambda left_sel, right_sel: [()] * len(left_sel)
@@ -561,8 +513,8 @@ class _Stream:
             deterministic).
         origins: per-row provenance, aligned with ``batch`` — the
             recorded request(s) whose completion makes the row
-            available.  Empty tuples for locally produced rows and for
-            serial interpretation.
+            available.  Empty tuples for locally produced rows and on a
+            serial tenant.
         wave: every request handle of the producing step: what a
             consumer that depends on the whole step (a
             :class:`RemoteScan`'s ``after``) must wait for.
@@ -595,40 +547,24 @@ class _Stream:
                 self.origins.extend(origins)
 
 
-def _observed(node: FedOp, ctx: ExecContext, gen: _RowGen) -> _RowGen:
-    """Count rows out of (and trace the active window of) one node.
+def _observed(node: FedOp, gen: _RowGen) -> _RowGen:
+    """Count the rows out of one node (EXPLAIN ANALYZE).
 
     Wraps a node's chunk generator without disturbing its protocol:
     yielded chunks pass through with ``rows_out`` kept current, and the
     generator's return value — the step's wave — is re-returned so
-    :class:`_Stream` still sees it.  Serial traced runs additionally
-    record one virtual span per exhausted node covering the elapsed
-    -clock window in which it produced rows; nodes abandoned by demand
-    (a full LIMIT window) record no span, matching their unfinished
-    state.
+    :class:`_Stream` still sees it.
     """
     actuals = node.actuals
-    tracer = ctx.tracer
-    traced = tracer.enabled and ctx.serial
-    start = ctx.stats.elapsed_seconds if traced else 0.0
     rows = 0
     while True:
         try:
             chunk = next(gen)
         except StopIteration as stop:
-            if traced:
-                tracer.record(
-                    f"op:{node.kind}",
-                    start,
-                    ctx.stats.elapsed_seconds,
-                    lane="operators",
-                    rows_out=rows,
-                )
             return stop.value or ()
         if chunk[0].n:
             rows += chunk[0].n
-            if actuals is not None:
-                actuals["rows_out"] = rows
+            actuals["rows_out"] = rows
         yield chunk
 
 
@@ -658,7 +594,7 @@ class FedOp:
     the simulated timeline.  Every operator produces solutions; none
     projects, slices or sorts them (the executor's result boundary
     does).  After execution a node carries its recorded request handles
-    (runtime mode) for explain traces.
+    for explain traces.
     """
 
     kind = "FedOp"
@@ -717,9 +653,12 @@ def _fan_out(
 
     An unreachable endpoint is recorded as a dropped contribution and
     skipped.  Recorded requests are appended to ``handles`` (and
-    mirrored on ``node.handles`` for explain); rows already in ``seen``
-    are dropped keep-first, unless ``seen`` is ``None``.
+    mirrored on ``node.handles`` for explain); each response's rows
+    carry its request as their origin, except on a serial tenant.  Rows
+    already in ``seen`` are dropped keep-first, unless ``seen`` is
+    ``None``.
     """
+    serial = ctx.serial
     for endpoint in node.endpoints:
         try:
             found, handle = issue_request(
@@ -727,7 +666,7 @@ def _fan_out(
                 endpoint,
                 lambda ep: ep.solutions(node.patterns, batch, node.pushed),
                 lambda ep, found: ctx.network.charge_query(
-                    ctx.stats, ep.name, found.n, serial=ctx.serial
+                    ctx.stats, ep.name, found.n
                 ),
                 deps=deps,
                 label=node.label,
@@ -738,11 +677,9 @@ def _fan_out(
             )
             continue
         _count_request(node)
-        origin: _Origin = ()
-        if handle is not None:
-            handles.append(handle)
-            node.handles = tuple(handles)
-            origin = (handle,)
+        handles.append(handle)
+        node.handles = tuple(handles)
+        origin: _Origin = () if serial else (handle,)
         found, origins = relayout(found, node.schema), [origin] * found.n
         if seen is not None:
             found, origins = fresh_rows(found, origins, seen)
@@ -763,10 +700,12 @@ class RemoteScan(FedOp):
     """Unbound sub-query fan-out: one pattern shipped to its endpoints.
 
     Every relevant endpoint answers on its own channel; solutions are
-    concatenated in endpoint order and deduplicated keep-first.  Under
-    the runtime interpreter each request depends on the wave of
-    ``after`` (the plan step whose results triggered this decision) —
-    the coordinator cannot *decide* to ship before seeing them.
+    concatenated in endpoint order and deduplicated keep-first.  Each
+    request depends on the wave of ``after`` (the plan step whose
+    results triggered this decision) — the coordinator cannot *decide*
+    to ship before seeing them.  The planner only builds a scan with
+    ``after`` as the right side of a :class:`LocalHashJoin` whose left
+    side is that step, so the step is already drained when it is read.
 
     The fan-out is demand-aware: endpoints are contacted one at a time
     and each response is one chunk, so a consumer that stops asking (a
@@ -795,7 +734,7 @@ class RemoteScan(FedOp):
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
         deps: _Origin = ()
-        if ctx.scheduler is not None and self.after is not None:
+        if self.after is not None:
             # Waves require exhaustion: drain the triggering step fully.
             deps = interp.run(self.after).wave
         handles: List[RequestHandle] = []
@@ -825,10 +764,11 @@ class BoundJoinStream(FedOp):
     The child's rows are shipped in batches of ``batch_size`` as
     bindings for the pattern(s) — several patterns are an exclusive
     group joined endpoint-side; endpoints return only extensions, one
-    chunk per response.  Under the runtime interpreter the input is
+    chunk per response.  Pipelined (rows carry origins), the input is
     ordered by row origin and each batch depends only on the requests
     that produced its own rows — successive batches overlap the
-    upstream step instead of waiting for all of it.
+    upstream step instead of waiting for all of it.  On a serial tenant
+    the rows carry no origin and batches form in canonical order.
 
     Under a demand cap (``ctx.demand`` set: the query carries a LIMIT
     or is an ASK) the operator instead pulls its child lazily and fills
@@ -866,20 +806,19 @@ class BoundJoinStream(FedOp):
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
 
-    def _batch_order(
-        self, ctx: ExecContext, batch: Batch, origins: List[_Origin]
-    ) -> List[int]:
+    def _batch_order(self, batch: Batch, origins: List[_Origin]) -> List[int]:
         """Row indexes of the drained child in batching order.
 
         Batches form in canonical order: plain tuple order on fully
         bound rows (the schema is name-sorted), the explicit canonical
         key when the input mixes domains.  The row tuples exist only
-        for this sort.
+        for this sort.  When rows carry origins, arrival order comes
+        first.
         """
         keys: List = list(batch.rows())
         if any(UNBOUND in column for column in batch.columns):
             keys = list(map(canonical_key(self.child.schema), keys))
-        if ctx.scheduler is None:
+        if not any(origins):
             return sorted(range(batch.n), key=keys.__getitem__)
         # Rows from earlier-submitted upstream requests batch first:
         # the simulated arrival order of a streaming consumer.
@@ -894,20 +833,16 @@ class BoundJoinStream(FedOp):
             key=lambda i: (arrival[id(origins[i])], keys[i]),
         )
 
-    def _chunks_eager(
-        self, ctx: ExecContext, interp: "PlanInterpreter"
-    ) -> Iterator[_Chunk]:
+    def _chunks_eager(self, interp: "PlanInterpreter") -> Iterator[_Chunk]:
         """PR 5's batching: drain the child, sort, chunk."""
         child = interp.run(self.child)
         batch, origins = child.batch, child.origins
-        order = self._batch_order(ctx, batch, origins)
+        order = self._batch_order(batch, origins)
         for start in range(0, len(order), self.batch_size):
             picked = order[start : start + self.batch_size]
             yield batch.gather(picked), [origins[i] for i in picked]
 
-    def _chunks_lazy(
-        self, ctx: ExecContext, interp: "PlanInterpreter"
-    ) -> Iterator[_Chunk]:
+    def _chunks_lazy(self, interp: "PlanInterpreter") -> Iterator[_Chunk]:
         """Demand-bounded batching: pull the child one batch at a time."""
         child = interp.stream(self.child)
         pos = 0
@@ -926,16 +861,16 @@ class BoundJoinStream(FedOp):
             self.batch_size = ctx.batch_size
         self.mode = "serial" if ctx.serial else "pipelined"
         if ctx.demand is None:
-            chunks = self._chunks_eager(ctx, interp)
+            chunks = self._chunks_eager(interp)
         else:
-            chunks = self._chunks_lazy(ctx, interp)
+            chunks = self._chunks_lazy(interp)
         handles: List[RequestHandle] = []
         seen: Set[Row] = set()
         for batch, batch_origins in chunks:
             self.n_batches += 1
             if self.actuals is not None:
                 self.actuals["batches"] = self.n_batches
-            deps = () if ctx.serial else _batch_dependencies(batch_origins)
+            deps = _batch_dependencies(batch_origins)
             yield from _fan_out(self, ctx, batch, deps, handles, seen)
         return tuple(handles)
 
@@ -951,7 +886,7 @@ class BoundJoinStream(FedOp):
         )
         if self.n_batches:
             line += f" batches={self.n_batches} mode={self.mode}"
-            if self.handles:
+            if self.handles and self.mode == "pipelined":
                 line += f" in_flight={peak_overlap(self.handles)}"
         return line
 
@@ -991,12 +926,12 @@ class PullScan(FedOp):
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
         child = interp.stream(self.child)
-        if ctx.serial:
-            # No wave to depend on: the relation dump is charged up
-            # front (as before) but the child extends lazily, chunk by
-            # chunk, so a satisfied LIMIT stops pulling upstream rows.
-            deps: _Origin = ()
-        else:
+        deps: _Origin = ()
+        if not ctx.serial:
+            # Pipelined, the dump waits for the child's whole wave.  On
+            # a serial tenant it is charged up front and the child
+            # extends lazily, chunk by chunk, so a satisfied LIMIT stops
+            # pulling upstream rows.
             child.pull()
             deps = child.wave
         handles: List[RequestHandle] = []
@@ -1017,7 +952,7 @@ class PullScan(FedOp):
                     endpoint,
                     lambda ep: ep.graph,
                     lambda ep, graph, count=count: ctx.network.charge_dump(
-                        ctx.stats, ep.name, count, serial=ctx.serial
+                        ctx.stats, ep.name, count
                     ),
                     deps=deps,
                     label=self.label,
@@ -1027,8 +962,7 @@ class PullScan(FedOp):
                     exc.endpoint, f"pull {self.pattern.n3()}"
                 )
                 continue
-            if handle is not None:
-                handles.append(handle)
+            handles.append(handle)
             _count_request(self)
             pulled.append(endpoint.name)
             ctx.cache.add(endpoint.name, key, graph)
@@ -1043,12 +977,11 @@ class PullScan(FedOp):
             # and message counts are gated).  Sources are looked up per
             # chunk, so a pull made meanwhile by another node is read.
             key = slots[1] if isinstance(slots[1], int) else None
+            pulls = () if ctx.serial else self.handles
             seen: Set[Row] = set()
             for batch, origins in _chunks_of(child):
                 found, sel = self._extend(ctx.cache.sources(key), batch, slots)
-                origins = _origin_merger(origins, [self.handles])(
-                    sel, [0] * len(sel)
-                )
+                origins = _origin_merger(origins, [pulls])(sel, [0] * len(sel))
                 yield fresh_rows(found, origins, seen)
         if self.handles:
             return self.handles
@@ -1285,10 +1218,8 @@ class PlanInterpreter:
                 # actual-counter dicts attach lazily at first pull.
                 node.actuals = {}
             gen = node._stream(ctx, self)
-            if node.actuals is not None or (
-                ctx.tracer.enabled and ctx.serial
-            ):
-                gen = _observed(node, ctx, gen)
+            if node.actuals is not None:
+                gen = _observed(node, gen)
             cached = _Stream(gen, node.schema)
             self._memo[node] = cached
         return cached

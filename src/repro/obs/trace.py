@@ -7,9 +7,9 @@ query's whole lifecycle.  Spans live in one of two *clock domains*:
   :func:`time.perf_counter`) around the local phases: parse →
   normalise → plan → execute;
 * ``"virtual"`` — the deterministic simulated seconds of the
-  federation and runtime layers (serial elapsed time, or the event
-  kernel's replayed timeline), so a parallel execution's trace is a
-  pure function of the seed and byte-stable across repeated runs.
+  federation and runtime layers (the event kernel's replayed
+  timeline, under every strategy), so a federated execution's trace
+  is a pure function of the seed and byte-stable across repeated runs.
 
 Wall spans open/close as context managers via :meth:`Tracer.span`;
 virtual spans arrive already-complete via :meth:`Tracer.record` (their

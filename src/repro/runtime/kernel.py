@@ -1,11 +1,13 @@
 """Deterministic discrete-event simulation kernel.
 
 The federated execution layer reasons about time in *simulated* seconds
-(:mod:`repro.federation.network`), and until this kernel existed every
-request was implicitly serial: the network model summed durations into a
-flat total.  A real federation engine overlaps independent sub-queries,
-so wire time is a *makespan* — the completion time of the last request
-under per-endpoint concurrency limits — not a sum.
+(:mod:`repro.federation.network`).  The network model only prices
+requests and sums their durations into busy time; elapsed time is a
+*makespan* — the completion time of the last request under dependency
+order and per-endpoint concurrency limits — not a sum, because a real
+federation engine overlaps independent sub-queries.  Every strategy
+gets its elapsed time from this kernel, a serial one by replaying one
+request at a time.
 
 :class:`SimKernel` is the smallest machinery that computes such
 makespans deterministically: a virtual clock plus a priority queue of

@@ -29,7 +29,12 @@ runs in two phases:
    durations.
 
 A single query is the same replay with one tenant
-(:class:`OverlapScheduler`).  Three layers of policy stack on it:
+(:class:`OverlapScheduler`).  A tenant registered as *serial* has one
+request outstanding at a time — each submission also depends on the
+tenant's previous one — so its makespan is the left fold of its
+requests' ``delay`` and ``seconds`` in submission order: the clock of
+every federated strategy but ``parallel``.  Three layers of policy
+stack on the replay:
 
 * **Fairness** — each channel's coordinator-side backlog is ordered by
   a pluggable :class:`~repro.runtime.channel.QueueDiscipline` (FIFO or
@@ -167,10 +172,14 @@ class TenantRecorder:
     and its share of each channel's statistics.
     """
 
-    def __init__(self, parent: "QueryScheduler", name: str, weight: int):
+    def __init__(
+        self, parent: "QueryScheduler", name: str, weight: int, serial: bool
+    ):
         self.parent = parent
         self.name = name
         self.weight = weight
+        self.serial = serial
+        self._last: Optional[RequestHandle] = None
 
     def submit(
         self,
@@ -187,12 +196,21 @@ class TenantRecorder:
         ``delay`` postpones the request's arrival by that many seconds
         after its dependencies complete (retry backoff); ``failed``
         marks an injected-fault attempt, which still occupies its
-        channel like any other request.
+        channel like any other request.  A serial tenant's request also
+        waits for the tenant's previous one, so its replayed makespan
+        is the left fold of every ``delay`` and ``seconds`` in
+        submission order.
         """
-        return self.parent._submit(
+        last = self._last
+        if last is not None and not any(dep is last for dep in after):
+            after = (*after, last)
+        handle = self.parent._submit(
             self.name, endpoint, seconds, after, release, label, delay,
             failed,
         )
+        if self.serial:
+            self._last = handle
+        return handle
 
     def makespan(self) -> float:
         """This tenant's completion time on the shared clock."""
@@ -279,12 +297,16 @@ class QueryScheduler:
         """Registered tenant names in registration (admission) order."""
         return tuple(recorder.name for recorder in self._tenants)
 
-    def tenant(self, name: str, weight: int = 1) -> TenantRecorder:
+    def tenant(
+        self, name: str, weight: int = 1, serial: bool = False
+    ) -> TenantRecorder:
         """Register one tenant; returns its recording facade.
 
         Registration order is the admission order under ``max_active``
         and the deterministic tie-breaker everywhere else.  ``weight``
         feeds the weighted-round-robin discipline (ignored by FIFO).
+        A ``serial`` tenant has one request outstanding at a time: each
+        submission also depends on the tenant's previous one.
         """
         if any(recorder.name == name for recorder in self._tenants):
             raise SimulationError(f"duplicate tenant name: {name!r}")
@@ -292,7 +314,7 @@ class QueryScheduler:
             raise SimulationError(
                 f"tenant {name!r} weight must be >= 1: {weight}"
             )
-        recorder = TenantRecorder(self, name, weight)
+        recorder = TenantRecorder(self, name, weight, serial)
         self._tenants.append(recorder)
         self._weights[name] = weight
         return recorder

@@ -27,7 +27,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import Variable
 from repro.rdf.triples import Triple, TriplePattern
-from repro.runtime import OverlapScheduler
+from repro.runtime import QueryScheduler
 from repro.workload.federation import (
     blackout_fault_model,
     federated_path_query,
@@ -136,22 +136,22 @@ def test_endpoint_unavailable_error_carries_context():
 
 
 def test_scheduler_delay_postpones_arrival():
-    scheduler = OverlapScheduler()
-    first = scheduler.submit("p0", 1.0)
-    retried = scheduler.submit("p0", 1.0, after=[first], delay=2.0)
-    assert scheduler.makespan() == pytest.approx(4.0)
-    assert scheduler.timeline()[retried.index].arrived_at == pytest.approx(
+    recorder = QueryScheduler().tenant("")
+    first = recorder.submit("p0", 1.0)
+    retried = recorder.submit("p0", 1.0, after=[first], delay=2.0)
+    assert recorder.makespan() == pytest.approx(4.0)
+    assert recorder.timeline()[retried.index].arrived_at == pytest.approx(
         3.0
     )
     with pytest.raises(SimulationError, match="delay"):
-        scheduler.submit("p0", 1.0, delay=-0.5)
+        recorder.submit("p0", 1.0, delay=-0.5)
 
 
 def test_channel_counts_failed_attempts():
-    scheduler = OverlapScheduler()
-    scheduler.submit("p0", 0.5, failed=True)
-    scheduler.submit("p0", 1.0)
-    stats = scheduler.channel_stats()["p0"]
+    recorder = QueryScheduler().tenant("")
+    recorder.submit("p0", 0.5, failed=True)
+    recorder.submit("p0", 1.0)
+    stats = recorder.channel_stats()["p0"]
     assert stats.completed == 2
     assert stats.failed == 1
 
@@ -186,6 +186,51 @@ def test_fail_first_retry_accounting_serial(system):
     assert stats.elapsed_seconds == pytest.approx(
         stats.busy_seconds + stats.backoff_seconds
     )
+
+
+@pytest.mark.parametrize(
+    "knobs, witness",
+    [
+        ({}, "messages"),
+        (
+            dict(
+                fault_model=flaky_fault_model(
+                    "peer1", failure_rate=0.3, timeout_rate=0.1, seed=15
+                ),
+                retry_policy=RetryPolicy(max_retries=8, backoff_seconds=0.1),
+            ),
+            "backoff_seconds",
+        ),
+        (
+            dict(
+                fault_model=blackout_fault_model("peer1"),
+                retry_policy=RetryPolicy(max_retries=1),
+                replicas={"peer1": 1},
+            ),
+            "failovers",
+        ),
+        (dict(stats_ttl=0), "stats_refreshes"),
+    ],
+    ids=["plain", "flaky", "failover", "stale"],
+)
+def test_serial_strategies_elapse_busy_plus_backoff(system, knobs, witness):
+    # Every strategy but parallel records on a serial tenant: its
+    # makespan is its wire time plus its backoff waits, and statistics
+    # refreshes (busy time too) are the prefix the makespan lands on.
+    executor = FederatedExecutor(system, **knobs)
+    witnessed = 0
+    for strategy in STRATEGIES:
+        if strategy == PARALLEL:
+            continue
+        for hops in (1, 2, 3):
+            stats = executor.execute(
+                federated_path_query(hops=hops), strategy
+            ).stats
+            assert stats.elapsed_seconds == pytest.approx(
+                stats.busy_seconds + stats.backoff_seconds, abs=1e-12
+            ), (strategy, hops)
+            witnessed += getattr(stats, witness)
+    assert witnessed > 0  # the scenario exercises what it is named for
 
 
 def test_timeouts_charged_at_policy_timeout(system):
@@ -320,6 +365,7 @@ def test_variable_predicate_pull_keeps_keyed_relations_of_a_failed_dump():
         NetworkModel(),
         NetworkStats(),
         RelationCache(dictionary),
+        QueryScheduler().tenant("", serial=True),
         faults=model.session(),
         retry=RetryPolicy(max_retries=0),
     )

@@ -28,7 +28,7 @@ from repro.federation.plan import (
     RelationCache,
 )
 from repro.rdf.terms import Variable
-from repro.runtime.scheduler import OverlapScheduler
+from repro.runtime.scheduler import QueryScheduler
 from repro.sparql.batch import gather_pairs, left_join_pairs
 from repro.workload.federation import federated_rps
 from repro.workload.topologies import peer_namespace
@@ -159,7 +159,7 @@ class _Fixed(FedOp):
 def test_left_join_node_rows_order_and_origins_match_nested_loop():
     rng = random.Random(5)
     for _ in range(200):
-        scheduler = OverlapScheduler()
+        scheduler = QueryScheduler().tenant("")
         handles = [scheduler.submit("peer0", 0.01) for _ in range(4)]
 
         def origins(n):

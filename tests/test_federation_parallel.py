@@ -151,8 +151,16 @@ def test_parallel_result_carries_channel_stats(system):
     assert sum(c.completed for c in parallel.channels.values()) == (
         parallel.stats.messages
     )
+    # A serial strategy replays on one lane: every request completes
+    # on its channel, alone, without waiting.
     serial = executor.execute(WORKLOADS["path2"], ADAPTIVE)
-    assert serial.channels == {}
+    assert sum(c.completed for c in serial.channels.values()) == (
+        serial.stats.messages
+    )
+    for channel in serial.channels.values():
+        assert channel.peak_in_flight == 1
+        assert channel.wait_seconds == 0
+        assert channel.peak_backlog == 0
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +215,11 @@ def test_simulated_seconds_alias_is_gone():
 def test_merge_adds_busy_and_maxes_elapsed():
     model = NetworkModel(latency_seconds=1.0, per_solution_seconds=0.0)
     first, second = NetworkStats(), NetworkStats()
-    model.charge_query(first, "a", 0)
-    model.charge_query(second, "a", 0)
-    model.charge_query(second, "b", 0)
+    # Charging records wire time only; the replay sets elapsed time,
+    # here by hand: one request, and two in sequence.
+    first.elapsed_seconds = model.charge_query(first, "a", 0)
+    for endpoint in ("a", "b"):
+        second.elapsed_seconds += model.charge_query(second, endpoint, 0)
     first.merge(second)
     assert first.messages == 3
     assert first.busy_seconds == pytest.approx(3.0)

@@ -33,7 +33,7 @@ from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Variable
 from repro.rdf.triples import Triple, TriplePattern
-from repro.runtime.scheduler import OverlapScheduler
+from repro.runtime.scheduler import QueryScheduler
 from repro.sparql.algebra import _eval_filter_expr
 from repro.sparql.ast import BooleanExpr, Comparison
 from repro.sparql.batch import (
@@ -231,7 +231,7 @@ def test_both_layers_run_the_nested_loops_pairs_in_the_kernels_order(seed):
         left, right = build(rng)
         lhs = as_batch(numbered(left, ZL) if left != [{}] else left)
         rhs = as_batch(numbered(right, ZR))
-        scheduler = OverlapScheduler()
+        scheduler = QueryScheduler().tenant("")
         handles = [scheduler.submit("peer0", 0.01) for _ in range(4)]
         pool = [(h,) for h in handles] + [(handles[0], handles[2]), ()]
         lorigins = [rng.choice(pool) for _ in left]
@@ -335,7 +335,7 @@ def test_pull_scan_over_two_sources_reads_like_the_merged_copy(bound, values):
         endpoints.append(PeerEndpoint(name, graph))
     column = Variable(bound)
     ids = [dictionary.encode(_ex(value)) for value in values]
-    scheduler = OverlapScheduler()
+    scheduler = QueryScheduler().tenant("")
     handles = [scheduler.submit("peer9", 0.01) for _ in ids]
     child = FixedStream(
         Batch((column,), [ids], len(ids)), [(h,) for h in handles]

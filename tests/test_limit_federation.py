@@ -17,7 +17,18 @@ from repro.federation.executor import (
     STRATEGIES,
     FederatedExecutor,
 )
-from repro.federation.network import NetworkModel
+from repro.federation.network import NetworkModel, NetworkStats
+from repro.federation.plan import (
+    BoundJoinStream,
+    ExecContext,
+    PlanInterpreter,
+    PullScan,
+    RelationCache,
+    RemoteScan,
+)
+from repro.rdf.terms import Variable
+from repro.rdf.triples import TriplePattern
+from repro.runtime.scheduler import QueryScheduler
 from repro.sparql.algebra import (
     evaluate_algebra,
     reference_select,
@@ -112,6 +123,41 @@ def test_limit_cuts_messages_and_time_on_pipelined_runtime(system, merged):
         system, federated_topk_sparql(hops=2, limit=5), "parallel"
     )
     assert topk.messages <= drained.messages
+
+
+@pytest.mark.parametrize(
+    "serial, messages, batches", [(True, 3, 1), (False, 30, 28)]
+)
+def test_serial_pull_scan_reads_its_child_lazily(
+    system, serial, messages, batches
+):
+    # scan(peer0) -> bound join(peer1, batches of 2) -> pull(peer2),
+    # asked for one row.  On a serial tenant the pull reads its child a
+    # chunk at a time, so the first bound-join batch already yields the
+    # row.  Pipelined, the pull waits for its child's whole wave, and
+    # draining the child sends every batch.  No golden key tells the
+    # two apart, so this pins the serial policy.
+    endpoints = FederatedExecutor(system).endpoints
+    x = [Variable(f"x{i}") for i in range(4)]
+    knows = [
+        TriplePattern(x[i], peer_namespace(i).knows, x[i + 1])
+        for i in range(3)
+    ]
+    scan = RemoteScan((knows[0],), (endpoints[0],))
+    join = BoundJoinStream(scan, (knows[1],), (endpoints[1],), batch_size=2)
+    pull = PullScan(join, knows[2], (endpoints[2],))
+    ctx = ExecContext(
+        NetworkModel(),
+        NetworkStats(),
+        RelationCache(endpoints[0].graph.dictionary),
+        QueryScheduler().tenant("", serial=serial),
+        demand=1,
+    )
+    assert len(PlanInterpreter(ctx).run(pull, 1)) >= 1
+    assert ctx.stats.messages == messages
+    assert join.n_batches == batches
+    if serial:
+        assert ctx.stats.busy_seconds == pytest.approx(0.1592)
 
 
 def test_ask_short_circuits_the_pipeline(system):

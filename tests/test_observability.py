@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.federation import FederatedExecutor
+from repro.federation import STRATEGIES, FederatedExecutor
 from repro.federation.faults import RetryPolicy
 from repro.federation.network import NetworkStats
 from repro.obs import (
@@ -339,23 +339,22 @@ def test_local_explain_never_touches_the_plan_cache(graph):
 
 
 # ---------------------------------------------------------------------------
-# Federated serial mode: virtual request spans
+# Every strategy: virtual request spans from the replay
 # ---------------------------------------------------------------------------
 
 
 def test_serial_trace_spans_every_request(fed):
-    tracer = Tracer()
-    result = fed.execute(QUERY, "adaptive", tracer=tracer, analyze=True)
-    [root] = tracer.roots
-    assert root.name == "execute:adaptive" and root.domain == "wall"
-    spans = list(tracer.spans())
-    requests = [s for s in spans if s.name.startswith("request:")]
-    assert len(requests) == result.stats.messages
-    for span in requests:
-        assert span.domain == "virtual"
-        assert span.lane and span.end >= span.start
-    ops = [s for s in spans if s.name.startswith("op:")]
-    assert ops and all(s.lane == "operators" for s in ops)
+    for strategy in STRATEGIES:
+        tracer = Tracer()
+        result = fed.execute(QUERY, strategy, tracer=tracer, analyze=True)
+        [root] = tracer.roots
+        assert root.name == f"execute:{strategy}" and root.domain == "wall"
+        spans = list(tracer.spans())
+        requests = [s for s in spans if s.name.startswith("request:")]
+        assert len(requests) == result.stats.messages, strategy
+        for span in requests:
+            assert span.domain == "virtual"
+            assert span.lane and span.end >= span.start
 
 
 def test_untraced_execution_attaches_nothing(fed):
@@ -491,10 +490,15 @@ def test_faulty_trace_shows_attempts_and_is_stable():
         tracer = Tracer()
         result = executor.execute(QUERY, "adaptive", tracer=tracer)
         assert result.stats.failures + result.stats.timeouts > 0
-        names = [s.name for s in tracer.spans()]
-        assert any("!" in name for name in names)  # failed attempts
-        if result.stats.retries:
-            assert any(name.startswith("backoff:") for name in names)
+        spans = list(tracer.spans())
+        failed = [s for s in spans if s.attributes.get("failed") == 1]
+        assert len(failed) == result.stats.failures + result.stats.timeouts
+        assert all("!" in s.attributes["label"] for s in failed)
+        backoffs = [s for s in spans if s.name.startswith("backoff:")]
+        assert len(backoffs) == result.stats.retries > 0
+        assert sum(s.duration for s in backoffs) == pytest.approx(
+            result.stats.backoff_seconds
+        )
         exports.append(
             json.dumps(
                 chrome_trace_events(tracer, domain="virtual"),

@@ -9,6 +9,7 @@ from repro.errors import SimulationError
 from repro.runtime import (
     Channel,
     OverlapScheduler,
+    QueryScheduler,
     Request,
     SimKernel,
 )
@@ -204,13 +205,14 @@ def test_scheduler_validation():
 # ---------------------------------------------------------------------------
 
 
-def _random_dag(seed):
+def _random_dag(seed, serial=False):
     """A seeded request DAG with the shapes the executor records.
 
     1-3 endpoints, 1-3 lanes, windows ``None``/c/c+1/c+3, release
     floors, retry delays, failed attempts, and durations drawn from a
     few multiples of 1/4 so arrival and completion ties are common and
-    every time stays exact in binary floating point.
+    every time stays exact in binary floating point.  The requests are
+    submitted by one tenant, ``serial`` or not.
     """
     rng = random.Random(seed)
     endpoints = [f"p{i}" for i in range(rng.randint(1, 3))]
@@ -219,12 +221,13 @@ def _random_dag(seed):
     overrides = {}
     if rng.random() < 0.2:
         overrides[endpoints[0]] = rng.randint(1, concurrency)
-    scheduler = OverlapScheduler(concurrency, window, overrides)
+    scheduler = QueryScheduler(concurrency, window, overrides)
+    recorder = scheduler.tenant("", serial=serial)
     handles = []
     for _ in range(rng.randint(1, 24)):
         after = rng.sample(handles, rng.randint(0, min(3, len(handles))))
         handles.append(
-            scheduler.submit(
+            recorder.submit(
                 rng.choice(endpoints),
                 rng.choice([0.0, 0.25, 0.5, 0.5, 1.0, 1.0, 1.5, 2.0]),
                 after=after,
@@ -288,3 +291,22 @@ def test_replay_matches_pinned_timelines():
             digest.update(f"{name}={stats!r}".encode())
     assert tuple(makespans) == REPLAY_MAKESPANS
     assert digest.hexdigest() == REPLAY_DIGEST
+
+
+def test_serial_tenant_replays_the_left_fold():
+    # The same 200 DAGs on a serial tenant: one request at a time, so
+    # the makespan is the left fold of every request's wait and
+    # duration in submission order (a release floor, which the
+    # federation never sets, can only hold a request back further),
+    # and no channel ever holds two requests or makes one wait.
+    for seed in range(200):
+        scheduler = _random_dag(seed, serial=True)
+        clock = 0.0
+        for handle in scheduler.timeline():
+            clock = max(handle.release, clock + handle.delay)
+            clock += handle.seconds
+        assert scheduler.makespan() == clock, seed
+        for stats in scheduler.channel_stats().values():
+            assert stats.peak_in_flight == 1, seed
+            assert stats.wait_seconds == 0, seed
+            assert stats.peak_backlog == 0, seed
