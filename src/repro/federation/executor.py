@@ -781,7 +781,7 @@ class FederatedExecutor:
         root = roots[0] if len(roots) == 1 else UnionNode(roots)
         head = prepared.head
         if prepared.order:
-            id_rows = batch_top_k(
+            columns, n = batch_top_k(
                 self.dictionary,
                 interp.run(root).batch,
                 head,
@@ -799,10 +799,11 @@ class FederatedExecutor:
                 prepared.offset,
                 1 if prepared.ask else prepared.limit,
             )
+            columns, n = list(zip(*id_rows)), len(id_rows)
         else:
             answer = interp.run(root).batch
-            return answer.project(head), answer.n, root, ctx.unreachable
-        return list(zip(*id_rows)), len(id_rows), root, ctx.unreachable
+            columns, n = answer.project(head), answer.n
+        return columns, n, root, ctx.unreachable
 
     def run_all_strategies(
         self,

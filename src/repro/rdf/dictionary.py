@@ -41,21 +41,19 @@ class TermDictionary:
     using it, and stale entries cost only memory, never correctness.
     Interning is thread-safe; lookups and decodes are lock-free reads.
 
-    One table is derived from the terms and kept beside them:
-    :meth:`ranks`, the position of every ID in the library-wide term
-    order, so results can be sorted on integers.
+    Two tables are derived from the terms and kept beside them:
+    :meth:`rank_tables`, the position of every ID in the library-wide
+    term order and its inverse, so results can be sorted on integers.
     """
 
-    __slots__ = ("_ids", "_terms", "_lock", "_order", "_ranks")
+    __slots__ = ("_ids", "_terms", "_lock", "_tables")
 
     def __init__(self, terms: Optional[Iterable[Term]] = None) -> None:
         self._ids: Dict[Term, int] = {}
         self._terms: List[Term] = []
         self._lock = threading.Lock()
-        # IDs in ``Term.sort_key`` order, and its inverse with ties
-        # collapsed; both cover the first ``len(self._ranks)`` IDs.
-        self._order: List[int] = []
-        self._ranks: List[int] = []
+        # (ranks, ids_by_rank), covering the first ``len(ranks)`` IDs.
+        self._tables: Tuple[List[int], List[Optional[int]]] = ([], [None])
         if terms is not None:
             for term in terms:
                 self.encode(term)
@@ -136,48 +134,51 @@ class TermDictionary:
     # -- ordering -------------------------------------------------------
 
     def ranks(self) -> List[int]:
-        """The ID-indexed rank table of the library-wide term order.
+        """The ID-indexed rank table: ``rank_tables()[0]``."""
+        return self.rank_tables()[0]
 
-        ``ranks()[tid]`` is the dense, 1-based position of term ``tid``
-        in the :meth:`~repro.rdf.terms.Term.sort_key` total order over
-        all interned terms, so comparing two ranks is comparing the two
-        terms, at integer cost; ``0`` is left free for "unbound", which
-        sorts before every term.  Terms with equal sort keys share a
-        rank, which keeps a stable sort on ranks identical to a stable
-        sort on the keys themselves.
+    def rank_tables(self) -> Tuple[List[int], List[Optional[int]]]:
+        """The library-wide term order as two inverse tables.
 
-        The table is rebuilt only when terms were interned since the
+        ``ranks[tid]`` is the 1-based position of term ``tid`` in the
+        :meth:`~repro.rdf.terms.Term.sort_key` total order over all
+        interned terms, terms with equal sort keys in interning order,
+        so ranks are a bijection onto ``1 .. len(ranks)`` and comparing
+        two ranks is comparing the two terms, at integer cost.  ``0``
+        is left free for "unbound", which sorts before every term, and
+        ``ids_by_rank`` inverts the table: ``ids_by_rank[ranks[tid]] ==
+        tid`` and ``ids_by_rank[0] is None``.  A result row packs its
+        ranks into one int (:func:`repro.sparql.batch.pack_ranks`) and
+        unpacks the sorted ints back to IDs through ``ids_by_rank``.
+
+        The pair is rebuilt only when terms were interned since the
         last call: the new IDs are sorted and merged into the previous
-        order (kept as a list of IDs), then ranks are renumbered — one
-        sort key per interned term, so a rebuild is linear in the
-        dictionary, not in its growth (~15 ms at 35k terms).  With
-        nothing interned the call is one length comparison and returns
-        the same list object.  A returned table stays valid for the IDs
-        it covers but is not comparable with a later one; callers fetch
-        it once per sort.  Only integers are retained — the sort keys
-        live for the duration of a rebuild.
+        order — one ascending run, so Timsort sorts the tail and
+        merges the two, and its stability puts ties in interning
+        order.  One sort key per interned term, so a rebuild is linear
+        in the dictionary, not in its growth (~15 ms at 35k terms).
+        With nothing interned the call is one length comparison and
+        returns the same pair.  A returned pair stays valid for the
+        IDs it covers but is not comparable with a later one; callers
+        fetch it once per sort.  Only integers are retained — the sort
+        keys live for the duration of a rebuild.
         """
-        ranks = self._ranks
-        if len(ranks) == len(self._terms):
-            return ranks
+        tables = self._tables
+        if len(tables[0]) == len(self._terms):
+            return tables
         with self._lock:
             terms = self._terms
-            done = len(self._order)
+            done = len(self._tables[0])
             if done < len(terms):
                 keys = [term.sort_key() for term in terms]
-                # The previous order is one ascending run, so Timsort
-                # sorts the tail and merges the two.
-                order = self._order + list(range(done, len(terms)))
+                order = self._tables[1][1:]
+                order.extend(range(done, len(terms)))
                 order.sort(key=keys.__getitem__)
                 ranks = [0] * len(terms)
-                rank, previous = 0, None
-                for tid in order:
-                    key = keys[tid]
-                    if key != previous:
-                        rank, previous = rank + 1, key
+                for rank, tid in enumerate(order, 1):
                     ranks[tid] = rank
-                self._order, self._ranks = order, ranks
-            return self._ranks
+                self._tables = (ranks, [None, *order])
+            return self._tables
 
     def __repr__(self) -> str:
         return f"<TermDictionary with {len(self)} terms>"

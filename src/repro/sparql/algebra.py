@@ -212,7 +212,7 @@ def reference_select(graph: Graph, ast) -> List[Tuple[Optional[Term], ...]]:
 
     # Canonical tiebreak first, then each ORDER BY condition via stable
     # sorts applied right-to-left, on the terms' own sort keys — a
-    # deliberately different algorithm from the engines' rank tuples.
+    # deliberately different algorithm from the engines' packed ranks.
     solutions.sort(key=lambda mu: _row_key([mu.get(v) for v in variables]))
     for condition in reversed(ast.order):
         solutions.sort(

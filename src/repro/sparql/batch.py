@@ -36,9 +36,10 @@ the three accessors return lists this module owns.
 Joins across groups/unions are batch-at-a-time hash joins; FILTER,
 ORDER BY and slicing are vectorized over columns.  Internally batches
 carry *bag* semantics (duplicates survive until the result boundary,
-where projection deduplicates on ID tuples), and unbound cells hold the
-:data:`UNBOUND` sentinel, chosen far below the FILTER compiler's
-negative sentinel IDs so the two can never collide.
+which deduplicates and sorts one packed rank int per row,
+:func:`pack_ranks`), and unbound cells hold the :data:`UNBOUND`
+sentinel, chosen far below the FILTER compiler's negative sentinel IDs
+so the two can never collide.
 
 This module is also the only place that knows how solutions are
 joined, left-joined and filtered.  The kernels answer with *selection
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from typing import (
     Callable,
     Dict,
@@ -110,7 +111,8 @@ __all__ = [
     "passing_rows",
     "select_id_rows_batch",
     "column_rows",
-    "rank_keys",
+    "pack_ranks",
+    "unpack_ranks",
     "top_k",
     "batch_slice",
     "batch_top_k",
@@ -1230,89 +1232,107 @@ def select_id_rows_batch(
 _RowKeep = Optional[Callable[[_IDRow], bool]]
 
 
-def rank_keys(
+def pack_ranks(
     ranks: Sequence[int],
     columns: Sequence[Sequence[Optional[int]]],
     descending: Sequence[bool] = (),
-) -> List[Tuple[int, ...]]:
-    """One sort key per row of parallel ID columns: a tuple of ints.
+) -> List[int]:
+    """One int sort key per row of parallel ID columns.
 
-    ``ranks`` is :meth:`repro.rdf.dictionary.TermDictionary.ranks`, so
-    comparing two keys compares the rows in the library-wide term
-    order.  An unbound cell (``None`` or ``UNBOUND``) ranks 0, before
-    every term; a ``descending`` column is negated, which reverses the
-    terms and moves unbound cells last.  This is the one ordering
+    A row's key holds its cells' ranks
+    (:meth:`repro.rdf.dictionary.TermDictionary.rank_tables`) as digits
+    in radix ``base = len(ranks) + 1``, the first column most
+    significant, so comparing two keys compares the rows in the
+    library-wide term order and equal keys are equal rows.  An unbound
+    cell (``None`` or ``UNBOUND``) is digit 0, before every term; a
+    ``descending`` column's digit is ``base - 1 - rank``, which
+    reverses the terms and moves unbound cells last.  Ints are not
+    tracked by the garbage collector, so deduplicating and sorting the
+    keys builds no container per row.  This is the one ordering
     primitive of the result boundary — the canonical SELECT order, the
     local and federated ORDER BY and the collect baseline all sort on
-    these keys.
+    these keys, and :func:`unpack_ranks` turns the ascending digits
+    back into IDs.
     """
-    keyed: List[Sequence[int]] = []
+    base = len(ranks) + 1
+    keys: List[int] = []
     for index, col in enumerate(columns):
-        if None in col or UNBOUND in col:
-            ranked: Sequence[int] = [
+        digits: Iterable[int]
+        try:
+            digits = list(map(ranks.__getitem__, col))
+        except (TypeError, IndexError):  # an unbound cell: digit 0
+            digits = [
                 0 if c is None or c == UNBOUND else ranks[c] for c in col
             ]
-        else:
-            ranked = list(map(ranks.__getitem__, col))
         if index < len(descending) and descending[index]:
-            ranked = list(map(operator.neg, ranked))
-        keyed.append(ranked)
-    return list(zip(*keyed))
+            digits = map(operator.sub, repeat(base - 1), digits)
+        if index:
+            scaled = map(operator.mul, keys, repeat(base))
+            keys = list(map(operator.add, scaled, digits))
+        else:
+            keys = list(digits)
+    return keys
+
+
+def unpack_ranks(
+    keys: Sequence[int], width: int, ids_by_rank: Sequence[Optional[int]]
+) -> List[List[Optional[int]]]:
+    """The ``width`` ID columns of keys packed by :func:`pack_ranks`.
+
+    ``ids_by_rank`` is the inverse table from the same
+    :meth:`~repro.rdf.dictionary.TermDictionary.rank_tables` pair, so
+    digit 0 comes back as ``None`` (unbound).  Every column must have
+    been packed ascending, and a key may hold no digit above its
+    ``width`` (:func:`top_k` strips the ORDER BY digits first).
+    """
+    base = len(ids_by_rank)
+    columns: List[List[Optional[int]]] = []
+    for _ in range(width - 1):
+        digits = map(operator.mod, keys, repeat(base))
+        columns.append(list(map(ids_by_rank.__getitem__, digits)))
+        keys = list(map(operator.floordiv, keys, repeat(base)))
+    if width:
+        columns.append(list(map(ids_by_rank.__getitem__, keys)))
+    columns.reverse()
+    return columns
 
 
 def top_k(
-    ranks: Sequence[int],
-    head: Sequence[Variable],
-    order: Sequence[OrderCondition],
-    cells: Sequence[Tuple[Optional[int], ...]],
+    keys: Iterable[int],
+    modulus: int,
+    in_head: bool,
     offset: int = 0,
     limit: Optional[int] = None,
 ) -> List[int]:
-    """ORDER BY + DISTINCT on the head + OFFSET/LIMIT, as row indexes.
+    """ORDER BY + DISTINCT on the head + OFFSET/LIMIT over packed keys.
 
-    ``cells`` holds one ID tuple per solution, laid out as the ``head``
-    variables followed by the ``order`` variables.  Solutions sort by
-    the ORDER BY conditions, ties broken by the canonical order of the
-    head row; per distinct head row the solution with the minimal key
-    wins (the earliest, when several solutions share all cells), so
-    the answer is a pure function of the solution *set*.  Returns the
-    winners' indexes into ``cells``, in output order.
+    Every key packs one solution's ORDER BY digits above its head
+    digits, so ``key % modulus`` is its head row.  Solutions sort by
+    key — by the ORDER BY conditions, ties broken by the canonical
+    order of the head row — and each distinct head row is output at
+    its minimal key, so the answer is a pure function of the solution
+    *set*.  Returns the output rows as head keys, in output order.
 
-    With a LIMIT the output is ``heapq.nsmallest`` of ``offset +
-    limit`` keys, not a full sort.  When an ORDER BY variable is
-    outside the head, a head row can occur under several keys and one
-    full sort comes first, to find each head row's minimum.
+    When every ORDER BY variable is in the head (``in_head``) a head
+    row has one key, and with a LIMIT the output is ``heapq.nsmallest``
+    of ``offset + limit`` distinct keys, not a full sort.  Otherwise
+    a head row can occur under several keys: one sort of the distinct
+    keys, then the first of each head row.
     """
     bound = None if limit is None else offset + limit
-    if bound == 0 or not cells:
+    if bound == 0:
         return []
-    if not cells[0]:  # no column at all: one distinct, empty row
-        return [0][offset:]
-    width = len(head)
-    # First index of every distinct cell row (a later write wins).
-    first = dict(zip(reversed(cells), range(len(cells) - 1, -1, -1)))
-    distinct = list(first)
-    firsts = list(first.values())
-    columns = list(zip(*distinct))
-    keys = rank_keys(
-        ranks,
-        columns[width:] + columns[:width],
-        [condition.descending for condition in order],
-    )
-    rows: Iterable[int] = range(len(distinct))
-    if not all(condition.variable in head for condition in order):
-        # The best solution per head row: walk them worst key first and
-        # let a later write win.
-        heads = list(column_rows(columns[:width], len(distinct)))
-        worst_first = sorted(rows, key=keys.__getitem__, reverse=True)
-        rows = dict(
-            zip(map(heads.__getitem__, worst_first), worst_first)
-        ).values()
+    distinct = set(keys)
+    if not in_head:
+        heads = map(operator.mod, sorted(distinct), repeat(modulus))
+        return list(islice(dict.fromkeys(heads), offset, bound))
     if bound is None:
-        ranked = sorted(rows, key=keys.__getitem__)
+        ranked = sorted(distinct)
     else:
-        ranked = heapq.nsmallest(bound, rows, key=keys.__getitem__)
-    return [firsts[index] for index in ranked[offset:]]
+        ranked = heapq.nsmallest(bound, distinct)
+    if ranked and ranked[-1] < modulus:  # no ORDER BY digit to strip
+        return ranked[offset:]
+    return list(map(operator.mod, ranked[offset:], repeat(modulus)))
 
 
 def batch_slice(
@@ -1354,24 +1374,41 @@ def batch_top_k(
     offset: int = 0,
     limit: Optional[int] = None,
     keep: _RowKeep = None,
-) -> List[_IDRow]:
+) -> Tuple[List[List[Optional[int]]], int]:
     """ORDER BY + DISTINCT-project + OFFSET/LIMIT over one batch.
 
-    The batch's projected and ORDER BY columns go through
-    :func:`top_k` on the term ranks of ``dictionary`` (the one the
-    batch's IDs encode against), so the output is a pure function of
-    the solution *set* — identical to the reference evaluator's
-    regardless of the engine's internal row order.
+    The batch's ORDER BY and projected columns are packed into one key
+    per solution (:func:`pack_ranks`) on the term ranks of
+    ``dictionary`` (the one the batch's IDs encode against) and go
+    through :func:`top_k`, so the output is a pure function of the
+    solution *set* — identical to the reference evaluator's regardless
+    of the engine's internal row order.  With no ORDER BY this is the
+    canonical order of the distinct rows.  Returns the output as ID
+    columns over ``projected`` (``None`` = unbound) and its row count;
+    term rows are built only from these.
     """
     head = tuple(projected)
-    variables = head + tuple(condition.variable for condition in order)
-    cells: Sequence[_IDRow] = list(
-        column_rows(batch.project(variables), batch.n)
-    )
+    width = len(head)
+    columns = batch.project(head + tuple(c.variable for c in order))
+    n = batch.n
     if keep is not None:
-        cells = [row for row in cells if keep(row[: len(head)])]
-    ranks = dictionary.ranks()
-    return [
-        cells[index][: len(head)]
-        for index in top_k(ranks, head, order, cells, offset, limit)
-    ]
+        mask = list(map(keep, column_rows(columns[:width], n)))
+        columns = [list(compress(col, mask)) for col in columns]
+        n = mask.count(True)
+    if not columns:  # no column at all: one distinct, empty row
+        bound = None if limit is None else offset + limit
+        return [], len(range(min(n, 1))[offset:bound])
+    ranks, ids_by_rank = dictionary.rank_tables()
+    keys = pack_ranks(
+        ranks,
+        columns[width:] + columns[:width],
+        [condition.descending for condition in order],
+    )
+    heads = top_k(
+        keys,
+        len(ids_by_rank) ** width,
+        all(condition.variable in head for condition in order),
+        offset,
+        limit,
+    )
+    return unpack_ranks(heads, width, ids_by_rank), len(heads)

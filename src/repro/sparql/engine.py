@@ -12,7 +12,10 @@ decides how its plan is read:
 * **whole batch** (``BatchOp.execute``) for SELECT queries that are
   unmodified or carry ORDER BY — the answer needs every solution, and
   is a pure function of the solution *set*, so the engine's bulk
-  execution order cannot show through;
+  execution order cannot show through.  Both finish through
+  :func:`~repro.sparql.batch.batch_top_k`: one packed rank int per
+  solution, deduplicated and sorted as ints, unpacked into ID columns
+  and decoded a column at a time for the output rows only;
 * **chunks on demand** (``BatchOp.chunks``) for ASK, which wants to
   know whether there is a first chunk, and for LIMIT/OFFSET without
   ORDER BY, which stops pulling the moment ``offset + limit`` distinct
@@ -45,7 +48,6 @@ from repro.sparql.batch import (
     batch_top_k,
     build_batch_plan,
     column_rows,
-    rank_keys,
 )
 from repro.sparql.cache import default_plan_cache, nsm_fingerprint
 from repro.sparql.parser import parse_query
@@ -182,30 +184,16 @@ def _execute_prepared(
         batch = plan.execute()
         if not batch.n:  # most anchored lookups: nothing to finish
             return SelectResult(variables, [])
-        if ast.order:
-            id_rows = batch_top_k(
-                dictionary,
-                batch,
-                variables,
-                ast.order,
-                ast.offset or 0,
-                ast.limit,
-                keep,
-            )
-            columns, n = list(zip(*id_rows)), len(id_rows)
-        else:
-            # The distinct rows in the canonical term order: sorted on
-            # rank tuples, a column at a time.
-            columns = batch.project(variables)
-            distinct = set(column_rows(columns, batch.n))
-            if keep is not None:
-                distinct = set(filter(keep, distinct))
-            n = len(distinct)
-            if n != batch.n:
-                columns = list(zip(*distinct))
-            keys = rank_keys(dictionary.ranks(), columns)
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            columns = [list(map(col.__getitem__, order)) for col in columns]
+        # ORDER BY, or the canonical term order of the distinct rows.
+        columns, n = batch_top_k(
+            dictionary,
+            batch,
+            variables,
+            ast.order,
+            ast.offset or 0,
+            ast.limit,
+            keep,
+        )
     decoded = [
         [None if tid is None else terms[tid] for tid in col]
         if None in col

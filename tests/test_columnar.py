@@ -271,34 +271,156 @@ def test_order_by_unprojected_variable_keeps_each_rows_best_key():
 def test_top_k_picks_first_occurrence_and_handles_both_unbound_marks():
     from repro.rdf.dictionary import TermDictionary
     from repro.sparql.ast import OrderCondition
-    from repro.sparql.batch import rank_keys, top_k
+    from repro.sparql.batch import pack_ranks, top_k, unpack_ranks
 
     d = TermDictionary()
     c, a, b = (d.encode(IRI(f"{NS}{name}")) for name in "cab")
-    ranks = d.ranks()
-    assert rank_keys(ranks, [[a, None, c], [UNBOUND, b, b]], [True]) == [
-        (-1, 0),
-        (0, 2),
-        (-3, 2),
+    ranks, ids_by_rank = d.rank_tables()
+    assert [ranks[a], ranks[b], ranks[c]] == [1, 2, 3]
+    # Radix 4: a DESC column's digit is 3 - rank (unbound 3, last), an
+    # ascending column's is the rank (unbound 0, first).
+    assert pack_ranks(ranks, [[a, None, c], [UNBOUND, b, b]], [True]) == [
+        2 * 4 + 0,
+        3 * 4 + 2,
+        0 * 4 + 2,
     ]
+    assert unpack_ranks([2 * 4 + 0, 3 * 4 + 2], 2, ids_by_rank) == [
+        [b, c],
+        [None, b],
+    ]
+
+    def head_rows(head, order, cells, offset=0, limit=None):
+        """``cells`` (head then ORDER BY cells) through the primitives."""
+        columns = [list(col) for col in zip(*cells)]
+        width = len(head)
+        keys = pack_ranks(
+            ranks,
+            columns[width:] + columns[:width],
+            [condition.descending for condition in order],
+        )
+        heads = top_k(
+            keys,
+            len(ids_by_rank) ** width,
+            all(condition.variable in head for condition in order),
+            offset,
+            limit,
+        )
+        columns = unpack_ranks(heads, width, ids_by_rank)
+        return list(column_rows(columns, len(heads)))
+
     x, y = Variable("x"), Variable("y")
     desc_y = (OrderCondition(y, descending=True),)
     # head (x) + order (y) cells; y is not projected, so x=a occurs
     # under three keys and its best (largest y) must win — twice the
-    # same cells, of which the earlier index is reported.
+    # same cells, which collapse to one key.
     cells = [(a, a), (b, UNBOUND), (a, c), (c, b), (a, c), (b, a)]
-    assert top_k(ranks, (x,), desc_y, cells) == [2, 3, 5]
-    assert top_k(ranks, (x,), desc_y, cells, offset=1, limit=1) == [3]
-    assert top_k(ranks, (x,), desc_y, cells, limit=0) == []
+    assert head_rows((x,), desc_y, cells) == [(a,), (c,), (b,)]
+    assert head_rows((x,), desc_y, cells, offset=1, limit=1) == [(c,)]
+    assert head_rows((x,), desc_y, cells, limit=0) == []
     # Every ORDER BY variable projected: the bounded path.
     pairs = [(a, b), (c, a), (a, b), (b, UNBOUND), (a, c)]
     triples = [pair + pair[1:] for pair in pairs]  # x, y and y again
-    assert top_k(ranks, (x, y), desc_y, triples, limit=3) == [4, 0, 1]
-    assert top_k(ranks, (x, y), desc_y, triples) == [4, 0, 1, 3]
+    assert head_rows((x, y), desc_y, triples, limit=3) == [
+        (a, c),
+        (a, b),
+        (c, a),
+    ]
+    assert head_rows((x, y), desc_y, triples) == [
+        (a, c),
+        (a, b),
+        (c, a),
+        (b, None),
+    ]
     # No ORDER BY: the canonical order of the distinct head rows.
-    assert top_k(ranks, (x, y), (), pairs, offset=1) == [4, 3, 1]
-    assert top_k(ranks, (), (), [(), ()]) == [0]
-    assert top_k(ranks, (), (), []) == []
+    assert head_rows((x, y), (), pairs, offset=1) == [
+        (a, c),
+        (b, None),
+        (c, a),
+    ]
+    # No column at all: one distinct, empty row, or none.
+    assert batch_top_k(d, Batch((), [], 2), (), ()) == ([], 1)
+    assert batch_top_k(d, Batch((), [], 2), (), (), offset=1) == ([], 0)
+    assert batch_top_k(d, Batch((), [], 0), (), ()) == ([], 0)
+
+
+def canonical_reference(graph, text, include_blanks=True):
+    """The reference answer of an unmodified SELECT, canonically sorted."""
+    rows = set(reference_select(graph, parse_query(text)))
+    if not include_blanks:
+        rows = {
+            row
+            for row in rows
+            if not any(isinstance(cell, BlankNode) for cell in row)
+        }
+    return sorted(rows, key=_row_key)
+
+
+def test_finish_after_ranks_rebuilt_on_a_plan_cache_hit():
+    graph = fanout_graph(400, seed=3)
+    text = f"SELECT ?a ?b ?c WHERE {{ ?a <{NS}p0> ?b . ?b <{NS}p1> ?c }}"
+    ordered = f"{text} ORDER BY DESC(?b) ?a LIMIT 7"
+    first = select(graph, text).rows
+    select(graph, ordered)
+    assert first == canonical_reference(graph, text)
+    dictionary = graph.dictionary
+    ranks = dictionary.ranks()
+    # New terms sorting before, between and after the graph's own: every
+    # rank the cached plans' IDs had moves, and the graph is unchanged.
+    for name in ("", "e1~", "e5~", "zz"):
+        dictionary.encode(IRI(f"{NS}{name}fresh{len(dictionary)}"))
+    assert dictionary.ranks() is not ranks
+    hits = default_plan_cache.stats()["hits"]
+    assert select(graph, text).rows == first
+    assert select(graph, ordered).rows == reference_select(
+        graph, parse_query(ordered)
+    )
+    assert default_plan_cache.stats()["hits"] == hits + 2
+
+
+def test_finish_edge_cases_match_the_canonical_reference():
+    graph = random_entity_graph(
+        GeneratorConfig(
+            entities=30,
+            predicates=4,
+            triples=300,
+            attributes=40,
+            blank_fraction=0.3,
+            seed=9,
+        )
+    )
+    triple = next(iter(graph.triples()))
+    ground = " ".join(
+        term.n3() for term in (triple.subject, triple.predicate, triple.object)
+    )
+    p = [f"<{NS}p{i}>" for i in range(4)]
+    absent = f"<{NS}no-such-predicate>"
+    # A head of eight columns: base**8 keys, far past one machine word.
+    wide = (
+        "SELECT ?a ?b ?c ?d ?e ?f ?g ?h WHERE { "
+        f"?a {p[0]} ?b . ?b {p[1]} ?c . ?a {p[2]} ?d . ?e {p[0]} ?a . "
+        f"?b {p[3]} ?f OPTIONAL {{ ?c {p[2]} ?g }} "
+        f"OPTIONAL {{ ?d {absent} ?h }} }}"
+    )
+    texts = [
+        f"SELECT * WHERE {{ {ground} }}",  # zero columns
+        # ?z is unbound in every row, ?b only in some.
+        f"SELECT ?z ?a ?b WHERE {{ ?a {p[0]} ?x "
+        f"OPTIONAL {{ ?x {p[1]} ?b }} OPTIONAL {{ ?a {absent} ?z }} }}",
+        wide,
+    ]
+    for text in texts:
+        for include_blanks in (True, False):
+            rows = select(graph, text, include_blanks=include_blanks).rows
+            expected = canonical_reference(graph, text, include_blanks)
+            assert rows == expected, (text, include_blanks)
+    assert select(graph, texts[0]).rows == [()]
+    assert {row[0] for row in select(graph, texts[1]).rows} == {None}
+    rows = select(graph, wide).rows
+    assert rows and len(rows[0]) == 8 and any(row[7] is None for row in rows)
+    ordered = f"{wide} ORDER BY DESC(?c) ?g LIMIT 20"
+    assert select(graph, ordered).rows == reference_select(
+        graph, parse_query(ordered)
+    )
 
 
 def test_zero_column_and_empty_results():
@@ -657,7 +779,7 @@ def test_batch_top_k_matches_engine_order():
     ast = parse_query(text)
     node = translate_group(ast.where)
     batch = build_batch_plan(graph, node).execute()
-    rows = batch_top_k(
+    columns, n = batch_top_k(
         graph.dictionary,
         batch,
         ast.projected(),
@@ -667,7 +789,7 @@ def test_batch_top_k_matches_engine_order():
     )
     decoded = [
         tuple(None if tid is None else graph.decode_id(tid) for tid in row)
-        for row in rows
+        for row in column_rows(columns, n)
     ]
     assert decoded == reference_select(graph, ast)
 

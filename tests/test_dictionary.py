@@ -175,7 +175,7 @@ def test_ranks_are_dense_and_empty_dictionary_has_none():
     assert d.ranks() == [4, 2, 3, 1]
 
 
-def test_equal_sort_keys_share_a_rank():
+def test_equal_sort_keys_rank_in_interning_order():
     class Alias(Term):
         """A second term class whose instances sort like an IRI."""
 
@@ -192,9 +192,11 @@ def test_equal_sort_keys_share_a_rank():
     twin = d.encode(Alias(str(EX.term("a"))))
     b = d.encode(EX.term("b"))
     ranks = d.ranks()
-    assert ranks[a] == ranks[twin] == 1 and ranks[b] == 2
+    assert (ranks[a], ranks[twin], ranks[b]) == (1, 2, 3)
     later = d.encode(Alias(str(EX.term("b"))))  # a tie met by the merge
-    assert d.ranks()[later] == d.ranks()[b] == 2
+    ranks, ids_by_rank = d.rank_tables()
+    assert (ranks[a], ranks[twin], ranks[b], ranks[later]) == (1, 2, 3, 4)
+    assert ids_by_rank == [None, a, twin, b, later]
 
 
 def test_ranks_stay_consistent_while_other_threads_intern():
@@ -207,11 +209,18 @@ def test_ranks_stay_consistent_while_other_threads_intern():
 
     def rank():
         for _ in range(60):
-            ranks = d.ranks()
-            ids = list(range(len(ranks)))  # the IDs this table covers
+            ranks, ids_by_rank = d.rank_tables()
+            ids = list(range(len(ranks)))  # the IDs this pair covers
             by_rank = sorted(ids, key=ranks.__getitem__)
             by_key = sorted(ids, key=lambda tid: d.decode(tid).sort_key())
-            if by_rank != by_key or len(set(ranks)) != len(ranks):
+            inverse = [ids_by_rank[ranks[tid]] for tid in ids]
+            if (
+                by_rank != by_key
+                or len(set(ranks)) != len(ranks)
+                or inverse != ids
+                or ids_by_rank[0] is not None
+                or len(ids_by_rank) != len(ranks) + 1
+            ):
                 failures.append(ranks)
 
     threads = [
