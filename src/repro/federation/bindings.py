@@ -11,12 +11,14 @@ the batch engine's kernels (``join_pairs``, ``left_join_pairs``,
 particular to the federation:
 
 * every operator's schema is **name-sorted** (:func:`schema_of`,
-  :func:`relayout`), so a row tuple read off the columns is the same
-  whichever strategy produced it, and on fully bound rows plain tuple
-  order is the canonical order bound-join batches form in
-  (:func:`canonical_key` for batches that mix domains);
-* row tuples are built exactly where row identity *is* the operation:
-  keep-first deduplication (:func:`fresh_rows`) and that batch sort;
+  :func:`relayout`), so a row read off the columns — its tuple or its
+  packed key — is the same whichever strategy produced it, and on
+  fully bound rows plain tuple order is the canonical order bound-join
+  batches form in (:func:`canonical_key` for batches that mix domains);
+* keep-first deduplication (:func:`fresh_rows`) keys each row by one
+  packed int (:func:`~repro.sparql.batch.pack_ids`), which the garbage
+  collector does not track; row tuples are built only for that batch
+  sort;
 * :class:`CompiledFilter` carries a compiled mask with the variables
   that make it decidable, for pushdown (:func:`split_filters`).
 
@@ -48,6 +50,7 @@ from repro.sparql.batch import (
     gather_pairs,
     join_pairs,
     left_join_pairs,
+    pack_ids,
 )
 
 __all__ = [
@@ -154,20 +157,25 @@ def canonical_key(schema: Schema) -> Callable[[Row], Tuple]:
 
 
 def fresh_rows(
-    batch: Batch, origins: List, seen: Set[Row]
+    batch: Batch, origins: List, seen: Set[int], base: int
 ) -> Tuple[Batch, List]:
     """Keep-first deduplication of a chunk: the rows not in ``seen``
     (first occurrences, in order) with their origins; ``seen`` absorbs
-    them."""
-    rows = list(batch.rows())
-    unique = dict.fromkeys(rows)
-    if len(unique) == len(rows) and seen.isdisjoint(unique):
+    them.
+
+    Rows are keyed by :func:`~repro.sparql.batch.pack_ids` in radix
+    ``base``, which must exceed every ID by two; one ``seen`` serves
+    chunks of one schema only.
+    """
+    keys = pack_ids(batch.columns, batch.n, base)
+    unique = dict.fromkeys(keys)
+    if len(unique) == len(keys) and seen.isdisjoint(unique):
         seen.update(unique)
         return batch, origins
     keep: List[int] = []
-    for i, row in enumerate(rows):
-        if row not in seen:
-            seen.add(row)
+    for i, key in enumerate(keys):
+        if key not in seen:
+            seen.add(key)
             keep.append(i)
     return batch.gather(keep), [origins[i] for i in keep]
 
@@ -253,4 +261,5 @@ def left_join(
         lhs, rhs, {}, None if condition is None else mask
     )
     merged = gather_pairs(lhs, rhs, sel_l, sel_r)
-    return bindings_of(fresh_rows(merged, sel_l, set())[0])
+    top = max([0] + [max(col) for col in merged.columns if col])
+    return bindings_of(fresh_rows(merged, sel_l, set(), top + 2)[0])

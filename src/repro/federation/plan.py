@@ -135,7 +135,6 @@ from repro.errors import EndpointUnavailableError
 from repro.federation.bindings import (
     CHUNK_ROWS,
     CompiledFilter,
-    Row,
     Schema,
     canonical_key,
     fresh_rows,
@@ -202,7 +201,7 @@ class RelationCache:
     """
 
     def __init__(self, dictionary) -> None:
-        self._dictionary = dictionary
+        self.dictionary = dictionary
         self._pulled: Dict[str, Set[Optional[int]]] = {}
         self._pulls: List[Tuple[str, Optional[int], Graph]] = []
 
@@ -219,7 +218,7 @@ class RelationCache:
             ValueError: if ``graph`` encodes against another dictionary
                 (its IDs would be meaningless to the coordinator).
         """
-        if graph.dictionary is not self._dictionary:
+        if graph.dictionary is not self.dictionary:
             raise ValueError(
                 "a pulled relation must share the executor's dictionary; "
                 "IDs from a foreign dictionary are meaningless here"
@@ -231,7 +230,7 @@ class RelationCache:
         """The execution dictionary's ID of ``term`` (``None`` if never
         interned) — what :func:`~repro.gpq.evaluation.compile_conjunct`
         reads, so a conjunct compiles before anything is pulled."""
-        return self._dictionary.lookup(term)
+        return self.dictionary.lookup(term)
 
     def sources(
         self, key: Optional[int]
@@ -295,6 +294,11 @@ class ExecContext:
             recommend_batch`).
 
     Attributes:
+        base: the radix :func:`~repro.federation.bindings.fresh_rows`
+            packs row keys in, ``len(dictionary) + 1`` of the cache's
+            dictionary.  Every peer graph shares that dictionary and
+            nothing is interned during an execution, so every ID in
+            every chunk lies below ``base - 1``.
         unreachable: dropped contributions, in drop order and deduped
             by ``(endpoint, operation)`` — the provenance a
             :class:`~repro.federation.faults.PartialAnswer` is built
@@ -322,6 +326,7 @@ class ExecContext:
         self.retry = retry if retry is not None else RetryPolicy()
         self.analyze = analyze
         self.batch_size = batch_size
+        self.base = len(cache.dictionary) + 1
         self.unreachable: List[Unreachable] = []
         self._unreachable_seen: Set[Tuple[str, str]] = set()
 
@@ -646,7 +651,7 @@ def _fan_out(
     batch: Batch,
     deps: _Origin,
     handles: List[RequestHandle],
-    seen: Optional[Set[Row]],
+    seen: Optional[Set[int]],
 ) -> Iterator[_Chunk]:
     """Send ``node``'s sub-query, bound by ``batch``, to each of its
     endpoints in order; one chunk per response.
@@ -682,7 +687,7 @@ def _fan_out(
         origin: _Origin = () if serial else (handle,)
         found, origins = relayout(found, node.schema), [origin] * found.n
         if seen is not None:
-            found, origins = fresh_rows(found, origins, seen)
+            found, origins = fresh_rows(found, origins, seen, ctx.base)
         yield found, origins
 
 
@@ -739,7 +744,7 @@ class RemoteScan(FedOp):
             deps = interp.run(self.after).wave
         handles: List[RequestHandle] = []
         # One answer is a set already; two may overlap.
-        seen: Optional[Set[Row]] = set() if len(self.endpoints) > 1 else None
+        seen: Optional[Set[int]] = set() if len(self.endpoints) > 1 else None
         yield from _fan_out(self, ctx, Batch.singleton(), deps, handles, seen)
         return tuple(handles)
 
@@ -865,7 +870,7 @@ class BoundJoinStream(FedOp):
         else:
             chunks = self._chunks_lazy(interp)
         handles: List[RequestHandle] = []
-        seen: Set[Row] = set()
+        seen: Set[int] = set()
         for batch, batch_origins in chunks:
             self.n_batches += 1
             if self.actuals is not None:
@@ -978,11 +983,11 @@ class PullScan(FedOp):
             # chunk, so a pull made meanwhile by another node is read.
             key = slots[1] if isinstance(slots[1], int) else None
             pulls = () if ctx.serial else self.handles
-            seen: Set[Row] = set()
+            seen: Set[int] = set()
             for batch, origins in _chunks_of(child):
                 found, sel = self._extend(ctx.cache.sources(key), batch, slots)
                 origins = _origin_merger(origins, [pulls])(sel, [0] * len(sel))
-                yield fresh_rows(found, origins, seen)
+                yield fresh_rows(found, origins, seen, ctx.base)
         if self.handles:
             return self.handles
         return child.wave
@@ -1152,11 +1157,11 @@ class LeftJoinNode(FedOp):
         sel_l, sel_r = left_join_pairs(
             left.batch, optional.batch, {}, self.condition
         )
-        seen: Set[Row] = set()
+        seen: Set[int] = set()
         for batch, origins in _gathered(
             left, optional, self.schema, sel_l, sel_r
         ):
-            yield fresh_rows(batch, origins, seen)
+            yield fresh_rows(batch, origins, seen, ctx.base)
         return left.wave
 
     def describe(self) -> str:
@@ -1179,10 +1184,12 @@ class UnionNode(FedOp):
         return self.branches
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
-        seen: Set[Row] = set()
+        seen: Set[int] = set()
         for branch in self.branches:
             for batch, origins in _chunks_of(interp.stream(branch)):
-                yield fresh_rows(relayout(batch, self.schema), origins, seen)
+                yield fresh_rows(
+                    relayout(batch, self.schema), origins, seen, ctx.base
+                )
         return ()
 
     def describe(self) -> str:

@@ -111,6 +111,7 @@ __all__ = [
     "passing_rows",
     "select_id_rows_batch",
     "column_rows",
+    "pack_ids",
     "pack_ranks",
     "unpack_ranks",
     "top_k",
@@ -1230,6 +1231,36 @@ def select_id_rows_batch(
 # ---------------------------------------------------------------------------
 
 _RowKeep = Optional[Callable[[_IDRow], bool]]
+
+
+def pack_ids(
+    columns: Sequence[Sequence[int]], n: int, base: int
+) -> List[int]:
+    """One int identity key per row of ``n``-row parallel ID columns.
+
+    A row's cells are digits in radix ``base``, the first column most
+    significant: an ID is its own digit and ``UNBOUND`` the top digit
+    ``base - 1``, so every ID must lie below ``base - 1`` (as with
+    ``len(dictionary) + 1``).  Over columns of one width, equal keys
+    are equal rows; zero columns give ``n`` equal zeros, as ``()`` rows
+    are equal.  Unlike :func:`pack_ranks` the key gives identity, not
+    order, and needs no rank table, so a growing dictionary triggers no
+    rank rebuild.  Ints are not tracked by the garbage collector, so a
+    set of keys builds no container per row.
+    """
+    if not columns:
+        return [0] * n
+    top = base - 1
+    keys: Iterable[int] = ()
+    for index, col in enumerate(columns):
+        if UNBOUND in col:
+            col = [top if c == UNBOUND else c for c in col]
+        if index:
+            scaled = map(operator.mul, keys, repeat(base))
+            keys = map(operator.add, scaled, col)
+        else:
+            keys = col
+    return list(keys)
 
 
 def pack_ranks(

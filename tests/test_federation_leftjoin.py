@@ -27,7 +27,8 @@ from repro.federation.plan import (
     PlanInterpreter,
     RelationCache,
 )
-from repro.rdf.terms import Variable
+from repro.rdf.dictionary import TermDictionary
+from repro.rdf.terms import IRI, Variable
 from repro.runtime.scheduler import QueryScheduler
 from repro.sparql.batch import gather_pairs, left_join_pairs
 from repro.workload.federation import federated_rps
@@ -77,6 +78,16 @@ def random_side(rng, rows, values=3):
             out.append(dict(rng.choice(out)))
     rng.shuffle(out)
     return out
+
+
+def id_dictionary():
+    """A dictionary covering the IDs ``random_side`` draws (1..3): a
+    federated execution packs its dedupe keys in the radix of its
+    dictionary's size."""
+    dictionary = TermDictionary()
+    for k in range(4):
+        dictionary.encode(IRI(f"http://example.org/filler{k}"))
+    return dictionary
 
 
 def random_condition(rng):
@@ -176,7 +187,7 @@ def test_left_join_node_rows_order_and_origins_match_nested_loop():
             as_mask(condition),
         )
         ctx = ExecContext(
-            None, NetworkStats(), RelationCache(None), scheduler
+            None, NetworkStats(), RelationCache(id_dictionary()), scheduler
         )
         stream = PlanInterpreter(ctx).run(node)
 

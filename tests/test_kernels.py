@@ -52,13 +52,24 @@ A, B, C, D = VARIABLES = [Variable(name) for name in "abcd"]
 ZL, ZR = Variable("zl"), Variable("zr")
 
 
+#: IDs a generated side's row-number column can reach (at most 8 rows).
+ROW_IDS = 16
+
+
 def term_graph():
     """Three terms with IDs 0..2 — the cell values of every generated
-    side — in a private dictionary, plus one term it never sees."""
+    side — in a private dictionary, plus one term it never sees.
+
+    Filler terms pad the dictionary to :data:`ROW_IDS` IDs, so it also
+    covers the row numbers of ``ZL``/``ZR``: a federated execution
+    packs its dedupe keys in the radix of its dictionary's size.
+    """
     terms = [IRI(f"http://example.org/t{k}") for k in range(3)]
     graph = Graph(dictionary=TermDictionary())
     graph.add(Triple(terms[0], terms[1], terms[2]))
     assert [graph.term_id(term) for term in terms] == [0, 1, 2]
+    for k in range(3, ROW_IDS):
+        graph.dictionary.encode(IRI(f"http://example.org/filler{k}"))
     return graph, terms, IRI("http://example.org/never-interned")
 
 
@@ -229,6 +240,7 @@ def test_both_layers_run_the_nested_loops_pairs_in_the_kernels_order(seed):
     decode = graph.decode_id
     for shape, build in SHAPES.items():
         left, right = build(rng)
+        assert max(len(left), len(right)) <= ROW_IDS
         lhs = as_batch(numbered(left, ZL) if left != [{}] else left)
         rhs = as_batch(numbered(right, ZR))
         scheduler = QueryScheduler().tenant("")
@@ -239,7 +251,10 @@ def test_both_layers_run_the_nested_loops_pairs_in_the_kernels_order(seed):
 
         def interpreted(node):
             ctx = ExecContext(
-                None, NetworkStats(), RelationCache(None), scheduler
+                None,
+                NetworkStats(),
+                RelationCache(graph.dictionary),
+                scheduler,
             )
             stream = PlanInterpreter(ctx).run(node)
             return pairs_of(stream.batch), [
