@@ -23,9 +23,9 @@ over peer access points.  This package provides the simulated version:
   the :class:`PartialAnswer` provenance attached to degraded results;
 * :mod:`repro.federation.bindings` — what the federation adds to the
   local engine's :class:`~repro.sparql.batch.Batch` (name-sorted
-  schemas, keep-first dedup on packed int row keys, the bound-join
-  batch order, compiled FILTER splitting); joins, left joins and FILTER
-  masks are the kernels of :mod:`repro.sparql.batch`;
+  schemas, keep-first dedup on packed int row keys, compiled FILTER
+  splitting); joins, left joins and FILTER masks are the kernels of
+  :mod:`repro.sparql.batch`;
 * :mod:`repro.federation.plan` — the physical-operator layer: streaming
   operators (``RemoteScan``, ``BoundJoinStream`` with pipelined
   batches, ``ExclusiveGroupScan``, ``PullScan``, ``LocalHashJoin``,

@@ -12,13 +12,10 @@ particular to the federation:
 
 * every operator's schema is **name-sorted** (:func:`schema_of`,
   :func:`relayout`), so a row read off the columns — its tuple or its
-  packed key — is the same whichever strategy produced it, and on
-  fully bound rows plain tuple order is the canonical order bound-join
-  batches form in (:func:`canonical_key` for batches that mix domains);
+  packed key — is the same whichever strategy produced it;
 * keep-first deduplication (:func:`fresh_rows`) keys each row by one
   packed int (:func:`~repro.sparql.batch.pack_ids`), which the garbage
-  collector does not track; row tuples are built only for that batch
-  sort;
+  collector does not track;
 * :class:`CompiledFilter` carries a compiled mask with the variables
   that make it decidable, for pushdown (:func:`split_filters`).
 
@@ -62,7 +59,6 @@ __all__ = [
     "as_batch",
     "bindings_of",
     "canonical",
-    "canonical_key",
     "dedupe",
     "fresh_rows",
     "hash_join",
@@ -140,20 +136,6 @@ def relayout(batch: Batch, schema: Sequence[Variable]) -> Batch:
         col = batch.col(var)
         columns.append([UNBOUND] * batch.n if col is None else col)
     return Batch(tuple(schema), columns, batch.n)
-
-
-def canonical_key(schema: Schema) -> Callable[[Row], Tuple]:
-    """Sort key reproducing :func:`canonical` order on rows.
-
-    On fully bound rows the name-sorted schema makes plain tuple order
-    the canonical order already; this key is for batches that mix
-    domains, where padding with ``UNBOUND`` would sort a row *before*
-    rows binding an earlier-named variable instead of after them.
-    """
-    names = tuple(var.name for var in schema)
-    return lambda row: tuple(
-        (name, tid) for name, tid in zip(names, row) if tid != UNBOUND
-    )
 
 
 def fresh_rows(

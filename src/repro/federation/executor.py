@@ -763,7 +763,6 @@ class FederatedExecutor:
             stats,
             RelationCache(self.dictionary),
             scheduler,
-            demand=demand,
             faults=session,
             retry=self.retry_policy,
             analyze=analyze,

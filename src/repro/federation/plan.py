@@ -53,16 +53,16 @@ planner/operator split, mirroring the ID-native design of
 
 **Pipelined bound joins.**  Every produced row carries its *origin* —
 the recorded request that returned it — in the batch's origin column
-(empty on a serial tenant).  A :class:`BoundJoinStream` orders its
-input by origin (rows from earlier-submitted upstream requests first,
-canonical order within), and each batch's sub-query depends only on
-the origins of the rows it carries — the batch is *sent as soon as it
-fills*, overlapping the still-outstanding remainder of the upstream
-step within the channel's ``max_in_flight`` window.  The *choice* of
-operator is still made from the cost model's cardinality feedback at
-plan-construction time — like FedX, the plan is fixed before rows
-stream through it; the simulation's planning oracle sees counts the
-pipelined timeline only later "earns".
+(empty on a serial tenant).  A :class:`BoundJoinStream` pulls its
+child one batch at a time and slices the rows in arrival order, and
+each batch's sub-query depends only on the origins of the rows it
+carries — the batch is *sent as soon as it fills*, overlapping the
+still-outstanding remainder of the upstream step within the channel's
+``max_in_flight`` window.  The *choice* of operator is still made from
+the cost model's cardinality feedback at plan-construction time — like
+FedX, the plan is fixed before rows stream through it; the
+simulation's planning oracle sees counts the pipelined timeline only
+later "earns".
 
 **Demand propagation (PR 6, chunked since PR 12).**  Operators produce
 rows through generators that yield one *chunk* — a batch plus its
@@ -88,9 +88,11 @@ short-circuits the whole pipeline.  Operators that need their input's
 *cardinality* or wave (:class:`LocalHashJoin` build sides,
 :class:`LeftJoinNode`, the ``after`` step of a :class:`RemoteScan`)
 drain their children fully, and so does federated ``ORDER BY``
-(:func:`~repro.sparql.batch.batch_top_k` over the drained root); a
-full drain reproduces the eager interpreter's charges byte for byte,
-so unlimited queries are unchanged.
+(:func:`~repro.sparql.batch.batch_top_k` over the drained root).  A
+capped and an uncapped execution of one plan read the same chunk
+streams, the uncapped one only to the end: their bound joins send
+the same batches in the same order, so an open-ended ``OFFSET``
+continues the capped pages before it.
 
 **Fault tolerance (PR 7).**  Every endpoint contact funnels through
 :func:`issue_request`.  Without a fault model attached the function is
@@ -136,7 +138,6 @@ from repro.federation.bindings import (
     CHUNK_ROWS,
     CompiledFilter,
     Schema,
-    canonical_key,
     fresh_rows,
     relayout,
     schema_of,
@@ -155,7 +156,6 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql.batch import (
-    UNBOUND,
     Batch,
     extend_bindings_batch,
     gather_pairs,
@@ -271,12 +271,6 @@ class ExecContext:
             request is recorded there and the replay settles elapsed
             time.  A serial tenant (every strategy but ``parallel``)
             is also plan-execution policy, read as :attr:`serial`.
-        demand: the query-level row cap (``offset + limit``, or ``1``
-            for ASK), ``None`` when the query is unbounded.  Operators
-            only read its *presence*: a bounded execution switches
-            :class:`BoundJoinStream` to lazy arrival-order batching so
-            early termination can leave batches unsent; an unbounded
-            one reproduces the eager interpreter exactly.
         faults: the execution's :class:`~repro.federation.faults.
             FaultSession`, or ``None`` for a fault-free run (the
             request path is then byte-identical to the pre-fault
@@ -311,7 +305,6 @@ class ExecContext:
         stats,
         cache: RelationCache,
         scheduler,
-        demand: Optional[int] = None,
         faults: Optional[FaultSession] = None,
         retry: Optional[RetryPolicy] = None,
         analyze: bool = False,
@@ -321,7 +314,6 @@ class ExecContext:
         self.stats = stats
         self.cache = cache
         self.scheduler = scheduler
-        self.demand = demand
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
         self.analyze = analyze
@@ -769,20 +761,17 @@ class BoundJoinStream(FedOp):
     The child's rows are shipped in batches of ``batch_size`` as
     bindings for the pattern(s) — several patterns are an exclusive
     group joined endpoint-side; endpoints return only extensions, one
-    chunk per response.  Pipelined (rows carry origins), the input is
-    ordered by row origin and each batch depends only on the requests
-    that produced its own rows — successive batches overlap the
-    upstream step instead of waiting for all of it.  On a serial tenant
-    the rows carry no origin and batches form in canonical order.
-
-    Under a demand cap (``ctx.demand`` set: the query carries a LIMIT
-    or is an ASK) the operator instead pulls its child lazily and fills
-    batches in arrival order, sending each batch before asking for the
-    rows of the next — downstream demand that dries up leaves the
+    chunk per response.  The operator pulls its child lazily and
+    fills batches in arrival order, as FedX does, sending each batch
+    before asking for the rows of the next: every batch but the last
+    holds ``batch_size`` rows, and the batches concatenate to the
+    child's rows in order, whatever their term IDs.  Pipelined (rows
+    carry origins), each batch depends only on the requests that
+    produced its own rows — successive batches overlap the upstream
+    step instead of waiting for all of it.  Downstream demand that
+    dries up (a full LIMIT window, a satisfied ASK) leaves the
     remaining batches unsent and the upstream sub-queries that would
-    have fed them unissued.  Unbounded executions keep the sorted batch
-    composition, so their traffic and timelines are exactly the eager
-    interpreter's.
+    have fed them unissued.
     """
 
     kind = "BoundJoinStream"
@@ -811,44 +800,8 @@ class BoundJoinStream(FedOp):
     def children(self) -> Tuple[FedOp, ...]:
         return (self.child,)
 
-    def _batch_order(self, batch: Batch, origins: List[_Origin]) -> List[int]:
-        """Row indexes of the drained child in batching order.
-
-        Batches form in canonical order: plain tuple order on fully
-        bound rows (the schema is name-sorted), the explicit canonical
-        key when the input mixes domains.  The row tuples exist only
-        for this sort.  When rows carry origins, arrival order comes
-        first.
-        """
-        keys: List = list(batch.rows())
-        if any(UNBOUND in column for column in batch.columns):
-            keys = list(map(canonical_key(self.child.schema), keys))
-        if not any(origins):
-            return sorted(range(batch.n), key=keys.__getitem__)
-        # Rows from earlier-submitted upstream requests batch first:
-        # the simulated arrival order of a streaming consumer.
-        arrival: Dict[int, int] = {}
-        for origin in origins:
-            if id(origin) not in arrival:
-                arrival[id(origin)] = max(
-                    (handle.index for handle in origin), default=-1
-                )
-        return sorted(
-            range(batch.n),
-            key=lambda i: (arrival[id(origins[i])], keys[i]),
-        )
-
-    def _chunks_eager(self, interp: "PlanInterpreter") -> Iterator[_Chunk]:
-        """PR 5's batching: drain the child, sort, chunk."""
-        child = interp.run(self.child)
-        batch, origins = child.batch, child.origins
-        order = self._batch_order(batch, origins)
-        for start in range(0, len(order), self.batch_size):
-            picked = order[start : start + self.batch_size]
-            yield batch.gather(picked), [origins[i] for i in picked]
-
-    def _chunks_lazy(self, interp: "PlanInterpreter") -> Iterator[_Chunk]:
-        """Demand-bounded batching: pull the child one batch at a time."""
+    def _chunks(self, interp: "PlanInterpreter") -> Iterator[_Chunk]:
+        """Pull the child one batch at a time, in arrival order."""
         child = interp.stream(self.child)
         pos = 0
         while True:
@@ -865,13 +818,9 @@ class BoundJoinStream(FedOp):
             # overrides the constructor knob the planner stamped in.
             self.batch_size = ctx.batch_size
         self.mode = "serial" if ctx.serial else "pipelined"
-        if ctx.demand is None:
-            chunks = self._chunks_eager(interp)
-        else:
-            chunks = self._chunks_lazy(interp)
         handles: List[RequestHandle] = []
         seen: Set[int] = set()
-        for batch, batch_origins in chunks:
+        for batch, batch_origins in self._chunks(interp):
             self.n_batches += 1
             if self.actuals is not None:
                 self.actuals["batches"] = self.n_batches
@@ -1077,9 +1026,9 @@ class LocalHashJoin(FedOp):
         return (self.left, self.right)
 
     def _stream(self, ctx: ExecContext, interp: "PlanInterpreter") -> _RowGen:
-        # Both sides drain fully: the hash join needs its build side
-        # complete, and the charge/submission order must match the
-        # eager interpreter's.
+        # Both sides drain fully, left first: the hash join needs its
+        # build side complete, and a right-side RemoteScan waits for
+        # the left side's wave.
         left = interp.run(self.left)
         right = interp.run(self.right)
         sel_l, sel_r, _ = join_pairs(left.batch, right.batch, {})
@@ -1204,9 +1153,8 @@ class PlanInterpreter:
     re-runs the root; already-started sub-trees resume their cached
     :class:`_Stream` without re-charging the network for materialised
     rows.  ``run(node, demand)`` asks for chunks until ``demand`` rows
-    are materialised (``None`` drains the node — byte-identical to the
-    pre-demand eager interpreter) and returns the node's live
-    :class:`_Stream`.
+    are materialised (``None`` drains the node) and returns the node's
+    live :class:`_Stream`.
     """
 
     def __init__(self, ctx: ExecContext) -> None:

@@ -12,15 +12,17 @@ The same sweep is also pinned by one sha256 over every execution's
 answer rows and simulated-clock counters (:data:`FOOTPRINT_SHA256`).
 Several strategies probe more than one pulled peer graph for one
 conjunct (``collect`` always does), and no golden covers those reads.
-The digest was generated, over this sweep, from the last commit that
-still had a wave-barrier bound-join mode beside the pipelined one (the
-executions it covers had not moved since before pulls read the peers'
-graphs in place), and is regenerated by::
+The digest was regenerated when every bound join began to batch its
+input in arrival order instead of term-ID order; only the timing of
+bound-join batches moved, never an answer or a counter of traffic.
+The same digest must come out on a dictionary that numbers every term
+differently.  It is regenerated by::
 
     PYTHONPATH=<checkout>/src python tests/test_federation_differential.py
 """
 
 import hashlib
+import random
 import sys
 
 import pytest
@@ -29,16 +31,20 @@ from conftest import where_rows
 from repro.federation import STRATEGIES, FederatedExecutor
 from repro.gpq.evaluation import evaluate_query_star
 from repro.gpq.query import GraphPatternQuery
+from repro.peers.system import RPS
+from repro.rdf.dictionary import TermDictionary
+from repro.rdf.graph import Graph
+from repro.rdf.terms import IRI
 from repro.sparql.ast import AskQuery
 from repro.sparql.engine import execute
 from repro.sparql.parser import parse_query
 from repro.workload.federation import federated_rps
 from repro.workload.topologies import peer_namespace
-from test_simclock_invariance import BUILDERS, _system
+from test_simclock_invariance import BUILDERS
 
 #: sha256 of :func:`footprint_digest` (see the module docstring).
 FOOTPRINT_SHA256 = (
-    "041667c40009802f9759bad7d63f51444d4a8cb76712aa0721d18d4269132832"
+    "5d8d5341ab790c69ba185f8d3139ea692ecf5b7b228ec0639eccfaaeb692b924"
 )
 
 
@@ -107,16 +113,13 @@ def test_every_strategy_equals_the_local_engine(system, queries, batch_size):
                 assert rows == full, key
 
 
-def footprint_digest() -> str:
-    """sha256 over every strategy x batch size x text.
+def footprint_digest(system) -> str:
+    """sha256 over every strategy x batch size x text on ``system``.
 
     Each execution contributes its answer rows (sorted: ``rows`` is a
     set) and its messages, transfer units, solutions transferred, busy
-    and elapsed seconds.  The system is the fixture's, re-encoded
-    against a private dictionary: bound-join batches form in term-ID
-    order, which must not depend on what else the process interned.
+    and elapsed seconds.
     """
-    system = _system()
     texts = {name: build() for name, build in BUILDERS.items()}
     texts.update(_extra_texts())
     digest = hashlib.sha256()
@@ -142,10 +145,41 @@ def footprint_digest() -> str:
     return digest.hexdigest()
 
 
-def test_every_execution_matches_the_pinned_footprint():
-    assert footprint_digest() == FOOTPRINT_SHA256
+def _reencoded_system():
+    """The fixture's system on a dictionary of its own that hands every
+    term another ID: 37 filler IRIs first, then the stored terms in a
+    seeded shuffle."""
+    source = federated_rps(peers=3, entities=20, facts=60, seed=7)
+    terms = list(
+        dict.fromkeys(
+            term
+            for peer in source.peers.values()
+            for triple in peer.graph
+            for term in (triple.subject, triple.predicate, triple.object)
+        )
+    )
+    random.Random(7).shuffle(terms)
+    fillers = [IRI(f"http://example.org/filler/{i}") for i in range(37)]
+    dictionary = TermDictionary(fillers + terms)
+    return RPS.from_graphs(
+        {
+            name: Graph(peer.graph, name=name, dictionary=dictionary)
+            for name, peer in source.peers.items()
+        }
+    )
+
+
+def test_every_execution_matches_the_pinned_footprint(system):
+    assert footprint_digest(system) == FOOTPRINT_SHA256
+
+
+def test_the_footprint_does_not_depend_on_term_ids():
+    # Answers are sets and bound joins batch in arrival order, so no
+    # simulated number may move when every term gets another ID.
+    assert footprint_digest(_reencoded_system()) == FOOTPRINT_SHA256
 
 
 if __name__ == "__main__":
-    print(footprint_digest())
+    system = federated_rps(peers=3, entities=20, facts=60, seed=7)
+    print(footprint_digest(system))
     print("paste into FOOTPRINT_SHA256", file=sys.stderr)

@@ -151,7 +151,6 @@ def test_serial_pull_scan_reads_its_child_lazily(
         NetworkStats(),
         RelationCache(endpoints[0].graph.dictionary),
         QueryScheduler().tenant("", serial=serial),
-        demand=1,
     )
     assert len(PlanInterpreter(ctx).run(pull, 1)) >= 1
     assert ctx.stats.messages == messages
@@ -184,9 +183,9 @@ def test_ask_agrees_with_oracle_for_empty_answers(system, merged):
 
 
 def test_unlimited_traffic_is_unchanged_by_the_demand_machinery(system):
-    """No cap, no behaviour change: a query without modifiers must cost
-    exactly what it did before demand propagation existed (the lazy
-    interpreter drains fully and reproduces the eager batch order)."""
+    """No cap: a query without modifiers drains the same lazily pulled
+    streams to the end, batching as a capped run would, and two fresh
+    executors charge it identically."""
     text = federated_limit_sparql(hops=2)
     first = deep_executor(system).execute(text, "parallel")
     second = deep_executor(system).execute(text, "parallel")
@@ -275,14 +274,13 @@ def test_federated_unordered_pages_tile(system, name, deep):
     plan's* deterministic chunk order, and the result boundary neither
     loses nor repeats a row at a page seam.
 
-    Two limits of the law.  An open-ended ``OFFSET`` runs uncapped, and
-    an uncapped bound join batches its input in another order, so only
-    capped pages are checked.  And ``adaptive``/``parallel`` feed the
-    cap to the cost model, which may pick another plan, hence another
-    row order, for a later page (under the deep network the path's
-    pages at k=5 overlap), so they are held to one page size only.
     ``naive``, ``bound`` and ``collect`` plan without reading the cap:
-    their pages tile at every size.
+    their pages tile at every size, and an open-ended ``OFFSET q*k``
+    (an uncapped execution) continues the first ``q`` capped pages.
+    ``adaptive``/``parallel`` feed the cap to the cost model, which may
+    pick another plan, hence another row order, for a later page (under
+    the deep network the path's pages at k=5 overlap), so they are held
+    to one page size and to capped pages only.
     """
     text = TILED_TEXTS[name]
     assert "LIMIT" not in text and "OFFSET" not in text
@@ -303,6 +301,13 @@ def test_federated_unordered_pages_tile(system, name, deep):
             assert sum(sizes) == len(full), (key, sizes)
             assert set().union(*pages) == full, key
             assert sizes[-1] == 0 and sizes[-2] > 0, (key, sizes)
+            if not fixed:
+                continue
+            q = max(1, len(full) // (2 * k))
+            rest = executor.execute(f"{text} OFFSET {q * k}", strategy).rows
+            split = pages[:q] + [rest]
+            assert sum(map(len, split)) == len(full), key
+            assert set().union(*split) == full, key
 
 
 # ---------------------------------------------------------------------------

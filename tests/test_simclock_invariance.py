@@ -20,6 +20,14 @@ from ``{}`` to one-lane statistics (``peak_in_flight`` 1, no wait, no
 backlog, ``completed`` summing to ``messages``); every other byte of
 all 81 keys stayed.
 
+Two keys were regenerated when every bound join began to batch its
+input in arrival order instead of term-ID order:
+``mixed_domain_bound_join/stream`` (its request seconds, makespan and
+busy seconds) and ``deep_path/bound/stream`` (one channel's busy
+seconds, in the last digits).  No row count, message, transfer unit
+or plan text moved, and the system now runs on the process-wide
+dictionary: no simulated number depends on term IDs.
+
 One deliberate exception: on a demand-capped execution (LIMIT, ASK) an
 operator's ``rows_out`` now counts whole chunks (an endpoint response,
 an operator chunk) instead of the rows a row-at-a-time consumer pulled,
@@ -41,6 +49,7 @@ from repro.federation import (
     NetworkStats,
     RetryPolicy,
 )
+from repro.federation.endpoint import PeerEndpoint
 from repro.federation.plan import (
     BoundJoinStream,
     ExecContext,
@@ -50,12 +59,10 @@ from repro.federation.plan import (
     UnionNode,
     explain_fed_plan,
 )
-from repro.peers.system import RPS
-from repro.rdf.dictionary import TermDictionary
-from repro.rdf.graph import Graph
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.runtime.scheduler import QueryScheduler
+from repro.sparql.batch import UNBOUND
 from repro.workload.federation import (
     blackout_fault_model,
     federated_ask_sparql,
@@ -106,21 +113,7 @@ _ROWS_OUT = re.compile(r"rows_out=\d+ ?")
 
 
 def _system():
-    """``federated_rps`` re-encoded against a private dictionary.
-
-    Bound-join batches form in term-ID order, and the process-wide
-    dictionary hands out IDs in interning order — which depends on what
-    earlier tests interned.  A fresh dictionary filled in the graphs'
-    own insertion order pins the IDs, and with them the fixture.
-    """
-    source = federated_rps(peers=3, entities=20, facts=60, seed=7)
-    dictionary = TermDictionary()
-    return RPS.from_graphs(
-        {
-            name: Graph(peer.graph, name=name, dictionary=dictionary)
-            for name, peer in source.peers.items()
-        }
-    )
+    return federated_rps(peers=3, entities=20, facts=60, seed=7)
 
 
 def _stats(stats: NetworkStats) -> dict:
@@ -184,11 +177,11 @@ def _mixed_domain_plan(recorder):
 
     The executor never plans one (a conjunctive block's pipeline is
     domain-homogeneous), but the operator supports it: a UNION of
-    ``{x, y}`` rows and ``{y, z}`` rows feeds a bound join on ``?y``.
-    Batches form in canonical order — every ``{x, y}`` row sorts before
-    every ``{y, z}`` row — whereas ``UNBOUND``-padded ``(x, y, z)``
-    tuples would sort the ``{y, z}`` rows first; with a per-solution
-    transfer price the per-request durations expose the composition.
+    ``{x, y}`` rows and ``{y, z}`` rows feeds a bound join on ``?y``,
+    seven rows a batch.  Batches take the UNION's rows in arrival
+    order, so one batch straddles the two domains; with a
+    per-solution transfer price the per-request durations expose the
+    composition.
 
     Returns ``(join, ctx)`` recording onto ``recorder``; the join is
     not run yet.
@@ -309,26 +302,34 @@ def test_analyzed_plan_text_is_unchanged(current, golden):
         assert have == want, key
 
 
-def test_mixed_domain_batches_form_in_canonical_order(golden):
-    # The fixture itself must witness the case it exists for: the first
-    # batches carry {x, y} rows only, so padded-tuple order (which would
-    # put {y, z} rows first) cannot reproduce these durations by luck.
-    record = golden["mixed_domain_bound_join/stream"]
-    assert len(record["request_seconds"]) > 2
-    assert len(set(record["request_seconds"])) > 1
+@pytest.mark.parametrize("serial", (False, True))
+def test_bound_join_batches_its_input_in_arrival_order(serial, monkeypatch):
+    # Answers are sets, so batch order may only move timing: every
+    # execution slices the child's rows as they arrive, whatever their
+    # term IDs and domains.  The join's endpoint records what each
+    # request carries.
+    recorder = QueryScheduler(concurrency=2).tenant("", serial=serial)
+    join, ctx = _mixed_domain_plan(recorder)
+    (endpoint,) = join.endpoints
+    answer = PeerEndpoint.solutions
+    shipped = []
 
+    def solutions(self, patterns, batch, filters=()):
+        if self is endpoint:
+            shipped.append(batch)
+        return answer(self, patterns, batch, filters)
 
-def test_serial_mixed_domain_batches_match_the_pinned_durations(golden):
-    # Pipelined, rows batch by arrival first, which already keeps the
-    # two domains apart.  On a serial tenant rows carry no origin and
-    # sort on the canonical key alone, so only it tells canonical order
-    # from UNBOUND-padded tuple order: its per-request durations must
-    # equal the pinned pipelined ones, batch for batch.
-    join, ctx = _mixed_domain_plan(QueryScheduler().tenant("", serial=True))
-    PlanInterpreter(ctx).run(join)
-    serial = [handle.seconds for handle in join.handles]
-    pinned = golden["mixed_domain_bound_join/stream"]["request_seconds"]
-    assert serial == pinned
+    monkeypatch.setattr(PeerEndpoint, "solutions", solutions)
+    interp = PlanInterpreter(ctx)
+    interp.run(join)
+    child = interp.run(join.child).batch
+    assert any(UNBOUND in column for column in child.columns)
+    assert len(shipped) > 2
+    assert [row for batch in shipped for row in batch.rows()] == list(
+        child.rows()
+    )
+    assert all(batch.n == join.batch_size for batch in shipped[:-1])
+    assert 0 < shipped[-1].n <= join.batch_size
 
 
 if __name__ == "__main__":
