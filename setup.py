@@ -20,7 +20,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["networkx"],
     extras_require={
         "test": ["pytest"],
         "dev": ["pytest", "ruff"],

@@ -105,10 +105,6 @@ class PeerSystemError(ReproError):
     """Base class for RDF Peer System validation errors."""
 
 
-class SchemaViolationError(PeerSystemError):
-    """A mapping or a stored triple uses IRIs outside the peer's schema."""
-
-
 class MappingError(PeerSystemError):
     """A graph mapping assertion or equivalence mapping is malformed."""
 

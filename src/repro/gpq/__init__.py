@@ -10,9 +10,7 @@ This language is the "conjunctive fragment" of SPARQL; see
 from repro.gpq.bindings import (
     EMPTY_MAPPING,
     SolutionMapping,
-    compatible,
     join,
-    project,
     union,
 )
 from repro.gpq.evaluation import (
@@ -21,7 +19,7 @@ from repro.gpq.evaluation import (
     evaluate_query,
     evaluate_query_star,
 )
-from repro.gpq.pattern import And, GraphPattern, make_pattern
+from repro.gpq.pattern import GraphPattern, make_pattern
 from repro.gpq.query import (
     GraphPatternQuery,
     obj_query,
@@ -30,13 +28,11 @@ from repro.gpq.query import (
 )
 
 __all__ = [
-    "And",
     "EMPTY_MAPPING",
     "GraphPattern",
     "GraphPatternQuery",
     "SolutionMapping",
     "ask",
-    "compatible",
     "evaluate_pattern",
     "evaluate_query",
     "evaluate_query_star",
@@ -44,7 +40,6 @@ __all__ = [
     "make_pattern",
     "obj_query",
     "pred_query",
-    "project",
     "subj_query",
     "union",
 ]

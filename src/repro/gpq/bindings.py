@@ -22,10 +22,8 @@ from repro.rdf.terms import Term, Variable
 
 __all__ = [
     "SolutionMapping",
-    "compatible",
     "join",
     "union",
-    "project",
     "EMPTY_MAPPING",
 ]
 
@@ -82,9 +80,6 @@ class SolutionMapping:
     def __iter__(self) -> Iterator[Variable]:
         return iter(self._dict)
 
-    def items(self) -> Tuple[Tuple[Variable, Term], ...]:
-        return self._items
-
     def as_dict(self) -> Dict[Variable, Term]:
         return dict(self._dict)
 
@@ -112,13 +107,6 @@ class SolutionMapping:
         merged = dict(self._dict)
         merged.update(other._dict)
         return SolutionMapping(merged)
-
-    def restrict(self, variables: Iterable[Variable]) -> "SolutionMapping":
-        """Project onto the given variables (drop all other bindings)."""
-        keep = set(variables)
-        return SolutionMapping(
-            {v: t for v, t in self._dict.items() if v in keep}
-        )
 
     def extend(self, var: Variable, term: Term) -> "SolutionMapping":
         """Return a new mapping additionally binding ``var`` to ``term``.
@@ -149,11 +137,6 @@ class SolutionMapping:
 
 
 EMPTY_MAPPING = SolutionMapping()
-
-
-def compatible(mu1: SolutionMapping, mu2: SolutionMapping) -> bool:
-    """Module-level alias for :meth:`SolutionMapping.compatible_with`."""
-    return mu1.compatible_with(mu2)
 
 
 def join(
@@ -201,11 +184,3 @@ def union(
 ) -> Set[SolutionMapping]:
     """Set union of two mapping sets (SPARQL ``UNION`` semantics)."""
     return set(omega1) | set(omega2)
-
-
-def project(
-    omega: Iterable[SolutionMapping], variables: Iterable[Variable]
-) -> Set[SolutionMapping]:
-    """Project every mapping onto ``variables`` (set semantics)."""
-    vars_list = list(variables)
-    return {m.restrict(vars_list) for m in omega}

@@ -15,14 +15,14 @@ from repro.errors import QueryError
 from repro.rdf.terms import IRI, Literal, Term, Variable
 from repro.rdf.triples import TriplePattern
 
-__all__ = ["GraphPattern", "And", "make_pattern"]
+__all__ = ["GraphPattern", "make_pattern"]
 
 
 class GraphPattern:
     """A graph pattern: a non-empty AND-tree of triple patterns.
 
     Construct leaves with ``GraphPattern.leaf(tp)`` and conjunctions with
-    :class:`And` or ``GraphPattern.conjunction([...])``.
+    ``GraphPattern.conjunction([...])``.
     """
 
     __slots__ = ("_leaf", "_left", "_right", "_hash")
@@ -75,27 +75,6 @@ class GraphPattern:
         return out
 
     # -- structure -------------------------------------------------------
-
-    def is_leaf(self) -> bool:
-        return self._leaf is not None
-
-    @property
-    def triple_pattern(self) -> TriplePattern:
-        if self._leaf is None:
-            raise QueryError("not a leaf pattern")
-        return self._leaf
-
-    @property
-    def left(self) -> "GraphPattern":
-        if self._left is None:
-            raise QueryError("not an AND pattern")
-        return self._left
-
-    @property
-    def right(self) -> "GraphPattern":
-        if self._right is None:
-            raise QueryError("not an AND pattern")
-        return self._right
 
     def conjuncts(self) -> List[TriplePattern]:
         """Flatten the AND-tree into its leaf triple patterns, in order."""
@@ -176,11 +155,6 @@ class GraphPattern:
             )
         assert self._left is not None and self._right is not None
         return f"({self._left.to_text()} AND {self._right.to_text()})"
-
-
-def And(left: GraphPattern, right: GraphPattern) -> GraphPattern:
-    """The paper's ``(GP₁ AND GP₂)`` constructor."""
-    return GraphPattern(left=left, right=right)
 
 
 def make_pattern(

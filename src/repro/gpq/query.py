@@ -73,9 +73,6 @@ class GraphPatternQuery:
     def arity(self) -> int:
         return len(self.head)
 
-    def free_variables(self) -> Tuple[Variable, ...]:
-        return self.head
-
     def existential_variables(self) -> FrozenSet[Variable]:
         """Variables of the body that are not free (the paper's ``y``)."""
         return self.pattern.variables() - set(self.head)
@@ -127,20 +124,6 @@ class GraphPatternQuery:
                 f"expected {self.arity} values, got {len(values)}"
             )
         return self.substitute(dict(zip(self.head, values)))
-
-    def rename_variables(self, suffix: str) -> "GraphPatternQuery":
-        """Uniformly rename every variable by appending ``suffix``.
-
-        Used to keep variable scopes apart when a query is combined with
-        mapping assertions during the chase and rewriting.
-        """
-        renaming: Dict[Variable, Term] = {}
-        for var in self.pattern.variables():
-            renaming[var] = Variable(var.name + suffix)
-        new_head = tuple(Variable(v.name + suffix) for v in self.head)
-        return GraphPatternQuery(
-            new_head, self.pattern.substitute(renaming), name=self.name
-        )
 
     # -- value object ----------------------------------------------------------
 

@@ -39,11 +39,6 @@ from repro.peers.peer import Peer
 from repro.peers.schema import PeerSchema
 from repro.peers.solutions import SolutionReport, check_solution, is_solution
 from repro.peers.system import RPS
-from repro.peers.topology import (
-    TopologySummary,
-    mapping_graph,
-    summarize_topology,
-)
 
 __all__ = [
     "CertainAnswerReport",
@@ -59,7 +54,6 @@ __all__ = [
     "SolutionReport",
     "TS",
     "TT",
-    "TopologySummary",
     "assertion_to_tgd",
     "certain_answers",
     "certain_answers_report",
@@ -72,9 +66,7 @@ __all__ = [
     "gpq_to_cq",
     "graph_to_source_instance",
     "is_solution",
-    "mapping_graph",
     "rewriting_tgds",
     "rps_to_data_exchange",
-    "summarize_topology",
     "target_instance_to_graph",
 ]

@@ -193,13 +193,12 @@ def assertion_to_tgd(
 
 
 def equivalence_to_tgds(
-    equivalence: EquivalenceMapping, label: str = ""
+    equivalence: EquivalenceMapping, label: str
 ) -> List[TGD]:
     """The six positional copy dependencies for ``c ≡ₑ c′``."""
     c = Constant(equivalence.left)
     c_prime = Constant(equivalence.right)
     x, y = RelVar("x"), RelVar("y")
-    stem = label or f"eq:{equivalence.left.local_name()}"
     out: List[TGD] = []
     for position, (first, second) in enumerate(
         ((c, c_prime), (c_prime, c))
@@ -209,21 +208,21 @@ def equivalence_to_tgds(
             TGD(
                 [Atom(TT, first, x, y)],
                 [Atom(TT, second, x, y)],
-                label=f"{stem}:subj:{direction}",
+                label=f"{label}:subj:{direction}",
             )
         )
         out.append(
             TGD(
                 [Atom(TT, x, first, y)],
                 [Atom(TT, x, second, y)],
-                label=f"{stem}:pred:{direction}",
+                label=f"{label}:pred:{direction}",
             )
         )
         out.append(
             TGD(
                 [Atom(TT, x, y, first)],
                 [Atom(TT, x, y, second)],
-                label=f"{stem}:obj:{direction}",
+                label=f"{label}:obj:{direction}",
             )
         )
     return out

@@ -32,7 +32,7 @@ class GraphMappingAssertion:
         source: the query Q over the source peer's schema.
         target: the query Q′ over the target peer's schema.
         source_peer: name of the peer whose vocabulary Q uses (optional,
-            for diagnostics and topology analysis).
+            for schema validation and diagnostics).
         target_peer: name of the peer whose vocabulary Q′ uses.
         label: diagnostic name.
 
@@ -65,10 +65,6 @@ class GraphMappingAssertion:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GraphMappingAssertion is immutable")
 
-    @property
-    def arity(self) -> int:
-        return self.source.arity
-
     def validate_against(
         self, source_schema: PeerSchema, target_schema: PeerSchema
     ) -> None:
@@ -89,15 +85,6 @@ class GraphMappingAssertion:
                     f"assertion target query uses {iri.n3()} outside the "
                     f"schema of peer {target_schema.name!r}"
                 )
-
-    def is_linear(self) -> bool:
-        """Single-triple-pattern body on the source side.
-
-        This matches the paper's usage in Example 3, where the Example-2
-        assertion (single source triple pattern, two-pattern target) is
-        called linear: the induced TGD has one non-guard body atom.
-        """
-        return len(self.source.conjuncts()) == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphMappingAssertion):
@@ -143,18 +130,6 @@ class EquivalenceMapping:
 
     def terms(self) -> Tuple[IRI, IRI]:
         return (self.left, self.right)
-
-    def other(self, iri: IRI) -> IRI:
-        """The opposite side of the equivalence.
-
-        Raises:
-            MappingError: if ``iri`` is neither side.
-        """
-        if iri == self.left:
-            return self.right
-        if iri == self.right:
-            return self.left
-        raise MappingError(f"{iri.n3()} is not part of {self!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EquivalenceMapping):

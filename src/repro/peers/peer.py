@@ -2,17 +2,13 @@
 
 For each peer schema S the RPS holds a database *d* of triples
 ``(s, p, o) ∈ (S ∪ B) × S × (S ∪ B ∪ L)`` — every IRI in a stored triple
-must come from the peer's own schema.
+must come from the peer's own schema.  :meth:`Peer.from_graph` infers
+the schema from the data, so this holds by construction.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-from repro.errors import SchemaViolationError
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI
-from repro.rdf.triples import Triple
 from repro.peers.schema import PeerSchema
 
 __all__ = ["Peer"]
@@ -23,54 +19,23 @@ class Peer:
 
     Args:
         schema: the peer's schema.
-        graph: initial data; validated against the schema unless
-            ``validate=False``.
-        validate: enforce that stored triples only use schema IRIs.
-
-    Raises:
-        SchemaViolationError: when validation finds a foreign IRI.
+        graph: the stored database.
     """
 
-    def __init__(
-        self,
-        schema: PeerSchema,
-        graph: Optional[Graph] = None,
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, schema: PeerSchema, graph: Graph) -> None:
         self.schema = schema
-        self.graph = graph if graph is not None else Graph(name=schema.name)
+        self.graph = graph
         if not self.graph.name:
             self.graph.name = schema.name
-        self.validate = validate
-        if validate:
-            for triple in self.graph:
-                self._check(triple)
 
     @staticmethod
     def from_graph(name: str, graph: Graph) -> "Peer":
         """Build a peer whose schema is inferred from its data."""
-        return Peer(PeerSchema.from_graph(name, graph), graph, validate=False)
+        return Peer(PeerSchema.from_graph(name, graph), graph)
 
     @property
     def name(self) -> str:
         return self.schema.name
-
-    def _check(self, triple: Triple) -> None:
-        for term in triple:
-            if isinstance(term, IRI) and term not in self.schema:
-                raise SchemaViolationError(
-                    f"triple {triple.n3()} uses IRI {term.n3()} outside "
-                    f"the schema of peer {self.name!r}"
-                )
-
-    def add(self, triple: Triple) -> bool:
-        """Store a triple, validating against the schema when enabled."""
-        if self.validate:
-            self._check(triple)
-        return self.graph.add(triple)
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        return sum(1 for t in triples if self.add(t))
 
     def __len__(self) -> int:
         return len(self.graph)

@@ -67,19 +67,6 @@ class PeerSchema:
     def __and__(self, other: "PeerSchema") -> FrozenSet[IRI]:
         return self.iris & other.iris
 
-    def covers_term(self, term: Term) -> bool:
-        """Schema-compatibility of one query/data term.
-
-        IRIs must belong to the schema; literals, blank nodes and
-        variables are always allowed (they are not schema elements).
-        """
-        if isinstance(term, IRI):
-            return term in self.iris
-        return True
-
-    def covers_triple_terms(self, terms: Iterable[Term]) -> bool:
-        return all(self.covers_term(t) for t in terms)
-
     # -- value object ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

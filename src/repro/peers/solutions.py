@@ -38,22 +38,6 @@ class SolutionReport:
     assertion_violations: List[Tuple[str, int]] = field(default_factory=list)
     equivalence_violations: List[str] = field(default_factory=list)
 
-    def summary(self) -> str:
-        if self.ok:
-            return "solution: all Definition-2 conditions hold"
-        parts = []
-        if self.missing_stored:
-            parts.append(f"{len(self.missing_stored)} stored triples missing")
-        if self.assertion_violations:
-            parts.append(
-                f"{len(self.assertion_violations)} assertion(s) violated"
-            )
-        if self.equivalence_violations:
-            parts.append(
-                f"{len(self.equivalence_violations)} equivalence(s) violated"
-            )
-        return "not a solution: " + "; ".join(parts)
-
 
 def check_solution(
     system: RPS, candidate: Graph, max_reported: int = 10

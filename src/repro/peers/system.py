@@ -3,8 +3,8 @@
 An :class:`RPS` bundles peer schemas (with their stored databases),
 graph mapping assertions and equivalence mappings, and exposes the
 derived artefacts the rest of the library consumes: the stored database
-*D* (union of peer databases), schema-closure validation, and the peer
-mapping topology.
+*D* (union of peer databases), schema-closure validation, and the
+equivalence classes of E.
 """
 
 from __future__ import annotations
@@ -108,18 +108,8 @@ class RPS:
 
     # -- accessors ---------------------------------------------------------------
 
-    def peer(self, name: str) -> Peer:
-        try:
-            return self.peers[name]
-        except KeyError:
-            raise PeerSystemError(f"no peer named {name!r}") from None
-
     def peer_names(self) -> List[str]:
         return sorted(self.peers.keys())
-
-    def schemas(self) -> List[PeerSchema]:
-        """The set 𝒮 of peer schemas."""
-        return [self.peers[name].schema for name in self.peer_names()]
 
     def all_schema_iris(self) -> Set[IRI]:
         """``S₁ ∪ … ∪ Sₙ`` — the vocabulary of the whole system."""
@@ -156,11 +146,6 @@ class RPS:
                     f"equivalence constant {side.n3()} belongs to no peer schema"
                 )
         self.equivalences.append(equivalence)
-
-    def add_peer(self, peer: Peer) -> None:
-        if peer.name in self.peers:
-            raise PeerSystemError(f"duplicate peer name {peer.name!r}")
-        self.peers[peer.name] = peer
 
     # -- equivalence classes -----------------------------------------------------------
 

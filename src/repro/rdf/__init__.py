@@ -1,14 +1,11 @@
-"""RDF substrate: terms, triples, graphs, datasets and serialisations.
+"""RDF substrate: terms, triples, graphs and serialisations.
 
 This package implements the paper's Section-2.1 data model from scratch
 (the offline environment provides no rdflib): the disjoint term sets *I*,
 *B*, *L* and *V*, RDF triples, triple patterns, an indexed in-memory
-triple store, named-graph datasets, N-Triples and Turtle-lite round-trip
-serialisations, and blank-node-aware canonicalisation.
+triple store, and N-Triples and Turtle-lite round-trip serialisations.
 """
 
-from repro.rdf.canonical import canonical_hash, canonicalize, isomorphic
-from repro.rdf.dataset import Dataset
 from repro.rdf.dictionary import TermDictionary, default_dictionary
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import (
@@ -39,7 +36,6 @@ from repro.rdf.terms import (
     XSD_INTEGER,
     XSD_STRING,
     fresh_blank_node,
-    is_ground,
     reset_blank_node_counter,
 )
 from repro.rdf.triples import Triple, TriplePattern
@@ -47,7 +43,6 @@ from repro.rdf.turtle import graph_from_turtle, parse_turtle, serialize_turtle
 
 __all__ = [
     "BlankNode",
-    "Dataset",
     "FOAF_NS",
     "Graph",
     "IRI",
@@ -70,14 +65,10 @@ __all__ = [
     "XSD_INTEGER",
     "XSD_NS",
     "XSD_STRING",
-    "canonical_hash",
-    "canonicalize",
     "default_dictionary",
     "fresh_blank_node",
     "graph_from_ntriples",
     "graph_from_turtle",
-    "is_ground",
-    "isomorphic",
     "parse_ntriples",
     "parse_turtle",
     "reset_blank_node_counter",

@@ -117,8 +117,8 @@ class Graph:
 
     Args:
         triples: optional initial triples.
-        name: optional graph name (used by :class:`repro.rdf.dataset.Dataset`
-            and in diagnostics).
+        name: optional graph name (peer graphs carry their peer's name;
+            used in diagnostics).
         dictionary: term dictionary to encode against; defaults to the
             process-wide shared dictionary, so independently built graphs
             agree on IDs and set algebra between them stays integer-level.
@@ -174,7 +174,7 @@ class Graph:
 
     @property
     def epoch(self) -> int:
-        """Mutation counter: bumps on every successful add/remove/clear.
+        """Mutation counter: bumps on every successful add/remove.
 
         ``(serial, epoch)`` identifies a graph state; the plan cache uses
         it to invalidate prepared plans when the data changes.
@@ -260,14 +260,6 @@ class Graph:
         self._epoch += 1
         return True
 
-    def clear(self) -> None:
-        self._ids.clear()
-        self._spo = self._pos = self._osp = None
-        self._s_counts.clear()
-        self._p_counts.clear()
-        self._o_counts.clear()
-        self._epoch += 1
-
     def _lookup_ids(self, triple: Triple) -> Optional[IDTriple]:
         """Encode a triple without interning; None if any term is unknown."""
         lookup = self._dict.lookup
@@ -307,9 +299,6 @@ class Graph:
         if other._dict is self._dict:
             return self._ids == other._ids
         return set(self) == set(other)
-
-    def __hash__(self) -> int:  # pragma: no cover - graphs are mutable
-        raise TypeError("Graph is unhashable; use canonical_hash() instead")
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""

@@ -40,7 +40,6 @@ __all__ = [
     "XSD_BOOLEAN",
     "fresh_blank_node",
     "reset_blank_node_counter",
-    "is_ground",
 ]
 
 # Kind tags give the total order between term kinds.
@@ -77,17 +76,8 @@ class Term:
         """Render the term in N-Triples / Turtle surface syntax."""
         raise NotImplementedError
 
-    def is_iri(self) -> bool:
-        return isinstance(self, IRI)
-
     def is_blank(self) -> bool:
         return isinstance(self, BlankNode)
-
-    def is_literal(self) -> bool:
-        return isinstance(self, Literal)
-
-    def is_variable(self) -> bool:
-        return isinstance(self, Variable)
 
     def __lt__(self, other: "Term") -> bool:
         if not isinstance(other, Term):
@@ -159,15 +149,6 @@ class IRI(Term):
         return f"IRI({self.value!r})"
 
     def __str__(self) -> str:
-        return self.value
-
-    def local_name(self) -> str:
-        """Heuristic local name: the part after the last ``#`` or ``/``."""
-        for sep in ("#", "/"):
-            if sep in self.value:
-                tail = self.value.rsplit(sep, 1)[1]
-                if tail:
-                    return tail
         return self.value
 
 
@@ -305,41 +286,6 @@ class Literal(Term):
 
     def __str__(self) -> str:
         return self.lexical
-
-    def to_python(self) -> Union[str, int, float, bool]:
-        """Best-effort conversion to a Python value based on the datatype."""
-        if self.datatype is None:
-            return self.lexical
-        dt = self.datatype.value
-        try:
-            if dt == XSD + "integer" or dt in _INTEGER_DERIVED:
-                return int(self.lexical)
-            if dt in (XSD + "decimal", XSD + "double", XSD + "float"):
-                return float(self.lexical)
-            if dt == XSD + "boolean":
-                return self.lexical in ("true", "1")
-        except ValueError:
-            return self.lexical
-        return self.lexical
-
-
-_INTEGER_DERIVED = frozenset(
-    XSD + name
-    for name in (
-        "int",
-        "long",
-        "short",
-        "byte",
-        "nonNegativeInteger",
-        "positiveInteger",
-        "nonPositiveInteger",
-        "negativeInteger",
-        "unsignedLong",
-        "unsignedInt",
-        "unsignedShort",
-        "unsignedByte",
-    )
-)
 
 
 class Variable(Term):
@@ -502,8 +448,3 @@ def fresh_blank_node(prefix: str = "null") -> BlankNode:
 def reset_blank_node_counter() -> None:
     """Reset the fresh-label counter (tests only; makes runs deterministic)."""
     _COUNTER.reset()
-
-
-def is_ground(term: Term) -> bool:
-    """True if the term is an IRI, blank node or literal (not a variable)."""
-    return not isinstance(term, Variable)

@@ -106,13 +106,6 @@ class Triple:
         """Render as an N-Triples line (without the trailing newline)."""
         return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
 
-    def has_blank(self) -> bool:
-        """True if any position holds a blank node (a labelled null)."""
-        return (
-            isinstance(self.subject, BlankNode)
-            or isinstance(self.object, BlankNode)
-        )
-
     def terms(self) -> Tuple[Term, Term, Term]:
         return (self.subject, self.predicate, self.object)
 

@@ -21,7 +21,7 @@ can serve as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 from typing import Union as TypingUnion
 
 from repro.errors import SparqlEvaluationError
@@ -60,29 +60,17 @@ class Bgp:
 
     patterns: Tuple[TriplePattern, ...]
 
-    def variables(self) -> FrozenSet[Variable]:
-        out: set = set()
-        for tp in self.patterns:
-            out.update(tp.variables())
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class Join:
     left: "AlgebraNode"
     right: "AlgebraNode"
 
-    def variables(self) -> FrozenSet[Variable]:
-        return self.left.variables() | self.right.variables()
-
 
 @dataclass(frozen=True)
 class Union:
     left: "AlgebraNode"
     right: "AlgebraNode"
-
-    def variables(self) -> FrozenSet[Variable]:
-        return self.left.variables() | self.right.variables()
 
 
 @dataclass(frozen=True)
@@ -99,17 +87,11 @@ class LeftJoin:
     right: "AlgebraNode"
     expr: Optional[FilterExpr] = None
 
-    def variables(self) -> FrozenSet[Variable]:
-        return self.left.variables() | self.right.variables()
-
 
 @dataclass(frozen=True)
 class Filter:
     expr: FilterExpr
     child: "AlgebraNode"
-
-    def variables(self) -> FrozenSet[Variable]:
-        return self.child.variables()
 
 
 AlgebraNode = TypingUnion[Bgp, Join, Union, LeftJoin, Filter]

@@ -116,10 +116,6 @@ class GroupPattern:
         """All triple patterns at this level (not inside nested groups)."""
         return [e for e in self.elements if isinstance(e, TriplePattern)]
 
-    def is_conjunctive(self) -> bool:
-        """True when the group is a pure BGP (no UNION/FILTER/nesting)."""
-        return all(isinstance(e, TriplePattern) for e in self.elements)
-
 
 @dataclass(frozen=True)
 class OrderCondition:
@@ -150,10 +146,6 @@ class SelectQuery:
     order: Tuple[OrderCondition, ...] = field(default_factory=tuple)
     limit: Optional[int] = None
     offset: Optional[int] = None
-
-    @property
-    def is_star(self) -> bool:
-        return not self.variables
 
     def projected(self) -> Tuple[Variable, ...]:
         """Projection list; for ``SELECT *``, all WHERE variables sorted."""

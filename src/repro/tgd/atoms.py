@@ -192,12 +192,6 @@ class Atom:
     def variables(self) -> FrozenSet[RelVar]:
         return frozenset(a for a in self.args if isinstance(a, RelVar))
 
-    def constants(self) -> FrozenSet[Constant]:
-        return frozenset(a for a in self.args if isinstance(a, Constant))
-
-    def nulls(self) -> FrozenSet[LabeledNull]:
-        return frozenset(a for a in self.args if isinstance(a, LabeledNull))
-
     def is_ground(self) -> bool:
         return not any(isinstance(a, RelVar) for a in self.args)
 
@@ -210,11 +204,6 @@ class Atom:
                 for a in self.args
             ),
         )
-
-    def positions(self) -> Iterator[Tuple[str, int]]:
-        """Yield the positions ``r[i]`` of this atom (1-based, as in Def 4)."""
-        for i in range(1, self.arity + 1):
-            yield (self.predicate, i)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -265,9 +254,6 @@ class Instance:
             self._by_pv.setdefault((fact.predicate, i, arg), set()).add(fact)
         return True
 
-    def add_all(self, facts: Iterable[Atom]) -> int:
-        return sum(1 for f in facts if self.add(f))
-
     def __contains__(self, fact: Atom) -> bool:
         return fact in self._facts
 
@@ -287,9 +273,6 @@ class Instance:
 
     def facts_with_predicate(self, predicate: str) -> Set[Atom]:
         return self._by_predicate.get(predicate, set())
-
-    def predicates(self) -> Set[str]:
-        return set(self._by_predicate.keys())
 
     def candidates(self, atom: Atom, partial: Dict[RelVar, RelTerm]) -> Set[Atom]:
         """Facts that could match ``atom`` under the partial substitution.
@@ -322,9 +305,6 @@ class Instance:
         for fact in self._facts:
             out.update(fact.args)
         return out
-
-    def constants(self) -> Set[Constant]:
-        return {v for v in self.values() if isinstance(v, Constant)}
 
     def nulls(self) -> Set[LabeledNull]:
         return {v for v in self.values() if isinstance(v, LabeledNull)}

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.tgd.atoms import RelVar
 from repro.tgd.dependencies import TGD
 from repro.tgd.marking import is_sticky
@@ -29,6 +27,8 @@ __all__ = [
 ]
 
 Position = Tuple[str, int]
+#: Source position → {target position: is the edge special?}.
+PositionGraph = Dict[Position, Dict[Position, bool]]
 
 
 def is_linear_set(tgds: Sequence[TGD]) -> bool:
@@ -46,15 +46,16 @@ def is_full_set(tgds: Sequence[TGD]) -> bool:
     return all(tgd.is_full() for tgd in tgds)
 
 
-def _position_graph(tgds: Sequence[TGD]) -> nx.DiGraph:
+def _position_graph(tgds: Sequence[TGD]) -> PositionGraph:
     """The Fagin-et-al. dependency graph over positions.
 
     Regular edge ``π → π'`` when a frontier variable occurs in the body at
     π and in the head at π'; special edge ``π ⇒ π''`` when a frontier
     variable occurs in the body at π and the head introduces an
-    existential variable at π''.
+    existential variable at π''.  A pair with both kinds of edge counts
+    as special.
     """
-    graph = nx.DiGraph()
+    graph: PositionGraph = {}
     for tgd in tgds:
         frontier = tgd.frontier()
         existential = tgd.existential_variables()
@@ -77,36 +78,41 @@ def _position_graph(tgds: Sequence[TGD]) -> nx.DiGraph:
             existential_positions.update(head_positions.get(var, set()))
         for var in frontier:
             for source in body_positions.get(var, set()):
+                edges = graph.setdefault(source, {})
                 for target in head_positions.get(var, set()):
-                    _add_edge(graph, source, target, special=False)
+                    edges.setdefault(target, False)
                 for target in existential_positions:
-                    _add_edge(graph, source, target, special=True)
+                    edges[target] = True
     return graph
 
 
-def _add_edge(
-    graph: nx.DiGraph, source: Position, target: Position, special: bool
-) -> None:
-    if graph.has_edge(source, target):
-        if special:
-            graph[source][target]["special"] = True
-    else:
-        graph.add_edge(source, target, special=special)
+def _reaches(graph: PositionGraph, start: Position, goal: Position) -> bool:
+    """Is ``goal`` reachable from ``start`` (in zero or more edges)?"""
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        for target in graph.get(node, ()):
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return False
 
 
 def is_weakly_acyclic(tgds: Sequence[TGD]) -> bool:
-    """No cycle through a special edge in the position dependency graph."""
+    """No cycle through a special edge in the position dependency graph.
+
+    A special edge ``π ⇒ π''`` lies on a cycle exactly when π is
+    reachable from π''.
+    """
     graph = _position_graph(tgds)
-    for component in nx.strongly_connected_components(graph):
-        if len(component) == 1:
-            node = next(iter(component))
-            if not graph.has_edge(node, node):
-                continue
-        for source in component:
-            for target in graph.successors(source):
-                if target in component and graph[source][target]["special"]:
-                    return False
-    return True
+    return not any(
+        special and _reaches(graph, target, source)
+        for source, edges in graph.items()
+        for target, special in edges.items()
+    )
 
 
 def is_sticky_join(tgds: Sequence[TGD]) -> bool:
@@ -136,25 +142,6 @@ class TGDClassification:
     def fo_rewritable_fragment(self) -> bool:
         """Does Proposition 2 apply (linear / sticky / sticky-join)?"""
         return self.linear or self.sticky or self.sticky_join
-
-    def chase_terminating_fragment(self) -> bool:
-        """Known syntactic guarantee that the chase terminates."""
-        return self.weakly_acyclic or self.full
-
-    def summary(self) -> str:
-        flags = [
-            name
-            for name, value in (
-                ("linear", self.linear),
-                ("guarded", self.guarded),
-                ("full", self.full),
-                ("weakly-acyclic", self.weakly_acyclic),
-                ("sticky", self.sticky),
-                ("sticky-join", self.sticky_join),
-            )
-            if value
-        ]
-        return ", ".join(flags) if flags else "none"
 
 
 def classify(tgds: Sequence[TGD]) -> TGDClassification:

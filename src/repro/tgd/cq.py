@@ -1,9 +1,8 @@
 """Conjunctive queries over relational atoms.
 
-Provides evaluation over instances, homomorphism-based containment, the
-canonical (frozen) database, core minimisation, and canonical renaming
-for duplicate elimination — everything the UCQ rewriting engine of
-Section 4 needs.
+Provides homomorphism-based containment, the canonical (frozen)
+database, core minimisation, and canonical renaming for duplicate
+elimination — everything the UCQ rewriting engine of Section 4 needs.
 
 Containment is the expensive part: a query's canonical database is
 built on its first containment test and kept on the (immutable) query,
@@ -17,8 +16,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.errors import TGDError
-from repro.tgd.atoms import Atom, Constant, Instance, LabeledNull, RelTerm, RelVar
-from repro.tgd.homomorphism import find_homomorphisms, find_one_homomorphism
+from repro.tgd.atoms import Atom, Constant, Instance, RelTerm, RelVar
+from repro.tgd.homomorphism import find_one_homomorphism
 
 __all__ = ["ConjunctiveQuery", "UnionOfCQs"]
 
@@ -74,12 +73,6 @@ class ConjunctiveQuery:
             out.update(atom.variables())
         return frozenset(out)
 
-    def existential_variables(self) -> FrozenSet[RelVar]:
-        return self.variables() - set(self.head)
-
-    def is_boolean(self) -> bool:
-        return not self.head
-
     def variable_occurrences(self) -> Dict[RelVar, int]:
         """Total occurrence count of each variable across the body."""
         counts: Dict[RelVar, int] = {}
@@ -99,28 +92,6 @@ class ConjunctiveQuery:
         shared = {v for v, n in counts.items() if n > 1}
         shared.update(self.head)
         return frozenset(shared)
-
-    # -- evaluation ------------------------------------------------------------
-
-    def evaluate(self, instance: Instance) -> Set[Tuple[RelTerm, ...]]:
-        """All answer tuples over the instance (including nulls)."""
-        return {
-            tuple(hom[v] for v in self.head)
-            for hom in find_homomorphisms(self.body, instance)
-        }
-
-    def evaluate_null_free(self, instance: Instance) -> Set[Tuple[RelTerm, ...]]:
-        """Answer tuples containing no labelled nulls (certain answers
-        over a universal solution)."""
-        return {
-            answer
-            for answer in self.evaluate(instance)
-            if not any(isinstance(t, LabeledNull) for t in answer)
-        }
-
-    def holds_in(self, instance: Instance) -> bool:
-        """Boolean evaluation: is there any homomorphism into the instance?"""
-        return find_one_homomorphism(self.body, instance) is not None
 
     # -- containment / equivalence ------------------------------------------------
 
@@ -237,25 +208,6 @@ class ConjunctiveQuery:
         canonical_head = tuple(numbering[v] for v in self.head)
         return (canonical_head, canonical_atoms)
 
-    def rename(self, suffix: str) -> "ConjunctiveQuery":
-        mapping: Dict[RelVar, RelTerm] = {
-            v: RelVar(v.name + suffix) for v in self.variables()
-        }
-        return self.substitute(mapping)
-
-    def substitute(self, mapping: Dict[RelVar, RelTerm]) -> "ConjunctiveQuery":
-        """Substitute terms for variables; substituted head variables are
-        dropped from the head (they become constants)."""
-        new_head = tuple(
-            mapping.get(v, v) for v in self.head
-        )
-        kept_head = tuple(v for v in new_head if isinstance(v, RelVar))
-        return ConjunctiveQuery(
-            kept_head,
-            [atom.substitute(mapping) for atom in self.body],
-            label=self.label,
-        )
-
     # -- value object -----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -288,30 +240,11 @@ class UnionOfCQs:
         self.disjuncts: List[ConjunctiveQuery] = disjunct_list
         self.label = label
 
-    @property
-    def arity(self) -> int:
-        return self.disjuncts[0].arity
-
     def __len__(self) -> int:
         return len(self.disjuncts)
 
     def __iter__(self) -> Iterator[ConjunctiveQuery]:
         return iter(self.disjuncts)
-
-    def evaluate(self, instance: Instance) -> Set[Tuple[RelTerm, ...]]:
-        out: Set[Tuple[RelTerm, ...]] = set()
-        for cq in self.disjuncts:
-            out.update(cq.evaluate(instance))
-        return out
-
-    def evaluate_null_free(self, instance: Instance) -> Set[Tuple[RelTerm, ...]]:
-        out: Set[Tuple[RelTerm, ...]] = set()
-        for cq in self.disjuncts:
-            out.update(cq.evaluate_null_free(instance))
-        return out
-
-    def holds_in(self, instance: Instance) -> bool:
-        return any(cq.holds_in(instance) for cq in self.disjuncts)
 
     def deduplicate(self) -> "UnionOfCQs":
         """Remove duplicates (up to renaming) and strictly-contained CQs.

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Sequence
 
 from repro.errors import TGDError
-from repro.tgd.atoms import Atom, Constant, RelTerm, RelVar
+from repro.tgd.atoms import Atom, RelTerm, RelVar
 
 __all__ = ["TGD", "rename_apart"]
 
@@ -89,24 +89,10 @@ class TGD:
         """Full TGD: no existential variables."""
         return not self.existential_variables()
 
-    def is_single_head(self) -> bool:
-        return len(self.head) == 1
-
     def is_guarded(self) -> bool:
         """Guarded: some body atom contains all body universal variables."""
         all_vars = self.body_variables()
         return any(atom.variables() >= all_vars for atom in self.body)
-
-    def predicates(self) -> FrozenSet[str]:
-        return frozenset(
-            a.predicate for a in self.body
-        ) | frozenset(a.predicate for a in self.head)
-
-    def constants(self) -> FrozenSet[Constant]:
-        out: set = set()
-        for atom in self.body + self.head:
-            out.update(atom.constants())
-        return frozenset(out)
 
     # -- operations ----------------------------------------------------------
 
@@ -117,14 +103,6 @@ class TGD:
             [a.substitute(mapping) for a in self.head],
             label=self.label,
         )
-
-    def rename(self, suffix: str) -> "TGD":
-        """Uniformly rename all variables by appending ``suffix``."""
-        mapping: Dict[RelVar, RelTerm] = {
-            v: RelVar(v.name + suffix)
-            for v in self.body_variables() | self.head_variables()
-        }
-        return self.substitute(mapping)
 
     # -- value object -----------------------------------------------------------
 
@@ -145,9 +123,6 @@ class TGD:
         )
         name = f"[{self.label}] " if self.label else ""
         return f"{name}{body} → {prefix}{head}"
-
-
-_RENAME_COUNTER = 0
 
 
 def rename_apart(tgd: TGD, taken: Iterable[RelVar]) -> TGD:

@@ -44,9 +44,6 @@ class MarkingResult:
     marked_positions: Set[Position] = field(default_factory=set)
     rounds: int = 0
 
-    def is_marked(self, tgd_index: int, var: RelVar) -> bool:
-        return var in self.marked.get(tgd_index, set())
-
 
 def _body_positions_of(tgd: TGD, var: RelVar) -> Set[Position]:
     out: Set[Position] = set()

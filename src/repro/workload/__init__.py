@@ -1,10 +1,10 @@
 """Workload generators: paper datasets and synthetic scaling workloads.
 
 ``film_domain`` encodes Figure 1 / Example 2 verbatim plus a scaled
-variant; ``people_domain`` adds a second realistic domain with a
-non-sticky join assertion; ``generators`` produce random RDF stores;
-``topologies`` arrange synthetic peers in chains, stars, cycles and
-random graphs; ``queries`` generates path/star query workloads.
+variant; ``generators`` produce random RDF stores; ``topologies``
+arrange synthetic peers in chains, stars and cycles; ``queries``
+generates path/star query workloads; ``federation`` and ``tenants``
+build the federated systems and tenant mixes.
 """
 
 from repro.workload.film_domain import (
@@ -25,12 +25,6 @@ from repro.workload.generators import (
     random_entity_graph,
     random_graph,
 )
-from repro.workload.people_domain import (
-    SOCIAL,
-    VCARD,
-    friend_of_friend_assertion,
-    people_rps,
-)
 from repro.workload.federation import (
     SHARED,
     federated_exclusive_query,
@@ -47,12 +41,10 @@ from repro.workload.tenants import (
     tenant_workload,
 )
 from repro.workload.topologies import (
-    TOPOLOGY_BUILDERS,
     build_topology_rps,
     chain_rps,
     cycle_rps,
     peer_namespace,
-    random_rps,
     star_rps,
 )
 
@@ -64,10 +56,7 @@ __all__ = [
     "PAPER_EXPECTED_ANSWERS",
     "PAPER_EXPECTED_NONREDUNDANT",
     "SHARED",
-    "SOCIAL",
-    "TOPOLOGY_BUILDERS",
     "TenantQuery",
-    "VCARD",
     "build_topology_rps",
     "chain_rps",
     "cycle_rps",
@@ -80,16 +69,13 @@ __all__ = [
     "federated_union_filter_sparql",
     "figure1_graphs",
     "figure1_namespaces",
-    "friend_of_friend_assertion",
     "grow_knows_relation",
     "paper_query_text",
     "path_query",
     "peer_namespace",
-    "people_rps",
     "random_entity_graph",
     "random_graph",
     "random_queries",
-    "random_rps",
     "scaled_film_rps",
     "skewed_tenant_workload",
     "star_query",

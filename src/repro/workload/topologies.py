@@ -1,22 +1,19 @@
 """Mapping-topology workload generators.
 
 Builds RPS instances whose peers are arranged in the topologies the
-paper's motivation discusses — chains, stars, cycles and random
-(Erdős–Rényi / scale-free) graphs.  Each edge peer→peer carries either a
-*vocabulary-translation* graph mapping assertion (predicate renaming,
-the simplest non-trivial assertion) or sameAs-style equivalence links.
+paper's motivation discusses — chains, stars and cycles.  Each edge
+peer→peer carries a *vocabulary-translation* graph mapping assertion
+(predicate renaming, the simplest non-trivial assertion) plus
+sameAs-style equivalence links.
 
-These are the workloads for the E-SC1 scalability experiment: prior
-two-tier rewriting approaches cannot handle cycles, while the RPS chase
-must terminate regardless of topology (Theorem 1).
+Cycles are the case prior two-tier rewriting approaches cannot handle,
+while the RPS chase must terminate regardless of topology (Theorem 1).
 """
 
 from __future__ import annotations
 
 import random
 from typing import Dict, Iterable, List, Tuple
-
-import networkx as nx
 
 from repro.gpq.pattern import make_pattern
 from repro.gpq.query import GraphPatternQuery
@@ -33,8 +30,6 @@ __all__ = [
     "chain_rps",
     "star_rps",
     "cycle_rps",
-    "random_rps",
-    "TOPOLOGY_BUILDERS",
 ]
 
 
@@ -156,26 +151,3 @@ def cycle_rps(peers: int, **kwargs) -> RPS:
     return build_topology_rps(
         [(i, (i + 1) % peers) for i in range(peers)], peers, **kwargs
     )
-
-
-def random_rps(
-    peers: int, edge_probability: float = 0.3, seed: int = 0, **kwargs
-) -> RPS:
-    """Erdős–Rényi directed topology (self-loops excluded)."""
-    rng = random.Random(seed)
-    graph = nx.gnp_random_graph(
-        peers, edge_probability, seed=seed, directed=True
-    )
-    edges = [(u, v) for u, v in graph.edges() if u != v]
-    if not edges and peers > 1:
-        edges = [(0, 1)]
-    return build_topology_rps(edges, peers, seed=seed, **kwargs)
-
-
-#: Name → builder, used by the scalability sweep benchmarks.
-TOPOLOGY_BUILDERS = {
-    "chain": chain_rps,
-    "star": star_rps,
-    "cycle": cycle_rps,
-    "random": random_rps,
-}

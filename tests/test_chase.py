@@ -1,8 +1,9 @@
 """Tests for the TGD chase and certain-answer computation.
 
 Covers: restricted-chase termination and output on an acyclic dependency
-set, the non-termination guard, and the hand-computed certain answers of
-the 3-peer chain fixture (Algorithm 1 + ``Q_D`` semantics).
+set, the non-termination guard, weak acyclicity (the syntactic
+termination class), and the hand-computed certain answers of the 3-peer
+chain fixture (Algorithm 1 + ``Q_D`` semantics).
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.tgd.atoms import (
     reset_null_counter,
 )
 from repro.tgd.chase import chase, is_satisfied, violations
+from repro.tgd.classes import classify, is_weakly_acyclic
 from repro.tgd.dependencies import TGD
 from repro.workload.queries import path_query
 
@@ -96,6 +98,34 @@ class TestRelationalChase:
         result = chase(instance, [tgd])
         assert result.fired == 0
         assert result.facts_added == 0
+
+
+class TestWeakAcyclicity:
+    """Fagin et al.'s position graph: a special edge on a cycle breaks it.
+
+    ``σ1: R(x,y) → ∃z S(y,z)`` puts a special edge ``R[2] ⇒ S[2]`` in the
+    graph and ``σ3: T(a,b) → R(a,b)`` closes cycles through ``σ2``.
+    """
+
+    def tgds(self, s_to_t_head):
+        x, y, z, a, b, u, v = rel_vars("x", "y", "z", "a", "b", "u", "v")
+        return [
+            TGD([Atom("R", x, y)], [Atom("S", y, z)], label="σ1"),
+            TGD([Atom("S", u, v)], [s_to_t_head(u, v)], label="σ2"),
+            TGD([Atom("T", a, b)], [Atom("R", a, b)], label="σ3"),
+        ]
+
+    def test_a_regular_cycle_alone_is_weakly_acyclic(self):
+        # R[2] → S[1] → T[2] → R[2] is a cycle, but S[2] never reaches R[2].
+        tgds = self.tgds(lambda u, v: Atom("T", v, u))
+        assert is_weakly_acyclic(tgds)
+        assert classify(tgds).weakly_acyclic
+
+    def test_a_special_edge_on_a_cycle_is_not(self):
+        # S[2] → T[2] → R[2] closes a cycle through R[2] ⇒ S[2].
+        tgds = self.tgds(lambda u, v: Atom("T", u, v))
+        assert not is_weakly_acyclic(tgds)
+        assert not classify(tgds).weakly_acyclic
 
 
 class TestThreePeerCertainAnswers:
