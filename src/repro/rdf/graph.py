@@ -169,8 +169,7 @@ class Graph:
         self.serial: int = next(Graph._serials)
         self.name = name
         if triples is not None:
-            for triple in triples:
-                self.add(triple)
+            self.add_all(triples)
 
     @property
     def epoch(self) -> int:
@@ -235,7 +234,9 @@ class Graph:
         """Add many triples; returns how many were new."""
         if isinstance(triples, Graph) and triples._dict is self._dict:
             return self.add_id_triples(triples._ids, self._dict)
-        return sum(1 for t in triples if self.add(t))
+        return self.add_id_triples(
+            map(self._dict.encode_triple, triples), self._dict
+        )
 
     def remove(self, triple: Triple) -> bool:
         """Remove a triple; returns True if it was present."""
@@ -601,9 +602,12 @@ class Graph:
 
         The caller must pass the dictionary the IDs were encoded against
         so a cross-dictionary mix-up fails loudly instead of silently
-        storing garbage.  Used by Algorithm 1 to land derived triples
-        in the solution, and by the rewriting to build its quotient of
-        the stored graph, without decoding.
+        storing garbage.  Every bulk load goes through here: ``Graph(triples)``
+        and :meth:`add_all` encode and land their triples in one call, the
+        workload generators land ID triples over a pre-interned
+        vocabulary, Algorithm 1 lands derived triples in the solution
+        and the rewriting builds its quotient of the stored graph, all
+        without a ``Triple`` per stored triple.
 
         Raises:
             ValueError: if ``dictionary`` is not this graph's dictionary.
@@ -613,25 +617,33 @@ class Graph:
                 "add_id_triples requires the graph's own dictionary; "
                 "IDs from a foreign dictionary are meaningless here"
             )
+        # One pass, no copy of the input: a new triple lands in the set
+        # and in ``fresh``, so duplicates collapse in first-seen order.
+        # Should the input raise part-way, what landed is still indexed
+        # and counted (``finally``), so the store stays coherent.
         known = self._ids
-        fresh = [t for t in dict.fromkeys(ids) if t not in known]
-        if not fresh:
-            return 0
-        known.update(dict.fromkeys(fresh))
-        # The orderings that exist grow in the order ``_add_ids`` would
-        # have grown them one triple at a time (run order is row order
-        # downstream); the per-position counts follow in one bulk
-        # update each.
-        for order, index in self._built():
-            _index_extend(index, map(_PERMUTE[order], fresh))
-        for position, counts in enumerate(
-            (self._s_counts, self._p_counts, self._o_counts)
-        ):
-            for tid, added in Counter(
-                map(itemgetter(position), fresh)
-            ).items():
-                counts[tid] = counts.get(tid, 0) + added
-        self._epoch += len(fresh)
+        fresh: List[IDTriple] = []
+        append = fresh.append
+        try:
+            for t in ids:
+                if t not in known:
+                    known[t] = None
+                    append(t)
+        finally:
+            # The orderings that exist grow in the order ``_add_ids``
+            # would have grown them one triple at a time (run order is
+            # row order downstream); the per-position counts follow in
+            # one bulk update each.
+            for order, index in self._built():
+                _index_extend(index, map(_PERMUTE[order], fresh))
+            for position, counts in enumerate(
+                (self._s_counts, self._p_counts, self._o_counts)
+            ):
+                for tid, added in Counter(
+                    map(itemgetter(position), fresh)
+                ).items():
+                    counts[tid] = counts.get(tid, 0) + added
+            self._epoch += len(fresh)
         return len(fresh)
 
     def count(

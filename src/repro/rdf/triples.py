@@ -24,10 +24,34 @@ from repro.rdf.terms import (
     Variable,
 )
 
-__all__ = ["Triple", "TriplePattern", "POSITIONS"]
+__all__ = ["Triple", "TriplePattern", "POSITIONS", "check_position"]
 
 #: Names of the three triple positions, in order.
 POSITIONS = ("subject", "predicate", "object")
+
+#: Position -> the term kinds it admits and how an error names them:
+#: Section 2.1's ``(I ∪ B) × I × (I ∪ B ∪ L)``.
+_ADMITS = {
+    "subject": ((IRI, BlankNode), "IRI or blank node"),
+    "predicate": ((IRI,), "IRI"),
+    "object": ((IRI, BlankNode, Literal), "IRI, blank node or literal"),
+}
+
+
+def check_position(term: Term, position: str) -> Term:
+    """``term`` itself, if it may stand in ``position`` of a triple.
+
+    ``position`` is one of :data:`POSITIONS`.  This is the check
+    :class:`Triple` makes per position; a bulk loader that encodes a
+    vocabulary once makes it once per term instead of once per triple.
+
+    Raises:
+        TripleError: if ``term`` is of a kind the position does not admit.
+    """
+    kinds, names = _ADMITS[position]
+    if not isinstance(term, kinds):
+        raise TripleError(f"triple {position} must be {names}, got {term!r}")
+    return term
 
 
 class Triple:
@@ -49,16 +73,13 @@ class Triple:
     __slots__ = ("subject", "predicate", "object", "_hash")
 
     def __init__(self, subject: Term, predicate: Term, object: Term) -> None:
-        if not isinstance(subject, (IRI, BlankNode)):
-            raise TripleError(
-                f"triple subject must be IRI or blank node, got {subject!r}"
-            )
-        if not isinstance(predicate, IRI):
-            raise TripleError(f"triple predicate must be IRI, got {predicate!r}")
-        if not isinstance(object, (IRI, BlankNode, Literal)):
-            raise TripleError(
-                f"triple object must be IRI, blank node or literal, got {object!r}"
-            )
+        if not (
+            isinstance(subject, (IRI, BlankNode))
+            and isinstance(predicate, IRI)
+            and isinstance(object, (IRI, BlankNode, Literal))
+        ):
+            for position, term in zip(POSITIONS, (subject, predicate, object)):
+                check_position(term, position)
         obj_setattr = super().__setattr__
         obj_setattr("subject", subject)
         obj_setattr("predicate", predicate)

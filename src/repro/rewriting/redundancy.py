@@ -100,7 +100,13 @@ class EquivalenceQuotient:
     def expand(
         self, rows: Collection[Tuple[Term, ...]]
     ) -> Set[Tuple[Term, ...]]:
-        """Every row with each representative replaced by each class member."""
+        """Every row with each representative replaced by each class member.
+
+        Always a new set; without classes it is ``set(rows)``, which
+        rehashes no row when ``rows`` is a set already.
+        """
+        if not self.classes:
+            return set(rows)
         return set(expand_by_class(rows, self.classes))
 
 

@@ -17,11 +17,13 @@ from typing import Dict, List, Optional
 from repro.federation.faults import FaultModel, FaultSpec
 from repro.gpq.pattern import make_pattern
 from repro.gpq.query import GraphPatternQuery
+from repro.rdf.dictionary import default_dictionary
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import Literal, Variable
 from repro.rdf.triples import Triple, TriplePattern
 from repro.peers.system import RPS
+from repro.workload.generators import vocabulary_ids
 from repro.workload.topologies import peer_namespace
 
 __all__ = [
@@ -61,19 +63,38 @@ def federated_rps(
     shared subjects/objects make cross-peer joins non-trivial.
     """
     rng = random.Random(seed)
+    dictionary = default_dictionary()
     entity_iris = [SHARED.term(f"e{i}") for i in range(entities)]
+    entity_ids = vocabulary_ids(dictionary, entity_iris, "subject")
+    # Ages land in entity term order, whatever the IDs.
+    in_term_order = sorted(
+        entity_ids, key=lambda tid: dictionary.decode(tid).sort_key()
+    )
+    ages = vocabulary_ids(
+        dictionary, [Literal(str(v)) for v in range(10, 81)], "object"
+    )
+    choice, randint = rng.choice, rng.randint
     graphs: Dict[str, Graph] = {}
     for k in range(peers):
         ns = peer_namespace(k)
-        knows, age = ns.knows, ns.age
-        graph = Graph(name=f"peer{k}")
-        mentioned = set()
-        for _ in range(facts):
-            a, b = rng.choice(entity_iris), rng.choice(entity_iris)
-            graph.add(Triple(a, knows, b))
-            mentioned.update((a, b))
-        for iri in sorted(mentioned, key=lambda t: t.sort_key()):
-            graph.add(Triple(iri, age, Literal(str(rng.randint(10, 80)))))
+        knows, age = vocabulary_ids(
+            dictionary, (ns.knows, ns.age), "predicate"
+        )
+        edges = [
+            (choice(entity_ids), knows, choice(entity_ids))
+            for _ in range(facts)
+        ]
+        mentioned = {a for a, _, _ in edges}.union(b for _, _, b in edges)
+        graph = Graph(name=f"peer{k}", dictionary=dictionary)
+        graph.add_id_triples(edges, dictionary)
+        graph.add_id_triples(
+            (
+                (tid, age, ages[randint(10, 80) - 10])
+                for tid in in_term_order
+                if tid in mentioned
+            ),
+            dictionary,
+        )
         graphs[f"peer{k}"] = graph
     return RPS.from_graphs(graphs)
 

@@ -22,10 +22,11 @@ at arbitrary size for the Theorem-1 data-complexity experiments.
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, List
 
 from repro.gpq.pattern import make_pattern
 from repro.gpq.query import GraphPatternQuery
+from repro.rdf.dictionary import IDTriple
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import (
     FOAF_NS,
@@ -37,6 +38,7 @@ from repro.rdf.terms import BlankNode, Literal, Variable
 from repro.rdf.triples import Triple
 from repro.peers.mappings import GraphMappingAssertion
 from repro.peers.system import RPS
+from repro.workload.generators import vocabulary_ids
 
 __all__ = [
     "DB1",
@@ -197,27 +199,51 @@ def scaled_film_rps(
     source1 = Graph(name="source1")
     source2 = Graph(name="source2")
     source3 = Graph(name="source3")
+    dictionary = source1.dictionary
+    same_as, starring, artist, actor, age = vocabulary_ids(
+        dictionary,
+        (OWL_SAME_AS, DB1.starring, DB1.artist, DB2.actor, FOAF.age),
+        "predicate",
+    )
+    ages = vocabulary_ids(
+        dictionary, [Literal(str(18 + v)) for v in range(60)], "object"
+    )
+    # One ID-triple list per source, filled in the order the sources
+    # store them; the link draws interleave across sources.
+    triples1: List[IDTriple] = []
+    triples2: List[IDTriple] = []
+    triples3: List[IDTriple] = []
     for f in range(films):
-        film1 = DB1.term(f"film{f}")
-        film2 = DB2.term(f"movie{f}")
+        film1, film2 = vocabulary_ids(
+            dictionary,
+            (DB1.term(f"film{f}"), DB2.term(f"movie{f}")),
+            "subject",
+        )
         if rng.random() < linked_fraction:
-            source1.add(Triple(film1, OWL_SAME_AS, film2))
+            triples1.append((film1, same_as, film2))
         for a in range(actors_per_film):
             actor_id = f * actors_per_film + a
-            actor1 = DB1.term(f"actor{actor_id}")
-            actor2 = DB2.term(f"player{actor_id}")
-            person = FOAF.term(f"person{actor_id}")
-            node = BlankNode(f"st_{f}_{a}")
-            source1.add(Triple(film1, DB1.starring, node))
-            source1.add(Triple(node, DB1.artist, actor1))
-            source2.add(Triple(film2, DB2.actor, actor2))
-            source3.add(
-                Triple(person, FOAF.age, Literal(str(18 + actor_id % 60)))
+            actor1, actor2, person, node = vocabulary_ids(
+                dictionary,
+                (
+                    DB1.term(f"actor{actor_id}"),
+                    DB2.term(f"player{actor_id}"),
+                    FOAF.term(f"person{actor_id}"),
+                    BlankNode(f"st_{f}_{a}"),
+                ),
+                "subject",
             )
+            triples1.append((film1, starring, node))
+            triples1.append((node, artist, actor1))
+            triples2.append((film2, actor, actor2))
+            triples3.append((person, age, ages[actor_id % 60]))
             if rng.random() < linked_fraction:
-                source1.add(Triple(actor1, OWL_SAME_AS, person))
+                triples1.append((actor1, same_as, person))
             if rng.random() < linked_fraction:
-                source3.add(Triple(actor2, OWL_SAME_AS, person))
+                triples3.append((actor2, same_as, person))
+    source1.add_id_triples(triples1, dictionary)
+    source2.add_id_triples(triples2, dictionary)
+    source3.add_id_triples(triples3, dictionary)
     return RPS.from_graphs(
         {"source1": source1, "source2": source2, "source3": source3},
         assertions=[example2_assertion()],

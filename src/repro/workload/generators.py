@@ -10,14 +10,37 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
+from typing import Iterable, List
 
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
-from repro.rdf.terms import BlankNode, Literal
-from repro.rdf.triples import Triple
+from repro.rdf.terms import BlankNode, Literal, Term
+from repro.rdf.triples import check_position
 
-__all__ = ["GeneratorConfig", "random_graph", "random_entity_graph"]
+__all__ = [
+    "GeneratorConfig",
+    "random_graph",
+    "random_entity_graph",
+    "vocabulary_ids",
+]
+
+
+def vocabulary_ids(
+    dictionary: TermDictionary, terms: Iterable[Term], position: str
+) -> List[int]:
+    """Intern a generator's vocabulary, each term checked once.
+
+    Every term must be admissible in triple ``position`` (an entity that
+    also appears as an object is checked as a subject, the stricter of
+    the two).  The IDs come back in ``terms`` order, so ``rng.choice``
+    over them makes the draws it would make over the terms, and a
+    generator lands ``(id, id, id)`` triples with
+    :meth:`~repro.rdf.graph.Graph.add_id_triples` instead of building
+    and checking a :class:`~repro.rdf.triples.Triple` per triple.
+    """
+    encode = dictionary.encode
+    return [encode(check_position(term, position)) for term in terms]
 
 
 @dataclass(frozen=True)
@@ -52,27 +75,40 @@ def random_entity_graph(config: GeneratorConfig, name: str = "") -> Graph:
     """
     rng = random.Random(config.seed)
     ns = Namespace(config.namespace)
-    entity_terms: List = []
+    entity_terms: List[Term] = []
     for i in range(config.entities):
         if rng.random() < config.blank_fraction:
             entity_terms.append(BlankNode(f"b{i}"))
         else:
             entity_terms.append(ns.term(f"e{i}"))
     predicates = [ns.term(f"p{i}") for i in range(config.predicates)]
-    attribute_predicate = ns.term("value")
 
     graph = Graph(name=name or "random")
     if not entity_terms or not predicates:
         return graph
-    for _ in range(config.triples):
-        subject = rng.choice(entity_terms)
-        predicate = rng.choice(predicates)
-        object_ = rng.choice(entity_terms)
-        graph.add(Triple(subject, predicate, object_))
-    for _ in range(config.attributes):
-        subject = rng.choice(entity_terms)
-        value = Literal(str(rng.randint(0, 99)))
-        graph.add(Triple(subject, attribute_predicate, value))
+    dictionary = graph.dictionary
+    entities = vocabulary_ids(dictionary, entity_terms, "subject")
+    *relations, attribute = vocabulary_ids(
+        dictionary, [*predicates, ns.term("value")], "predicate"
+    )
+    values = vocabulary_ids(
+        dictionary, [Literal(str(v)) for v in range(100)], "object"
+    )
+    choice, randint = rng.choice, rng.randint
+    graph.add_id_triples(
+        (
+            (choice(entities), choice(relations), choice(entities))
+            for _ in range(config.triples)
+        ),
+        dictionary,
+    )
+    graph.add_id_triples(
+        (
+            (choice(entities), attribute, values[randint(0, 99)])
+            for _ in range(config.attributes)
+        ),
+        dictionary,
+    )
     return graph
 
 

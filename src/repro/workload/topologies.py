@@ -20,9 +20,9 @@ from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import Literal, Variable
-from repro.rdf.triples import Triple
 from repro.peers.mappings import EquivalenceMapping, GraphMappingAssertion
 from repro.peers.system import RPS
+from repro.workload.generators import vocabulary_ids
 
 __all__ = [
     "peer_namespace",
@@ -51,14 +51,26 @@ def _peer_graph(
     """
     ns = peer_namespace(index)
     graph = Graph(name=f"peer{index}")
-    entity_iris = [ns.term(f"e{j}") for j in range(entities)]
-    knows = ns.knows
-    age = ns.age
-    for _ in range(facts):
-        a, b = rng.choice(entity_iris), rng.choice(entity_iris)
-        graph.add(Triple(a, knows, b))
-    for iri in entity_iris:
-        graph.add(Triple(iri, age, Literal(str(rng.randint(10, 80)))))
+    dictionary = graph.dictionary
+    entity_ids = vocabulary_ids(
+        dictionary, [ns.term(f"e{j}") for j in range(entities)], "subject"
+    )
+    knows, age = vocabulary_ids(dictionary, (ns.knows, ns.age), "predicate")
+    ages = vocabulary_ids(
+        dictionary, [Literal(str(v)) for v in range(10, 81)], "object"
+    )
+    choice, randint = rng.choice, rng.randint
+    graph.add_id_triples(
+        (
+            (choice(entity_ids), knows, choice(entity_ids))
+            for _ in range(facts)
+        ),
+        dictionary,
+    )
+    graph.add_id_triples(
+        ((tid, age, ages[randint(10, 80) - 10]) for tid in entity_ids),
+        dictionary,
+    )
     return graph
 
 

@@ -6,6 +6,7 @@ modules build on.
 """
 
 import pathlib
+import signal
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -103,6 +104,35 @@ def as_mask(condition):
     if condition is None:
         return None
     return lambda batch: [condition(b) for b in bindings_of(batch)]
+
+
+# ---------------------------------------------------------------------------
+# Per-test time cap
+# ---------------------------------------------------------------------------
+
+#: Wall-clock seconds one test (setup, call and teardown together) may
+#: run before it fails: a hang — an endless loop in a chunk generator,
+#: say — fails the suite instead of stalling it.
+TEST_TIME_CAP_S = 60
+
+
+def _time_cap_expired(signum, frame):
+    pytest.fail(f"test ran longer than the {TEST_TIME_CAP_S} s cap")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Arm ``SIGALRM`` around one test; a no-op where it does not exist."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _time_cap_expired)
+    signal.alarm(TEST_TIME_CAP_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

@@ -18,8 +18,11 @@ from repro.federation.plan import (
     LocalHashJoin,
     PullScan,
     RemoteScan,
+    _Stream,
 )
 from repro.gpq.evaluation import evaluate_query_star
+from repro.rdf.terms import Variable
+from repro.sparql.batch import Batch
 from repro.workload.federation import (
     federated_exclusive_query,
     federated_optional_filter_sparql,
@@ -275,3 +278,32 @@ def test_left_join_node_appears_for_optional(system):
 
     walk(result.plans[0])
     assert len(found) == 1
+
+
+# ---------------------------------------------------------------------------
+# The stream cursor's demand cap
+# ---------------------------------------------------------------------------
+
+
+def test_stream_pull_stops_once_demand_is_met():
+    """A pull asks its generator for no chunk past the demanded rows."""
+    x = Variable("x")
+    advanced = []
+
+    def chunks():
+        for start in range(0, 12, 4):
+            advanced.append(start)
+            yield Batch((x,), [list(range(start, start + 4))]), [()] * 4
+        return ()
+
+    stream = _Stream(chunks(), (x,))
+    stream.pull(3)
+    assert (len(stream), advanced) == (4, [0])
+    stream.pull(4)  # the prefix already holds 4 rows: no chunk is read
+    assert (len(stream), advanced) == (4, [0])
+    stream.pull(5)
+    assert (len(stream), advanced) == (8, [0, 4])
+    assert not stream.exhausted
+    stream.pull()
+    assert (len(stream), advanced, stream.exhausted) == (12, [0, 4, 8], True)
+    assert stream.batch.columns == [list(range(12))]

@@ -253,6 +253,37 @@ def test_add_id_triples_bulk_and_dictionary_guard():
         sink.add_id_triples(ids, TermDictionary())
 
 
+def test_add_id_triples_collapses_duplicates_inside_one_call():
+    dictionary = TermDictionary()
+    a, b, c, p = (dictionary.encode(EX.term(n)) for n in "abcp")
+    graph = Graph(dictionary=dictionary)
+    assert graph.add_id_triples([(a, p, b)], dictionary) == 1
+    batch = [(b, p, c), (a, p, b), (b, p, c), (c, p, a), (c, p, a)]
+    assert graph.add_id_triples(iter(batch), dictionary) == 2
+    assert list(graph.id_triples()) == [(a, p, b), (b, p, c), (c, p, a)]
+    assert graph.epoch == 3
+    assert [graph.count_ids(s, None, None) for s in (a, b, c)] == [1, 1, 1]
+    assert graph.count_ids(None, p, None) == 3
+
+
+def test_add_id_triples_keeps_what_landed_when_the_input_raises():
+    dictionary = TermDictionary()
+    a, b, p = (dictionary.encode(EX.term(n)) for n in "abp")
+    graph = Graph(dictionary=dictionary)
+    graph.add_id_triples([(a, p, a)], dictionary)
+    list(graph.triples_ids(None, p, None))  # POS exists before the load
+
+    def broken():
+        yield (a, p, b)
+        raise RuntimeError("input failed")
+
+    with pytest.raises(RuntimeError, match="input failed"):
+        graph.add_id_triples(broken(), dictionary)
+    assert list(graph.id_triples()) == [(a, p, a), (a, p, b)]
+    assert graph.count_ids(a, None, None) == 2 and graph.epoch == 2
+    assert graph.check_index_coherence()
+
+
 def test_add_id_triples_bulk_path_matches_one_at_a_time():
     # Row order downstream depends on run iteration order, so the bulk
     # path must leave every keyed probe shape, the position counts and

@@ -38,6 +38,7 @@ from repro.rewriting import (
     rewrite_boolean_query,
     transitive_closure_rps,
 )
+from repro.rewriting.redundancy import EquivalenceQuotient
 from repro.workload import (
     chain_rps,
     cycle_rps,
@@ -298,6 +299,25 @@ class TestEquivalencesAsClasses:
             == results[2].nonredundant
             == {(EX.a, EX.x1)}
         )
+
+    def test_expand_without_classes_is_a_fresh_equal_set(self):
+        quotient = EquivalenceQuotient(self.system([]))
+        assert not quotient.classes
+        rows = {(EX.a, EX.x1), (EX.c, EX.x2)}
+        expanded = quotient.expand(rows)
+        assert expanded == rows and expanded is not rows
+        assert quotient.expand([(EX.a, EX.x1), (EX.a, EX.x1)]) == {
+            (EX.a, EX.x1)
+        }
+
+    def test_expand_with_classes_multiplies_rows_out(self):
+        quotient = EquivalenceQuotient(
+            self.system([EquivalenceMapping(EX.b, EX.a)])
+        )
+        rows = {(EX.a, EX.x1), (EX.c, EX.x2)}
+        assert quotient.expand(rows) == {
+            (EX.a, EX.x1), (EX.b, EX.x1), (EX.c, EX.x2),
+        }
 
 
 def test_multi_head_assertion_needs_a_factorisation_step():

@@ -9,8 +9,9 @@ proportions of the ``local_mix`` benchmark workload (5/6 relation
 triples over 8 predicates, 1/6 attribute triples, one entity per 3.6
 triples) and prints, one ``name value unit`` line each:
 
-* ``load_s`` — generating the graph: encoding, the triple set and the
-  per-position counts, no ordering;
+* ``load_s`` — generating the graph: interning its vocabulary once,
+  then one streaming ``add_id_triples`` per triple family (the triple
+  set and the per-position counts, no ordering);
 * ``first_read.<order>_ms`` — the first ``(s, ?, ?)`` / ``(?, p, ?)``
   read, which builds that ordering, and ``second_read.<order>_ms``, the
   same read again;
