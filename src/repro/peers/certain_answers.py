@@ -9,31 +9,37 @@ blank-dropping ``Q_D`` semantics yields exactly the certain answers;
 for instrumentation.
 
 Queries run on the columnar batch engine and stay on dictionary IDs up
-to the result boundary: blank-carrying rows are dropped as ID tuples
-(:func:`blank_free_rows`, shared with :mod:`repro.rewriting.perfect`)
-and only the surviving rows are decoded.
+to one result boundary, :func:`answer_rows`, which both routes share
+(:mod:`repro.rewriting.perfect` hands it the ID rows of every rewritten
+disjunct at once): blank-carrying rows are dropped as ID tuples, each
+distinct ID is decoded once, and the surviving rows are decoded column
+by column.  No other function here or there builds a row of terms.
+:func:`certain_ask` reads the batch plan in chunks and stops at the
+first row that crosses the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Collection, Optional, Set, Tuple, Union
+from typing import Collection, Mapping, Optional, Set, Tuple, Union
 
-from repro.gpq.evaluation import ask as gpq_ask
 from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import NamespaceManager
 from repro.rdf.terms import BlankNode, Term
 from repro.sparql.algebra import Bgp
-from repro.sparql.batch import select_id_rows_batch
+from repro.sparql.batch import (
+    build_batch_plan,
+    column_rows,
+    select_id_rows_batch,
+)
 from repro.sparql.bridge import sparql_to_gpq
 from repro.peers.chase import PeerChaseResult, chase_universal_solution
 from repro.peers.system import RPS
 
 __all__ = [
     "CertainAnswerReport",
-    "blank_free_rows",
+    "answer_rows",
     "certain_answers",
     "certain_answers_report",
     "certain_ask",
@@ -52,43 +58,37 @@ def _to_gpq(
     return sparql_to_gpq(query, nsm)
 
 
-def blank_free_rows(
-    graph: Graph, rows: Collection[IDRow]
-) -> Collection[IDRow]:
-    """The ID rows that mention no blank node (``Q_D`` from ``Q*_D``).
-
-    Each distinct ID is classified once, so the cost follows the number
-    of distinct terms in the answer, not the number of cells.
-    """
-    decode = graph.decode_id
-    blanks = {
-        tid
-        for tid in set(chain.from_iterable(rows))
-        if isinstance(decode(tid), BlankNode)
-    }
-    if not blanks:
-        return rows
-    return [row for row in rows if blanks.isdisjoint(row)]
-
-
-def _decode_rows(
-    graph: Graph, rows: Collection[IDRow]
+def answer_rows(
+    graph: Graph,
+    rows: Collection[IDRow],
+    private: Optional[Mapping[int, Term]] = None,
 ) -> Set[Tuple[Term, ...]]:
-    """Decode ID rows into answer tuples — the result boundary.
+    """The result boundary: distinct ID rows to blank-free answer tuples.
 
-    Each distinct ID is decoded once.
+    ``Q_D`` from ``Q*_D``: a row that mentions a blank node is dropped.
+    Each distinct ID is decoded once, so the cost follows the number of
+    distinct terms, and the surviving rows are decoded column by
+    column.  A negative ID stands for a constant ``graph``'s dictionary
+    lacks; ``private`` maps it to its term.
     """
+    if not rows:
+        return set()
+    columns = list(zip(*rows))
+    if not columns:
+        return {()}
     decode = graph.decode_id
-    terms = {tid: decode(tid) for tid in set(chain.from_iterable(rows))}
-    return {tuple(map(terms.__getitem__, row)) for row in rows}
-
-
-def _id_answers(solution: Graph, gpq: GraphPatternQuery) -> Collection[IDRow]:
-    """``Q_J`` as ID rows: the batch engine's head rows minus blanks."""
-    rows = select_id_rows_batch(
-        solution, Bgp(tuple(gpq.conjuncts())), gpq.head
-    )
-    return blank_free_rows(solution, rows)
+    private = private or {}
+    terms = {
+        tid: decode(tid) if tid >= 0 else private[tid]
+        for tid in set().union(*columns)
+    }
+    blanks = {tid for tid, term in terms.items() if isinstance(term, BlankNode)}
+    if blanks:
+        kept = [row for row in rows if blanks.isdisjoint(row)]
+        if not kept:
+            return set()
+        columns = list(zip(*kept))
+    return set(zip(*[list(map(terms.__getitem__, col)) for col in columns]))
 
 
 @dataclass
@@ -128,7 +128,10 @@ def certain_answers(
     gpq = _to_gpq(query, nsm)
     if solution is None:
         solution = chase_universal_solution(system).solution
-    return _decode_rows(solution, _id_answers(solution, gpq))
+    rows = select_id_rows_batch(
+        solution, Bgp(tuple(gpq.conjuncts())), gpq.head
+    )
+    return answer_rows(solution, rows)
 
 
 def certain_answers_report(
@@ -157,11 +160,19 @@ def certain_ask(
 
     For an arity-0 query this asks whether the (certain) Boolean answer
     is true; for higher arities it asks whether any certain answer
-    exists.
+    exists.  The batch plan is read chunk by chunk, and the read stops
+    at the first row (the first match, for an arity-0 query) that
+    mentions no blank node.
     """
     gpq = _to_gpq(query, nsm)
     if solution is None:
         solution = chase_universal_solution(system).solution
-    if gpq.is_boolean():
-        return gpq_ask(solution, gpq)
-    return bool(_id_answers(solution, gpq))
+    plan = build_batch_plan(solution, Bgp(tuple(gpq.conjuncts())))
+    head = gpq.head
+    for batch in plan.chunks():
+        if not head:
+            return True
+        for row in column_rows(batch.project(head), batch.n):
+            if answer_rows(solution, (row,)):
+                return True
+    return False

@@ -29,16 +29,21 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
+    TYPE_CHECKING,
 )
 
 from repro.rdf.dictionary import IDTriple
+from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
-from repro.peers.system import RPS
+
+if TYPE_CHECKING:  # the system keeps its quotient graph: it imports us
+    from repro.peers.system import RPS
 
 __all__ = [
     "canonical_map",
     "class_members",
     "expand_by_class",
+    "quotient_graph",
     "quotient_triples",
     "representative_ids",
 ]
@@ -97,6 +102,25 @@ def quotient_triples(
         return iter(triples)
     get = to_representative.get
     return ((get(s, s), get(p, p), get(o, o)) for s, p, o in triples)
+
+
+def quotient_graph(stored: Graph, representative: Mapping[IRI, IRI]) -> Graph:
+    """``stored`` with every class member replaced by its representative.
+
+    One ID → ID map over the graph's ID triples, no ``Triple`` built;
+    ``stored`` itself when no member of a class is in its dictionary.
+    """
+    dictionary = stored.dictionary
+    to_representative = representative_ids(
+        representative, dictionary.lookup, dictionary.encode
+    )
+    if not to_representative:
+        return stored
+    quotient = Graph(name=stored.name, dictionary=dictionary)
+    quotient.add_id_triples(
+        quotient_triples(stored.id_triples(), to_representative), dictionary
+    )
+    return quotient
 
 
 def expand_by_class(

@@ -5,11 +5,19 @@ graph mapping assertions and equivalence mappings, and exposes the
 derived artefacts the rest of the library consumes: the stored database
 *D* (union of peer databases), schema-closure validation, and the
 equivalence classes of E.
+
+The system keeps one stored graph and its quotient by ``≡ₑ``
+(:meth:`RPS.stored_graph`, :meth:`RPS.stored_quotient`) for the
+rewriting route, which reads D on every call.  Both are rebuilt only
+when what they are made of changes: the peer set, a peer's graph object
+or its mutation ``epoch`` and, for the quotient, the equivalences.
+They are shared across calls, so they are read-only: read them, do not
+add to them (a kept graph whose own epoch moved is rebuilt).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import MappingError, PeerSystemError
 from repro.rdf.graph import Graph
@@ -20,7 +28,11 @@ from repro.peers.mappings import (
     equivalences_from_sameas,
 )
 from repro.peers.peer import Peer
+from repro.peers.quotient import canonical_map, quotient_graph
 from repro.peers.schema import PeerSchema
+
+#: A kept graph: what it was built from, the graph, and its epoch then.
+_Kept = Tuple[Hashable, Graph, int]
 
 __all__ = ["RPS"]
 
@@ -54,6 +66,8 @@ class RPS:
             self.peers[peer.name] = peer
         self.assertions: List[GraphMappingAssertion] = list(assertions)
         self.equivalences: List[EquivalenceMapping] = list(equivalences)
+        self._stored: Optional[_Kept] = None
+        self._quotient: Optional[_Kept] = None
         if validate:
             self._validate()
 
@@ -119,11 +133,46 @@ class RPS:
         return out
 
     def stored_database(self) -> Graph:
-        """The stored database D: the union of all peer databases."""
+        """The stored database D: the union of all peer databases.
+
+        A new graph on every call, the caller's to change; for reading
+        D again and again use :meth:`stored_graph`.
+        """
         union = Graph(name="stored")
         for name in self.peer_names():
             union.add_all(self.peers[name].graph)
         return union
+
+    def stored_graph(self) -> Graph:
+        """D, kept across calls until a peer's graph changes.
+
+        Rebuilt when the peer set, a peer's graph object or that
+        graph's ``epoch`` differs from the last build.  Read it, do not
+        add to it.
+        """
+        key = tuple(
+            (name, peer.graph.serial, peer.graph.epoch)
+            for name, peer in sorted(self.peers.items())
+        )
+        self._stored = _keep(self._stored, key, self.stored_database)
+        return self._stored[1]
+
+    def stored_quotient(self) -> Graph:
+        """:meth:`stored_graph` with every ``≡ₑ`` class member replaced
+        by its representative (:func:`repro.peers.quotient.canonical_map`).
+
+        Kept like :meth:`stored_graph`, and also rebuilt when the
+        equivalences change; the stored graph itself when E is empty.
+        Read it, do not add to it.
+        """
+        stored = self.stored_graph()
+        key = (stored.serial, stored.epoch, tuple(self.equivalences))
+        self._quotient = _keep(
+            self._quotient,
+            key,
+            lambda: quotient_graph(stored, canonical_map(self)),
+        )
+        return self._quotient[1]
 
     def total_stored_triples(self) -> int:
         return sum(len(p.graph) for p in self.peers.values())
@@ -183,3 +232,12 @@ class RPS:
             f"RPS({len(self.peers)} peers, {len(self.assertions)} assertions, "
             f"{len(self.equivalences)} equivalences)"
         )
+
+
+def _keep(kept: Optional[_Kept], key: Hashable, build) -> _Kept:
+    """``kept`` while it was built from ``key`` and nobody changed it,
+    else a fresh build."""
+    if kept is not None and kept[0] == key and kept[1].epoch == kept[2]:
+        return kept
+    graph = build()
+    return (key, graph, graph.epoch)

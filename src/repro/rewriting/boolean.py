@@ -17,15 +17,16 @@ The pipeline:
 3. disjuncts translated back to triple patterns, rendered as SPARQL ASK
    blocks (the ``ASK {{...} UNION {...}}`` shape of Listing 2, over
    representatives) and evaluated over the quotient of the stored
-   ``Graph`` by the columnar batch engine (:func:`disjunct_id_rows`,
-   shared with :mod:`repro.rewriting.perfect`) — the stored database is
-   never copied into a relational instance.
+   ``Graph`` by the columnar batch engine (:func:`disjunct_plan`,
+   shared with :mod:`repro.rewriting.perfect`), each disjunct read only
+   until its first row — the stored database is never copied into a
+   relational instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Union
 
 from repro.errors import RewritingError, TripleError
 from repro.gpq.query import GraphPatternQuery
@@ -41,14 +42,14 @@ from repro.peers.data_exchange import TT
 from repro.peers.system import RPS
 from repro.rewriting.redundancy import EquivalenceQuotient
 from repro.sparql.algebra import Bgp
-from repro.sparql.batch import select_id_rows_batch
+from repro.sparql.batch import BatchEmpty, BatchOp, build_batch_plan
 
 __all__ = [
     "BooleanRewriting",
     "rewrite_boolean_query",
     "rewrite_over_quotient",
     "cq_to_ask_block",
-    "disjunct_id_rows",
+    "disjunct_plan",
 ]
 
 
@@ -72,22 +73,19 @@ def _atoms_to_patterns(atoms: Iterable[Atom]) -> List[TriplePattern]:
     return patterns
 
 
-def disjunct_id_rows(
-    stored: Graph, atoms: Iterable[Atom], head: Sequence[Variable] = ()
-) -> Set[Tuple[Optional[int], ...]]:
-    """Distinct ``head`` rows of a ``tt`` conjunction over ``stored``.
+def disjunct_plan(stored: Graph, atoms: Iterable[Atom]) -> BatchOp:
+    """The batch plan of a ``tt`` conjunction over ``stored``.
 
-    Rows are tuples of the graph's dictionary IDs (``None`` for a head
-    variable the conjunction does not bind); a Boolean conjunction
-    (empty head) yields ``{()}`` when it holds and ``set()`` otherwise.
+    Its ``execute()`` gives every match as ID columns, its ``chunks()``
+    the same matches on demand.
     """
     try:
         patterns = _atoms_to_patterns(atoms)
     except TripleError:
         # Rewriting moved a literal into a predicate position: a
         # well-formed relational atom that no RDF triple can match.
-        return set()
-    return select_id_rows_batch(stored, Bgp(tuple(patterns)), head)
+        return BatchEmpty(frozenset())
+    return build_batch_plan(stored, Bgp(tuple(patterns)))
 
 
 def cq_to_ask_block(
@@ -133,9 +131,14 @@ class BooleanRewriting:
     def holds_in(self, quotient_graph: Graph) -> bool:
         """Does some disjunct match the already-quotiented graph?
 
-        Stops at the first disjunct that holds.
+        Stops at the first disjunct that holds, and reads each disjunct
+        only up to its first chunk of matches.
         """
-        return any(disjunct_id_rows(quotient_graph, cq.body) for cq in self.ucq)
+        return any(
+            next(disjunct_plan(quotient_graph, cq.body).chunks(), None)
+            is not None
+            for cq in self.ucq
+        )
 
     def to_sparql(self, nsm: Optional[NamespaceManager] = None) -> str:
         """The Listing-2 surface form: ``ASK {{...} UNION {...} ...}``."""

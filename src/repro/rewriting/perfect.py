@@ -6,12 +6,15 @@ Two complete strategies are provided for FO-rewritable mapping sets:
   SELECT query's head is reified as a reserved ``_ans(x₁,…,xₙ)`` body
   atom, the resulting Boolean query is UCQ-rewritten, and each disjunct
   is evaluated over the stored ``Graph`` by the columnar batch engine,
-  projected on the ``_ans`` atom's variables.  Answer positions are
-  read off the ID rows (blank-carrying rows dropped as integers),
-  constants that assertion TGDs substituted into answer positions are
-  spliced in, and only the distinct surviving rows are decoded.  One
-  rewriting, no candidate enumeration, no relational copy of the stored
-  database.
+  projected on the ``_ans`` atom's positions as ID columns.  A constant
+  that an assertion TGD substituted into an answer position is a column
+  of its dictionary ID — or of a private negative ID when the stored
+  dictionary lacks it, so nothing is interned.  The rows of all
+  disjuncts are deduplicated once, as ID tuples, and cross the one
+  result boundary of both routes,
+  :func:`repro.peers.certain_answers.answer_rows`, which drops blank
+  rows and decodes each distinct ID once.  One rewriting, no candidate
+  enumeration, no relational copy of the stored database.
 * :func:`certain_answers_by_tuple_check` — the paper's own Example-3
   reduction: enumerate candidate tuples, substitute each into the query,
   rewrite the Boolean query and evaluate it.  Exponentially more
@@ -27,13 +30,22 @@ stored database (the stored graph itself when E is empty), and each
 answer cell is expanded by its class at the boundary.  The un-expanded
 rows are Listing 1's "Result without redundancy".  Both agree with the
 chase on every FO-rewritable system (property-tested).
+
+The stored graph and its quotient are the ones the system keeps
+(:meth:`repro.peers.system.RPS.stored_graph`,
+:meth:`~repro.peers.system.RPS.stored_quotient`): built on first use
+and rebuilt only when the peer set, a peer's graph object or its
+``epoch``, or the equivalences change.  They are shared by every call,
+so they are read-only, like the canonical database of
+:meth:`repro.tgd.cq.ConjunctiveQuery.freeze`: read them, do not add to
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import (
     NotRewritableError,
@@ -45,14 +57,15 @@ from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import NamespaceManager
 from repro.rdf.terms import BlankNode, Term, Variable
+from repro.sparql.batch import column_rows
 from repro.sparql.bridge import sparql_to_gpq
 from repro.tgd.atoms import Atom, Constant, RelVar
 from repro.tgd.classes import classify
 from repro.tgd.cq import ConjunctiveQuery
 from repro.tgd.rewrite import rewrite_ucq
-from repro.peers.certain_answers import blank_free_rows
+from repro.peers.certain_answers import answer_rows
 from repro.peers.system import RPS
-from repro.rewriting.boolean import disjunct_id_rows, rewrite_over_quotient
+from repro.rewriting.boolean import disjunct_plan, rewrite_over_quotient
 from repro.rewriting.redundancy import EquivalenceQuotient, canonical_map
 
 __all__ = [
@@ -99,42 +112,39 @@ class RewritingAnswers:
     nonredundant: Set[Tuple[Term, ...]] = field(default_factory=set)
 
 
-#: An answer row before decoding: a cell is a dictionary ID read off a
-#: disjunct's row, or the ground term of a constant answer position.
-_Cells = Tuple[Union[int, Term], ...]
-
-
-def _disjunct_cells(
-    stored: Graph, disjunct: ConjunctiveQuery
-) -> Iterable[_Cells]:
-    """The blank-free answer rows one rewritten disjunct contributes."""
+def _answer_columns(
+    stored: Graph, disjunct: ConjunctiveQuery, constant_id: Callable[[Term], int]
+) -> Tuple[List[Sequence[int]], int]:
+    """One rewritten disjunct's answer positions as ID columns, and the
+    number of rows (duplicates and blanks included)."""
     ans_atoms = [a for a in disjunct.body if a.predicate == ANS]
     if len(ans_atoms) != 1:
         raise RewritingError(f"disjunct lost its answer atom: {disjunct!r}")
     rest = [a for a in disjunct.body if a.predicate != ANS]
     if not rest:
-        return ()
+        return [], 0
     bound = {arg for atom in rest for arg in atom.args}
-    # Per answer position: a ground term, or a column of ``head``.
-    head: List[Variable] = []
-    picks: List[Union[int, Term]] = []
+    # Per answer position: a variable of the match, or a constant's ID.
+    picks: List[Union[Variable, int]] = []
     for arg in ans_atoms[0].args:
         if isinstance(arg, RelVar) and arg in bound:
-            var = Variable(arg.name)
-            if var not in head:
-                head.append(var)
-            picks.append(head.index(var))
+            picks.append(Variable(arg.name))
         elif isinstance(arg, Constant) and not isinstance(
             arg.value, BlankNode
         ):
-            picks.append(arg.value)
+            picks.append(constant_id(arg.value))
         else:  # unbound, a null or a blank: no certain answer here
-            return ()
-    rows = blank_free_rows(stored, disjunct_id_rows(stored, rest, head))
-    return (
-        tuple(row[pick] if isinstance(pick, int) else pick for pick in picks)
-        for row in rows
-    )
+            return [], 0
+    head = list(dict.fromkeys(p for p in picks if isinstance(p, Variable)))
+    batch = disjunct_plan(stored, rest).execute()
+    n = batch.n
+    if not n:
+        return [], 0
+    column = dict(zip(head, batch.project(head)))
+    return [
+        column[pick] if isinstance(pick, Variable) else [pick] * n
+        for pick in picks
+    ], n
 
 
 def certain_answers_by_rewriting(
@@ -177,16 +187,22 @@ def certain_answers_by_rewriting(
     stats = rewrite_ucq(reified, quotient.tgds, max_queries=max_queries)
 
     stored = quotient.stored()
-    cells: Set[_Cells] = set()
+    lookup = stored.term_id
+    private: Dict[Term, int] = {}
+
+    def constant_id(term: Term) -> int:
+        tid = lookup(term)
+        if tid is None:
+            tid = private.setdefault(term, -1 - len(private))
+        return tid
+
+    rows: Set[Tuple[int, ...]] = set()
     for disjunct in stats.ucq:
-        cells.update(_disjunct_cells(stored, disjunct))
-    decode = stored.decode_id
-    terms = {
-        cell: decode(cell)
-        for cell in set(itertools.chain.from_iterable(cells))
-        if isinstance(cell, int)
-    }
-    nonredundant = {tuple([terms.get(c, c) for c in row]) for row in cells}
+        columns, n = _answer_columns(stored, disjunct, constant_id)
+        rows.update(column_rows(columns, n))
+    nonredundant = answer_rows(
+        stored, rows, {tid: term for term, tid in private.items()}
+    )
     return RewritingAnswers(
         answers=quotient.expand(nonredundant),
         disjuncts=len(stats.ucq),
@@ -210,7 +226,7 @@ def candidate_tuples(
     Raises:
         RewritingError: if the Cartesian product exceeds the guard.
     """
-    stored = system.stored_database()
+    stored = system.stored_graph()
     terms: Set[Term] = set()
     for term in stored.terms():
         if not isinstance(term, BlankNode):
@@ -231,7 +247,7 @@ def candidate_tuples(
             f"candidate space of {total} tuples exceeds the guard of "
             f"{max_candidates}; use certain_answers_by_rewriting instead"
         )
-    return [tuple(combo) for combo in itertools.product(universe, repeat=arity)]
+    return list(itertools.product(universe, repeat=arity))
 
 
 def certain_answers_by_tuple_check(

@@ -35,8 +35,7 @@ from repro.peers.quotient import (
     canonical_map,
     class_members,
     expand_by_class,
-    quotient_triples,
-    representative_ids,
+    quotient_graph,
 )
 from repro.peers.system import RPS
 
@@ -78,24 +77,15 @@ class EquivalenceQuotient:
     def graph(self, stored: Graph) -> Graph:
         """``stored`` with every class member replaced by its representative.
 
-        One ID → ID map over the graph's ID triples, no ``Triple`` built;
-        ``stored`` itself when the system has no equivalence.
+        ``stored`` itself when the system has no equivalence
+        (:func:`repro.peers.quotient.quotient_graph`).
         """
-        dictionary = stored.dictionary
-        to_representative = representative_ids(
-            self.representative, dictionary.lookup, dictionary.encode
-        )
-        if not to_representative:
-            return stored
-        quotient = Graph(name=stored.name, dictionary=dictionary)
-        quotient.add_id_triples(
-            quotient_triples(stored.id_triples(), to_representative), dictionary
-        )
-        return quotient
+        return quotient_graph(stored, self.representative)
 
     def stored(self) -> Graph:
-        """The quotient of the system's stored database."""
-        return self.graph(self._system.stored_database())
+        """The quotient of the system's stored database, as the system
+        keeps it (:meth:`RPS.stored_quotient`): read it, do not add to it."""
+        return self._system.stored_quotient()
 
     def expand(
         self, rows: Collection[Tuple[Term, ...]]

@@ -32,7 +32,6 @@ from repro.tgd.dependencies import TGD, rename_apart
 from repro.tgd.homomorphism import (
     find_homomorphisms,
     find_one_homomorphism,
-    match_atom,
 )
 from repro.tgd.marking import (
     MarkingResult,
@@ -76,7 +75,6 @@ __all__ = [
     "is_sticky_join",
     "is_weakly_acyclic",
     "mark_variables",
-    "match_atom",
     "rename_apart",
     "reset_null_counter",
     "rewrite_ucq",

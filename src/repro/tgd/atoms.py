@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import threading
 from typing import (
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -179,8 +181,8 @@ class Atom:
                     f"atom argument must be a relational term, got {arg!r}"
                 )
         object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "args", tuple(args))
-        object.__setattr__(self, "_hash", hash((predicate, self.args)))
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash((predicate, args)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Atom is immutable")
@@ -196,18 +198,19 @@ class Atom:
         return not any(isinstance(a, RelVar) for a in self.args)
 
     def substitute(self, mapping: Dict[RelVar, RelTerm]) -> "Atom":
-        """Apply a substitution to the variable arguments."""
-        return Atom(
-            self.predicate,
-            *(
-                mapping.get(a, a) if isinstance(a, RelVar) else a
-                for a in self.args
-            ),
+        """Apply a substitution to the variable arguments (the atom
+        itself when the substitution changes none of them)."""
+        args = tuple(
+            [mapping.get(a, a) if isinstance(a, RelVar) else a for a in self.args]
         )
+        if args == self.args:
+            return self
+        return Atom(self.predicate, *args)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Atom)
+            and other._hash == self._hash
             and other.predicate == self.predicate
             and other.args == self.args
         )
@@ -218,6 +221,14 @@ class Atom:
     def __repr__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
         return f"{self.predicate}({inner})"
+
+
+#: One position of an atom as a search reads it: its 1-based index, its
+#: argument, and whether that argument is a variable.
+Slot = Tuple[int, RelTerm, bool]
+
+#: What :meth:`Instance.candidates` answers when no fact can match.
+_NO_FACTS: FrozenSet[Atom] = frozenset()
 
 
 class Instance:
@@ -274,30 +285,36 @@ class Instance:
     def facts_with_predicate(self, predicate: str) -> Set[Atom]:
         return self._by_predicate.get(predicate, set())
 
-    def candidates(self, atom: Atom, partial: Dict[RelVar, RelTerm]) -> Set[Atom]:
-        """Facts that could match ``atom`` under the partial substitution.
+    def candidates(
+        self,
+        predicate: str,
+        slots: Sequence[Slot],
+        partial: Dict[RelVar, RelTerm],
+    ) -> AbstractSet[Atom]:
+        """Facts of ``predicate`` that could match an atom's ``slots``
+        under the partial substitution.
 
         Uses the most selective (predicate, position, value) index entry
-        among the atom's ground-or-bound positions; falls back to the
-        predicate index when every position is an unbound variable.
+        among the atom's ground-or-bound positions (the first one on a
+        tie); falls back to the predicate index when every position is
+        an unbound variable.  The result is an index entry: read it, do
+        not change it.
         """
+        by_pv = self._by_pv
         best: Optional[Set[Atom]] = None
-        for i, arg in enumerate(atom.args, start=1):
-            value: Optional[RelTerm] = None
-            if isinstance(arg, RelVar):
-                value = partial.get(arg)
-            else:
-                value = arg
-            if value is None:
-                continue
-            bucket = self._by_pv.get((atom.predicate, i, value), set())
+        for i, arg, is_variable in slots:
+            if is_variable:
+                arg = partial.get(arg)
+                if arg is None:
+                    continue
+            bucket = by_pv.get((predicate, i, arg))
+            if bucket is None:
+                return _NO_FACTS
             if best is None or len(bucket) < len(best):
                 best = bucket
-            if best is not None and not best:
-                return set()
         if best is not None:
             return best
-        return self.facts_with_predicate(atom.predicate)
+        return self.facts_with_predicate(predicate)
 
     def values(self) -> Set[RelTerm]:
         """The active domain: all constants and nulls in any fact."""

@@ -17,7 +17,12 @@ from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.errors import TGDError
 from repro.tgd.atoms import Atom, Constant, Instance, RelTerm, RelVar
-from repro.tgd.homomorphism import find_one_homomorphism
+from repro.tgd.homomorphism import (
+    SearchPlan,
+    order_atoms,
+    plan_search,
+    run_search,
+)
 
 __all__ = ["ConjunctiveQuery", "UnionOfCQs"]
 
@@ -34,7 +39,15 @@ class ConjunctiveQuery:
         TGDError: if the body is empty or a head variable is unsafe.
     """
 
-    __slots__ = ("head", "body", "label", "_hash", "_frozen")
+    __slots__ = (
+        "head",
+        "body",
+        "label",
+        "_hash",
+        "_frozen",
+        "_canonical",
+        "_search_plan",
+    )
 
     def __init__(
         self,
@@ -46,17 +59,20 @@ class ConjunctiveQuery:
         body_tuple = tuple(body)
         if not body_tuple:
             raise TGDError("conjunctive query body must be non-empty")
-        body_vars: Set[RelVar] = set()
-        for atom in body_tuple:
-            body_vars.update(atom.variables())
-        for var in head_tuple:
-            if var not in body_vars:
-                raise TGDError(f"unsafe head variable {var}")
+        if head_tuple:
+            body_vars: Set[RelVar] = set()
+            for atom in body_tuple:
+                body_vars.update(atom.variables())
+            for var in head_tuple:
+                if var not in body_vars:
+                    raise TGDError(f"unsafe head variable {var}")
         object.__setattr__(self, "head", head_tuple)
         object.__setattr__(self, "body", body_tuple)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_hash", hash((head_tuple, frozenset(body_tuple))))
+        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_frozen", None)
+        object.__setattr__(self, "_canonical", None)
+        object.__setattr__(self, "_search_plan", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ConjunctiveQuery is immutable")
@@ -103,13 +119,37 @@ class ConjunctiveQuery:
         it.
         """
         if self._frozen is None:
-            mapping: Dict[RelVar, RelTerm] = {
-                v: Constant(("frozen", v.name)) for v in self.variables()
-            }
-            frozen = Instance(atom.substitute(mapping) for atom in self.body)
-            head_image = tuple(mapping[v] for v in self.head)
-            object.__setattr__(self, "_frozen", (frozen, head_image))
+            # Keyed by name: equal variables freeze to one constant.
+            frozen_of: Dict[str, Constant] = {}
+            facts = []
+            for atom in self.body:
+                args = []
+                for arg in atom.args:
+                    if isinstance(arg, RelVar):
+                        value = frozen_of.get(arg.name)
+                        if value is None:
+                            value = Constant(("frozen", arg.name))
+                            frozen_of[arg.name] = value
+                        arg = value
+                    args.append(arg)
+                facts.append(Atom(atom.predicate, *args))
+            head_image = tuple([frozen_of[v.name] for v in self.head])
+            object.__setattr__(self, "_frozen", (Instance(facts), head_image))
         return self._frozen
+
+    def search_plan(self) -> SearchPlan:
+        """The body as a containment test maps it, planned once.
+
+        Atoms go most-constrained-first over the query's own canonical
+        database: ``other ⊆ self`` maps ``self``'s body into a query
+        that shares its relations and constants, so the plan is made
+        once per query, not once per test.  Any order finds a
+        homomorphism when one exists.
+        """
+        if self._search_plan is None:
+            ordered = order_atoms(self.body, self.freeze()[0])
+            object.__setattr__(self, "_search_plan", plan_search(ordered))
+        return self._search_plan
 
     def containment_signature(self) -> FrozenSet[Tuple]:
         """What a homomorphism into this query's body can rely on.
@@ -137,13 +177,13 @@ class ConjunctiveQuery:
         if self.arity != other.arity:
             return False
         frozen, head_image = self.freeze()
-        partial = dict(zip(other.head, head_image))
-        # Head variables may repeat; zip keeps the last binding, so check
-        # consistency explicitly.
+        # Head variables may repeat: each must meet one value only.
+        partial: Dict[RelVar, RelTerm] = {}
         for var, value in zip(other.head, head_image):
-            if partial[var] != value:
+            if partial.setdefault(var, value) != value:
                 return False
-        return find_one_homomorphism(other.body, frozen, partial) is not None
+        homomorphisms = run_search(other.search_plan(), frozen, partial, limit=1)
+        return next(homomorphisms, None) is not None
 
     def is_equivalent_to(self, other: "ConjunctiveQuery") -> bool:
         return self.is_contained_in(other) and other.is_contained_in(self)
@@ -176,37 +216,48 @@ class ConjunctiveQuery:
         Variables are renumbered in first-occurrence order after sorting
         atoms by a variable-name-independent skeleton; two queries equal
         up to variable renaming get equal keys (used by the rewriting's
-        ``seen`` set).
+        ``seen`` set).  Computed on the first call and kept on the
+        (immutable) query, like :meth:`freeze`.
         """
-        def skeleton(atom: Atom) -> Tuple:
-            return (
-                atom.predicate,
-                tuple(
-                    ("v",) if isinstance(a, RelVar) else ("c", repr(a))
-                    for a in atom.args
-                ),
-            )
-
-        ordered = sorted(self.body, key=skeleton)
-        numbering: Dict[RelVar, int] = {}
-        for var in self.head:
-            numbering.setdefault(var, len(numbering))
-        for atom in ordered:
-            for arg in atom.args:
-                if isinstance(arg, RelVar):
-                    numbering.setdefault(arg, len(numbering))
-        canonical_atoms = tuple(
+        if self._canonical is not None:
+            return self._canonical
+        # An atom's skeleton is its sort key, and its constant cells are
+        # the canonical atom's cells too.
+        skeletons = [
             (
                 atom.predicate,
                 tuple(
-                    ("v", numbering[a]) if isinstance(a, RelVar) else ("c", repr(a))
-                    for a in atom.args
+                    [
+                        ("v",) if isinstance(a, RelVar) else ("c", repr(a))
+                        for a in atom.args
+                    ]
                 ),
             )
-            for atom in ordered
+            for atom in self.body
+        ]
+        order = sorted(range(len(skeletons)), key=skeletons.__getitem__)
+        # Variables are numbered by name: a name hashes in C.
+        numbering: Dict[str, int] = {}
+        for var in self.head:
+            numbering.setdefault(var.name, len(numbering))
+        canonical_atoms = []
+        for index in order:
+            predicate, cells = skeletons[index]
+            row = []
+            for arg, cell in zip(self.body[index].args, cells):
+                if len(cell) == 1:  # ("v",): a variable
+                    number = numbering.get(arg.name)
+                    if number is None:
+                        number = numbering[arg.name] = len(numbering)
+                    cell = ("v", number)
+                row.append(cell)
+            canonical_atoms.append((predicate, tuple(row)))
+        canonical = (
+            tuple([numbering[v.name] for v in self.head]),
+            tuple(canonical_atoms),
         )
-        canonical_head = tuple(numbering[v] for v in self.head)
-        return (canonical_head, canonical_atoms)
+        object.__setattr__(self, "_canonical", canonical)
+        return canonical
 
     # -- value object -----------------------------------------------------------------
 
@@ -218,6 +269,9 @@ class ConjunctiveQuery:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            value = hash((self.head, frozenset(self.body)))
+            object.__setattr__(self, "_hash", value)
         return self._hash
 
     def __repr__(self) -> str:
@@ -253,28 +307,29 @@ class UnionOfCQs:
         disjuncts the earlier stays.  Only pairs whose signatures allow a
         homomorphism are searched for one.
         """
-        unique: List[ConjunctiveQuery] = []
-        seen = set()
+        first: Dict[Tuple, ConjunctiveQuery] = {}
         for cq in self.disjuncts:
-            key = cq.canonical_form()
-            if key not in seen:
-                seen.add(key)
-                unique.append(cq)
+            first.setdefault(cq.canonical_form(), cq)
+        unique = list(first.values())
         signatures = [cq.containment_signature() for cq in unique]
 
-        def contained(i: int, j: int) -> bool:
-            return signatures[j] <= signatures[i] and unique[i].is_contained_in(
-                unique[j]
-            )
-
-        kept = [
-            cq
-            for i, cq in enumerate(unique)
-            if not any(
-                j != i and contained(i, j) and not (i < j and contained(j, i))
-                for j in range(len(unique))
-            )
-        ]
+        kept = []
+        for i, cq in enumerate(unique):
+            signature = signatures[i]
+            for j, other in enumerate(signatures):
+                if (
+                    j != i
+                    and other <= signature
+                    and cq.is_contained_in(unique[j])
+                    and not (
+                        i < j
+                        and signature <= other
+                        and unique[j].is_contained_in(cq)
+                    )
+                ):
+                    break
+            else:
+                kept.append(cq)
         return UnionOfCQs(kept, label=self.label)
 
     def __repr__(self) -> str:

@@ -5,64 +5,75 @@ instance ``I`` maps every variable to a constant/null such that each atom
 image is a fact of ``I``.  The chase, CQ evaluation and CQ containment
 all reduce to this search.  The implementation is a backtracking join
 with most-constrained-atom-first ordering and index-driven candidate
-enumeration.
+enumeration.  What a search needs to know of its atoms — their
+variables, their predicates' sizes, which positions are variables — is
+read once per search, not once per step.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.tgd.atoms import Atom, Instance, RelTerm, RelVar
+from repro.tgd.atoms import Atom, Instance, RelTerm, RelVar, Slot
 
 __all__ = [
     "find_homomorphisms",
     "find_one_homomorphism",
-    "match_atom",
+    "SearchPlan",
+    "order_atoms",
+    "plan_search",
+    "run_search",
     "extend_homomorphism",
 ]
 
+#: An atom compiled for the search: its predicate, its arity and its
+#: :data:`~repro.tgd.atoms.Slot` per position.
+_Step = Tuple[str, int, Tuple[Slot, ...]]
 
-def match_atom(
-    atom: Atom, fact: Atom, partial: Dict[RelVar, RelTerm]
-) -> Optional[Dict[RelVar, RelTerm]]:
-    """Try to extend ``partial`` so that ``atom`` maps onto ``fact``.
-
-    Returns the *extension only* (new bindings), or None on mismatch.
-    """
-    if atom.predicate != fact.predicate or atom.arity != fact.arity:
-        return None
-    extension: Dict[RelVar, RelTerm] = {}
-    for pattern_arg, fact_arg in zip(atom.args, fact.args):
-        if isinstance(pattern_arg, RelVar):
-            bound = partial.get(pattern_arg)
-            if bound is None:
-                bound = extension.get(pattern_arg)
-            if bound is None:
-                extension[pattern_arg] = fact_arg
-            elif bound != fact_arg:
-                return None
-        elif pattern_arg != fact_arg:
-            return None
-    return extension
+#: Atoms in search order, compiled once (:func:`plan_search`).
+SearchPlan = List[_Step]
 
 
-def _order_atoms(atoms: Sequence[Atom], instance: Instance) -> List[Atom]:
+def plan_search(ordered: Sequence[Atom]) -> SearchPlan:
+    """The search steps of ``ordered``; one object per variable, so a
+    binding is found by identity, not by ``RelVar.__eq__``."""
+    same: Dict[RelVar, RelVar] = {}
+    steps: SearchPlan = []
+    for atom in ordered:
+        slots = tuple(
+            (i, same.setdefault(arg, arg), True)
+            if isinstance(arg, RelVar)
+            else (i, arg, False)
+            for i, arg in enumerate(atom.args, start=1)
+        )
+        steps.append((atom.predicate, atom.arity, slots))
+    return steps
+
+
+def order_atoms(atoms: Sequence[Atom], instance: Instance) -> List[Atom]:
     """Most-constrained-first ordering: fewer candidate facts first,
-    preferring atoms sharing variables with already-ordered ones."""
-    remaining = list(atoms)
+    preferring atoms sharing variables with already-ordered ones.
+
+    Each atom's variables and candidate count are read once per call,
+    not once per comparison; ties go to the earlier atom.
+    """
+    facts = instance.facts_with_predicate
+    remaining = [
+        (atom, atom.variables(), len(facts(atom.predicate))) for atom in atoms
+    ]
     ordered: List[Atom] = []
     bound: Set[RelVar] = set()
-
-    def cost(atom: Atom) -> Tuple[int, int]:
-        shared = sum(1 for v in atom.variables() if v in bound)
-        size = len(instance.facts_with_predicate(atom.predicate))
-        return (-shared, size)
-
     while remaining:
-        best = min(remaining, key=cost)
-        remaining.remove(best)
-        ordered.append(best)
-        bound.update(best.variables())
+        best, best_shared, best_size = 0, -1, 0
+        for index, (_, variables, size) in enumerate(remaining):
+            shared = len(variables & bound) if bound else 0
+            if shared > best_shared or (
+                shared == best_shared and size < best_size
+            ):
+                best, best_shared, best_size = index, shared, size
+        atom, variables, _ = remaining.pop(best)
+        ordered.append(atom)
+        bound |= variables
     return ordered
 
 
@@ -82,27 +93,60 @@ def find_homomorphisms(
 
     Yields:
         Complete variable bindings (including the ``partial`` entries).
+        Read them, do not change them: two homomorphisms that differ
+        only past the last new binding share one dict.
     """
-    base: Dict[RelVar, RelTerm] = dict(partial or {})
-    ordered = _order_atoms(atoms, instance)
+    return run_search(
+        plan_search(order_atoms(atoms, instance)), instance, partial, limit
+    )
+
+
+def run_search(
+    steps: SearchPlan,
+    instance: Instance,
+    partial: Optional[Dict[RelVar, RelTerm]] = None,
+    limit: Optional[int] = None,
+) -> Iterator[Dict[RelVar, RelTerm]]:
+    """:func:`find_homomorphisms` along an already made plan.
+
+    For a caller that maps one conjunction again and again and keeps
+    its plan (CQ containment keeps it on the query).
+    """
+    depth = len(steps)
+    candidates = instance.candidates
     count = 0
-    stack: List[Tuple[int, Dict[RelVar, RelTerm]]] = [(0, base)]
+    stack: List[Tuple[int, Dict[RelVar, RelTerm]]] = [(0, dict(partial or {}))]
     while stack:
         index, bindings = stack.pop()
-        if index == len(ordered):
+        if index == depth:
             yield bindings
             count += 1
             if limit is not None and count >= limit:
                 return
             continue
-        atom = ordered[index]
-        for fact in instance.candidates(atom, bindings):
-            extension = match_atom(atom, fact, bindings)
-            if extension is None:
+        predicate, arity, slots = steps[index]
+        for fact in candidates(predicate, slots, bindings):
+            if len(fact.args) != arity:
                 continue
-            merged = dict(bindings)
-            merged.update(extension)
-            stack.append((index + 1, merged))
+            fresh: Optional[Dict[RelVar, RelTerm]] = None
+            for (_, arg, is_variable), value in zip(slots, fact.args):
+                if is_variable:
+                    bound = bindings.get(arg)
+                    if bound is None and fresh is not None:
+                        bound = fresh.get(arg)
+                    if bound is None:
+                        if fresh is None:
+                            fresh = {}
+                        fresh[arg] = value
+                    elif bound != value:
+                        break
+                elif arg != value:
+                    break
+            else:
+                # A step that binds nothing new shares its parent's dict.
+                stack.append(
+                    (index + 1, {**bindings, **fresh} if fresh else bindings)
+                )
 
 
 def find_one_homomorphism(

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from operator import attrgetter
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -137,18 +138,29 @@ def decompose_heads(tgds: Sequence[TGD]) -> List[TGD]:
 
 
 class _UnionFind:
-    """Union-find over relational terms; constants clash on merge."""
+    """Union-find over relational terms; constants clash on merge.
+
+    ``parent`` never maps a term to an equal one, so a root is the term
+    ``parent`` does not hold and an identity test finds it.
+    """
 
     def __init__(self) -> None:
         self.parent: Dict[RelTerm, RelTerm] = {}
 
     def find(self, term: RelTerm) -> RelTerm:
+        parent = self.parent
         root = term
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
+        step = parent.get(root)
+        while step is not None:
+            root = step
+            step = parent.get(root)
         # Path compression.
-        while self.parent.get(term, term) != root:
-            self.parent[term], term = root, self.parent[term]
+        while term is not root:
+            step = parent.get(term)
+            if step is None or step is root:
+                break
+            parent[term] = root
+            term = step
         return root
 
     def union(self, a: RelTerm, b: RelTerm) -> bool:
@@ -165,23 +177,31 @@ class _UnionFind:
         return True
 
     def classes(self) -> Dict[RelTerm, Set[RelTerm]]:
+        """Root → its class, for every term that was merged."""
         groups: Dict[RelTerm, Set[RelTerm]] = {}
-        seen: Set[RelTerm] = set(self.parent.keys())
-        for term in list(self.parent.keys()):
-            seen.add(self.find(term))
-        for term in seen:
-            groups.setdefault(self.find(term), set()).add(term)
+        find = self.find
+        for term in list(self.parent):
+            root = find(term)
+            members = groups.get(root)
+            if members is None:
+                groups[root] = {term, root}
+            else:
+                members.add(term)
         return groups
 
 
-def _unify_positionwise(a: Atom, b: Atom) -> Optional[_UnionFind]:
+def _unify_positionwise(
+    a: Atom, b: Atom
+) -> Optional[Dict[RelTerm, Set[RelTerm]]]:
+    """The classes of the most general unifier of two atoms, or None
+    when they cannot unify (see :meth:`_UnionFind.classes`)."""
     if a.predicate != b.predicate or a.arity != b.arity:
         return None
     uf = _UnionFind()
     for left, right in zip(a.args, b.args):
         if not uf.union(left, right):
             return None
-    return uf
+    return uf.classes()
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +281,9 @@ class _HeadIndex:
                     yield from rules
 
 
+_name = attrgetter("name")
+
+
 def _build_substitution(
     classes: Dict[RelTerm, Set[RelTerm]],
     answer_vars: Set[RelVar],
@@ -274,20 +297,19 @@ def _build_substitution(
     """
     substitution: Dict[RelVar, RelTerm] = {}
     for members in classes.values():
-        rep: RelTerm
-        constants = [m for m in members if isinstance(m, Constant)]
-        if constants:
-            rep = constants[0]
-        else:
+        # A class holds at most one constant: two clash in the unifier.
+        rep: Optional[RelTerm] = next(
+            (m for m in members if isinstance(m, Constant)), None
+        )
+        if rep is None:
             variables = [
                 m for m in members if isinstance(m, RelVar) and m not in rule_vars
             ]
-            rep = min(
-                [m for m in variables if m in answer_vars] or variables,
-                key=lambda v: v.name,
-            )
+            if answer_vars:
+                variables = [m for m in variables if m in answer_vars] or variables
+            rep = variables[0] if len(variables) == 1 else min(variables, key=_name)
         for member in members:
-            if isinstance(member, RelVar) and member != rep:
+            if member is not rep and isinstance(member, RelVar):
                 substitution[member] = rep
     return substitution
 
@@ -306,12 +328,12 @@ def _applicable(
     """
     existentials, frontier = rule.existentials, rule.frontier
     for members in classes.values():
-        exist_members = [m for m in members if m in existentials]
-        if exist_members:
-            if len(exist_members) > 1:
+        touching = existentials.intersection(members)
+        if touching:
+            if len(touching) > 1:
                 return False
             for member in members:
-                if member in exist_members:
+                if member in touching:
                     continue
                 if (
                     not isinstance(member, RelVar)
@@ -319,8 +341,10 @@ def _applicable(
                     or member in shared
                 ):
                     return False
-        elif any(isinstance(m, Constant) for m in members) and any(
-            m in answer_vars for m in members
+        elif (
+            answer_vars
+            and not answer_vars.isdisjoint(members)
+            and any(isinstance(m, Constant) for m in members)
         ):
             # Answer variables must survive as variables.
             return False
@@ -345,10 +369,9 @@ def _rewrite_step(
     ``fresh`` supplies the names the rule's body-only variables take in
     the rewritten query.
     """
-    uf = _unify_positionwise(atom, rule.head)
-    if uf is None:
+    classes = _unify_positionwise(atom, rule.head)
+    if classes is None:
         return None
-    classes = uf.classes()
     answer_vars = set(query.head)
     if not _applicable(shared, answer_vars, rule, classes):
         return None
@@ -393,10 +416,10 @@ def _factorize_step(
     )
     if not shares_existential_var:
         return None
-    uf = _unify_positionwise(a1, a2)
-    if uf is None:
+    classes = _unify_positionwise(a1, a2)
+    if classes is None:
         return None
-    substitution = _build_substitution(uf.classes(), set(query.head))
+    substitution = _build_substitution(classes, set(query.head))
     head = [substitution.get(v, v) for v in query.head]
     if any(not isinstance(h, RelVar) for h in head):
         return None

@@ -4,8 +4,11 @@ The rewritten union is evaluated disjunct by disjunct on the columnar
 batch engine, straight over the stored database (no relational copy).
 These tests pin what that must preserve: agreement with chase-based
 certain answers on the benchmark's cycle system, the blank-dropping
-``Q_D`` boundary, constants substituted into answer positions, and the
-Proposition-3 bounded rewriting.
+``Q_D`` boundary, constants substituted into answer positions (also
+ones no stored triple names, which cross the boundary under a private
+negative ID), answer atoms with a repeated variable, the stored graph the
+system keeps between rewritings, and the Proposition-3 bounded
+rewriting.
 
 Equivalences reach the rewriter as classes (the query, the assertion
 TGDs and the stored graph over representatives, answers expanded at the
@@ -23,7 +26,9 @@ from repro.peers import (
     RPS,
     EquivalenceMapping,
     GraphMappingAssertion,
+    Peer,
     certain_answers,
+    certain_ask,
     chase_universal_solution,
 )
 from repro.rdf.graph import Graph
@@ -174,6 +179,20 @@ class TestStoredBlanksNeverSurface:
         assert answers == certain_answers(system, query)
         assert answers == certain_answers_by_tuple_check(system, query).answers
 
+    def test_a_blank_only_answer_position_has_no_certain_answer(self):
+        """``(d q ?y)`` matches only the stored blank: no answer, and
+        ``certain_ask`` says so; the Boolean form still holds."""
+        system = self.system()
+        query = GraphPatternQuery((Y,), make_pattern((EX.d, EX.q, Y)))
+        assert certain_answers_by_rewriting(system, query).answers == set()
+        assert certain_answers(system, query) == set()
+        assert certain_answers_by_tuple_check(system, query).answers == set()
+        assert not certain_ask(system, query)
+        holds = GraphPatternQuery((), make_pattern((EX.d, EX.q, Y)))
+        assert certain_ask(system, holds)
+        assert certain_answers_by_rewriting(system, holds).answers == {()}
+        assert certain_answers(system, holds) == {()}
+
     def test_nor_through_an_equivalence_class(self):
         """``b ≡ e`` widens the answers; the blanks still stay out."""
         system = self.system()
@@ -209,11 +228,13 @@ class TestStoredBlanksNeverSurface:
 
 
 def test_mapping_constant_lands_in_an_answer_position():
-    """``(x p y) ⇝ (x kind C)``: C occurs in no stored triple, yet it
-    is an answer — spliced in as a term beside the decoded ID cells."""
+    """``(x p y) ⇝ (x kind K)``: K occurs in no stored triple, so the
+    stored dictionary lacks it, yet it is an answer — it crosses the
+    boundary under a private negative ID, and nothing interns it."""
+    kind = EX.KindThatOnlyAMappingNames
     assertion = GraphMappingAssertion(
         GraphPatternQuery((X,), make_pattern((X, EX.p, Y))),
-        GraphPatternQuery((X,), make_pattern((X, EX.kind, EX.C))),
+        GraphPatternQuery((X,), make_pattern((X, EX.kind, kind))),
         label="p->kind",
     )
     system = RPS.from_graphs(
@@ -223,10 +244,41 @@ def test_mapping_constant_lands_in_an_answer_position():
         },
         assertions=[assertion],
     )
+    assert system.stored_graph().term_id(kind) is None
     query = GraphPatternQuery((X, Y), make_pattern((X, EX.kind, Y)))
     answers = certain_answers_by_rewriting(system, query).answers
-    assert answers == {(EX.a, EX.C), (EX.d, EX.D)}
+    assert system.stored_graph().term_id(kind) is None
+    assert answers == {(EX.a, kind), (EX.d, EX.D)}
     assert answers == certain_answers(system, query)
+    assert answers == certain_answers_by_tuple_check(system, query).answers
+
+
+def test_an_answer_atom_with_a_repeated_variable():
+    """``(x p y) ⇝ (x q x)`` rewrites ``(?x q ?y)`` to ``_ans(x, x)``
+    over ``(x p y)``: one column fills both answer positions."""
+    assertion = GraphMappingAssertion(
+        GraphPatternQuery((X,), make_pattern((X, EX.p, Y))),
+        GraphPatternQuery((X,), make_pattern((X, EX.q, X))),
+        label="p->loop",
+    )
+    system = RPS.from_graphs(
+        {
+            "source": Graph(
+                [Triple(EX.a, EX.p, EX.b), Triple(EX.c, EX.p, EX.a)],
+                name="source",
+            ),
+            "target": Graph([Triple(EX.d, EX.q, EX.e)], name="target"),
+        },
+        assertions=[assertion],
+    )
+    query = GraphPatternQuery((X, Y), make_pattern((X, EX.q, Y)))
+    rewritten = certain_answers_by_rewriting(system, query)
+    assert rewritten.answers == {(EX.a, EX.a), (EX.c, EX.c), (EX.d, EX.e)}
+    assert rewritten.answers == certain_answers(system, query)
+    assert (
+        rewritten.answers
+        == certain_answers_by_tuple_check(system, query).answers
+    )
 
 
 class TestEquivalencesAsClasses:
@@ -247,6 +299,9 @@ class TestEquivalencesAsClasses:
     def agree(self, system, query):
         rewritten = certain_answers_by_rewriting(system, query)
         assert rewritten.answers == certain_answers(system, query)
+        checked = certain_answers_by_tuple_check(system, query)
+        assert checked.answers == rewritten.answers
+        assert checked.nonredundant == rewritten.nonredundant
         return rewritten
 
     def test_a_chain_of_pairs_is_one_class(self):
@@ -318,6 +373,105 @@ class TestEquivalencesAsClasses:
         assert quotient.expand(rows) == {
             (EX.a, EX.x1), (EX.b, EX.x1), (EX.c, EX.x2),
         }
+
+
+class TestTheKeptStoredGraph:
+    """The system keeps D and its quotient between rewritings; every
+    mutation must show in the next answer exactly as in a new system."""
+
+    QUERY = GraphPatternQuery((X, Y), make_pattern((X, EX.q, Y)))
+
+    def system(self):
+        source = Graph(
+            [Triple(EX.a, EX.p, EX.b), Triple(EX.g, EX.r, EX.h)],
+            name="source",
+        )
+        target = Graph([Triple(EX.d, EX.q, EX.e)], name="target")
+        return RPS.from_graphs(
+            {"source": source, "target": target},
+            assertions=[_translation(EX.p, EX.q, "p->q")],
+        )
+
+    def fresh(self, system):
+        """The same state as a new system over copies of its graphs."""
+        return RPS(
+            [
+                Peer(peer.schema, peer.graph.copy())
+                for peer in system.peers.values()
+            ],
+            system.assertions,
+            system.equivalences,
+        )
+
+    def answers(self, system):
+        return certain_answers_by_rewriting(system, self.QUERY).answers
+
+    def changes(self, mutate):
+        system = self.system()
+        before = self.answers(system)
+        mutate(system)
+        after = self.answers(system)
+        assert after != before
+        assert after == self.answers(self.fresh(system))
+        assert after == certain_answers(system, self.QUERY)
+        return after
+
+    def test_graph_add(self):
+        added = Triple(EX.c, EX.p, EX.f)
+        after = self.changes(lambda s: s.peers["source"].graph.add(added))
+        assert (EX.c, EX.f) in after
+
+    def test_graph_remove(self):
+        removed = Triple(EX.d, EX.q, EX.e)
+        after = self.changes(lambda s: s.peers["target"].graph.remove(removed))
+        assert (EX.d, EX.e) not in after
+
+    def test_add_assertion(self):
+        r_to_q = _translation(EX.r, EX.q, "r->q")
+        after = self.changes(lambda s: s.add_assertion(r_to_q))
+        assert (EX.g, EX.h) in after
+
+    def test_add_equivalence(self):
+        b_is_e = EquivalenceMapping(EX.b, EX.e)
+        after = self.changes(lambda s: s.add_equivalence(b_is_e))
+        assert {(EX.a, EX.e), (EX.d, EX.b)} <= after
+
+    def test_replacing_a_peer_graph(self):
+        def replace(system):
+            system.peers["target"].graph = Graph(
+                [Triple(EX.d, EX.q, EX.b)], name="target"
+            )
+
+        after = self.changes(replace)
+        assert (EX.d, EX.b) in after and (EX.d, EX.e) not in after
+
+    def test_a_second_call_reuses_the_graph(self, monkeypatch):
+        builds = []
+        build = RPS.stored_database
+
+        def counted(system):
+            builds.append(None)
+            return build(system)
+
+        monkeypatch.setattr(RPS, "stored_database", counted)
+        system = self.system()
+        first = self.answers(system)
+        kept = system.stored_graph()
+        assert self.answers(system) == first
+        assert system.stored_graph() is kept
+        assert system.stored_quotient() is kept  # E is empty
+        assert len(builds) == 1
+
+    def test_a_changed_kept_graph_is_rebuilt(self):
+        """The kept graph is read-only; one that was written to anyway
+        is not trusted again."""
+        system = self.system()
+        kept = system.stored_graph()
+        kept.add(Triple(EX.x1, EX.q, EX.y1))
+        rebuilt = system.stored_graph()
+        assert rebuilt is not kept
+        assert Triple(EX.x1, EX.q, EX.y1) not in rebuilt
+        assert self.answers(system) == self.answers(self.fresh(system))
 
 
 def test_multi_head_assertion_needs_a_factorisation_step():

@@ -7,13 +7,15 @@ hand-made pairs; the signature-filtered ``deduplicate`` against the
 all-pairs loop it replaced (kept below as the reference); the exact
 rewriting of the benchmark's two queries — counts, disjunct order and a
 digest of the canonical forms taken at the commit before the rewriter
-was indexed — and how little work it now takes; that nothing in a
-rewriting depends on what the process rewrote before; and what an
-exhausted budget does and does not say.
+was indexed — and how little work it now takes; the rewritings of the
+cycle, Example 2 and the 12-film system disjunct for disjunct, as
+literals; that nothing in a rewriting depends on what the process
+rewrote before; and what an exhausted budget does and does not say.
 """
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -39,6 +41,7 @@ from repro.workload import (
     paper_query_text,
     path_query,
     peer_namespace,
+    scaled_film_rps,
 )
 
 A, B = Constant("a"), Constant("b")
@@ -253,6 +256,139 @@ class TestNoProcessWideState:
             )
         assert snapshot(rewrite_ucq(query, tgds)) == before
         assert before[0] == 6 and len(before[4]) == 2
+
+
+#: Namespaces of the pinned rewritings, as their renderings shorten them.
+PREFIXES = {
+    "http://db1.example.org/": "DB1:",
+    "http://db2.example.org/": "DB2:",
+    "http://xmlns.com/foaf/0.1/": "foaf:",
+    **{f"http://peer{i}.example.org/": f"peer{i}:" for i in range(5)},
+}
+CONSTANT_IRI = re.compile(r"Constant\(IRI\('(.*/)([^/]*)'\)\)")
+
+
+def rendered(cq):
+    """``cq.canonical_form()`` on one line: ``?n`` for the n-th variable,
+    an IRI constant by its prefixed name."""
+    head, atoms = cq.canonical_form()
+    assert head == ()  # every pinned query is reified, hence Boolean
+
+    def cell(kind, value):
+        if kind == "v":
+            return f"?{value}"
+        namespace, local = CONSTANT_IRI.fullmatch(value).groups()
+        return PREFIXES[namespace] + local
+
+    return " ".join(
+        f"{predicate}({','.join(cell(*c) for c in cells)})"
+        for predicate, cells in atoms
+    )
+
+
+def film_text(film):
+    """``benchmarks/wl_certain_answers.py``'s Listing-1 query at one film."""
+    return (
+        "PREFIX DB1: <http://db1.example.org/> "
+        "PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
+        f"SELECT ?x ?y WHERE {{ DB1:film{film} DB1:starring ?z . "
+        "?z DB1:artist ?x . ?x foaf:age ?y }"
+    )
+
+
+class TestPinnedRewritings:
+    """``rewrite_ucq`` on the paper's systems, disjunct for disjunct.
+
+    The renderings, their order and the counters are literals taken at
+    commit 361e64b, before the containment search kept each query's
+    plan and before atoms, constants and queries kept what they are
+    asked again and again (variables, ``repr``, canonical form): none
+    of that may change what the rewriter returns.
+    """
+
+    CASES = {
+        "cycle q1": (
+            (5, 5, 0),
+            [
+                "_ans(?0,?1) tt(?0,peer0:knows,?1)",
+                "_ans(?0,?1) tt(?0,peer4:knows,?1)",
+                "_ans(?0,?1) tt(?0,peer3:knows,?1)",
+                "_ans(?0,?1) tt(?0,peer2:knows,?1)",
+                "_ans(?0,?1) tt(?0,peer1:knows,?1)",
+            ],
+        ),
+        "cycle q2": (
+            (30, 60, 0),
+            [
+                "_ans(?0,?1,?2) tt(?0,peer0:knows,?1) tt(?1,peer1:knows,?2)",
+                "_ans(?0,?1,?2) tt(?0,peer0:knows,?1) tt(?1,peer0:knows,?2)",
+                "_ans(?0,?1,?2) tt(?1,peer1:knows,?2) tt(?0,peer4:knows,?1)",
+                "_ans(?0,?1,?2) tt(?1,peer0:knows,?2) tt(?0,peer4:knows,?1)",
+                "_ans(?0,?1,?2) tt(?0,peer0:knows,?1) tt(?1,peer4:knows,?2)",
+                "_ans(?0,?1,?2) tt(?1,peer1:knows,?2) tt(?0,peer3:knows,?1)",
+                "_ans(?0,?1,?2) tt(?1,peer0:knows,?2) tt(?0,peer3:knows,?1)",
+                "_ans(?0,?1,?2) tt(?0,peer4:knows,?1) tt(?1,peer4:knows,?2)",
+                "_ans(?0,?1,?2) tt(?0,peer0:knows,?1) tt(?1,peer3:knows,?2)",
+                "_ans(?0,?1,?2) tt(?1,peer1:knows,?2) tt(?0,peer2:knows,?1)",
+                "_ans(?0,?1,?2) tt(?1,peer0:knows,?2) tt(?0,peer2:knows,?1)",
+                "_ans(?0,?1,?2) tt(?0,peer3:knows,?1) tt(?1,peer4:knows,?2)",
+                "_ans(?0,?1,?2) tt(?1,peer3:knows,?2) tt(?0,peer4:knows,?1)",
+                "_ans(?0,?1,?2) tt(?0,peer0:knows,?1) tt(?1,peer2:knows,?2)",
+                "_ans(?0,?1,?2) tt(?1,peer1:knows,?2) tt(?0,peer1:knows,?1)",
+                "_ans(?0,?1,?2) tt(?1,peer0:knows,?2) tt(?0,peer1:knows,?1)",
+                "_ans(?0,?1,?2) tt(?0,peer2:knows,?1) tt(?1,peer4:knows,?2)",
+                "_ans(?0,?1,?2) tt(?0,peer3:knows,?1) tt(?1,peer3:knows,?2)",
+                "_ans(?0,?1,?2) tt(?1,peer2:knows,?2) tt(?0,peer4:knows,?1)",
+                "_ans(?0,?1,?2) tt(?0,peer1:knows,?1) tt(?1,peer4:knows,?2)",
+                "_ans(?0,?1,?2) tt(?0,peer2:knows,?1) tt(?1,peer3:knows,?2)",
+                "_ans(?0,?1,?2) tt(?1,peer2:knows,?2) tt(?0,peer3:knows,?1)",
+                "_ans(?0,?1,?2) tt(?0,peer1:knows,?1) tt(?1,peer3:knows,?2)",
+                "_ans(?0,?1,?2) tt(?0,peer2:knows,?1) tt(?1,peer2:knows,?2)",
+                "_ans(?0,?1,?2) tt(?0,peer1:knows,?1) tt(?1,peer2:knows,?2)",
+            ],
+        ),
+        "example 2": (
+            (6, 5, 1),
+            [
+                "_ans(?0,?1) tt(DB1:Spiderman,DB1:starring,?2) tt(?2,DB1:artist,?0) tt(?0,foaf:age,?1)",
+                "_ans(?0,?1) tt(DB1:Spiderman,DB2:actor,?0) tt(?0,foaf:age,?1)",
+            ],
+        ),
+        "12 films": (
+            (6, 5, 1),
+            [
+                "_ans(?0,?1) tt(DB1:film0,DB1:starring,?2) tt(?2,DB1:artist,?0) tt(?0,foaf:age,?1)",
+                "_ans(?0,?1) tt(DB1:film0,DB2:actor,?0) tt(?0,foaf:age,?1)",
+            ],
+        ),
+    }
+
+    def system_and_query(self, case):
+        if case.startswith("cycle"):
+            system = cycle_rps(
+                5, entities=100, facts=300, link_fraction=0.0, seed=7
+            )
+            hops = int(case[-1])
+            knows = [peer_namespace(i).knows for i in range(hops)]
+            return system, path_query(knows, project_all=True)
+        if case == "example 2":
+            return example2_rps(), sparql_to_gpq(paper_query_text())
+        return scaled_film_rps(12), sparql_to_gpq(film_text(0))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_rewriting_is_the_pinned_one(self, case):
+        counters, disjuncts = self.CASES[case]
+        system, gpq = self.system_and_query(case)
+        quotient = EquivalenceQuotient(system)
+        query = reify(gpq, quotient.query(gpq))
+        result = rewrite_ucq(query, quotient.tgds)
+        assert [rendered(cq) for cq in result.ucq] == disjuncts
+        assert (
+            result.explored,
+            result.rewrite_steps,
+            result.factorization_steps,
+        ) == counters
+        assert result.complete
 
 
 class TestBudget:
