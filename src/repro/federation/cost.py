@@ -211,8 +211,6 @@ class CostModel:
         network: the network model whose latency/transfer parameters
             convert message and volume estimates into simulated seconds.
         batch_size: bound-join batch size (bindings per message).
-        bound_selectivity: per-bound-position discount applied when
-            estimating bound-join output size.
         concurrency: per-endpoint channel concurrency assumed by the
             makespan (``parallel=True``) pricing — how many of one
             endpoint's batch requests overlap.
@@ -222,12 +220,10 @@ class CostModel:
         self,
         network: NetworkModel,
         batch_size: int,
-        bound_selectivity: float = BOUND_SELECTIVITY,
         concurrency: int = DEFAULT_CONCURRENCY,
     ) -> None:
         self.network = network
         self.batch_size = batch_size
-        self.bound_selectivity = bound_selectivity
         self.concurrency = max(1, concurrency)
 
     # -- pricing --------------------------------------------------------
@@ -287,7 +283,7 @@ class CostModel:
             return Estimate("bound", 0, 0.0, 0, math.inf, feasible=False)
         batches = math.ceil(bindings / self.batch_size)
         messages = batches * len(active)
-        discount = self.bound_selectivity**bound_positions
+        discount = BOUND_SELECTIVITY**bound_positions
         filter_discount = FILTER_SELECTIVITY**pushed_filters
         solutions = 0.0
         per_endpoint: List[float] = []
@@ -452,7 +448,7 @@ class CostModel:
         for term in pattern:
             if isinstance(term, Variable):
                 if term in bound_vars:
-                    discount *= self.bound_selectivity
+                    discount *= BOUND_SELECTIVITY
                 else:
                     free += 1
         return (total / discount, free)
@@ -478,7 +474,7 @@ class CostModel:
         free = 0
         for variable in sorted(variables, key=lambda v: v.name):
             if variable in bound_vars:
-                discount *= self.bound_selectivity
+                discount *= BOUND_SELECTIVITY
             else:
                 free += 1
         return (total / discount, free)

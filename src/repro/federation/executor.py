@@ -172,8 +172,8 @@ from repro.sparql.batch import (
     Batch,
     batch_slice,
     batch_top_k,
-    column_rows,
     compile_mask,
+    term_rows,
 )
 from repro.sparql.bridge import ConjunctiveBranch, sparql_to_branches
 from repro.sparql.cache import PlanCache, nsm_fingerprint
@@ -636,7 +636,6 @@ class FederatedExecutor:
         scheduler: QueryScheduler,
         weights: Optional[Mapping[str, int]] = None,
         batch_size: Optional[int] = None,
-        term_of: Optional[Dict[Optional[int], Optional[Term]]] = None,
         serial: bool = False,
         analyze: bool = False,
     ) -> List[FederationResult]:
@@ -651,7 +650,6 @@ class FederatedExecutor:
         (statistics refreshes) in ``elapsed_seconds``.
         """
         weights = weights or {}
-        term_of = {None: None} if term_of is None else term_of
         recorded = []
         for name, prepared in tenants:
             recorder = scheduler.tenant(name, weights.get(name, 1), serial)
@@ -688,7 +686,7 @@ class FederatedExecutor:
             results.append(
                 FederationResult(
                     strategy,
-                    self._decode_rows(columns, n, term_of),
+                    set(term_rows(self.dictionary, columns, n)),
                     stats,
                     tuple(decisions),
                     scheduler.tenant_channel_stats(name),
@@ -697,29 +695,6 @@ class FederatedExecutor:
                 )
             )
         return results
-
-    def _decode_rows(
-        self,
-        columns: _IDColumns,
-        n: int,
-        term_of: Dict[Optional[int], Optional[Term]],
-    ) -> Set[Tuple[Optional[Term], ...]]:
-        """``n`` answer rows, as parallel ID columns over the query head
-        (``None`` unbound), decoded into the set of term rows.
-
-        The set is the answer's only DISTINCT: an unmodified query's
-        columns are the plan's drained output, duplicates included.
-        ``term_of`` (start it as ``{None: None}``) memoises decoded
-        IDs, so each distinct ID decodes once — across every result
-        that shares the memo — and the columns map their cells in C;
-        term rows are the only row tuples built here.
-        """
-        decode = self.dictionary.decode
-        for tid in set().union(*columns):
-            if tid not in term_of:
-                term_of[tid] = decode(tid)
-        decoded = [list(map(term_of.__getitem__, col)) for col in columns]
-        return set(column_rows(decoded, n))
 
     def _record(
         self,
@@ -1016,7 +991,6 @@ class FederatedExecutor:
             # (p95 tenant makespan, overall makespan) — wins.  Answers
             # must be identical across rounds; anything else is a
             # planning bug and raises.
-            term_of: Dict[Optional[int], Optional[Term]] = {None: None}
             batch = self.batch_size
             rounds = 0
             best: Optional[ConcurrentResult] = None
@@ -1028,7 +1002,7 @@ class FederatedExecutor:
                 if rounds > 1:
                     scheduler = new_scheduler()
                 results = self._run_round(
-                    tenants, strategy, scheduler, weight_of, batch, term_of
+                    tenants, strategy, scheduler, weight_of, batch
                 )
                 outcomes = tuple(
                     TenantOutcome(

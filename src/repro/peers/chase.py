@@ -12,8 +12,8 @@ the stored database D by repeatedly repairing unsatisfied mappings:
   and object contexts on both sides), so the fixpoint runs on the
   quotient K of D by the classes of ``≡ₑ`` — every stored triple and
   every ground term of every assertion mapped to its class
-  representative (:mod:`repro.peers.quotient`, the class map the
-  rewriting route uses) — with the assertions alone, and J is K
+  representative (:meth:`repro.peers.system.RPS.class_map`, the class
+  map the rewriting route reads) — with the assertions alone, and J is K
   expanded by class, once, after the fixpoint: a K triple with a
   position in a non-trivial class contributes the product of its
   classes.  The six copy blocks of Algorithm 1's case 3 survive only
@@ -31,10 +31,11 @@ the Section-3 encoding), so the chase terminates in polynomially many
 steps (Theorem 1).
 
 The whole run is on dictionary IDs.  J is encoded against a private
-dictionary filled straight from the peers' ID triples (one ID → ID
-remap per source dictionary); every assertion is compiled once into ID
-slots (all its ground terms interned up front); Q and Q′ are evaluated
-by the columnar batch engine
+dictionary, filled first from the quotient of D that the system keeps
+(:meth:`repro.peers.system.RPS.stored_quotient`, the one the rewriting
+route matches against) by one ID → ID remap; every assertion is
+compiled once into ID slots (all its ground terms interned up front);
+Q and Q′ are evaluated by the columnar batch engine
 (:func:`repro.sparql.batch.select_id_rows_batch`) into sets of ID
 tuples; ``Q_K`` drops the rows that meet the set of blank-node IDs,
 which grows as nulls are minted; the violating difference is a set
@@ -44,13 +45,13 @@ with one more.  No term is decoded and no term-level triple is built.
 
 Repair order is a total order: assertions in ``system.assertions``
 order; within an assertion, violating tuples in ascending ID-tuple
-order and existential variables by name.  IDs follow the stored
-database's first-encounter order (peers by name, each graph in
-insertion order, subject-predicate-object), then the class members
-(classes and members in term order), then the assertions' constants,
-then nulls in minting order.  The order only decides which label a null
-gets — the counters and the solution up to null renaming do not depend
-on it, nor on the order or orientation of ``system.equivalences``.
+order and existential variables by name.  IDs follow the kept
+quotient's first-encounter order (its triples in insertion order,
+subject-predicate-object), then the class members (classes and members
+in term order), then the assertions' constants, then nulls in minting
+order.  The order only decides which label a null gets — the counters
+and the solution up to null renaming do not depend on it, nor on the
+order or orientation of ``system.equivalences``.
 
 Two evaluation policies are provided:
 
@@ -86,13 +87,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import BlankNode, Term, Variable, fresh_blank_node
 from repro.rdf.triples import TriplePattern
 from repro.peers.mappings import GraphMappingAssertion
-from repro.peers.quotient import (
-    canonical_map,
-    class_members,
-    expand_by_class,
-    quotient_triples,
-    representative_ids,
-)
+from repro.peers.quotient import expand_by_class
 from repro.peers.system import RPS
 from repro.sparql.algebra import Bgp
 from repro.sparql.batch import select_id_rows_batch
@@ -200,20 +195,28 @@ def chase_universal_solution(
             blanks.add(tid)
         return tid
 
-    stored = _stored_id_triples(system, intern)
-    representative = canonical_map(system)
+    # K₀, the kept quotient of D, in the private dictionary.
+    quotient = system.stored_quotient()
+    terms = quotient.dictionary.terms()
+    remap: Dict[int, int] = {}
+    start: List[IDTriple] = []
+    for triple in quotient.id_triples():
+        for tid in triple:
+            if tid not in remap:
+                remap[tid] = intern(terms[tid])
+        s, p, o = triple
+        start.append((remap[s], remap[p], remap[o]))
+    class_map = system.class_map()
+    representative = class_map.representative
     classes = {
         intern(canonical): tuple(map(intern, members))
-        for canonical, members in class_members(representative).items()
+        for canonical, members in class_map.classes.items()
     }
     solution = Graph(name="universal-solution", dictionary=dictionary)
-    solution.add_id_triples(
-        quotient_triples(
-            stored, representative_ids(representative, intern, intern)
-        ),
-        dictionary,
+    solution.add_id_triples(start, dictionary)
+    result = PeerChaseResult(
+        solution=solution, stored_triples=len(system.stored_graph())
     )
-    result = PeerChaseResult(solution=solution, stored_triples=len(stored))
     assertions = [
         _compile_assertion(solution, assertion, index, intern, representative)
         for index, assertion in enumerate(system.assertions)
@@ -258,30 +261,6 @@ def chase_universal_solution(
         len(solution) - result.stored_triples - result.assertion_triples
     )
     return result
-
-
-def _stored_id_triples(
-    system: RPS, intern: Callable[[Term], int]
-) -> Dict[IDTriple, None]:
-    """The stored database D as ID triples of the private dictionary.
-
-    Peers in ``peer_names()`` order, each graph in insertion order, IDs
-    assigned at first encounter over subject, predicate, object; one
-    ID → ID remap per source dictionary.
-    """
-    stored: Dict[IDTriple, None] = {}
-    remaps: Dict[TermDictionary, Dict[int, int]] = {}
-    for name in system.peer_names():
-        graph = system.peers[name].graph
-        remap = remaps.setdefault(graph.dictionary, {})
-        terms = graph.dictionary.terms()
-        for triple in graph.id_triples():
-            for tid in triple:
-                if tid not in remap:
-                    remap[tid] = intern(terms[tid])
-            s, p, o = triple
-            stored[remap[s], remap[p], remap[o]] = None
-    return stored
 
 
 def _compile_assertion(

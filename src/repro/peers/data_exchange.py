@@ -21,8 +21,8 @@ have that D ⊨ ∀x rt(x)") — in two forms: :func:`rewriting_tgds`, the
 whole target set with six copy TGDs per equivalence (the relational
 reading, kept as the oracle), and :func:`quotient_tgds`, the assertion
 TGDs alone with every constant replaced by the representative of its
-``≡ₑ`` class, which is what the UCQ rewriter is given
-(:class:`repro.rewriting.redundancy.EquivalenceQuotient`).
+``≡ₑ`` class (:meth:`repro.peers.system.RPS.class_map`), which is what
+the UCQ rewriter is given (:mod:`repro.rewriting.perfect`).
 """
 
 from __future__ import annotations

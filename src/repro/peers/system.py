@@ -6,13 +6,16 @@ derived artefacts the rest of the library consumes: the stored database
 *D* (union of peer databases), schema-closure validation, and the
 equivalence classes of E.
 
-The system keeps one stored graph and its quotient by ``≡ₑ``
-(:meth:`RPS.stored_graph`, :meth:`RPS.stored_quotient`) for the
-rewriting route, which reads D on every call.  Both are rebuilt only
-when what they are made of changes: the peer set, a peer's graph object
-or its mutation ``epoch`` and, for the quotient, the equivalences.
-They are shared across calls, so they are read-only: read them, do not
-add to them (a kept graph whose own epoch moved is rebuilt).
+The system keeps the class map of ``≡ₑ`` (:meth:`RPS.class_map`), one
+stored graph and its quotient by ``≡ₑ`` (:meth:`RPS.stored_graph`,
+:meth:`RPS.stored_quotient`) for both certain-answer routes: Algorithm 1
+starts from the kept quotient, the rewriting matches its disjuncts
+against it, and both expand by the kept classes.  Each is rebuilt only
+when what it is made of changes: the equivalences for the class map;
+the peer set, a peer's graph object or its mutation ``epoch`` for the
+graphs, and the class map for the quotient.  They are shared across
+calls, so they are read-only: read them, do not change them (a kept
+graph whose own epoch moved is rebuilt).
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ from repro.peers.mappings import (
     equivalences_from_sameas,
 )
 from repro.peers.peer import Peer
-from repro.peers.quotient import canonical_map, quotient_graph
+from repro.peers.quotient import (
+    ClassMap,
+    canonical_map,
+    class_members,
+    quotient_graph,
+)
 from repro.peers.schema import PeerSchema
 
 #: A kept graph: what it was built from, the graph, and its epoch then.
@@ -66,6 +74,7 @@ class RPS:
             self.peers[peer.name] = peer
         self.assertions: List[GraphMappingAssertion] = list(assertions)
         self.equivalences: List[EquivalenceMapping] = list(equivalences)
+        self._classes: Optional[Tuple[tuple, ClassMap]] = None
         self._stored: Optional[_Kept] = None
         self._quotient: Optional[_Kept] = None
         if validate:
@@ -159,18 +168,18 @@ class RPS:
 
     def stored_quotient(self) -> Graph:
         """:meth:`stored_graph` with every ``≡ₑ`` class member replaced
-        by its representative (:func:`repro.peers.quotient.canonical_map`).
+        by its representative in :meth:`class_map`.
 
-        Kept like :meth:`stored_graph`, and also rebuilt when the
-        equivalences change; the stored graph itself when E is empty.
-        Read it, do not add to it.
+        Kept like :meth:`stored_graph`, and also rebuilt when the class
+        map is; the stored graph itself when E is empty.  Read it, do
+        not add to it.
         """
         stored = self.stored_graph()
-        key = (stored.serial, stored.epoch, tuple(self.equivalences))
+        classes = self.class_map()
         self._quotient = _keep(
             self._quotient,
-            key,
-            lambda: quotient_graph(stored, canonical_map(self)),
+            (stored.serial, stored.epoch, classes),
+            lambda: quotient_graph(stored, classes.representative),
         )
         return self._quotient[1]
 
@@ -198,15 +207,31 @@ class RPS:
 
     # -- equivalence classes -----------------------------------------------------------
 
+    def class_map(self) -> ClassMap:
+        """The classes of ``≡ₑ``, each member's representative
+        (:func:`repro.peers.quotient.canonical_map`) and each
+        representative's class, kept until ``equivalences`` changes.
+
+        The one class map of both routes: Algorithm 1
+        (:mod:`repro.peers.chase`) chases the quotient by it and the
+        rewriting route (:mod:`repro.rewriting.perfect`) rewrites over
+        it.  Read it, do not change it.
+        """
+        key = tuple(self.equivalences)
+        if self._classes is None or self._classes[0] != key:
+            representative = canonical_map(self)
+            self._classes = (
+                key,
+                ClassMap(representative, class_members(representative)),
+            )
+        return self._classes[1]
+
     def equivalence_classes(self) -> Dict[IRI, Set[IRI]]:
         """Union-find closure of E: each IRI → its full equivalence class.
 
         E is a set of pairs; its reflexive-symmetric-transitive closure
-        partitions the affected IRIs.  Every consumer goes through
-        :func:`repro.peers.quotient.canonical_map`: Algorithm 1
-        (:mod:`repro.peers.chase`) chases the quotient by these classes
-        and the rewriting route (:mod:`repro.rewriting.redundancy`)
-        rewrites over it.
+        partitions the affected IRIs.  :meth:`class_map` is what the
+        rest of the library reads.
         """
         index: Dict[IRI, int] = {}
         for equivalence in self.equivalences:

@@ -28,7 +28,6 @@ from repro.rewriting.perfect import (
     check_fo_rewritable,
 )
 from repro.rewriting.redundancy import (
-    canonical_map,
     canonicalize_answer,
     deduplicate_answers,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "ancestor_query",
     "bounded_rewriting_answers",
     "candidate_tuples",
-    "canonical_map",
     "canonicalize_answer",
     "certain_answers_by_rewriting",
     "certain_answers_by_tuple_check",

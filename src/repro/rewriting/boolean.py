@@ -12,8 +12,8 @@ The pipeline:
    replaced by the representatives of their ``≡ₑ`` classes;
 2. UCQ rewriting under the guard-free graph mapping assertion TGDs over
    the same representatives — the equivalences reach the rewriter as
-   classes, never as copy TGDs
-   (:class:`repro.rewriting.redundancy.EquivalenceQuotient`);
+   the classes the system keeps (:meth:`repro.peers.system.RPS.class_map`),
+   never as copy TGDs;
 3. disjuncts translated back to triple patterns, rendered as SPARQL ASK
    blocks (the ``ASK {{...} UNION {...}}`` shape of Listing 2, over
    representatives) and evaluated over the quotient of the stored
@@ -26,7 +26,7 @@ The pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import RewritingError, TripleError
 from repro.gpq.query import GraphPatternQuery
@@ -37,15 +37,22 @@ from repro.rdf.triples import TriplePattern
 from repro.sparql.bridge import sparql_to_gpq
 from repro.tgd.atoms import Atom, Constant, RelVar
 from repro.tgd.cq import ConjunctiveQuery, UnionOfCQs
+from repro.tgd.dependencies import TGD
 from repro.tgd.rewrite import RewriteResult, rewrite_ucq
-from repro.peers.data_exchange import TT
+from repro.peers.data_exchange import (
+    TT,
+    gpq_to_cq,
+    quotient_atoms,
+    quotient_tgds,
+)
+from repro.peers.quotient import quotient_graph
 from repro.peers.system import RPS
-from repro.rewriting.redundancy import EquivalenceQuotient
 from repro.sparql.algebra import Bgp
 from repro.sparql.batch import BatchEmpty, BatchOp, build_batch_plan
 
 __all__ = [
     "BooleanRewriting",
+    "ask_query",
     "rewrite_boolean_query",
     "rewrite_over_quotient",
     "cq_to_ask_block",
@@ -113,29 +120,30 @@ class BooleanRewriting:
         ucq: the rewritten union of relational BCQs, over class
             representatives.
         stats: rewriting statistics.
-        quotient: the equivalence classes the rewriting was made under.
+        representative: the class map the rewriting was made under
+            (class member → representative).
     """
 
     original: GraphPatternQuery
     ucq: UnionOfCQs
     stats: RewriteResult
-    quotient: EquivalenceQuotient
+    representative: Mapping[IRI, IRI]
 
     def __len__(self) -> int:
         return len(self.ucq)
 
     def evaluate(self, stored: Graph) -> bool:
         """Evaluate the union over the stored database (no chase)."""
-        return self.holds_in(self.quotient.graph(stored))
+        return self.holds_in(quotient_graph(stored, self.representative))
 
-    def holds_in(self, quotient_graph: Graph) -> bool:
+    def holds_in(self, quotient: Graph) -> bool:
         """Does some disjunct match the already-quotiented graph?
 
         Stops at the first disjunct that holds, and reads each disjunct
         only up to its first chunk of matches.
         """
         return any(
-            next(disjunct_plan(quotient_graph, cq.body).chunks(), None)
+            next(disjunct_plan(quotient, cq.body).chunks(), None)
             is not None
             for cq in self.ucq
         )
@@ -167,17 +175,34 @@ def rewrite_boolean_query(
             exhausted.
     """
     gpq = query if isinstance(query, GraphPatternQuery) else sparql_to_gpq(query, nsm)
+    representative = system.class_map().representative
     return rewrite_over_quotient(
-        EquivalenceQuotient(system), gpq, max_queries=max_queries
+        representative,
+        quotient_tgds(system, representative),
+        gpq,
+        max_queries=max_queries,
+    )
+
+
+def ask_query(
+    query: GraphPatternQuery, representative: Mapping[IRI, IRI]
+) -> ConjunctiveQuery:
+    """The paper's ``Qbody`` of a Boolean query, its constants replaced
+    by their class representatives."""
+    base = gpq_to_cq(query, label="ask")
+    return ConjunctiveQuery(
+        base.head, quotient_atoms(base.body, representative), label="ask"
     )
 
 
 def rewrite_over_quotient(
-    quotient: EquivalenceQuotient,
+    representative: Mapping[IRI, IRI],
+    tgds: Sequence[TGD],
     query: GraphPatternQuery,
     max_queries: int = 20_000,
 ) -> BooleanRewriting:
-    """Rewrite a Boolean query under an already-built quotient.
+    """Rewrite a Boolean query under the assertion TGDs over
+    representatives (:func:`repro.peers.data_exchange.quotient_tgds`).
 
     For callers that rewrite many queries against one system (the
     tuple-check reduction rewrites once per candidate).
@@ -188,8 +213,11 @@ def rewrite_over_quotient(
             "use repro.rewriting.perfect for SELECT queries"
         )
     stats = rewrite_ucq(
-        quotient.query(query, label="ask"), quotient.tgds, max_queries=max_queries
+        ask_query(query, representative), tgds, max_queries=max_queries
     )
     return BooleanRewriting(
-        original=query, ucq=stats.ucq, stats=stats, quotient=quotient
+        original=query,
+        ucq=stats.ucq,
+        stats=stats,
+        representative=representative,
     )

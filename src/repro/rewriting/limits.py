@@ -30,10 +30,10 @@ from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import Variable
 from repro.rdf.triples import Triple
 from repro.tgd.rewrite import RewriteResult, rewrite_ucq
+from repro.peers.data_exchange import quotient_tgds
 from repro.peers.mappings import GraphMappingAssertion
 from repro.peers.system import RPS
-from repro.rewriting.boolean import BooleanRewriting
-from repro.rewriting.redundancy import EquivalenceQuotient
+from repro.rewriting.boolean import BooleanRewriting, ask_query
 
 __all__ = [
     "CHAIN_NS",
@@ -99,18 +99,21 @@ def bounded_rewriting_answers(
     incomplete) Boolean verdict of the depth-``max_depth`` UCQ
     under-approximation, evaluated over the stored database.
     """
-    quotient = EquivalenceQuotient(system)
+    representative = system.class_map().representative
     stats = rewrite_ucq(
-        quotient.query(query, label="ask"),
-        quotient.tgds,
+        ask_query(query, representative),
+        quotient_tgds(system, representative),
         max_queries=max_queries,
         max_depth=max_depth,
         strict=False,
     )
     rewriting = BooleanRewriting(
-        original=query, ucq=stats.ucq, stats=stats, quotient=quotient
+        original=query,
+        ucq=stats.ucq,
+        stats=stats,
+        representative=representative,
     )
-    return rewriting.holds_in(quotient.stored()), stats
+    return rewriting.holds_in(system.stored_quotient()), stats
 
 
 def rewriting_growth(
@@ -124,13 +127,14 @@ def rewriting_growth(
     For the transitive-closure system this grows without bound — the
     empirical face of Proposition 3.
     """
-    quotient = EquivalenceQuotient(system)
-    bcq = quotient.query(query, label="ask")
+    representative = system.class_map().representative
+    bcq = ask_query(query, representative)
+    tgds = quotient_tgds(system, representative)
     out: Dict[int, int] = {}
     for depth in depths:
         stats = rewrite_ucq(
             bcq,
-            quotient.tgds,
+            tgds,
             max_queries=max_queries,
             max_depth=depth,
             strict=False,

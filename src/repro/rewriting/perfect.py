@@ -22,17 +22,21 @@ Two complete strategies are provided for FO-rewritable mapping sets:
   paper; kept for fidelity and as the tests' cross-check of the
   answer-atom method.
 
-Both work modulo ``≡ₑ``
-(:class:`repro.rewriting.redundancy.EquivalenceQuotient`): the rewriter
-sees the graph mapping assertions and the query over class
-representatives, the disjuncts are matched against the quotient of the
-stored database (the stored graph itself when E is empty), and each
-answer cell is expanded by its class at the boundary.  The un-expanded
-rows are Listing 1's "Result without redundancy".  Both agree with the
-chase on every FO-rewritable system (property-tested).
+Both work modulo ``≡ₑ``, by the class map the system keeps
+(:meth:`repro.peers.system.RPS.class_map`, the one Algorithm 1 chases
+by): the rewriter sees the graph mapping assertions and the query over
+class representatives
+(:func:`repro.peers.data_exchange.quotient_tgds`,
+:func:`~repro.peers.data_exchange.quotient_atoms`), the disjuncts are
+matched against the quotient of the stored database (the stored graph
+itself when E is empty), and each answer cell is expanded by its class
+at the boundary (:func:`repro.peers.quotient.expand_by_class`).  The
+un-expanded rows are Listing 1's "Result without redundancy".  Both
+agree with the chase on every FO-rewritable system (property-tested).
 
-The stored graph and its quotient are the ones the system keeps
-(:meth:`repro.peers.system.RPS.stored_graph`,
+The class map, the stored graph and its quotient are the ones the
+system keeps (:meth:`~repro.peers.system.RPS.class_map`,
+:meth:`~repro.peers.system.RPS.stored_graph`,
 :meth:`~repro.peers.system.RPS.stored_quotient`): built on first use
 and rebuilt only when the peer set, a peer's graph object or its
 ``epoch``, or the equivalences change.  They are shared by every call,
@@ -64,9 +68,10 @@ from repro.tgd.classes import classify
 from repro.tgd.cq import ConjunctiveQuery
 from repro.tgd.rewrite import rewrite_ucq
 from repro.peers.certain_answers import answer_rows
+from repro.peers.data_exchange import gpq_to_cq, quotient_atoms, quotient_tgds
+from repro.peers.quotient import expand_by_class
 from repro.peers.system import RPS
 from repro.rewriting.boolean import disjunct_plan, rewrite_over_quotient
-from repro.rewriting.redundancy import EquivalenceQuotient, canonical_map
 
 __all__ = [
     "ANS",
@@ -87,7 +92,8 @@ def check_fo_rewritable(system: RPS) -> bool:
     given; equivalences reach it as classes — are linear, sticky or
     sticky-join.
     """
-    return classify(EquivalenceQuotient(system).tgds).fo_rewritable_fragment()
+    tgds = quotient_tgds(system, system.class_map().representative)
+    return classify(tgds).fo_rewritable_fragment()
 
 
 @dataclass
@@ -169,24 +175,25 @@ def certain_answers_by_rewriting(
         NotRewritableError: outside the FO-rewritable fragment.
         RewritingError: the rewriting budget ran out.
     """
-    quotient = EquivalenceQuotient(system)
+    classes = system.class_map()
+    tgds = quotient_tgds(system, classes.representative)
     if (
         require_fo_rewritable
-        and not classify(quotient.tgds).fo_rewritable_fragment()
+        and not classify(tgds).fo_rewritable_fragment()
     ):
         raise NotRewritableError(
             "mapping TGDs are neither linear nor sticky; Proposition 2 "
             "does not apply (see Proposition 3) — use the chase instead"
         )
     gpq = query if isinstance(query, GraphPatternQuery) else sparql_to_gpq(query, nsm)
-    base = quotient.query(gpq, label="q")
+    body = quotient_atoms(gpq_to_cq(gpq).body, classes.representative)
     # Reify the head as a reserved body atom so rewriting can specialise
     # answer positions; the query becomes Boolean.
     ans_atom = Atom(ANS, *[RelVar(v.name) for v in gpq.head])
-    reified = ConjunctiveQuery([], list(base.body) + [ans_atom], label="q_ans")
-    stats = rewrite_ucq(reified, quotient.tgds, max_queries=max_queries)
+    reified = ConjunctiveQuery([], body + [ans_atom], label="q_ans")
+    stats = rewrite_ucq(reified, tgds, max_queries=max_queries)
 
-    stored = quotient.stored()
+    stored = system.stored_quotient()
     lookup = stored.term_id
     private: Dict[Term, int] = {}
 
@@ -204,7 +211,7 @@ def certain_answers_by_rewriting(
         stored, rows, {tid: term for term, tid in private.items()}
     )
     return RewritingAnswers(
-        answers=quotient.expand(nonredundant),
+        answers=set(expand_by_class(nonredundant, classes.classes)),
         disjuncts=len(stats.ucq),
         explored=stats.explored,
         rewritings=1,
@@ -236,7 +243,7 @@ def candidate_tuples(
     for assertion in system.assertions:
         terms.update(assertion.target.iris())
         terms.update(assertion.target.pattern.literals())
-    representative = canonical_map(system)
+    representative = system.class_map().representative
     universe = sorted(
         {representative.get(term, term) for term in terms},
         key=lambda t: t.sort_key(),
@@ -265,8 +272,9 @@ def certain_answers_by_tuple_check(
     and expand the accepted tuples by class.
     """
     gpq = query if isinstance(query, GraphPatternQuery) else sparql_to_gpq(query, nsm)
-    quotient = EquivalenceQuotient(system)
-    stored = quotient.stored()
+    classes = system.class_map()
+    tgds = quotient_tgds(system, classes.representative)
+    stored = system.stored_quotient()
     accepted: Set[Tuple[Term, ...]] = set()
     total_disjuncts = 0
     total_explored = 0
@@ -281,7 +289,10 @@ def certain_answers_by_tuple_check(
             # propagates.
             continue
         rewriting = rewrite_over_quotient(
-            quotient, boolean_query, max_queries=max_queries
+            classes.representative,
+            tgds,
+            boolean_query,
+            max_queries=max_queries,
         )
         rewritings += 1
         total_disjuncts += len(rewriting)
@@ -289,7 +300,7 @@ def certain_answers_by_tuple_check(
         if rewriting.holds_in(stored):
             accepted.add(candidate)
     return RewritingAnswers(
-        answers=quotient.expand(accepted),
+        answers=set(expand_by_class(accepted, classes.classes)),
         disjuncts=total_disjuncts,
         explored=total_explored,
         rewritings=rewritings,

@@ -7,97 +7,30 @@ deduplicated result keeping one representative per equivalence class —
 canonical representative is the least class member in the library-wide
 term order, which reproduces the paper's choices exactly.
 
-The same classes are how ``≡ₑ`` reaches the UCQ rewriter:
-:class:`EquivalenceQuotient` is the one place every rewriting entry
-point (:mod:`~repro.rewriting.perfect`, :mod:`~repro.rewriting.boolean`,
-:mod:`~repro.rewriting.limits`) takes its TGDs, its stored graph and
-its class map from.  The "Result without redundancy" is what the
-rewriting computes, the "Result" is its expansion by class.
-
-The class map itself (:func:`canonical_map`, re-exported here), the
-ID → ID quotient of a graph and the expansion by class live in
-:mod:`repro.peers.quotient`, below the import arm ``tgd ← peers ←
-rewriting``: Algorithm 1 chases the same quotient with the same
-representatives.
+The classes are the ones the system keeps
+(:meth:`repro.peers.system.RPS.class_map`), which both certain-answer
+routes read: the rewriting entry points (:mod:`~repro.rewriting.perfect`,
+:mod:`~repro.rewriting.boolean`, :mod:`~repro.rewriting.limits`) give
+the rewriter the assertion TGDs and the query over representatives
+(:func:`repro.peers.data_exchange.quotient_tgds`,
+:func:`~repro.peers.data_exchange.quotient_atoms`), match against the
+kept quotient of the stored graph, and expand by class
+(:func:`repro.peers.quotient.expand_by_class`).  The "Result without
+redundancy" is what the rewriting computes, the "Result" is its
+expansion by class.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
-from repro.gpq.query import GraphPatternQuery
-from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Term
-from repro.tgd.cq import ConjunctiveQuery
-from repro.tgd.dependencies import TGD
-from repro.peers.data_exchange import gpq_to_cq, quotient_atoms, quotient_tgds
-from repro.peers.quotient import (
-    canonical_map,
-    class_members,
-    expand_by_class,
-    quotient_graph,
-)
 from repro.peers.system import RPS
 
 __all__ = [
-    "EquivalenceQuotient",
-    "canonical_map",
     "canonicalize_answer",
     "deduplicate_answers",
 ]
-
-
-class EquivalenceQuotient:
-    """An RPS seen modulo ``≡ₑ``: what the rewriter is given.
-
-    ``≡ₑ`` copies a triple to every member of a class in each of the
-    three positions of the one ``tt`` relation, so it is a congruence:
-    the certain answers under G ∪ E are the answers under G alone over
-    the quotient, expanded by class.  No equivalence copy TGD is built.
-
-    Attributes:
-        representative: :func:`canonical_map` of the system.
-        classes: representative → its class, in term order.
-        tgds: the guard-free assertion TGDs over representatives.
-    """
-
-    def __init__(self, system: RPS) -> None:
-        self._system = system
-        self.representative: Dict[IRI, IRI] = canonical_map(system)
-        self.classes: Dict[IRI, List[IRI]] = class_members(self.representative)
-        self.tgds: List[TGD] = quotient_tgds(system, self.representative)
-
-    def query(self, gpq: GraphPatternQuery, label: str = "q") -> ConjunctiveQuery:
-        """The paper's ``Qbody`` of ``gpq`` with constants as representatives."""
-        base = gpq_to_cq(gpq, label=label)
-        return ConjunctiveQuery(
-            base.head, quotient_atoms(base.body, self.representative), label=label
-        )
-
-    def graph(self, stored: Graph) -> Graph:
-        """``stored`` with every class member replaced by its representative.
-
-        ``stored`` itself when the system has no equivalence
-        (:func:`repro.peers.quotient.quotient_graph`).
-        """
-        return quotient_graph(stored, self.representative)
-
-    def stored(self) -> Graph:
-        """The quotient of the system's stored database, as the system
-        keeps it (:meth:`RPS.stored_quotient`): read it, do not add to it."""
-        return self._system.stored_quotient()
-
-    def expand(
-        self, rows: Collection[Tuple[Term, ...]]
-    ) -> Set[Tuple[Term, ...]]:
-        """Every row with each representative replaced by each class member.
-
-        Always a new set; without classes it is ``set(rows)``, which
-        rehashes no row when ``rows`` is a set already.
-        """
-        if not self.classes:
-            return set(rows)
-        return set(expand_by_class(rows, self.classes))
 
 
 def canonicalize_answer(
@@ -119,5 +52,5 @@ def deduplicate_answers(
     duplicates collapse.  The result contains only canonical
     representatives.
     """
-    mapping = canonical_map(system)
+    mapping = system.class_map().representative
     return {canonicalize_answer(answer, mapping) for answer in answers}

@@ -562,7 +562,6 @@ class OverlapScheduler(QueryScheduler):
         self,
         concurrency: int = DEFAULT_CONCURRENCY,
         max_in_flight: Optional[int] = None,
-        per_endpoint_concurrency: Optional[Dict[str, int]] = None,
     ) -> None:
-        super().__init__(concurrency, max_in_flight, per_endpoint_concurrency)
+        super().__init__(concurrency, max_in_flight)
         self.submit = self.tenant("").submit

@@ -111,6 +111,7 @@ __all__ = [
     "passing_rows",
     "select_id_rows_batch",
     "column_rows",
+    "term_rows",
     "pack_ids",
     "pack_ranks",
     "unpack_ranks",
@@ -230,6 +231,29 @@ class Batch:
 def column_rows(columns: Sequence[Sequence], n: int) -> Sequence[Tuple]:
     """The ``n`` rows of parallel columns (``n`` empty rows for none)."""
     return zip(*columns) if columns else [()] * n
+
+
+def term_rows(
+    dictionary: TermDictionary,
+    columns: Sequence[Sequence[Optional[int]]],
+    n: int,
+) -> Sequence[Tuple[Optional[Term], ...]]:
+    """The ``n`` rows of parallel ID columns, decoded into terms.
+
+    The one decoder of both result boundaries, the local engine's and
+    the federation's: ``None`` (unbound) stays ``None``, every other
+    cell is read from :meth:`TermDictionary.terms`.
+    """
+    terms = dictionary.terms()
+    decoded = []
+    for col in columns:
+        if None in col:
+            decoded.append(
+                [None if tid is None else terms[tid] for tid in col]
+            )
+        else:
+            decoded.append(list(map(terms.__getitem__, col)))
+    return column_rows(decoded, n)
 
 
 # ---------------------------------------------------------------------------

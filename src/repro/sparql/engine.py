@@ -47,7 +47,7 @@ from repro.sparql.batch import (
     batch_slice,
     batch_top_k,
     build_batch_plan,
-    column_rows,
+    term_rows,
 )
 from repro.sparql.cache import default_plan_cache, nsm_fingerprint
 from repro.sparql.parser import parse_query
@@ -171,8 +171,7 @@ def _execute_prepared(
         return AskResult(next(plan.chunks(), None) is not None)
     variables = prepared.variables
     dictionary = graph.dictionary
-    terms = dictionary.terms()
-    keep = _blank_row_filter(terms) if not include_blanks else None
+    keep = None if include_blanks else _blank_row_filter(dictionary.terms())
     if not ast.order and (ast.limit is not None or ast.offset is not None):
         # Un-ordered LIMIT/OFFSET: a window of the plan's deterministic
         # chunk order; the plan is abandoned once the window is full.
@@ -194,13 +193,7 @@ def _execute_prepared(
             ast.limit,
             keep,
         )
-    decoded = [
-        [None if tid is None else terms[tid] for tid in col]
-        if None in col
-        else list(map(terms.__getitem__, col))
-        for col in columns
-    ]
-    return SelectResult(variables, list(column_rows(decoded, n)))
+    return SelectResult(variables, list(term_rows(dictionary, columns, n)))
 
 
 def _blank_row_filter(

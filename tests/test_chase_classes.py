@@ -28,7 +28,6 @@ from repro.peers import (
     chase_via_data_exchange,
     is_solution,
 )
-from repro.peers.quotient import canonical_map
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import IRI, BlankNode, Variable
@@ -79,7 +78,7 @@ def enrich(system: RPS, rng: random.Random):
         (ghost, rng.choice(entities)),
     ):
         system.add_equivalence(EquivalenceMapping(left, right))
-    representative = canonical_map(system)
+    representative = system.class_map().representative
     member = max((p, q), **by_key)
     constant = max((a, b, c), **by_key)
     assert representative[member] != member

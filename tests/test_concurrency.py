@@ -686,20 +686,25 @@ def test_validate_trace_events_rejects_bare_controller_span():
 
 
 # ---------------------------------------------------------------------------
-# One result boundary: each distinct ID decodes once per round
+# One result boundary: every result decodes through the term table
 # ---------------------------------------------------------------------------
 
 
-def test_concurrent_rows_equal_solo_and_decode_each_id_once_per_round():
+def test_concurrent_rows_equal_solo_and_decode_through_the_term_table():
     class CountingDictionary(TermDictionary):
-        """Counts ``decode`` calls per ID (the count lives here, in the
-        test, not in ``src/``)."""
+        """Counts ``decode`` calls per ID and reads of the term table
+        (the counts live here, in the test, not in ``src/``)."""
 
         decoded = Counter()
+        reads = []
 
         def decode(self, tid):
             self.decoded[tid] += 1
             return super().decode(tid)
+
+        def terms(self):
+            self.reads.append(None)
+            return super().terms()
 
     dictionary = CountingDictionary()
     source = federated_rps(peers=3, entities=20, facts=120, seed=7)
@@ -721,11 +726,13 @@ def test_concurrent_rows_equal_solo_and_decode_each_id_once_per_round():
     assert any(solo.values())
 
     dictionary.decoded.clear()
+    dictionary.reads.clear()
     result = executor.execute_concurrent(texts)
     assert result.rounds == 1
     for name, rows in solo.items():
         assert result.tenant(name).result.rows == rows, name
-    # 64 tenants over 20 anchors share most of their IDs; every one of
-    # them decoded once for the whole round, not once per cell.
-    assert dictionary.decoded
-    assert max(dictionary.decoded.values()) == 1
+    # No ID is decoded one call at a time: each tenant's result reads
+    # the ID-indexed term table once and maps its columns through it
+    # (sparql.batch.term_rows, the local engine's decoder too).
+    assert not dictionary.decoded
+    assert len(dictionary.reads) == len(texts)

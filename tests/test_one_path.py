@@ -13,12 +13,29 @@ file in the open.
   The rewriting reads the stored database the system keeps
   (``RPS.stored_graph``/``RPS.stored_quotient``), never a fresh
   ``stored_database()`` union per call.
+* **One quotient.**  Both routes work modulo the one class map of
+  ``≡ₑ`` the system keeps (``RPS.class_map``): only ``peers/system.py``
+  builds it, Algorithm 1 starts from the kept quotient of D instead of
+  reading the peer graphs, and no second quotient object comes back.
+* **One path per job in the federation and the runtime** (one bench
+  system, one replay loop, one planner loop, pulls read in place, one
+  result boundary, one row key, packed dedupe keys, one bound-join
+  mode, one batching path, no runtime dependency, one clock): text
+  searches over the tree, a pattern that must not come back or must
+  stay in one place.  Each pattern is bracketed where the search
+  covers this file, so that it cannot match itself.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+#: What building, testing and running leave in the tree (the
+#: ``.gitignore``): no text search reads it.
+IGNORED_DIRS = {"__pycache__", ".pytest_cache", ".eggs", "build", "dist"}
 
 #: The modules of both certain-answer routes, and their one boundary.
 ANSWER_MODULES = ("peers/certain_answers.py", "rewriting/perfect.py")
@@ -104,5 +121,188 @@ class TestOneAnswerBoundary:
                     elif node.attr in ("stored_graph", "stored_quotient"):
                         kept.append(relative)
         assert fresh == []
-        assert "rewriting/redundancy.py" in kept
+        assert "rewriting/limits.py" in kept
         assert "rewriting/perfect.py" in kept
+
+
+class TestOneQuotient:
+    def test_no_second_quotient_object(self):
+        assert grep(r"Equivalence[Q]uotient|_stored_id[_]triples",
+                    "src", "tests", "tools", "docs", ".claude") == []
+
+    def test_only_the_system_builds_the_class_map(self):
+        calls = []
+        for path in sorted(SRC.rglob("*.py")):
+            relative = path.relative_to(SRC).as_posix()
+            if relative == "peers/system.py":
+                continue
+            for node in ast.walk(_parse(relative)):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name in ("canonical_map", "class_members"):
+                        calls.append(f"{relative}:{node.lineno}: {name}")
+        assert calls == []
+
+    def test_the_chase_starts_from_the_kept_quotient(self):
+        reads, kept = [], False
+        for node in ast.walk(_parse("peers/chase.py")):
+            if isinstance(node, ast.Attribute):
+                if node.attr in (
+                    "peers", "peer_names", "graph", "stored_database"
+                ):
+                    reads.append(f"peers/chase.py:{node.lineno}: .{node.attr}")
+                kept = kept or node.attr == "stored_quotient"
+        assert reads == []
+        assert kept
+
+
+def _files(paths):
+    """The files under ``paths`` (relative to the repository root)."""
+    for relative in paths:
+        path = ROOT / relative
+        if path.is_file():
+            yield path
+        elif path.is_dir():
+            for child in sorted(path.rglob("*")):
+                inside = child.relative_to(path).parts
+                if child.is_file() and not (
+                    IGNORED_DIRS.intersection(inside)
+                    or any(part.endswith(".egg-info") for part in inside)
+                    or child.suffix in (".pyc", ".pyo")
+                ):
+                    yield child
+
+
+def grep(pattern, *paths, exclude=()):
+    """Every line of a text file under ``paths`` that ``pattern``
+    matches, as ``path:line: text`` (``git grep -n`` over the tree)."""
+    regex = re.compile(pattern)
+    skipped = {ROOT / relative for relative in exclude}
+    hits = []
+    for path in _files(paths):
+        if path in skipped:
+            continue
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            continue
+        relative = path.relative_to(ROOT).as_posix()
+        hits.extend(
+            f"{relative}:{number}: {line.strip()}"
+            for number, line in enumerate(text.splitlines(), 1)
+            if regex.search(line)
+        )
+    return hits
+
+
+def files_with(pattern, *paths, exclude=()):
+    """Matching lines per file (``git grep -c``), files in path order."""
+    counts = {}
+    for hit in grep(pattern, *paths, exclude=exclude):
+        relative = hit.split(":", 1)[0]
+        counts[relative] = counts.get(relative, 0) + 1
+    return counts
+
+
+class TestOnePathPerJob:
+    """The federation's and the runtime's one-path contracts."""
+
+    def test_one_bench_system(self):
+        # The wall clock is benchmarks/ (BENCHMARK.json), the simulated
+        # clock the two goldens under tests/, behaviour invariants
+        # tier-1; no second harness may come back.
+        assert grep(r"repro[.]bench|BENCH[_]core", "src", "tests", "docs",
+                    "README.md", ".github", ".claude") == []
+
+    def test_one_replay_loop(self):
+        # A solo query is a one-tenant QueryScheduler run; the second
+        # replay (runtime/multi.py beside OverlapScheduler's) may not
+        # come back.
+        assert not (SRC / "runtime" / "multi.py").exists()
+        assert list(files_with(r"def _replay\(", "src")) == [
+            "src/repro/runtime/scheduler.py"
+        ]
+
+    def test_one_planner_loop(self):
+        # adaptive and parallel are one incremental loop
+        # (FederatedPlanner.run_incremental) over units; a second copy
+        # with its own decide() call may not come back.
+        assert grep(r"def run_adaptive", "src") == []
+        assert files_with(r"cost_model[.]decide\(", "src") == {
+            "src/repro/federation/plan.py": 1
+        }
+
+    def test_pulls_read_in_place(self):
+        # A pull is charged, then read through the peer graph's own
+        # indexes; no per-execution copy of a relation may come back.
+        assert grep(r"def relation_ids|cache[.]graph", "src") == []
+        assert grep(r"add_id_triples", "src/repro/federation") == []
+
+    def test_one_result_boundary(self):
+        # Both engines finish a plan with the same two solution-modifier
+        # functions; a federated plan only produces solutions.
+        assert grep(
+            r"class ProjectDedupe|class SliceNode|class TopKNode|distinct = ",
+            "src/repro/federation",
+        ) == []
+        assert list(
+            files_with(r"batch_slice\(|batch_top_k\(", "src",
+                       exclude=["src/repro/sparql/batch.py"])
+        ) == ["src/repro/federation/executor.py", "src/repro/sparql/engine.py"]
+
+    def test_one_row_key(self):
+        # The result boundary dedupes and sorts one packed rank int per
+        # row; per-row rank tuples and tied ranks may not come back.
+        assert grep(r"rank[_]keys|rank[-]tuple|share[ ]a rank",
+                    "src", "tests", "docs", ".claude") == []
+
+    def test_packed_dedupe_keys(self):
+        # Keep-first deduplication keys each row by one packed int
+        # (sparql.batch.pack_ids), which the collector does not track;
+        # sets of row tuples may not come back to the federation.
+        assert grep(r"Set\[Row\]", "src/repro/federation") == []
+        assert grep(r"pack_ids\(", "src/repro/federation/bindings.py")
+
+    def test_one_bound_join_mode(self):
+        # Bound joins are pipelined; the wave-barrier knob may not
+        # come back.
+        assert grep(
+            r'streaming *[:=]|[.]streaming\b|mode[=]waves|["]waves["]',
+            "src", "tests", "tools",
+        ) == []
+
+    def test_one_batching_path(self):
+        # Every bound join slices its input in arrival order; a second
+        # chunk path that sorts rows by term ID may not come back.
+        assert grep(r"_chunks_eager|_batch_order|canonical_key|ctx[.]demand",
+                    "src") == []
+
+    def test_no_runtime_dependency(self):
+        # src/ is stdlib-only: weak acyclicity is a plain reachability
+        # check (tgd/classes.py), and the four modules nothing called
+        # may not come back.
+        assert grep(r"networkx", "src", "setup.py") == []
+        for gone in ("rdf/canonical.py", "rdf/dataset.py",
+                     "workload/people_domain.py", "peers/topology.py"):
+            assert not (SRC / gone).exists(), gone
+
+    def test_one_clock(self):
+        # Every strategy records onto a QueryScheduler tenant (serial
+        # unless parallel) and the replay settles elapsed time; the
+        # serial elapsed clock and the interpreter's span path may not
+        # come back.  Only planning-time refreshes (network.py) and the
+        # replayed makespan (executor.py's _run_round) add to it.
+        federation = "src/repro/federation"
+        assert grep(r"serial(=| *:)", f"{federation}/network.py") == []
+        assert grep(r"tracer[.]record", f"{federation}/plan.py") == []
+        assert grep(r"scheduler is (not )?None", federation) == []
+        assert files_with(r"elapsed_seconds \+=", "src") == {
+            f"{federation}/executor.py": 1,
+            f"{federation}/network.py": 1,
+        }
+        executor = f"{federation}/executor.py"
+        assert any(
+            "tenant_makespan" in hit
+            for hit in grep(r"elapsed_seconds \+=", executor)
+        )

@@ -16,6 +16,7 @@ dependency sets.
 import pytest
 
 from repro.peers import certain_answers
+from repro.peers.data_exchange import quotient_tgds
 from repro.rdf.terms import Literal
 from repro.rewriting import (
     ancestor_query,
@@ -27,7 +28,6 @@ from repro.rewriting import (
     rewriting_growth,
     transitive_closure_rps,
 )
-from repro.rewriting.redundancy import EquivalenceQuotient
 from repro.sparql.bridge import sparql_to_gpq
 from repro.tgd.classes import classify
 from repro.workload import (
@@ -110,11 +110,16 @@ class TestSection4:
         assert growth == {0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
 
     def test_example2_is_linear_and_sticky_but_not_weakly_acyclic(self, system):
-        flags = classify(EquivalenceQuotient(system).tgds)
+        flags = classify(
+            quotient_tgds(system, system.class_map().representative)
+        )
         assert flags.linear and flags.sticky
         assert not flags.weakly_acyclic
 
     def test_transitive_closure_is_full_and_weakly_acyclic_only(self):
-        flags = classify(EquivalenceQuotient(transitive_closure_rps(6)).tgds)
+        system = transitive_closure_rps(6)
+        flags = classify(
+            quotient_tgds(system, system.class_map().representative)
+        )
         assert flags.full and flags.weakly_acyclic
         assert not (flags.linear or flags.sticky or flags.guarded)

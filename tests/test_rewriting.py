@@ -35,6 +35,8 @@ from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import BlankNode, Literal, Variable
 from repro.rdf.triples import Triple
+from repro.peers import system as system_module
+from repro.peers.quotient import expand_by_class
 from repro.rewriting import (
     ancestor_query,
     bounded_rewriting_answers,
@@ -43,7 +45,6 @@ from repro.rewriting import (
     rewrite_boolean_query,
     transitive_closure_rps,
 )
-from repro.rewriting.redundancy import EquivalenceQuotient
 from repro.workload import (
     chain_rps,
     cycle_rps,
@@ -356,21 +357,21 @@ class TestEquivalencesAsClasses:
         )
 
     def test_expand_without_classes_is_a_fresh_equal_set(self):
-        quotient = EquivalenceQuotient(self.system([]))
-        assert not quotient.classes
+        classes = self.system([]).class_map().classes
+        assert not classes
         rows = {(EX.a, EX.x1), (EX.c, EX.x2)}
-        expanded = quotient.expand(rows)
+        expanded = set(expand_by_class(rows, classes))
         assert expanded == rows and expanded is not rows
-        assert quotient.expand([(EX.a, EX.x1), (EX.a, EX.x1)]) == {
-            (EX.a, EX.x1)
-        }
+        assert set(
+            expand_by_class([(EX.a, EX.x1), (EX.a, EX.x1)], classes)
+        ) == {(EX.a, EX.x1)}
 
     def test_expand_with_classes_multiplies_rows_out(self):
-        quotient = EquivalenceQuotient(
-            self.system([EquivalenceMapping(EX.b, EX.a)])
+        classes = (
+            self.system([EquivalenceMapping(EX.b, EX.a)]).class_map().classes
         )
         rows = {(EX.a, EX.x1), (EX.c, EX.x2)}
-        assert quotient.expand(rows) == {
+        assert set(expand_by_class(rows, classes)) == {
             (EX.a, EX.x1), (EX.b, EX.x1), (EX.c, EX.x2),
         }
 
@@ -461,6 +462,41 @@ class TestTheKeptStoredGraph:
         assert system.stored_graph() is kept
         assert system.stored_quotient() is kept  # E is empty
         assert len(builds) == 1
+
+    def test_both_routes_read_one_class_map(self, monkeypatch):
+        """Two chases and two rewritings build the class map once; a new
+        equivalence rebuilds it, and both routes then answer as a new
+        system over the same graphs does."""
+        builds = []
+        build = system_module.canonical_map
+
+        def counted(system):
+            builds.append(system)
+            return build(system)
+
+        def built(system):
+            return sum(1 for s in builds if s is system)
+
+        monkeypatch.setattr(system_module, "canonical_map", counted)
+        system = self.system()
+        kept = system.class_map()
+        for _ in range(2):
+            chase_universal_solution(system)
+            self.answers(system)
+        assert system.class_map() is kept
+        assert built(system) == 1
+
+        system.add_equivalence(EquivalenceMapping(EX.b, EX.e))
+        solution = chase_universal_solution(system).solution
+        after = self.answers(system)
+        rebuilt = system.class_map()
+        assert rebuilt is not kept and rebuilt.classes == {EX.b: [EX.b, EX.e]}
+        assert built(system) == 2
+        fresh = self.fresh(system)
+        assert after == self.answers(fresh)
+        assert {(EX.a, EX.e), (EX.d, EX.b)} <= after
+        assert certain_answers(system, self.QUERY) == after
+        assert len(solution) == len(chase_universal_solution(fresh).solution)
 
     def test_a_changed_kept_graph_is_rebuilt(self):
         """The kept graph is read-only; one that was written to anyway

@@ -20,7 +20,12 @@ import re
 import pytest
 
 from repro.errors import NotRewritableError, RewritingError
-from repro.peers.data_exchange import gpq_to_cq, rewriting_tgds
+from repro.peers.data_exchange import (
+    gpq_to_cq,
+    quotient_atoms,
+    quotient_tgds,
+    rewriting_tgds,
+)
 from repro.rewriting import (
     ANS,
     ancestor_query,
@@ -28,7 +33,6 @@ from repro.rewriting import (
     certain_answers_by_rewriting,
     transitive_closure_rps,
 )
-from repro.rewriting.redundancy import EquivalenceQuotient
 from repro.sparql.bridge import sparql_to_gpq
 from repro.tgd import rewrite as rewrite_module
 from repro.tgd.atoms import Atom, Constant, RelVar
@@ -48,11 +52,21 @@ A, B = Constant("a"), Constant("b")
 X, Y, Z, W = (RelVar(name) for name in "xyzw")
 
 
-def reify(gpq, base=None):
-    """``gpq`` as the Boolean query ``certain_answers_by_rewriting`` rewrites."""
-    base = base or gpq_to_cq(gpq, label="q")
+def reify(gpq, representative=None):
+    """``gpq`` as the Boolean query ``certain_answers_by_rewriting`` rewrites
+    (over class representatives when ``representative`` is given)."""
+    body = gpq_to_cq(gpq, label="q").body
+    if representative is not None:
+        body = quotient_atoms(body, representative)
     answer = Atom(ANS, *[RelVar(v.name) for v in gpq.head])
-    return ConjunctiveQuery([], list(base.body) + [answer], label="q_ans")
+    return ConjunctiveQuery([], list(body) + [answer], label="q_ans")
+
+
+def rewriter_input(system, gpq):
+    """The reified query and the TGDs the rewriter is given for ``system``,
+    both over the representatives of the kept class map."""
+    representative = system.class_map().representative
+    return reify(gpq, representative), quotient_tgds(system, representative)
 
 
 class TestContainment:
@@ -167,7 +181,9 @@ class TestBenchmarkRewriting:
             5, entities=100, facts=300, link_fraction=0.0, seed=7
         )
         # Equivalence-free: the oracle's TGDs and the rewriter's coincide.
-        assert rewriting_tgds(system) == EquivalenceQuotient(system).tgds
+        assert rewriting_tgds(system) == quotient_tgds(
+            system, system.class_map().representative
+        )
         return rewriting_tgds(system)
 
     def query(self, hops):
@@ -233,9 +249,8 @@ def snapshot(result):
 
 class TestNoProcessWideState:
     def example2(self):
-        quotient = EquivalenceQuotient(example2_rps())
         gpq = sparql_to_gpq(paper_query_text())
-        return reify(gpq, quotient.query(gpq)), quotient.tgds
+        return rewriter_input(example2_rps(), gpq)
 
     def test_decompose_heads_numbers_auxiliaries_per_call(self):
         _, tgds = self.example2()
@@ -379,9 +394,8 @@ class TestPinnedRewritings:
     def test_the_rewriting_is_the_pinned_one(self, case):
         counters, disjuncts = self.CASES[case]
         system, gpq = self.system_and_query(case)
-        quotient = EquivalenceQuotient(system)
-        query = reify(gpq, quotient.query(gpq))
-        result = rewrite_ucq(query, quotient.tgds)
+        query, tgds = rewriter_input(system, gpq)
+        result = rewrite_ucq(query, tgds)
         assert [rendered(cq) for cq in result.ucq] == disjuncts
         assert (
             result.explored,
