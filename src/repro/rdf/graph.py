@@ -776,6 +776,16 @@ class Graph:
             return run.copy()
         return [] if run is None else [run]
 
+    def run_slice(
+        self, order: str, first: int, second: int, start: int, stop: int
+    ) -> List[int]:
+        """``run(order, first, second)[start:stop]`` without copying the
+        rest of the run — a fresh list."""
+        run = self._ordering(order).get(first, _NO_LEVEL).get(second)
+        if type(run) is list:
+            return run[start:stop]
+        return [] if run is None else [run][start:stop]
+
     def group(self, order: str, first: int) -> Tuple[List[int], List[int]]:
         """Everything under one first-level key, as two parallel columns.
 

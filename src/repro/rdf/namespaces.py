@@ -96,7 +96,9 @@ class NamespaceManager:
 
     def __init__(self, bind_defaults: bool = True) -> None:
         self._prefix_to_ns: Dict[str, str] = {}
-        self._sorted_bases: Tuple[Tuple[str, str], ...] = ()
+        #: The bindings longest base first, so that qname() picks the
+        #: most specific namespace; None until qname() next needs it.
+        self._sorted_bases: Optional[Tuple[Tuple[str, str], ...]] = None
         if bind_defaults:
             self.bind("rdf", RDF_NS.base)
             self.bind("rdfs", RDFS_NS.base)
@@ -110,14 +112,7 @@ class NamespaceManager:
             namespace = namespace.base
         IRI(namespace)  # validate
         self._prefix_to_ns[prefix] = namespace
-        # Longest-base-first so qname() picks the most specific namespace.
-        self._sorted_bases = tuple(
-            sorted(
-                self._prefix_to_ns.items(),
-                key=lambda item: len(item[1]),
-                reverse=True,
-            )
-        )
+        self._sorted_bases = None
 
     def expand(self, qname: str) -> IRI:
         """Expand a prefixed name ``prefix:local`` into an IRI.
@@ -135,7 +130,16 @@ class NamespaceManager:
 
     def qname(self, iri: IRI) -> Optional[str]:
         """Compact an IRI into ``prefix:local`` if a binding covers it."""
-        for prefix, base in self._sorted_bases:
+        bases = self._sorted_bases
+        if bases is None:
+            bases = self._sorted_bases = tuple(
+                sorted(
+                    self._prefix_to_ns.items(),
+                    key=lambda item: len(item[1]),
+                    reverse=True,
+                )
+            )
+        for prefix, base in bases:
             if iri.value.startswith(base):
                 local = iri.value[len(base):]
                 if local and all(c not in local for c in "/#?"):
@@ -158,7 +162,11 @@ class NamespaceManager:
         return len(self._prefix_to_ns)
 
     def copy(self) -> "NamespaceManager":
+        """An independent manager with the same bindings.
+
+        The bindings were validated when they were bound, so the clone
+        takes them over without binding each again.
+        """
         clone = NamespaceManager(bind_defaults=False)
-        for prefix, namespace in self._prefix_to_ns.items():
-            clone.bind(prefix, namespace)
+        clone._prefix_to_ns = dict(self._prefix_to_ns)
         return clone

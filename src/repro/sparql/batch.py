@@ -300,12 +300,7 @@ def _scan_batch(graph: Graph, slots: Tuple[_Slot, _Slot, _Slot]) -> Batch:
         return _triples_batch(graph.triples_ids(s, p, o), free)
     schema = tuple(var for _, var in free)
     if len(free) == 1:
-        pos = free[0][0]
-        if pos == 2:  # (s, p, ?o)
-            return Batch(schema, [graph.run("spo", s, p)])
-        if pos == 0:  # (?s, p, o)
-            return Batch(schema, [graph.run("pos", p, o)])
-        return Batch(schema, [graph.run("osp", o, s)])  # (s, ?p, o)
+        return Batch(schema, [graph.run(*_run_key(args, free[0][0]))])
     if len(free) == 2:
         if s is not None:  # (s, ?p, ?o)
             return Batch(schema, list(graph.group("spo", s)))
@@ -315,6 +310,49 @@ def _scan_batch(graph: Graph, slots: Tuple[_Slot, _Slot, _Slot]) -> Batch:
         return Batch(schema, list(graph.group("osp", o)))  # (?s, ?p, o)
     # Fully unbound: unzip the whole triple set in one C pass.
     return _triples_batch(graph.id_triples(), free)
+
+
+def _run_key(
+    args: List[Optional[int]], pos: int
+) -> Tuple[str, Optional[int], Optional[int]]:
+    """The index run holding the matches of a conjunct free only at
+    ``pos``, as ``Graph.run`` arguments; the run is in ``triples_ids``
+    order on the same shape."""
+    s, p, o = args
+    if pos == 2:  # (s, p, ?o)
+        return "spo", s, p
+    if pos == 0:  # (?s, p, o)
+        return "pos", p, o
+    return "osp", o, s  # (s, ?p, o)
+
+
+def _first_chunks(
+    graph: Graph, slots: Tuple[_Slot, _Slot, _Slot]
+) -> Iterator[Batch]:
+    """A BGP's first conjunct as non-empty batches in ``triples_ids``
+    order: ``CHUNK_ROWS`` rows, then each ``CHUNK_GROWTH`` times the one
+    before, the last one shorter.  With one free position each batch is
+    a slice of one index run, read when it is pulled."""
+    args, free = _split_slots(slots)
+    size = CHUNK_ROWS
+    if len(free) == 1:
+        pos, var = free[0]
+        order, first, second = _run_key(args, pos)
+        start = 0
+        while True:
+            column = graph.run_slice(order, first, second, start, start + size)
+            if not column:
+                return
+            yield Batch((var,), [column])
+            start += size
+            size *= CHUNK_GROWTH
+    matches = graph.triples_ids(*args)
+    while True:
+        triples = list(islice(matches, size))
+        if not triples:
+            return
+        yield _triples_batch(triples, free)
+        size *= CHUNK_GROWTH
 
 
 def _triples_batch(
@@ -701,20 +739,12 @@ class BatchBgp(BatchOp):
         if compiled is None:
             return
         graph = self.graph
-        args, free = _split_slots(compiled[0])
-        matches = graph.triples_ids(*args)
-        size = CHUNK_ROWS
-        while True:
-            triples = list(islice(matches, size))
-            if not triples:
-                return
-            batch = _triples_batch(triples, free)
+        for batch in _first_chunks(graph, compiled[0]):
             for slots in compiled[1:]:
                 if batch.n == 0:
                     break
                 batch, _ = _extend_batch(graph, batch, slots)
             yield batch
-            size *= CHUNK_GROWTH
 
     def explain(self, depth: int = 0) -> List[str]:
         pad = "  " * depth

@@ -61,11 +61,17 @@ class Token(NamedTuple):
     column: int
 
 
+#: One match per token.  Whitespace and comments are a skipped prefix,
+#: so a match ends at a token's last character; the token group is
+#: optional so that the pattern matches at every offset, and a match
+#: with no group marks either the end of the text or a character that
+#: starts no token.  ``pname`` precedes ``word``: a word glued to ``:``
+#: is a prefixed name, never a keyword.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<iri><[^<>\s]*>)
+    \s*(?:\#[^\n]*\s*)*
+    (?:
+      (?P<iri><[^<>\s]*>)
     | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"(?:[^"\\]|\\.)*")
     | (?P<bnode>_:[A-Za-z0-9_][A-Za-z0-9_.\-]*)
@@ -77,67 +83,68 @@ _TOKEN_RE = re.compile(
     | (?P<neq>!=)
     | (?P<andand>&&)
     | (?P<oror>\|\|)
-    | (?P<word>[A-Za-z_][A-Za-z0-9_\-]*)
     | (?P<pname>[A-Za-z_][A-Za-z0-9_\-]*:[A-Za-z0-9_.\-]*|:[A-Za-z0-9_.\-]+)
+    | (?P<word>[A-Za-z_][A-Za-z0-9_\-]*)
     | (?P<punct>[{}().;,*=])
+    )?
     """,
     re.VERBOSE,
 )
 
-# A word followed immediately by ':' is a prefixed name, not a keyword.
-_PNAME_AFTER_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*:[A-Za-z0-9_.\-]*")
+#: Builds a ``Token`` without the named tuple's Python-level ``__new__``.
+_new_token = tuple.__new__
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize SPARQL text.
 
+    A token's line and column are those of its first character, from
+    the newlines before it in the text itself, so a string literal that
+    spans lines moves the tokens after it down.
+
     Raises:
         SparqlSyntaxError: on any character that starts no token.
     """
     tokens: List[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
+    append = tokens.append
+    match = _TOKEN_RE.match
     length = len(text)
-    while pos < length:
-        # Prefer prefixed-name interpretation when a word is glued to ':'.
-        pname_match = _PNAME_AFTER_WORD.match(text, pos)
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise SparqlSyntaxError(
-                f"unexpected character {text[pos]!r}",
-                line=line,
-                column=pos - line_start + 1,
-            )
-        kind = match.lastgroup or ""
-        value = match.group()
-        if (
-            kind == "word"
-            and pname_match is not None
-            and len(pname_match.group()) > len(value)
-        ):
-            kind = "pname"
-            value = pname_match.group()
-            end = pname_match.end()
-        else:
-            end = match.end()
-        column = pos - line_start + 1
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    newline = text.find("\n")  # the first newline not counted in ``line``
+    if newline < 0:
+        newline = length
+    pos = 0
+    while True:
+        found = match(text, pos)
+        kind = found.lastgroup
+        pos = found.end()
+        start = found.start(kind) if kind else pos
+        if newline < start:
+            line += text.count("\n", newline, start)
+            line_start = text.rindex("\n", newline, start) + 1
+            newline = text.find("\n", start)
+            if newline < 0:
+                newline = length
+        column = start - line_start + 1
+        if kind is None:
+            if pos < length:
+                raise SparqlSyntaxError(
+                    f"unexpected character {text[pos]!r}",
+                    line=line,
+                    column=column,
+                )
+            append(_new_token(Token, ("eof", "", line, column)))
+            return tokens
+        value = text[start:pos]
         if kind == "word":
             upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("keyword", upper, line, column))
+                kind, value = "keyword", upper
             elif value == "a":
-                tokens.append(Token("a", value, line, column))
+                kind = "a"
             else:
                 raise SparqlSyntaxError(
                     f"unexpected identifier {value!r}", line=line, column=column
                 )
-        elif kind not in ("ws", "comment"):
-            tokens.append(Token(kind, value, line, column))
-        newlines = value.count("\n") if kind in ("ws", "comment") else 0
-        if kind == "ws" and newlines:
-            line += newlines
-            line_start = pos + value.rfind("\n") + 1
-        pos = end
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+        append(_new_token(Token, (kind, value, line, column)))

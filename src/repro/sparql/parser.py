@@ -21,7 +21,7 @@ unsupported feature raises :class:`UnsupportedSparqlError`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
     SparqlSyntaxError,
@@ -75,6 +75,15 @@ _UNSUPPORTED_KEYWORDS = frozenset(
 )
 
 
+#: The prefixes a text starts with when the caller passes no manager.
+#: Shared by every parse and never bound: the first PREFIX of a text
+#: binds on a copy.
+_DEFAULT_NAMESPACES = NamespaceManager()
+
+#: Token kinds whose term is built once per parse (see ``interned``).
+_INTERNED_KINDS = frozenset({"iri", "var", "pname"})
+
+
 class SparqlParser:
     """Parses one query string into an AST.
 
@@ -88,7 +97,9 @@ class SparqlParser:
     def __init__(self, text: str, nsm: Optional[NamespaceManager] = None) -> None:
         self.tokens = tokenize(text)
         self.pos = 0
-        self.nsm = (nsm.copy() if nsm is not None else NamespaceManager())
+        self.nsm = nsm if nsm is not None else _DEFAULT_NAMESPACES
+        #: IRI, variable and prefixed-name terms by token text.
+        self.terms: Dict[str, Term] = {}
 
     # -- token plumbing -------------------------------------------------
 
@@ -141,6 +152,7 @@ class SparqlParser:
         return query
 
     def parse_prologue(self) -> None:
+        own: Optional[NamespaceManager] = None
         while self.at_keyword("PREFIX", "BASE"):
             token = self.next()
             if token.value == "BASE":
@@ -151,7 +163,9 @@ class SparqlParser:
             iri_token = self.next()
             if iri_token.kind != "iri":
                 raise self.error(iri_token, "expected namespace IRI")
-            self.nsm.bind(pname.value[:-1], iri_token.value[1:-1])
+            if own is None:
+                own = self.nsm = self.nsm.copy()
+            own.bind(pname.value[:-1], iri_token.value[1:-1])
 
     def parse_select(self) -> SelectQuery:
         self.expect_keyword("SELECT")
@@ -167,7 +181,7 @@ class SparqlParser:
             self.next()
         else:
             while self.peek().kind == "var":
-                variables.append(Variable(self.next().value))
+                variables.append(self.interned(self.next()))
             if not variables:
                 raise self.error(self.peek(), "SELECT needs variables or *")
         if self.at_keyword("WHERE"):
@@ -207,11 +221,11 @@ class SparqlParser:
                     raise self.error(var_token, "expected variable in ORDER BY")
                 self.expect_punct(")")
                 conditions.append(
-                    OrderCondition(Variable(var_token.value), descending)
+                    OrderCondition(self.interned(var_token), descending)
                 )
             elif self.peek().kind == "var":
                 conditions.append(
-                    OrderCondition(Variable(self.next().value), False)
+                    OrderCondition(self.interned(self.next()), False)
                 )
             else:
                 break
@@ -350,15 +364,32 @@ class SparqlParser:
             return RDF_TYPE
         return self.parse_term(position="predicate")
 
+    def interned(self, token: Token) -> Term:
+        """The term of an IRI, variable or prefixed-name token.
+
+        Built, and so validated, once per distinct token text in a
+        parse; the prologue is over before the first term, so a
+        prefixed name expands the same way at every occurrence.
+        """
+        term = self.terms.get(token.value)
+        if term is None:
+            try:
+                if token.kind == "iri":
+                    term = IRI(token.value[1:-1])
+                elif token.kind == "var":
+                    term = Variable(token.value)
+                else:
+                    term = self.nsm.expand(token.value)
+            except TermError as exc:
+                raise self.error(token, str(exc)) from exc
+            self.terms[token.value] = term
+        return term
+
     def parse_term(self, position: str) -> Term:
         token = self.next()
+        if token.kind in _INTERNED_KINDS:
+            return self.interned(token)
         try:
-            if token.kind == "iri":
-                return IRI(token.value[1:-1])
-            if token.kind == "pname":
-                return self.nsm.expand(token.value)
-            if token.kind == "var":
-                return Variable(token.value)
             if token.kind == "bnode":
                 return BlankNode(token.value[2:])
             if token.kind == "string":

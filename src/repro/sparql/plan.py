@@ -71,13 +71,11 @@ def plan_bgp(
     bound: Set[Variable] = set()
     total = 1.0
     while remaining:
-        best = min(
-            remaining,
-            key=lambda i: _estimate(graph, compiled[i], bound) + (i,),
+        estimate, _, best = min(
+            _estimate(graph, compiled[i], bound) + (i,) for i in remaining
         )
         remaining.remove(best)
         order.append(best)
-        estimate, _ = _estimate(graph, compiled[best], bound)
         total = min(total * max(estimate, 1.0), 1e18)
         bound.update(patterns[best].variables())
     ordered = [patterns[i] for i in order]

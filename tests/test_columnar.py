@@ -29,12 +29,14 @@ from repro.rdf.terms import IRI, BlankNode, Literal, Variable
 from repro.rdf.triples import Triple, TriplePattern
 from repro.sparql import engine
 from repro.sparql.algebra import (
+    Bgp,
     evaluate_algebra,
     reference_select,
     translate_group,
 )
 from repro.sparql.ast import AskQuery
 from repro.sparql.batch import (
+    CHUNK_GROWTH,
     CHUNK_ROWS,
     UNBOUND,
     Batch,
@@ -50,6 +52,14 @@ from repro.sparql.parser import parse_query
 from repro.sparql.plan import plan_bgp
 from repro.sparql.results import _row_key
 from repro.gpq.evaluation import compile_conjunct, extend_id_bindings
+from repro.workload.federation import (
+    federated_ask_sparql,
+    federated_limit_sparql,
+    federated_optional_sparql,
+    federated_rps,
+    federated_topk_sparql,
+    federated_union_filter_sparql,
+)
 from repro.workload.generators import GeneratorConfig, random_entity_graph
 
 NS = "http://gen.example.org/"
@@ -810,6 +820,201 @@ def test_shared_planner_order():
     ).where)
     plan = build_batch_plan(graph, node)
     assert [tp.n3() for tp in plan.ordered] == [tp.n3() for tp in ordered]
+
+
+def reference_plan_bgp(graph, patterns):
+    """The greedy conjunct order spelled out, every estimate computed
+    from scratch: the least ``(count / 8 ** bound positions, free
+    positions, index)`` next, the product of the winners' estimates
+    (each at least 1, capped at 1e18) as the plan's."""
+    patterns = list(patterns)
+    compiled = [compile_conjunct(graph, tp) for tp in patterns]
+    if any(slots is None for slots in compiled):
+        return patterns, None, 0.0
+
+    def estimate(i, bound):
+        ids = [s if isinstance(s, int) else None for s in compiled[i]]
+        variables = [s for s in compiled[i] if not isinstance(s, int)]
+        held = sum(var in bound for var in variables)
+        return (graph.count_ids(*ids) / 8.0 ** held, len(variables) - held)
+
+    order, bound, total = [], set(), 1.0
+    remaining = list(range(len(patterns)))
+    while remaining:
+        best = min(remaining, key=lambda i: estimate(i, bound) + (i,))
+        remaining.remove(best)
+        order.append(best)
+        total = min(total * max(estimate(best, bound)[0], 1.0), 1e18)
+        bound.update(patterns[best].variables())
+    return (
+        [patterns[i] for i in order],
+        [compiled[i] for i in order],
+        total,
+    )
+
+
+def local_mix_texts():
+    """``benchmarks/wl_local_mix.py``'s texts, anchored at every 7th
+    entity of its quick-scale graph."""
+    p = [f"<{NS}p{i}>" for i in range(8)]
+    value = f"<{NS}value>"
+    path2 = f"SELECT ?a ?c WHERE {{ ?a {p[0]} ?b . ?b {p[1]} ?c }}"
+    texts = [
+        path2,
+        f"SELECT ?a ?b ?c WHERE {{ ?a {p[2]} ?b . ?a {p[3]} ?c }}",
+        f"SELECT ?a ?d WHERE {{ ?a {p[0]} ?b . ?b {p[1]} ?c . "
+        f"?c {p[2]} ?d }}",
+        f"SELECT ?a ?c WHERE {{ {{ ?a {p[4]} ?b }} UNION "
+        f"{{ ?a {p[5]} ?b }} . ?b {p[6]} ?c }}",
+        f"SELECT ?a ?b ?v WHERE {{ ?a {p[7]} ?b "
+        f"OPTIONAL {{ ?b {value} ?v }} }}",
+        f"SELECT ?a ?v WHERE {{ ?a {p[1]} ?b . ?b {value} ?v . "
+        f'FILTER(?v != "7") }}',
+        f"SELECT ?a ?c WHERE {{ ?a {p[3]} ?b . ?b {p[4]} ?c }} "
+        f"ORDER BY DESC(?b) ?a LIMIT 10",
+        f"{path2} LIMIT 10",
+        f"ASK {{ ?a {p[0]} ?b . ?b {p[1]} ?c }}",
+    ]
+    texts += [
+        f"SELECT ?b ?c WHERE {{ <{NS}e{e}> {p[0]} ?b . ?b {p[1]} ?c }}"
+        for e in range(0, 300, 7)
+    ]
+    return texts
+
+
+def fed_bulk_texts():
+    """``benchmarks/wl_fed_bulk.py``'s texts, anchored at every 7th
+    entity of its quick-scale system."""
+    texts = [
+        federated_limit_sparql(hops=2),
+        federated_union_filter_sparql(),
+        federated_topk_sparql(),
+        federated_optional_sparql(),
+        federated_ask_sparql(),
+    ]
+    for anchor in range(0, 60, 7):
+        texts.append(federated_limit_sparql(hops=2, anchor=anchor))
+        texts.append(federated_limit_sparql(hops=2, limit=10, anchor=anchor))
+    return texts
+
+
+def bgps(node):
+    """The basic graph patterns of an algebra tree."""
+    if isinstance(node, Bgp):
+        yield node.patterns
+    for field in ("left", "right", "child"):
+        child = getattr(node, field, None)
+        if child is not None:
+            yield from bgps(child)
+
+
+def test_planner_estimates_each_candidate_once_per_step(monkeypatch):
+    local = random_entity_graph(
+        GeneratorConfig(
+            entities=300, predicates=8, triples=900, attributes=180, seed=7
+        )
+    )
+    system = federated_rps(peers=3, entities=60, facts=180, seed=7)
+    fed_graphs = [system.stored_database()] + [
+        peer.graph for _, peer in sorted(system.peers.items())
+    ]
+    calls = []
+    count_ids = Graph.count_ids
+
+    def counting(self, *args):
+        calls.append(args)
+        return count_ids(self, *args)
+
+    monkeypatch.setattr(Graph, "count_ids", counting)
+    shapes = set()
+    for texts, graphs in (
+        (local_mix_texts(), [local]),
+        (fed_bulk_texts(), fed_graphs),
+    ):
+        for text in texts:
+            for patterns in bgps(translate_group(parse_query(text).where)):
+                for graph in graphs:
+                    expected = reference_plan_bgp(graph, patterns)
+                    del calls[:]
+                    assert plan_bgp(graph, patterns) == expected, text
+                    k = len(patterns)
+                    if expected[1] is not None:
+                        assert len(calls) == k * (k + 1) // 2, text
+                        shapes.add(k)
+    assert shapes == {1, 2, 3}
+
+
+def hub_graph(n=200):
+    """One long index run for each shape with one free position.
+
+    ``hub p n{i}``, ``n{i} p hub`` and ``hub r{i} target``; node and
+    predicate ``i`` each have ``i % 4`` outgoing ``q`` edges.
+    """
+    graph = Graph()
+    hub, target = IRI(f"{NS}hub"), IRI(f"{NS}target")
+    p, q = IRI(f"{NS}p"), IRI(f"{NS}q")
+    nodes = [IRI(f"{NS}n{i}") for i in range(n)]
+    for i, node in enumerate(nodes):
+        r = IRI(f"{NS}r{i}")
+        graph.add(Triple(hub, p, node))
+        graph.add(Triple(node, p, hub))
+        graph.add(Triple(hub, r, target))
+        for j in range(i % 4):
+            graph.add(Triple(node, q, nodes[(i + j + 1) % n]))
+            graph.add(Triple(r, q, nodes[(i + j + 2) % n]))
+    return graph
+
+
+ONE_FREE_SHAPES = {
+    "(s, p, ?o)": f"<{NS}hub> <{NS}p> ?x",
+    "(?s, p, o)": f"?x <{NS}p> <{NS}hub>",
+    "(s, ?p, o)": f"<{NS}hub> ?x <{NS}target>",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ONE_FREE_SHAPES))
+@pytest.mark.parametrize("extended", [False, True])
+def test_first_conjunct_with_one_free_position_chunks_its_run(
+    shape, extended
+):
+    graph = hub_graph()
+    first = ONE_FREE_SHAPES[shape]
+    where = f"{first} . ?x <{NS}q> ?y" if extended else first
+    node = translate_group(parse_query(f"SELECT * WHERE {{ {where} }}").where)
+    plan = build_batch_plan(graph, node)
+    assert plan.ordered[0].n3() == parse_query(
+        f"SELECT * WHERE {{ {first} }}"
+    ).where.elements[0].n3()
+    # The chunks as the general path reads them: the first conjunct's
+    # triples_ids in growing slices, each row extended in order.
+    args, pos = [], None
+    for i, slot in enumerate(plan.compiled[0]):
+        args.append(slot if isinstance(slot, int) else None)
+        pos = i if not isinstance(slot, int) else pos
+    values = [ids[pos] for ids in graph.triples_ids(*args)]
+    q = graph.dictionary.lookup(IRI(f"{NS}q"))
+    expected, start, size = [], 0, CHUNK_ROWS
+    while start < len(values):
+        chunk = values[start:start + size]
+        if extended:
+            chunk = [
+                (x, o)
+                for x in chunk
+                for _, _, o in graph.triples_ids(x, q, None)
+            ]
+        else:
+            chunk = [(x,) for x in chunk]
+        if chunk:
+            expected.append(chunk)
+        start += size
+        size *= CHUNK_GROWTH
+    assert len(expected) >= 3
+    variables = [Variable(v) for v in ("xy" if extended else "x")]
+    got = [
+        list(column_rows(chunk.project(variables), chunk.n))
+        for chunk in plan.chunks()
+    ]
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,10 @@ def test_run_group_probe_return_fresh_columns():
             graph.run("spo", ic, ip),  # an absent one
             graph.group("pos", ip),
             graph.probe("spo", [ia, ic, ib], [ip, ip, ip]),
+            graph.run_slice("spo", ia, ip, 1, 16),  # a list's tail
+            graph.run_slice("spo", ib, ip, 0, 16),  # an inlined run
+            graph.run_slice("spo", ib, ip, 1, 16),  # past its end
+            graph.run_slice("spo", ic, ip, 0, 16),  # an absent run
         )
 
     expected = (
@@ -449,10 +453,14 @@ def test_run_group_probe_return_fresh_columns():
         [],
         ([ib, ic, ic], [ia, ia, ib]),
         ([0, 0, 2], [ib, ic, ic]),
+        [ic],
+        [ic],
+        [],
+        [],
     )
     before = reads()
     assert before == expected
-    for column in (*before[:3], *before[3], *before[4]):
+    for column in (*before[:3], *before[3], *before[4], *before[5:]):
         column.append(-1)
         column.reverse()
     assert reads() == expected

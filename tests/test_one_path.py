@@ -17,6 +17,10 @@ file in the open.
   ``≡ₑ`` the system keeps (``RPS.class_map``): only ``peers/system.py``
   builds it, Algorithm 1 starts from the kept quotient of D instead of
   reading the peer graphs, and no second quotient object comes back.
+* **One prologue.**  A SPARQL parse starts from the one default
+  namespace manager ``sparql/parser.py`` builds at import and copies it
+  only at a text's first ``PREFIX``: nothing else in ``sparql/``
+  constructs a ``NamespaceManager``.
 * **One path per job in the federation and the runtime** (one bench
   system, one replay loop, one planner loop, pulls read in place, one
   result boundary, one row key, packed dedupe keys, one bound-join
@@ -155,6 +159,31 @@ class TestOneQuotient:
                 kept = kept or node.attr == "stored_quotient"
         assert reads == []
         assert kept
+
+
+class TestOnePrologue:
+    def test_only_the_module_level_default_is_constructed(self):
+        calls, defaults = [], []
+        for path in sorted((SRC / "sparql").rglob("*.py")):
+            relative = path.relative_to(SRC).as_posix()
+            tree = _parse(relative)
+            module_level = {
+                id(node.value)
+                for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name == "NamespaceManager":
+                        found = f"{relative}:{node.lineno}"
+                        if id(node) in module_level:
+                            defaults.append(found)
+                        else:
+                            calls.append(found)
+        assert calls == []
+        assert [hit.split(":")[0] for hit in defaults] == ["sparql/parser.py"]
 
 
 def _files(paths):
