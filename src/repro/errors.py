@@ -2,8 +2,8 @@
 
 Every error raised by the library derives from :class:`ReproError`, so
 applications can catch a single base class.  Sub-hierarchies mirror the
-package layout: RDF parsing, SPARQL parsing/evaluation, TGD/chase machinery,
-peer-system validation and federation.
+package layout: the RDF data model, SPARQL parsing/evaluation, TGD/chase
+machinery, peer-system validation and federation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ class ReproError(Exception):
 
 
 class RDFError(ReproError):
-    """Base class for errors in the RDF data model and serialisations."""
+    """Base class for errors in the RDF data model."""
 
 
 class TermError(RDFError):
@@ -23,22 +23,6 @@ class TermError(RDFError):
 
 class TripleError(RDFError):
     """A triple violates RDF positional constraints (e.g. literal subject)."""
-
-
-class ParseError(RDFError):
-    """A serialisation (N-Triples / Turtle) failed to parse.
-
-    Attributes:
-        line: 1-based line number of the offending input, when known.
-        column: 1-based column number, when known.
-    """
-
-    def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
-        self.line = line
-        self.column = column
-        if line:
-            message = f"line {line}, col {column}: {message}"
-        super().__init__(message)
 
 
 class SparqlError(ReproError):

@@ -65,7 +65,6 @@ from repro.federation.executor import (
     FederatedExecutor,
     FederationResult,
     PreparedQuery,
-    execute_federated,
 )
 from repro.federation.network import NetworkModel, NetworkStats
 from repro.federation.plan import (
@@ -115,5 +114,4 @@ __all__ = [
     "StatisticsCatalog",
     "UnionNode",
     "Unreachable",
-    "execute_federated",
 ]

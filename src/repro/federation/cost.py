@@ -46,10 +46,9 @@ Costs are priced on one of two time axes; the strategy name picks it:
   when it loses on summed wire time.
 
 Ties break on messages, then transfer.  Every decision carries its
-rejected alternatives for ``explain``-style traces and names the
-physical operator the planner (:mod:`repro.federation.plan`) builds
-from it (:meth:`Decision.operator`).  Conjuncts fused into a FedX-style
-exclusive group are decided together (:meth:`CostModel.decide_group`):
+rejected alternatives for ``explain``-style traces.  Conjuncts fused
+into a FedX-style exclusive group are decided together
+(:meth:`CostModel.decide_group`):
 only ship/bound apply, and the group's result cardinality is estimated
 from its most selective member.
 """
@@ -160,22 +159,6 @@ class Decision:
     @property
     def action(self) -> str:
         return self.chosen.action
-
-    def operator(self) -> str:
-        """The plan-layer operator this decision constructs.
-
-        ``ship`` becomes a :class:`~repro.federation.plan.RemoteScan`
-        (an ``ExclusiveGroupScan`` for fused groups) joined locally,
-        ``bound`` a :class:`~repro.federation.plan.BoundJoinStream`,
-        and ``pull``/``local`` a
-        :class:`~repro.federation.plan.PullScan` answering from the
-        relation cache.
-        """
-        if self.action == "ship":
-            return "ExclusiveGroupScan" if self.group else "RemoteScan"
-        if self.action == "bound":
-            return "BoundJoinStream"
-        return "PullScan"
 
     def describe(self) -> str:
         """One-line trace entry: action, targets, estimates, rejects."""

@@ -189,7 +189,6 @@ __all__ = [
     "FederationResult",
     "PreparedQuery",
     "TenantOutcome",
-    "execute_federated",
 ]
 
 _Query = Union[str, GraphPatternQuery, SelectQuery, AskQuery]
@@ -1472,16 +1471,3 @@ def _emit_concurrent_spans(tracer, scheduler: QueryScheduler) -> None:
             window_after=adjustment.after,
             congested=int(adjustment.congested),
         )
-
-
-def execute_federated(
-    system: RPS,
-    query: _Query,
-    strategy: str = ADAPTIVE,
-    network: Optional[NetworkModel] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    nsm: Optional[NamespaceManager] = None,
-) -> FederationResult:
-    """One-shot convenience wrapper around :class:`FederatedExecutor`."""
-    executor = FederatedExecutor(system, network, batch_size)
-    return executor.execute(query, strategy, nsm)

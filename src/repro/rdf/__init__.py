@@ -1,9 +1,10 @@
-"""RDF substrate: terms, triples, graphs and serialisations.
+"""RDF substrate: terms, triples and graphs.
 
-This package implements the paper's Section-2.1 data model from scratch
-(the offline environment provides no rdflib): the disjoint term sets *I*,
-*B*, *L* and *V*, RDF triples, triple patterns, an indexed in-memory
-triple store, and N-Triples and Turtle-lite round-trip serialisations.
+This package implements the paper's Section-2.1 data model from scratch,
+with no third-party RDF library: the disjoint term sets *I*, *B*, *L*
+and *V*, RDF triples, triple patterns and an indexed in-memory triple
+store.  Graphs are built from triples (``Graph(triples)``) or, by the
+``repro.workload`` generators, from dictionary IDs.
 """
 
 from repro.rdf.dictionary import TermDictionary, default_dictionary
@@ -18,11 +19,6 @@ from repro.rdf.namespaces import (
     RDF_TYPE,
     RDFS_NS,
     XSD_NS,
-)
-from repro.rdf.ntriples import (
-    graph_from_ntriples,
-    parse_ntriples,
-    serialize_ntriples,
 )
 from repro.rdf.terms import (
     BlankNode,
@@ -39,7 +35,6 @@ from repro.rdf.terms import (
     reset_blank_node_counter,
 )
 from repro.rdf.triples import Triple, TriplePattern
-from repro.rdf.turtle import graph_from_turtle, parse_turtle, serialize_turtle
 
 __all__ = [
     "BlankNode",
@@ -67,11 +62,5 @@ __all__ = [
     "XSD_STRING",
     "default_dictionary",
     "fresh_blank_node",
-    "graph_from_ntriples",
-    "graph_from_turtle",
-    "parse_ntriples",
-    "parse_turtle",
     "reset_blank_node_counter",
-    "serialize_ntriples",
-    "serialize_turtle",
 ]

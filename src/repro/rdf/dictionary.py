@@ -10,7 +10,7 @@ final answer rows are decoded back into terms.
 
 A single process-wide :func:`default_dictionary` is shared by all graphs
 unless a caller supplies its own — sharing means graphs built from the
-same vocabulary agree on IDs, which lets set algebra, equality and copies
+same vocabulary agree on IDs, which lets equality and ID-triple loads
 between graphs run entirely at the integer level (the common case in the
 peer system, where the chase unions and extends peer databases that share
 one vocabulary).  Ephemeral graphs that mint unbounded fresh terms —
@@ -132,10 +132,6 @@ class TermDictionary:
         return self._terms
 
     # -- ordering -------------------------------------------------------
-
-    def ranks(self) -> List[int]:
-        """The ID-indexed rank table: ``rank_tables()[0]``."""
-        return self.rank_tables()[0]
 
     def rank_tables(self) -> Tuple[List[int], List[Optional[int]]]:
         """The library-wide term order as two inverse tables.

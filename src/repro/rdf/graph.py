@@ -68,7 +68,7 @@ from typing import (
 )
 
 from repro.rdf.dictionary import IDTriple, TermDictionary, default_dictionary
-from repro.rdf.terms import BlankNode, IRI, Literal, Term, Variable
+from repro.rdf.terms import IRI, Literal, Term, Variable
 from repro.rdf.triples import Triple, TriplePattern
 
 __all__ = ["Graph"]
@@ -121,10 +121,9 @@ class Graph:
             used in diagnostics).
         dictionary: term dictionary to encode against; defaults to the
             process-wide shared dictionary, so independently built graphs
-            agree on IDs and set algebra between them stays integer-level.
+            agree on IDs and can exchange ID triples.
 
-    The class supports the container protocol (``len``, ``in``, iteration)
-    plus set-style algebra (``|``, ``&``, ``-``) which returns new graphs.
+    The class supports the container protocol (``len``, ``in``, iteration).
     """
 
     __slots__ = (
@@ -672,18 +671,6 @@ class Graph:
     # Derived views
     # ------------------------------------------------------------------
 
-    def subjects(self) -> Set[Term]:
-        decode = self._dict.decode
-        return {decode(i) for i in self._s_counts}
-
-    def predicates(self) -> Set[Term]:
-        decode = self._dict.decode
-        return {decode(i) for i in self._p_counts}
-
-    def objects(self) -> Set[Term]:
-        decode = self._dict.decode
-        return {decode(i) for i in self._o_counts}
-
     def _term_ids(self) -> Set[int]:
         out: Set[int] = set()
         for s, p, o in self._ids:
@@ -700,66 +687,6 @@ class Graph:
     def iris(self) -> Set[IRI]:
         """All IRIs occurring in the graph — the peer schema of Section 2.2."""
         return {t for t in self.terms() if isinstance(t, IRI)}
-
-    def blank_nodes(self) -> Set[BlankNode]:
-        return {t for t in self.terms() if isinstance(t, BlankNode)}
-
-    def literals(self) -> Set[Literal]:
-        return {t for t in self.terms() if isinstance(t, Literal)}
-
-    # ------------------------------------------------------------------
-    # Set algebra
-    # ------------------------------------------------------------------
-
-    def copy(self, name: str = "") -> "Graph":
-        """An independent graph with the same triples, in the same order.
-
-        The copy takes the triple set and the counts and builds its own
-        orderings when it is read, so it shares no run with its source.
-        """
-        out = Graph(name=name or self.name, dictionary=self._dict)
-        out._ids = dict(self._ids)
-        out._s_counts = dict(self._s_counts)
-        out._p_counts = dict(self._p_counts)
-        out._o_counts = dict(self._o_counts)
-        return out
-
-    def _from_ids(self, ids: Iterable[IDTriple], name: str = "") -> "Graph":
-        out = Graph(name=name, dictionary=self._dict)
-        out.add_id_triples(ids, self._dict)
-        return out
-
-    def __or__(self, other: "Graph") -> "Graph":
-        out = self.copy()
-        out.add_all(other)
-        return out
-
-    def __and__(self, other: "Graph") -> "Graph":
-        if other._dict is self._dict:
-            small, large = (
-                (self, other) if len(self) <= len(other) else (other, self)
-            )
-            return self._from_ids(
-                t for t in small._ids if t in large._ids
-            )
-        small, large = (
-            (self, other) if len(self) <= len(other) else (other, self)
-        )
-        return Graph((t for t in small if t in large), dictionary=self._dict)
-
-    def __sub__(self, other: "Graph") -> "Graph":
-        if other._dict is self._dict:
-            return self._from_ids(
-                t for t in self._ids if t not in other._ids
-            )
-        return Graph(
-            (t for t in self if t not in other), dictionary=self._dict
-        )
-
-    def issubset(self, other: "Graph") -> bool:
-        if other._dict is self._dict:
-            return self._ids.keys() <= other._ids.keys()
-        return all(t in other for t in self)
 
     # ------------------------------------------------------------------
     # Columnar run access (used by the batch execution engine)
@@ -847,10 +774,6 @@ class Graph:
         return {
             decode(pred): count for pred, count in self._p_counts.items()
         }
-
-    def sorted_triples(self) -> List[Triple]:
-        """Triples in the deterministic library-wide order."""
-        return sorted(self, key=Triple.sort_key)
 
     # ------------------------------------------------------------------
     # Debug / verification helpers

@@ -2,9 +2,9 @@
 
 A :class:`Namespace` mints IRIs under a common prefix with attribute or
 item access (``FOAF.name`` / ``FOAF["name"]``), and a
-:class:`NamespaceManager` maintains prefix bindings for parsing and
-serialising Turtle and for compact display of results (the paper prints
-answers like ``DB1:Toby_Maguire``).
+:class:`NamespaceManager` maintains prefix bindings for SPARQL
+prologues and for compact display of results (the paper prints answers
+like ``DB1:Toby_Maguire``).
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ RDF_TYPE = RDF_NS.type
 class NamespaceManager:
     """Bidirectional prefix <-> namespace registry.
 
-    Used by the Turtle parser/serialiser and by result formatting.  The
+    Used by the SPARQL parser and by result formatting.  The
     default manager binds the ubiquitous ``rdf``, ``rdfs``, ``owl``, ``xsd``
     and ``foaf`` prefixes.
 

@@ -73,11 +73,8 @@ class Term:
         raise NotImplementedError
 
     def n3(self) -> str:
-        """Render the term in N-Triples / Turtle surface syntax."""
+        """Render the term in SPARQL surface syntax."""
         raise NotImplementedError
-
-    def is_blank(self) -> bool:
-        return isinstance(self, BlankNode)
 
     def __lt__(self, other: "Term") -> bool:
         if not isinstance(other, Term):
@@ -357,7 +354,7 @@ _ESCAPES = {
 
 
 def escape_literal(text: str) -> str:
-    """Escape a literal lexical form for N-Triples output."""
+    """Escape a literal lexical form for query text and display."""
     out = []
     for ch in text:
         out.append(_ESCAPES.get(ch, ch))

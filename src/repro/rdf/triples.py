@@ -124,7 +124,7 @@ class Triple:
         return f"Triple({self.subject!r}, {self.predicate!r}, {self.object!r})"
 
     def n3(self) -> str:
-        """Render as an N-Triples line (without the trailing newline)."""
+        """Render as one ``s p o .`` line, each term in surface syntax."""
         return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
 
     def terms(self) -> Tuple[Term, Term, Term]:
@@ -201,10 +201,6 @@ class TriplePattern:
         """The set ``var(t)`` of variables occurring in the pattern."""
         return frozenset(t for t in self if isinstance(t, Variable))
 
-    def is_ground(self) -> bool:
-        """True if the pattern contains no variables."""
-        return not any(isinstance(t, Variable) for t in self)
-
     def substitute(self, mapping: Dict[Variable, Term]) -> "TriplePattern":
         """Apply a partial substitution, returning a new pattern.
 
@@ -221,25 +217,6 @@ class TriplePattern:
         return TriplePattern(
             subst(self.subject), subst(self.predicate), subst(self.object)
         )
-
-    def to_triple(self, mapping: Optional[Dict[Variable, Term]] = None) -> Triple:
-        """Instantiate the pattern into a concrete :class:`Triple`.
-
-        Args:
-            mapping: substitution for the pattern's variables; must cover
-                all of them.
-
-        Raises:
-            TripleError: if a variable remains unbound or a bound value
-                violates the triple positional constraints.
-        """
-        pattern = self.substitute(mapping or {})
-        if not pattern.is_ground():
-            unbound = sorted(v.name for v in pattern.variables())
-            raise TripleError(
-                f"cannot instantiate pattern; unbound variables: {unbound}"
-            )
-        return Triple(pattern.subject, pattern.predicate, pattern.object)
 
     def matches(self, triple: Triple) -> Optional[Dict[Variable, Term]]:
         """Match against a concrete triple.

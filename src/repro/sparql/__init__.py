@@ -17,8 +17,8 @@ from repro.sparql.ast import (
     SelectQuery,
     UnionPattern,
 )
-from repro.sparql.bridge import gpq_to_sparql, sparql_to_gpq, sparql_union_to_gpqs
-from repro.sparql.engine import ask_text, execute, select
+from repro.sparql.bridge import sparql_to_gpq
+from repro.sparql.engine import execute
 from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult, SelectResult
 
@@ -33,11 +33,7 @@ __all__ = [
     "SelectQuery",
     "SelectResult",
     "UnionPattern",
-    "ask_text",
     "execute",
-    "gpq_to_sparql",
     "parse_query",
-    "select",
     "sparql_to_gpq",
-    "sparql_union_to_gpqs",
 ]

@@ -14,7 +14,7 @@ Nodes are immutable dataclasses; the algebra translation lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple, Union
+from typing import FrozenSet, Optional, Tuple, Union
 
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triples import TriplePattern
@@ -111,10 +111,6 @@ class GroupPattern:
             else:
                 out.update(element.variables())
         return frozenset(out)
-
-    def triple_patterns(self) -> List[TriplePattern]:
-        """All triple patterns at this level (not inside nested groups)."""
-        return [e for e in self.elements if isinstance(e, TriplePattern)]
 
 
 @dataclass(frozen=True)

@@ -1284,8 +1284,6 @@ def select_id_rows_batch(
 # Result ordering on term ranks, and the vectorized solution modifiers
 # ---------------------------------------------------------------------------
 
-_RowKeep = Optional[Callable[[_IDRow], bool]]
-
 
 def pack_ids(
     columns: Sequence[Sequence[int]], n: int, base: int
@@ -1425,7 +1423,6 @@ def batch_slice(
     projected: Sequence[Variable],
     offset: int = 0,
     limit: Optional[int] = None,
-    keep: _RowKeep = None,
 ) -> List[_IDRow]:
     """DISTINCT-project + OFFSET/LIMIT in chunk order (no ORDER BY).
 
@@ -1442,8 +1439,6 @@ def batch_slice(
     seen: Dict[_IDRow, None] = {}
     for batch in chunks:
         rows = column_rows(batch.project(projected), batch.n)
-        if keep is not None:
-            rows = filter(keep, rows)
         # Known rows keep their place, new ones go last: first-seen.
         seen.update(dict.fromkeys(rows))
         if bound is not None and len(seen) >= bound:
@@ -1458,7 +1453,6 @@ def batch_top_k(
     order: Sequence[OrderCondition],
     offset: int = 0,
     limit: Optional[int] = None,
-    keep: _RowKeep = None,
 ) -> Tuple[List[List[Optional[int]]], int]:
     """ORDER BY + DISTINCT-project + OFFSET/LIMIT over one batch.
 
@@ -1476,10 +1470,6 @@ def batch_top_k(
     width = len(head)
     columns = batch.project(head + tuple(c.variable for c in order))
     n = batch.n
-    if keep is not None:
-        mask = list(map(keep, column_rows(columns[:width], n)))
-        columns = [list(compress(col, mask)) for col in columns]
-        n = mask.count(True)
     if not columns:  # no column at all: one distinct, empty row
         bound = None if limit is None else offset + limit
         return [], len(range(min(n, 1))[offset:bound])

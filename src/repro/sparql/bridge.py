@@ -1,15 +1,12 @@
-"""Two-way translation between SPARQL and graph pattern queries.
+"""Translation from SPARQL to graph pattern queries.
 
 The paper notes (end of Section 2.1) that the graph pattern query
 language "can be seen as a conjunctive fragment of SPARQL, so a graph
 pattern query can always be translated to a conjunctive SPARQL query and
-vice versa".  This module is that translation:
+vice versa".  This module translates from SPARQL:
 
 * :func:`sparql_to_gpq` — SELECT/ASK with a pure-BGP WHERE clause becomes
   a :class:`~repro.gpq.query.GraphPatternQuery`;
-* :func:`gpq_to_sparql` — render a graph pattern query as SPARQL text;
-* :func:`sparql_union_to_gpqs` — a UNION of BGPs becomes a list of graph
-  pattern queries (used by the rewriting output, which produces UCQs);
 * :func:`sparql_to_branches` — the general form: any SELECT/ASK in the
   supported fragment (BGP + UNION + FILTER + OPTIONAL, arbitrarily
   nested) becomes a projection head plus a *union of conjunctive
@@ -37,7 +34,7 @@ from repro.errors import UnsupportedSparqlError
 from repro.gpq.pattern import GraphPattern
 from repro.gpq.query import GraphPatternQuery
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import IRI, Term, Variable
+from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql.algebra import (
     AlgebraNode,
@@ -65,8 +62,6 @@ __all__ = [
     "ConjunctiveBranch",
     "OptionalBlock",
     "sparql_to_gpq",
-    "gpq_to_sparql",
-    "sparql_union_to_gpqs",
     "sparql_to_branches",
 ]
 
@@ -132,40 +127,6 @@ def sparql_to_gpq(
             raise UnsupportedSparqlError("empty WHERE clause")
         return GraphPatternQuery((), GraphPattern.conjunction(patterns))
     raise UnsupportedSparqlError(f"cannot translate {type(ast).__name__}")
-
-
-def _render_term(term: Term, nsm: Optional[NamespaceManager]) -> str:
-    if nsm is not None and isinstance(term, IRI):
-        return nsm.display(term)
-    return term.n3()
-
-
-def gpq_to_sparql(
-    query: GraphPatternQuery, nsm: Optional[NamespaceManager] = None
-) -> str:
-    """Render a graph pattern query as SPARQL text.
-
-    Arity-0 queries render as ASK, others as SELECT.  The output parses
-    back into an equivalent query (round-trip property-tested).
-    """
-    lines = []
-    if nsm is not None:
-        for prefix, namespace in nsm.namespaces():
-            lines.append(f"PREFIX {prefix}: <{namespace}>")
-    body_lines = [
-        f"  {_render_term(tp.subject, nsm)} {_render_term(tp.predicate, nsm)} "
-        f"{_render_term(tp.object, nsm)} ."
-        for tp in query.conjuncts()
-    ]
-    if query.is_boolean():
-        lines.append("ASK {")
-    else:
-        projection = " ".join(f"?{v.name}" for v in query.head)
-        lines.append(f"SELECT {projection}")
-        lines.append("WHERE {")
-    lines.extend(body_lines)
-    lines.append("}")
-    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -414,43 +375,3 @@ def sparql_to_branches(
             seen.add(branch)
             unique.append(branch)
     return head, unique
-
-
-def sparql_union_to_gpqs(
-    query: Union[str, Query], nsm: Optional[NamespaceManager] = None
-) -> List[GraphPatternQuery]:
-    """Translate a (possibly UNION-of-BGPs) query into a list of GPQs.
-
-    A query whose WHERE clause is a top-level UNION of conjunctive groups
-    — the shape produced by the Proposition-2 rewriting — maps to one
-    graph pattern query per alternative, all with the same head.
-
-    Raises:
-        UnsupportedSparqlError: for any other non-conjunctive structure.
-    """
-    ast = parse_query(query, nsm) if isinstance(query, str) else query
-    if isinstance(ast, SelectQuery):
-        where = ast.where
-        head = ast.projected()
-    elif isinstance(ast, AskQuery):
-        where = ast.where
-        head = ()
-    else:
-        raise UnsupportedSparqlError(f"cannot translate {type(ast).__name__}")
-
-    if len(where.elements) == 1 and isinstance(where.elements[0], UnionPattern):
-        union = where.elements[0]
-        out = []
-        for alternative in union.alternatives:
-            patterns = _flatten_bgp(alternative)
-            if not patterns:
-                raise UnsupportedSparqlError("empty UNION alternative")
-            usable_head = tuple(
-                v for v in head
-                if v in GraphPattern.conjunction(patterns).variables()
-            )
-            out.append(
-                GraphPatternQuery(usable_head, GraphPattern.conjunction(patterns))
-            )
-        return out
-    return [sparql_to_gpq(ast, nsm)]

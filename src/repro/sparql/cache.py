@@ -10,9 +10,7 @@ with hit/miss counters, used two ways:
   batch plans keyed on ``(graph.serial, graph.epoch, query text,
   namespace fingerprint)`` — the graph's mutation epoch invalidates
   entries the moment the data changes, and the serial keeps distinct
-  graphs from colliding; ``include_blanks`` is not part of the key
-  because the plan does not depend on it (the blank-row filter is
-  built per execution);
+  graphs from colliding;
 * the federated executor caches its ``PreparedQuery`` source-selection
   plans keyed on ``(query text, namespace fingerprint, statistics
   epoch)`` — a refresh of the :class:`StatisticsCatalog` bumps the

@@ -32,14 +32,13 @@ graph mutation invalidates by key change.  The term-level evaluator in
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import SparqlEvaluationError
 from repro.obs.analyze import attach_actuals
 from repro.obs.trace import NULL_TRACER
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import BlankNode, Term
 from repro.sparql.algebra import translate_group
 from repro.sparql.ast import AskQuery, Query, SelectQuery
 from repro.sparql.batch import (
@@ -53,15 +52,15 @@ from repro.sparql.cache import default_plan_cache, nsm_fingerprint
 from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult, SelectResult
 
-__all__ = ["execute", "explain", "select", "ask_text", "plan_cache_stats"]
+__all__ = ["execute", "explain", "plan_cache_stats"]
 
 
 class _PreparedLocal:
     """A fully planned query, ready to execute without parse or plan.
 
-    The batch plan is re-executable, whole or in chunks, and does not
-    depend on ``include_blanks``, so one cache entry serves any number
-    of executions against the same graph epoch.
+    The batch plan is re-executable, whole or in chunks, so one cache
+    entry serves any number of executions against the same graph
+    epoch.
     """
 
     __slots__ = ("ast", "variables", "batch_op")
@@ -94,7 +93,6 @@ def execute(
     graph: Graph,
     query: Union[str, Query],
     nsm: Optional[NamespaceManager] = None,
-    include_blanks: bool = True,
     tracer=NULL_TRACER,
 ) -> Union[SelectResult, AskResult]:
     """Run a SPARQL query over a graph.
@@ -104,10 +102,6 @@ def execute(
         query: query text or a pre-parsed AST.  Text goes through the
             cross-query plan cache; a hit skips parse and plan.
         nsm: namespace manager for resolving prefixed names in the text.
-        include_blanks: when False, rows containing blank nodes are
-            dropped — this implements the paper's ``Q_D`` semantics, used
-            when the graph is a universal solution and blank nodes are
-            labelled nulls rather than data.
         tracer: a :class:`~repro.obs.trace.Tracer` collecting wall
             spans around the parse → normalise → plan → execute phases;
             defaults to the shared no-op tracer.
@@ -126,7 +120,7 @@ def execute(
     else:
         prepared = _prepare(graph, query, tracer)
     with tracer.span("execute"):
-        return _execute_prepared(graph, prepared, include_blanks)
+        return _execute_prepared(graph, prepared)
 
 
 def plan_cache_stats() -> dict:
@@ -138,7 +132,6 @@ def explain(
     graph: Graph,
     query: Union[str, Query],
     nsm: Optional[NamespaceManager] = None,
-    include_blanks: bool = True,
     analyze: bool = False,
 ) -> str:
     """Render the local physical plan, optionally with executed actuals.
@@ -156,14 +149,14 @@ def explain(
     root = prepared.batch_op
     if analyze:
         attach_actuals(root)
-        _execute_prepared(graph, prepared, include_blanks)
+        _execute_prepared(graph, prepared)
     lines: List[str] = ["batch engine"]
     lines.extend(root.explain())
     return "\n".join(lines)
 
 
 def _execute_prepared(
-    graph: Graph, prepared: _PreparedLocal, include_blanks: bool
+    graph: Graph, prepared: _PreparedLocal
 ) -> Union[SelectResult, AskResult]:
     ast = prepared.ast
     plan = prepared.batch_op
@@ -171,12 +164,11 @@ def _execute_prepared(
         return AskResult(next(plan.chunks(), None) is not None)
     variables = prepared.variables
     dictionary = graph.dictionary
-    keep = None if include_blanks else _blank_row_filter(dictionary.terms())
     if not ast.order and (ast.limit is not None or ast.offset is not None):
         # Un-ordered LIMIT/OFFSET: a window of the plan's deterministic
         # chunk order; the plan is abandoned once the window is full.
         id_rows = batch_slice(
-            plan.chunks(), variables, ast.offset or 0, ast.limit, keep
+            plan.chunks(), variables, ast.offset or 0, ast.limit
         )
         columns, n = list(zip(*id_rows)), len(id_rows)
     else:
@@ -191,59 +183,5 @@ def _execute_prepared(
             ast.order,
             ast.offset or 0,
             ast.limit,
-            keep,
         )
     return SelectResult(variables, list(term_rows(dictionary, columns, n)))
-
-
-def _blank_row_filter(
-    terms: List[Term],
-) -> Callable[[Tuple[Optional[int], ...]], bool]:
-    """The ``include_blanks=False`` row predicate (the paper's ``Q_D``).
-
-    Whether an ID names a blank node is looked up in the dictionary
-    once per distinct ID; rows then test their cells against the memo.
-    """
-    blank: Dict[Optional[int], bool] = {None: False}
-
-    def keep(row: Tuple[Optional[int], ...]) -> bool:
-        for tid in row:
-            flag = blank.get(tid)
-            if flag is None:
-                flag = blank[tid] = isinstance(terms[tid], BlankNode)
-            if flag:
-                return False
-        return True
-
-    return keep
-
-
-def select(
-    graph: Graph,
-    query: str,
-    nsm: Optional[NamespaceManager] = None,
-    include_blanks: bool = True,
-) -> SelectResult:
-    """Typed convenience wrapper: run a SELECT query.
-
-    Raises:
-        SparqlEvaluationError: if the text is not a SELECT query.
-    """
-    result = execute(graph, query, nsm, include_blanks)
-    if not isinstance(result, SelectResult):
-        raise SparqlEvaluationError("expected a SELECT query")
-    return result
-
-
-def ask_text(
-    graph: Graph, query: str, nsm: Optional[NamespaceManager] = None
-) -> bool:
-    """Typed convenience wrapper: run an ASK query, returning a bool.
-
-    Raises:
-        SparqlEvaluationError: if the text is not an ASK query.
-    """
-    result = execute(graph, query, nsm)
-    if not isinstance(result, AskResult):
-        raise SparqlEvaluationError("expected an ASK query")
-    return bool(result)

@@ -323,8 +323,5 @@ class Instance:
             out.update(fact.args)
         return out
 
-    def nulls(self) -> Set[LabeledNull]:
-        return {v for v in self.values() if isinstance(v, LabeledNull)}
-
     def copy(self) -> "Instance":
         return Instance(self._facts)

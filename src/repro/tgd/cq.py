@@ -1,8 +1,8 @@
 """Conjunctive queries over relational atoms.
 
 Provides homomorphism-based containment, the canonical (frozen)
-database, core minimisation, and canonical renaming for duplicate
-elimination — everything the UCQ rewriting engine of Section 4 needs.
+database, and canonical renaming for duplicate elimination — everything
+the UCQ rewriting engine of Section 4 needs.
 
 Containment is the expensive part: a query's canonical database is
 built on its first containment test and kept on the (immutable) query,
@@ -184,29 +184,6 @@ class ConjunctiveQuery:
                 return False
         homomorphisms = run_search(other.search_plan(), frozen, partial, limit=1)
         return next(homomorphisms, None) is not None
-
-    def is_equivalent_to(self, other: "ConjunctiveQuery") -> bool:
-        return self.is_contained_in(other) and other.is_contained_in(self)
-
-    def minimize(self) -> "ConjunctiveQuery":
-        """Compute the core: drop atoms while preserving equivalence."""
-        body = list(self.body)
-        changed = True
-        while changed and len(body) > 1:
-            changed = False
-            for atom in list(body):
-                candidate_body = [a for a in body if a is not atom]
-                candidate_vars: Set[RelVar] = set()
-                for a in candidate_body:
-                    candidate_vars.update(a.variables())
-                if not all(v in candidate_vars for v in self.head):
-                    continue
-                candidate = ConjunctiveQuery(self.head, candidate_body)
-                if candidate.is_equivalent_to(self):
-                    body = candidate_body
-                    changed = True
-                    break
-        return ConjunctiveQuery(self.head, body, label=self.label)
 
     # -- canonical form -------------------------------------------------------------
 

@@ -20,6 +20,7 @@ from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import (
+    IRI,
     BlankNode,
     Literal,
     Variable,
@@ -52,6 +53,35 @@ def where_rows(graph, text):
             graph, translate_group(ast.where), head
         )
     }
+
+
+def sparql_text(query, nsm=None):
+    """A graph pattern query as SPARQL text: ASK at arity 0, else SELECT.
+
+    IRIs show as prefixed names under ``nsm``, whose bindings open the
+    text as ``PREFIX`` lines.  Generated inputs for the parser and
+    engine suites; ``sparql_to_gpq`` reads it back.
+    """
+
+    def render(term):
+        if nsm is not None and isinstance(term, IRI):
+            return nsm.display(term)
+        return term.n3()
+
+    lines = []
+    if nsm is not None:
+        lines.extend(f"PREFIX {p}: <{ns}>" for p, ns in nsm.namespaces())
+    if query.head:
+        lines.append("SELECT " + " ".join(v.n3() for v in query.head))
+        lines.append("WHERE {")
+    else:
+        lines.append("ASK {")
+    lines.extend(
+        f"  {render(tp.subject)} {render(tp.predicate)} {render(tp.object)} ."
+        for tp in query.conjuncts()
+    )
+    lines.append("}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +228,7 @@ def blanky_random_graph():
 @pytest.fixture
 def path_query_2(medium_random_graph):
     """A 2-hop path query over the generator vocabulary."""
-    predicates = sorted(medium_random_graph.predicates())[:2]
+    predicates = sorted({t.predicate for t in medium_random_graph})[:2]
     x, y, z = Variable("x"), Variable("y"), Variable("z")
     return GraphPatternQuery(
         (x, z), make_pattern((x, predicates[0], y), (y, predicates[1], z))

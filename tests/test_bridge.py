@@ -1,17 +1,17 @@
-"""GPQ <-> SPARQL bridge: round-trips and unsupported-feature errors."""
+"""SPARQL -> GPQ bridge: round trips and unsupported-feature errors.
+
+The text side of a round trip is ``conftest.sparql_text``.
+"""
 
 import pytest
 
+from conftest import sparql_text
 from repro.errors import UnsupportedSparqlError
 from repro.gpq.pattern import make_pattern
 from repro.gpq.query import GraphPatternQuery
 from repro.rdf.namespaces import Namespace, NamespaceManager
 from repro.rdf.terms import Variable
-from repro.sparql.bridge import (
-    gpq_to_sparql,
-    sparql_to_gpq,
-    sparql_union_to_gpqs,
-)
+from repro.sparql.bridge import sparql_to_gpq
 from repro.sparql.parser import parse_query
 from repro.workload.generators import random_graph
 from repro.workload.queries import random_queries
@@ -20,7 +20,7 @@ EX = Namespace("http://example.org/")
 
 
 def roundtrip(gpq):
-    return sparql_to_gpq(gpq_to_sparql(gpq))
+    return sparql_to_gpq(sparql_text(gpq))
 
 
 def queries_equal(left, right):
@@ -45,7 +45,7 @@ def test_select_round_trip():
 def test_ask_round_trip():
     x = Variable("x")
     gpq = GraphPatternQuery((), make_pattern((x, EX.term("p"), x)))
-    text = gpq_to_sparql(gpq)
+    text = sparql_text(gpq)
     assert text.startswith("ASK")
     assert queries_equal(sparql_to_gpq(text), gpq)
 
@@ -55,7 +55,7 @@ def test_round_trip_with_namespace_manager():
     nsm.bind("ex", "http://example.org/")
     x, y = Variable("x"), Variable("y")
     gpq = GraphPatternQuery((x,), make_pattern((x, EX.term("p"), y)))
-    text = gpq_to_sparql(gpq, nsm)
+    text = sparql_text(gpq, nsm)
     assert "ex:p" in text
     assert queries_equal(sparql_to_gpq(text), gpq)
 
@@ -63,50 +63,18 @@ def test_round_trip_with_namespace_manager():
 @pytest.mark.parametrize("seed", [4, 13, 29])
 def test_randomized_round_trips(seed):
     graph = random_graph(triples=150, seed=seed)
-    predicates = sorted(graph.predicates())
+    predicates = sorted({t.predicate for t in graph})
     for gpq in random_queries(predicates, count=15, max_length=4, seed=seed):
         back = roundtrip(gpq)
-        assert queries_equal(back, gpq), gpq_to_sparql(gpq)
+        assert queries_equal(back, gpq), sparql_text(gpq)
 
 
 def test_rendered_text_parses_as_select_or_ask():
     x = Variable("x")
     select_q = GraphPatternQuery((x,), make_pattern((x, EX.term("p"), x)))
     ask_q = GraphPatternQuery((), make_pattern((x, EX.term("p"), x)))
-    assert parse_query(gpq_to_sparql(select_q)).__class__.__name__ == "SelectQuery"
-    assert parse_query(gpq_to_sparql(ask_q)).__class__.__name__ == "AskQuery"
-
-
-# ---------------------------------------------------------------------------
-# UNION translation
-# ---------------------------------------------------------------------------
-
-
-def test_union_of_bgps_becomes_gpq_list():
-    text = (
-        "SELECT ?x WHERE { { ?x <http://example.org/p> ?y } UNION "
-        "{ ?x <http://example.org/q> ?y } }"
-    )
-    gpqs = sparql_union_to_gpqs(text)
-    assert len(gpqs) == 2
-    assert all(q.head == (Variable("x"),) for q in gpqs)
-
-
-def test_union_alternative_missing_head_variable_narrows_head():
-    text = (
-        "SELECT ?x ?z WHERE { { ?x <http://example.org/p> ?z } UNION "
-        "{ ?x <http://example.org/q> ?y } }"
-    )
-    first, second = sparql_union_to_gpqs(text)
-    assert first.head == (Variable("x"), Variable("z"))
-    assert second.head == (Variable("x"),)
-
-
-def test_plain_bgp_query_translates_to_single_gpq():
-    gpqs = sparql_union_to_gpqs(
-        "SELECT ?x WHERE { ?x <http://example.org/p> ?y }"
-    )
-    assert len(gpqs) == 1
+    assert parse_query(sparql_text(select_q)).__class__.__name__ == "SelectQuery"
+    assert parse_query(sparql_text(ask_q)).__class__.__name__ == "AskQuery"
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +99,3 @@ def test_plain_bgp_query_translates_to_single_gpq():
 def test_sparql_to_gpq_rejects_non_conjunctive(text):
     with pytest.raises(UnsupportedSparqlError):
         sparql_to_gpq(text)
-
-
-def test_union_translator_rejects_filter_inside_alternative():
-    text = (
-        "SELECT ?x WHERE { { ?x <http://example.org/p> ?y . "
-        "FILTER(?x != ?y) } UNION { ?x <http://example.org/q> ?y } }"
-    )
-    with pytest.raises(UnsupportedSparqlError):
-        sparql_union_to_gpqs(text)

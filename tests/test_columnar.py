@@ -21,6 +21,7 @@ of the unlimited query (excluded from tier-1; see pytest.ini).
 
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,11 +48,12 @@ from repro.sparql.batch import (
     select_id_rows_batch,
 )
 from repro.sparql.cache import PlanCache, default_plan_cache, nsm_fingerprint
-from repro.sparql.engine import execute, explain, select
+from repro.sparql.engine import execute, explain
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import plan_bgp
 from repro.sparql.results import _row_key
 from repro.gpq.evaluation import compile_conjunct, extend_id_bindings
+from repro.peers.certain_answers import answer_rows
 from repro.workload.federation import (
     federated_ask_sparql,
     federated_limit_sparql,
@@ -156,10 +158,10 @@ def assert_pages_tile(graph, text, k):
     expected = set(reference_select(graph, parse_query(text)))
     full = len(expected) // k
     pages = [
-        select(graph, f"{text} OFFSET {i * k} LIMIT {k}").rows
+        execute(graph, f"{text} OFFSET {i * k} LIMIT {k}").rows
         for i in range(full)
     ]
-    pages.append(select(graph, f"{text} OFFSET {full * k}").rows)
+    pages.append(execute(graph, f"{text} OFFSET {full * k}").rows)
     assert [len(page) for page in pages] == [k] * full + [
         len(expected) - full * k
     ], text
@@ -202,8 +204,8 @@ def test_fuzz_batch_equals_reference(seed):
         # second execution takes the plan-cache hit path and must not
         # change the answer.
         expected = reference_select(graph, ast)
-        first = select(graph, text).rows
-        second = select(graph, text).rows
+        first = execute(graph, text).rows
+        second = execute(graph, text).rows
         assert first == second, text
         if has_order:
             assert first == expected, text
@@ -238,10 +240,13 @@ def test_fuzz_includes_blank_exclusion_path():
         )
     )
     text = f"SELECT ?a ?b WHERE {{ ?a <{NS}p0> ?b }} ORDER BY ?b"
-    with_blanks = select(graph, text).rows
-    without = select(graph, text, include_blanks=False).rows
-    assert set(without) <= set(with_blanks)
+    with_blanks = execute(graph, text).rows
     assert with_blanks == reference_select(graph, parse_query(text))
+    # ``Q_D``: the one blank-dropping boundary keeps the blank-free rows.
+    without = answer_rows(graph, id_rows(graph, text))
+    assert without == {
+        row for row in with_blanks if not any(isinstance(c, BlankNode) for c in row)
+    }
 
 
 def test_order_by_desc_over_optional_variable_matches_reference():
@@ -254,7 +259,7 @@ def test_order_by_desc_over_optional_variable_matches_reference():
         "ORDER BY DESC(?v) OFFSET 3 LIMIT 7",
     ):
         text = f"SELECT ?a ?b ?v WHERE {{ {optional} }} {modifiers}"
-        rows = select(graph, text).rows
+        rows = execute(graph, text).rows
         assert rows == reference_select(graph, parse_query(text)), text
         bound = [row[2] is not None for row in rows]
         if modifiers.startswith("ORDER BY DESC(?v)") and "LIMIT" not in text:
@@ -273,7 +278,7 @@ def test_order_by_unprojected_variable_keeps_each_rows_best_key():
         "ORDER BY ?b OFFSET 2 LIMIT 40",
     ):
         text = f"SELECT ?a ?c WHERE {{ {where} }} {modifiers}"
-        rows = select(graph, text).rows
+        rows = execute(graph, text).rows
         assert rows == reference_select(graph, parse_query(text)), text
         assert len(set(rows)) == len(rows), text
 
@@ -353,35 +358,35 @@ def test_top_k_picks_first_occurrence_and_handles_both_unbound_marks():
     assert batch_top_k(d, Batch((), [], 0), (), ()) == ([], 0)
 
 
-def canonical_reference(graph, text, include_blanks=True):
+def canonical_reference(graph, text):
     """The reference answer of an unmodified SELECT, canonically sorted."""
-    rows = set(reference_select(graph, parse_query(text)))
-    if not include_blanks:
-        rows = {
-            row
-            for row in rows
-            if not any(isinstance(cell, BlankNode) for cell in row)
-        }
-    return sorted(rows, key=_row_key)
+    return sorted(reference_select(graph, parse_query(text)), key=_row_key)
+
+
+def id_rows(graph, text):
+    """The distinct projected ID rows of a SELECT's WHERE clause."""
+    ast = parse_query(text)
+    node = translate_group(ast.where)
+    return select_id_rows_batch(graph, node, ast.projected())
 
 
 def test_finish_after_ranks_rebuilt_on_a_plan_cache_hit():
     graph = fanout_graph(400, seed=3)
     text = f"SELECT ?a ?b ?c WHERE {{ ?a <{NS}p0> ?b . ?b <{NS}p1> ?c }}"
     ordered = f"{text} ORDER BY DESC(?b) ?a LIMIT 7"
-    first = select(graph, text).rows
-    select(graph, ordered)
+    first = execute(graph, text).rows
+    execute(graph, ordered)
     assert first == canonical_reference(graph, text)
     dictionary = graph.dictionary
-    ranks = dictionary.ranks()
+    ranks = dictionary.rank_tables()[0]
     # New terms sorting before, between and after the graph's own: every
     # rank the cached plans' IDs had moves, and the graph is unchanged.
     for name in ("", "e1~", "e5~", "zz"):
         dictionary.encode(IRI(f"{NS}{name}fresh{len(dictionary)}"))
-    assert dictionary.ranks() is not ranks
+    assert dictionary.rank_tables()[0] is not ranks
     hits = default_plan_cache.stats()["hits"]
-    assert select(graph, text).rows == first
-    assert select(graph, ordered).rows == reference_select(
+    assert execute(graph, text).rows == first
+    assert execute(graph, ordered).rows == reference_select(
         graph, parse_query(ordered)
     )
     assert default_plan_cache.stats()["hits"] == hits + 2
@@ -419,16 +424,13 @@ def test_finish_edge_cases_match_the_canonical_reference():
         wide,
     ]
     for text in texts:
-        for include_blanks in (True, False):
-            rows = select(graph, text, include_blanks=include_blanks).rows
-            expected = canonical_reference(graph, text, include_blanks)
-            assert rows == expected, (text, include_blanks)
-    assert select(graph, texts[0]).rows == [()]
-    assert {row[0] for row in select(graph, texts[1]).rows} == {None}
-    rows = select(graph, wide).rows
+        assert execute(graph, text).rows == canonical_reference(graph, text)
+    assert execute(graph, texts[0]).rows == [()]
+    assert {row[0] for row in execute(graph, texts[1]).rows} == {None}
+    rows = execute(graph, wide).rows
     assert rows and len(rows[0]) == 8 and any(row[7] is None for row in rows)
     ordered = f"{wide} ORDER BY DESC(?c) ?g LIMIT 20"
-    assert select(graph, ordered).rows == reference_select(
+    assert execute(graph, ordered).rows == reference_select(
         graph, parse_query(ordered)
     )
 
@@ -439,10 +441,10 @@ def test_zero_column_and_empty_results():
     ground = f"{triple.subject.n3()} {triple.predicate.n3()} {triple.object.n3()}"
     missing = f"<{NS}no-such-subject> <{NS}p0> ?b"
     for modifiers in ("", " ORDER BY ?x", " ORDER BY DESC(?x) LIMIT 3"):
-        assert select(graph, f"SELECT * WHERE {{ {ground} }}{modifiers}").rows == [()]
-        assert select(graph, f"SELECT ?b WHERE {{ {missing} }}{modifiers}").rows == []
+        assert execute(graph, f"SELECT * WHERE {{ {ground} }}{modifiers}").rows == [()]
+        assert execute(graph, f"SELECT ?b WHERE {{ {missing} }}{modifiers}").rows == []
     # A projected variable the pattern never binds is an unbound column.
-    assert select(
+    assert execute(
         graph, f"SELECT ?x WHERE {{ ?a <{NS}p0> ?b }}"
     ).rows == [(None,)]
 
@@ -458,20 +460,24 @@ def test_blank_exclusion_decides_each_id_once():
             seed=5,
         )
     )
-    for tail in ("", " ORDER BY DESC(?b) ?a", " LIMIT 1000"):
-        text = f"SELECT ?a ?b WHERE {{ ?a <{NS}p0> ?b }}{tail}"
-        kept = select(graph, text, include_blanks=False).rows
-        everything = select(graph, text).rows
-        expected = [
-            row
-            for row in everything
-            if not any(cell.is_blank() for cell in row)
-        ]
-        assert 0 < len(expected) < len(everything)
-        if "LIMIT" in tail:  # an unordered slice: the set is what counts
-            assert set(kept) == set(expected), text
-        else:
-            assert kept == expected, text
+    text = f"SELECT ?a ?b WHERE {{ ?a <{NS}p0> ?b }}"
+    rows = id_rows(graph, text)
+    decoded = []
+    decode = graph.decode_id
+
+    def counting(tid):
+        decoded.append(tid)
+        return decode(tid)
+
+    # ``answer_rows`` reads the graph only through ``decode_id``.
+    kept = answer_rows(SimpleNamespace(decode_id=counting), rows)
+    assert sorted(decoded) == sorted(set().union(*rows))
+    everything = set(execute(graph, text).rows)
+    expected = {
+        row for row in everything if not any(isinstance(cell, BlankNode) for cell in row)
+    }
+    assert 0 < len(expected) < len(everything)
+    assert kept == expected
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +495,7 @@ def _fresh_plan_cache():
 def test_plan_cache_hit_skips_parse_and_plan(monkeypatch):
     graph = fanout_graph(2000)
     text = f"SELECT ?a ?c WHERE {{ ?a <{NS}p0> ?b . ?b <{NS}p1> ?c }}"
-    first = select(graph, text).rows
+    first = execute(graph, text).rows
     stats = engine.plan_cache_stats()
     assert stats["misses"] == 1 and stats["hits"] == 0
 
@@ -501,52 +507,25 @@ def test_plan_cache_hit_skips_parse_and_plan(monkeypatch):
 
     monkeypatch.setattr(engine, "parse_query", _no_parse)
     monkeypatch.setattr(engine, "build_batch_plan", _no_plan)
-    second = select(graph, text).rows
+    second = execute(graph, text).rows
     assert second == first
     stats = engine.plan_cache_stats()
     assert stats["hits"] == 1 and stats["misses"] == 1
     # Cold: a cleared cache misses again and serves the same rows.
     monkeypatch.undo()
     default_plan_cache.clear()
-    assert select(graph, text).rows == first
+    assert execute(graph, text).rows == first
     stats = engine.plan_cache_stats()
     assert stats["hits"] == 0 and stats["misses"] == 1
-
-
-def test_plan_cache_key_ignores_include_blanks():
-    # The prepared plan does not depend on include_blanks (the blank-row
-    # filter is built per execution): one entry serves both settings.
-    graph = random_entity_graph(
-        GeneratorConfig(
-            entities=14,
-            predicates=3,
-            triples=150,
-            attributes=20,
-            blank_fraction=0.3,
-            seed=5,
-        )
-    )
-    for tail in ("", " LIMIT 1000"):
-        default_plan_cache.clear()
-        text = f"SELECT ?a ?b WHERE {{ ?a <{NS}p0> ?b }}{tail}"
-        everything = select(graph, text, include_blanks=True).rows
-        kept = select(graph, text, include_blanks=False).rows
-        stats = engine.plan_cache_stats()
-        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
-        assert set(everything) == set(reference_select(graph, parse_query(text)))
-        assert 0 < len(kept) < len(everything)
-        assert set(kept) == {
-            row for row in everything if not any(c.is_blank() for c in row)
-        }
 
 
 def test_plan_cache_invalidated_by_graph_mutation():
     graph = fanout_graph(1000)
     text = f"SELECT ?a ?b WHERE {{ ?a <{NS}p0> ?b }}"
-    before = select(graph, text).rows
+    before = execute(graph, text).rows
     subject = IRI(f"{NS}e0")
     graph.add(Triple(subject, IRI(f"{NS}p0"), IRI(f"{NS}e1")))
-    after = select(graph, text).rows
+    after = execute(graph, text).rows
     # The mutation changed the epoch, so the second execution was a
     # fresh plan (a miss), and the new triple is visible.
     assert engine.plan_cache_stats()["misses"] == 2
@@ -558,8 +537,8 @@ def test_plan_cache_distinguishes_graphs_and_nsm():
     g1 = fanout_graph(500, seed=1)
     g2 = fanout_graph(500, seed=2)
     text = f"SELECT ?a ?b WHERE {{ ?a <{NS}p0> ?b }}"
-    select(g1, text)
-    select(g2, text)
+    execute(g1, text)
+    execute(g2, text)
     stats = engine.plan_cache_stats()
     assert stats["misses"] == 2  # distinct graph serials, no collision
 
@@ -656,7 +635,7 @@ def test_counts_survive_removal_and_copy():
     triple = next(iter(graph))
     epoch_before = graph.epoch
     count_before = graph.count(predicate=triple.predicate)
-    copied = graph.copy()
+    copied = Graph(graph)
     graph.remove(triple)
     assert graph.epoch > epoch_before
     assert graph.count(predicate=triple.predicate) == count_before - 1
@@ -1028,7 +1007,7 @@ def test_ask_and_bare_limit_semantics_unchanged():
     assert execute(
         graph, f"ASK {{ ?a <{NS}missing-pred> ?b }}"
     ).value is False
-    limited = select(graph, f"SELECT ?a WHERE {{ ?a <{NS}p0> ?b }} LIMIT 3")
+    limited = execute(graph, f"SELECT ?a WHERE {{ ?a <{NS}p0> ?b }} LIMIT 3")
     assert len(limited.rows) == 3
     assert len(set(limited.rows)) == 3
 
@@ -1041,29 +1020,22 @@ def test_chunked_read_edge_cases_keep_their_answers():
     for triple in [(a, p, b), (b, p, c), (x, p, b), (c, p, y)]:
         graph.add(Triple(*triple))
     scan = f"WHERE {{ ?a <{NS}p> ?b }}"
-    for include_blanks in (True, False):
-        for text, expected in [
-            (f"SELECT ?a {scan} LIMIT 0", []),
-            (f"SELECT ?a {scan} OFFSET 99", []),
-            (f"SELECT ?a {scan} OFFSET 99 LIMIT 2", []),
-            ("SELECT * WHERE { } LIMIT 1", [()]),
-            ("SELECT * WHERE { } OFFSET 1", []),
-            # A variable the pattern never binds is one unbound row.
-            (f"SELECT ?u {scan} LIMIT 3", [(None,)]),
-        ]:
-            assert select(graph, text, include_blanks=include_blanks).rows == expected, text
-        assert execute(graph, "ASK { }", include_blanks=include_blanks).value is True
+    for text, expected in [
+        (f"SELECT ?a {scan} LIMIT 0", []),
+        (f"SELECT ?a {scan} OFFSET 99", []),
+        (f"SELECT ?a {scan} OFFSET 99 LIMIT 2", []),
+        ("SELECT * WHERE { } LIMIT 1", [()]),
+        ("SELECT * WHERE { } OFFSET 1", []),
+        # A variable the pattern never binds is one unbound row.
+        (f"SELECT ?u {scan} LIMIT 3", [(None,)]),
+    ]:
+        assert execute(graph, text).rows == expected, text
+    assert execute(graph, "ASK { }").value is True
     # LIMIT 0 answers without touching the plan.
     assert "never-run" in explain(
         graph, f"SELECT ?a {scan} LIMIT 0", analyze=True
     )
-    # include_blanks=False slices: the filter runs before the window,
-    # so blank rows take no place in it.
-    ground = [(a, b), (b, c)]
-    for tail, expected in [(" LIMIT 10", ground), (" OFFSET 1", ground[1:])]:
-        text = f"SELECT ?a ?b {scan}{tail}"
-        assert select(graph, text, include_blanks=False).rows == expected
-    assert len(select(graph, f"SELECT ?a ?b {scan} LIMIT 10").rows) == 4
+    assert len(execute(graph, f"SELECT ?a ?b {scan} LIMIT 10").rows) == 4
 
 
 def seam_graph(edges: int) -> Graph:
@@ -1127,7 +1099,7 @@ def test_early_stop_shows_in_analyze_counters():
         text = f"SELECT ?a ?b WHERE {{ {where} }}{tail}"
         rendered = explain(graph, text, analyze=True)
         assert rendered == explain(graph, text, analyze=True)
-        assert len(select(graph, text).rows) == 5
+        assert len(execute(graph, text).rows) == 5
         return rendered.splitlines()
 
     # A 12,000-row scan: one chunk of it was read.
@@ -1183,14 +1155,14 @@ def test_batch_engine_1m_equivalence_and_early_termination():
         for c in followers.get(triple.object, ())
     }
 
-    select(graph, f"{text} LIMIT 1")  # builds the orderings both reads use
+    execute(graph, f"{text} LIMIT 1")  # builds the orderings both reads use
     start = time.perf_counter()
-    rows = select(graph, text).rows
+    rows = execute(graph, text).rows
     full_seconds = time.perf_counter() - start
     assert len(rows) == len(expected) and set(rows) == expected
 
     start = time.perf_counter()
-    limited = select(graph, f"{text} LIMIT 10").rows
+    limited = execute(graph, f"{text} LIMIT 10").rows
     limited_seconds = time.perf_counter() - start
     assert len(set(limited)) == 10 and set(limited) <= expected
     assert full_seconds >= 50.0 * limited_seconds, (

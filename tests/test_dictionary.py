@@ -150,9 +150,9 @@ def test_ranks_sort_like_sort_keys_across_incremental_merges(seed, shared):
     ids = []
     for _ in range(4):  # rank, intern more, rank again: the merge path
         ids.extend(d.encode(t) for t in random_terms(rng, rng.randint(1, 40)))
-        ranks = d.ranks()
+        ranks = d.rank_tables()[0]
         assert len(ranks) == len(d)
-        assert d.ranks() is ranks  # nothing interned: the same table
+        assert d.rank_tables()[0] is ranks  # nothing interned: the same table
         assert min(ranks) >= 1  # 0 is left for "unbound"
         sample = ids + [rng.randrange(len(d)) for _ in range(20)]
         rng.shuffle(sample)
@@ -167,12 +167,12 @@ def test_ranks_sort_like_sort_keys_across_incremental_merges(seed, shared):
 
 def test_ranks_are_dense_and_empty_dictionary_has_none():
     d = TermDictionary()
-    assert d.ranks() == []
+    assert d.rank_tables()[0] == []
     ids = [d.encode(t) for t in (Literal("b"), EX.term("z"), BlankNode("a"))]
     # IRIs sort before blank nodes before literals.
-    assert [d.ranks()[tid] for tid in ids] == [3, 1, 2]
+    assert [d.rank_tables()[0][tid] for tid in ids] == [3, 1, 2]
     d.encode(EX.term("a"))
-    assert d.ranks() == [4, 2, 3, 1]
+    assert d.rank_tables()[0] == [4, 2, 3, 1]
 
 
 def test_equal_sort_keys_rank_in_interning_order():
@@ -191,7 +191,7 @@ def test_equal_sort_keys_rank_in_interning_order():
     a = d.encode(EX.term("a"))
     twin = d.encode(Alias(str(EX.term("a"))))
     b = d.encode(EX.term("b"))
-    ranks = d.ranks()
+    ranks = d.rank_tables()[0]
     assert (ranks[a], ranks[twin], ranks[b]) == (1, 2, 3)
     later = d.encode(Alias(str(EX.term("b"))))  # a tie met by the merge
     ranks, ids_by_rank = d.rank_tables()
@@ -237,4 +237,4 @@ def test_ranks_stay_consistent_while_other_threads_intern():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures
-    assert len(d) == 6 * 150 and sorted(d.ranks()) == list(range(1, 901))
+    assert len(d) == 6 * 150 and sorted(d.rank_tables()[0]) == list(range(1, 901))

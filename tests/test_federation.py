@@ -10,7 +10,6 @@ from repro.federation import (
     FederatedExecutor,
     NetworkModel,
     NetworkStats,
-    execute_federated,
 )
 from repro.federation.bindings import hash_join as _hash_join
 from repro.gpq.evaluation import evaluate_query_star
@@ -51,7 +50,7 @@ def expected_rows(three_peer_system, path_query):
 def test_each_strategy_matches_single_graph_executor(
     three_peer_system, path_query, expected_rows, strategy
 ):
-    result = execute_federated(three_peer_system, path_query, strategy)
+    result = FederatedExecutor(three_peer_system).execute(path_query, strategy)
     assert result.rows == expected_rows
     assert result.strategy == strategy
     assert result.stats.messages > 0
@@ -79,10 +78,8 @@ def test_three_hop_query_across_all_peers(three_peer_system):
 
 def test_sparql_text_queries_are_accepted(three_peer_system):
     p0 = peer_namespace(0).knows.n3()
-    result = execute_federated(
-        three_peer_system,
-        f"SELECT ?x ?y WHERE {{ ?x {p0} ?y }}",
-        strategy="bound",
+    result = FederatedExecutor(three_peer_system).execute(
+        f"SELECT ?x ?y WHERE {{ ?x {p0} ?y }}", "bound"
     )
     expected = evaluate_query_star(
         three_peer_system.stored_database(),
@@ -99,9 +96,8 @@ def test_batch_size_does_not_change_results(
     three_peer_system, path_query, expected_rows
 ):
     for batch_size in (1, 3, 1000):
-        result = execute_federated(
-            three_peer_system, path_query, "bound", batch_size=batch_size
-        )
+        executor = FederatedExecutor(three_peer_system, batch_size=batch_size)
+        result = executor.execute(path_query, "bound")
         assert result.rows == expected_rows
 
 
@@ -112,9 +108,9 @@ def test_empty_answer_query(three_peer_system):
     query = GraphPatternQuery(
         (x, y), make_pattern((x, peer_namespace(9).knows, y))
     )
-    naive = execute_federated(three_peer_system, query, "naive")
-    bound = execute_federated(three_peer_system, query, "bound")
-    adaptive = execute_federated(three_peer_system, query, ADAPTIVE)
+    naive = FederatedExecutor(three_peer_system).execute(query, "naive")
+    bound = FederatedExecutor(three_peer_system).execute(query, "bound")
+    adaptive = FederatedExecutor(three_peer_system).execute(query, ADAPTIVE)
     assert naive.rows == bound.rows == adaptive.rows == set()
     assert naive.stats.messages == 3  # one per peer
     assert bound.stats.messages == 0  # no relevant source
@@ -198,16 +194,16 @@ def test_bound_ships_strictly_fewer_messages_than_naive(path_query):
 def test_batching_splits_messages_deterministically(
     three_peer_system, path_query
 ):
-    small = execute_federated(
-        three_peer_system, path_query, "bound", batch_size=10
+    small = FederatedExecutor(three_peer_system, batch_size=10).execute(
+        path_query, "bound"
     )
-    large = execute_federated(
-        three_peer_system, path_query, "bound", batch_size=1000
+    large = FederatedExecutor(three_peer_system, batch_size=1000).execute(
+        path_query, "bound"
     )
     assert small.stats.messages > large.stats.messages
     # Re-running is exactly reproducible.
-    again = execute_federated(
-        three_peer_system, path_query, "bound", batch_size=10
+    again = FederatedExecutor(three_peer_system, batch_size=10).execute(
+        path_query, "bound"
     )
     assert again.stats.messages == small.stats.messages
     assert (
@@ -216,7 +212,7 @@ def test_batching_splits_messages_deterministically(
 
 
 def test_collect_dumps_every_triple_once(three_peer_system, path_query):
-    result = execute_federated(three_peer_system, path_query, "collect")
+    result = FederatedExecutor(three_peer_system).execute(path_query, "collect")
     assert result.stats.messages == 3
     assert result.stats.triples_transferred == sum(
         len(peer.graph) for peer in three_peer_system.peers.values()
@@ -252,14 +248,12 @@ def test_stats_merge_accumulates():
 def test_custom_network_model_scales_simulated_time(
     three_peer_system, path_query
 ):
-    slow = execute_federated(
-        three_peer_system, path_query, "naive",
-        network=NetworkModel(latency_seconds=1.0),
-    )
-    fast = execute_federated(
-        three_peer_system, path_query, "naive",
-        network=NetworkModel(latency_seconds=0.001),
-    )
+    slow = FederatedExecutor(
+        three_peer_system, network=NetworkModel(latency_seconds=1.0)
+    ).execute(path_query, "naive")
+    fast = FederatedExecutor(
+        three_peer_system, network=NetworkModel(latency_seconds=0.001)
+    ).execute(path_query, "naive")
     assert slow.stats.messages == fast.stats.messages
     assert slow.stats.busy_seconds > fast.stats.busy_seconds
 
@@ -271,7 +265,7 @@ def test_custom_network_model_scales_simulated_time(
 
 def test_unknown_strategy_is_rejected(three_peer_system, path_query):
     with pytest.raises(FederationError, match="unknown strategy"):
-        execute_federated(three_peer_system, path_query, "psychic")
+        FederatedExecutor(three_peer_system).execute(path_query, "psychic")
 
 
 def test_empty_system_is_rejected():

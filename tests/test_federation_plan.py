@@ -106,14 +106,6 @@ def test_plan_operator_kinds_reflect_decisions(system):
     walk(result.plans[0])
     assert RemoteScan in kinds  # the anchored first hop ships
     assert BoundJoinStream in kinds  # later hops bound-join
-    # Decision trace and plan agree on the constructed operators.
-    for decision in result.decisions:
-        assert decision.operator() in {
-            "RemoteScan",
-            "ExclusiveGroupScan",
-            "BoundJoinStream",
-            "PullScan",
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
-from repro.rdf.terms import Literal, Variable
+from repro.rdf.terms import IRI, Literal, Variable
 from repro.rdf.triples import Triple, TriplePattern
 from repro.workload.generators import random_graph
 
@@ -79,7 +79,7 @@ def test_match_agrees_with_naive_scan_all_shapes(seed):
     graph = random_mutation_graph(seed)
     assert len(graph) > 0
     rng = random.Random(seed + 100)
-    anchors = rng.sample(sorted(graph.sorted_triples(), key=Triple.sort_key), 5)
+    anchors = rng.sample(sorted(graph, key=Triple.sort_key), 5)
     for anchor in anchors:
         for pattern in all_shape_patterns(anchor):
             assert set(graph.match(pattern)) == naive_match(graph, pattern)
@@ -94,7 +94,7 @@ def test_index_coherence_after_mutations(seed):
         assert graph.remove(triple)
     assert len(graph) == 0
     assert graph.check_index_coherence()
-    assert not graph.subjects() and not graph.predicates() and not graph.objects()
+    assert not graph.terms()
 
 
 def test_count_agrees_with_naive_scan():
@@ -157,33 +157,9 @@ def test_literal_subject_pattern_matches_nothing():
     assert list(graph.match(TriplePattern(Literal("5"), P, O))) == []
 
 
-def test_set_algebra_matches_python_sets():
-    g1 = random_graph(triples=80, seed=1)
-    g2 = random_graph(triples=80, seed=2)
-    s1, s2 = set(g1), set(g2)
-    assert set(g1 | g2) == s1 | s2
-    assert set(g1 & g2) == s1 & s2
-    assert set(g1 - g2) == s1 - s2
-    assert g1.issubset(g1 | g2)
-    assert not (g1 | g2).issubset(g1) or s2 <= s1
-
-
-def test_set_algebra_across_distinct_dictionaries():
-    triples = [
-        Triple(EX.term("a"), EX.term("p"), EX.term("b")),
-        Triple(EX.term("b"), EX.term("p"), EX.term("c")),
-    ]
-    shared = Graph(triples)
-    private = Graph(triples[:1], dictionary=TermDictionary())
-    assert private == Graph(triples[:1])
-    assert set(shared - private) == {triples[1]}
-    assert set(shared & private) == {triples[0]}
-    assert private.issubset(shared)
-
-
 def test_copy_is_independent():
     graph = random_graph(triples=50, seed=3)
-    clone = graph.copy(name="clone")
+    clone = Graph(graph, name="clone")
     extra = Triple(EX.term("only-in-clone"), EX.term("p"), EX.term("x"))
     clone.add(extra)
     assert extra in clone and extra not in graph
@@ -203,14 +179,11 @@ def test_graph_equality_and_unhashability(medium_random_graph):
 
 def test_derived_views_agree_with_scan(blanky_random_graph):
     graph = blanky_random_graph
-    assert graph.subjects() == {t.subject for t in graph}
-    assert graph.predicates() == {t.predicate for t in graph}
-    assert graph.objects() == {t.object for t in graph}
     expected_terms = set()
     for t in graph:
         expected_terms.update(t.terms())
     assert graph.terms() == expected_terms
-    assert graph.iris() | graph.blank_nodes() | graph.literals() == expected_terms
+    assert graph.iris() == {t for t in expected_terms if isinstance(t, IRI)}
 
 
 def test_predicate_histogram(medium_random_graph):
@@ -324,7 +297,6 @@ class ReferenceStore:
         self.epoch = 0
         for triple in triples:
             self.add(triple)
-        self.epoch = 0  # a copy starts a new history
 
     def add(self, triple):
         if triple in self.ids:
@@ -368,7 +340,7 @@ def assert_same_reads(graph, model, keys):
 
 @pytest.mark.parametrize("block", range(4))
 def test_iteration_order_matches_eager_reference_model(block):
-    # Writes through both paths, copies and reads interleave at random,
+    # Writes through both paths, rebuilds and reads interleave at random,
     # so each ordering is first built at a different point of every
     # history — and must read as if it had been there from the start.
     dictionary = TermDictionary()
@@ -393,7 +365,8 @@ def test_iteration_order_matches_eager_reference_model(block):
                 for fresh in batch:
                     model.add(fresh)
             elif op < 0.7:
-                graph, model = graph.copy(), ReferenceStore(model.ids)
+                graph = Graph(graph, dictionary=dictionary)
+                model = ReferenceStore(model.ids)
             else:
                 shape = rng.choice(SHAPES)
                 assert_same_reads(graph, model, [probe_key(triple(), shape)])
@@ -417,7 +390,7 @@ def test_orderings_are_built_by_the_first_read_that_needs_them():
     scanned = list(graph.triples_ids(None, predicate, None))
     stats = graph.index_stats()
     assert [o for o, s in stats.items() if s["built"]] == ["pos"]
-    assert stats["pos"]["keys"] == len(graph.predicates())
+    assert stats["pos"]["keys"] == len({t.predicate for t in graph})
     assert stats["pos"]["runs"] == len({(p, o) for _, p, o in graph.triples_ids()})
     assert 0 < stats["pos"]["inlined"] <= stats["pos"]["runs"]
     assert stats["spo"] == {"built": False, "keys": 0, "runs": 0, "inlined": 0}
@@ -504,7 +477,7 @@ def test_copy_shares_no_run_with_its_source():
     graph = Graph([Triple(a, p, b), Triple(a, p, c)])
     key = (graph.term_id(a), graph.term_id(p), None)
     assert len(list(graph.triples_ids(*key))) == 2  # the run is a list now
-    clone = graph.copy()
+    clone = Graph(graph)
     clone.add(Triple(a, p, a))
     graph.add(Triple(a, p, p))
     assert [t[2] for t in graph.triples_ids(*key)] == [
@@ -513,27 +486,7 @@ def test_copy_shares_no_run_with_its_source():
     assert [t[2] for t in clone.triples_ids(*key)] == [
         graph.term_id(t) for t in (b, c, a)
     ]
-    assert clone.epoch == 1 and len(clone) == 3
-
-
-def test_set_algebra_keeps_the_left_operands_private_dictionary():
-    triples = [
-        Triple(EX.term(f"private-{i}"), EX.term("private-p"), Literal(str(i)))
-        for i in range(3)
-    ]
-    left = Graph(triples, dictionary=TermDictionary())
-    right = Graph(triples[1:], dictionary=TermDictionary())
-    for result, expected in (
-        (left & right, triples[1:]),
-        (left - right, triples[:1]),
-        (left | right, triples),
-    ):
-        assert result.dictionary is left.dictionary
-        assert set(result) == set(expected)
-        # ... so it can take ID triples straight from its left operand.
-        result.add_id_triples(left.triples_ids(), left.dictionary)
-        assert set(result) == set(triples)
-    assert Graph().term_id(EX.term("private-0")) is None
+    assert len(clone) == 3
 
 
 def test_store_allocation_budget_per_triple():

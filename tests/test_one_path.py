@@ -28,9 +28,13 @@ file in the open.
   searches over the tree, a pattern that must not come back or must
   stay in one place.  Each pattern is bracketed where the search
   covers this file, so that it cannot match itself.
+* **Reached from the system.**  ``tools/test_only.txt`` lists each
+  function only tests enter, tagged with why it stays; the deleted
+  second entry points and serializers may not come back.
 """
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -335,3 +339,90 @@ class TestOnePathPerJob:
             "tenant_makespan" in hit
             for hit in grep(r"elapsed_seconds \+=", executor)
         )
+
+
+def _coverage_tool():
+    """``tools/coverage.py``, loaded by path (``tools/`` is no package)."""
+    spec = importlib.util.spec_from_file_location(
+        "coverage_tool", ROOT / "tools" / "coverage.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The tags of ``tools/test_only.txt``; the tool's docstring defines them.
+TEST_ONLY_TAGS = ("paper", "oracle", "robust", "fixture", "protocol")
+TEST_ONLY_LINE = re.compile(r"^(\S+::\S+)  # (\w+): (.+)$")
+
+
+class TestTestOnlyList:
+    """``tools/test_only.txt``: what only tests enter, and why it stays.
+
+    CI diffs the list with ``tools/coverage.py --system``; these checks
+    need no tracer: each line names a live function, carries one tag
+    and a reason, and no line is also in ``tools/never_entered.txt``.
+    """
+
+    @staticmethod
+    def _lines():
+        text = (ROOT / "tools" / "test_only.txt").read_text(encoding="utf-8")
+        return text.splitlines()
+
+    def test_each_line_is_tagged_with_a_reason(self):
+        for line in self._lines():
+            match = TEST_ONLY_LINE.match(line)
+            assert match, line
+            assert match.group(2) in TEST_ONLY_TAGS, line
+            assert match.group(3).strip(), line
+
+    def test_each_line_names_a_defined_function(self):
+        defined = set(_coverage_tool().defined_functions().values())
+        labels = [line.split("  #", 1)[0] for line in self._lines()]
+        assert labels == sorted(set(labels))
+        assert [label for label in labels if label not in defined] == []
+
+    def test_robust_lines_name_their_test(self):
+        # "robust: <what>; tests/<file>.py::[<Class>::]<test>"
+        for line in self._lines():
+            tag, reason = TEST_ONLY_LINE.match(line).group(2, 3)
+            if tag != "robust":
+                continue
+            held = reason.rsplit("; ", 1)[-1]
+            path, _, name = held.partition("::")
+            assert path.startswith("tests/") and name, line
+            source = (ROOT / path).read_text(encoding="utf-8")
+            assert f"def {name.rsplit('::', 1)[-1]}(" in source, line
+
+    def test_no_line_is_also_never_entered(self):
+        never = ROOT / "tools" / "never_entered.txt"
+        never_entered = set(never.read_text(encoding="utf-8").split())
+        labels = {line.split("  #", 1)[0] for line in self._lines()}
+        assert labels & never_entered == set()
+
+    def test_paper_lines_are_in_the_paper_map(self):
+        # A `paper` line names a function docs/paper_map.md lists, or a
+        # method or local function of one.
+        paper_map = (ROOT / "docs" / "paper_map.md").read_text(encoding="utf-8")
+        for line in self._lines():
+            label, tag = TEST_ONLY_LINE.match(line).group(1, 2)
+            if tag != "paper":
+                continue
+            module, qualname = label[len("src/repro/"):].split("::")
+            parts = qualname.split(".")
+            names = {".".join(parts[:n]) for n in range(1, len(parts) + 1)}
+            assert any(f"`{module}::{name}`" in paper_map for name in names), line
+
+    def test_deleted_entry_points_stay_gone(self):
+        # The second RDF tokenizer, the one-call wrappers around
+        # execute, the GPQ-to-SPARQL renderers and the engine's own
+        # blank filter (certain_answers.answer_rows is the one Q_D).
+        assert not (SRC / "rdf" / "turtle.py").exists()
+        assert not (SRC / "rdf" / "ntriples.py").exists()
+        names = (
+            "graph_from_turtle", "serialize_ntriples", "ask_text",
+            "execute_federated", "gpq_to_sparql", "sparql_union_to_gpqs",
+            "include_blanks",
+        )
+        pattern = r"\b(" + "|".join(names) + r")\b"
+        assert grep(pattern, "src", "docs", "README.md", ".claude") == []

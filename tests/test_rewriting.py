@@ -397,7 +397,7 @@ class TestTheKeptStoredGraph:
         """The same state as a new system over copies of its graphs."""
         return RPS(
             [
-                Peer(peer.schema, peer.graph.copy())
+                Peer(peer.schema, Graph(peer.graph))
                 for peer in system.peers.values()
             ],
             system.assertions,

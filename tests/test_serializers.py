@@ -1,20 +1,16 @@
-"""Round-trip tests for the N-Triples and Turtle serialisers.
+"""Round trips of the terms' surface syntax.
 
-parse(serialize(G)) must equal G — on hand-built graphs exercising the
-escaping edge cases in ``rdf/terms.py`` and on ``workload/`` generator
-graphs (including ones with blank nodes).
+``escape_literal`` renders a literal's lexical form inside ``Term.n3``;
+the SPARQL lexer reads it back with ``unescape_literal``.  Every tricky
+lexical form must survive both, and a rendered triple must parse back
+as a query pattern that finds it.
 """
 
 import pytest
 
-from repro.errors import ParseError, TermError
+from repro.errors import TermError
 from repro.rdf.graph import Graph
-from repro.rdf.namespaces import Namespace, NamespaceManager
-from repro.rdf.ntriples import (
-    graph_from_ntriples,
-    parse_ntriples_line,
-    serialize_ntriples,
-)
+from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import (
     BlankNode,
     Literal,
@@ -22,8 +18,7 @@ from repro.rdf.terms import (
     unescape_literal,
 )
 from repro.rdf.triples import Triple
-from repro.rdf.turtle import graph_from_turtle, serialize_turtle
-from repro.workload.generators import random_graph
+from repro.sparql.engine import execute
 
 EX = Namespace("http://example.org/")
 
@@ -72,66 +67,7 @@ def test_unescape_rejects_malformed_escapes(bad):
         unescape_literal(bad)
 
 
-def test_ntriples_round_trip_tricky_literals():
-    g = tricky_graph()
-    text = serialize_ntriples(g)
-    assert graph_from_ntriples(text) == g
-
-
-def test_ntriples_round_trip_is_stable():
-    g = tricky_graph()
-    once = serialize_ntriples(g)
-    assert serialize_ntriples(graph_from_ntriples(once)) == once
-
-
-@pytest.mark.parametrize("seed,blanks", [(0, 0.0), (3, 0.25), (8, 0.5)])
-def test_ntriples_round_trip_workload_graphs(seed, blanks):
-    g = random_graph(triples=150, seed=seed, blank_fraction=blanks)
-    assert graph_from_ntriples(serialize_ntriples(g)) == g
-
-
-def test_ntriples_line_parsing_edge_cases():
-    line = '<http://e.org/s> <http://e.org/p> "a\\"b\\nc"@en-GB .'
-    triple = parse_ntriples_line(line)
-    assert triple.object == Literal('a"b\nc', language="en-GB")
-    assert parse_ntriples_line("   ") is None
-    assert parse_ntriples_line("# comment only") is None
-    with pytest.raises(ParseError):
-        parse_ntriples_line('<http://e.org/s> <http://e.org/p> "unterminated .')
-    with pytest.raises(ParseError):
-        parse_ntriples_line("<http://e.org/s> <http://e.org/p> <http://e.org/o>")
-
-
-def test_turtle_round_trip_tricky_literals():
-    g = tricky_graph()
-    text = serialize_turtle(g)
-    assert graph_from_turtle(text) == g
-
-
-@pytest.mark.parametrize("seed", [1, 4])
-def test_turtle_round_trip_workload_graphs(seed):
-    g = random_graph(triples=120, seed=seed, blank_fraction=0.2)
-    nsm = NamespaceManager()
-    nsm.bind("gen", "http://gen.example.org/")
-    text = serialize_turtle(g, nsm)
-    assert "@prefix gen:" in text
-    assert graph_from_turtle(text) == g
-
-
-def test_turtle_numeric_and_boolean_abbreviations():
-    text = """
-    @prefix ex: <http://example.org/> .
-    ex:s ex:count 42 ; ex:ratio 3.25 ; ex:flag true .
-    """
-    g = graph_from_turtle(text)
-    lexicals = {t.object.lexical for t in g}
-    assert lexicals == {"42", "3.25", "true"}
-    # Abbreviated literals round-trip through the serialiser too.
-    assert graph_from_turtle(serialize_turtle(g)) == g
-
-
-def test_cross_format_round_trip():
-    g = random_graph(triples=100, seed=12, blank_fraction=0.1)
-    via_turtle = graph_from_turtle(serialize_turtle(g))
-    via_ntriples = graph_from_ntriples(serialize_ntriples(via_turtle))
-    assert via_ntriples == g
+def test_rendered_triples_parse_back_as_query_patterns():
+    graph = tricky_graph()
+    for triple in graph:
+        assert execute(graph, f"ASK {{ {triple.n3()} }}").value, triple.n3()

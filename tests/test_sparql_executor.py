@@ -8,6 +8,7 @@ cases and on randomized workload graphs with generated query shapes.
 
 import pytest
 
+from conftest import sparql_text
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import Literal
@@ -20,8 +21,7 @@ from repro.sparql.algebra import (
     translate_group,
 )
 from repro.sparql.batch import BatchBgp, BatchEmpty, build_batch_plan
-from repro.sparql.bridge import gpq_to_sparql
-from repro.sparql.engine import ask_text, execute, explain, select
+from repro.sparql.engine import execute, explain
 from repro.sparql.parser import parse_query
 from repro.workload.generators import random_graph
 from repro.workload.queries import random_queries
@@ -151,14 +151,14 @@ def test_cross_product_of_disconnected_patterns(small_graph):
 
 
 def test_ask_through_engine(small_graph):
-    assert ask_text(small_graph, "ASK { ?x <http://example.org/p> ?y }")
-    assert not ask_text(
+    assert execute(small_graph, "ASK { ?x <http://example.org/p> ?y }")
+    assert not execute(
         small_graph, "ASK { ?x <http://example.org/p> <http://example.org/a> }"
     )
 
 
 def test_select_modifiers_still_apply(small_graph):
-    result = select(
+    result = execute(
         small_graph,
         "SELECT ?x WHERE { ?x <http://example.org/p> ?y } "
         "ORDER BY DESC(?x) LIMIT 2",
@@ -175,7 +175,7 @@ def test_order_by_non_projected_variable(small_graph):
         "SELECT ?x WHERE { ?x <http://example.org/p> ?y } "
         "ORDER BY DESC(?y) ?x"
     )
-    result = select(small_graph, text)
+    result = execute(small_graph, text)
     expected = reference_select(small_graph, parse_query(text))
     assert result.rows == expected
     # Sanity: the order differs from the canonical projected order, so
@@ -187,10 +187,10 @@ def test_order_by_non_projected_variable(small_graph):
 
 def test_limit_zero_and_offset_past_end(small_graph):
     base = "SELECT ?x WHERE { ?x <http://example.org/p> ?y }"
-    assert select(small_graph, base + " LIMIT 0").rows == []
-    assert select(small_graph, base + " OFFSET 99").rows == []
-    assert select(small_graph, base + " ORDER BY ?x LIMIT 0").rows == []
-    assert select(small_graph, base + " ORDER BY ?x OFFSET 99").rows == []
+    assert execute(small_graph, base + " LIMIT 0").rows == []
+    assert execute(small_graph, base + " OFFSET 99").rows == []
+    assert execute(small_graph, base + " ORDER BY ?x LIMIT 0").rows == []
+    assert execute(small_graph, base + " ORDER BY ?x OFFSET 99").rows == []
 
 
 def test_order_by_ties_break_on_projected_row(small_graph):
@@ -201,7 +201,7 @@ def test_order_by_ties_break_on_projected_row(small_graph):
         "SELECT ?x WHERE { ?x <http://example.org/p> ?y } "
         "ORDER BY ?missing OFFSET 1 LIMIT 2"
     )
-    result = select(small_graph, text)
+    result = execute(small_graph, text)
     assert result.rows == reference_select(small_graph, parse_query(text))
 
 
@@ -247,16 +247,16 @@ def test_explain_plan_renders_tree(small_graph):
 @pytest.mark.parametrize("seed", [1, 5, 11, 23])
 def test_randomized_bgp_equivalence(seed):
     graph = random_graph(triples=250, seed=seed)
-    predicates = sorted(graph.predicates())
+    predicates = sorted({t.predicate for t in graph})
     for gpq in random_queries(predicates, count=12, max_length=3, seed=seed):
-        text = gpq_to_sparql(gpq)
+        text = sparql_text(gpq)
         assert_equivalent(graph, text)
 
 
 @pytest.mark.parametrize("seed", [2, 9])
 def test_randomized_union_filter_equivalence(seed):
     graph = random_graph(triples=250, seed=seed, blank_fraction=0.2)
-    predicates = [p.n3() for p in sorted(graph.predicates())[:4]]
+    predicates = [p.n3() for p in sorted({t.predicate for t in graph})[:4]]
     p0, p1, p2, p3 = predicates
     shapes = [
         f"SELECT * WHERE {{ {{ ?a {p0} ?b }} UNION {{ ?a {p1} ?b }} "
@@ -274,9 +274,9 @@ def test_randomized_union_filter_equivalence(seed):
 def test_randomized_engine_matches_reference_modifier_pipeline(seed):
     """Full engine path (modifiers included) equals a reference pipeline."""
     graph = random_graph(triples=200, seed=seed)
-    p0 = sorted(graph.predicates())[0].n3()
+    p0 = sorted({t.predicate for t in graph})[0].n3()
     text = f"SELECT ?s WHERE {{ ?s {p0} ?o }} ORDER BY ?s LIMIT 7"
-    result = select(graph, text)
+    result = execute(graph, text)
     ast = parse_query(text)
     expected = sorted(
         {row[0] for row in reference_rows(graph, ast)},
@@ -337,11 +337,11 @@ def test_randomized_modifier_equivalence(seed):
     of-full-answer plus exact cardinality.
     """
     graph = random_graph(triples=220, seed=seed)
-    predicates = [p.n3() for p in sorted(graph.predicates())[:4]]
+    predicates = [p.n3() for p in sorted({t.predicate for t in graph})[:4]]
     for text, ordered in random_modifier_queries(predicates, 25, seed):
         ast = parse_query(text)
         expected = reference_select(graph, ast)
-        got = select(graph, text).rows
+        got = execute(graph, text).rows
         if ordered:
             assert got == expected, text
         else:

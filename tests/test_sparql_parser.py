@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import sparql_text
 from repro.errors import (
     SparqlSyntaxError,
     UnsupportedSparqlError,
@@ -29,7 +30,6 @@ from repro.sparql.ast import (
     SelectQuery,
     UnionPattern,
 )
-from repro.sparql.bridge import gpq_to_sparql
 from repro.sparql.lexer import Token, tokenize
 from repro.sparql.parser import parse_query
 from repro.workload import federation as fed_workload
@@ -216,7 +216,7 @@ def test_optional_parses_into_optional_pattern():
         e for e in ast.where.elements if isinstance(e, OptionalPattern)
     ]
     assert len(optionals) == 1
-    assert len(optionals[0].group.triple_patterns()) == 1
+    assert len(optionals[0].group.elements) == 1
 
 
 def test_literal_subject_parses_but_matches_nothing():
@@ -225,11 +225,11 @@ def test_literal_subject_parses_but_matches_nothing():
     from repro.rdf.graph import Graph
     from repro.rdf.terms import IRI
     from repro.rdf.triples import Triple
-    from repro.sparql.engine import select
+    from repro.sparql.engine import execute
 
     g = Graph([Triple(IRI("http://e.org/s"), IRI("http://e.org/p"),
                       Literal("lit"))])
-    result = select(g, 'SELECT ?x WHERE { "lit" <http://e.org/p> ?x }')
+    result = execute(g, 'SELECT ?x WHERE { "lit" <http://e.org/p> ?x }')
     assert len(result) == 0
 
 
@@ -304,8 +304,8 @@ def _generator_texts():
     ]
     queries += random_queries([FOAF_NS.knows, FOAF_NS.age], 6, seed=3)
     for query in queries:
-        yield gpq_to_sparql(query)
-        yield gpq_to_sparql(query, NamespaceManager())
+        yield sparql_text(query)
+        yield sparql_text(query, NamespaceManager())
 
 
 def _random_texts(seed, count=3000):

@@ -94,8 +94,7 @@ class TestContainment:
     def test_renaming_and_redundant_atoms_are_equivalent(self):
         one = ConjunctiveQuery([X], [Atom("r", X, Y)])
         other = ConjunctiveQuery([Z], [Atom("r", Z, W), Atom("r", Z, Y)])
-        assert one.is_equivalent_to(other)
-        assert len(other.minimize().body) == 1
+        assert one.is_contained_in(other) and other.is_contained_in(one)
 
     def test_signature_is_necessary_for_containment(self):
         ground = ConjunctiveQuery([X], [Atom("r", X, A), Atom("s", X)])
