@@ -137,6 +137,55 @@ def as_mask(condition):
 
 
 # ---------------------------------------------------------------------------
+# The replay oracle's view of a scheduler (tests/replay_oracle.py)
+# ---------------------------------------------------------------------------
+
+
+def oracle_replay(scheduler):
+    """Replay ``scheduler``'s recorded DAG with the independent oracle."""
+    from replay_oracle import replay
+
+    handles = scheduler.timeline()
+    requests = [
+        {
+            "tenant": h.tenant,
+            "endpoint": h.endpoint,
+            "seconds": h.seconds,
+            "after": [dep.index for dep in h.after],
+            "delay": h.delay,
+            "failed": h.failed,
+        }
+        for h in handles
+    ]
+    return replay(
+        requests,
+        scheduler.concurrency,
+        scheduler.max_in_flight,
+        scheduler.discipline,
+        scheduler.tenants,
+        release=[h.release for h in handles],
+        lane_overrides=scheduler.per_endpoint_concurrency,
+    )
+
+
+def scheduler_replay(scheduler):
+    """``scheduler``'s own replay, in the oracle's terms."""
+    from replay_oracle import COUNTERS
+
+    return {
+        "times": [
+            (h.arrived_at, h.started_at, h.completed_at)
+            for h in scheduler.timeline()
+        ],
+        "channels": {
+            name: {counter: getattr(stats, counter) for counter in COUNTERS}
+            for name, stats in scheduler.channel_stats().items()
+        },
+        "makespan": scheduler.makespan(),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Per-test time cap
 # ---------------------------------------------------------------------------
 

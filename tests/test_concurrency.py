@@ -4,7 +4,9 @@ from collections import Counter
 
 import pytest
 
+from conftest import oracle_replay, scheduler_replay
 from repro.errors import FederationError, SimulationError
+from repro.federation import executor as executor_module
 from repro.federation.executor import FederatedExecutor
 from repro.federation.network import NetworkModel
 from repro.obs import Tracer, chrome_trace_events, validate_trace_events
@@ -39,14 +41,20 @@ def system():
     return federated_rps(peers=3, entities=20, facts=120, seed=7)
 
 
-def make_executor(system):
+def make_executor(system, max_in_flight=None):
     """A fresh single-lane executor in the bursty bound-join regime."""
     network = NetworkModel(
         latency_seconds=0.01,
         per_solution_seconds=0.01,
         per_triple_seconds=0.05,
     )
-    return FederatedExecutor(system, network, batch_size=1, concurrency=1)
+    return FederatedExecutor(
+        system,
+        network,
+        batch_size=1,
+        concurrency=1,
+        max_in_flight=max_in_flight,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +588,43 @@ def test_wrr_stretch_ratio_strictly_below_fifo(system):
         )
         assert footprint == SKEW_PINS[discipline], discipline
     assert ratio["wrr"] < ratio["fifo"]
+
+
+def test_fixed_window_rows_replay_like_the_oracle(system, monkeypatch):
+    """Every fixed-window ``LOAD_PINS`` row and both ``SKEW_PINS`` rows:
+    the scheduler's replay of the recorded DAG equals the independent
+    oracle's (``tests/replay_oracle.py``), request by request and
+    channel by channel."""
+    schedulers = []
+
+    class Kept(QueryScheduler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            schedulers.append(self)
+
+    monkeypatch.setattr(executor_module, "QueryScheduler", Kept)
+    rows = [
+        (tenant_workload(load, seed=11), "wrr", window,
+         LOAD_PINS[load, f"w{window}"])
+        for load in LOADS
+        for window in WINDOWS
+    ]
+    rows += [
+        (skewed_tenant_workload(light=3, seed=5), discipline, 2,
+         SKEW_PINS[discipline])
+        for discipline in ("fifo", "wrr")
+    ]
+    for workload, discipline, window, pin in rows:
+        schedulers.clear()
+        result = make_executor(system, window).execute_concurrent(
+            [(t.tenant, t.query) for t in workload],
+            strategy="bound",
+            discipline=discipline,
+        )
+        assert (_messages(result), _us(result.makespan)) == pin[:2]
+        (scheduler,) = schedulers
+        assert len(scheduler.tenants) == len(workload) > 1
+        assert scheduler_replay(scheduler) == oracle_replay(scheduler)
 
 
 def test_concurrent_metrics_registry(system):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import oracle_replay, scheduler_replay
 from repro.errors import SimulationError
 from repro.runtime import (
     Channel,
@@ -291,6 +292,23 @@ def test_replay_matches_pinned_timelines():
             digest.update(f"{name}={stats!r}".encode())
     assert tuple(makespans) == REPLAY_MAKESPANS
     assert digest.hexdigest() == REPLAY_DIGEST
+
+
+def test_replay_equals_the_independent_oracle():
+    # tests/replay_oracle.py fires the same DAGs as a timed net whose
+    # tie-breaks are explicit priorities; the scheduler must agree with
+    # it on every request's arrive/start/finish and every channel's
+    # counters, on a serial tenant and on a free one.  The pinned
+    # makespans are the oracle's.
+    makespans = []
+    for serial in (False, True):
+        for seed in range(200):
+            scheduler = _random_dag(seed, serial)
+            expected = oracle_replay(scheduler)
+            assert scheduler_replay(scheduler) == expected, (seed, serial)
+            if not serial:
+                makespans.append(expected["makespan"])
+    assert tuple(makespans) == REPLAY_MAKESPANS
 
 
 def test_serial_tenant_replays_the_left_fold():
