@@ -305,18 +305,14 @@ class TenantOutcome:
         tenant: the tenant name.
         result: the tenant's :class:`FederationResult`; its
             ``stats.elapsed_seconds`` is the tenant's completion time
-            on the *shared* clock (admission wait included) and its
-            ``channels`` are the tenant's share of each contended
-            channel's statistics.
+            on the *shared* clock and its ``channels`` are the tenant's
+            share of each contended channel's statistics.
         makespan: the tenant's completion time in simulated seconds.
-        admission_wait: seconds the query waited for an active slot
-            under the ``max_active`` admission cap.
     """
 
     tenant: str
     result: FederationResult
     makespan: float
-    admission_wait: float
 
 
 @dataclass
@@ -324,16 +320,13 @@ class ConcurrentResult:
     """Outcome of one multi-tenant concurrent execution.
 
     Attributes:
-        outcomes: per-tenant outcomes in registration (admission)
-            order.
+        outcomes: per-tenant outcomes in registration order.
         makespan: completion time of the last tenant — the batch's
             overall elapsed simulated seconds.
         channels: per-endpoint aggregate service statistics under
             contention.
         discipline: the backlog admission policy that ran
             (``"fifo"``/``"wrr"``).
-        max_active: the admission cap (``None`` = unlimited).
-        active_peak: maximum concurrently active queries observed.
         batch_size: the bound-join batch size of the final planning
             round (the adaptive controller may have retuned it).
         adjustments: every AIMD window adjustment of the final round,
@@ -346,8 +339,6 @@ class ConcurrentResult:
     makespan: float
     channels: Dict[str, ChannelStats]
     discipline: str
-    max_active: Optional[int] = None
-    active_peak: int = 0
     batch_size: int = 0
     adjustments: Tuple[WindowAdjustment, ...] = ()
     rounds: int = 1
@@ -388,22 +379,15 @@ class ConcurrentResult:
         return max(spans) / min(spans)
 
     def metrics(self) -> MetricsRegistry:
-        """Channel, admission and controller counters as a registry.
+        """Channel and controller counters as a registry.
 
         Mirrors :meth:`FederatedExecutor.metrics` for the concurrent
-        path: per-channel service/admission counters, the admission
-        cap's observed peak, and the AIMD controller's adjustment
-        counts, all behind one
+        path: per-channel service/admission counters and the AIMD
+        controller's adjustment counts, all behind one
         :class:`~repro.obs.metrics.MetricsRegistry` whose ``render()``
         is the export format.
         """
         registry = MetricsRegistry()
-        registry.set("admission.active_peak", self.active_peak)
-        registry.set(
-            "admission.max_active",
-            self.max_active if self.max_active is not None else 0,
-        )
-        registry.set("admission.queries", len(self.outcomes))
         registry.set("controller.adjustments", len(self.adjustments))
         registry.set(
             "controller.decreases",
@@ -633,7 +617,6 @@ class FederatedExecutor:
         tenants: Sequence[Tuple[str, PreparedQuery]],
         strategy: str,
         scheduler: QueryScheduler,
-        weights: Optional[Mapping[str, int]] = None,
         batch_size: Optional[int] = None,
         serial: bool = False,
         analyze: bool = False,
@@ -648,10 +631,9 @@ class FederatedExecutor:
         makespan then lands on top of any planning-time charges
         (statistics refreshes) in ``elapsed_seconds``.
         """
-        weights = weights or {}
         recorded = []
         for name, prepared in tenants:
-            recorder = scheduler.tenant(name, weights.get(name, 1), serial)
+            recorder = scheduler.tenant(name, serial)
             stats = NetworkStats()
             self.catalog.begin_execution(stats)
             # A fresh session per tenant per run: every run (and every
@@ -837,9 +819,6 @@ class FederatedExecutor:
         *,
         strategy: str = PARALLEL,
         discipline: str = "fifo",
-        weights: Optional[Mapping[str, int]] = None,
-        max_active: Optional[int] = None,
-        max_in_flight: Optional[int] = None,
         adaptive: bool = False,
         control: Optional[AimdSettings] = None,
         tracer=NULL_TRACER,
@@ -857,7 +836,7 @@ class FederatedExecutor:
 
         Args:
             queries: tenant-name → query mapping, or ``(name, query)``
-                pairs; order is the admission order.  Queries may be
+                pairs; order is the registration order.  Queries may be
                 pre-:meth:`prepare`-d; otherwise each *distinct* query
                 (by text, or by object identity) is prepared exactly
                 once and shared across the tenants that submitted it.
@@ -869,16 +848,7 @@ class FederatedExecutor:
                 rejected: a whole-database dump has no per-request
                 runtime surface to contend on.
             discipline: backlog admission policy per channel —
-                ``"fifo"`` or ``"wrr"`` (weighted round-robin across
-                tenants).
-            weights: per-tenant weights (>= 1, keyed by tenant name)
-                for the ``"wrr"`` discipline (default 1 each; ignored
-                by FIFO).
-            max_active: admission-control cap on concurrently active
-                queries (``None`` = all tenants start at once).
-            max_in_flight: per-endpoint window override for this call
-                (defaults to the executor's; ignored when adaptive
-                control is on, which supplies its own start window).
+                ``"fifo"`` or ``"wrr"`` (round-robin across tenants).
             adaptive: attach an AIMD controller
                 (:class:`~repro.runtime.control.AimdController`) that
                 retunes each channel's in-flight window inside the
@@ -904,11 +874,8 @@ class FederatedExecutor:
 
         Raises:
             FederationError: on an empty tenant set, a duplicate or
-                empty tenant name, a weight for an unknown tenant or
-                below 1, a non-runtime strategy, an unknown
-                ``discipline``, ``max_active`` below 1, or an in-flight
-                window below the executor's ``concurrency`` — all
-                before any query is prepared.
+                empty tenant name, a non-runtime strategy or an unknown
+                ``discipline`` — all before any query is prepared.
         """
         if strategy not in STRATEGIES or strategy == "collect":
             raise FederationError(
@@ -931,33 +898,17 @@ class FederatedExecutor:
             if name in names:
                 raise FederationError(f"duplicate tenant name {name!r}")
             names.add(name)
-        weight_of = dict(weights or {})
-        unknown = sorted(set(weight_of) - names)
-        if unknown:
-            raise FederationError(
-                f"weights configured for unknown tenant(s): {unknown}"
-            )
-        for name, weight in weight_of.items():
-            if weight < 1:
-                raise FederationError(
-                    f"tenant weight must be >= 1 for {name!r}, got {weight}"
-                )
-        window = (
-            max_in_flight if max_in_flight is not None
-            else self.max_in_flight
-        )
 
         def new_scheduler() -> QueryScheduler:
             return QueryScheduler(
                 concurrency=self.concurrency,
-                max_in_flight=window,
+                max_in_flight=self.max_in_flight,
                 discipline=discipline,
-                max_active=max_active,
                 controller=AimdController(control) if adaptive else None,
             )
 
-        # Round 1's scheduler validates the discipline, the admission
-        # cap and the effective window before any query is prepared.
+        # Round 1's scheduler validates the discipline before any query
+        # is prepared.
         try:
             scheduler = new_scheduler()
         except SimulationError as exc:
@@ -1000,15 +951,12 @@ class FederatedExecutor:
                 rounds += 1
                 if rounds > 1:
                     scheduler = new_scheduler()
-                results = self._run_round(
-                    tenants, strategy, scheduler, weight_of, batch
-                )
+                results = self._run_round(tenants, strategy, scheduler, batch)
                 outcomes = tuple(
                     TenantOutcome(
                         tenant=name,
                         result=result,
                         makespan=scheduler.tenant_makespan(name),
-                        admission_wait=scheduler.admission_wait(name),
                     )
                     for (name, _), result in zip(tenants, results)
                 )
@@ -1028,8 +976,6 @@ class FederatedExecutor:
                     makespan=scheduler.makespan(),
                     channels=scheduler.channel_stats(),
                     discipline=discipline,
-                    max_active=max_active,
-                    active_peak=scheduler.active_peak,
                     batch_size=batch,
                     adjustments=(
                         tuple(controller.adjustments)
@@ -1429,9 +1375,9 @@ def _emit_concurrent_spans(tracer, scheduler: QueryScheduler) -> None:
     Where the single-query export groups spans by endpoint channel,
     the multi-tenant export groups them by *tenant* — each tenant gets
     its own lane (its own ``tid`` in the Chrome-trace rendering), with
-    one parent span covering the query's activation-to-completion
-    window and one child span per replayed request.  The controller's
-    window adjustments render on a dedicated ``controller`` lane: each
+    one parent span from t=0 to the query's completion and one child
+    span per replayed request.  The controller's window adjustments
+    render on a dedicated ``controller`` lane: each
     ``controller:<channel>`` span covers the completion epoch that
     triggered the decision and carries the window before/after.
     """
@@ -1442,7 +1388,7 @@ def _emit_concurrent_spans(tracer, scheduler: QueryScheduler) -> None:
         group = by_tenant.get(name, [])
         parent = tracer.record(
             f"tenant:{name}",
-            scheduler.admission_wait(name),
+            0.0,
             scheduler.tenant_makespan(name),
             lane=name,
             requests=len(group),

@@ -11,8 +11,8 @@ mode:
   execution, then replays them through one shared kernel and one
   channel per endpoint into a makespan (``elapsed_seconds``, the
   concurrency-aware counterpart of the network model's summed
-  ``busy_seconds``), with pluggable backlog fairness and admission
-  control; a single query is a one-tenant replay;
+  ``busy_seconds``), with pluggable backlog fairness; a single query
+  is a one-tenant replay;
 * :mod:`repro.runtime.control` — AIMD adaptive concurrency control
   tuning per-channel in-flight windows and the bound-join batch size
   from live queueing delay and service-time variance.
@@ -24,7 +24,7 @@ from repro.runtime.channel import (
     FifoDiscipline,
     QueueDiscipline,
     Request,
-    WeightedRoundRobinDiscipline,
+    RoundRobinDiscipline,
     make_discipline,
 )
 from repro.runtime.control import (
@@ -53,9 +53,9 @@ __all__ = [
     "QueueDiscipline",
     "Request",
     "RequestHandle",
+    "RoundRobinDiscipline",
     "SimKernel",
     "TenantRecorder",
-    "WeightedRoundRobinDiscipline",
     "WindowAdjustment",
     "make_discipline",
 ]

@@ -17,10 +17,10 @@ single coordinator the window bounds queue depth and shifts per-request
 wait accounting without reordering completions.  Under *multi-tenant*
 contention (several coordinators recording onto one channel through
 :class:`~repro.runtime.scheduler.QueryScheduler`) the discipline is the
-fairness policy: :class:`WeightedRoundRobinDiscipline` cycles admission
-across tenants with per-tenant weights, so one tenant's burst cannot
-starve the others, and per-tenant :class:`ChannelStats`
-(:attr:`Channel.tenant_stats`) make any residual starvation measurable.
+fairness policy: :class:`RoundRobinDiscipline` cycles admission across
+tenants, so one tenant's burst cannot starve the others, and per-tenant
+:class:`ChannelStats` (:attr:`Channel.tenant_stats`) make any residual
+starvation measurable.
 
 The window itself may be retuned mid-simulation via
 :meth:`Channel.set_window` — the hook the AIMD controller
@@ -50,7 +50,7 @@ __all__ = [
     "FifoDiscipline",
     "QueueDiscipline",
     "Request",
-    "WeightedRoundRobinDiscipline",
+    "RoundRobinDiscipline",
     "make_discipline",
 ]
 
@@ -186,34 +186,23 @@ class FifoDiscipline(QueueDiscipline):
         return len(self._queue)
 
 
-class WeightedRoundRobinDiscipline(QueueDiscipline):
-    """Weighted round-robin admission across tenants.
+class RoundRobinDiscipline(QueueDiscipline):
+    """Round-robin admission across tenants (the ``"wrr"`` policy).
 
-    Tenants are visited in first-appearance order; a tenant with weight
-    *w* may admit up to *w* requests per visit before the cursor moves
-    on (classic weighted round-robin).  Requests of one tenant stay
-    FIFO among themselves.  Appearance order, the cursor walk and the
-    integer credits are all deterministic, so the policy preserves the
-    kernel's replay determinism.
+    Tenants are visited in first-appearance order, one request per
+    visit; a visit to a tenant with nothing queued moves straight on.
+    Requests of one tenant stay FIFO among themselves.  Appearance
+    order and the cursor walk are deterministic, so the policy
+    preserves the kernel's replay determinism.
     """
 
     name = "wrr"
 
-    def __init__(self, weights: Optional[Dict[str, int]] = None) -> None:
-        for tenant, weight in (weights or {}).items():
-            if weight < 1:
-                raise SimulationError(
-                    f"tenant {tenant!r} weight must be >= 1: {weight}"
-                )
-        self._weights = dict(weights or {})
+    def __init__(self) -> None:
         self._order: List[str] = []
         self._queues: Dict[str, Deque[Request]] = {}
-        self._cursor = 0
-        self._credit = 0
+        self._next = 0  # where in _order the next visit starts
         self._size = 0
-
-    def _weight(self, tenant: str) -> int:
-        return self._weights.get(tenant, 1)
 
     def push(self, request: Request) -> None:
         queue = self._queues.get(request.tenant)
@@ -221,8 +210,6 @@ class WeightedRoundRobinDiscipline(QueueDiscipline):
             queue = deque()
             self._queues[request.tenant] = queue
             self._order.append(request.tenant)
-            if len(self._order) == 1:
-                self._credit = self._weight(request.tenant)
         queue.append(request)
         self._size += 1
 
@@ -230,27 +217,23 @@ class WeightedRoundRobinDiscipline(QueueDiscipline):
         if not self._size:
             raise SimulationError("pop from an empty backlog")
         while True:
-            tenant = self._order[self._cursor]
-            queue = self._queues[tenant]
-            if queue and self._credit > 0:
-                self._credit -= 1
+            position = self._next % len(self._order)
+            self._next = position + 1
+            queue = self._queues[self._order[position]]
+            if queue:
                 self._size -= 1
                 return queue.popleft()
-            self._cursor = (self._cursor + 1) % len(self._order)
-            self._credit = self._weight(self._order[self._cursor])
 
     def __len__(self) -> int:
         return self._size
 
 
-def make_discipline(
-    name: str, weights: Optional[Dict[str, int]] = None
-) -> QueueDiscipline:
+def make_discipline(name: str) -> QueueDiscipline:
     """Build one backlog discipline instance by policy name."""
     if name == "fifo":
         return FifoDiscipline()
     if name == "wrr":
-        return WeightedRoundRobinDiscipline(weights)
+        return RoundRobinDiscipline()
     raise SimulationError(
         f"unknown queue discipline {name!r}; expected 'fifo' or 'wrr'"
     )

@@ -25,12 +25,7 @@ One kernel drives every concurrent query of a replay: the query
 scheduler (:mod:`repro.runtime.scheduler`) replays every tenant's
 request DAG — one tenant for a single query — through one shared
 kernel and one channel per endpoint, so coordinators genuinely contend
-on the same virtual clock.  The only
-kernel-level nicety that needs is :meth:`SimKernel.defer` — scheduling
-a follow-up at the *current* instant, ordered after every event already
-queued for that instant — which is how a query admitted the moment
-another finishes starts after the finisher's completion cascade has
-fully run.
+on the same virtual clock.
 """
 
 from __future__ import annotations
@@ -79,19 +74,6 @@ class SimKernel:
             )
         heapq.heappush(self._heap, (time, self._seq, callback))
         self._seq += 1
-
-    def defer(self, callback: Callable[[], Any]) -> None:
-        """Schedule ``callback`` at the current instant, after every
-        event already queued for it.
-
-        Equivalent to ``schedule(0.0, callback)``; the monotonic
-        sequence number places the callback behind all same-time
-        events, so a deferred action observes the fully-settled state
-        of the instant that triggered it (e.g. admitting the next
-        waiting query only after the finishing query's completion
-        cascade has released its dependents).
-        """
-        self.schedule_at(self.now, callback)
 
     def run(self) -> float:
         """Drain the event queue; returns the final clock (the makespan).

@@ -18,9 +18,9 @@ runs in two phases:
 
 2. **Simulation.**  :meth:`QueryScheduler.makespan` replays the DAG
    through one :class:`~repro.runtime.kernel.SimKernel` and one
-   :class:`~repro.runtime.channel.Channel` per endpoint: a request
-   *arrives* at its channel once every dependency has completed (never
-   before its release floor), the channel serves it under its
+   :class:`~repro.runtime.channel.Channel` per endpoint: every tenant
+   starts at t=0, a request *arrives* at its channel once every
+   dependency has completed, the channel serves it under its
    concurrency/in-flight limits, and its completion releases its
    dependents.  Coordinators of different tenants genuinely contend on
    those channels.  The final virtual clock is the **elapsed**
@@ -33,36 +33,33 @@ A single query is the same replay with one tenant
 request outstanding at a time — each submission also depends on the
 tenant's previous one — so its makespan is the left fold of its
 requests' ``delay`` and ``seconds`` in submission order: the clock of
-every federated strategy but ``parallel``.  Three layers of policy
+every federated strategy but ``parallel``.  Two layers of policy
 stack on the replay:
 
 * **Fairness** — each channel's coordinator-side backlog is ordered by
   a pluggable :class:`~repro.runtime.channel.QueueDiscipline` (FIFO or
-  weighted round-robin across tenants); per-tenant
+  round-robin across tenants); per-tenant
   :class:`~repro.runtime.channel.ChannelStats` make starvation
   measurable.
-* **Admission control** — at most ``max_active`` queries run
-  concurrently; later tenants wait (in registration order) until a
-  running query's last request completes, and their waiting time is
-  reported as :meth:`QueryScheduler.admission_wait`.
 * **Adaptive concurrency** — an optional
   :class:`~repro.runtime.control.AimdController` retunes every
   channel's in-flight window from live queueing delay and service-time
   variance as the replay progresses.
 
-Replays are deterministic: arrival ties break on global submission
-order, so the makespan and every timeline are pure functions of the
-recorded DAG.  Fault recovery records onto the same DAG — a failed
-attempt is a normal (charged) request, and its retry carries a
-``delay`` equal to the backoff wait, so recovery time shows up in the
-makespan without any special-casing in the replay.
+Replays are deterministic: events at one virtual instant fire in the
+order they were scheduled, so the makespan and every timeline are pure
+functions of the recorded DAG.  ``tests/replay_oracle.py`` recomputes
+them independently, with those tie-breaks written out as priorities.
+Fault recovery records onto the same DAG — a failed attempt is a
+normal (charged) request, and its retry carries a ``delay`` equal to
+the backoff wait, so recovery time shows up in the makespan without
+any special-casing in the replay.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.runtime.channel import (
@@ -98,8 +95,6 @@ class RequestHandle:
         endpoint: target channel name.
         seconds: priced wire duration.
         after: handles that must complete before this request is sent.
-        release: earliest virtual time the request may be sent,
-            relative to its tenant's activation.
         delay: seconds between the last dependency's completion and
             this request's arrival — a retry's backoff wait, priced
             through the kernel so the makespan reflects it.
@@ -117,7 +112,6 @@ class RequestHandle:
     endpoint: str
     seconds: float
     after: Tuple["RequestHandle", ...] = ()
-    release: float = 0.0
     delay: float = 0.0
     label: str = ""
     failed: bool = False
@@ -168,16 +162,13 @@ class TenantRecorder:
     :meth:`makespan`, :meth:`channel_stats`, :meth:`timeline` — with
     every handle tagged with the tenant and landing in the shared DAG.
     ``makespan`` and ``channel_stats`` report the *tenant's* view of
-    the shared replay: its completion time (admission wait included)
-    and its share of each channel's statistics.
+    the shared replay: its completion time and its share of each
+    channel's statistics.
     """
 
-    def __init__(
-        self, parent: "QueryScheduler", name: str, weight: int, serial: bool
-    ):
+    def __init__(self, parent: "QueryScheduler", name: str, serial: bool):
         self.parent = parent
         self.name = name
-        self.weight = weight
         self.serial = serial
         self._last: Optional[RequestHandle] = None
 
@@ -186,7 +177,6 @@ class TenantRecorder:
         endpoint: str,
         seconds: float,
         after: Sequence[RequestHandle] = (),
-        release: float = 0.0,
         label: str = "",
         delay: float = 0.0,
         failed: bool = False,
@@ -205,8 +195,7 @@ class TenantRecorder:
         if last is not None and not any(dep is last for dep in after):
             after = (*after, last)
         handle = self.parent._submit(
-            self.name, endpoint, seconds, after, release, label, delay,
-            failed,
+            self.name, endpoint, seconds, after, label, delay, failed
         )
         if self.serial:
             self._last = handle
@@ -237,12 +226,8 @@ class QueryScheduler:
         max_in_flight: per-endpoint outstanding-request window
             (``None`` = unbounded; the controller overrides this with
             its adaptive start window when attached).
-        per_endpoint_concurrency: optional per-endpoint lane overrides.
         discipline: backlog admission policy — ``"fifo"`` or ``"wrr"``
-            (weighted round-robin across tenants, weights from
-            :meth:`tenant` registration).
-        max_active: admission cap on concurrently active queries
-            (``None`` = all tenants start at t=0).
+            (round-robin across tenants).
         controller: optional AIMD window controller; observes every
             completion and retunes channel windows inside the replay.
     """
@@ -251,9 +236,7 @@ class QueryScheduler:
         self,
         concurrency: int = DEFAULT_CONCURRENCY,
         max_in_flight: Optional[int] = None,
-        per_endpoint_concurrency: Optional[Dict[str, int]] = None,
         discipline: str = "fifo",
-        max_active: Optional[int] = None,
         controller: Optional[AimdController] = None,
     ) -> None:
         if concurrency < 1:
@@ -267,24 +250,15 @@ class QueryScheduler:
                 f"max_in_flight ({max_in_flight}) below concurrency "
                 f"({concurrency}) would waste service lanes"
             )
-        if max_active is not None and max_active < 1:
-            raise SimulationError(
-                f"max_active must be >= 1: {max_active}"
-            )
         self.concurrency = concurrency
         self.max_in_flight = max_in_flight
-        self.per_endpoint_concurrency = dict(per_endpoint_concurrency or {})
         self.discipline = discipline
-        self.max_active = max_active
         self.controller = controller
         self._tenants: List[TenantRecorder] = []
-        self._weights: Dict[str, int] = {}
         self._handles: List[RequestHandle] = []
         self._channel_stats: Dict[str, ChannelStats] = {}
         self._tenant_channel_stats: Dict[str, Dict[str, ChannelStats]] = {}
-        self._activated_at: Dict[str, float] = {}
         self._finished_at: Dict[str, float] = {}
-        self._active_peak = 0
         self._makespan: Optional[float] = None
         # Fail fast on an unknown policy name, not mid-replay.
         make_discipline(discipline)
@@ -294,29 +268,21 @@ class QueryScheduler:
 
     @property
     def tenants(self) -> Tuple[str, ...]:
-        """Registered tenant names in registration (admission) order."""
+        """Registered tenant names in registration order."""
         return tuple(recorder.name for recorder in self._tenants)
 
-    def tenant(
-        self, name: str, weight: int = 1, serial: bool = False
-    ) -> TenantRecorder:
+    def tenant(self, name: str, serial: bool = False) -> TenantRecorder:
         """Register one tenant; returns its recording facade.
 
-        Registration order is the admission order under ``max_active``
-        and the deterministic tie-breaker everywhere else.  ``weight``
-        feeds the weighted-round-robin discipline (ignored by FIFO).
-        A ``serial`` tenant has one request outstanding at a time: each
-        submission also depends on the tenant's previous one.
+        Registration order is the order the replay releases the
+        tenants' first requests in.  A ``serial`` tenant has one
+        request outstanding at a time: each submission also depends on
+        the tenant's previous one.
         """
         if any(recorder.name == name for recorder in self._tenants):
             raise SimulationError(f"duplicate tenant name: {name!r}")
-        if weight < 1:
-            raise SimulationError(
-                f"tenant {name!r} weight must be >= 1: {weight}"
-            )
-        recorder = TenantRecorder(self, name, weight, serial)
+        recorder = TenantRecorder(self, name, serial)
         self._tenants.append(recorder)
-        self._weights[name] = weight
         return recorder
 
     def _submit(
@@ -325,7 +291,6 @@ class QueryScheduler:
         endpoint: str,
         seconds: float,
         after: Sequence[RequestHandle],
-        release: float,
         label: str,
         delay: float,
         failed: bool,
@@ -345,7 +310,6 @@ class QueryScheduler:
             endpoint=endpoint,
             seconds=seconds,
             after=tuple(after),
-            release=release,
             delay=delay,
             label=label,
             failed=failed,
@@ -371,20 +335,9 @@ class QueryScheduler:
         return sum(handle.seconds for handle in self._handles)
 
     def tenant_makespan(self, name: str) -> float:
-        """One tenant's completion time (admission wait included)."""
+        """One tenant's completion time (0 without requests)."""
         self.makespan()
         return self._finished_at.get(name, 0.0)
-
-    def admission_wait(self, name: str) -> float:
-        """Seconds a tenant waited for an active-query slot."""
-        self.makespan()
-        return self._activated_at.get(name, 0.0)
-
-    @property
-    def active_peak(self) -> int:
-        """Maximum concurrently active queries of the last replay."""
-        self.makespan()
-        return self._active_peak
 
     def channel_stats(self) -> Dict[str, ChannelStats]:
         """Per-endpoint aggregate statistics of the last replay."""
@@ -411,17 +364,7 @@ class QueryScheduler:
         roots: Dict[str, List[_Node]] = {
             recorder.name: [] for recorder in self._tenants
         }
-        remaining: Dict[str, int] = {
-            recorder.name: 0 for recorder in self._tenants
-        }
         for node in nodes:
-            tenant = node.handle.tenant
-            if tenant not in remaining:
-                raise SimulationError(
-                    f"handle {node.handle.index} belongs to unregistered "
-                    f"tenant {tenant!r}"
-                )
-            remaining[tenant] += 1
             node.pending = len(node.handle.after)
             for dep in node.handle.after:
                 if dep.index >= node.handle.index:
@@ -431,113 +374,70 @@ class QueryScheduler:
                     )
                 nodes[dep.index].dependents.append(node)
             if node.pending == 0:
-                roots[tenant].append(node)
+                roots[node.handle.tenant].append(node)
 
         def channel_for(name: str) -> Channel:
             channel = channels.get(name)
             if channel is None:
-                lanes = self.per_endpoint_concurrency.get(
-                    name, self.concurrency
-                )
                 window = self.max_in_flight
                 observer = None
                 if controller is not None:
-                    window = controller.initial_window(lanes)
+                    window = controller.initial_window(self.concurrency)
                     observer = controller.observe
                 channel = Channel(
                     kernel,
                     name,
-                    concurrency=lanes,
+                    concurrency=self.concurrency,
                     max_in_flight=window,
-                    discipline=make_discipline(
-                        self.discipline, self._weights
-                    ),
+                    discipline=make_discipline(self.discipline),
                     observer=observer,
                 )
                 channels[name] = channel
             return channel
 
-        pending_tenants: Deque[TenantRecorder] = deque(self._tenants)
-        active: Set[str] = set()
-        activated: Dict[str, float] = {}
         finished: Dict[str, float] = {}
-        self._active_peak = 0
-
-        def finish(tenant: str) -> None:
-            finished[tenant] = kernel.now
-            active.discard(tenant)
-            if pending_tenants:
-                # Deferred so the admitted query's first arrivals sort
-                # after the finishing query's completion cascade.
-                kernel.defer(admit_next)
-
-        def admit_next() -> None:
-            while pending_tenants and (
-                self.max_active is None or len(active) < self.max_active
-            ):
-                activate(pending_tenants.popleft())
-
-        def activate(recorder: TenantRecorder) -> None:
-            tenant = recorder.name
-            activated[tenant] = kernel.now
-            active.add(tenant)
-            self._active_peak = max(self._active_peak, len(active))
-            if remaining[tenant] == 0:
-                # A tenant with no recorded requests completes at its
-                # activation instant (e.g. a fully local query).
-                finish(tenant)
-                return
-            for node in roots[tenant]:
-                _schedule_arrival(node)
 
         def arrive(node: _Node) -> None:
             handle = node.handle
-            tenant = handle.tenant
 
             def on_complete(request: Request) -> None:
                 handle.started_at = request.started_at
                 handle.completed_at = request.completed_at
-                remaining[tenant] -= 1
+                # Completions fire in time order: the last one is the
+                # tenant's completion time.
+                finished[handle.tenant] = kernel.now
                 for dependent in node.dependents:
                     dependent.pending -= 1
                     if dependent.pending == 0:
-                        _schedule_arrival(dependent)
-                if remaining[tenant] == 0:
-                    finish(tenant)
+                        schedule_arrival(dependent)
 
             handle.arrived_at = kernel.now
             channel_for(handle.endpoint).submit(
                 Request(
                     duration=handle.seconds,
                     label=handle.label,
-                    tenant=tenant,
+                    tenant=handle.tenant,
                     on_complete=on_complete,
                     failed=handle.failed,
                 )
             )
 
-        def _schedule_arrival(node: _Node) -> None:
-            handle = node.handle
-            # Release floors are relative to the query's own start:
-            # shifted by the tenant's activation time under admission
-            # control.  The delay (retry backoff) starts once the
-            # dependencies complete — i.e. now.
-            floor = activated[handle.tenant] + handle.release
-            kernel.schedule_at(
-                max(floor, kernel.now + handle.delay),
-                lambda: arrive(node),
-            )
+        def schedule_arrival(node: _Node) -> None:
+            # The delay (retry backoff) starts once the dependencies
+            # complete — i.e. now.
+            kernel.schedule(node.handle.delay, lambda: arrive(node))
 
-        admit_next()
+        # Every tenant starts at t=0; first requests are released
+        # tenant by tenant in registration order.
+        for recorder in self._tenants:
+            for node in roots[recorder.name]:
+                schedule_arrival(node)
         elapsed = kernel.run()
         unfinished = [n.handle for n in nodes if n.handle.completed_at < 0]
         if unfinished:  # pragma: no cover - guarded by the cycle check
             raise SimulationError(
                 f"{len(unfinished)} request(s) never completed"
             )
-        stuck = [name for name in remaining if name not in finished]
-        if stuck:  # pragma: no cover - every path above calls finish()
-            raise SimulationError(f"queries never finished: {stuck}")
         self._channel_stats = {
             name: channel.stats for name, channel in channels.items()
         }
@@ -546,10 +446,7 @@ class QueryScheduler:
         }
         for name, channel in channels.items():
             for tenant, stats in channel.tenant_stats.items():
-                self._tenant_channel_stats.setdefault(tenant, {})[name] = (
-                    stats
-                )
-        self._activated_at = activated
+                self._tenant_channel_stats[tenant][name] = stats
         self._finished_at = finished
         return elapsed
 

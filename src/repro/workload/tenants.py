@@ -16,7 +16,7 @@ friends).  Two shapes:
   on.
 
 Everything is a pure function of the seed: the same arguments always
-produce the same tenants, queries and weights.
+produce the same tenants and queries.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ __all__ = ["TenantQuery", "skewed_tenant_workload", "tenant_workload"]
 
 @dataclass(frozen=True)
 class TenantQuery:
-    """One tenant's submission: a name, a query and a fairness weight."""
+    """One tenant's submission: a name and a query."""
 
     tenant: str
     query: GraphPatternQuery
-    weight: int = 1
 
 
 def tenant_workload(

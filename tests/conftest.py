@@ -15,6 +15,7 @@ if str(SRC) not in sys.path:
 
 import pytest
 
+from replay_oracle import COUNTERS, replay
 from repro.gpq.pattern import make_pattern
 from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
@@ -143,9 +144,6 @@ def as_mask(condition):
 
 def oracle_replay(scheduler):
     """Replay ``scheduler``'s recorded DAG with the independent oracle."""
-    from replay_oracle import replay
-
-    handles = scheduler.timeline()
     requests = [
         {
             "tenant": h.tenant,
@@ -155,7 +153,7 @@ def oracle_replay(scheduler):
             "delay": h.delay,
             "failed": h.failed,
         }
-        for h in handles
+        for h in scheduler.timeline()
     ]
     return replay(
         requests,
@@ -163,15 +161,11 @@ def oracle_replay(scheduler):
         scheduler.max_in_flight,
         scheduler.discipline,
         scheduler.tenants,
-        release=[h.release for h in handles],
-        lane_overrides=scheduler.per_endpoint_concurrency,
     )
 
 
 def scheduler_replay(scheduler):
     """``scheduler``'s own replay, in the oracle's terms."""
-    from replay_oracle import COUNTERS
-
     return {
         "times": [
             (h.arrived_at, h.started_at, h.completed_at)

@@ -71,26 +71,21 @@ class _Endpoint:
         return self.backlog.pop(pick)
 
 
-def replay(requests, lanes, window, discipline, tenants,
-           release=None, lane_overrides=None):
+def replay(requests, lanes, window, discipline, tenants):
     """Fire the net for ``requests``; the replayed timeline.
 
-    ``lanes`` service lanes and an in-flight ``window`` (``None``:
-    unbounded) per endpoint, ``lane_overrides`` replacing ``lanes`` for
-    the endpoints it names; ``release[i]`` is the earliest time request
-    ``i`` may arrive.  ``discipline`` is ``"fifo"`` or ``"wrr"``, and
-    ``tenants`` lists the tenants in registration order.
+    Every endpoint has ``lanes`` service lanes and an in-flight
+    ``window`` (``None``: unbounded).  ``discipline`` is ``"fifo"`` or
+    ``"wrr"``, and ``tenants`` lists the tenants in registration order;
+    every tenant starts at t=0.
 
     Returns ``{"times": [(arrive, start, finish), ...], "channels":
     {endpoint: {counter: value}}, "makespan": float}``.
     """
-    release = release or [0.0] * len(requests)
-    overrides = lane_overrides or {}
     endpoints = {}
     for request in requests:
-        name = request["endpoint"]
-        if name not in endpoints:
-            endpoints[name] = _Endpoint(overrides.get(name, lanes), window)
+        if request["endpoint"] not in endpoints:
+            endpoints[request["endpoint"]] = _Endpoint(lanes, window)
     times = [[None, None, None] for _ in requests]
     waiting = [len(request["after"]) for request in requests]
     dependents = [[] for _ in requests]
@@ -105,8 +100,8 @@ def replay(requests, lanes, window, discipline, tenants,
         tokens.append((time, fired, len(produced), kind, index))
         produced.append(index)
 
-    def release_at(index):
-        return max(release[index], now + requests[index]["delay"])
+    def release(index):
+        produce(now + requests[index]["delay"], "arrive", index)
 
     def start(index):
         endpoint = endpoints[requests[index]["endpoint"]]
@@ -156,13 +151,13 @@ def replay(requests, lanes, window, discipline, tenants,
         for dependent in dependents[index]:
             waiting[dependent] -= 1
             if waiting[dependent] == 0:
-                produce(release_at(dependent), "arrive", dependent)
+                release(dependent)
 
     produced = []
     for tenant in tenants:
         for index, request in enumerate(requests):
             if request["tenant"] == tenant and not waiting[index]:
-                produce(release_at(index), "arrive", index)
+                release(index)
     while tokens:
         token = min(tokens)
         tokens.remove(token)

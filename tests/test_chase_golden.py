@@ -5,7 +5,7 @@ and two small chain/cycle systems, the solution size, every counter of
 ``PeerChaseResult`` and the certain-answer counts of a few queries.  It
 regenerates byte-identically from HEAD (CI checks that)::
 
-    PYTHONPATH=src python tests/test_chase_golden.py
+    python tests/test_chase_golden.py
 
 The records were migrated when the chase moved onto the quotient by
 ``≡ₑ`` (one firing per class instead of one per member): the
@@ -21,20 +21,25 @@ import json
 import pathlib
 import sys
 
-import pytest
+if __name__ == "__main__":
+    # Run as a script (the regeneration step): import repro from src/,
+    # as tools/paper_example.py does; under pytest conftest.py has.
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.gpq.pattern import make_pattern
-from repro.gpq.query import GraphPatternQuery
-from repro.peers import (
+import pytest  # noqa: E402
+
+from repro.gpq.pattern import make_pattern  # noqa: E402
+from repro.gpq.query import GraphPatternQuery  # noqa: E402
+from repro.peers import (  # noqa: E402
     certain_answers,
     chase_universal_solution,
     chase_via_data_exchange,
     is_solution,
 )
-from repro.rdf.namespaces import Namespace
-from repro.rdf.terms import BlankNode, Variable
-from repro.sparql.bridge import sparql_to_gpq
-from repro.workload import (
+from repro.rdf.namespaces import Namespace  # noqa: E402
+from repro.rdf.terms import BlankNode, Variable  # noqa: E402
+from repro.sparql.bridge import sparql_to_gpq  # noqa: E402
+from repro.workload import (  # noqa: E402
     chain_rps,
     cycle_rps,
     path_query,

@@ -1,4 +1,4 @@
-"""Multi-tenant concurrency: disciplines, admission, AIMD, determinism."""
+"""Multi-tenant concurrency: disciplines, AIMD, determinism."""
 
 from collections import Counter
 
@@ -21,8 +21,8 @@ from repro.runtime import (
     FifoDiscipline,
     QueryScheduler,
     Request,
+    RoundRobinDiscipline,
     SimKernel,
-    WeightedRoundRobinDiscipline,
     make_discipline,
 )
 from repro.workload import (
@@ -108,8 +108,10 @@ def test_fifo_discipline_preserves_arrival_order():
     assert [fifo.pop().label for _ in range(3)] == ["a", "b", "c"]
 
 
-def test_wrr_discipline_interleaves_by_weight():
-    wrr = WeightedRoundRobinDiscipline({"a": 2, "b": 1})
+def test_wrr_discipline_interleaves_tenants():
+    wrr = RoundRobinDiscipline()
+    with pytest.raises(SimulationError):
+        wrr.pop()
     for label, tenant in (
         ("a1", "a"),
         ("a2", "a"),
@@ -118,20 +120,16 @@ def test_wrr_discipline_interleaves_by_weight():
         ("b2", "b"),
     ):
         wrr.push(Request(duration=1.0, label=label, tenant=tenant))
-    popped = [wrr.pop().label for _ in range(5)]
-    assert popped == ["a1", "a2", "b1", "a3", "b2"]
-
-
-def test_wrr_discipline_rejects_bad_weight_and_empty_pop():
-    with pytest.raises(SimulationError):
-        WeightedRoundRobinDiscipline({"a": 0})
-    with pytest.raises(SimulationError):
-        WeightedRoundRobinDiscipline().pop()
+    assert [wrr.pop().label for _ in range(3)] == ["a1", "b1", "a2"]
+    # A tenant that appears later joins the cycle at its end.
+    wrr.push(Request(duration=1.0, label="c1", tenant="c"))
+    assert [wrr.pop().label for _ in range(3)] == ["b2", "c1", "a3"]
+    assert len(wrr) == 0
 
 
 def test_make_discipline():
     assert isinstance(make_discipline("fifo"), FifoDiscipline)
-    assert isinstance(make_discipline("wrr"), WeightedRoundRobinDiscipline)
+    assert isinstance(make_discipline("wrr"), RoundRobinDiscipline)
     with pytest.raises(SimulationError):
         make_discipline("priority")
 
@@ -230,15 +228,11 @@ def test_query_scheduler_rejects_bad_configuration():
     with pytest.raises(SimulationError):
         QueryScheduler(concurrency=2, max_in_flight=1)
     with pytest.raises(SimulationError):
-        QueryScheduler(max_active=0)
-    with pytest.raises(SimulationError):
         QueryScheduler(discipline="priority")
     scheduler = QueryScheduler()
     scheduler.tenant("a")
     with pytest.raises(SimulationError):
         scheduler.tenant("a")
-    with pytest.raises(SimulationError):
-        scheduler.tenant("b", weight=0)
 
 
 def test_query_scheduler_forbids_cross_tenant_dependencies():
@@ -265,31 +259,16 @@ def test_query_scheduler_contends_on_shared_channels():
     assert bob.channel_stats()["ep"].wait_seconds == pytest.approx(2.0)
 
 
-def test_admission_cap_staggers_queries():
-    scheduler = QueryScheduler(concurrency=4, max_active=1)
-    alice = scheduler.tenant("alice")
-    bob = scheduler.tenant("bob")
-    alice.submit("ep", 2.0)
-    bob.submit("ep", 1.0)
-    assert scheduler.makespan() == 3.0
-    assert scheduler.active_peak == 1
-    assert scheduler.admission_wait("alice") == 0.0
-    # Bob only activates when alice's last request completes.
-    assert scheduler.admission_wait("bob") == 2.0
-    assert bob.makespan() == 3.0
-
-
 def test_query_scheduler_determinism_fuzz(system):
     """Satellite: N concurrent queries x 5 seeds, byte-identical replays."""
 
     def run_once(seed):
-        executor = make_executor(system)
+        executor = make_executor(system, max_in_flight=2)
         workload = tenant_workload(4, seed=seed)
         result = executor.execute_concurrent(
             [(t.tenant, t.query) for t in workload],
             strategy="bound",
             discipline="wrr",
-            max_in_flight=2,
         )
         return (
             tuple(
@@ -297,7 +276,6 @@ def test_query_scheduler_determinism_fuzz(system):
                     o.tenant,
                     tuple(sorted(repr(row) for row in o.result.rows)),
                     o.makespan,
-                    o.admission_wait,
                     o.result.stats.messages,
                     o.result.stats.elapsed_seconds,
                     tuple(
@@ -332,11 +310,10 @@ def test_concurrent_answers_match_solo_execution(system):
         for t in workload
     }
     for discipline in ("fifo", "wrr"):
-        result = make_executor(system).execute_concurrent(
+        result = make_executor(system, max_in_flight=2).execute_concurrent(
             [(t.tenant, t.query) for t in workload],
             strategy="bound",
             discipline=discipline,
-            max_in_flight=2,
         )
         assert result.discipline == discipline
         for outcome in result.outcomes:
@@ -394,37 +371,14 @@ def test_concurrent_rejects_bad_inputs(system, monkeypatch):
         patch.setattr(executor, "prepare", _no_prepare)
         with pytest.raises(FederationError, match="duplicate"):
             executor.execute_concurrent([("a", query), ("a", query)])
-        with pytest.raises(FederationError, match="unknown tenant"):
-            executor.execute_concurrent({"a": query}, weights={"typo": 3})
-        with pytest.raises(FederationError, match=">= 1"):
-            executor.execute_concurrent({"a": query}, weights={"a": 0})
         with pytest.raises(FederationError, match="discipline"):
             executor.execute_concurrent(
                 {"a": query, "b": query}, discipline="priority"
             )
-        with pytest.raises(FederationError, match="max_active"):
-            executor.execute_concurrent({"a": query}, max_active=0)
-        wide = FederatedExecutor(system, concurrency=2)
-        patch.setattr(wide, "prepare", _no_prepare)
-        with pytest.raises(FederationError, match="max_in_flight"):
-            wide.execute_concurrent({"a": query}, max_in_flight=1)
     result = executor.execute_concurrent({"a": query}, strategy="bound")
     with pytest.raises(FederationError):
         result.tenant("nope")
     assert result.tenant("a").tenant == "a"
-
-
-def test_admission_cap_through_executor(system):
-    workload = tenant_workload(3, seed=11)
-    result = make_executor(system).execute_concurrent(
-        [(t.tenant, t.query) for t in workload],
-        strategy="bound",
-        max_active=1,
-    )
-    assert result.active_peak == 1
-    waits = [o.admission_wait for o in result.outcomes]
-    assert waits[0] == 0.0
-    assert all(b > a for a, b in zip(waits, waits[1:]))
 
 
 def test_adaptive_control_adjusts_and_preserves_answers(system):
@@ -503,7 +457,6 @@ def _signature(result):
                 o.tenant,
                 tuple(sorted(repr(row) for row in o.result.rows)),
                 o.makespan,
-                o.admission_wait,
                 o.result.stats.messages,
             )
             for o in result.outcomes
@@ -515,8 +468,10 @@ def _signature(result):
 
 
 def test_adaptive_p95_never_worse_than_any_fixed_window(system):
-    variants = [(f"w{w}", {"max_in_flight": w}) for w in WINDOWS]
-    variants.append(("adaptive", {"adaptive": True, "control": BOUND_CONTROL}))
+    variants = [(f"w{w}", w, {}) for w in WINDOWS]
+    variants.append(
+        ("adaptive", None, {"adaptive": True, "control": BOUND_CONTROL})
+    )
     strict = False
     adjustments = 0
     for load in LOADS:
@@ -527,10 +482,10 @@ def test_adaptive_p95_never_worse_than_any_fixed_window(system):
             for t in workload
         }
         p95 = {}
-        for label, kwargs in variants:
+        for label, window, kwargs in variants:
 
             def run():
-                return make_executor(system).execute_concurrent(
+                return make_executor(system, window).execute_concurrent(
                     queries, strategy="bound", discipline="wrr", **kwargs
                 )
 
@@ -570,8 +525,8 @@ def test_wrr_stretch_ratio_strictly_below_fifo(system):
     }
     ratio = {}
     for discipline in ("fifo", "wrr"):
-        result = make_executor(system).execute_concurrent(
-            queries, strategy="bound", discipline=discipline, max_in_flight=2
+        result = make_executor(system, max_in_flight=2).execute_concurrent(
+            queries, strategy="bound", discipline=discipline
         )
         for outcome in result.outcomes:
             assert outcome.result.rows == solos[outcome.tenant].rows
@@ -637,7 +592,6 @@ def test_concurrent_metrics_registry(system):
     )
     rendered = result.metrics().render()
     text = "\n".join(rendered)
-    assert f"admission.queries={len(result.outcomes)}" in text
     assert f"controller.adjustments={len(result.adjustments)}" in text
     assert "channel.peer1.completed" in text
     assert "channel.peer1.queueing_delay" in text

@@ -31,6 +31,9 @@ file in the open.
 * **Reached from the system.**  ``tools/test_only.txt`` lists each
   function only tests enter, tagged with why it stays; the deleted
   second entry points and serializers may not come back.
+* **An independent replay oracle.**  ``tests/replay_oracle.py``, which
+  the runtime's replay is held to, imports nothing from ``repro``; the
+  replay options no workload, tool or example set may not come back.
 """
 
 import ast
@@ -426,3 +429,51 @@ class TestTestOnlyList:
         )
         pattern = r"\b(" + "|".join(names) + r")\b"
         assert grep(pattern, "src", "docs", "README.md", ".claude") == []
+
+
+#: The replay options deleted once the oracle pinned the replay: lane
+#: overrides per endpoint and the admission cap with its two readings.
+GONE_REPLAY_OPTIONS = (
+    "per_endpoint_concurrency", "max_active", "admission_wait",
+    "active_peak",
+)
+
+
+def _words(tree):
+    """Every identifier and every word of a string constant in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from re.findall(r"\w+", node.value)
+        for field in ("id", "attr", "arg", "name"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                yield value
+
+
+class TestTheReplayOracle:
+    """The oracle stays independent, and the deleted options stay gone."""
+
+    def test_the_oracle_imports_nothing_from_repro(self):
+        path = ROOT / "tests" / "replay_oracle.py"
+        imported = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.append(node.module)
+        # conftest imports repro, so the oracle may not read it either.
+        assert [
+            name for name in imported
+            if name.split(".")[0] in ("repro", "conftest")
+        ] == []
+
+    def test_no_source_names_a_deleted_replay_option(self):
+        hits = [
+            f"{path.relative_to(ROOT).as_posix()}: {word}"
+            for path in sorted(SRC.rglob("*.py"))
+            for word in _words(ast.parse(path.read_text(encoding="utf-8")))
+            if word in GONE_REPLAY_OPTIONS
+        ]
+        assert hits == []
+        pattern = r"\b(" + "|".join(GONE_REPLAY_OPTIONS) + r")\b"
+        assert grep(pattern, "docs", "README.md", ".claude") == []

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import oracle_replay, scheduler_replay
+from replay_oracle import COUNTERS
 from repro.errors import SimulationError
 from repro.runtime import (
     Channel,
@@ -161,13 +162,6 @@ def test_channel_contention_limits_overlap():
     assert stats.busy_seconds == 4.0
 
 
-def test_release_time_delays_arrival():
-    scheduler = OverlapScheduler()
-    handle = scheduler.submit("p0", 1.0, release=5.0)
-    assert scheduler.makespan() == 6.0
-    assert scheduler.timeline()[handle.index].arrived_at == 5.0
-
-
 def test_replay_is_deterministic_and_cached():
     def build():
         scheduler = OverlapScheduler(concurrency=2)
@@ -209,20 +203,18 @@ def test_scheduler_validation():
 def _random_dag(seed, serial=False):
     """A seeded request DAG with the shapes the executor records.
 
-    1-3 endpoints, 1-3 lanes, windows ``None``/c/c+1/c+3, release
-    floors, retry delays, failed attempts, and durations drawn from a
-    few multiples of 1/4 so arrival and completion ties are common and
-    every time stays exact in binary floating point.  The requests are
-    submitted by one tenant, ``serial`` or not.
+    1-3 endpoints, 1-3 lanes, windows ``None``/c/c+1/c+3, retry
+    delays, failed attempts, and durations drawn from a few multiples of
+    1/4 so arrival and completion ties are common and every time stays
+    exact in binary floating point.  The requests are submitted by one
+    tenant, ``serial`` or not.  The pins below are the replay of these
+    DAGs by the independent oracle, ``tests/replay_oracle.py``.
     """
     rng = random.Random(seed)
     endpoints = [f"p{i}" for i in range(rng.randint(1, 3))]
     concurrency = rng.randint(1, 3)
     window = rng.choice([None, concurrency, concurrency + 1, concurrency + 3])
-    overrides = {}
-    if rng.random() < 0.2:
-        overrides[endpoints[0]] = rng.randint(1, concurrency)
-    scheduler = QueryScheduler(concurrency, window, overrides)
+    scheduler = QueryScheduler(concurrency, window)
     recorder = scheduler.tenant("", serial=serial)
     handles = []
     for _ in range(rng.randint(1, 24)):
@@ -232,7 +224,6 @@ def _random_dag(seed, serial=False):
                 rng.choice(endpoints),
                 rng.choice([0.0, 0.25, 0.5, 0.5, 1.0, 1.0, 1.5, 2.0]),
                 after=after,
-                release=rng.choice([0.0] * 4 + [0.5, 1.0, 2.5]),
                 label=f"r{len(handles)}",
                 delay=rng.choice([0.0] * 4 + [0.25, 0.75]),
                 failed=rng.random() < 0.1,
@@ -241,90 +232,108 @@ def _random_dag(seed, serial=False):
     return scheduler
 
 
-#: Makespan of ``_random_dag(seed)`` for seeds 0-199, and one sha256
-#: over every DAG's replayed timeline and channel statistics; generated
-#: by the scheduler that predates the one-tenant replay.
+def _digest(replays):
+    """One sha256 over replayed timelines and channel counters."""
+    digest = hashlib.sha256()
+    for replay in replays:
+        digest.update(repr(replay["times"]).encode())
+        for name, counters in sorted(replay["channels"].items()):
+            values = tuple(counters[counter] for counter in COUNTERS)
+            digest.update(f"{name}={values!r}".encode())
+    return digest.hexdigest()
+
+
+#: Makespan of ``_random_dag(seed)`` for seeds 0-199, and ``_digest``
+#: over every DAG's replay; generated from the independent oracle's
+#: replay of those DAGs (``python tests/test_runtime.py`` prints both).
 REPLAY_MAKESPANS = (
-    8.25, 9.25, 7.0, 9.75, 6.0, 9.25, 4.5, 2.75, 3.75, 3.5,
-    4.5, 7.25, 5.5, 9.0, 5.75, 1.0, 7.75, 4.5, 4.5, 8.5,
-    5.0, 8.25, 12.75, 6.5, 5.75, 5.25, 8.5, 4.5, 7.5, 9.5,
-    6.25, 3.0, 7.5, 8.5, 0.25, 3.0, 7.25, 5.5, 6.0, 12.75,
-    11.5, 9.25, 4.0, 6.25, 4.75, 5.25, 3.25, 13.0, 10.5, 6.75,
-    8.0, 8.5, 6.5, 10.25, 9.5, 11.0, 4.25, 6.75, 4.75, 13.75,
-    5.25, 6.75, 4.0, 5.25, 12.0, 7.5, 9.5, 16.25, 3.75, 3.0,
-    5.25, 3.5, 7.75, 9.75, 7.0, 7.25, 5.25, 3.0, 22.25, 2.25,
-    5.0, 9.5, 5.0, 0.5, 8.0, 4.25, 3.25, 5.5, 16.0, 4.5,
-    7.25, 10.0, 10.25, 1.5, 4.75, 1.25, 2.5, 3.0, 2.75, 4.25,
-    4.0, 10.5, 8.0, 6.5, 0.5, 9.5, 12.25, 6.25, 6.0, 4.25,
-    7.5, 8.5, 5.25, 6.75, 6.75, 4.75, 2.75, 6.75, 9.5, 18.0,
-    10.5, 5.5, 5.0, 5.0, 11.25, 5.0, 4.25, 6.25, 4.75, 6.0,
-    8.25, 1.5, 1.5, 9.5, 7.0, 10.75, 4.5, 6.25, 6.5, 5.75,
-    20.5, 1.0, 3.0, 8.5, 8.25, 8.5, 2.75, 5.75, 7.25, 2.75,
-    6.0, 6.25, 5.25, 12.75, 7.5, 8.5, 4.0, 8.75, 9.0, 4.5,
-    6.0, 9.75, 11.0, 2.5, 5.0, 8.25, 9.5, 16.75, 9.0, 5.0,
-    4.75, 8.75, 5.75, 5.5, 3.0, 12.5, 10.5, 14.0, 5.0, 11.75,
-    2.5, 4.5, 5.0, 5.75, 10.25, 21.5, 4.25, 4.5, 3.5, 2.5,
-    7.5, 10.0, 8.5, 8.25, 9.0, 7.5, 8.5, 11.5, 7.5, 9.75,
+    3.5, 6.75, 10.25, 7.75, 9.0, 9.5, 5.5, 9.25, 2.0, 4.5,
+    12.75, 3.75, 3.0, 8.0, 3.5, 6.75, 7.5, 4.0, 10.75, 9.75,
+    3.0, 8.25, 18.5, 13.25, 4.5, 7.5, 7.25, 3.5, 8.0, 8.5,
+    9.0, 5.0, 8.0, 6.5, 4.25, 7.0, 8.0, 5.25, 8.5, 2.25,
+    4.25, 3.0, 8.25, 6.0, 4.0, 4.75, 9.25, 8.75, 6.5, 2.75,
+    6.75, 4.75, 9.25, 7.5, 9.0, 20.25, 8.75, 6.5, 12.75, 0.75,
+    3.25, 5.25, 4.0, 5.25, 9.25, 7.0, 4.75, 13.25, 7.75, 5.0,
+    8.0, 3.75, 4.75, 10.25, 7.0, 8.5, 3.5, 5.0, 18.25, 8.0,
+    6.75, 7.5, 3.0, 5.0, 8.0, 5.5, 9.25, 7.25, 7.75, 2.5,
+    7.5, 9.75, 7.25, 2.75, 6.0, 5.75, 3.75, 2.75, 5.25, 5.75,
+    4.5, 11.0, 3.75, 7.0, 6.5, 1.0, 10.0, 7.25, 8.0, 7.75,
+    3.5, 8.0, 9.75, 0.5, 6.25, 10.25, 0.5, 5.5, 6.75, 1.5,
+    10.25, 15.75, 3.0, 5.75, 5.5, 18.75, 4.0, 0.5, 2.25, 0.5,
+    9.25, 5.25, 3.0, 6.25, 10.75, 7.5, 8.25, 12.5, 12.75, 8.0,
+    0.25, 6.25, 2.0, 5.5, 2.0, 6.5, 2.25, 6.0, 9.0, 7.25,
+    4.5, 5.75, 6.75, 6.5, 5.25, 6.25, 4.25, 4.0, 1.75, 6.5,
+    4.5, 7.25, 7.5, 5.75, 4.25, 2.75, 7.0, 8.75, 4.0, 3.75,
+    5.25, 1.5, 10.0, 7.25, 6.75, 15.0, 6.5, 9.5, 8.5, 1.25,
+    20.75, 2.75, 4.5, 10.0, 11.5, 10.0, 6.5, 6.75, 1.0, 4.75,
+    13.0, 5.75, 8.0, 7.25, 11.0, 6.0, 5.5, 6.0, 1.75, 7.25,
 )
 REPLAY_DIGEST = (
-    "99cad8a8142575bf7af0a754098666173b057e344aa93265dcf818c601000dd2"
+    "dd34a012e652273c482c73ccd6fe350eb89d436126236b40db859a5c2db70292"
 )
 
 
 def test_replay_matches_pinned_timelines():
-    digest = hashlib.sha256()
-    makespans = []
-    for seed in range(200):
-        scheduler = _random_dag(seed)
-        makespans.append(scheduler.makespan())
-        for handle in scheduler.timeline():
-            digest.update(
-                repr(
-                    (
-                        handle.index,
-                        handle.arrived_at,
-                        handle.started_at,
-                        handle.completed_at,
-                    )
-                ).encode()
-            )
-        for name, stats in sorted(scheduler.channel_stats().items()):
-            digest.update(f"{name}={stats!r}".encode())
-    assert tuple(makespans) == REPLAY_MAKESPANS
-    assert digest.hexdigest() == REPLAY_DIGEST
+    replays = [scheduler_replay(_random_dag(seed)) for seed in range(200)]
+    assert tuple(replay["makespan"] for replay in replays) == REPLAY_MAKESPANS
+    assert _digest(replays) == REPLAY_DIGEST
+
+
+def _check_invariants(scheduler):
+    """Every request arrives exactly its delay after its last
+    dependency completes, starts no earlier, is served for exactly its
+    duration and completes once; no window is ever exceeded."""
+    handles = scheduler.timeline()
+    for h in handles:
+        ready = max((dep.completed_at for dep in h.after), default=0.0)
+        assert h.arrived_at == ready + h.delay
+        assert h.arrived_at <= h.started_at
+        assert h.completed_at == h.started_at + h.seconds
+    for name, stats in scheduler.channel_stats().items():
+        served = sum(h.endpoint == name for h in handles)
+        assert stats.completed == stats.admitted == served
+        if scheduler.max_in_flight is not None:
+            assert stats.peak_in_flight <= scheduler.max_in_flight
 
 
 def test_replay_equals_the_independent_oracle():
     # tests/replay_oracle.py fires the same DAGs as a timed net whose
     # tie-breaks are explicit priorities; the scheduler must agree with
     # it on every request's arrive/start/finish and every channel's
-    # counters, on a serial tenant and on a free one.  The pinned
-    # makespans are the oracle's.
-    makespans = []
+    # counters, on a serial tenant and on a free one, and both keep the
+    # replay's invariants.  The pins are the oracle's.
+    free = []
     for serial in (False, True):
         for seed in range(200):
             scheduler = _random_dag(seed, serial)
             expected = oracle_replay(scheduler)
             assert scheduler_replay(scheduler) == expected, (seed, serial)
+            _check_invariants(scheduler)
             if not serial:
-                makespans.append(expected["makespan"])
-    assert tuple(makespans) == REPLAY_MAKESPANS
+                free.append(expected)
+    assert tuple(replay["makespan"] for replay in free) == REPLAY_MAKESPANS
+    assert _digest(free) == REPLAY_DIGEST
 
 
 def test_serial_tenant_replays_the_left_fold():
     # The same 200 DAGs on a serial tenant: one request at a time, so
     # the makespan is the left fold of every request's wait and
-    # duration in submission order (a release floor, which the
-    # federation never sets, can only hold a request back further),
-    # and no channel ever holds two requests or makes one wait.
+    # duration in submission order, and no channel ever holds two
+    # requests or makes one wait.
     for seed in range(200):
         scheduler = _random_dag(seed, serial=True)
         clock = 0.0
         for handle in scheduler.timeline():
-            clock = max(handle.release, clock + handle.delay)
+            clock += handle.delay
             clock += handle.seconds
         assert scheduler.makespan() == clock, seed
         for stats in scheduler.channel_stats().values():
             assert stats.peak_in_flight == 1, seed
             assert stats.wait_seconds == 0, seed
             assert stats.peak_backlog == 0, seed
+
+
+if __name__ == "__main__":
+    replays = [oracle_replay(_random_dag(seed)) for seed in range(200)]
+    print(tuple(replay["makespan"] for replay in replays))
+    print(_digest(replays))
