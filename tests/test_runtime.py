@@ -282,7 +282,9 @@ def test_replay_matches_pinned_timelines():
 def _check_invariants(scheduler):
     """Every request arrives exactly its delay after its last
     dependency completes, starts no earlier, is served for exactly its
-    duration and completes once; no window is ever exceeded."""
+    duration and completes once; no window is ever exceeded, and each
+    channel's time accounting is the sum over its requests (exact here:
+    every time is a multiple of 1/4)."""
     handles = scheduler.timeline()
     for h in handles:
         ready = max((dep.completed_at for dep in h.after), default=0.0)
@@ -290,8 +292,13 @@ def _check_invariants(scheduler):
         assert h.arrived_at <= h.started_at
         assert h.completed_at == h.started_at + h.seconds
     for name, stats in scheduler.channel_stats().items():
-        served = sum(h.endpoint == name for h in handles)
-        assert stats.completed == stats.admitted == served
+        served = [h for h in handles if h.endpoint == name]
+        assert stats.completed == stats.admitted == len(served)
+        assert stats.busy_seconds == sum(h.seconds for h in served)
+        assert stats.busy_seconds_sq == sum(h.seconds**2 for h in served)
+        assert stats.wait_seconds == sum(
+            h.started_at - h.arrived_at for h in served
+        )
         if scheduler.max_in_flight is not None:
             assert stats.peak_in_flight <= scheduler.max_in_flight
 
