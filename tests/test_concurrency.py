@@ -108,10 +108,9 @@ def test_fifo_discipline_preserves_arrival_order():
     assert [fifo.pop().label for _ in range(3)] == ["a", "b", "c"]
 
 
-def test_wrr_discipline_interleaves_tenants():
+def test_wrr_discipline_interleaves_by_weight():
+    # Every tenant weighs one: one request per tenant per visit.
     wrr = RoundRobinDiscipline()
-    with pytest.raises(SimulationError):
-        wrr.pop()
     for label, tenant in (
         ("a1", "a"),
         ("a2", "a"),
@@ -125,6 +124,17 @@ def test_wrr_discipline_interleaves_tenants():
     wrr.push(Request(duration=1.0, label="c1", tenant="c"))
     assert [wrr.pop().label for _ in range(3)] == ["b2", "c1", "a3"]
     assert len(wrr) == 0
+
+
+def test_wrr_discipline_rejects_bad_weight_and_empty_pop():
+    # No weight is accepted any more: the discipline and the scheduler
+    # refuse a weight table outright.
+    with pytest.raises(TypeError):
+        RoundRobinDiscipline({"a": 2})
+    with pytest.raises(TypeError):
+        QueryScheduler().tenant("a", weight=2)
+    with pytest.raises(SimulationError):
+        RoundRobinDiscipline().pop()
 
 
 def test_make_discipline():
