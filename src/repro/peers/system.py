@@ -16,6 +16,18 @@ the peer set, a peer's graph object or its mutation ``epoch`` for the
 graphs, and the class map for the quotient.  They are shared across
 calls, so they are read-only: read them, do not change them (a kept
 graph whose own epoch moved is rebuilt).
+
+It also keeps the prepared perfect rewritings of
+:func:`repro.rewriting.perfect.certain_answers_by_rewriting`
+(:meth:`RPS.prepared_rewritings`): one bounded LRU, made on first use,
+of at most :data:`REWRITING_CAPACITY` entries.  An entry is keyed on
+the query (the parsed query, or its text and namespace fingerprint),
+``tuple(assertions)``, the kept class map by identity, the rewriting
+budget and the Proposition-2 gate, so a new or appended assertion, a
+new equivalence or another budget reaches a new key; it holds the UCQ
+and, per disjunct, its answer picks and batch plan, re-planned when
+the kept quotient's ``serial`` or ``epoch`` moves.  A failed
+rewriting is never kept.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 from repro.errors import MappingError, PeerSystemError
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
+from repro.sparql.cache import PlanCache
 from repro.peers.mappings import (
     EquivalenceMapping,
     GraphMappingAssertion,
@@ -42,7 +55,11 @@ from repro.peers.schema import PeerSchema
 #: A kept graph: what it was built from, the graph, and its epoch then.
 _Kept = Tuple[Hashable, Graph, int]
 
-__all__ = ["RPS"]
+__all__ = ["RPS", "REWRITING_CAPACITY"]
+
+#: How many prepared rewritings (:meth:`RPS.prepared_rewritings`) one
+#: system keeps; the least recently used goes first.
+REWRITING_CAPACITY = 32
 
 
 class RPS:
@@ -77,6 +94,7 @@ class RPS:
         self._classes: Optional[Tuple[tuple, ClassMap]] = None
         self._stored: Optional[_Kept] = None
         self._quotient: Optional[_Kept] = None
+        self._rewritings: Optional[PlanCache] = None
         if validate:
             self._validate()
 
@@ -182,6 +200,18 @@ class RPS:
             lambda: quotient_graph(stored, classes.representative),
         )
         return self._quotient[1]
+
+    def prepared_rewritings(self) -> PlanCache:
+        """The perfect rewritings this system keeps, made on first use.
+
+        Filled and read only by
+        :func:`repro.rewriting.perfect.certain_answers_by_rewriting`,
+        whose keys carry every input an entry was derived from; at
+        most :data:`REWRITING_CAPACITY` entries.
+        """
+        if self._rewritings is None:
+            self._rewritings = PlanCache(REWRITING_CAPACITY)
+        return self._rewritings
 
     def total_stored_triples(self) -> int:
         return sum(len(p.graph) for p in self.peers.values())

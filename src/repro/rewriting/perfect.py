@@ -43,13 +43,29 @@ and rebuilt only when the peer set, a peer's graph object or its
 so they are read-only, like the canonical database of
 :meth:`repro.tgd.cq.ConjunctiveQuery.freeze`: read them, do not add to
 them.
+
+By Proposition 2 the rewriting itself depends on the query, the
+assertion TGDs and the classes, never on the data, so
+:func:`certain_answers_by_rewriting` keeps it in the system's
+:meth:`~repro.peers.system.RPS.prepared_rewritings`, filled only by
+:func:`_prepared`.  An entry is keyed on the query (the parsed query,
+or its text and namespace fingerprint), ``tuple(system.assertions)``,
+the kept class map by identity, ``max_queries`` and
+``require_fo_rewritable``; it holds the UCQ with its statistics and,
+per disjunct, its answer picks and its batch plan, the plans (and the
+private IDs of pick constants) made for one ``(serial, epoch)`` of the
+stored quotient and made again when it moves.  A new assertion, a new
+equivalence or another budget therefore rewrites once more, a data
+change only re-plans, and a repeated call runs the kept plans alone.
+A rewriting that raises is never kept, and every call's answer sets
+are its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import (
     NotRewritableError,
@@ -61,15 +77,16 @@ from repro.gpq.query import GraphPatternQuery
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import NamespaceManager
 from repro.rdf.terms import BlankNode, Term, Variable
-from repro.sparql.batch import column_rows
+from repro.sparql.batch import BatchOp, column_rows
 from repro.sparql.bridge import sparql_to_gpq
+from repro.sparql.cache import nsm_fingerprint
 from repro.tgd.atoms import Atom, Constant, RelVar
 from repro.tgd.classes import classify
 from repro.tgd.cq import ConjunctiveQuery
-from repro.tgd.rewrite import rewrite_ucq
+from repro.tgd.rewrite import RewriteResult, rewrite_ucq
 from repro.peers.certain_answers import answer_rows
 from repro.peers.data_exchange import gpq_to_cq, quotient_atoms, quotient_tgds
-from repro.peers.quotient import expand_by_class
+from repro.peers.quotient import ClassMap, expand_by_class
 from repro.peers.system import RPS
 from repro.rewriting.boolean import disjunct_plan, rewrite_over_quotient
 
@@ -118,39 +135,147 @@ class RewritingAnswers:
     nonredundant: Set[Tuple[Term, ...]] = field(default_factory=set)
 
 
-def _answer_columns(
-    stored: Graph, disjunct: ConjunctiveQuery, constant_id: Callable[[Term], int]
-) -> Tuple[List[Sequence[int]], int]:
-    """One rewritten disjunct's answer positions as ID columns, and the
-    number of rows (duplicates and blanks included)."""
+#: Per answer position: a variable of the match, or a constant — its
+#: term when prepared, its dictionary (or private) ID when planned.
+Pick = Union[Variable, Term, int]
+
+
+class _Prepared:
+    """One kept rewriting: the data-independent part of a SELECT query's
+    perfect rewriting, and its disjunct plans over one stored quotient.
+
+    Attributes:
+        classes: the class map the rewriting was made under; holding it
+            keeps the identity its key was made from alive.
+        stats: the UCQ and its statistics.
+        disjuncts: per disjunct that can give a certain answer, its
+            answer picks (variables and constant terms) and its body
+            without the answer atom.
+        graph: the ``(serial, epoch)`` of the stored quotient ``plans``
+            and ``private`` were made against, or None before the first.
+        plans: per entry of ``disjuncts``, its picks with constants as
+            IDs, its distinct pick variables and its batch plan.
+        private: the negative ID of each pick constant the stored
+            dictionary lacks, to its term.
+    """
+
+    __slots__ = ("classes", "stats", "disjuncts", "graph", "plans", "private")
+
+    def __init__(
+        self,
+        classes: ClassMap,
+        stats: RewriteResult,
+        disjuncts: List[Tuple[List[Pick], List[Atom]]],
+    ) -> None:
+        self.classes = classes
+        self.stats = stats
+        self.disjuncts = disjuncts
+        self.graph: Optional[Tuple[int, int]] = None
+        self.plans: List[Tuple[List[Pick], List[Variable], BatchOp]] = []
+        self.private: Dict[int, Term] = {}
+
+
+def _answer_picks(
+    disjunct: ConjunctiveQuery,
+) -> Optional[Tuple[List[Pick], List[Atom]]]:
+    """One rewritten disjunct's answer picks and the rest of its body,
+    or None when it can give no certain answer."""
     ans_atoms = [a for a in disjunct.body if a.predicate == ANS]
     if len(ans_atoms) != 1:
         raise RewritingError(f"disjunct lost its answer atom: {disjunct!r}")
     rest = [a for a in disjunct.body if a.predicate != ANS]
     if not rest:
-        return [], 0
+        return None
     bound = {arg for atom in rest for arg in atom.args}
-    # Per answer position: a variable of the match, or a constant's ID.
-    picks: List[Union[Variable, int]] = []
+    picks: List[Pick] = []
     for arg in ans_atoms[0].args:
         if isinstance(arg, RelVar) and arg in bound:
             picks.append(Variable(arg.name))
         elif isinstance(arg, Constant) and not isinstance(
             arg.value, BlankNode
         ):
-            picks.append(constant_id(arg.value))
+            picks.append(arg.value)
         else:  # unbound, a null or a blank: no certain answer here
-            return [], 0
-    head = list(dict.fromkeys(p for p in picks if isinstance(p, Variable)))
-    batch = disjunct_plan(stored, rest).execute()
-    n = batch.n
-    if not n:
-        return [], 0
-    column = dict(zip(head, batch.project(head)))
-    return [
-        column[pick] if isinstance(pick, Variable) else [pick] * n
-        for pick in picks
-    ], n
+            return None
+    return picks, rest
+
+
+def _prepared(
+    system: RPS,
+    query: Union[str, GraphPatternQuery],
+    nsm: Optional[NamespaceManager],
+    max_queries: int,
+    require_fo_rewritable: bool,
+) -> Tuple[_Prepared, Graph]:
+    """The kept rewriting of ``query``, its plans made against the
+    stored quotient the system keeps now; the one place this module
+    rewrites or plans.
+
+    A miss rewrites and keeps the entry, a moved quotient re-plans the
+    kept disjuncts; a rewriting that raises is not kept.
+    """
+    classes = system.class_map()
+    key = (
+        query
+        if isinstance(query, GraphPatternQuery)
+        else (query, nsm_fingerprint(nsm)),
+        tuple(system.assertions),
+        id(classes),
+        max_queries,
+        require_fo_rewritable,
+    )
+    kept = system.prepared_rewritings()
+    entry: Optional[_Prepared] = kept.get(key)
+    if entry is None:
+        tgds = quotient_tgds(system, classes.representative)
+        if (
+            require_fo_rewritable
+            and not classify(tgds).fo_rewritable_fragment()
+        ):
+            raise NotRewritableError(
+                "mapping TGDs are neither linear nor sticky; Proposition 2 "
+                "does not apply (see Proposition 3) — use the chase instead"
+            )
+        gpq = (
+            query
+            if isinstance(query, GraphPatternQuery)
+            else sparql_to_gpq(query, nsm)
+        )
+        body = quotient_atoms(gpq_to_cq(gpq).body, classes.representative)
+        # Reify the head as a reserved body atom so rewriting can
+        # specialise answer positions; the query becomes Boolean.
+        ans_atom = Atom(ANS, *[RelVar(v.name) for v in gpq.head])
+        reified = ConjunctiveQuery([], body + [ans_atom], label="q_ans")
+        stats = rewrite_ucq(reified, tgds, max_queries=max_queries)
+        picked = (_answer_picks(disjunct) for disjunct in stats.ucq)
+        entry = _Prepared(
+            classes, stats, [p for p in picked if p is not None]
+        )
+        kept.put(key, entry)
+    stored = system.stored_quotient()
+    graph = (stored.serial, stored.epoch)
+    if entry.graph != graph:
+        lookup = stored.term_id
+        private: Dict[Term, int] = {}
+        plans = []
+        for picks, rest in entry.disjuncts:
+            ids: List[Pick] = []
+            for pick in picks:
+                if isinstance(pick, Variable):
+                    ids.append(pick)
+                    continue
+                tid = lookup(pick)
+                if tid is None:
+                    tid = private.setdefault(pick, -1 - len(private))
+                ids.append(tid)
+            head = list(
+                dict.fromkeys(p for p in ids if isinstance(p, Variable))
+            )
+            plans.append((ids, head, disjunct_plan(stored, rest)))
+        entry.plans = plans
+        entry.private = {tid: term for term, tid in private.items()}
+        entry.graph = graph
+    return entry, stored
 
 
 def certain_answers_by_rewriting(
@@ -161,6 +286,10 @@ def certain_answers_by_rewriting(
     require_fo_rewritable: bool = True,
 ) -> RewritingAnswers:
     """Certain answers via the answer-atom UCQ rewriting.
+
+    The rewriting and its disjunct plans are the ones the system keeps
+    (:meth:`~repro.peers.system.RPS.prepared_rewritings`): a repeated
+    query only runs the kept plans over the data.
 
     Args:
         system: the RPS.
@@ -175,45 +304,26 @@ def certain_answers_by_rewriting(
         NotRewritableError: outside the FO-rewritable fragment.
         RewritingError: the rewriting budget ran out.
     """
-    classes = system.class_map()
-    tgds = quotient_tgds(system, classes.representative)
-    if (
-        require_fo_rewritable
-        and not classify(tgds).fo_rewritable_fragment()
-    ):
-        raise NotRewritableError(
-            "mapping TGDs are neither linear nor sticky; Proposition 2 "
-            "does not apply (see Proposition 3) — use the chase instead"
-        )
-    gpq = query if isinstance(query, GraphPatternQuery) else sparql_to_gpq(query, nsm)
-    body = quotient_atoms(gpq_to_cq(gpq).body, classes.representative)
-    # Reify the head as a reserved body atom so rewriting can specialise
-    # answer positions; the query becomes Boolean.
-    ans_atom = Atom(ANS, *[RelVar(v.name) for v in gpq.head])
-    reified = ConjunctiveQuery([], body + [ans_atom], label="q_ans")
-    stats = rewrite_ucq(reified, tgds, max_queries=max_queries)
-
-    stored = system.stored_quotient()
-    lookup = stored.term_id
-    private: Dict[Term, int] = {}
-
-    def constant_id(term: Term) -> int:
-        tid = lookup(term)
-        if tid is None:
-            tid = private.setdefault(term, -1 - len(private))
-        return tid
-
-    rows: Set[Tuple[int, ...]] = set()
-    for disjunct in stats.ucq:
-        columns, n = _answer_columns(stored, disjunct, constant_id)
-        rows.update(column_rows(columns, n))
-    nonredundant = answer_rows(
-        stored, rows, {tid: term for term, tid in private.items()}
+    entry, stored = _prepared(
+        system, query, nsm, max_queries, require_fo_rewritable
     )
+    rows: Set[Tuple[int, ...]] = set()
+    for picks, head, plan in entry.plans:
+        batch = plan.execute()
+        n = batch.n
+        if not n:
+            continue
+        column = dict(zip(head, batch.project(head)))
+        columns = [
+            column[pick] if isinstance(pick, Variable) else [pick] * n
+            for pick in picks
+        ]
+        rows.update(column_rows(columns, n))
+    nonredundant = answer_rows(stored, rows, entry.private)
     return RewritingAnswers(
-        answers=set(expand_by_class(nonredundant, classes.classes)),
-        disjuncts=len(stats.ucq),
-        explored=stats.explored,
+        answers=set(expand_by_class(nonredundant, entry.classes.classes)),
+        disjuncts=len(entry.stats.ucq),
+        explored=entry.stats.explored,
         rewritings=1,
         nonredundant=nonredundant,
     )

@@ -17,6 +17,10 @@ file in the open.
   ``≡ₑ`` the system keeps (``RPS.class_map``): only ``peers/system.py``
   builds it, Algorithm 1 starts from the kept quotient of D instead of
   reading the peer graphs, and no second quotient object comes back.
+* **One prepared rewriting.**  ``rewriting/perfect.py`` rewrites a
+  SELECT query and plans its disjuncts only in the function that fills
+  the entry the system keeps (``RPS.prepared_rewritings``), so no
+  second, unkept certain-answer path can come back.
 * **One prologue.**  A SPARQL parse starts from the one default
   namespace manager ``sparql/parser.py`` builds at import and copies it
   only at a text's first ``PREFIX``: nothing else in ``sparql/``
@@ -74,6 +78,16 @@ def _is_call_to(node, name):
         and isinstance(node.func, ast.Name)
         and node.func.id == name
     )
+
+
+def _calls(nodes, names):
+    """The calls among ``nodes`` to a function or method in ``names``."""
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in names:
+                yield node.lineno, name
 
 
 def _row_builders(tree):
@@ -147,12 +161,13 @@ class TestOneQuotient:
             relative = path.relative_to(SRC).as_posix()
             if relative == "peers/system.py":
                 continue
-            for node in ast.walk(_parse(relative)):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = getattr(func, "id", getattr(func, "attr", None))
-                    if name in ("canonical_map", "class_members"):
-                        calls.append(f"{relative}:{node.lineno}: {name}")
+            calls.extend(
+                f"{relative}:{line}: {name}"
+                for line, name in _calls(
+                    ast.walk(_parse(relative)),
+                    ("canonical_map", "class_members"),
+                )
+            )
         assert calls == []
 
     def test_the_chase_starts_from_the_kept_quotient(self):
@@ -166,6 +181,31 @@ class TestOneQuotient:
                 kept = kept or node.attr == "stored_quotient"
         assert reads == []
         assert kept
+
+
+#: The one function of ``rewriting/perfect.py`` that rewrites and plans.
+PREPARE = "_prepared"
+
+
+class TestOnePreparedRewriting:
+    WORK = ("rewrite_ucq", "build_batch_plan", "disjunct_plan")
+
+    def test_only_the_kept_entry_rewrites_or_plans(self):
+        tree = _parse("rewriting/perfect.py")
+        outside = [
+            f"rewriting/perfect.py:{line}: {name}"
+            for line, name in _calls(
+                _outside(tree, PREPARE), self.WORK + ("prepared_rewritings",)
+            )
+        ]
+        assert outside == []
+        (prepare,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == PREPARE
+        ]
+        inside = {name for _, name in _calls(ast.walk(prepare), self.WORK)}
+        assert inside == {"rewrite_ucq", "disjunct_plan"}
 
 
 class TestOnePrologue:

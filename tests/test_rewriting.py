@@ -20,6 +20,7 @@ chase with Section 3's six copy TGDs per pair.
 
 import pytest
 
+from repro.errors import RewritingError
 from repro.gpq.pattern import make_pattern
 from repro.gpq.query import GraphPatternQuery
 from repro.peers import (
@@ -36,6 +37,8 @@ from repro.rdf.namespaces import Namespace
 from repro.rdf.terms import BlankNode, Literal, Variable
 from repro.rdf.triples import Triple
 from repro.peers import system as system_module
+from repro.rewriting import boolean as boolean_module
+from repro.rewriting import perfect as perfect_module
 from repro.peers.quotient import expand_by_class
 from repro.rewriting import (
     ancestor_query,
@@ -376,9 +379,41 @@ class TestEquivalencesAsClasses:
         }
 
 
+def _add_r_to_q(system):
+    system.add_assertion(_translation(EX.r, EX.q, "r->q"))
+
+
+def _append_r_to_q(system):
+    system.assertions.append(_translation(EX.r, EX.q, "r->q"))
+
+
+def _add_b_is_e(system):
+    system.add_equivalence(EquivalenceMapping(EX.b, EX.e))
+
+
+def _source_add(system):
+    system.peers["source"].graph.add(Triple(EX.c, EX.p, EX.f))
+
+
+def _target_remove(system):
+    system.peers["target"].graph.remove(Triple(EX.d, EX.q, EX.e))
+
+
+def _replace_target(system):
+    system.peers["target"].graph = Graph(
+        [Triple(EX.d, EX.q, EX.b)], name="target"
+    )
+
+
+def _write_kept_graph(system):
+    system.stored_graph().add(Triple(EX.x1, EX.q, EX.y1))
+
+
 class TestTheKeptStoredGraph:
-    """The system keeps D and its quotient between rewritings; every
-    mutation must show in the next answer exactly as in a new system."""
+    """The system keeps D, its quotient and each query's prepared
+    rewriting between rewritings; every mutation must show in the next
+    answer exactly as in a new system, and only a change to what the
+    rewriting is made of may rewrite again."""
 
     QUERY = GraphPatternQuery((X, Y), make_pattern((X, EX.q, Y)))
 
@@ -497,6 +532,136 @@ class TestTheKeptStoredGraph:
         assert {(EX.a, EX.e), (EX.d, EX.b)} <= after
         assert certain_answers(system, self.QUERY) == after
         assert len(solution) == len(chase_universal_solution(fresh).solution)
+
+    def counting(self, monkeypatch):
+        """Count the route's rewrites and disjunct batch plans."""
+        calls = {"rewrite": 0, "plan": 0}
+        rewrite = perfect_module.rewrite_ucq
+        plan = boolean_module.build_batch_plan
+
+        def counted_rewrite(*args, **kwargs):
+            calls["rewrite"] += 1
+            return rewrite(*args, **kwargs)
+
+        def counted_plan(*args, **kwargs):
+            calls["plan"] += 1
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(perfect_module, "rewrite_ucq", counted_rewrite)
+        monkeypatch.setattr(boolean_module, "build_batch_plan", counted_plan)
+        return calls
+
+    def agrees_with_a_new_system(self, system, answers):
+        assert answers == self.answers(self.fresh(system))
+        assert answers == certain_answers(system, self.QUERY)
+
+    @pytest.mark.parametrize(
+        "query",
+        [QUERY, "SELECT ?x ?y WHERE { ?x <http://example.org/q> ?y }"],
+        ids=["gpq", "text"],
+    )
+    def test_a_repeated_call_rewrites_and_plans_nothing(
+        self, monkeypatch, query
+    ):
+        calls = self.counting(monkeypatch)
+        system = self.system()
+        first = certain_answers_by_rewriting(system, query)
+        assert first.disjuncts
+        assert calls == {"rewrite": 1, "plan": first.disjuncts}
+        again = certain_answers_by_rewriting(system, query)
+        assert calls == {"rewrite": 1, "plan": first.disjuncts}
+        assert (again.answers, again.nonredundant, again.disjuncts) == (
+            first.answers,
+            first.nonredundant,
+            first.disjuncts,
+        )
+        # Every call's sets are its own: emptying them changes no
+        # kept state.
+        assert again.answers is not first.answers
+        again.answers.clear()
+        again.nonredundant.clear()
+        third = certain_answers_by_rewriting(system, query)
+        assert third.answers == first.answers
+        assert third.nonredundant == first.nonredundant
+        assert calls["rewrite"] == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [_add_r_to_q, _append_r_to_q, _add_b_is_e],
+        ids=["add_assertion", "assertions_append", "add_equivalence"],
+    )
+    def test_a_mapping_change_rewrites_once_more(self, monkeypatch, change):
+        calls = self.counting(monkeypatch)
+        system = self.system()
+        before = self.answers(system)
+        change(system)
+        after = self.answers(system)
+        assert self.answers(system) == after != before
+        assert calls["rewrite"] == 2
+        self.agrees_with_a_new_system(system, after)
+
+    def test_another_budget_rewrites_once_more(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        system = self.system()
+        first = self.answers(system)
+        for _ in range(2):
+            assert certain_answers_by_rewriting(
+                system, self.QUERY, max_queries=50
+            ).answers == first
+        assert self.answers(system) == first
+        assert calls["rewrite"] == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [_source_add, _target_remove, _replace_target, _write_kept_graph],
+        ids=["graph_add", "graph_remove", "replace_graph", "write_kept"],
+    )
+    def test_a_data_change_replans_without_rewriting(
+        self, monkeypatch, change
+    ):
+        calls = self.counting(monkeypatch)
+        system = self.system()
+        self.answers(system)
+        planned = calls["plan"]
+        change(system)
+        after = self.answers(system)
+        assert calls == {"rewrite": 1, "plan": 2 * planned}
+        assert self.answers(system) == after
+        assert calls == {"rewrite": 1, "plan": 2 * planned}
+        self.agrees_with_a_new_system(system, after)
+
+    def test_a_budget_failure_is_raised_again(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        system = self.system()
+        for attempt in (1, 2):
+            with pytest.raises(RewritingError, match="budget of 1 "):
+                certain_answers_by_rewriting(
+                    system, self.QUERY, max_queries=1
+                )
+            assert calls["rewrite"] == attempt
+        assert len(system.prepared_rewritings()) == 0
+
+    def test_the_least_recently_used_rewriting_goes_first(
+        self, monkeypatch
+    ):
+        calls = self.counting(monkeypatch)
+        system = self.system()
+        capacity = system_module.REWRITING_CAPACITY
+        budgets = range(100, 100 + capacity + 1)
+        for budget in budgets:
+            certain_answers_by_rewriting(
+                system, self.QUERY, max_queries=budget
+            )
+        assert len(system.prepared_rewritings()) == capacity
+        assert calls["rewrite"] == capacity + 1
+        certain_answers_by_rewriting(
+            system, self.QUERY, max_queries=budgets[-1]
+        )
+        assert calls["rewrite"] == capacity + 1
+        certain_answers_by_rewriting(
+            system, self.QUERY, max_queries=budgets[0]
+        )
+        assert calls["rewrite"] == capacity + 2
 
     def test_a_changed_kept_graph_is_rebuilt(self):
         """The kept graph is read-only; one that was written to anyway

@@ -162,7 +162,16 @@ def test_channel_contention_limits_overlap():
     assert stats.busy_seconds == 4.0
 
 
-def test_replay_is_deterministic_and_cached():
+def test_replay_is_deterministic_and_cached(monkeypatch):
+    replays = []
+    replay = QueryScheduler._replay
+
+    def counted(scheduler):
+        replays.append(scheduler)
+        return replay(scheduler)
+
+    monkeypatch.setattr(QueryScheduler, "_replay", counted)
+
     def build():
         scheduler = OverlapScheduler(concurrency=2)
         wave = [scheduler.submit("p0", 0.25) for _ in range(5)]
@@ -171,12 +180,19 @@ def test_replay_is_deterministic_and_cached():
         return scheduler
 
     first, second = build(), build()
-    assert first.makespan() == second.makespan()
-    assert first.makespan() is not None
-    # Cached until the DAG changes; a new submit invalidates.
-    before = first.makespan()
+    # Two lanes on p0 finish the wave at 0.75; p1's second request
+    # waits for it and ends at 1.75.
+    assert first.makespan() == second.makespan() == 1.75
+    assert len(replays) == 2
+    assert first.makespan() == 1.75
+    assert len(replays) == 2
+    # Cached until the DAG changes; a new submit invalidates.  The
+    # independent p2 request starts at 0 and outlasts the rest.
     first.submit("p2", 10.0)
-    assert first.makespan() == before + 10.0 or first.makespan() >= 10.0
+    assert first.makespan() == 10.0
+    assert len(replays) == 3
+    assert first.makespan() == 10.0
+    assert replays == [first, second, first]
 
 
 def test_makespan_never_exceeds_busy_seconds():

@@ -98,10 +98,15 @@ def defined_functions():
 
 def traced(run):
     """Call ``run()`` under a call-only tracer; return (status, codes)."""
-    entered = set()
+    # Keyed by identity, not by equality: two code objects with one
+    # name, first line and body compare equal across files (RelVar's
+    # and GraphMappingAssertion's ``__hash__``), so a set kept only the
+    # first entered.  Holding each code object keeps its id its own.
+    entered = {}
 
     def tracer(frame, event, arg):
-        entered.add(frame.f_code)
+        code = frame.f_code
+        entered[id(code)] = code
 
     sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(tracer)
@@ -112,7 +117,7 @@ def traced(run):
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(status), entered
+    return int(status), list(entered.values())
 
 
 def run_tier1():
